@@ -30,6 +30,7 @@ from .scorer import (
     pointwise_ce_loss,
     read_params,
     score,
+    segment_features,
     sgd_step,
     write_params,
 )

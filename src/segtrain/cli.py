@@ -12,8 +12,6 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
-import numpy as np
-
 from . import formats
 from .corpus import (
     Document,
@@ -33,7 +31,7 @@ from .evaluation import (
 )
 from .formats import ParseError, PipelineConfig
 from .ranking import Aggregation, rerank
-from .scorer import read_params, score_batch, write_params, extract_features
+from .scorer import read_params, score_batch, segment_features, write_params
 from .synth import generate_corpus
 from .training import (
     ALL_SEGMENTS,
@@ -137,18 +135,27 @@ def _cmd_segment(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_topics(args: argparse.Namespace, config: PipelineConfig):
+def _load_pools(args: argparse.Namespace, config: PipelineConfig):
+    """Corpus, queries, candidate pools and corpus stats.
+
+    Every candidate of a listed query must be a corpus document.
+    """
     documents = _read(formats.parse_corpus, _path(args, config, "corpus"))
     queries = _read(formats.parse_queries, _path(args, config, "queries"))
-    qrels = _read(formats.parse_qrels, _path(args, config, "qrels"))
     candidates = _read(formats.parse_candidates, _path(args, config, "candidates"))
-    return documents, queries, qrels, candidates
+    for query in queries:
+        for doc_id in candidates.get(query.id, []):
+            if doc_id not in documents:
+                raise ParseError(f"candidate {doc_id!r} of query {query.id!r} "
+                                 f"is not in the corpus")
+    stats = compute_corpus_stats(list(documents.values()), config.max_tokens)
+    return documents, queries, candidates, stats
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
     config = _load_config(args)
-    documents, queries, qrels, candidates = _load_topics(args, config)
-    stats = compute_corpus_stats(list(documents.values()), config.max_tokens)
+    documents, queries, candidates, stats = _load_pools(args, config)
+    qrels = _read(formats.parse_qrels, _path(args, config, "qrels"))
     train_ids, dev_ids = holdout_split([q.id for q in queries],
                                        config.dev_fraction, config.seed)
     by_id = {q.id: q for q in queries}
@@ -191,12 +198,9 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 def _cmd_select(args: argparse.Namespace) -> int:
     config = _load_config(args)
-    documents = _read(formats.parse_corpus, _path(args, config, "corpus"))
-    queries = _read(formats.parse_queries, _path(args, config, "queries"))
-    candidates = _read(formats.parse_candidates, _path(args, config, "candidates"))
+    documents, queries, candidates, stats = _load_pools(args, config)
     with open(_path(args, config, "model")) as stream:
         params = read_params(stream)
-    stats = compute_corpus_stats(list(documents.values()), config.max_tokens)
     segment_cache: dict[str, list] = {}
 
     def doc_segments(doc_id: str):
@@ -208,9 +212,9 @@ def _cmd_select(args: argparse.Namespace) -> int:
         rows = []
         for doc_id in candidates.get(query.id, []):
             segments = doc_segments(doc_id)[:config.max_segments]
-            feats = [extract_features(query, seg, stats, config.max_tokens,
-                                      config.max_segments) for seg in segments]
-            scores = score_batch(params, np.stack(feats))
+            feats = segment_features(query, segments, stats, config.max_tokens,
+                                     config.max_segments)
+            scores = score_batch(params, feats)
             best = int(scores.argmax())
             rows.append(((query.id, doc_id), best, float(scores[best])))
         return rows
@@ -237,12 +241,9 @@ def _map_threads(fn, items, threads: int):
 
 def _cmd_rerank(args: argparse.Namespace) -> int:
     config = _load_config(args)
-    documents = _read(formats.parse_corpus, _path(args, config, "corpus"))
-    queries = _read(formats.parse_queries, _path(args, config, "queries"))
-    candidates = _read(formats.parse_candidates, _path(args, config, "candidates"))
+    documents, queries, candidates, stats = _load_pools(args, config)
     with open(_path(args, config, "model")) as stream:
         params = read_params(stream)
-    stats = compute_corpus_stats(list(documents.values()), config.max_tokens)
     agg = Aggregation(args.mode)
 
     def rank_one(query: Query):

@@ -9,9 +9,13 @@ with fixed-size non-overlapping windows.
 
 from __future__ import annotations
 
+import itertools
 import random
 import re
+import string
+from collections import Counter
 from dataclasses import dataclass, field
+from typing import Iterable
 
 DEFAULT_MAX_TOKENS = 512
 DEFAULT_MIN_TOKENS = 128
@@ -19,6 +23,20 @@ DEFAULT_MAX_SEGMENTS = 4
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 _SENTENCE_BOUNDARY_RE = re.compile(r"(?<=[.!?])\s+")
+
+# ASCII fast path of `Document.from_text`.  `_MARK_TABLE` lowercases,
+# keeps token characters, turns sentence terminators into '.',
+# whitespace into ' ' and every other character into '#', so a sentence
+# boundary is exactly ". ".  `_SPACE_TABLE` then turns the remaining '.'
+# and '#' into spaces.  Both tables map ASCII to ASCII only, which keeps
+# `str.translate` on its fast path.
+_MARK_TABLE = str.maketrans(
+    {chr(i): "#" for i in range(128)}
+    | {c: " " for c in map(chr, range(128)) if c.isspace()}
+    | dict.fromkeys(".!?", ".")
+    | dict(zip(string.ascii_uppercase, string.ascii_lowercase))
+    | {c: c for c in string.ascii_lowercase + string.digits})
+_SPACE_TABLE = str.maketrans({".": " ", "#": " "})
 
 
 def tokenize(text: str) -> list[str]:
@@ -57,13 +75,40 @@ class Document:
     title: str
     sentences: list[list[str]]
     body_token_count: int = field(init=False)
+    title_tokens: list[str] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self.body_token_count = sum(len(s) for s in self.sentences)
+        self.body_token_count = sum(map(len, self.sentences))
+        self.title_tokens = tokenize(self.title)
 
     @classmethod
-    def from_text(cls, doc_id: str, title: str, body: str) -> "Document":
-        return cls(doc_id, title, [tokenize(s) for s in split_sentences(body)])
+    def from_text(cls, doc_id: str, title: str, body: str,
+                  vocab: dict[str, str] | None = None) -> "Document":
+        """Tokenized sentences of `body`, as `tokenize` over `split_sentences`.
+
+        Tokens are interned through `vocab` when given: documents parsed
+        with one vocabulary share a single string object per term.
+        """
+        if vocab is None:
+            vocab = {}
+        return cls(doc_id, title, [list(map(vocab.setdefault, toks, toks))
+                                   for toks in _sentence_tokens(body)])
+
+
+def _sentence_tokens(body: str) -> list[list[str]]:
+    """`[tokenize(s) for s in split_sentences(body)]`, one pass for ASCII.
+
+    Every part before the last sentence boundary ends with a terminator,
+    so it is a sentence even when it holds no token; only the text after
+    the last boundary can be blank.
+    """
+    if not body.isascii():
+        return [tokenize(s) for s in split_sentences(body)]
+    parts = body.translate(_MARK_TABLE).split(". ")
+    last = parts.pop()
+    if last.strip():
+        parts.append(last)
+    return [part.translate(_SPACE_TABLE).split() for part in parts]
 
 
 @dataclass
@@ -131,12 +176,34 @@ def _fill_sentences(lengths: list[int], start: int, budget: int) -> int:
     return end
 
 
-def _make_segment(doc: Document, title_tokens: list[str], index: int,
-                  start: int, end: int) -> Segment:
-    tokens = list(title_tokens)
-    for sent in doc.sentences[start:end]:
-        tokens.extend(sent)
-    return Segment(doc.id, index, start, end, tokens)
+def _spans(lengths: list[int], budgets: Iterable[int]) -> list[tuple[int, int]]:
+    """Greedy [start, end) sentence spans, one per budget, from the start.
+
+    A budget is drawn only while sentences remain, so a random budget
+    stream advances once per emitted span.  No sentences give the single
+    empty span (0, 0).
+    """
+    spans = []
+    budgets = iter(budgets)
+    start = 0
+    while start < len(lengths):
+        budget = next(budgets, None)
+        if budget is None:
+            break
+        end = _fill_sentences(lengths, start, budget)
+        spans.append((start, end))
+        start = end
+    return spans or [(0, 0)]
+
+
+def _make_segments(doc: Document, spans: list[tuple[int, int]]) -> list[Segment]:
+    segments = []
+    for index, (start, end) in enumerate(spans):
+        tokens = list(doc.title_tokens)
+        for sent in doc.sentences[start:end]:
+            tokens.extend(sent)
+        segments.append(Segment(doc.id, index, start, end, tokens))
+    return segments
 
 
 def segment_for_training(doc: Document, query_token_budget: int,
@@ -151,21 +218,17 @@ def segment_for_training(doc: Document, query_token_budget: int,
     """
     if policy.mode != "training":
         raise ValueError("segment_for_training requires a training policy")
-    title_tokens = tokenize(doc.title)
-    overhead = len(title_tokens) + query_token_budget
-    lengths = [len(s) for s in doc.sentences]
-    segments: list[Segment] = []
-    start = 0
-    while start < len(lengths):
-        if policy.max_segments is not None and len(segments) >= policy.max_segments:
-            break
-        budget = rng.randint(policy.min_tokens, policy.max_tokens) - overhead
-        end = _fill_sentences(lengths, start, budget)
-        segments.append(_make_segment(doc, title_tokens, len(segments), start, end))
-        start = end
-    if not segments:
-        segments.append(_make_segment(doc, title_tokens, 0, 0, 0))
-    return segments
+    overhead = len(doc.title_tokens) + query_token_budget
+    counter = (itertools.count() if policy.max_segments is None
+               else range(policy.max_segments))
+    budgets = (rng.randint(policy.min_tokens, policy.max_tokens) - overhead
+               for _ in counter)
+    return _make_segments(doc, _spans(list(map(len, doc.sentences)), budgets))
+
+
+def _inference_spans(doc: Document, max_tokens: int) -> list[tuple[int, int]]:
+    budget = max_tokens - len(doc.title_tokens)
+    return _spans(list(map(len, doc.sentences)), itertools.repeat(budget))
 
 
 def segment_for_inference(doc: Document, max_tokens: int = DEFAULT_MAX_TOKENS) -> list[Segment]:
@@ -175,18 +238,7 @@ def segment_for_inference(doc: Document, max_tokens: int = DEFAULT_MAX_TOKENS) -
     [0, sentence_count).  An empty body yields a single title-only
     segment.
     """
-    title_tokens = tokenize(doc.title)
-    budget = max_tokens - len(title_tokens)
-    lengths = [len(s) for s in doc.sentences]
-    segments: list[Segment] = []
-    start = 0
-    while start < len(lengths):
-        end = _fill_sentences(lengths, start, budget)
-        segments.append(_make_segment(doc, title_tokens, len(segments), start, end))
-        start = end
-    if not segments:
-        segments.append(_make_segment(doc, title_tokens, 0, 0, 0))
-    return segments
+    return _make_segments(doc, _inference_spans(doc, max_tokens))
 
 
 def compute_corpus_stats(docs: list[Document],
@@ -199,17 +251,16 @@ def compute_corpus_stats(docs: list[Document],
     """
     if not docs:
         raise ValueError("cannot compute stats over an empty corpus")
-    df: dict[str, int] = {}
+    df: Counter[str] = Counter()
     total_len = 0
     total_segments = 0
     for doc in docs:
-        terms = set(tokenize(doc.title))
-        for sent in doc.sentences:
-            terms.update(sent)
-        for term in terms:
-            df[term] = df.get(term, 0) + 1
-        for seg in segment_for_inference(doc, max_tokens):
-            total_len += seg.token_count
-            total_segments += 1
+        terms = set(doc.title_tokens)
+        terms.update(*doc.sentences)
+        df.update(terms)
+        # the spans partition the body and every segment repeats the title
+        n_segments = len(_inference_spans(doc, max_tokens))
+        total_len += n_segments * len(doc.title_tokens) + doc.body_token_count
+        total_segments += n_segments
     avg = total_len / total_segments if total_segments else 0.0
-    return CorpusStats(len(docs), df, max(avg, 1.0))
+    return CorpusStats(len(docs), dict(df), max(avg, 1.0))

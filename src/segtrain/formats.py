@@ -93,30 +93,44 @@ def parse_run(stream: IO[str]) -> Run:
 # corpus: JSON-lines {"doc_id", "title", "body"}
 
 def write_corpus(documents: Iterable[Document], stream: IO[str]) -> None:
-    """Canonical serialization: sentences joined with '. ' terminators."""
+    """Canonical serialization: each sentence ends with a '.' terminator.
+
+    Sentences are joined with '. ', so a sentence without tokens still
+    reads back as an empty sentence.
+    """
     for doc in documents:
         body = ". ".join(" ".join(sent) for sent in doc.sentences)
-        if body:
+        if doc.sentences:
             body += "."
         record = {"doc_id": doc.id, "title": doc.title, "body": body}
         stream.write(json.dumps(record, sort_keys=True) + "\n")
 
 
+_CORPUS_FIELDS = ("doc_id", "title", "body")
+
+
 def parse_corpus(stream: IO[str]) -> dict[str, Document]:
+    """Documents by id; all documents share one interned vocabulary."""
     documents: dict[str, Document] = {}
+    vocab: dict[str, str] = {}
     for line_no, line in _lines(stream):
         try:
             record = json.loads(line)
         except json.JSONDecodeError as exc:
             raise ParseError(f"bad JSON ({exc.msg})", line_no) from None
-        missing = {"doc_id", "title", "body"} - set(record)
+        if not isinstance(record, dict):
+            raise ParseError("expected a JSON object", line_no)
+        missing = set(_CORPUS_FIELDS) - set(record)
         if missing:
             raise ParseError(f"missing fields: {sorted(missing)}", line_no)
+        for key in _CORPUS_FIELDS:
+            if not isinstance(record[key], str):
+                raise ParseError(f"field {key!r} is not a string", line_no)
         doc_id = record["doc_id"]
         if doc_id in documents:
             raise ParseError(f"duplicate doc_id {doc_id!r}", line_no)
         documents[doc_id] = Document.from_text(doc_id, record["title"],
-                                               record["body"])
+                                               record["body"], vocab)
     return documents
 
 

@@ -15,7 +15,7 @@ from .corpus import (
     Query,
     segment_for_inference,
 )
-from .scorer import ScorerParams, extract_features, score_batch
+from .scorer import ScorerParams, score_batch, segment_features
 
 
 class Aggregation(enum.Enum):
@@ -40,11 +40,8 @@ def inference_features(query: Query, doc: Document, stats: CorpusStats,
                        max_tokens: int = DEFAULT_MAX_TOKENS,
                        max_segments: int = DEFAULT_MAX_SEGMENTS) -> np.ndarray:
     """Feature matrix over the document's inference segments, one row each."""
-    segments = segment_for_inference(doc, max_tokens)
-    return np.stack([
-        extract_features(query, seg, stats, max_tokens, max_segments)
-        for seg in segments
-    ])
+    return segment_features(query, segment_for_inference(doc, max_tokens), stats,
+                            max_tokens, max_segments)
 
 
 def aggregate(seg_scores: np.ndarray, agg: Aggregation) -> float:

@@ -10,8 +10,8 @@ over numpy arrays.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass
 from typing import IO, Sequence, Union
 
@@ -54,39 +54,75 @@ def idf(stats: CorpusStats, term: str) -> float:
     return math.log(1.0 + (stats.doc_count - df + 0.5) / (df + 0.5))
 
 
+def segment_features(query: Query, segments: Sequence[Segment],
+                     stats: CorpusStats,
+                     max_tokens: int = DEFAULT_MAX_TOKENS,
+                     max_segments: int = DEFAULT_MAX_SEGMENTS) -> np.ndarray:
+    """Lexical feature matrix, one row per segment of a (query, doc) pair.
+
+    Matching runs over each segment's full token sequence, which starts
+    with the document title, so title matches count.  A query with no
+    tokens produces zeros for all match features.
+
+    Only positions holding a query term are visited in Python; C-level
+    set and map passes find them.  Term frequencies of all segments come
+    from one scatter-add, and idf and BM25 are summed over the unique
+    query terms in query order with the same scalar operations as a
+    per-segment loop, so every row is exactly the vector that segment
+    alone gives.
+    """
+    n = len(segments)
+    lengths = np.array([seg.token_count for seg in segments], dtype=np.int64)
+    x = np.zeros((n, NUM_FEATURES))
+    x[:, F_LENGTH_RATIO] = lengths / max_tokens
+    x[:, F_POSITION_RATIO] = np.array([seg.index for seg in segments]) / max_segments
+    q_unique = list(dict.fromkeys(query.tokens))
+    if not q_unique:
+        return x
+    nq = len(q_unique)
+    slot = {term: j for j, term in enumerate(q_unique)}
+    terms = set(slot)
+    q_bigrams = {slot[a] * nq + slot[b]
+                 for a, b in zip(query.tokens, query.tokens[1:])}
+    cells = []  # i * nq + j for each occurrence of query term j in segment i
+    bigrams_found = [0] * n
+    for i, seg in enumerate(segments):
+        if terms.isdisjoint(seg.tokens):
+            continue
+        positions = list(itertools.compress(itertools.count(),
+                                            map(terms.__contains__, seg.tokens)))
+        ids = [slot[seg.tokens[p]] for p in positions]
+        cells.extend(i * nq + j for j in ids)
+        adjacent = {a * nq + b for p, p_next, a, b
+                    in zip(positions, positions[1:], ids, ids[1:])
+                    if p_next == p + 1}
+        bigrams_found[i] = len(adjacent & q_bigrams)
+    if not cells:
+        return x
+    tf = np.bincount(cells, minlength=n * nq).reshape(n, nq)
+    matched = tf > 0
+    x[:, F_MATCH_FRACTION] = matched.sum(axis=1) / nq
+    norm = BM25_K1 * (1.0 - BM25_B + BM25_B * lengths / stats.avg_segment_length)
+    idf_sum = np.zeros(n)
+    bm25 = np.zeros(n)
+    for j, term in enumerate(q_unique):
+        w = idf(stats, term)
+        np.add(idf_sum, w, out=idf_sum, where=matched[:, j])
+        np.add(bm25, w * tf[:, j] * (BM25_K1 + 1.0) / (tf[:, j] + norm),
+               out=bm25, where=matched[:, j])
+    x[:, F_IDF_MATCH] = idf_sum / nq
+    x[:, F_BM25] = bm25
+    x[:, F_LOG_MAX_TF] = [math.log1p(m) for m in tf.max(axis=1).tolist()]
+    if q_bigrams:
+        x[:, F_BIGRAM_FRACTION] = np.array(bigrams_found) / len(q_bigrams)
+    return x
+
+
 def extract_features(query: Query, segment: Segment, stats: CorpusStats,
                      max_tokens: int = DEFAULT_MAX_TOKENS,
                      max_segments: int = DEFAULT_MAX_SEGMENTS) -> np.ndarray:
-    """Lexical feature vector for one (query, segment) pair.
-
-    Matching runs over the full segment token sequence, which starts
-    with the document title, so title matches count.  A query with no
-    tokens produces zeros for all match features.
-    """
-    counts = Counter(segment.tokens)
-    q_unique = list(dict.fromkeys(query.tokens))
-    x = np.zeros(NUM_FEATURES)
-    if q_unique:
-        matched = [t for t in q_unique if t in counts]
-        x[F_MATCH_FRACTION] = len(matched) / len(q_unique)
-        x[F_IDF_MATCH] = sum(idf(stats, t) for t in matched) / len(q_unique)
-        dl = segment.token_count
-        norm = BM25_K1 * (1.0 - BM25_B + BM25_B * dl / stats.avg_segment_length)
-        bm25 = 0.0
-        max_tf = 0
-        for t in matched:
-            tf = counts[t]
-            bm25 += idf(stats, t) * tf * (BM25_K1 + 1.0) / (tf + norm)
-            max_tf = max(max_tf, tf)
-        x[F_BM25] = bm25
-        x[F_LOG_MAX_TF] = math.log1p(max_tf)
-        q_bigrams = set(zip(query.tokens, query.tokens[1:]))
-        if q_bigrams:
-            seg_bigrams = set(zip(segment.tokens, segment.tokens[1:]))
-            x[F_BIGRAM_FRACTION] = len(q_bigrams & seg_bigrams) / len(q_bigrams)
-    x[F_LENGTH_RATIO] = segment.token_count / max_tokens
-    x[F_POSITION_RATIO] = segment.index / max_segments
-    return x
+    """Lexical feature vector for one (query, segment) pair."""
+    return segment_features(query, [segment], stats, max_tokens, max_segments)[0]
 
 
 @dataclass

@@ -37,11 +37,11 @@ from .scorer import (
     PointExample,
     ScorerParams,
     batch_loss_and_gradient,
-    extract_features,
     hinge_loss,
     init_params,
     pointwise_ce_loss,
     score_batch,
+    segment_features,
     sgd_step,
 )
 
@@ -122,11 +122,8 @@ class TrainingSet:
         key = (query.id, doc_id)
         cached = self._features.get(key)
         if cached is None:
-            cached = np.stack([
-                extract_features(query, seg, self.stats,
-                                 self.max_tokens, self.max_segments)
-                for seg in self.segments[doc_id]
-            ])
+            cached = segment_features(query, self.segments[doc_id], self.stats,
+                                      self.max_tokens, self.max_segments)
             self._features[key] = cached
         return cached
 

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from segtrain.corpus import (
@@ -58,6 +58,36 @@ class TestSplitSentences:
     def test_non_whitespace_content_preserved(self, text):
         joined = "".join("".join(s.split()) for s in split_sentences(text))
         assert joined == "".join(text.split())
+
+
+ASCII_ALPHABET = ".!?" + " \t\n\x0b\x1c" + ",;:-)'#" + "09aZz"
+TOKENIZER_ALPHABET = ASCII_ALPHABET + "éİß\xa0"
+
+
+class TestDocumentFromText:
+    """The one-pass tokenizer equals tokenize over split_sentences."""
+
+    @settings(max_examples=500)
+    @given(st.text(TOKENIZER_ALPHABET, max_size=40))
+    @example("")
+    @example("   \n")
+    @example(". a")
+    @example(".  . ")
+    @example("a. . b")
+    @example("a.) b")
+    @example("x.\x1c y!\x0b\tZ")
+    @example("Last sentence.")
+    @example("v1.2 is out... Really?! no")
+    @example("İZ. Kß.\xa0x é")
+    def test_matches_sentence_then_token_split(self, text):
+        expected = [tokenize(s) for s in split_sentences(text)]
+        assert Document.from_text("d", "", text).sentences == expected
+
+    @settings(max_examples=300)
+    @given(st.text(ASCII_ALPHABET, max_size=40))
+    def test_ascii_matches_sentence_then_token_split(self, text):
+        expected = [tokenize(s) for s in split_sentences(text)]
+        assert Document.from_text("d", "", text).sentences == expected
 
 
 def uniform_doc(n_sentences: int, sentence_len: int, title: str = "") -> Document:

@@ -1,5 +1,6 @@
 import io
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -7,13 +8,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from segtrain.corpus import CorpusStats, Document, Query, compute_corpus_stats
+from segtrain.corpus import CorpusStats, Document, Query, Segment, compute_corpus_stats
 from segtrain.scorer import (
+    BM25_B,
+    BM25_K1,
     F_BIGRAM_FRACTION,
     F_BM25,
     F_IDF_MATCH,
+    F_LENGTH_RATIO,
     F_LOG_MAX_TF,
     F_MATCH_FRACTION,
+    F_POSITION_RATIO,
     NUM_FEATURES,
     LossKind,
     PairExample,
@@ -22,19 +27,20 @@ from segtrain.scorer import (
     batch_loss_and_gradient,
     extract_features,
     hinge_loss,
+    idf,
     init_params,
     params_from_vector,
     params_to_vector,
     pointwise_ce_loss,
     read_params,
     score,
+    segment_features,
     sgd_step,
     write_params,
 )
 
 
 def segment_of(tokens, index=0, doc_id="d"):
-    from segtrain.corpus import Segment
     return Segment(doc_id, index, 0, 1, list(tokens))
 
 
@@ -76,6 +82,81 @@ class TestExtractFeatures:
         q = Query.from_text("q", "alpha unseen 42")
         x = extract_features(q, segment_of(["alpha", "42", "alpha"]), tiny_stats)
         assert np.all(np.isfinite(x))
+
+
+def reference_features(query, segment, stats, max_tokens, max_segments):
+    """Per-segment feature loop, kept as the oracle of `segment_features`.
+
+    The idf sum runs left to right, as the builtin `sum` did before
+    Python 3.12 made it compensated.
+    """
+    counts = Counter(segment.tokens)
+    q_unique = list(dict.fromkeys(query.tokens))
+    x = np.zeros(NUM_FEATURES)
+    if q_unique:
+        matched = [t for t in q_unique if t in counts]
+        x[F_MATCH_FRACTION] = len(matched) / len(q_unique)
+        idf_sum = 0.0
+        for t in matched:
+            idf_sum += idf(stats, t)
+        x[F_IDF_MATCH] = idf_sum / len(q_unique)
+        dl = segment.token_count
+        norm = BM25_K1 * (1.0 - BM25_B + BM25_B * dl / stats.avg_segment_length)
+        bm25 = 0.0
+        max_tf = 0
+        for t in matched:
+            tf = counts[t]
+            bm25 += idf(stats, t) * tf * (BM25_K1 + 1.0) / (tf + norm)
+            max_tf = max(max_tf, tf)
+        x[F_BM25] = bm25
+        x[F_LOG_MAX_TF] = math.log1p(max_tf)
+        q_bigrams = set(zip(query.tokens, query.tokens[1:]))
+        if q_bigrams:
+            seg_bigrams = set(zip(segment.tokens, segment.tokens[1:]))
+            x[F_BIGRAM_FRACTION] = len(q_bigrams & seg_bigrams) / len(q_bigrams)
+    x[F_LENGTH_RATIO] = segment.token_count / max_tokens
+    x[F_POSITION_RATIO] = segment.index / max_segments
+    return x
+
+
+vocab_terms = st.sampled_from("abcdefghijkl")
+
+
+@settings(max_examples=300)
+@given(query=st.lists(vocab_terms, max_size=14),
+       title=st.lists(vocab_terms, max_size=3),
+       bodies=st.lists(st.lists(vocab_terms, max_size=30), min_size=1, max_size=5),
+       df=st.dictionaries(st.sampled_from("abcdefgh"), st.integers(0, 60)),
+       doc_count=st.integers(0, 50),
+       avg=st.floats(1.0, 700.0),
+       max_tokens=st.integers(1, 600),
+       max_segments=st.integers(1, 8))
+@example(query=["a", "a"], title=[], bodies=[["a", "a"], ["a", "b", "a"]],
+         df={}, doc_count=3, avg=4.0, max_tokens=512, max_segments=4)
+@example(query=["a", "b"], title=["x", "a"], bodies=[["b"], [], ["c", "b"]],
+         df={"a": 2}, doc_count=3, avg=1.0, max_tokens=512, max_segments=4)
+@example(query=["b", "a", "b"], title=["b"], bodies=[[], ["a", "b", "a"]],
+         df={"a": 60, "b": 0}, doc_count=50, avg=3.5, max_tokens=7, max_segments=1)
+@example(query=[], title=["a"], bodies=[["a"], []],
+         df={}, doc_count=1, avg=1.0, max_tokens=512, max_segments=4)
+@example(query=["z"], title=[], bodies=[["a", "b"]],
+         df={}, doc_count=1, avg=1.0, max_tokens=512, max_segments=4)
+@example(query=list("abcdefghijkl"), title=["a"], bodies=[list("lkjihgfedcba") * 2],
+         df={"a": 1, "b": 7, "c": 40}, doc_count=50, avg=9.7, max_tokens=512,
+         max_segments=4)
+def test_segment_features_equal_per_segment_reference(
+        query, title, bodies, df, doc_count, avg, max_tokens, max_segments):
+    q = Query("q", " ".join(query), query)
+    stats = CorpusStats(doc_count, df, avg)
+    segments = [Segment("d", i, i, i + 1, title + body) for i, body in enumerate(bodies)]
+    batched = segment_features(q, segments, stats, max_tokens, max_segments)
+    expected = np.stack([reference_features(q, seg, stats, max_tokens, max_segments)
+                         for seg in segments])
+    assert np.array_equal(batched, expected)
+    assert batched.tobytes() == expected.tobytes()  # signs of zeros too
+    for seg, row in zip(segments, expected):
+        assert np.array_equal(
+            extract_features(q, seg, stats, max_tokens, max_segments), row)
 
 
 class TestScore:
