@@ -17,6 +17,7 @@ from .evaluation import (
     mrr,
     ndcg_at_k,
     paired_t_test,
+    per_query_metrics,
     segment_p_at_1,
 )
 from .ranking import Aggregation, RankedList, rerank, score_document

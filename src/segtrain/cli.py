@@ -7,6 +7,7 @@ eval-selection.  Exit codes: 0 success, 1 usage error, 2 data error.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -27,6 +28,7 @@ from .evaluation import (
     mrr,
     ndcg_at_k,
     paired_t_test,
+    per_query_metrics,
     segment_p_at_1,
 )
 from .formats import ParseError, PipelineConfig
@@ -54,8 +56,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _load_config(args: argparse.Namespace) -> PipelineConfig:
     if getattr(args, "config", None):
-        with open(args.config) as stream:
-            config = formats.parse_config(stream)
+        config = _read(formats.parse_config, args.config)
     else:
         config = PipelineConfig()
     if getattr(args, "seed", None) is not None:
@@ -73,8 +74,21 @@ def _path(args: argparse.Namespace, config: PipelineConfig, name: str) -> str:
 
 
 def _read(parser_fn, path: str):
-    with open(path) as stream:
-        return parser_fn(stream)
+    """Parse the file at `path` with the cyclic garbage collector off.
+
+    Parsed inputs hold no reference cycles and live until the command
+    ends, so they are frozen out of every later collection too.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        with open(path) as stream:
+            parsed = parser_fn(stream)
+        gc.freeze()
+        return parsed
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _training_policy(config: PipelineConfig) -> SegmentationPolicy:
@@ -161,7 +175,8 @@ def _cmd_train(args: argparse.Namespace) -> int:
     by_id = {q.id: q for q in queries}
     train_queries = [by_id[qid] for qid in train_ids]
     dev_queries = [by_id[qid] for qid in dev_ids]
-    dev_qrels = {key: g for key, g in qrels.items() if key[0] in set(dev_ids)}
+    dev_id_set = set(dev_ids)
+    dev_qrels = {key: g for key, g in qrels.items() if key[0] in dev_id_set}
     cfg = config.train_config()
     tset = build_training_set(train_queries, qrels, candidates, documents,
                               _training_policy(config),
@@ -199,8 +214,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
 def _cmd_select(args: argparse.Namespace) -> int:
     config = _load_config(args)
     documents, queries, candidates, stats = _load_pools(args, config)
-    with open(_path(args, config, "model")) as stream:
-        params = read_params(stream)
+    params = _read(read_params, _path(args, config, "model"))
     segment_cache: dict[str, list] = {}
 
     def doc_segments(doc_id: str):
@@ -242,8 +256,7 @@ def _map_threads(fn, items, threads: int):
 def _cmd_rerank(args: argparse.Namespace) -> int:
     config = _load_config(args)
     documents, queries, candidates, stats = _load_pools(args, config)
-    with open(_path(args, config, "model")) as stream:
-        params = read_params(stream)
+    params = _read(read_params, _path(args, config, "model"))
     agg = Aggregation(args.mode)
 
     def rank_one(query: Query):
@@ -261,16 +274,6 @@ def _cmd_rerank(args: argparse.Namespace) -> int:
     return 0
 
 
-def _per_query_metrics(run, qrels, cutoff: int, k: int):
-    qids = sorted({qid for qid, _ in qrels} & set(run))
-    out = {}
-    for qid in qids:
-        q_qrels = {key: g for key, g in qrels.items() if key[0] == qid}
-        q_run = {qid: run[qid]}
-        out[qid] = (mrr(q_run, q_qrels, cutoff), ndcg_at_k(q_run, q_qrels, k))
-    return out
-
-
 def _cmd_eval(args: argparse.Namespace) -> int:
     config = _load_config(args)
     run = _read(formats.parse_run, _path(args, config, "run"))
@@ -279,7 +282,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     print(f"# ndcg_k={config.ndcg_k}")
     print(f"mrr={mrr(run, qrels, config.mrr_cutoff):.6f}")
     print(f"ndcg@{config.ndcg_k}={ndcg_at_k(run, qrels, config.ndcg_k):.6f}")
-    per_query = _per_query_metrics(run, qrels, config.mrr_cutoff, config.ndcg_k)
+    per_query = per_query_metrics(run, qrels, config.mrr_cutoff, config.ndcg_k)
     if args.per_query:
         with open(args.per_query, "w") as stream:
             stream.write(f"qid\tmrr\tndcg@{config.ndcg_k}\n")
@@ -287,8 +290,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
                 stream.write(f"{qid}\t{rr:.6f}\t{nd:.6f}\n")
     if args.baseline_run:
         baseline = _read(formats.parse_run, args.baseline_run)
-        base_metrics = _per_query_metrics(baseline, qrels, config.mrr_cutoff,
-                                          config.ndcg_k)
+        base_metrics = per_query_metrics(baseline, qrels, config.mrr_cutoff,
+                                         config.ndcg_k)
         shared = sorted(set(per_query) & set(base_metrics))
         if len(shared) < 2:
             raise ParseError("need at least 2 shared queries for the t-test")
@@ -302,10 +305,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_eval_selection(args: argparse.Namespace) -> int:
-    with open(args.selection) as stream:
-        selection, _ = formats.parse_selection(stream)
-    with open(args.gold) as stream:
-        gold = formats.parse_gold(stream)
+    selection, _ = _read(formats.parse_selection, args.selection)
+    gold = _read(formats.parse_gold, args.gold)
     print(f"pairs={len(gold)}")
     print(f"segment_p_at_1={segment_p_at_1(selection, gold):.6f}")
     return 0

@@ -1,7 +1,10 @@
 """Ranking metrics, segment-selection precision, significance, splits.
 
 Qrels map (query_id, doc_id) to an integer relevance grade; a missing
-pair means grade 0.  Runs map query ids to RankedLists.  The paired
+pair means grade 0.  Runs map query ids to RankedLists.
+`per_query_metrics` is the per-query primitive: one pass over the
+qrels gives every judged query's reciprocal rank and NDCG@k, and `mrr`
+and `ndcg_at_k` are means of the same per-query values.  The paired
 t-test is self-contained: the t distribution CDF goes through the
 regularized incomplete beta function evaluated by continued fraction.
 """
@@ -10,6 +13,7 @@ from __future__ import annotations
 
 import math
 import random
+from functools import partial
 
 from .ranking import RankedList
 
@@ -28,9 +32,50 @@ def _qrels_by_query(qrels: Qrels) -> dict[str, dict[str, int]]:
     return out
 
 
-def _check_overlap(run: Run, by_query: dict[str, dict[str, int]]) -> None:
+def _reciprocal_rank(ranked: RankedList, judged: dict[str, int],
+                     cutoff: int) -> float:
+    for entry in ranked.entries[:cutoff]:
+        if judged.get(entry.doc_id, 0) > 0:
+            return 1.0 / entry.rank
+    return 0.0
+
+
+def _ndcg(ranked: RankedList, judged: dict[str, int], k: int) -> float:
+    ideal = sorted(judged.values(), reverse=True)[:k]
+    idcg = sum(g / math.log2(i + 2) for i, g in enumerate(ideal))
+    if idcg == 0:
+        return 0.0
+    dcg = sum(
+        judged.get(e.doc_id, 0) / math.log2(e.rank + 1)
+        for e in ranked.entries[:k])
+    return dcg / idcg
+
+
+def _judged_queries(run: Run, qrels: Qrels) -> list[tuple[str, dict[str, int]]]:
+    """(qid, {doc_id: grade}) of every judged query, sorted by qid; the
+    run must contain at least one of them."""
+    by_query = _qrels_by_query(qrels)
     if not any(qid in run for qid in by_query):
         raise ValueError("run and qrels share no queries")
+    return sorted(by_query.items())
+
+
+def _check_depth(name: str, value: int) -> None:
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1")
+
+
+def _mean_over_judged(run: Run, qrels: Qrels, metric) -> float:
+    """Sum of `metric(ranked, judged)` in qid order over the judged
+    queries, divided by their number; a query missing from the run
+    adds nothing."""
+    judged_queries = _judged_queries(run, qrels)
+    total = 0.0
+    for qid, judged in judged_queries:
+        ranked = run.get(qid)
+        if ranked is not None:
+            total += metric(ranked, judged)
+    return total / len(judged_queries)
 
 
 def mrr(run: Run, qrels: Qrels, cutoff: int = 10) -> float:
@@ -39,20 +84,8 @@ def mrr(run: Run, qrels: Qrels, cutoff: int = 10) -> float:
     Averaged over the queries present in the qrels; a query with no
     run entries or no relevant document in the top `cutoff` scores 0.
     """
-    if cutoff < 1:
-        raise ValueError("cutoff must be >= 1")
-    by_query = _qrels_by_query(qrels)
-    _check_overlap(run, by_query)
-    total = 0.0
-    for qid, judged in sorted(by_query.items()):
-        ranked = run.get(qid)
-        if ranked is None:
-            continue
-        for entry in ranked.entries[:cutoff]:
-            if judged.get(entry.doc_id, 0) > 0:
-                total += 1.0 / entry.rank
-                break
-    return total / len(by_query)
+    _check_depth("cutoff", cutoff)
+    return _mean_over_judged(run, qrels, partial(_reciprocal_rank, cutoff=cutoff))
 
 
 def ndcg_at_k(run: Run, qrels: Qrels, k: int = 10) -> float:
@@ -61,24 +94,23 @@ def ndcg_at_k(run: Run, qrels: Qrels, k: int = 10) -> float:
     The ideal DCG comes from the query's judged grades sorted in
     descending order; queries without any relevant document score 0.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    by_query = _qrels_by_query(qrels)
-    _check_overlap(run, by_query)
-    total = 0.0
-    for qid, judged in sorted(by_query.items()):
-        ideal = sorted(judged.values(), reverse=True)[:k]
-        idcg = sum(g / math.log2(i + 2) for i, g in enumerate(ideal))
-        if idcg == 0:
-            continue
-        ranked = run.get(qid)
-        if ranked is None:
-            continue
-        dcg = sum(
-            judged.get(e.doc_id, 0) / math.log2(e.rank + 1)
-            for e in ranked.entries[:k])
-        total += dcg / idcg
-    return total / len(by_query)
+    _check_depth("k", k)
+    return _mean_over_judged(run, qrels, partial(_ndcg, k=k))
+
+
+def per_query_metrics(run: Run, qrels: Qrels, cutoff: int = 10,
+                      k: int = 10) -> dict[str, tuple[float, float]]:
+    """{qid: (reciprocal rank within cutoff, NDCG@k)} of every judged
+    query the run contains, in qid order.
+
+    Each value is the one `mrr` and `ndcg_at_k` add up for that query,
+    so their means over the judged queries are those two metrics.
+    """
+    _check_depth("cutoff", cutoff)
+    _check_depth("k", k)
+    return {qid: (_reciprocal_rank(run[qid], judged, cutoff),
+                  _ndcg(run[qid], judged, k))
+            for qid, judged in _judged_queries(run, qrels) if qid in run}
 
 
 def segment_p_at_1(selection: SegmentIndexMap, gold: GoldSegments) -> float:

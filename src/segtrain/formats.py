@@ -71,16 +71,33 @@ def write_run(run: Run, tag: str, stream: IO[str]) -> None:
 
 
 def parse_run(stream: IO[str]) -> Run:
+    """Ranked lists by query, in (rank, doc_id) order.
+
+    A document may appear only once in a query's ranking.  Only the
+    document ids of the query being read are kept in a set, so a run
+    whose lines are grouped by query needs one set at a time.
+    """
     rows: dict[str, list[tuple[int, str, float]]] = {}
-    for line_no, line in _lines(stream):
-        fields = line.split()
+    qid_now, entries, docs = None, [], set()
+    for line_no, raw in enumerate(stream, 1):
+        fields = raw.split()
+        if not fields:
+            continue
         if len(fields) != 6:
             raise ParseError(f"expected 6 fields, got {len(fields)}", line_no)
         qid, _, doc_id, rank, score, _tag = fields
         try:
-            rows.setdefault(qid, []).append((int(rank), doc_id, float(score)))
+            entry = (int(rank), doc_id, float(score))
         except ValueError:
             raise ParseError("bad rank or score", line_no) from None
+        if qid != qid_now:
+            qid_now, entries = qid, rows.setdefault(qid, [])
+            docs = {doc for _, doc, _ in entries}
+        if doc_id in docs:
+            raise ParseError(f"duplicate doc_id {doc_id!r} for query {qid!r}",
+                             line_no)
+        docs.add(doc_id)
+        entries.append(entry)
     run: Run = {}
     for qid, entries in rows.items():
         entries.sort()

@@ -1,5 +1,8 @@
-"""The command-line pipeline end to end on a tiny synthetic collection."""
+"""The command-line pipeline end to end on a tiny synthetic collection,
+and `eval` on a hand-written TREC set."""
 
+import gc
+import math
 from pathlib import Path
 
 import pytest
@@ -123,3 +126,149 @@ def test_candidate_missing_from_corpus_names_query_and_doc(data, model, tmp_path
     assert code == 2
     assert f"candidate 'not-a-doc' of query '{qid}' is not in the corpus" in err
 
+
+
+# ---------------------------------------------------------------------------
+# eval on a small hand-written TREC set
+
+QRELS = """\
+q1 0 d1 2
+q1 0 d2 0
+q1 0 d3 1
+q2 0 d4 1
+q2 0 d5 3
+q3 0 d6 0
+q3 0 d7 0
+q4 0 d8 1
+"""
+# q4 is judged but not ranked; q5 is ranked but not judged.
+RUN = """\
+q1 Q0 d2 1 3.0 sys
+q1 Q0 d1 2 2.0 sys
+q1 Q0 d3 3 1.0 sys
+
+q2 Q0 d5 1 3.0 sys
+q2 Q0 d9 2 2.0 sys
+q2 Q0 d4 3 1.0 sys
+q3 Q0 d6 1 2.0 sys
+q3 Q0 d7 2 1.0 sys
+q5 Q0 d1 1 1.0 sys
+"""
+BASELINE = """\
+q1 Q0 d1 1 3.0 base
+q1 Q0 d2 2 2.0 base
+q1 Q0 d3 3 1.0 base
+q2 Q0 d9 1 3.0 base
+q2 Q0 d10 2 2.0 base
+q2 Q0 d4 3 1.0 base
+q3 Q0 d7 1 2.0 base
+q3 Q0 d6 2 1.0 base
+"""
+
+
+def by_rank(text: str) -> dict[str, list[str]]:
+    ranked: dict[str, list[str]] = {}
+    for line in text.splitlines():
+        if line:
+            qid, _, doc, _rank, _, _ = line.split()
+            ranked.setdefault(qid, []).append(doc)
+    return ranked
+
+
+def expected_table(run_text: str) -> dict[str, tuple[float, float]]:
+    """Reciprocal rank and NDCG@10 per judged, ranked query, from scratch."""
+    grades: dict[str, dict[str, int]] = {}
+    for line in QRELS.splitlines():
+        qid, _, doc, grade = line.split()
+        grades.setdefault(qid, {})[doc] = int(grade)
+    table = {}
+    for qid, docs in by_rank(run_text).items():
+        if qid not in grades:
+            continue
+        g = grades[qid]
+        hits = [i for i, doc in enumerate(docs, 1) if g.get(doc, 0) > 0]
+        rr = 1 / hits[0] if hits else 0.0
+        dcg = sum(g.get(doc, 0) / math.log2(i + 1) for i, doc in enumerate(docs, 1))
+        ideal = sorted(g.values(), reverse=True)
+        idcg = sum(x / math.log2(i + 1) for i, x in enumerate(ideal, 1))
+        table[qid] = (rr, dcg / idcg if idcg else 0.0)
+    return table
+
+
+def t_test_p_df2(a: list[float], b: list[float]) -> float:
+    """Two-sided paired t-test p-value for three pairs: with 2 degrees of
+    freedom the t distribution has the closed form P(|T| >= t) = 1 - t/sqrt(t^2 + 2)."""
+    assert len(a) == len(b) == 3
+    d = [x - y for x, y in zip(a, b)]
+    mean = sum(d) / 3
+    sd = math.sqrt(sum((x - mean) ** 2 for x in d) / 2)
+    t = abs(mean) / (sd / math.sqrt(3))
+    return 1 - t / math.sqrt(t * t + 2)
+
+
+@pytest.fixture
+def trec(tmp_path) -> Path:
+    for name, text in (("qrels.txt", QRELS), ("run.txt", RUN),
+                       ("baseline.txt", BASELINE)):
+        (tmp_path / name).write_text(text)
+    return tmp_path
+
+
+def eval_trec(trec: Path, run: str = "run.txt", baseline: str = "baseline.txt") -> int:
+    return main(["eval", "--run", str(trec / run), "--qrels", str(trec / "qrels.txt"),
+                 "--baseline-run", str(trec / baseline),
+                 "--per-query", str(trec / "per_query.tsv")])
+
+
+def test_eval_table_and_t_test_match_recomputation(trec, capsys):
+    assert eval_trec(trec) == 0
+    printed = dict(line.split("=") for line in capsys.readouterr().out.splitlines())
+    table, base = expected_table(RUN), expected_table(BASELINE)
+    assert list(table) == ["q1", "q2", "q3"] and list(base) == list(table)
+    rows = (trec / "per_query.tsv").read_text().splitlines()
+    assert rows[0] == "qid\tmrr\tndcg@10"
+    assert [row.split("\t")[0] for row in rows[1:]] == list(table)
+    for row in rows[1:]:
+        qid, rr, nd = row.split("\t")
+        assert (float(rr), float(nd)) == pytest.approx(table[qid], abs=1e-6)
+    judged = 4  # q4 counts, with 0, in both means
+    assert float(printed["mrr"]) == pytest.approx(
+        sum(rr for rr, _ in table.values()) / judged, abs=1e-6)
+    assert float(printed["ndcg@10"]) == pytest.approx(
+        sum(nd for _, nd in table.values()) / judged, abs=1e-6)
+    for i, name in enumerate(("t_test_mrr_p", "t_test_ndcg_p")):
+        expected = t_test_p_df2([table[q][i] for q in table], [base[q][i] for q in table])
+        assert 0.0 < expected < 1.0
+        assert float(printed[name]) == pytest.approx(expected, abs=1e-6)
+    assert gc.isenabled()
+
+
+@pytest.mark.parametrize("run, line_no, message", [
+    (RUN.replace("q2 Q0 d9 2 2.0 sys", "q2 Q0 d9 2 2.0"), 6,
+     "expected 6 fields, got 5"),
+    (RUN.replace("q2 Q0 d9 2", "q2 Q0 d5 2"), 6, "duplicate doc_id 'd5' for query 'q2'"),
+])
+def test_eval_bad_run_exits_2_with_line(trec, capsys, run, line_no, message):
+    (trec / "bad.txt").write_text(run)
+    for args in (("bad.txt", "baseline.txt"), ("run.txt", "bad.txt")):
+        assert eval_trec(trec, *args) == 2
+        assert f"line {line_no}: {message}" in capsys.readouterr().err
+        assert gc.isenabled()
+
+
+def test_eval_too_few_shared_queries_exits_2(trec, capsys):
+    (trec / "other.txt").write_text("q9 Q0 d1 1 1.0 sys\n")
+    (trec / "one.txt").write_text("q1 Q0 d1 1 1.0 sys\nq9 Q0 d1 1 1.0 sys\n")
+    assert eval_trec(trec, run="other.txt") == 2
+    assert "run and qrels share no queries" in capsys.readouterr().err
+    assert eval_trec(trec, baseline="one.txt") == 2
+    assert "need at least 2 shared queries" in capsys.readouterr().err
+
+
+def test_read_keeps_a_disabled_collector_disabled(trec):
+    gc.disable()
+    try:
+        assert eval_trec(trec) == 0
+        assert not gc.isenabled()
+    finally:
+        gc.enable()

@@ -1,0 +1,230 @@
+"""Ranking metrics against the per-query code they replaced, and the
+paired t-test against scipy."""
+
+import math
+from itertools import accumulate
+
+import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
+
+from segtrain.evaluation import mrr, ndcg_at_k, paired_t_test, per_query_metrics
+from segtrain.ranking import RankedList, RankEntry
+
+# ---------------------------------------------------------------------------
+# Oracles: `mrr`, `ndcg_at_k` and the CLI's per-query table as they were
+# written before `per_query_metrics` existed.  The table re-filtered the
+# whole qrels for every query.
+
+
+def reference_by_query(qrels):
+    out = {}
+    for (qid, doc_id), grade in qrels.items():
+        if grade < 0:
+            raise ValueError(f"negative relevance grade for {(qid, doc_id)}")
+        out.setdefault(qid, {})[doc_id] = grade
+    return out
+
+
+def reference_check_overlap(run, by_query):
+    if not any(qid in run for qid in by_query):
+        raise ValueError("run and qrels share no queries")
+
+
+def reference_mrr(run, qrels, cutoff=10):
+    if cutoff < 1:
+        raise ValueError("cutoff must be >= 1")
+    by_query = reference_by_query(qrels)
+    reference_check_overlap(run, by_query)
+    total = 0.0
+    for qid, judged in sorted(by_query.items()):
+        ranked = run.get(qid)
+        if ranked is None:
+            continue
+        for entry in ranked.entries[:cutoff]:
+            if judged.get(entry.doc_id, 0) > 0:
+                total += 1.0 / entry.rank
+                break
+    return total / len(by_query)
+
+
+def reference_ndcg(run, qrels, k=10):
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    by_query = reference_by_query(qrels)
+    reference_check_overlap(run, by_query)
+    total = 0.0
+    for qid, judged in sorted(by_query.items()):
+        ideal = sorted(judged.values(), reverse=True)[:k]
+        idcg = sum(g / math.log2(i + 2) for i, g in enumerate(ideal))
+        if idcg == 0:
+            continue
+        ranked = run.get(qid)
+        if ranked is None:
+            continue
+        dcg = sum(
+            judged.get(e.doc_id, 0) / math.log2(e.rank + 1)
+            for e in ranked.entries[:k])
+        total += dcg / idcg
+    return total / len(by_query)
+
+
+def reference_per_query(run, qrels, cutoff, k):
+    qids = sorted({qid for qid, _ in qrels} & set(run))
+    out = {}
+    for qid in qids:
+        q_qrels = {key: g for key, g in qrels.items() if key[0] == qid}
+        q_run = {qid: run[qid]}
+        out[qid] = (reference_mrr(q_run, q_qrels, cutoff),
+                    reference_ndcg(q_run, q_qrels, k))
+    return out
+
+
+# ---------------------------------------------------------------------------
+
+QIDS = st.sampled_from(["a", "b", "c", "d"])
+DOCS = ["x", "y", "z", "w", "v", "u"]
+
+
+@st.composite
+def ranked_lists(draw, qid):
+    """Distinct documents with non-decreasing ranks >= 1; equal ranks tie."""
+    docs = draw(st.permutations(DOCS))[:draw(st.integers(0, len(DOCS)))]
+    steps = draw(st.lists(st.integers(0, 2), min_size=len(docs), max_size=len(docs)))
+    ranks = accumulate(steps[1:], initial=1)
+    return RankedList(qid, [RankEntry(doc, draw(st.floats(-5, 5)), rank)
+                            for doc, rank in zip(docs, ranks)])
+
+
+@st.composite
+def runs(draw):
+    qids = draw(st.sets(QIDS))
+    return {qid: draw(ranked_lists(qid)) for qid in sorted(qids)}
+
+
+qrels_maps = st.dictionaries(st.tuples(QIDS, st.sampled_from(DOCS + ["t"])),
+                             st.integers(0, 3))
+depths = st.integers(1, 6)
+
+
+def bits(value: float) -> str:
+    return value.hex()
+
+
+def entries(*pairs):
+    return [RankEntry(doc, 0.0, rank) for doc, rank in pairs]
+
+
+ALL_ZERO = ({"a": RankedList("a", entries(("x", 1), ("y", 2)))},
+            {("a", "x"): 0, ("a", "y"): 0, ("b", "x"): 2})
+TIED = ({"a": RankedList("a", entries(("x", 1), ("y", 1), ("z", 1))),
+         "c": RankedList("c", entries(("z", 2), ("x", 2)))},
+        {("a", "y"): 1, ("a", "z"): 3, ("c", "x"): 1})
+# Grades whose DCG terms sum differently left to right and exactly
+# (`math.fsum`), so a change of summation order shows.
+GRADED = ({"a": RankedList("a", entries(("x", 1), ("y", 2), ("z", 3), ("w", 4),
+                                        ("v", 5), ("u", 6)))},
+          {("a", "x"): 3, ("a", "y"): 3, ("a", "z"): 3, ("a", "w"): 3,
+           ("a", "v"): 1, ("a", "u"): 0})
+UNJUDGED_IN_RUN = ({"a": RankedList("a", entries(("x", 1))),
+                    "d": RankedList("d", entries(("x", 1)))},
+                   {("a", "x"): 1, ("b", "y"): 2})
+
+
+@settings(max_examples=300)
+@given(runs(), qrels_maps, depths, depths)
+@example(*ALL_ZERO, 1, 1)
+@example(*TIED, 1, 1)
+@example(*TIED, 2, 3)
+@example(*UNJUDGED_IN_RUN, 1, 10)
+@example(*GRADED, 10, 10)
+def test_metrics_equal_the_old_code_bit_for_bit(run, qrels, cutoff, k):
+    if not any(qid in run for qid, _ in qrels):
+        for fn in (mrr, ndcg_at_k, per_query_metrics):
+            with pytest.raises(ValueError, match="share no queries"):
+                fn(run, qrels)
+        return
+    assert bits(mrr(run, qrels, cutoff)) == bits(reference_mrr(run, qrels, cutoff))
+    assert bits(ndcg_at_k(run, qrels, k)) == bits(reference_ndcg(run, qrels, k))
+    table = per_query_metrics(run, qrels, cutoff, k)
+    expected = reference_per_query(run, qrels, cutoff, k)
+    assert list(table) == list(expected)
+    assert {q: tuple(map(bits, v)) for q, v in table.items()} == \
+        {q: tuple(map(bits, v)) for q, v in expected.items()}
+
+
+@settings(max_examples=100)
+@given(runs(), qrels_maps, depths, depths)
+def test_aggregates_are_means_of_the_table(run, qrels, cutoff, k):
+    assume(any(qid in run for qid, _ in qrels))
+    table = per_query_metrics(run, qrels, cutoff, k)
+    judged = len({qid for qid, _ in qrels})
+    for i, metric in ((0, mrr(run, qrels, cutoff)), (1, ndcg_at_k(run, qrels, k))):
+        total = 0.0
+        for values in table.values():
+            total += values[i]
+        assert bits(total / judged) == bits(metric)
+
+
+def test_table_covers_judged_queries_in_the_run():
+    run, qrels = UNJUDGED_IN_RUN
+    assert per_query_metrics(run, qrels) == {"a": (1.0, 1.0)}
+    run, qrels = ALL_ZERO
+    assert per_query_metrics(run, qrels, 1, 1) == {"a": (0.0, 0.0)}
+
+
+# ---------------------------------------------------------------------------
+
+RUN = {"a": RankedList("a", entries(("x", 1)))}
+
+
+@pytest.mark.parametrize("fn", [mrr, ndcg_at_k, per_query_metrics])
+def test_negative_grade_rejected(fn):
+    with pytest.raises(ValueError, match="negative relevance grade"):
+        fn(RUN, {("a", "x"): 1, ("a", "y"): -1})
+
+
+@pytest.mark.parametrize("fn", [mrr, ndcg_at_k, per_query_metrics])
+def test_no_overlap_rejected(fn):
+    with pytest.raises(ValueError, match="share no queries"):
+        fn(RUN, {("b", "x"): 1})
+    with pytest.raises(ValueError, match="share no queries"):
+        fn(RUN, {})
+
+
+def test_depth_below_one_rejected():
+    qrels = {("a", "x"): 1}
+    with pytest.raises(ValueError, match="cutoff must be >= 1"):
+        mrr(RUN, qrels, 0)
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        ndcg_at_k(RUN, qrels, 0)
+    with pytest.raises(ValueError, match="cutoff must be >= 1"):
+        per_query_metrics(RUN, qrels, 0, 10)
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        per_query_metrics(RUN, qrels, 10, 0)
+
+
+# ---------------------------------------------------------------------------
+
+grid = st.integers(-1000, 1000).map(lambda i: i / 100)
+
+
+@settings(max_examples=200, deadline=None)  # the first example imports scipy
+@given(st.lists(st.tuples(grid, grid), min_size=2, max_size=25))
+@example([(0.5, 1.0), (0.25, 0.0), (0.0, 0.0)])
+def test_paired_t_test_matches_scipy(pairs):
+    stats = pytest.importorskip("scipy.stats")
+    a, b = [x for x, _ in pairs], [y for _, y in pairs]
+    diffs = [x - y for x, y in pairs]
+    assume(max(diffs) - min(diffs) > 1e-6)
+    expected = float(stats.ttest_rel(a, b).pvalue)
+    assert paired_t_test(a, b) == pytest.approx(expected, rel=1e-6, abs=1e-12)
+
+
+def test_paired_t_test_degenerate_and_invalid():
+    assert paired_t_test([1.0, 2.0], [1.0, 2.0]) == 1.0
+    assert paired_t_test([2.0, 3.0], [1.0, 2.0]) == 0.0
+    with pytest.raises(ValueError, match="equal-length"):
+        paired_t_test([1.0, 2.0], [1.0])
+    with pytest.raises(ValueError, match="at least 2 pairs"):
+        paired_t_test([1.0], [1.0])
