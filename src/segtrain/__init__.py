@@ -1,59 +1,47 @@
-"""Query-driven segment selection for training length-limited rankers."""
+"""Query-driven segment selection for training length-limited rankers.
 
-from .corpus import (
-    CorpusStats,
-    Document,
-    Query,
-    Segment,
-    SegmentationPolicy,
-    compute_corpus_stats,
-    segment_for_inference,
-    segment_for_training,
-    split_sentences,
-    tokenize,
-)
-from .evaluation import (
-    kfold_split,
-    mrr,
-    ndcg_at_k,
-    paired_t_test,
-    per_query_metrics,
-    segment_p_at_1,
-)
-from .ranking import Aggregation, RankedList, rerank, score_document
-from .scorer import (
-    LossKind,
-    ScorerParams,
-    batch_loss_and_gradient,
-    extract_features,
-    hinge_loss,
-    init_params,
-    pointwise_ce_loss,
-    read_params,
-    score,
-    segment_features,
-    sgd_step,
-    write_params,
-)
-from .synth import SynthConfig, SynthCorpus, generate_corpus
-from .training import (
-    ALL_SEGMENTS,
-    BestTrainResult,
-    EvalBundle,
-    SelectionSource,
-    TrainConfig,
-    TrainingSet,
-    TrainingTopic,
-    best_train,
-    build_eval_bundle,
-    build_pairs,
-    build_training_set,
-    evaluate_bundle,
-    loss_all_segments,
-    loss_selected,
-    select_segments,
-    train_baseline,
-    train_single,
-)
+The names below are imported from their submodules on first access
+(PEP 562), so importing the package, or only its numpy-free modules,
+does not load numpy.
+"""
+
+import importlib
+
+_EXPORTS = {
+    "corpus": ("CorpusStats", "Document", "Query", "Segment",
+               "SegmentationPolicy", "compute_corpus_stats",
+               "segment_for_inference", "segment_for_training",
+               "split_sentences", "tokenize"),
+    "evaluation": ("RankedList", "kfold_split", "mrr", "ndcg_at_k",
+                   "paired_t_test", "per_query_metrics", "segment_p_at_1"),
+    "ranking": ("Aggregation", "rerank", "score_document"),
+    "scorer": ("LossKind", "ScorerParams", "batch_loss_and_gradient",
+               "extract_features", "hinge_loss", "init_params",
+               "pointwise_ce_loss", "read_params", "score",
+               "segment_features", "sgd_step", "write_params"),
+    "synth": ("SynthConfig", "SynthCorpus", "generate_corpus"),
+    "training": ("ALL_SEGMENTS", "BestTrainResult", "EvalBundle",
+                 "SelectionSource", "TrainConfig", "TrainingSet",
+                 "TrainingTopic", "best_train", "build_eval_bundle",
+                 "build_pairs", "build_training_set", "evaluate_bundle",
+                 "loss_all_segments", "loss_selected", "select_segments",
+                 "train_baseline", "train_single"),
+}
+_SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __version__ = "0.1.0"
+__all__ = [*_SOURCE, "__version__"]
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _SOURCE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_SOURCE[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_SOURCE, *_EXPORTS})

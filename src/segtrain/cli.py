@@ -2,6 +2,10 @@
 
 Subcommands: synth, segment, train, select, rerank, eval,
 eval-selection.  Exit codes: 0 success, 1 usage error, 2 data error.
+
+Each subcommand imports the numpy-backed layers (ranking, scorer,
+synth, training) itself, so `eval` and `eval-selection` never load
+numpy.
 """
 
 from __future__ import annotations
@@ -10,7 +14,6 @@ import argparse
 import gc
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import formats
@@ -24,26 +27,14 @@ from .corpus import (
     segment_for_training,
 )
 from .evaluation import (
+    group_qrels,
     holdout_split,
-    mrr,
-    ndcg_at_k,
+    judged_metrics,
     paired_t_test,
-    per_query_metrics,
     segment_p_at_1,
+    table_means,
 )
 from .formats import ParseError, PipelineConfig
-from .ranking import Aggregation, rerank
-from .scorer import read_params, score_batch, segment_features, write_params
-from .synth import generate_corpus
-from .training import (
-    ALL_SEGMENTS,
-    SelectionSource,
-    best_train,
-    build_eval_bundle,
-    build_training_set,
-    train_baseline,
-    train_single,
-)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -106,6 +97,8 @@ def _training_segments(doc: Document, config: PipelineConfig):
 # subcommands
 
 def _cmd_synth(args: argparse.Namespace) -> int:
+    from .synth import generate_corpus
+
     config = _load_config(args)
     out_dir = Path(config.out or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -152,7 +145,9 @@ def _cmd_segment(args: argparse.Namespace) -> int:
 def _load_pools(args: argparse.Namespace, config: PipelineConfig):
     """Corpus, queries, candidate pools and corpus stats.
 
-    Every candidate of a listed query must be a corpus document.
+    Every candidate of a listed query must be a corpus document.  Only
+    the queries' terms are scored, so the stats count document
+    frequency for those terms alone.
     """
     documents = _read(formats.parse_corpus, _path(args, config, "corpus"))
     queries = _read(formats.parse_queries, _path(args, config, "queries"))
@@ -162,11 +157,24 @@ def _load_pools(args: argparse.Namespace, config: PipelineConfig):
             if doc_id not in documents:
                 raise ParseError(f"candidate {doc_id!r} of query {query.id!r} "
                                  f"is not in the corpus")
-    stats = compute_corpus_stats(list(documents.values()), config.max_tokens)
+    terms = {term for query in queries for term in query.tokens}
+    stats = compute_corpus_stats(list(documents.values()), config.max_tokens,
+                                 terms)
     return documents, queries, candidates, stats
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
+    from .scorer import write_params
+    from .training import (
+        ALL_SEGMENTS,
+        SelectionSource,
+        best_train,
+        build_eval_bundle,
+        build_training_set,
+        train_baseline,
+        train_single,
+    )
+
     config = _load_config(args)
     documents, queries, candidates, stats = _load_pools(args, config)
     qrels = _read(formats.parse_qrels, _path(args, config, "qrels"))
@@ -212,6 +220,8 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 
 def _cmd_select(args: argparse.Namespace) -> int:
+    from .scorer import read_params, score_batch, segment_features
+
     config = _load_config(args)
     documents, queries, candidates, stats = _load_pools(args, config)
     params = _read(read_params, _path(args, config, "model"))
@@ -248,12 +258,17 @@ def _cmd_select(args: argparse.Namespace) -> int:
 
 def _map_threads(fn, items, threads: int):
     if threads and threads > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(fn, items))
     return [fn(item) for item in items]
 
 
 def _cmd_rerank(args: argparse.Namespace) -> int:
+    from .ranking import Aggregation, rerank
+    from .scorer import read_params
+
     config = _load_config(args)
     documents, queries, candidates, stats = _load_pools(args, config)
     params = _read(read_params, _path(args, config, "model"))
@@ -280,9 +295,11 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     qrels = _read(formats.parse_qrels, _path(args, config, "qrels"))
     print(f"# mrr_cutoff={config.mrr_cutoff}")
     print(f"# ndcg_k={config.ndcg_k}")
-    print(f"mrr={mrr(run, qrels, config.mrr_cutoff):.6f}")
-    print(f"ndcg@{config.ndcg_k}={ndcg_at_k(run, qrels, config.ndcg_k):.6f}")
-    per_query = per_query_metrics(run, qrels, config.mrr_cutoff, config.ndcg_k)
+    judgments = group_qrels(qrels)
+    per_query = judged_metrics(run, judgments, config.mrr_cutoff, config.ndcg_k)
+    mean_rr, mean_ndcg = table_means(per_query, judgments)
+    print(f"mrr={mean_rr:.6f}")
+    print(f"ndcg@{config.ndcg_k}={mean_ndcg:.6f}")
     if args.per_query:
         with open(args.per_query, "w") as stream:
             stream.write(f"qid\tmrr\tndcg@{config.ndcg_k}\n")
@@ -290,8 +307,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
                 stream.write(f"{qid}\t{rr:.6f}\t{nd:.6f}\n")
     if args.baseline_run:
         baseline = _read(formats.parse_run, args.baseline_run)
-        base_metrics = per_query_metrics(baseline, qrels, config.mrr_cutoff,
-                                         config.ndcg_k)
+        base_metrics = judged_metrics(baseline, judgments, config.mrr_cutoff,
+                                      config.ndcg_k)
         shared = sorted(set(per_query) & set(base_metrics))
         if len(shared) < 2:
             raise ParseError("need at least 2 shared queries for the t-test")

@@ -145,6 +145,14 @@ class SegmentationPolicy:
 
 @dataclass
 class CorpusStats:
+    """Collection statistics the lexical features read.
+
+    `document_frequency` maps a term to the number of documents holding
+    it, in title or body; it may cover only the terms that will be
+    scored (see `compute_corpus_stats`), and a term it lacks has
+    document frequency 0.
+    """
+
     doc_count: int
     document_frequency: dict[str, int]
     avg_segment_length: float
@@ -242,22 +250,28 @@ def segment_for_inference(doc: Document, max_tokens: int = DEFAULT_MAX_TOKENS) -
 
 
 def compute_corpus_stats(docs: list[Document],
-                         max_tokens: int = DEFAULT_MAX_TOKENS) -> CorpusStats:
+                         max_tokens: int = DEFAULT_MAX_TOKENS,
+                         terms: Iterable[str] | None = None) -> CorpusStats:
     """Document frequencies plus the mean inference-segment length.
 
     Title tokens count toward a document's term set because they are
-    part of every segment.  The average segment length is taken over
-    the fixed-budget inference segmentation at `max_tokens`.
+    part of every segment.  With `terms`, document frequency is counted
+    for those terms only (the scorer asks `idf` about query terms
+    alone, so the queries' tokens are enough); a term in no document is
+    absent either way.  The average segment length is taken over the
+    fixed-budget inference segmentation at `max_tokens`, over every
+    document.
     """
     if not docs:
         raise ValueError("cannot compute stats over an empty corpus")
+    keep = set if terms is None else set(terms).intersection
     df: Counter[str] = Counter()
     total_len = 0
     total_segments = 0
     for doc in docs:
-        terms = set(doc.title_tokens)
-        terms.update(*doc.sentences)
-        df.update(terms)
+        found = keep(doc.title_tokens)
+        found.update(*map(keep, doc.sentences))
+        df.update(found)
         # the spans partition the body and every segment repeats the title
         n_segments = len(_inference_spans(doc, max_tokens))
         total_len += n_segments * len(doc.title_tokens) + doc.body_token_count

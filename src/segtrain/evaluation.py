@@ -4,32 +4,49 @@ Qrels map (query_id, doc_id) to an integer relevance grade; a missing
 pair means grade 0.  Runs map query ids to RankedLists.
 `per_query_metrics` is the per-query primitive: one pass over the
 qrels gives every judged query's reciprocal rank and NDCG@k, and `mrr`
-and `ndcg_at_k` are means of the same per-query values.  The paired
-t-test is self-contained: the t distribution CDF goes through the
-regularized incomplete beta function evaluated by continued fraction.
+and `ndcg_at_k` are means of the same per-query values.  To score
+several runs against one qrels file, group it once with `group_qrels`
+and use `judged_metrics` and `table_means`.  The paired t-test is
+self-contained: the t distribution CDF goes through the regularized
+incomplete beta function evaluated by continued fraction.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from dataclasses import dataclass
 from functools import partial
 
-from .ranking import RankedList
+
+@dataclass
+class RankEntry:
+    doc_id: str
+    score: float
+    rank: int
+
+
+@dataclass
+class RankedList:
+    query_id: str
+    entries: list[RankEntry]
+
 
 Qrels = dict[tuple[str, str], int]
 Run = dict[str, RankedList]
 GoldSegments = dict[tuple[str, str], int]
 SegmentIndexMap = dict[tuple[str, str], int]
+Judgments = dict[str, dict[str, int]]
 
 
-def _qrels_by_query(qrels: Qrels) -> dict[str, dict[str, int]]:
-    out: dict[str, dict[str, int]] = {}
+def group_qrels(qrels: Qrels) -> Judgments:
+    """{qid: {doc_id: grade}} in qid order; a negative grade is rejected."""
+    out: Judgments = {}
     for (qid, doc_id), grade in qrels.items():
         if grade < 0:
             raise ValueError(f"negative relevance grade for {(qid, doc_id)}")
         out.setdefault(qid, {})[doc_id] = grade
-    return out
+    return dict(sorted(out.items()))
 
 
 def _reciprocal_rank(ranked: RankedList, judged: dict[str, int],
@@ -51,13 +68,9 @@ def _ndcg(ranked: RankedList, judged: dict[str, int], k: int) -> float:
     return dcg / idcg
 
 
-def _judged_queries(run: Run, qrels: Qrels) -> list[tuple[str, dict[str, int]]]:
-    """(qid, {doc_id: grade}) of every judged query, sorted by qid; the
-    run must contain at least one of them."""
-    by_query = _qrels_by_query(qrels)
-    if not any(qid in run for qid in by_query):
+def _check_overlap(run: Run, judgments: Judgments) -> None:
+    if not any(qid in run for qid in judgments):
         raise ValueError("run and qrels share no queries")
-    return sorted(by_query.items())
 
 
 def _check_depth(name: str, value: int) -> None:
@@ -65,17 +78,25 @@ def _check_depth(name: str, value: int) -> None:
         raise ValueError(f"{name} must be >= 1")
 
 
+def _mean(values, count: int) -> float:
+    """Sum of `values` left to right, divided by `count`.
+
+    Not `sum`, which compensates float rounding from Python 3.12 on.
+    """
+    total = 0.0
+    for value in values:
+        total += value
+    return total / count
+
+
 def _mean_over_judged(run: Run, qrels: Qrels, metric) -> float:
     """Sum of `metric(ranked, judged)` in qid order over the judged
     queries, divided by their number; a query missing from the run
     adds nothing."""
-    judged_queries = _judged_queries(run, qrels)
-    total = 0.0
-    for qid, judged in judged_queries:
-        ranked = run.get(qid)
-        if ranked is not None:
-            total += metric(ranked, judged)
-    return total / len(judged_queries)
+    judgments = group_qrels(qrels)
+    _check_overlap(run, judgments)
+    return _mean((metric(run[qid], judged) for qid, judged in judgments.items()
+                  if qid in run), len(judgments))
 
 
 def mrr(run: Run, qrels: Qrels, cutoff: int = 10) -> float:
@@ -106,11 +127,29 @@ def per_query_metrics(run: Run, qrels: Qrels, cutoff: int = 10,
     Each value is the one `mrr` and `ndcg_at_k` add up for that query,
     so their means over the judged queries are those two metrics.
     """
+    return judged_metrics(run, group_qrels(qrels), cutoff, k)
+
+
+def judged_metrics(run: Run, judgments: Judgments, cutoff: int = 10,
+                   k: int = 10) -> dict[str, tuple[float, float]]:
+    """`per_query_metrics` over qrels already grouped by `group_qrels`,
+    so several runs can share one grouping."""
     _check_depth("cutoff", cutoff)
     _check_depth("k", k)
+    _check_overlap(run, judgments)
     return {qid: (_reciprocal_rank(run[qid], judged, cutoff),
                   _ndcg(run[qid], judged, k))
-            for qid, judged in _judged_queries(run, qrels) if qid in run}
+            for qid, judged in judgments.items() if qid in run}
+
+
+def table_means(table: dict[str, tuple[float, float]],
+                judgments: Judgments) -> tuple[float, float]:
+    """(MRR, NDCG@k) of a `judged_metrics` table over `judgments`.
+
+    Both are bit-identical to `mrr` and `ndcg_at_k` of the same run.
+    """
+    return (_mean((rr for rr, _ in table.values()), len(judgments)),
+            _mean((nd for _, nd in table.values()), len(judgments)))
 
 
 def segment_p_at_1(selection: SegmentIndexMap, gold: GoldSegments) -> float:

@@ -11,14 +11,14 @@ from __future__ import annotations
 import dataclasses
 import json
 from dataclasses import dataclass
-from typing import IO, Iterable
+from typing import IO, TYPE_CHECKING, Iterable
 
 from .corpus import Document, Query
-from .evaluation import Qrels, Run, SegmentIndexMap
-from .ranking import RankedList, RankEntry
-from .scorer import LossKind
-from .synth import SynthConfig
-from .training import TrainConfig
+from .evaluation import Qrels, RankedList, RankEntry, Run, SegmentIndexMap
+
+if TYPE_CHECKING:
+    from .synth import SynthConfig
+    from .training import TrainConfig
 
 
 class ParseError(ValueError):
@@ -36,6 +36,16 @@ def _lines(stream: IO[str]) -> Iterable[tuple[int, str]]:
         line = raw.rstrip("\n")
         if line.strip():
             yield line_no, line
+
+
+def _json_line(line: str, line_no: int):
+    """The JSON value of one line; any failure is a `ParseError`."""
+    try:
+        return json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"bad JSON ({exc.msg})", line_no) from None
+    except (ValueError, RecursionError) as exc:  # over-long number, deep nesting
+        raise ParseError(f"bad JSON ({exc})", line_no) from None
 
 
 # ---------------------------------------------------------------------------
@@ -73,9 +83,10 @@ def write_run(run: Run, tag: str, stream: IO[str]) -> None:
 def parse_run(stream: IO[str]) -> Run:
     """Ranked lists by query, in (rank, doc_id) order.
 
-    A document may appear only once in a query's ranking.  Only the
-    document ids of the query being read are kept in a set, so a run
-    whose lines are grouped by query needs one set at a time.
+    Ranks start at 1.  A document may appear only once in a query's
+    ranking.  Only the document ids of the query being read are kept in
+    a set, so a run whose lines are grouped by query needs one set at a
+    time.
     """
     rows: dict[str, list[tuple[int, str, float]]] = {}
     qid_now, entries, docs = None, [], set()
@@ -90,6 +101,8 @@ def parse_run(stream: IO[str]) -> Run:
             entry = (int(rank), doc_id, float(score))
         except ValueError:
             raise ParseError("bad rank or score", line_no) from None
+        if entry[0] < 1:
+            raise ParseError(f"rank {entry[0]} is below 1", line_no)
         if qid != qid_now:
             qid_now, entries = qid, rows.setdefault(qid, [])
             docs = {doc for _, doc, _ in entries}
@@ -131,10 +144,7 @@ def parse_corpus(stream: IO[str]) -> dict[str, Document]:
     documents: dict[str, Document] = {}
     vocab: dict[str, str] = {}
     for line_no, line in _lines(stream):
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"bad JSON ({exc.msg})", line_no) from None
+        record = _json_line(line, line_no)
         if not isinstance(record, dict):
             raise ParseError("expected a JSON object", line_no)
         missing = set(_CORPUS_FIELDS) - set(record)
@@ -218,15 +228,12 @@ def parse_selection(stream: IO[str]) -> tuple[SegmentIndexMap, dict[tuple[str, s
     selection: SegmentIndexMap = {}
     scores: dict[tuple[str, str], float] = {}
     for line_no, line in _lines(stream):
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"bad JSON ({exc.msg})", line_no) from None
+        record = _json_line(line, line_no)
         try:
             key = (record["qid"], record["doc_id"])
             selection[key] = int(record["segment_index"])
             scores[key] = float(record.get("score", 0.0))
-        except (KeyError, TypeError, ValueError):
+        except (KeyError, TypeError, ValueError, OverflowError):
             raise ParseError("bad selection record", line_no) from None
     return selection, scores
 
@@ -243,10 +250,10 @@ def write_gold(gold: dict[tuple[str, str], int], stream: IO[str]) -> None:
 def parse_gold(stream: IO[str]) -> dict[tuple[str, str], int]:
     gold: dict[tuple[str, str], int] = {}
     for line_no, line in _lines(stream):
+        record = _json_line(line, line_no)
         try:
-            record = json.loads(line)
             gold[(record["qid"], record["doc_id"])] = int(record["gold_segment_index"])
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError):
+        except (KeyError, TypeError, ValueError, OverflowError):
             raise ParseError("bad gold segment record", line_no) from None
     return gold
 
@@ -301,6 +308,9 @@ class PipelineConfig:
     out: str = ""
 
     def train_config(self) -> TrainConfig:
+        from .scorer import LossKind
+        from .training import TrainConfig
+
         return TrainConfig(
             loss=LossKind(self.loss),
             scorer_kind=self.scorer_kind,
@@ -317,6 +327,8 @@ class PipelineConfig:
         )
 
     def synth_config(self) -> SynthConfig:
+        from .synth import SynthConfig
+
         return SynthConfig(
             num_queries=self.num_queries,
             docs_per_query=self.docs_per_query,

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -15,25 +14,13 @@ from .corpus import (
     Query,
     segment_for_inference,
 )
+from .evaluation import RankedList, RankEntry
 from .scorer import ScorerParams, score_batch, segment_features
 
 
 class Aggregation(enum.Enum):
     FIRST_P = "firstp"
     MAX_P = "maxp"
-
-
-@dataclass
-class RankEntry:
-    doc_id: str
-    score: float
-    rank: int
-
-
-@dataclass
-class RankedList:
-    query_id: str
-    entries: list[RankEntry]
 
 
 def inference_features(query: Query, doc: Document, stats: CorpusStats,

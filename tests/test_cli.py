@@ -3,10 +3,14 @@ and `eval` on a hand-written TREC set."""
 
 import gc
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import segtrain
 from segtrain.cli import main
 
 TINY_CONFIG = {
@@ -247,6 +251,7 @@ def test_eval_table_and_t_test_match_recomputation(trec, capsys):
     (RUN.replace("q2 Q0 d9 2 2.0 sys", "q2 Q0 d9 2 2.0"), 6,
      "expected 6 fields, got 5"),
     (RUN.replace("q2 Q0 d9 2", "q2 Q0 d5 2"), 6, "duplicate doc_id 'd5' for query 'q2'"),
+    (RUN.replace("q2 Q0 d9 2", "q2 Q0 d9 0"), 6, "rank 0 is below 1"),
 ])
 def test_eval_bad_run_exits_2_with_line(trec, capsys, run, line_no, message):
     (trec / "bad.txt").write_text(run)
@@ -272,3 +277,42 @@ def test_read_keeps_a_disabled_collector_disabled(trec):
         assert not gc.isenabled()
     finally:
         gc.enable()
+
+
+SELECTION = '{"doc_id": "d1", "qid": "q1", "score": 0.5, "segment_index": 1}\n'
+GOLD = '{"doc_id": "d1", "gold_segment_index": 1, "qid": "q1"}\n'
+
+
+def test_eval_commands_do_not_import_numpy(trec):
+    (trec / "selection.jsonl").write_text(SELECTION)
+    (trec / "gold.jsonl").write_text(GOLD)
+    eval_args = ["eval", "--run", str(trec / "run.txt"),
+                 "--qrels", str(trec / "qrels.txt"),
+                 "--baseline-run", str(trec / "baseline.txt"),
+                 "--per-query", str(trec / "per_query.tsv")]
+    selection_args = ["eval-selection", "--selection", str(trec / "selection.jsonl"),
+                      "--gold", str(trec / "gold.jsonl")]
+    script = ("import sys\n"
+              "from segtrain.cli import main\n"
+              f"assert main({eval_args!r}) == 0\n"
+              f"assert main({selection_args!r}) == 0\n"
+              "assert 'numpy' not in sys.modules\n")
+    src = str(Path(segtrain.__file__).resolve().parent.parent)
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                            text=True, timeout=120,
+                            env={**os.environ, "PYTHONPATH": src})
+    assert result.returncode == 0, result.stderr
+    assert "segment_p_at_1=1.000000" in result.stdout
+
+
+@pytest.mark.parametrize("line", [
+    '{"qid": "q1", "doc_id": "d1", "segment_index": Infinity}',
+    '{"qid": "q1", "doc_id": "d1", "segment_index": 1, "score": 1' + "0" * 400 + "}",
+    "[" * 100000 + "]" * 100000,
+], ids=["infinity", "long", "deep"])
+def test_eval_selection_bad_record_exits_2_with_line(trec, capsys, line):
+    (trec / "selection.jsonl").write_text(SELECTION + line + "\n")
+    (trec / "gold.jsonl").write_text(GOLD)
+    assert main(["eval-selection", "--selection", str(trec / "selection.jsonl"),
+                 "--gold", str(trec / "gold.jsonl")]) == 2
+    assert "segtrain: error: line 2: " in capsys.readouterr().err

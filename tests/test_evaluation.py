@@ -8,7 +8,15 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from segtrain.evaluation import mrr, ndcg_at_k, paired_t_test, per_query_metrics
+from segtrain.evaluation import (
+    group_qrels,
+    judged_metrics,
+    mrr,
+    ndcg_at_k,
+    paired_t_test,
+    per_query_metrics,
+    table_means,
+)
 from segtrain.ranking import RankedList, RankEntry
 
 # ---------------------------------------------------------------------------
@@ -126,6 +134,12 @@ GRADED = ({"a": RankedList("a", entries(("x", 1), ("y", 2), ("z", 3), ("w", 4),
                                         ("v", 5), ("u", 6)))},
           {("a", "x"): 3, ("a", "y"): 3, ("a", "z"): 3, ("a", "w"): 3,
            ("a", "v"): 1, ("a", "u"): 0})
+# Reciprocal ranks 1, 1/3, 1 sum to a different float left to right
+# than exactly, so a compensated sum of the table shows.
+SUMMED = ({"a": RankedList("a", entries(("x", 1))),
+           "b": RankedList("b", entries(("x", 1), ("y", 2), ("z", 3))),
+           "c": RankedList("c", entries(("x", 1)))},
+          {("a", "x"): 1, ("b", "z"): 1, ("c", "x"): 1})
 UNJUDGED_IN_RUN = ({"a": RankedList("a", entries(("x", 1))),
                     "d": RankedList("d", entries(("x", 1)))},
                    {("a", "x"): 1, ("b", "y"): 2})
@@ -155,15 +169,21 @@ def test_metrics_equal_the_old_code_bit_for_bit(run, qrels, cutoff, k):
 
 @settings(max_examples=100)
 @given(runs(), qrels_maps, depths, depths)
+@example(*SUMMED, 10, 10)
 def test_aggregates_are_means_of_the_table(run, qrels, cutoff, k):
     assume(any(qid in run for qid, _ in qrels))
     table = per_query_metrics(run, qrels, cutoff, k)
     judged = len({qid for qid, _ in qrels})
-    for i, metric in ((0, mrr(run, qrels, cutoff)), (1, ndcg_at_k(run, qrels, k))):
+    metrics = (mrr(run, qrels, cutoff), ndcg_at_k(run, qrels, k))
+    for i, metric in enumerate(metrics):
         total = 0.0
         for values in table.values():
             total += values[i]
         assert bits(total / judged) == bits(metric)
+    judgments = group_qrels(qrels)
+    grouped = judged_metrics(run, judgments, cutoff, k)
+    assert list(grouped.items()) == list(table.items())
+    assert tuple(map(bits, table_means(grouped, judgments))) == tuple(map(bits, metrics))
 
 
 def test_table_covers_judged_queries_in_the_run():
@@ -178,13 +198,17 @@ def test_table_covers_judged_queries_in_the_run():
 RUN = {"a": RankedList("a", entries(("x", 1)))}
 
 
-@pytest.mark.parametrize("fn", [mrr, ndcg_at_k, per_query_metrics])
+def grouped_metrics(run, qrels):
+    return judged_metrics(run, group_qrels(qrels))
+
+
+@pytest.mark.parametrize("fn", [mrr, ndcg_at_k, per_query_metrics, grouped_metrics])
 def test_negative_grade_rejected(fn):
     with pytest.raises(ValueError, match="negative relevance grade"):
         fn(RUN, {("a", "x"): 1, ("a", "y"): -1})
 
 
-@pytest.mark.parametrize("fn", [mrr, ndcg_at_k, per_query_metrics])
+@pytest.mark.parametrize("fn", [mrr, ndcg_at_k, per_query_metrics, grouped_metrics])
 def test_no_overlap_rejected(fn):
     with pytest.raises(ValueError, match="share no queries"):
         fn(RUN, {("b", "x"): 1})

@@ -1,20 +1,32 @@
+import dataclasses
 import io
+import json
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from segtrain.corpus import Document
+from segtrain.corpus import Document, Query
 from segtrain.formats import (
     ParseError,
+    PipelineConfig,
     _lines,
     parse_candidates,
+    parse_config,
     parse_corpus,
+    parse_gold,
+    parse_queries,
     parse_qrels,
     parse_run,
+    parse_selection,
+    write_candidates,
+    write_config,
     write_corpus,
+    write_gold,
     write_qrels,
+    write_queries,
     write_run,
+    write_selection,
 )
 from segtrain.ranking import RankedList, RankEntry
 from segtrain.synth import SynthConfig, generate_corpus
@@ -116,7 +128,15 @@ def run_maps(draw):
 def test_run_round_trip(run, tag):
     out = io.StringIO()
     write_run(run, tag, out)
-    parsed = parse_run(io.StringIO(out.getvalue()))
+    text = out.getvalue()
+    below_one = [n for n, line in enumerate(text.splitlines(), 1)
+                 if int(line.split()[3]) < 1]
+    if below_one:
+        with pytest.raises(ParseError,
+                           match=f"^line {below_one[0]}: rank -?[0-9]+ is below 1$"):
+            parse_run(io.StringIO(text))
+        return
+    parsed = parse_run(io.StringIO(text))
     assert parsed.keys() == run.keys()
     for qid, ranked in run.items():
         assert parsed[qid].query_id == qid
@@ -173,8 +193,8 @@ def test_parsers_raise_only_parse_error(text):
 
 
 def reference_parse_run(stream):
-    """`parse_run` as written on `_lines`, plus a duplicate check over
-    all (qid, doc_id) pairs seen so far."""
+    """`parse_run` as written on `_lines`, plus a rank check and a
+    duplicate check over all (qid, doc_id) pairs seen so far."""
     rows = {}
     seen = set()
     for line_no, line in _lines(stream):
@@ -186,6 +206,8 @@ def reference_parse_run(stream):
             rows.setdefault(qid, []).append((int(rank), doc_id, float(score)))
         except ValueError:
             raise ParseError("bad rank or score", line_no) from None
+        if int(rank) < 1:
+            raise ParseError(f"rank {int(rank)} is below 1", line_no)
         if (qid, doc_id) in seen:
             raise ParseError(f"duplicate doc_id {doc_id!r} for query {qid!r}",
                              line_no)
@@ -210,7 +232,7 @@ RUN_LINE = st.one_of(
     st.builds("{}{}{}Q0{}{}{}{}{}{}{}t{}".format,
               st.sampled_from(["", " ", "\t"]), st.sampled_from(["q", "r"]),
               SPACE, SPACE, st.sampled_from(["d1", "d2", "d3"]), SPACE,
-              st.sampled_from(["1", "2", "x"]), SPACE,
+              st.sampled_from(["1", "2", "0", "-1", "x"]), SPACE,
               st.sampled_from(["0.5", "-1", "nan", "y"]), SPACE,
               st.sampled_from(["", " ", "\r", "\t\r", " extra"])),
     LINE, st.lists(SPACE, max_size=3).map("".join), st.just("\r"))
@@ -246,3 +268,143 @@ def test_parse_run_rejects_duplicate_document():
         parse_run(io.StringIO(text))
     assert info.value.line_no == 5
     assert str(info.value) == "line 5: duplicate doc_id 'd1' for query 'q1'"
+
+
+# ---------------------------------------------------------------------------
+# queries, candidates, selection, gold and config
+
+def rewrite(writer, value, *args) -> str:
+    out = io.StringIO()
+    writer(value, out, *args)
+    return out.getvalue()
+
+
+# Field text that a line-oriented format can carry: no control characters
+# (tab and newline among them), no line or paragraph separators.
+line_text = st.text(st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp")),
+                    max_size=12)
+line_ids = st.text("abqd09_-.:é", min_size=1, max_size=5)
+
+
+@settings(max_examples=150)
+@given(st.lists(st.tuples(line_ids, line_text), unique_by=lambda pair: pair[0],
+                max_size=5))
+@example([("q1", "  Mixed CASE, punctuation!  "), ("q2", "")])
+def test_queries_round_trip(pairs):
+    queries = [Query.from_text(qid, text) for qid, text in pairs]
+    text = rewrite(write_queries, queries)
+    parsed = parse_queries(io.StringIO(text))
+    assert parsed == queries
+    assert rewrite(write_queries, parsed) == text
+
+
+@settings(max_examples=150)
+@given(st.dictionaries(line_ids, st.lists(line_ids, unique=True, min_size=1,
+                                          max_size=5), max_size=4))
+def test_candidates_round_trip(candidates):
+    text = rewrite(write_candidates, candidates)
+    parsed = parse_candidates(io.StringIO(text))
+    assert list(parsed.items()) == sorted(candidates.items())
+    assert rewrite(write_candidates, parsed) == text
+
+
+pair_keys = st.tuples(st.text(max_size=4), st.text(max_size=4))
+
+
+@settings(max_examples=150)
+@given(st.dictionaries(pair_keys, st.tuples(st.integers(-3, 10**30),
+                                            st.floats(allow_nan=False)), max_size=5),
+       st.booleans())
+def test_selection_round_trip(rows, with_scores):
+    selection = {key: index for key, (index, _) in rows.items()}
+    scores = {key: score for key, (_, score) in rows.items()} if with_scores else None
+    text = rewrite(write_selection, selection, scores)
+    parsed, parsed_scores = parse_selection(io.StringIO(text))
+    assert parsed == selection
+    assert parsed_scores == (scores or dict.fromkeys(selection, 0.0))
+    assert rewrite(write_selection, parsed, parsed_scores) == text
+
+
+@settings(max_examples=150)
+@given(st.dictionaries(pair_keys, st.integers(-3, 10**30), max_size=5))
+def test_gold_round_trip(gold):
+    text = rewrite(write_gold, gold)
+    parsed = parse_gold(io.StringIO(text))
+    assert parsed == gold
+    assert rewrite(write_gold, parsed) == text
+
+
+# A string value is stripped and cut at '#' by the parser.
+config_text = line_text.filter(lambda s: "#" not in s and s == s.strip())
+
+
+@st.composite
+def configs(draw):
+    values = {}
+    for f in dataclasses.fields(PipelineConfig):
+        if isinstance(f.default, int):
+            values[f.name] = draw(st.integers(-10**6, 10**6))
+        elif isinstance(f.default, float):
+            values[f.name] = draw(st.floats(allow_nan=False))
+        else:
+            values[f.name] = draw(config_text)
+    return PipelineConfig(**values)
+
+
+@settings(max_examples=100)
+@given(configs())
+@example(PipelineConfig())
+def test_config_round_trip(config):
+    text = rewrite(write_config, config)
+    parsed = parse_config(io.StringIO(text))
+    assert parsed == config
+    assert rewrite(write_config, parsed) == text
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=3)),
+    max_leaves=6)
+RECORD_KEYS = ("doc_id", "title", "body", "qid", "segment_index", "score",
+               "gold_segment_index")
+json_records = st.fixed_dictionaries(
+    {}, optional=dict.fromkeys(RECORD_KEYS, json_values | st.text(max_size=8)))
+DEEP = "[" * 100000 + "]" * 100000
+INFINITE_INDEX = '{"qid": "q", "doc_id": "d", "segment_index": Infinity, ' \
+    '"gold_segment_index": Infinity}'
+# a 400-digit integer overflows float(); as a JSON float it is inf
+LONG_NUMBER = '{"qid": "q", "doc_id": "d", "segment_index": 1, ' \
+    f'"score": 1{"0" * 400}, "gold_segment_index": 1{"0" * 400}.0}}'
+text_lines = st.one_of(
+    (json_values | json_records).map(json.dumps),  # NaN and Infinity included
+    st.sampled_from([DEEP[:3000] + DEEP[-3000:], "1" * 5000, "1e400", "-Infinity"]),
+    st.builds("{}={}".format, st.sampled_from([f.name for f in
+                                               dataclasses.fields(PipelineConfig)]),
+              st.text(max_size=8)),
+    st.builds("{}\t{}".format, st.text(max_size=4), st.text(max_size=8)),
+    st.text(max_size=30),
+)
+
+
+@settings(max_examples=300)
+@given(st.lists(text_lines, max_size=6).map("\n".join))
+@example(DEEP)
+@example(INFINITE_INDEX)
+@example(LONG_NUMBER)
+@example("{\"segment_index\": 1" + "0" * 5000 + "}")
+def test_json_and_text_parsers_raise_only_parse_error(text):
+    for parser in (parse_corpus, parse_queries, parse_selection, parse_gold,
+                   parse_config):
+        try:
+            parser(io.StringIO(text))
+        except ParseError:
+            pass
+
+
+@pytest.mark.parametrize("parser", [parse_corpus, parse_selection, parse_gold])
+@pytest.mark.parametrize("line", [DEEP, INFINITE_INDEX, LONG_NUMBER],
+                         ids=["deep", "infinity", "long"])
+def test_json_line_errors_name_the_line(parser, line):
+    with pytest.raises(ParseError, match="^line 2: "):
+        parser(io.StringIO(f"\n{line}\n"))

@@ -8,7 +8,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from segtrain.corpus import CorpusStats, Document, Query, Segment, compute_corpus_stats
+from segtrain.corpus import (
+    CorpusStats,
+    Document,
+    Query,
+    Segment,
+    compute_corpus_stats,
+    segment_for_inference,
+)
 from segtrain.scorer import (
     BM25_B,
     BM25_K1,
@@ -157,6 +164,35 @@ def test_segment_features_equal_per_segment_reference(
     for seg, row in zip(segments, expected):
         assert np.array_equal(
             extract_features(q, seg, stats, max_tokens, max_segments), row)
+
+
+@settings(max_examples=150)
+@given(docs=st.lists(st.tuples(st.lists(st.sampled_from("abcdef"), max_size=3),
+                               st.lists(st.lists(st.sampled_from("abcdefgh"),
+                                                 max_size=9), max_size=6)),
+                     min_size=1, max_size=5),
+       queries=st.lists(st.lists(vocab_terms, max_size=6), min_size=1, max_size=3),
+       max_tokens=st.integers(1, 20))
+@example(docs=[(["a"], [["b", "a"], []]), ([], [])], queries=[["a", "z", "a"], []],
+         max_tokens=2)
+def test_query_term_stats_give_the_same_features(docs, queries, max_tokens):
+    documents = [Document(f"d{i}", " ".join(title), sentences)
+                 for i, (title, sentences) in enumerate(docs)]
+    terms = [term for tokens in queries for term in tokens]
+    full = compute_corpus_stats(documents, max_tokens)
+    restricted = compute_corpus_stats(documents, max_tokens, terms)
+    assert restricted.doc_count == full.doc_count
+    assert restricted.avg_segment_length == full.avg_segment_length
+    assert restricted.document_frequency == {
+        term: df for term, df in full.document_frequency.items() if term in terms}
+    for tokens in queries:
+        query = Query("q", " ".join(tokens), tokens)
+        for doc in documents:
+            segments = segment_for_inference(doc, max_tokens)
+            expected = segment_features(query, segments, full, max_tokens)
+            actual = segment_features(query, segments, restricted, max_tokens)
+            assert np.array_equal(actual, expected)
+            assert actual.tobytes() == expected.tobytes()
 
 
 class TestScore:
