@@ -18,10 +18,11 @@ from pathlib import Path
 
 from . import formats
 from .corpus import (
+    CorpusStats,
+    DocView,
     Document,
-    Query,
     SegmentationPolicy,
-    compute_corpus_stats,
+    average_segment_length,
     document_stream,
     segment_for_inference,
     segment_for_training,
@@ -87,7 +88,7 @@ def _training_policy(config: PipelineConfig) -> SegmentationPolicy:
                               config.max_segments, config.seed)
 
 
-def _training_segments(doc: Document, config: PipelineConfig):
+def _training_segments(doc: Document | DocView, config: PipelineConfig):
     return segment_for_training(doc, config.query_token_budget,
                                 _training_policy(config),
                                 document_stream(config.seed, doc.id))
@@ -120,7 +121,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 def _cmd_segment(args: argparse.Namespace) -> int:
     config = _load_config(args)
-    documents = _read(formats.parse_corpus, _path(args, config, "corpus"))
+    documents = _read(formats.parse_documents, _path(args, config, "corpus"))
     rows = []
     for doc_id in sorted(documents):
         doc = documents[doc_id]
@@ -143,24 +144,29 @@ def _cmd_segment(args: argparse.Namespace) -> int:
 
 
 def _load_pools(args: argparse.Namespace, config: PipelineConfig):
-    """Corpus, queries, candidate pools and corpus stats.
+    """Document views, queries, candidate pools and corpus stats.
 
-    Every candidate of a listed query must be a corpus document.  Only
-    the queries' terms are scored, so the stats count document
-    frequency for those terms alone.
+    Queries and candidates are read first, so the corpus parses straight
+    into views that record the hits of each document's candidate
+    queries' terms, and into the document frequency of those terms.
+    Every candidate of a listed query must be a corpus document.
     """
-    documents = _read(formats.parse_corpus, _path(args, config, "corpus"))
     queries = _read(formats.parse_queries, _path(args, config, "queries"))
     candidates = _read(formats.parse_candidates, _path(args, config, "candidates"))
+    doc_terms: dict[str, set[str]] = {}
     for query in queries:
         for doc_id in candidates.get(query.id, []):
-            if doc_id not in documents:
+            doc_terms.setdefault(doc_id, set()).update(query.tokens)
+    views, df = _read(lambda stream: formats.parse_corpus(stream, doc_terms),
+                      _path(args, config, "corpus"))
+    for query in queries:
+        for doc_id in candidates.get(query.id, []):
+            if doc_id not in views:
                 raise ParseError(f"candidate {doc_id!r} of query {query.id!r} "
                                  f"is not in the corpus")
-    terms = {term for query in queries for term in query.tokens}
-    stats = compute_corpus_stats(list(documents.values()), config.max_tokens,
-                                 terms)
-    return documents, queries, candidates, stats
+    stats = CorpusStats(len(views), df,
+                        average_segment_length(views.values(), config.max_tokens))
+    return views, queries, candidates, stats
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
@@ -232,37 +238,21 @@ def _cmd_select(args: argparse.Namespace) -> int:
             segment_cache[doc_id] = _training_segments(documents[doc_id], config)
         return segment_cache[doc_id]
 
-    def select_for(query: Query):
-        rows = []
+    selection = {}
+    best_scores = {}
+    for query in queries:
         for doc_id in candidates.get(query.id, []):
             segments = doc_segments(doc_id)[:config.max_segments]
-            feats = segment_features(query, segments, stats, config.max_tokens,
-                                     config.max_segments)
+            feats = segment_features(query, documents[doc_id], segments, stats,
+                                     config.max_tokens, config.max_segments)
             scores = score_batch(params, feats)
             best = int(scores.argmax())
-            rows.append(((query.id, doc_id), best, float(scores[best])))
-        return rows
-
-    results = _map_threads(select_for, queries, args.threads)
-    selection = {}
-    scores = {}
-    for rows in results:
-        for key, index, value in rows:
-            selection[key] = index
-            scores[key] = value
+            selection[(query.id, doc_id)] = best
+            best_scores[(query.id, doc_id)] = float(scores[best])
     with open(_path(args, config, "out"), "w") as stream:
-        formats.write_selection(selection, stream, scores)
+        formats.write_selection(selection, stream, best_scores)
     print(f"selected segments for {len(selection)} pairs")
     return 0
-
-
-def _map_threads(fn, items, threads: int):
-    if threads and threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
 
 
 def _cmd_rerank(args: argparse.Namespace) -> int:
@@ -274,15 +264,12 @@ def _cmd_rerank(args: argparse.Namespace) -> int:
     params = _read(read_params, _path(args, config, "model"))
     agg = Aggregation(args.mode)
 
-    def rank_one(query: Query):
+    run = {}
+    for query in queries:
         pool = [documents[d] for d in candidates.get(query.id, [])]
-        if not pool:
-            return None
-        return rerank(params, query, pool, agg, stats,
-                      config.max_tokens, config.max_segments)
-
-    ranked = _map_threads(rank_one, queries, args.threads)
-    run = {r.query_id: r for r in ranked if r is not None}
+        if pool:
+            run[query.id] = rerank(params, query, pool, agg, stats,
+                                   config.max_tokens, config.max_segments)
     with open(_path(args, config, "out"), "w") as stream:
         formats.write_run(run, args.tag, stream)
     print(f"wrote rankings for {len(run)} queries")
@@ -334,8 +321,6 @@ def _cmd_eval_selection(args: argparse.Namespace) -> int:
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="pipeline configuration file")
     parser.add_argument("--seed", type=int, help="override the configured seed")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads for scoring")
     parser.add_argument("--out", help="output path")
 
 

@@ -1,10 +1,20 @@
-"""Tokenization, sentence splitting, and segment construction.
+"""Tokenization, sentence splitting, segment construction and document views.
 
 Documents are token sequences grouped into sentences; segments are
 contiguous runs of whole sentences, each prefixed with the document
 title.  Training segments use randomized token budgets so segment
 length carries no label signal; inference segments tile the whole body
 with fixed-size non-overlapping windows.
+
+The scorer reads only a document's title length, its sentence lengths
+and where the query terms fall, so the commands that score documents
+read the corpus into a `DocView` holding just that: `view_from_text`
+builds one straight from the raw text, keeps no token list, and also
+reports which of the scored terms the document holds, which gives
+document frequency in the same pass.  `Document` keeps its sentences
+for synthesis, corpus writing and segmentation output, and reaches the
+scorer through the same view (`Document.view`).  Both segmenters accept
+either form.
 """
 
 from __future__ import annotations
@@ -24,7 +34,7 @@ DEFAULT_MAX_SEGMENTS = 4
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 _SENTENCE_BOUNDARY_RE = re.compile(r"(?<=[.!?])\s+")
 
-# ASCII fast path of `Document.from_text`.  `_MARK_TABLE` lowercases,
+# ASCII fast path of `_sentence_tokens`.  `_MARK_TABLE` lowercases,
 # keeps token characters, turns sentence terminators into '.',
 # whitespace into ' ' and every other character into '#', so a sentence
 # boundary is exactly ". ".  `_SPACE_TABLE` then turns the remaining '.'
@@ -69,17 +79,44 @@ class Query:
         return cls(qid, text, tokenize(text))
 
 
+@dataclass(slots=True)
+class DocView:
+    """A document as the scorer reads it: lengths and term hits.
+
+    `hits` holds, in ascending offset order, each position of the
+    title-plus-body token stream whose token is one of the terms the
+    view was built for, as (offset, term); offsets from `title_length`
+    on fall in the body.  A view answers only for those terms, so every
+    query scored against it must draw its tokens from them.
+    """
+
+    id: str
+    title_length: int
+    sentence_lengths: list[int]
+    hits: list[tuple[int, str]]
+
+    def view(self, terms: Iterable[str]) -> "DocView":
+        """The view itself: it already holds the hits of every scored term."""
+        return self
+
+
 @dataclass
 class Document:
     id: str
     title: str
     sentences: list[list[str]]
-    body_token_count: int = field(init=False)
     title_tokens: list[str] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self.body_token_count = sum(map(len, self.sentences))
         self.title_tokens = tokenize(self.title)
+
+    @property
+    def title_length(self) -> int:
+        return len(self.title_tokens)
+
+    @property
+    def sentence_lengths(self) -> list[int]:
+        return list(map(len, self.sentences))
 
     @classmethod
     def from_text(cls, doc_id: str, title: str, body: str,
@@ -93,6 +130,12 @@ class Document:
             vocab = {}
         return cls(doc_id, title, [list(map(vocab.setdefault, toks, toks))
                                    for toks in _sentence_tokens(body)])
+
+    def view(self, terms: Iterable[str]) -> DocView:
+        """The document's view, with the hits of `terms`."""
+        tokens = list(itertools.chain(self.title_tokens, *self.sentences))
+        return DocView(self.id, len(self.title_tokens), self.sentence_lengths,
+                       _hits(tokens, set(terms)))
 
 
 def _sentence_tokens(body: str) -> list[list[str]]:
@@ -111,19 +154,44 @@ def _sentence_tokens(body: str) -> list[list[str]]:
     return [part.translate(_SPACE_TABLE).split() for part in parts]
 
 
+def _hits(tokens: list[str], terms: set[str]) -> list[tuple[int, str]]:
+    """(offset, token) of each token that is in `terms`, in order."""
+    return [(p, tokens[p]) for p in itertools.compress(
+        itertools.count(), map(terms.__contains__, tokens))]
+
+
+def view_from_text(doc_id: str, title: str, body: str, hit_terms: set[str],
+                   terms: set[str]) -> tuple[DocView, set[str]]:
+    """The view of a raw document, and the members of `terms` it holds.
+
+    The text is tokenized as `Document.from_text` tokenizes it, but only
+    sentence lengths and the hits of `hit_terms` are kept, so the view
+    equals `Document.from_text(doc_id, title, body).view(hit_terms)`.
+    `hit_terms` must be a subset of `terms`.  The terms found, in title
+    or body, are what document frequency counts.
+    """
+    title_tokens = tokenize(title)
+    sentences = _sentence_tokens(body)
+    found = terms.intersection(itertools.chain(title_tokens, *sentences))
+    hits = []
+    if not hit_terms.isdisjoint(found):
+        hits = _hits(list(itertools.chain(title_tokens, *sentences)), hit_terms)
+    return (DocView(doc_id, len(title_tokens), list(map(len, sentences)), hits),
+            found)
+
+
 @dataclass
 class Segment:
-    """A title-prefixed run of whole sentences, [start, end) over the body."""
+    """A title-prefixed run of whole sentences, [start, end) over the body.
+
+    `token_count` counts the title tokens and those of the sentences.
+    """
 
     doc_id: str
     index: int
     start: int
     end: int
-    tokens: list[str]
-    token_count: int = field(init=False)
-
-    def __post_init__(self) -> None:
-        self.token_count = len(self.tokens)
+    token_count: int
 
 
 @dataclass
@@ -204,17 +272,15 @@ def _spans(lengths: list[int], budgets: Iterable[int]) -> list[tuple[int, int]]:
     return spans or [(0, 0)]
 
 
-def _make_segments(doc: Document, spans: list[tuple[int, int]]) -> list[Segment]:
-    segments = []
-    for index, (start, end) in enumerate(spans):
-        tokens = list(doc.title_tokens)
-        for sent in doc.sentences[start:end]:
-            tokens.extend(sent)
-        segments.append(Segment(doc.id, index, start, end, tokens))
-    return segments
+def _make_segments(doc: Document | DocView, lengths: list[int],
+                   spans: list[tuple[int, int]]) -> list[Segment]:
+    title_length = doc.title_length
+    return [Segment(doc.id, index, start, end,
+                    title_length + sum(lengths[start:end]))
+            for index, (start, end) in enumerate(spans)]
 
 
-def segment_for_training(doc: Document, query_token_budget: int,
+def segment_for_training(doc: Document | DocView, query_token_budget: int,
                          policy: SegmentationPolicy,
                          rng: random.Random) -> list[Segment]:
     """Leading segments with per-segment randomized token budgets.
@@ -223,30 +289,63 @@ def segment_for_training(doc: Document, query_token_budget: int,
     [min_tokens, max_tokens] and reduced by the title and query
     overhead.  At most policy.max_segments segments are emitted, so
     only the leading part of a long document is covered.
+
+    Only training budgets subtract `query_token_budget`:
+    `segment_for_inference` leaves no room for the query, so an
+    inference window may hold up to `query_token_budget` more body
+    tokens than any training segment.  Changing either side changes
+    every model file.
     """
     if policy.mode != "training":
         raise ValueError("segment_for_training requires a training policy")
-    overhead = len(doc.title_tokens) + query_token_budget
+    lengths = doc.sentence_lengths
+    overhead = doc.title_length + query_token_budget
     counter = (itertools.count() if policy.max_segments is None
                else range(policy.max_segments))
     budgets = (rng.randint(policy.min_tokens, policy.max_tokens) - overhead
                for _ in counter)
-    return _make_segments(doc, _spans(list(map(len, doc.sentences)), budgets))
+    return _make_segments(doc, lengths, _spans(lengths, budgets))
 
 
-def _inference_spans(doc: Document, max_tokens: int) -> list[tuple[int, int]]:
-    budget = max_tokens - len(doc.title_tokens)
-    return _spans(list(map(len, doc.sentences)), itertools.repeat(budget))
+def _inference_spans(doc: Document | DocView, lengths: list[int],
+                     max_tokens: int) -> list[tuple[int, int]]:
+    return _spans(lengths, itertools.repeat(max_tokens - doc.title_length))
 
 
-def segment_for_inference(doc: Document, max_tokens: int = DEFAULT_MAX_TOKENS) -> list[Segment]:
+def segment_for_inference(doc: Document | DocView,
+                          max_tokens: int = DEFAULT_MAX_TOKENS) -> list[Segment]:
     """Non-overlapping fixed-budget windows covering the whole body.
 
     Every sentence lands in exactly one segment; the spans partition
     [0, sentence_count).  An empty body yields a single title-only
-    segment.
+    segment.  The budget is `max_tokens` less the title, with no room
+    for the query (see `segment_for_training`).  The window count is not
+    capped, so a long document gives indices at or past the scorer's
+    `max_segments`: config_e's 18 sentences of 128 tokens make 6 windows
+    at 512 tokens, and the last one's position feature is 5 / 4 = 1.25,
+    a value no training segment has.
     """
-    return _make_segments(doc, _inference_spans(doc, max_tokens))
+    lengths = doc.sentence_lengths
+    return _make_segments(doc, lengths, _inference_spans(doc, lengths, max_tokens))
+
+
+def average_segment_length(docs: Iterable[Document | DocView],
+                           max_tokens: int = DEFAULT_MAX_TOKENS) -> float:
+    """Mean token count of the inference segments at `max_tokens`, at least 1.
+
+    The spans partition each body and every segment repeats its title,
+    so only the span count is needed of each document.
+    """
+    total_len = 0
+    total_segments = 0
+    for doc in docs:
+        lengths = doc.sentence_lengths
+        n_segments = len(_inference_spans(doc, lengths, max_tokens))
+        total_len += n_segments * doc.title_length + sum(lengths)
+        total_segments += n_segments
+    if not total_segments:
+        raise ValueError("cannot compute stats over an empty corpus")
+    return max(total_len / total_segments, 1.0)
 
 
 def compute_corpus_stats(docs: list[Document],
@@ -260,21 +359,13 @@ def compute_corpus_stats(docs: list[Document],
     alone, so the queries' tokens are enough); a term in no document is
     absent either way.  The average segment length is taken over the
     fixed-budget inference segmentation at `max_tokens`, over every
-    document.
+    document.  The commands that score documents take the same numbers
+    from the corpus parse instead (`formats.parse_corpus`).
     """
     if not docs:
         raise ValueError("cannot compute stats over an empty corpus")
     keep = set if terms is None else set(terms).intersection
     df: Counter[str] = Counter()
-    total_len = 0
-    total_segments = 0
     for doc in docs:
-        found = keep(doc.title_tokens)
-        found.update(*map(keep, doc.sentences))
-        df.update(found)
-        # the spans partition the body and every segment repeats the title
-        n_segments = len(_inference_spans(doc, max_tokens))
-        total_len += n_segments * len(doc.title_tokens) + doc.body_token_count
-        total_segments += n_segments
-    avg = total_len / total_segments if total_segments else 0.0
-    return CorpusStats(len(docs), dict(df), max(avg, 1.0))
+        df.update(keep(itertools.chain(doc.title_tokens, *doc.sentences)))
+    return CorpusStats(len(docs), dict(df), average_segment_length(docs, max_tokens))

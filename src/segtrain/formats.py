@@ -4,16 +4,25 @@ All parsers report the offending line number on malformed input, and
 every writer/parser pair round-trips (floats to their documented
 formatting precision).  Writers emit rows in a fixed sort order so
 identical inputs always produce byte-identical files.
+
+The corpus has two readers.  `parse_documents` gives full `Document`s
+and inverts `write_corpus`.  `parse_corpus`, which the commands that
+score documents use, gives each document's `DocView` (title length,
+sentence lengths and the hits of the terms it will be scored against)
+and, from the same pass, the document frequency of those terms; no
+token list is kept.  `parse_config` rejects out-of-range values at
+their line.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+from collections import Counter
 from dataclasses import dataclass
-from typing import IO, TYPE_CHECKING, Iterable
+from typing import IO, TYPE_CHECKING, Iterable, Iterator
 
-from .corpus import Document, Query
+from .corpus import DocView, Document, Query, view_from_text
 from .evaluation import Qrels, RankedList, RankEntry, Run, SegmentIndexMap
 
 if TYPE_CHECKING:
@@ -139,10 +148,9 @@ def write_corpus(documents: Iterable[Document], stream: IO[str]) -> None:
 _CORPUS_FIELDS = ("doc_id", "title", "body")
 
 
-def parse_corpus(stream: IO[str]) -> dict[str, Document]:
-    """Documents by id; all documents share one interned vocabulary."""
-    documents: dict[str, Document] = {}
-    vocab: dict[str, str] = {}
+def _corpus_records(stream: IO[str]) -> Iterator[tuple[str, str, str]]:
+    """(doc_id, title, body) of each corpus line; doc ids are unique."""
+    seen: set[str] = set()
     for line_no, line in _lines(stream):
         record = _json_line(line, line_no)
         if not isinstance(record, dict):
@@ -154,11 +162,41 @@ def parse_corpus(stream: IO[str]) -> dict[str, Document]:
             if not isinstance(record[key], str):
                 raise ParseError(f"field {key!r} is not a string", line_no)
         doc_id = record["doc_id"]
-        if doc_id in documents:
+        if doc_id in seen:
             raise ParseError(f"duplicate doc_id {doc_id!r}", line_no)
-        documents[doc_id] = Document.from_text(doc_id, record["title"],
-                                               record["body"], vocab)
-    return documents
+        seen.add(doc_id)
+        yield doc_id, record["title"], record["body"]
+
+
+def parse_documents(stream: IO[str]) -> dict[str, Document]:
+    """Documents by id; all documents share one interned vocabulary.
+
+    This is the inverse of `write_corpus`.
+    """
+    vocab: dict[str, str] = {}
+    return {doc_id: Document.from_text(doc_id, title, body, vocab)
+            for doc_id, title, body in _corpus_records(stream)}
+
+
+def parse_corpus(stream: IO[str], doc_terms: dict[str, set[str]] | None = None
+                 ) -> tuple[dict[str, DocView], dict[str, int]]:
+    """Document views by id, and document frequency of the scored terms.
+
+    `doc_terms` maps a document to the terms it will be scored against
+    (the tokens of the queries that list it as a candidate); its view
+    records hits of those terms only, and a document it lacks records
+    none.  Document frequency counts, over every document, the union of
+    those terms.  No token list outlives its document's line.
+    """
+    doc_terms = doc_terms or {}
+    terms = set().union(*doc_terms.values())
+    views: dict[str, DocView] = {}
+    df: Counter[str] = Counter()
+    for doc_id, title, body in _corpus_records(stream):
+        views[doc_id], found = view_from_text(
+            doc_id, title, body, doc_terms.get(doc_id, set()), terms)
+        df.update(found)
+    return views, dict(df)
 
 
 # ---------------------------------------------------------------------------
@@ -351,10 +389,36 @@ class PipelineConfig:
 
 _CONFIG_FIELDS = {f.name: f.type for f in dataclasses.fields(PipelineConfig)}
 
+# The values `scorer.LossKind` and `scorer.init_params` accept, named
+# here so that parsing a configuration does not import numpy.
+LOSSES = ("pairwise_hinge", "pointwise_cross_entropy")
+SCORER_KINDS = ("linear", "mlp")
+_POSITIVE = ("epochs", "batch_size", "max_segments", "max_iterations",
+             "max_tokens", "min_tokens", "num_queries", "docs_per_query",
+             "sentences_per_doc", "tokens_per_sentence", "vocab_size",
+             "query_terms")
+# key -> (test of the parsed value, what the value must be)
+_CONFIG_CHECKS = {
+    "loss": (LOSSES.__contains__, f"one of {', '.join(LOSSES)}"),
+    "scorer_kind": (SCORER_KINDS.__contains__, f"one of {', '.join(SCORER_KINDS)}"),
+    **dict.fromkeys(_POSITIVE, ((lambda v: v > 0), "positive")),
+    "dev_fraction": ((lambda v: 0.0 < v < 1.0), "in (0, 1)"),
+    **dict.fromkeys(("noise", "distractor_overlap"),
+                    ((lambda v: 0.0 <= v <= 1.0), "in [0, 1]")),
+}
+
 
 def parse_config(stream: IO[str]) -> PipelineConfig:
-    """key=value lines; '#' starts a comment; unknown keys are rejected."""
+    """key=value lines; '#' starts a comment; unknown keys are rejected.
+
+    Values are checked as they are read: `loss` and `scorer_kind` must
+    name a known kind, sizes and synthetic counts must be positive,
+    `dev_fraction` must lie in (0, 1), `noise` and `distractor_overlap`
+    in [0, 1], and `min_tokens` may not exceed `max_tokens` (reported at
+    the later of the two lines).
+    """
     config = PipelineConfig()
+    key_lines: dict[str, int] = {}
     for line_no, line in _lines(stream):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -374,6 +438,14 @@ def parse_config(stream: IO[str]) -> PipelineConfig:
                 setattr(config, key, value)
         except ValueError:
             raise ParseError(f"bad value {value!r} for key {key!r}", line_no) from None
+        valid, expected = _CONFIG_CHECKS.get(key, (None, ""))
+        if valid is not None and not valid(getattr(config, key)):
+            raise ParseError(f"{key} must be {expected}, got {value!r}", line_no)
+        key_lines[key] = line_no
+    if config.min_tokens > config.max_tokens:
+        raise ParseError(
+            f"min_tokens={config.min_tokens} exceeds max_tokens={config.max_tokens}",
+            max(key_lines.get("min_tokens", 0), key_lines.get("max_tokens", 0)))
     return config
 
 

@@ -10,6 +10,7 @@ from .corpus import (
     DEFAULT_MAX_SEGMENTS,
     DEFAULT_MAX_TOKENS,
     CorpusStats,
+    DocView,
     Document,
     Query,
     segment_for_inference,
@@ -23,12 +24,12 @@ class Aggregation(enum.Enum):
     MAX_P = "maxp"
 
 
-def inference_features(query: Query, doc: Document, stats: CorpusStats,
+def inference_features(query: Query, doc: Document | DocView, stats: CorpusStats,
                        max_tokens: int = DEFAULT_MAX_TOKENS,
                        max_segments: int = DEFAULT_MAX_SEGMENTS) -> np.ndarray:
     """Feature matrix over the document's inference segments, one row each."""
-    return segment_features(query, segment_for_inference(doc, max_tokens), stats,
-                            max_tokens, max_segments)
+    return segment_features(query, doc, segment_for_inference(doc, max_tokens),
+                            stats, max_tokens, max_segments)
 
 
 def aggregate(seg_scores: np.ndarray, agg: Aggregation) -> float:
@@ -39,7 +40,7 @@ def aggregate(seg_scores: np.ndarray, agg: Aggregation) -> float:
     raise ValueError(f"unknown aggregation: {agg!r}")
 
 
-def score_document(params: ScorerParams, query: Query, doc: Document,
+def score_document(params: ScorerParams, query: Query, doc: Document | DocView,
                    agg: Aggregation, stats: CorpusStats,
                    max_tokens: int = DEFAULT_MAX_TOKENS,
                    max_segments: int = DEFAULT_MAX_SEGMENTS) -> float:
@@ -55,7 +56,8 @@ def rank_by_scores(query_id: str, scores: dict[str, float]) -> RankedList:
     return RankedList(query_id, entries)
 
 
-def rerank(params: ScorerParams, query: Query, candidates: list[Document],
+def rerank(params: ScorerParams, query: Query,
+           candidates: list[Document] | list[DocView],
            agg: Aggregation, stats: CorpusStats,
            max_tokens: int = DEFAULT_MAX_TOKENS,
            max_segments: int = DEFAULT_MAX_SEGMENTS) -> RankedList:

@@ -5,10 +5,16 @@ feature vector, by either a linear model or a one-hidden-layer tanh
 network.  Losses (pairwise hinge, pointwise logistic cross-entropy)
 come with exact analytic gradients so the whole trainer is plain SGD
 over numpy arrays.
+
+Features read a document's view (`corpus.DocView`): each segment's
+token count and the offsets of the query terms' hits, never a token
+list.  The document frequencies behind idf come from the corpus parse
+(`formats.parse_corpus`) or from `corpus.compute_corpus_stats`.
 """
 
 from __future__ import annotations
 
+import bisect
 import enum
 import itertools
 import math
@@ -21,6 +27,8 @@ from .corpus import (
     DEFAULT_MAX_SEGMENTS,
     DEFAULT_MAX_TOKENS,
     CorpusStats,
+    DocView,
+    Document,
     Query,
     Segment,
 )
@@ -54,22 +62,27 @@ def idf(stats: CorpusStats, term: str) -> float:
     return math.log(1.0 + (stats.doc_count - df + 0.5) / (df + 0.5))
 
 
-def segment_features(query: Query, segments: Sequence[Segment],
-                     stats: CorpusStats,
+def segment_features(query: Query, doc: Document | DocView,
+                     segments: Sequence[Segment], stats: CorpusStats,
                      max_tokens: int = DEFAULT_MAX_TOKENS,
                      max_segments: int = DEFAULT_MAX_SEGMENTS) -> np.ndarray:
     """Lexical feature matrix, one row per segment of a (query, doc) pair.
 
-    Matching runs over each segment's full token sequence, which starts
-    with the document title, so title matches count.  A query with no
-    tokens produces zeros for all match features.
+    `segments` are segments of `doc`.  Matching runs over each segment's
+    token stream, which starts with the document title, so title matches
+    count; bigrams may span the title and the body, and sentences.  A
+    query with no tokens produces zeros for all match features.
 
-    Only positions holding a query term are visited in Python; C-level
-    set and map passes find them.  Term frequencies of all segments come
-    from one scatter-add, and idf and BM25 are summed over the unique
-    query terms in query order with the same scalar operations as a
-    per-segment loop, so every row is exactly the vector that segment
-    alone gives.
+    Only the document's view is read (`doc.view`): each segment's token
+    count and the hits of the query's terms, as segment-local offsets
+    and query-term ids.  Term frequencies of all segments come from one
+    scatter-add, and idf and BM25 are summed over the unique query terms
+    in query order with the same scalar operations as a per-segment
+    loop, so every row is exactly the vector that segment alone gives.
+
+    The position feature is `index / max_segments`; inference windows
+    are not capped at `max_segments`, so it can exceed 1 there (see
+    `segment_for_inference`).
     """
     n = len(segments)
     lengths = np.array([seg.token_count for seg in segments], dtype=np.int64)
@@ -81,20 +94,28 @@ def segment_features(query: Query, segments: Sequence[Segment],
         return x
     nq = len(q_unique)
     slot = {term: j for j, term in enumerate(q_unique)}
-    terms = set(slot)
+    view = doc.view(slot)
+    hits = [(p, slot[term]) for p, term in view.hits if term in slot]
+    if not hits:
+        return x
+    title_length = view.title_length
+    n_title = bisect.bisect_left(hits, (title_length,))
+    title_hits, body_hits = hits[:n_title], hits[n_title:]
+    body_offsets = [p for p, _ in body_hits]
+    # offset of each sentence's first token in the title-plus-body stream
+    starts = list(itertools.accumulate(view.sentence_lengths, initial=title_length))
     q_bigrams = {slot[a] * nq + slot[b]
                  for a, b in zip(query.tokens, query.tokens[1:])}
     cells = []  # i * nq + j for each occurrence of query term j in segment i
     bigrams_found = [0] * n
     for i, seg in enumerate(segments):
-        if terms.isdisjoint(seg.tokens):
-            continue
-        positions = list(itertools.compress(itertools.count(),
-                                            map(terms.__contains__, seg.tokens)))
-        ids = [slot[seg.tokens[p]] for p in positions]
-        cells.extend(i * nq + j for j in ids)
-        adjacent = {a * nq + b for p, p_next, a, b
-                    in zip(positions, positions[1:], ids, ids[1:])
+        lo, hi = starts[seg.start], starts[seg.end]
+        shift = lo - title_length
+        seg_hits = title_hits + [
+            (p - shift, j) for p, j in body_hits[bisect.bisect_left(body_offsets, lo):
+                                                 bisect.bisect_left(body_offsets, hi)]]
+        cells.extend(i * nq + j for _, j in seg_hits)
+        adjacent = {a * nq + b for (p, a), (p_next, b) in zip(seg_hits, seg_hits[1:])
                     if p_next == p + 1}
         bigrams_found[i] = len(adjacent & q_bigrams)
     if not cells:
@@ -118,11 +139,13 @@ def segment_features(query: Query, segments: Sequence[Segment],
     return x
 
 
-def extract_features(query: Query, segment: Segment, stats: CorpusStats,
+def extract_features(query: Query, doc: Document | DocView, segment: Segment,
+                     stats: CorpusStats,
                      max_tokens: int = DEFAULT_MAX_TOKENS,
                      max_segments: int = DEFAULT_MAX_SEGMENTS) -> np.ndarray:
-    """Lexical feature vector for one (query, segment) pair."""
-    return segment_features(query, [segment], stats, max_tokens, max_segments)[0]
+    """Lexical feature vector for one segment of a (query, doc) pair."""
+    return segment_features(query, doc, [segment], stats, max_tokens,
+                            max_segments)[0]
 
 
 @dataclass

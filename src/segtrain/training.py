@@ -22,6 +22,7 @@ from .corpus import (
     DEFAULT_MAX_SEGMENTS,
     DEFAULT_MAX_TOKENS,
     CorpusStats,
+    DocView,
     Document,
     Query,
     Segment,
@@ -101,9 +102,10 @@ class TrainingTopic:
 
 @dataclass
 class TrainingSet:
-    """Topics plus the per-document training segments they draw from."""
+    """Topics plus the documents and training segments they draw from."""
 
     topics: list[TrainingTopic]
+    documents: dict[str, Document | DocView]
     segments: dict[str, list[Segment]]
     stats: CorpusStats
     max_tokens: int = DEFAULT_MAX_TOKENS
@@ -114,15 +116,16 @@ class TrainingSet:
     def __post_init__(self) -> None:
         for topic in self.topics:
             for doc_id in topic.positives + topic.negatives:
-                if doc_id not in self.segments:
-                    raise ValueError(f"no segments stored for document {doc_id}")
+                if doc_id not in self.segments or doc_id not in self.documents:
+                    raise ValueError(f"no document or segments stored for {doc_id}")
 
     def features(self, query: Query, doc_id: str) -> np.ndarray:
         """Cached (n_segments, 7) feature matrix for one query/doc pair."""
         key = (query.id, doc_id)
         cached = self._features.get(key)
         if cached is None:
-            cached = segment_features(query, self.segments[doc_id], self.stats,
+            cached = segment_features(query, self.documents[doc_id],
+                                      self.segments[doc_id], self.stats,
                                       self.max_tokens, self.max_segments)
             self._features[key] = cached
         return cached
@@ -133,7 +136,7 @@ class EvalBundle:
     """Everything needed to compute a dev-set MRR for candidate params."""
 
     queries: list[Query]
-    candidates: dict[str, list[Document]]
+    candidates: dict[str, list[Document | DocView]]
     qrels: Qrels
     stats: CorpusStats
     max_tokens: int = DEFAULT_MAX_TOKENS
@@ -142,7 +145,7 @@ class EvalBundle:
     _features: dict[tuple[str, str], np.ndarray] = field(
         default_factory=dict, repr=False, compare=False)
 
-    def doc_features(self, query: Query, doc: Document) -> np.ndarray:
+    def doc_features(self, query: Query, doc: Document | DocView) -> np.ndarray:
         key = (query.id, doc.id)
         cached = self._features.get(key)
         if cached is None:
@@ -175,7 +178,7 @@ class BestTrainResult:
 
 def build_training_set(queries: list[Query], qrels: Qrels,
                        candidates: dict[str, list[str]],
-                       documents: dict[str, Document],
+                       documents: dict[str, Document] | dict[str, DocView],
                        policy: SegmentationPolicy,
                        query_token_budget: int,
                        stats: CorpusStats) -> TrainingSet:
@@ -202,13 +205,13 @@ def build_training_set(queries: list[Query], qrels: Qrels,
                 store[doc_id] = segment_for_training(
                     doc, query_token_budget, policy,
                     document_stream(policy.seed, doc.id))
-    return TrainingSet(topics, store, stats, policy.max_tokens,
+    return TrainingSet(topics, documents, store, stats, policy.max_tokens,
                        policy.max_segments or DEFAULT_MAX_SEGMENTS)
 
 
 def build_eval_bundle(queries: list[Query], qrels: Qrels,
                       candidates: dict[str, list[str]],
-                      documents: dict[str, Document],
+                      documents: dict[str, Document] | dict[str, DocView],
                       stats: CorpusStats,
                       max_tokens: int = DEFAULT_MAX_TOKENS,
                       max_segments: int = DEFAULT_MAX_SEGMENTS,

@@ -47,21 +47,20 @@ def model(data) -> Path:
     return out
 
 
-def select(data: Path, model: Path, out: Path, threads: int) -> int:
-    return main(["select", *inputs(data), "--model", str(model), "--out", str(out),
-                 "--threads", str(threads)])
+def select(data: Path, model: Path, out: Path) -> int:
+    return main(["select", *inputs(data), "--model", str(model), "--out", str(out)])
 
 
-def rerank(data: Path, model: Path, out: Path, threads: int = 1) -> int:
+def rerank(data: Path, model: Path, out: Path) -> int:
     return main(["rerank", *inputs(data), "--model", str(model), "--mode", "maxp",
-                 "--out", str(out), "--threads", str(threads)])
+                 "--out", str(out)])
 
 
 def test_pipeline_runs_end_to_end(data, model, tmp_path):
     selection = tmp_path / "selection.jsonl"
     run = tmp_path / "run.txt"
     per_query = tmp_path / "per_query.tsv"
-    assert select(data, model, selection, 1) == 0
+    assert select(data, model, selection) == 0
     assert rerank(data, model, run) == 0
     assert main(["eval", "--config", str(data / "config.txt"), "--run", str(run),
                  "--qrels", str(data / "qrels.txt"),
@@ -73,10 +72,10 @@ def test_pipeline_runs_end_to_end(data, model, tmp_path):
     assert len(per_query.read_text().splitlines()) == 1 + 10
 
 
-def test_outputs_identical_across_thread_counts(data, model, tmp_path):
-    for threads in (1, 2):
-        assert select(data, model, tmp_path / f"selection{threads}.jsonl", threads) == 0
-        assert rerank(data, model, tmp_path / f"run{threads}.txt", threads) == 0
+def test_outputs_identical_across_runs(data, model, tmp_path):
+    for run in (1, 2):
+        assert select(data, model, tmp_path / f"selection{run}.jsonl") == 0
+        assert rerank(data, model, tmp_path / f"run{run}.txt") == 0
     for name in ("selection{}.jsonl", "run{}.txt"):
         one = (tmp_path / name.format(1)).read_bytes()
         assert one and one == (tmp_path / name.format(2)).read_bytes()
@@ -129,6 +128,27 @@ def test_candidate_missing_from_corpus_names_query_and_doc(data, model, tmp_path
     err = capsys.readouterr().err
     assert code == 2
     assert f"candidate 'not-a-doc' of query '{qid}' is not in the corpus" in err
+
+
+
+@pytest.mark.parametrize("line, message", [
+    ("loss=bogus", "loss must be one of"),
+    ("batch_size=0", "batch_size must be positive"),
+    ("max_tokens=100", "min_tokens=128 exceeds max_tokens=100"),
+    ("noise=2", "noise must be in [0, 1]"),
+])
+@pytest.mark.parametrize("command", ["synth", "train"])
+def test_bad_config_value_exits_2_with_line(data, tmp_path, capsys, command, line,
+                                            message):
+    config = tmp_path / "config.txt"
+    config.write_text(f"seed=5\n{line}\n")
+    args = {"synth": ["synth", "--config", str(config), "--out", str(tmp_path / "out")],
+            "train": ["train", "--mode", "best",
+                      *inputs(data, config=config), "--qrels", str(data / "qrels.txt"),
+                      "--out", str(tmp_path / "model.txt")]}[command]
+    assert main(args) == 2
+    assert f"segtrain: error: line 2: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists() and not (tmp_path / "model.txt").exists()
 
 
 

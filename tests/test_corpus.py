@@ -117,8 +117,7 @@ class TestTrainingSegmentation:
                                     max_segments=4, seed=9)
         a = segment_for_training(doc, 5, policy, document_stream(9, doc.id))
         b = segment_for_training(doc, 5, policy, document_stream(9, doc.id))
-        assert [(s.start, s.end, s.tokens) for s in a] == \
-               [(s.start, s.end, s.tokens) for s in b]
+        assert a == b
 
     def test_oversized_sentence_is_singleton(self):
         doc = Document("doc", "", [["w"] * 500, ["v"] * 3])
@@ -133,7 +132,7 @@ class TestTrainingSegmentation:
         policy = SegmentationPolicy("training", seed=0)
         segs = segment_for_training(doc, 0, policy, random.Random(0))
         assert len(segs) == 1
-        assert segs[0].tokens == ["some", "title"]
+        assert segs[0].token_count == 2  # "some", "title"
         assert (segs[0].start, segs[0].end) == (0, 0)
 
     def test_wrong_mode_rejected(self):
@@ -163,7 +162,26 @@ class TestInferenceSegmentation:
     def test_empty_body(self):
         doc = Document("doc", "t", [])
         segs = segment_for_inference(doc, 64)
-        assert len(segs) == 1 and segs[0].tokens == ["t"]
+        assert len(segs) == 1 and segs[0].token_count == 1  # "t"
+        assert (segs[0].start, segs[0].end) == (0, 0)
+
+
+class TestTrainInferenceBudgets:
+    """Pinned as they are: changing either side changes every model file."""
+
+    def test_training_budget_subtracts_the_query_budget_inference_does_not(self):
+        doc = uniform_doc(10, 10, title="two words")  # 2 title tokens
+        policy = SegmentationPolicy("training", max_tokens=52, min_tokens=52,
+                                    max_segments=None, seed=0)
+        training = segment_for_training(doc, 10, policy, random.Random(0))
+        inference = segment_for_inference(doc, 52)
+        # training windows hold 52 - 2 - 10 = 40 body tokens, inference 52 - 2 = 50
+        assert [(s.start, s.end) for s in training] == [(0, 4), (4, 8), (8, 10)]
+        assert [(s.start, s.end) for s in inference] == [(0, 5), (5, 10)]
+        assert max(s.token_count for s in training) == 42
+        assert max(s.token_count for s in inference) == 52
+        # with no query budget the two segmentations agree
+        assert segment_for_training(doc, 0, policy, random.Random(0)) == inference
 
 
 @st.composite
@@ -199,7 +217,8 @@ def test_training_prefix_and_title_properties(doc, query_budget, seed):
     assert segs[0].start == 0
     for i, seg in enumerate(segs):
         assert seg.index == i
-        assert seg.tokens[:len(title_tokens)] == title_tokens
+        body = doc.sentences[seg.start:seg.end]
+        assert seg.token_count == len(title_tokens) + sum(map(len, body))
     for left, right in zip(segs, segs[1:]):
         assert left.end == right.start
     assert len(segs) <= 4

@@ -6,14 +6,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from segtrain.corpus import Document, Query
+from segtrain.corpus import Document, Query, average_segment_length, compute_corpus_stats
 from segtrain.formats import (
+    LOSSES,
+    SCORER_KINDS,
     ParseError,
     PipelineConfig,
     _lines,
     parse_candidates,
     parse_config,
     parse_corpus,
+    parse_documents,
     parse_gold,
     parse_queries,
     parse_qrels,
@@ -29,6 +32,7 @@ from segtrain.formats import (
     write_selection,
 )
 from segtrain.ranking import RankedList, RankEntry
+from segtrain.scorer import LossKind, init_params
 from segtrain.synth import SynthConfig, generate_corpus
 
 tokens = st.text("abz09", min_size=1, max_size=4)
@@ -45,7 +49,7 @@ def corpora(draw):
 def round_trip(documents: list[Document]) -> tuple[str, dict[str, Document]]:
     out = io.StringIO()
     write_corpus(documents, out)
-    return out.getvalue(), parse_corpus(io.StringIO(out.getvalue()))
+    return out.getvalue(), parse_documents(io.StringIO(out.getvalue()))
 
 
 class TestCorpusRoundTrip:
@@ -80,6 +84,67 @@ class TestCorpusRoundTrip:
         assert a[0] is b[1] and a[1] is b[0]
 
 
+query_terms = st.sampled_from(["a", "b", "z", "a0", "9"])
+view_tokens = query_terms | tokens
+
+
+@st.composite
+def scored_corpora(draw):
+    """Documents over a vocabulary that holds query terms, and for each
+    document the tokens of the queries that list it as a candidate."""
+    queries = draw(st.lists(st.lists(query_terms, max_size=4), min_size=1, max_size=3))
+    n_docs = draw(st.integers(1, 4))
+    documents, doc_terms = [], {}
+    for i in range(n_docs):
+        title = " ".join(draw(st.lists(view_tokens, max_size=3)))
+        sentences = draw(st.lists(st.lists(view_tokens, max_size=5), max_size=5))
+        documents.append(Document(f"d{i}", title, sentences))
+        listed_by = draw(st.sets(st.integers(0, len(queries) - 1)))
+        if listed_by:
+            doc_terms[f"d{i}"] = set().union(*(queries[k] for k in listed_by))
+    return documents, doc_terms
+
+
+class TestCorpusViews:
+    """The parse straight into views equals the parse into documents,
+    projected to views, and gives the same collection statistics."""
+
+    @settings(max_examples=150)
+    @given(scored_corpora(), st.integers(1, 30))
+    @example(([Document("d0", "a", [["b", "a"], [], ["a0", "a"]]),
+               Document("d1", "Z, b!", [[], ["9"]])],
+              {"d0": {"a", "b", "z"}, "d1": {"a", "b", "9"}}), 3)
+    @example(([Document("d0", "", [])], {}), 1)
+    def test_parse_equals_document_projection(self, corpus, max_tokens):
+        documents, doc_terms = corpus
+        text, _ = round_trip(documents)
+        views, df = parse_corpus(io.StringIO(text), doc_terms)
+        assert list(views) == [doc.id for doc in documents]
+        for doc in documents:
+            assert views[doc.id] == doc.view(doc_terms.get(doc.id, ()))
+        terms = set().union(*doc_terms.values())
+        expected = compute_corpus_stats(documents, max_tokens, terms)
+        assert df == expected.document_frequency
+        avg = average_segment_length(views.values(), max_tokens)
+        assert avg.hex() == expected.avg_segment_length.hex()
+
+    @settings(max_examples=300)
+    @given(st.lists(st.tuples(st.text("aZz09.!? \t\n,#-éİß\xa0", max_size=30),
+                              st.text("aZz09 .é", max_size=6)), min_size=1, max_size=3),
+           st.sets(st.sampled_from(["a", "z", "az", "0", "9", "a0"])))
+    @example([("Az. z0!  a.\n", "z"), ("İZ. Kß.\xa0x é az", "A.Z")], {"a", "z", "az"})
+    def test_ascii_and_non_ascii_bodies(self, records, terms):
+        text = "".join(json.dumps({"doc_id": f"d{i}", "title": title, "body": body}) + "\n"
+                       for i, (body, title) in enumerate(records))
+        doc_terms = {"d0": terms}
+        views, df = parse_corpus(io.StringIO(text), doc_terms)
+        documents = parse_documents(io.StringIO(text))
+        for doc_id, doc in documents.items():
+            assert views[doc_id] == doc.view(doc_terms.get(doc_id, ()))
+        assert df == compute_corpus_stats(list(documents.values()), 512,
+                                          terms).document_frequency
+
+
 GOOD = '{"doc_id": "d1", "title": "t", "body": "a b."}'
 
 
@@ -93,11 +158,12 @@ GOOD = '{"doc_id": "d1", "title": "t", "body": "a b."}'
     ('{"doc_id": "d2", "title": "t", "body": ["a"]}', 3, "'body' is not a string"),
     ('{"doc_id": 7, "title": "t", "body": "b."}', 3, "'doc_id' is not a string"),
 ])
-def test_corpus_parse_error_line(bad, line_no, message):
+@pytest.mark.parametrize("parser", [parse_documents, parse_corpus])
+def test_corpus_parse_error_line(bad, line_no, message, parser):
     # a blank line still counts toward the line number
     text = f"{GOOD}\n\n{bad}\n{GOOD.replace('d1', 'd3')}\n"
     with pytest.raises(ParseError) as info:
-        parse_corpus(io.StringIO(text))
+        parser(io.StringIO(text))
     assert info.value.line_no == line_no
     assert str(info.value).startswith(f"line {line_no}: ")
     assert message in str(info.value)
@@ -336,19 +402,52 @@ def test_gold_round_trip(gold):
 
 # A string value is stripped and cut at '#' by the parser.
 config_text = line_text.filter(lambda s: "#" not in s and s == s.strip())
+POSITIVE_KEYS = ("epochs", "batch_size", "max_segments", "max_iterations", "max_tokens",
+                 "min_tokens", "num_queries", "docs_per_query", "sentences_per_doc",
+                 "tokens_per_sentence", "vocab_size", "query_terms")
+VALID_VALUES = {
+    "loss": st.sampled_from([kind.value for kind in LossKind]),
+    "scorer_kind": st.sampled_from(["linear", "mlp"]),
+    **dict.fromkeys(POSITIVE_KEYS, st.integers(1, 10**6)),
+    "dev_fraction": st.floats(0, 1, exclude_min=True, exclude_max=True),
+    "noise": st.floats(0, 1),
+    "distractor_overlap": st.floats(0, 1),
+}
 
 
 @st.composite
-def configs(draw):
+def configs(draw, valid=True):
+    """Configurations; with `valid`, only values `parse_config` accepts."""
     values = {}
     for f in dataclasses.fields(PipelineConfig):
-        if isinstance(f.default, int):
+        if valid and f.name in VALID_VALUES:
+            values[f.name] = draw(VALID_VALUES[f.name])
+        elif isinstance(f.default, int):
             values[f.name] = draw(st.integers(-10**6, 10**6))
         elif isinstance(f.default, float):
             values[f.name] = draw(st.floats(allow_nan=False))
         else:
             values[f.name] = draw(config_text)
+    if valid:
+        low, high = sorted((values["min_tokens"], values["max_tokens"]))
+        values["min_tokens"], values["max_tokens"] = low, high
     return PipelineConfig(**values)
+
+
+def rejected_line(config: PipelineConfig) -> int | None:
+    """The line of `write_config(config)` that parsing must reject, if any."""
+    names = [f.name for f in dataclasses.fields(PipelineConfig)]
+    for line_no, name in enumerate(names, 1):
+        value = getattr(config, name)
+        if ((name == "loss" and value not in ("pairwise_hinge", "pointwise_cross_entropy"))
+                or (name == "scorer_kind" and value not in ("linear", "mlp"))
+                or (name in POSITIVE_KEYS and value < 1)
+                or (name == "dev_fraction" and not 0 < value < 1)
+                or (name in ("noise", "distractor_overlap") and not 0 <= value <= 1)):
+            return line_no
+    if config.min_tokens > config.max_tokens:
+        return max(names.index("min_tokens"), names.index("max_tokens")) + 1
+    return None
 
 
 @settings(max_examples=100)
@@ -359,6 +458,64 @@ def test_config_round_trip(config):
     parsed = parse_config(io.StringIO(text))
     assert parsed == config
     assert rewrite(write_config, parsed) == text
+
+
+@settings(max_examples=200)
+@given(configs(valid=False) | configs())
+def test_config_rejects_each_out_of_range_value_at_its_line(config):
+    text = rewrite(write_config, config)
+    line_no = rejected_line(config)
+    if line_no is None:
+        assert parse_config(io.StringIO(text)) == config
+    else:
+        with pytest.raises(ParseError) as info:
+            parse_config(io.StringIO(text))
+        assert info.value.line_no == line_no
+        assert str(info.value).startswith(f"line {line_no}: ")
+
+
+@pytest.mark.parametrize("line, message", [
+    ("loss=bogus", "loss must be one of pairwise_hinge, pointwise_cross_entropy"),
+    ("scorer_kind=tree", "scorer_kind must be one of linear, mlp"),
+    ("batch_size=0", "batch_size must be positive, got '0'"),
+    ("epochs=-1", "epochs must be positive"),
+    ("max_tokens=0", "max_tokens must be positive"),
+    ("min_tokens=0", "min_tokens must be positive"),
+    ("max_segments=0", "max_segments must be positive"),
+    ("max_iterations=0", "max_iterations must be positive"),
+    ("num_queries=0", "num_queries must be positive"),
+    ("docs_per_query=0", "docs_per_query must be positive"),
+    ("sentences_per_doc=0", "sentences_per_doc must be positive"),
+    ("tokens_per_sentence=0", "tokens_per_sentence must be positive"),
+    ("vocab_size=0", "vocab_size must be positive"),
+    ("query_terms=0", "query_terms must be positive"),
+    ("dev_fraction=0", "dev_fraction must be in (0, 1)"),
+    ("dev_fraction=1.0", "dev_fraction must be in (0, 1)"),
+    ("dev_fraction=nan", "dev_fraction must be in (0, 1)"),
+    ("noise=1.5", "noise must be in [0, 1]"),
+    ("distractor_overlap=-0.1", "distractor_overlap must be in [0, 1]"),
+    ("min_tokens=600", "min_tokens=600 exceeds max_tokens=512"),
+])
+def test_config_value_errors_name_the_line(line, message):
+    text = f"# comment\nseed=3\n{line}\nepochs=2\n"
+    with pytest.raises(ParseError) as info:
+        parse_config(io.StringIO(text))
+    assert str(info.value).startswith(f"line 3: {message}")
+
+
+def test_config_token_bounds_error_names_the_later_line():
+    text = "min_tokens=300\nseed=1\nmax_tokens=200\n"
+    with pytest.raises(ParseError, match="^line 3: min_tokens=300 exceeds max_tokens=200"):
+        parse_config(io.StringIO(text))
+    assert parse_config(io.StringIO("min_tokens=300\nmax_tokens=300\n")).min_tokens == 300
+
+
+def test_config_kinds_are_the_scorers():
+    assert LOSSES == tuple(kind.value for kind in LossKind)
+    for kind in SCORER_KINDS:
+        init_params(kind, 0)
+    with pytest.raises(ValueError):
+        init_params("tree", 0)
 
 
 json_values = st.recursive(
@@ -394,15 +551,16 @@ text_lines = st.one_of(
 @example(LONG_NUMBER)
 @example("{\"segment_index\": 1" + "0" * 5000 + "}")
 def test_json_and_text_parsers_raise_only_parse_error(text):
-    for parser in (parse_corpus, parse_queries, parse_selection, parse_gold,
-                   parse_config):
+    for parser in (parse_documents, parse_queries, parse_selection, parse_gold,
+                   parse_config, parse_corpus):
         try:
             parser(io.StringIO(text))
         except ParseError:
             pass
 
 
-@pytest.mark.parametrize("parser", [parse_corpus, parse_selection, parse_gold])
+@pytest.mark.parametrize("parser", [parse_documents, parse_corpus, parse_selection,
+                                    parse_gold])
 @pytest.mark.parametrize("line", [DEEP, INFINITE_INDEX, LONG_NUMBER],
                          ids=["deep", "infinity", "long"])
 def test_json_line_errors_name_the_line(parser, line):

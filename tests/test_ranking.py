@@ -3,10 +3,18 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from segtrain.corpus import Document, Query, compute_corpus_stats
+from segtrain.corpus import (
+    Document,
+    Query,
+    SegmentationPolicy,
+    compute_corpus_stats,
+    document_stream,
+    segment_for_training,
+)
 from segtrain.ranking import (
     Aggregation,
     aggregate,
+    inference_features,
     rank_by_scores,
     rerank,
     score_document,
@@ -53,6 +61,22 @@ class TestScoreDocument:
         first = score_document(params, q, doc, Aggregation.FIRST_P, stats)
         best = score_document(params, q, doc, Aggregation.MAX_P, stats)
         assert first == best
+
+
+def test_inference_position_ratio_reaches_1_25_at_config_e():
+    """Pinned as it is: config_e's 18 sentences of 128 tokens make six
+    512-token inference windows, so with max_segments=4 the position
+    feature runs to 5 / 4, past the 3 / 4 that training segments reach."""
+    doc = Document("doc", "two words", [[f"s{i}w{j}" for j in range(128)]
+                                        for i in range(18)])
+    stats = compute_corpus_stats([doc])
+    q = Query.from_text("q", "s0w0")
+    feats = inference_features(q, doc, stats, max_tokens=512, max_segments=4)
+    assert feats[:, F_POSITION_RATIO].tolist() == [0.0, 0.25, 0.5, 0.75, 1.0, 1.25]
+    policy = SegmentationPolicy("training", 512, 128, 4, seed=0)
+    for seed in range(20):
+        segments = segment_for_training(doc, 16, policy, document_stream(seed, doc.id))
+        assert max(seg.index for seg in segments) / 4 <= 0.75
 
 
 class TestRankByScores:

@@ -48,20 +48,28 @@ from segtrain.scorer import (
 
 
 def segment_of(tokens, index=0, doc_id="d"):
-    return Segment(doc_id, index, 0, 1, list(tokens))
+    """An untitled one-sentence document and its single segment."""
+    return (Document(doc_id, "", [list(tokens)]),
+            Segment(doc_id, index, 0, 1, len(tokens)))
+
+
+def segment_tokens(doc, segment):
+    """The title-plus-body tokens a segment of `doc` covers."""
+    body = doc.sentences[segment.start:segment.end]
+    return doc.title_tokens + [token for sentence in body for token in sentence]
 
 
 class TestExtractFeatures:
     def test_no_match_zeroes(self, tiny_stats):
         q = Query.from_text("q", "nothing matches here")
-        seg = segment_of(["alpha", "beta", "gamma"])
-        x = extract_features(q, seg, tiny_stats)
+        doc, seg = segment_of(["alpha", "beta", "gamma"])
+        x = extract_features(q, doc, seg, tiny_stats)
         assert all(x[i] == 0.0 for i in range(5))
 
     def test_full_match(self, tiny_stats):
         q = Query.from_text("q", "alpha beta gamma")
-        seg = segment_of(["alpha", "beta", "gamma", "delta"])
-        x = extract_features(q, seg, tiny_stats)
+        doc, seg = segment_of(["alpha", "beta", "gamma", "delta"])
+        x = extract_features(q, doc, seg, tiny_stats)
         assert x[F_MATCH_FRACTION] == 1.0
         assert x[F_BIGRAM_FRACTION] == 1.0
         assert x[F_BM25] > 0.0
@@ -76,28 +84,29 @@ class TestExtractFeatures:
         n = stats.doc_count
         expected_idf = math.log(1.0 + 0.5 / (n + 0.5))
         q = Query.from_text("q", "common")
-        x = extract_features(q, segment_of(["common", "x"]), stats)
+        x = extract_features(q, *segment_of(["common", "x"]), stats)
         assert x[F_IDF_MATCH] == pytest.approx(expected_idf, abs=1e-12)
         assert 0.0 < x[F_IDF_MATCH] < 0.2
 
     def test_empty_query(self, tiny_stats):
         q = Query.from_text("q", "")
-        x = extract_features(q, segment_of(["alpha"]), tiny_stats)
+        x = extract_features(q, *segment_of(["alpha"]), tiny_stats)
         assert all(x[i] == 0.0 for i in range(5))
 
     def test_all_finite(self, tiny_stats):
         q = Query.from_text("q", "alpha unseen 42")
-        x = extract_features(q, segment_of(["alpha", "42", "alpha"]), tiny_stats)
+        x = extract_features(q, *segment_of(["alpha", "42", "alpha"]), tiny_stats)
         assert np.all(np.isfinite(x))
 
 
-def reference_features(query, segment, stats, max_tokens, max_segments):
-    """Per-segment feature loop, kept as the oracle of `segment_features`.
+def reference_features(query, tokens, index, stats, max_tokens, max_segments):
+    """Token-scanning feature loop over one segment's title-plus-body
+    `tokens`, kept as the oracle of `segment_features`.
 
     The idf sum runs left to right, as the builtin `sum` did before
     Python 3.12 made it compensated.
     """
-    counts = Counter(segment.tokens)
+    counts = Counter(tokens)
     q_unique = list(dict.fromkeys(query.tokens))
     x = np.zeros(NUM_FEATURES)
     if q_unique:
@@ -107,7 +116,7 @@ def reference_features(query, segment, stats, max_tokens, max_segments):
         for t in matched:
             idf_sum += idf(stats, t)
         x[F_IDF_MATCH] = idf_sum / len(q_unique)
-        dl = segment.token_count
+        dl = len(tokens)
         norm = BM25_K1 * (1.0 - BM25_B + BM25_B * dl / stats.avg_segment_length)
         bm25 = 0.0
         max_tf = 0
@@ -119,10 +128,10 @@ def reference_features(query, segment, stats, max_tokens, max_segments):
         x[F_LOG_MAX_TF] = math.log1p(max_tf)
         q_bigrams = set(zip(query.tokens, query.tokens[1:]))
         if q_bigrams:
-            seg_bigrams = set(zip(segment.tokens, segment.tokens[1:]))
+            seg_bigrams = set(zip(tokens, tokens[1:]))
             x[F_BIGRAM_FRACTION] = len(q_bigrams & seg_bigrams) / len(q_bigrams)
-    x[F_LENGTH_RATIO] = segment.token_count / max_tokens
-    x[F_POSITION_RATIO] = segment.index / max_segments
+    x[F_LENGTH_RATIO] = len(tokens) / max_tokens
+    x[F_POSITION_RATIO] = index / max_segments
     return x
 
 
@@ -155,15 +164,71 @@ def test_segment_features_equal_per_segment_reference(
         query, title, bodies, df, doc_count, avg, max_tokens, max_segments):
     q = Query("q", " ".join(query), query)
     stats = CorpusStats(doc_count, df, avg)
-    segments = [Segment("d", i, i, i + 1, title + body) for i, body in enumerate(bodies)]
-    batched = segment_features(q, segments, stats, max_tokens, max_segments)
-    expected = np.stack([reference_features(q, seg, stats, max_tokens, max_segments)
-                         for seg in segments])
+    doc = Document("d", " ".join(title), bodies)
+    segments = [Segment("d", i, i, i + 1, len(title) + len(body))
+                for i, body in enumerate(bodies)]
+    batched = segment_features(q, doc, segments, stats, max_tokens, max_segments)
+    expected = np.stack([reference_features(q, title + body, i, stats, max_tokens,
+                                            max_segments)
+                         for i, body in enumerate(bodies)])
     assert np.array_equal(batched, expected)
     assert batched.tobytes() == expected.tobytes()  # signs of zeros too
     for seg, row in zip(segments, expected):
         assert np.array_equal(
-            extract_features(q, seg, stats, max_tokens, max_segments), row)
+            extract_features(q, doc, seg, stats, max_tokens, max_segments), row)
+
+
+span_lists = st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)).map(sorted),
+                      min_size=1, max_size=5)
+
+
+@settings(max_examples=300)
+@given(query=st.lists(vocab_terms, max_size=8),
+       other_terms=st.lists(vocab_terms, max_size=4),
+       title=st.lists(vocab_terms, max_size=3),
+       sentences=st.lists(st.lists(vocab_terms, max_size=6), max_size=6),
+       spans=span_lists,
+       df=st.dictionaries(st.sampled_from("abcdefgh"), st.integers(0, 60)),
+       avg=st.floats(1.0, 50.0),
+       max_tokens=st.integers(1, 40),
+       max_segments=st.integers(1, 8))
+@example(query=["a", "b"], other_terms=[], title=["a"], sentences=[["b"]],
+         spans=[(0, 1)], df={}, avg=2.0, max_tokens=8, max_segments=4)
+@example(query=["a", "b"], other_terms=[], title=["a"], sentences=[["x"], ["b", "c"]],
+         spans=[(0, 1), (1, 2)], df={}, avg=2.0, max_tokens=8, max_segments=4)
+@example(query=["a", "b", "a"], other_terms=["c"], title=[],
+         sentences=[["x", "a"], ["b", "a"], []], spans=[(0, 2), (1, 3), (2, 3)],
+         df={"a": 3}, avg=2.5, max_tokens=8, max_segments=2)
+@example(query=["z", "y"], other_terms=["a"], title=["a"], sentences=[["a", "b"]],
+         spans=[(0, 1)], df={}, avg=1.0, max_tokens=8, max_segments=4)
+@example(query=["c", "d"], other_terms=["a"], title=["b"], sentences=[[], ["c"], ["a"]],
+         spans=[(0, 0), (0, 1), (2, 3), (0, 3)], df={"c": 1}, avg=1.5,
+         max_tokens=4, max_segments=3)
+def test_view_features_equal_token_reference(query, other_terms, title, sentences,
+                                             spans, df, avg, max_tokens,
+                                             max_segments):
+    """The view kernel gives, bit for bit, the token-scanning oracle's rows.
+
+    Segments may span several sentences, start past the first sentence,
+    be empty, or hold no hit, and the view may hold hits of other
+    queries' terms (a document that is a candidate of two queries).
+    """
+    q = Query("q", " ".join(query), query)
+    doc = Document("d", " ".join(title), sentences)
+    spans = [(min(start, len(sentences)), min(end, len(sentences)))
+             for start, end in spans]
+    segments = [Segment("d", i, start, end,
+                        len(title) + sum(map(len, sentences[start:end])))
+                for i, (start, end) in enumerate(spans)]
+    stats = CorpusStats(60, df, avg)
+    expected = np.stack([
+        reference_features(q, segment_tokens(doc, seg), seg.index, stats,
+                           max_tokens, max_segments) for seg in segments])
+    for source in (doc, doc.view(query), doc.view(query + other_terms)):
+        actual = segment_features(q, source, segments, stats, max_tokens,
+                                  max_segments)
+        assert np.array_equal(actual, expected)
+        assert actual.tobytes() == expected.tobytes()
 
 
 @settings(max_examples=150)
@@ -189,8 +254,8 @@ def test_query_term_stats_give_the_same_features(docs, queries, max_tokens):
         query = Query("q", " ".join(tokens), tokens)
         for doc in documents:
             segments = segment_for_inference(doc, max_tokens)
-            expected = segment_features(query, segments, full, max_tokens)
-            actual = segment_features(query, segments, restricted, max_tokens)
+            expected = segment_features(query, doc, segments, full, max_tokens)
+            actual = segment_features(query, doc, segments, restricted, max_tokens)
             assert np.array_equal(actual, expected)
             assert actual.tobytes() == expected.tobytes()
 

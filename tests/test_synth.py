@@ -1,0 +1,116 @@
+"""The synthetic collection: determinism, planted and leaked evidence,
+noise, and the configuration checks."""
+
+import dataclasses
+
+import pytest
+
+from segtrain.corpus import document_stream, segment_for_training
+from segtrain.synth import SynthConfig, generate_corpus
+
+SMALL = SynthConfig(num_queries=6, docs_per_query=3, sentences_per_doc=8,
+                    tokens_per_sentence=16, vocab_size=200, query_terms=4,
+                    plant_lo=1, plant_hi=3, distractor_overlap=0.5, noise=0.0,
+                    seed=3, max_tokens=64, min_tokens=32, query_token_budget=8)
+
+
+def small(**changes) -> SynthConfig:
+    return dataclasses.replace(SMALL, **changes)
+
+
+def query_term_positions(doc, terms):
+    """(sentence index, position, token) of every query term in the body."""
+    return [(i, j, token) for i, sentence in enumerate(doc.sentences)
+            for j, token in enumerate(sentence) if token in terms]
+
+
+def relevant_doc(corpus, qid):
+    (doc_id,) = [d for (q, d), grade in corpus.qrels.items() if q == qid and grade > 0]
+    return corpus.documents_by_id()[doc_id]
+
+
+def test_same_seed_same_corpus_other_seed_differs():
+    assert generate_corpus(SMALL, 11) == generate_corpus(SMALL, 11)
+    assert generate_corpus(SMALL) == generate_corpus(SMALL, SMALL.seed)
+    a, b = generate_corpus(SMALL, 11), generate_corpus(SMALL, 12)
+    assert [d.sentences for d in a.documents] != [d.sentences for d in b.documents]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_planted_sentence_lies_in_the_gold_training_segment(seed):
+    cfg = small()
+    corpus = generate_corpus(cfg, seed)
+    assert len(corpus.gold) == cfg.num_queries
+    for query in corpus.queries:
+        doc = relevant_doc(corpus, query.id)
+        positions = query_term_positions(doc, set(query.tokens))
+        # noise 0: the whole query, in order, leads one sentence
+        assert [(j, token) for _, j, token in positions] == list(enumerate(query.tokens))
+        sentence = positions[0][0]
+        gold = corpus.gold[(query.id, doc.id)]
+        assert cfg.plant_lo <= gold < cfg.plant_hi
+        segments = segment_for_training(doc, cfg.query_token_budget, cfg.policy(seed),
+                                        document_stream(seed, doc.id))
+        assert segments[gold].start <= sentence < segments[gold].end
+
+
+@pytest.mark.parametrize("overlap, leaked", [(0.0, 0), (0.5, 2), (0.6, 2), (1.0, 4)])
+def test_one_negative_leaks_round_overlap_times_terms(overlap, leaked):
+    cfg = small(distractor_overlap=overlap)
+    corpus = generate_corpus(cfg)
+    documents = corpus.documents_by_id()
+    for query in corpus.queries:
+        terms = set(query.tokens)
+        pool = [documents[d] for d in corpus.candidates[query.id]]
+        negatives = [d for d in pool if corpus.qrels.get((query.id, d.id), 0) <= 0]
+        assert len(negatives) == cfg.docs_per_query - 1
+        leaks = [query_term_positions(d, terms) for d in negatives]
+        leaks = [positions for positions in leaks if positions]
+        if leaked == 0:
+            assert leaks == []
+            continue
+        (positions,) = leaks
+        # distinct query terms, in query order, leading one sentence
+        assert len({i for i, _, _ in positions}) == 1
+        tokens = [token for _, _, token in positions]
+        assert [j for _, j, _ in positions] == list(range(leaked))
+        assert len(set(tokens)) == leaked
+        assert tokens == sorted(tokens, key=query.tokens.index)
+
+
+def test_noise_zero_plants_every_term_noise_one_none():
+    clean, noisy = generate_corpus(small(noise=0.0)), generate_corpus(small(noise=1.0))
+    for query in clean.queries:
+        terms = set(query.tokens)
+        planted = {token for _, _, token in
+                   query_term_positions(relevant_doc(clean, query.id), terms)}
+        assert planted == terms
+        assert query_term_positions(relevant_doc(noisy, query.id), terms) == []
+
+
+@pytest.mark.parametrize("changes, message", [
+    ({"num_queries": 0}, "all synthetic counts must be positive"),
+    ({"docs_per_query": 0}, "all synthetic counts must be positive"),
+    ({"sentences_per_doc": 0}, "all synthetic counts must be positive"),
+    ({"tokens_per_sentence": 0}, "all synthetic counts must be positive"),
+    ({"vocab_size": 0}, "all synthetic counts must be positive"),
+    ({"query_terms": 0}, "all synthetic counts must be positive"),
+    ({"docs_per_query": 1}, "need at least one negative per topic"),
+    ({"plant_lo": -1}, "invalid plant segment range"),
+    ({"plant_lo": 2, "plant_hi": 2}, "invalid plant segment range"),
+    ({"distractor_overlap": 1.5}, "distractor_overlap and noise must be in"),
+    ({"distractor_overlap": -0.1}, "distractor_overlap and noise must be in"),
+    ({"noise": 1.1}, "distractor_overlap and noise must be in"),
+    ({"noise": -0.5}, "distractor_overlap and noise must be in"),
+    ({"query_terms": 17}, "query terms cannot exceed sentence length"),
+])
+def test_config_errors(changes, message):
+    with pytest.raises(ValueError, match=message.replace("(", r"\(")):
+        small(**changes)
+
+
+def test_generation_errors():
+    with pytest.raises(ValueError, match="vocab_size too small"):
+        generate_corpus(small(vocab_size=24))
+    with pytest.raises(ValueError, match="exceeds the"):
+        generate_corpus(small(plant_lo=5, plant_hi=6))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from e2e_utils import assemble
-from segtrain.corpus import CorpusStats, Query, Segment
+from segtrain.corpus import CorpusStats, Document, Query, Segment
 from segtrain.evaluation import segment_p_at_1
 from segtrain.ranking import Aggregation
 from segtrain.scorer import (
@@ -39,22 +39,27 @@ from segtrain.training import (
 
 
 def make_segments(doc_id: str, token_lists: list[list[str]]) -> list[Segment]:
-    return [Segment(doc_id, i, i, i + 1, tokens)
+    return [Segment(doc_id, i, i, i + 1, len(tokens))
             for i, tokens in enumerate(token_lists)]
 
 
 def make_tset(topics_spec, stats=None) -> TrainingSet:
-    """topics_spec: list of (query_text, {doc_id: [segment token lists]}, pos_ids)."""
+    """topics_spec: list of (query_text, {doc_id: [segment token lists]}, pos_ids).
+
+    Each segment is one sentence of an untitled document.
+    """
     topics = []
+    documents = {}
     store = {}
     for t, (q_text, docs, pos_ids) in enumerate(topics_spec):
         query = Query.from_text(f"q{t}", q_text)
         for doc_id, token_lists in docs.items():
+            documents[doc_id] = Document(doc_id, "", token_lists)
             store[doc_id] = make_segments(doc_id, token_lists)
         negs = [d for d in docs if d not in pos_ids]
         topics.append(TrainingTopic(query, list(pos_ids), negs))
     stats = stats or CorpusStats(4, {}, 10.0)
-    return TrainingSet(topics, store, stats)
+    return TrainingSet(topics, documents, store, stats)
 
 
 def match_scorer(weight: float = 1.0) -> ScorerParams:
@@ -302,7 +307,7 @@ class TestTrainSingle:
 
     def test_empty_training_set_rejected(self):
         coll = small_collection()
-        empty = TrainingSet([], {}, coll.train_set.stats)
+        empty = TrainingSet([], {}, {}, coll.train_set.stats)
         with pytest.raises(ValueError):
             train_single(empty, coll.dev_bundle, ALL_SEGMENTS, TrainConfig(), 0)
 
