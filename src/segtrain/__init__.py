@@ -16,16 +16,13 @@ _EXPORTS = {
                    "paired_t_test", "per_query_metrics", "segment_p_at_1"),
     "ranking": ("Aggregation", "rerank", "score_document"),
     "scorer": ("LossKind", "ScorerParams", "batch_loss_and_gradient",
-               "extract_features", "hinge_loss", "init_params",
-               "pointwise_ce_loss", "read_params", "score",
+               "hinge_loss", "init_params", "pointwise_ce_loss", "read_params",
                "segment_features", "sgd_step", "write_params"),
     "synth": ("SynthConfig", "SynthCorpus", "generate_corpus"),
-    "training": ("ALL_SEGMENTS", "BestTrainResult", "EvalBundle",
-                 "SelectionSource", "TrainConfig", "TrainingSet",
-                 "TrainingTopic", "best_train", "build_eval_bundle",
-                 "build_pairs", "build_training_set", "evaluate_bundle",
-                 "loss_all_segments", "loss_selected", "select_segments",
-                 "train_baseline", "train_single"),
+    "training": ("BestTrainResult", "TrainConfig", "TrainingSet",
+                 "TrainingTopic", "best_train", "build_training_set",
+                 "evaluate_bundle", "loss_all_segments", "loss_selected",
+                 "select_segments", "train_baseline", "train_single"),
 }
 _SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -11,6 +11,7 @@ numpy.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import gc
 import json
 import sys
@@ -19,8 +20,6 @@ from pathlib import Path
 from . import formats
 from .corpus import (
     CorpusStats,
-    DocView,
-    Document,
     SegmentationPolicy,
     average_segment_length,
     document_stream,
@@ -88,12 +87,6 @@ def _training_policy(config: PipelineConfig) -> SegmentationPolicy:
                               config.max_segments, config.seed)
 
 
-def _training_segments(doc: Document | DocView, config: PipelineConfig):
-    return segment_for_training(doc, config.query_token_budget,
-                                _training_policy(config),
-                                document_stream(config.seed, doc.id))
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -122,11 +115,13 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 def _cmd_segment(args: argparse.Namespace) -> int:
     config = _load_config(args)
     documents = _read(formats.parse_documents, _path(args, config, "corpus"))
+    policy = _training_policy(config)
     rows = []
     for doc_id in sorted(documents):
         doc = documents[doc_id]
         if args.mode == "training":
-            segments = _training_segments(doc, config)
+            segments = segment_for_training(doc, config.query_token_budget, policy,
+                                            document_stream(config.seed, doc.id))
         else:
             segments = segment_for_inference(doc, config.max_tokens)
         rows.extend(
@@ -171,15 +166,7 @@ def _load_pools(args: argparse.Namespace, config: PipelineConfig):
 
 def _cmd_train(args: argparse.Namespace) -> int:
     from .scorer import write_params
-    from .training import (
-        ALL_SEGMENTS,
-        SelectionSource,
-        best_train,
-        build_eval_bundle,
-        build_training_set,
-        train_baseline,
-        train_single,
-    )
+    from .training import best_train, build_training_set, train_baseline, train_single
 
     config = _load_config(args)
     documents, queries, candidates, stats = _load_pools(args, config)
@@ -192,12 +179,12 @@ def _cmd_train(args: argparse.Namespace) -> int:
     dev_id_set = set(dev_ids)
     dev_qrels = {key: g for key, g in qrels.items() if key[0] in dev_id_set}
     cfg = config.train_config()
-    tset = build_training_set(train_queries, qrels, candidates, documents,
-                              _training_policy(config),
+    policy = _training_policy(config)
+    tset = build_training_set(train_queries, qrels, candidates, documents, policy,
                               config.query_token_budget, stats)
-    dev = build_eval_bundle(dev_queries, dev_qrels, candidates, documents,
-                            stats, config.max_tokens, config.max_segments,
-                            config.mrr_cutoff)
+    dev = build_training_set(dev_queries, dev_qrels, candidates, documents,
+                             dataclasses.replace(policy, mode="inference"),
+                             config.query_token_budget, stats, config.mrr_cutoff)
     print(f"mode={args.mode} topics={len(tset.topics)} dev_queries={len(dev_queries)}")
     if args.mode == "best":
         result = best_train(tset, dev, cfg)
@@ -207,12 +194,12 @@ def _cmd_train(args: argparse.Namespace) -> int:
         params = result.best_state.params
         dev_mrr = result.best_state.validation_metric
     elif args.mode == "theta0":
-        params, dev_mrr = train_single(tset, dev, ALL_SEGMENTS, cfg, cfg.seed)
+        params, dev_mrr = train_single(tset, dev, None, cfg, cfg.seed)
     elif args.mode == "first":
-        params, dev_mrr = train_baseline(tset, dev, SelectionSource.FIRST, cfg)
+        params, dev_mrr = train_baseline(tset, dev, cfg)
     elif args.mode == "gold":
         gold = _read(formats.parse_gold, _path(args, config, "gold"))
-        params, dev_mrr = train_baseline(tset, dev, SelectionSource.GOLD, cfg, gold)
+        params, dev_mrr = train_baseline(tset, dev, cfg, gold)
     else:  # pragma: no cover - argparse restricts choices
         raise ParseError(f"unknown training mode {args.mode!r}")
     print(f"dev_mrr={dev_mrr:.6f}")
@@ -226,29 +213,16 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 
 def _cmd_select(args: argparse.Namespace) -> int:
-    from .scorer import read_params, score_batch, segment_features
+    from .scorer import read_params
+    from .training import build_training_set, select_segments
 
     config = _load_config(args)
     documents, queries, candidates, stats = _load_pools(args, config)
     params = _read(read_params, _path(args, config, "model"))
-    segment_cache: dict[str, list] = {}
-
-    def doc_segments(doc_id: str):
-        if doc_id not in segment_cache:
-            segment_cache[doc_id] = _training_segments(documents[doc_id], config)
-        return segment_cache[doc_id]
-
-    selection = {}
-    best_scores = {}
-    for query in queries:
-        for doc_id in candidates.get(query.id, []):
-            segments = doc_segments(doc_id)[:config.max_segments]
-            feats = segment_features(query, documents[doc_id], segments, stats,
-                                     config.max_tokens, config.max_segments)
-            scores = score_batch(params, feats)
-            best = int(scores.argmax())
-            selection[(query.id, doc_id)] = best
-            best_scores[(query.id, doc_id)] = float(scores[best])
+    store = build_training_set(queries, {}, candidates, documents,
+                               _training_policy(config), config.query_token_budget,
+                               stats)
+    selection, best_scores = select_segments(params, store, config.max_segments)
     with open(_path(args, config, "out"), "w") as stream:
         formats.write_selection(selection, stream, best_scores)
     print(f"selected segments for {len(selection)} pairs")

@@ -393,15 +393,20 @@ _CONFIG_FIELDS = {f.name: f.type for f in dataclasses.fields(PipelineConfig)}
 # here so that parsing a configuration does not import numpy.
 LOSSES = ("pairwise_hinge", "pointwise_cross_entropy")
 SCORER_KINDS = ("linear", "mlp")
-_POSITIVE = ("epochs", "batch_size", "max_segments", "max_iterations",
-             "max_tokens", "min_tokens", "num_queries", "docs_per_query",
+_POSITIVE = ("hidden_dim", "epochs", "batch_size", "patience_epochs",
+             "max_segments", "max_iterations", "max_tokens", "min_tokens",
+             "mrr_cutoff", "ndcg_k", "num_queries", "docs_per_query",
              "sentences_per_doc", "tokens_per_sentence", "vocab_size",
              "query_terms")
+# negatives_per_positive=0 keeps the per-loss default
+_NON_NEGATIVE = ("learning_rate", "negatives_per_positive", "query_token_budget",
+                 "plant_lo", "title_token_count")
 # key -> (test of the parsed value, what the value must be)
 _CONFIG_CHECKS = {
     "loss": (LOSSES.__contains__, f"one of {', '.join(LOSSES)}"),
     "scorer_kind": (SCORER_KINDS.__contains__, f"one of {', '.join(SCORER_KINDS)}"),
     **dict.fromkeys(_POSITIVE, ((lambda v: v > 0), "positive")),
+    **dict.fromkeys(_NON_NEGATIVE, ((lambda v: v >= 0), "non-negative")),
     "dev_fraction": ((lambda v: 0.0 < v < 1.0), "in (0, 1)"),
     **dict.fromkeys(("noise", "distractor_overlap"),
                     ((lambda v: 0.0 <= v <= 1.0), "in [0, 1]")),
@@ -412,10 +417,14 @@ def parse_config(stream: IO[str]) -> PipelineConfig:
     """key=value lines; '#' starts a comment; unknown keys are rejected.
 
     Values are checked as they are read: `loss` and `scorer_kind` must
-    name a known kind, sizes and synthetic counts must be positive,
-    `dev_fraction` must lie in (0, 1), `noise` and `distractor_overlap`
-    in [0, 1], and `min_tokens` may not exceed `max_tokens` (reported at
-    the later of the two lines).
+    name a known kind; sizes, metric depths, `patience_epochs` and
+    synthetic counts must be positive; the learning rate, the query and
+    title token counts, `negatives_per_positive` and `plant_lo` must not
+    be negative; `dev_fraction` must lie in (0, 1), and `noise` and
+    `distractor_overlap` in [0, 1].  Two pairs are checked once all
+    lines are read and reported at the later line of the pair:
+    `min_tokens` may not exceed `max_tokens`, and `plant_lo` must lie
+    below `plant_hi`.
     """
     config = PipelineConfig()
     key_lines: dict[str, int] = {}
@@ -446,6 +455,10 @@ def parse_config(stream: IO[str]) -> PipelineConfig:
         raise ParseError(
             f"min_tokens={config.min_tokens} exceeds max_tokens={config.max_tokens}",
             max(key_lines.get("min_tokens", 0), key_lines.get("max_tokens", 0)))
+    if config.plant_lo >= config.plant_hi:
+        raise ParseError(
+            f"plant_lo={config.plant_lo} is not below plant_hi={config.plant_hi}",
+            max(key_lines.get("plant_lo", 0), key_lines.get("plant_hi", 0)))
     return config
 
 

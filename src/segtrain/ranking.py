@@ -24,14 +24,6 @@ class Aggregation(enum.Enum):
     MAX_P = "maxp"
 
 
-def inference_features(query: Query, doc: Document | DocView, stats: CorpusStats,
-                       max_tokens: int = DEFAULT_MAX_TOKENS,
-                       max_segments: int = DEFAULT_MAX_SEGMENTS) -> np.ndarray:
-    """Feature matrix over the document's inference segments, one row each."""
-    return segment_features(query, doc, segment_for_inference(doc, max_tokens),
-                            stats, max_tokens, max_segments)
-
-
 def aggregate(seg_scores: np.ndarray, agg: Aggregation) -> float:
     if agg == Aggregation.FIRST_P:
         return float(seg_scores[0])
@@ -44,8 +36,10 @@ def score_document(params: ScorerParams, query: Query, doc: Document | DocView,
                    agg: Aggregation, stats: CorpusStats,
                    max_tokens: int = DEFAULT_MAX_TOKENS,
                    max_segments: int = DEFAULT_MAX_SEGMENTS) -> float:
-    """First-segment or max-over-segments score of a whole document."""
-    feats = inference_features(query, doc, stats, max_tokens, max_segments)
+    """First-segment or max-over-segments score of a whole document's
+    inference windows."""
+    feats = segment_features(query, doc, segment_for_inference(doc, max_tokens),
+                             stats, max_tokens, max_segments)
     return aggregate(score_batch(params, feats), agg)
 
 

@@ -19,7 +19,7 @@ import enum
 import itertools
 import math
 from dataclasses import dataclass
-from typing import IO, Sequence, Union
+from typing import IO, Sequence
 
 import numpy as np
 
@@ -139,15 +139,6 @@ def segment_features(query: Query, doc: Document | DocView,
     return x
 
 
-def extract_features(query: Query, doc: Document | DocView, segment: Segment,
-                     stats: CorpusStats,
-                     max_tokens: int = DEFAULT_MAX_TOKENS,
-                     max_segments: int = DEFAULT_MAX_SEGMENTS) -> np.ndarray:
-    """Lexical feature vector for one segment of a (query, doc) pair."""
-    return segment_features(query, doc, [segment], stats, max_tokens,
-                            max_segments)[0]
-
-
 @dataclass
 class ScorerParams:
     """Weights of the segment scorer; doubles as its gradient container.
@@ -192,12 +183,17 @@ Gradient = ScorerParams
 
 
 def init_params(kind: str, seed: int, hidden_dim: int = 8) -> ScorerParams:
-    """Seeded uniform weights on [-0.1, 0.1]; biases start at zero."""
+    """Seeded uniform weights on [-0.1, 0.1]; biases start at zero.
+
+    `hidden_dim` is read by the mlp only, which needs at least one unit.
+    """
     rng = np.random.default_rng(seed)
     if kind == "linear":
         w = rng.uniform(-0.1, 0.1, NUM_FEATURES)
         return ScorerParams("linear", w, 0.0)
     if kind == "mlp":
+        if hidden_dim < 1:
+            raise ValueError(f"mlp scorer needs hidden_dim >= 1, got {hidden_dim}")
         hw = rng.uniform(-0.1, 0.1, (NUM_FEATURES, hidden_dim))
         ow = rng.uniform(-0.1, 0.1, hidden_dim)
         return ScorerParams("mlp", ow, 0.0, hw, np.zeros(hidden_dim))
@@ -222,10 +218,6 @@ def score_batch(params: ScorerParams, X: np.ndarray) -> np.ndarray:
     return h @ params.out_weights + params.out_bias
 
 
-def score(params: ScorerParams, features: np.ndarray) -> float:
-    return float(score_batch(params, np.asarray(features, dtype=float)[None, :])[0])
-
-
 def hinge_loss(y_pos: float, y_neg: float) -> float:
     """max(0, 1 - y_pos + y_neg)."""
     return max(0.0, 1.0 - y_pos + y_neg)
@@ -246,21 +238,6 @@ def pointwise_ce_loss(y: float, label: int) -> float:
     return max(y, 0.0) - y * label + math.log1p(math.exp(-abs(y)))
 
 
-@dataclass
-class PairExample:
-    pos: np.ndarray
-    neg: np.ndarray
-
-
-@dataclass
-class PointExample:
-    features: np.ndarray
-    label: int
-
-
-TrainingExample = Union[PairExample, PointExample]
-
-
 def _zero_like(params: ScorerParams) -> ScorerParams:
     g = params.copy()
     g.out_weights[:] = 0.0
@@ -271,13 +248,18 @@ def _zero_like(params: ScorerParams) -> ScorerParams:
     return g
 
 
-def _backward(params: ScorerParams, X: np.ndarray, h: np.ndarray | None,
-              upstream: np.ndarray, grad: ScorerParams) -> None:
-    """Accumulate d(sum_i upstream_i * score_i)/dparams into grad."""
+def _backward(params: ScorerParams, X: np.ndarray, upstream: np.ndarray,
+              grad: ScorerParams) -> None:
+    """Accumulate d(sum_i upstream_i * score_i)/dparams into grad.
+
+    The mlp's hidden activations are recomputed as `score_batch` forms
+    them, so they are the same values the scores came from.
+    """
     if params.kind == "linear":
         grad.out_weights += X.T @ upstream
         grad.out_bias += float(upstream.sum())
         return
+    h = np.tanh(X @ params.hidden_weights + params.hidden_bias)
     grad.out_weights += h.T @ upstream
     grad.out_bias += float(upstream.sum())
     t = (upstream[:, None] * (1.0 - h * h)) * params.out_weights[None, :]
@@ -285,49 +267,40 @@ def _backward(params: ScorerParams, X: np.ndarray, h: np.ndarray | None,
     grad.hidden_bias += t.sum(axis=0)
 
 
-def _forward(params: ScorerParams, X: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-    if params.kind == "linear":
-        return X @ params.out_weights + params.out_bias, None
-    h = np.tanh(X @ params.hidden_weights + params.hidden_bias)
-    return h @ params.out_weights + params.out_bias, h
-
-
-def batch_loss_and_gradient(params: ScorerParams,
-                            batch: Sequence[TrainingExample],
+def batch_loss_and_gradient(params: ScorerParams, X: np.ndarray, other: np.ndarray,
                             loss: LossKind) -> tuple[float, Gradient]:
-    """Mean loss over the batch and its exact analytic gradient.
+    """Mean loss over a batch and its exact analytic gradient.
 
-    The hinge subgradient at the kink (margin exactly 1) is zero, so a
-    batch whose pairs all have margin >= 1 is a fixed point.
+    `X` holds one feature row per example.  Under the pairwise hinge
+    `other` holds the paired negative rows (the same shape as `X`);
+    under the pointwise cross-entropy it holds the 0/1 labels, one per
+    row.  The hinge subgradient at the kink (margin exactly 1) is zero,
+    so a batch whose pairs all have margin >= 1 is a fixed point.
     """
-    if not batch:
+    X = np.asarray(X, dtype=float)
+    other = np.asarray(other, dtype=float)
+    n = len(X)
+    if n == 0:
         raise ValueError("empty batch")
     grad = _zero_like(params)
-    n = len(batch)
     if loss == LossKind.PAIRWISE_HINGE:
-        if not all(isinstance(ex, PairExample) for ex in batch):
-            raise ValueError("pairwise hinge needs PairExample batches")
-        Xp = np.stack([ex.pos for ex in batch]).astype(float)
-        Xn = np.stack([ex.neg for ex in batch]).astype(float)
-        _check_features(params, Xp)
-        yp, hp = _forward(params, Xp)
-        yn, hn = _forward(params, Xn)
-        margins = 1.0 - yp + yn
+        if other.shape != X.shape:
+            raise ValueError(f"pairwise hinge needs negative rows of shape {X.shape}, "
+                             f"got {other.shape}")
+        margins = 1.0 - score_batch(params, X) + score_batch(params, other)
         active = (margins > 0).astype(float)
         loss_value = float(np.maximum(margins, 0.0).mean())
-        _backward(params, Xp, hp, -active / n, grad)
-        _backward(params, Xn, hn, active / n, grad)
+        _backward(params, X, -active / n, grad)
+        _backward(params, other, active / n, grad)
         return loss_value, grad
     if loss == LossKind.POINTWISE_CE:
-        if not all(isinstance(ex, PointExample) for ex in batch):
-            raise ValueError("pointwise cross-entropy needs PointExample batches")
-        X = np.stack([ex.features for ex in batch]).astype(float)
-        labels = np.array([ex.label for ex in batch], dtype=float)
-        _check_features(params, X)
-        y, h = _forward(params, X)
+        if other.shape != (n,):
+            raise ValueError(f"pointwise cross-entropy needs {n} labels, "
+                             f"got shape {other.shape}")
+        y = score_batch(params, X)
         loss_value = float(np.mean(
-            np.maximum(y, 0.0) - y * labels + np.log1p(np.exp(-np.abs(y)))))
-        _backward(params, X, h, (_sigmoid(y) - labels) / n, grad)
+            np.maximum(y, 0.0) - y * other + np.log1p(np.exp(-np.abs(y)))))
+        _backward(params, X, (_sigmoid(y) - other) / n, grad)
         return loss_value, grad
     raise ValueError(f"unknown loss kind: {loss!r}")
 
@@ -400,6 +373,9 @@ def read_params(stream: IO[str]) -> ScorerParams:
     if int(opts.get("dim", "0")) != NUM_FEATURES:
         raise ValueError("model feature dimension mismatch")
     hidden = int(opts.get("hidden", "0"))
+    if kind == "mlp" and hidden < 1:
+        raise ValueError(f"bad model header: mlp scorer needs hidden >= 1, "
+                         f"got hidden={hidden}")
     values = []
     for line_no, line in enumerate(stream, start=2):
         line = line.strip()
@@ -409,7 +385,7 @@ def read_params(stream: IO[str]) -> ScorerParams:
             values.append(float(line))
         except ValueError as exc:
             raise ValueError(f"bad parameter at line {line_no}: {line!r}") from exc
-    params = params_from_vector(kind, np.array(values), hidden_dim=max(hidden, 1))
+    params = params_from_vector(kind, np.array(values), hidden_dim=hidden)
     if not _all_finite(params):
         raise ValueError("model file contains non-finite parameters")
     return params

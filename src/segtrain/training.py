@@ -1,17 +1,30 @@
-"""Iterative segment-selection training.
+"""Iterative segment-selection training over one feature store.
 
-The trainer alternates two estimates: scorer parameters and, per
-(query, document) pair, the index of the segment used as that pair's
-training instance.  A bootstrap model is first fit on all leading
-segments of every judged pair; its argmax segments seed the first
-selected-training round, and each later round retrains from a fresh
-initialization on the previous round's selections.  Rounds stop when
-the dev metric stops improving, and the best round wins.
+A `TrainingSet` holds topics, the segments of their candidate documents
+and one cached feature matrix per (query, document) pair.  Built with a
+training policy it holds training segments: SGD learns from it and
+`select` picks segments in it.  Built with an inference policy it holds
+the windows `rerank` scores, and serves as the dev set whose MRR stops
+training.
+
+Training stacks the store's features into one matrix and draws each
+epoch as integer rows of it: (positive row, negative row) pairs for the
+pairwise hinge, (row, label) points for the pointwise cross-entropy.
+The training modes differ only in the rows a (query, document) pair
+contributes: every leading segment up to `max_segments`
+(`selection=None`), or the one segment a selection names.
+
+The trainer alternates two estimates: scorer parameters and, per pair,
+the index of the segment used as that pair's training instance.  A
+bootstrap model is first fit on all leading segments of every judged
+pair; its argmax segments seed the first selected-training round, and
+each later round retrains from a fresh initialization on the previous
+round's selections.  Rounds stop when the dev metric stops improving,
+and the best round wins.
 """
 
 from __future__ import annotations
 
-import enum
 import random
 from dataclasses import dataclass, field
 from math import fsum
@@ -28,14 +41,13 @@ from .corpus import (
     Segment,
     SegmentationPolicy,
     document_stream,
+    segment_for_inference,
     segment_for_training,
 )
 from .evaluation import Qrels, Run, SegmentIndexMap, mrr
-from .ranking import Aggregation, inference_features, rank_by_scores
+from .ranking import Aggregation, aggregate, rank_by_scores
 from .scorer import (
     LossKind,
-    PairExample,
-    PointExample,
     ScorerParams,
     batch_loss_and_gradient,
     hinge_loss,
@@ -46,21 +58,8 @@ from .scorer import (
     sgd_step,
 )
 
-
-class _AllSegmentsMarker:
-    """Marker value: train on all leading segments, not selected ones."""
-
-    def __repr__(self) -> str:
-        return "ALL_SEGMENTS"
-
-
-ALL_SEGMENTS = _AllSegmentsMarker()
-
-
-class SelectionSource(enum.Enum):
-    FIRST = "first"
-    GOLD = "gold"
-    SCORER = "scorer"
+# A (query id, doc id) pair's rows in a stacked feature matrix.
+PairRows = dict[tuple[str, str], range]
 
 
 @dataclass
@@ -88,21 +87,33 @@ class TrainConfig:
 
 @dataclass
 class TrainingTopic:
+    """A query and its candidates, split by judgment.
+
+    A topic without positives adds no training examples; its pairs are
+    still scored by `select_segments` and `evaluate_bundle`.
+    """
+
     query: Query
     positives: list[str]
     negatives: list[str]
 
     def __post_init__(self) -> None:
-        if not self.positives:
-            raise ValueError(f"topic {self.query.id} has no positive documents")
         overlap = set(self.positives) & set(self.negatives)
         if overlap:
             raise ValueError(f"topic {self.query.id}: docs judged both ways: {overlap}")
 
+    @property
+    def candidates(self) -> list[str]:
+        return self.positives + self.negatives
+
 
 @dataclass
 class TrainingSet:
-    """Topics plus the documents and training segments they draw from."""
+    """Topics, the documents and segments they draw from, and one cached
+    feature matrix per (query, document) pair.
+
+    As a dev set, its `qrels` and `mrr_cutoff` give the dev MRR.
+    """
 
     topics: list[TrainingTopic]
     documents: dict[str, Document | DocView]
@@ -110,12 +121,14 @@ class TrainingSet:
     stats: CorpusStats
     max_tokens: int = DEFAULT_MAX_TOKENS
     max_segments: int = DEFAULT_MAX_SEGMENTS
+    qrels: Qrels = field(default_factory=dict)
+    mrr_cutoff: int = 10
     _features: dict[tuple[str, str], np.ndarray] = field(
         default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for topic in self.topics:
-            for doc_id in topic.positives + topic.negatives:
+            for doc_id in topic.candidates:
                 if doc_id not in self.segments or doc_id not in self.documents:
                     raise ValueError(f"no document or segments stored for {doc_id}")
 
@@ -127,30 +140,6 @@ class TrainingSet:
             cached = segment_features(query, self.documents[doc_id],
                                       self.segments[doc_id], self.stats,
                                       self.max_tokens, self.max_segments)
-            self._features[key] = cached
-        return cached
-
-
-@dataclass
-class EvalBundle:
-    """Everything needed to compute a dev-set MRR for candidate params."""
-
-    queries: list[Query]
-    candidates: dict[str, list[Document | DocView]]
-    qrels: Qrels
-    stats: CorpusStats
-    max_tokens: int = DEFAULT_MAX_TOKENS
-    max_segments: int = DEFAULT_MAX_SEGMENTS
-    mrr_cutoff: int = 10
-    _features: dict[tuple[str, str], np.ndarray] = field(
-        default_factory=dict, repr=False, compare=False)
-
-    def doc_features(self, query: Query, doc: Document | DocView) -> np.ndarray:
-        key = (query.id, doc.id)
-        cached = self._features.get(key)
-        if cached is None:
-            cached = inference_features(query, doc, self.stats,
-                                        self.max_tokens, self.max_segments)
             self._features[key] = cached
         return cached
 
@@ -181,131 +170,116 @@ def build_training_set(queries: list[Query], qrels: Qrels,
                        documents: dict[str, Document] | dict[str, DocView],
                        policy: SegmentationPolicy,
                        query_token_budget: int,
-                       stats: CorpusStats) -> TrainingSet:
-    """Assemble topics and their training segments from raw collections.
+                       stats: CorpusStats,
+                       mrr_cutoff: int = 10) -> TrainingSet:
+    """Assemble topics and the segments of their candidates.
 
     Positives are a query's judged-relevant candidates; every other
-    candidate is a negative.  Queries without a relevant candidate are
-    dropped.  Segmentation draws from a per-document stream derived
+    candidate is a negative, so a store built without qrels holds
+    negatives only.  Queries without candidates are dropped.  A training
+    policy cuts training segments from a per-document stream derived
     from the policy seed, so the store is reproducible regardless of
-    document order.
+    document order; an inference policy cuts inference windows.
     """
     topics = []
     store: dict[str, list[Segment]] = {}
     for query in queries:
         pool = candidates.get(query.id, [])
+        if not pool:
+            continue
         positives = [d for d in pool if qrels.get((query.id, d), 0) > 0]
         negatives = [d for d in pool if qrels.get((query.id, d), 0) <= 0]
-        if not positives:
-            continue
         topics.append(TrainingTopic(query, positives, negatives))
         for doc_id in pool:
             if doc_id not in store:
                 doc = documents[doc_id]
-                store[doc_id] = segment_for_training(
-                    doc, query_token_budget, policy,
-                    document_stream(policy.seed, doc.id))
+                store[doc_id] = (
+                    segment_for_training(doc, query_token_budget, policy,
+                                         document_stream(policy.seed, doc.id))
+                    if policy.mode == "training"
+                    else segment_for_inference(doc, policy.max_tokens))
     return TrainingSet(topics, documents, store, stats, policy.max_tokens,
-                       policy.max_segments or DEFAULT_MAX_SEGMENTS)
+                       policy.max_segments or DEFAULT_MAX_SEGMENTS, qrels, mrr_cutoff)
 
 
-def build_eval_bundle(queries: list[Query], qrels: Qrels,
-                      candidates: dict[str, list[str]],
-                      documents: dict[str, Document] | dict[str, DocView],
-                      stats: CorpusStats,
-                      max_tokens: int = DEFAULT_MAX_TOKENS,
-                      max_segments: int = DEFAULT_MAX_SEGMENTS,
-                      mrr_cutoff: int = 10) -> EvalBundle:
-    cand_docs = {
-        q.id: [documents[d] for d in candidates.get(q.id, [])]
-        for q in queries
-    }
-    return EvalBundle(queries, cand_docs, qrels, stats,
-                      max_tokens, max_segments, mrr_cutoff)
-
-
-def evaluate_bundle(params: ScorerParams, bundle: EvalBundle,
+def evaluate_bundle(params: ScorerParams, dev: TrainingSet,
                     agg: Aggregation = Aggregation.MAX_P) -> tuple[float, Run]:
-    """Dev MRR (and the run) for the given params and aggregation."""
+    """Dev MRR (and the run): each candidate's segment scores aggregated."""
     run: Run = {}
-    for query in bundle.queries:
-        doc_scores: dict[str, float] = {}
-        for doc in bundle.candidates.get(query.id, []):
-            seg_scores = score_batch(params, bundle.doc_features(query, doc))
-            doc_scores[doc.id] = (
-                float(seg_scores[0]) if agg == Aggregation.FIRST_P
-                else float(seg_scores.max()))
-        if doc_scores:
-            run[query.id] = rank_by_scores(query.id, doc_scores)
-    return mrr(run, bundle.qrels, bundle.mrr_cutoff), run
+    for topic in dev.topics:
+        query = topic.query
+        scores = {doc_id: aggregate(score_batch(params, dev.features(query, doc_id)), agg)
+                  for doc_id in topic.candidates}
+        run[query.id] = rank_by_scores(query.id, scores)
+    return mrr(run, dev.qrels, dev.mrr_cutoff), run
+
+
+def _selected(selection: SegmentIndexMap, key: tuple[str, str],
+              n_segments: int) -> int:
+    """The segment index `selection` names for a pair, checked."""
+    if key not in selection:
+        raise ValueError(f"selection missing entry for {key}")
+    index = selection[key]
+    if not 0 <= index < n_segments:
+        raise ValueError(f"selected segment {index} of {key} "
+                         f"is not one of its {n_segments} segments")
+    return index
 
 
 def _selected_features(tset: TrainingSet, query: Query, doc_id: str,
                        selection: SegmentIndexMap) -> np.ndarray:
-    key = (query.id, doc_id)
-    if key not in selection:
-        raise ValueError(f"selection missing entry for {key}")
-    return tset.features(query, doc_id)[selection[key]]
+    feats = tset.features(query, doc_id)
+    return feats[_selected(selection, (query.id, doc_id), len(feats))]
 
 
-def build_pairs(tset: TrainingSet, selection: SegmentIndexMap,
-                cfg: TrainConfig,
-                rng: random.Random) -> tuple[list, int]:
-    """Per-epoch training examples at the selected segment indices.
+def _stack(tset: TrainingSet, selection: SegmentIndexMap | None,
+           max_segments: int) -> tuple[np.ndarray, PairRows]:
+    """Every pair's features in one matrix, and the rows each pair
+    trains on: its leading `max_segments` segments or, given a
+    selection, the selected one."""
+    blocks, rows, start = [], {}, 0
+    for topic in tset.topics:
+        for doc_id in topic.candidates:
+            key = (topic.query.id, doc_id)
+            feats = tset.features(topic.query, doc_id)
+            blocks.append(feats)
+            span = range(start, start + len(feats))
+            start += len(feats)
+            if selection is None:
+                rows[key] = span[:max_segments]
+            else:
+                index = _selected(selection, key, len(span))
+                rows[key] = span[index:index + 1]
+    return np.concatenate(blocks), rows
 
-    Pairwise mode pairs each positive with negatives sampled without
-    replacement; pointwise mode emits one positive point plus sampled
-    negative points.  Topics without negatives are skipped; the count
-    of skipped topics is returned alongside the examples.
+
+def _epoch_rows(tset: TrainingSet, rows: PairRows, cfg: TrainConfig,
+               rng: random.Random) -> np.ndarray:
+    """One shuffled epoch as an (n, 2) array of examples.
+
+    Each positive is paired with negatives sampled without replacement.
+    Under the pairwise hinge an example is (positive row, negative row),
+    one per leading row the two documents share; under the pointwise
+    cross-entropy it is (row, label), every row of the positive and of
+    its sampled negatives.  Topics without negatives are skipped.
     """
-    return _epoch_examples(tset, selection, cfg, rng)
-
-
-def _epoch_examples(tset: TrainingSet, selection, cfg: TrainConfig,
-                    rng: random.Random) -> tuple[list, int]:
-    examples: list = []
-    skipped = 0
     n_neg = cfg.resolved_negatives()
     pairwise = cfg.loss == LossKind.PAIRWISE_HINGE
-    use_all = selection is ALL_SEGMENTS
+    examples: list[tuple[int, int]] = []
     for topic in tset.topics:
         if not topic.negatives:
-            skipped += 1
             continue
-        query = topic.query
+        qid = topic.query.id
         for pos_id in topic.positives:
             sampled = rng.sample(topic.negatives, min(n_neg, len(topic.negatives)))
-            pos_feats = tset.features(query, pos_id)
-            if pairwise:
-                for neg_id in sampled:
-                    neg_feats = tset.features(query, neg_id)
-                    if use_all:
-                        depth = min(cfg.max_segments, len(pos_feats), len(neg_feats))
-                        examples.extend(
-                            PairExample(pos_feats[j], neg_feats[j])
-                            for j in range(depth))
-                    else:
-                        examples.append(PairExample(
-                            _selected_features(tset, query, pos_id, selection),
-                            _selected_features(tset, query, neg_id, selection)))
-            else:
-                if use_all:
-                    depth = min(cfg.max_segments, len(pos_feats))
-                    examples.extend(
-                        PointExample(pos_feats[j], 1) for j in range(depth))
-                else:
-                    examples.append(PointExample(
-                        _selected_features(tset, query, pos_id, selection), 1))
-                for neg_id in sampled:
-                    neg_feats = tset.features(query, neg_id)
-                    if use_all:
-                        depth = min(cfg.max_segments, len(neg_feats))
-                        examples.extend(
-                            PointExample(neg_feats[j], 0) for j in range(depth))
-                    else:
-                        examples.append(PointExample(
-                            _selected_features(tset, query, neg_id, selection), 0))
-    return examples, skipped
+            pos = rows[(qid, pos_id)]
+            if not pairwise:
+                examples += ((row, 1) for row in pos)
+            for neg_id in sampled:
+                neg = rows[(qid, neg_id)]
+                examples += zip(pos, neg) if pairwise else ((row, 0) for row in neg)
+    rng.shuffle(examples)
+    return np.array(examples, dtype=np.intp).reshape(-1, 2)
 
 
 def loss_all_segments(params: ScorerParams, tset: TrainingSet, k: int) -> float:
@@ -360,48 +334,56 @@ def loss_selected(params: ScorerParams, tset: TrainingSet,
 
 
 def select_segments(params: ScorerParams, tset: TrainingSet,
-                    k: int) -> SegmentIndexMap:
-    """Argmax segment index per (query, document) pair, capped at k.
+                    k: int) -> tuple[SegmentIndexMap, dict[tuple[str, str], float]]:
+    """Argmax segment index per (query, document) pair, capped at k, and
+    its score.
 
-    Covers positives and negatives alike; score ties resolve to the
-    smallest index.
+    Covers every pair in the store; score ties resolve to the smallest
+    index.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     selection: SegmentIndexMap = {}
+    best_scores: dict[tuple[str, str], float] = {}
     for topic in tset.topics:
-        for doc_id in topic.positives + topic.negatives:
-            feats = tset.features(topic.query, doc_id)
-            scores = score_batch(params, feats[:min(k, len(feats))])
-            selection[(topic.query.id, doc_id)] = int(np.argmax(scores))
-    return selection
+        for doc_id in topic.candidates:
+            scores = score_batch(params, tset.features(topic.query, doc_id)[:k])
+            key = (topic.query.id, doc_id)
+            selection[key] = best = int(np.argmax(scores))
+            best_scores[key] = float(scores[best])
+    return selection, best_scores
 
 
-def train_single(tset: TrainingSet, dev: EvalBundle, selection_or_all,
-                 cfg: TrainConfig, seed: int,
+def train_single(tset: TrainingSet, dev: TrainingSet,
+                 selection: SegmentIndexMap | None, cfg: TrainConfig, seed: int,
                  agg: Aggregation = Aggregation.MAX_P) -> tuple[ScorerParams, float]:
     """One complete training run: SGD epochs with dev-MRR early stopping.
 
-    Parameters start from a fresh seeded initialization.  Negatives are
-    resampled every epoch.  The best dev-MRR snapshot is returned along
-    with its metric; training stops once the metric has not improved
-    for cfg.patience_epochs consecutive epochs.
+    `selection=None` trains on all leading segments, up to
+    cfg.max_segments per document; a selection trains on the segment it
+    names for every pair.  Parameters start from a fresh seeded
+    initialization.  Negatives are resampled every epoch.  The best
+    dev-MRR snapshot is returned along with its metric; training stops
+    once the metric has not improved for cfg.patience_epochs consecutive
+    epochs.
     """
     if not tset.topics:
         raise ValueError("empty training set")
+    X, rows = _stack(tset, selection, cfg.max_segments)
+    pairwise = cfg.loss == LossKind.PAIRWISE_HINGE
     params = init_params(cfg.scorer_kind, seed, cfg.hidden_dim)
     rng = random.Random(seed)
     best = params.copy()
     best_metric = -float("inf")
     stale = 0
     for _ in range(cfg.epochs):
-        examples, _ = _epoch_examples(tset, selection_or_all, cfg, rng)
-        if not examples:
+        examples = _epoch_rows(tset, rows, cfg, rng)
+        if not len(examples):
             raise ValueError("training produced no examples (no usable topics)")
-        rng.shuffle(examples)
         for i in range(0, len(examples), cfg.batch_size):
             batch = examples[i:i + cfg.batch_size]
-            _, grad = batch_loss_and_gradient(params, batch, cfg.loss)
+            other = X[batch[:, 1]] if pairwise else batch[:, 1]
+            _, grad = batch_loss_and_gradient(params, X[batch[:, 0]], other, cfg.loss)
             params = sgd_step(params, grad, cfg.learning_rate)
         metric, _ = evaluate_bundle(params, dev, agg)
         if metric > best_metric:
@@ -415,7 +397,7 @@ def train_single(tset: TrainingSet, dev: EvalBundle, selection_or_all,
     return best, best_metric
 
 
-def best_train(tset: TrainingSet, dev: EvalBundle,
+def best_train(tset: TrainingSet, dev: TrainingSet,
                cfg: TrainConfig) -> BestTrainResult:
     """Full iterative procedure with fresh re-initialization per round.
 
@@ -427,8 +409,8 @@ def best_train(tset: TrainingSet, dev: EvalBundle,
     """
     if cfg.max_iterations < 1:
         raise ValueError("max_iterations must be >= 1")
-    bootstrap, _ = train_single(tset, dev, ALL_SEGMENTS, cfg, cfg.seed)
-    selection = select_segments(bootstrap, tset, cfg.max_segments)
+    bootstrap, _ = train_single(tset, dev, None, cfg, cfg.seed)
+    selection, _ = select_segments(bootstrap, tset, cfg.max_segments)
     history: list[IterationState] = []
     best_metric = -float("inf")
     stale = 0
@@ -443,7 +425,7 @@ def best_train(tset: TrainingSet, dev: EvalBundle,
             if stale >= cfg.iteration_patience:
                 break
         if n < cfg.max_iterations:
-            selection = select_segments(params, tset, cfg.max_segments)
+            selection, _ = select_segments(params, tset, cfg.max_segments)
     metrics = [state.validation_metric for state in history]
     best_iteration = history[metrics.index(max(metrics))].n
     return BestTrainResult(history, best_iteration)
@@ -454,29 +436,25 @@ def zero_selection(tset: TrainingSet) -> SegmentIndexMap:
     return {
         (topic.query.id, doc_id): 0
         for topic in tset.topics
-        for doc_id in topic.positives + topic.negatives
+        for doc_id in topic.candidates
     }
 
 
-def train_baseline(tset: TrainingSet, dev: EvalBundle, source: SelectionSource,
-                   cfg: TrainConfig,
+def train_baseline(tset: TrainingSet, dev: TrainingSet, cfg: TrainConfig,
                    gold: SegmentIndexMap | None = None) -> tuple[ScorerParams, float]:
-    """First-segment or gold-segment training (single run, no iteration).
+    """First-segment training, or gold-segment training given a gold map
+    (single run, no iteration).
 
     Gold indices apply to positive documents only; negatives fall back
     to their first segment.  Uses seed cfg.seed + 1, the same slot as
     the first selected-training round.
     """
     selection = zero_selection(tset)
-    if source == SelectionSource.GOLD:
-        if gold is None:
-            raise ValueError("gold selection source needs a gold segment map")
+    if gold is not None:
         for topic in tset.topics:
             for pos_id in topic.positives:
                 key = (topic.query.id, pos_id)
                 if key not in gold:
                     raise ValueError(f"gold map missing positive pair {key}")
                 selection[key] = gold[key]
-    elif source != SelectionSource.FIRST:
-        raise ValueError("train_baseline handles first/gold sources only")
     return train_single(tset, dev, selection, cfg, cfg.seed + 1)

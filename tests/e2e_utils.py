@@ -2,18 +2,13 @@
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 from segtrain.corpus import compute_corpus_stats
 from segtrain.evaluation import GoldSegments, Qrels
 from segtrain.synth import SynthConfig, SynthCorpus, generate_corpus
-from segtrain.training import (
-    EvalBundle,
-    TrainConfig,
-    TrainingSet,
-    build_eval_bundle,
-    build_training_set,
-)
+from segtrain.training import TrainConfig, TrainingSet, build_training_set
 
 
 def config_e(seed: int, noise: float = 0.1) -> SynthConfig:
@@ -39,7 +34,7 @@ def config_e(seed: int, noise: float = 0.1) -> SynthConfig:
 class Collection:
     corpus: SynthCorpus
     train_set: TrainingSet
-    dev_bundle: EvalBundle
+    dev_bundle: TrainingSet       # dev topics over inference windows, for dev MRR
     dev_set: TrainingSet          # dev topics with training segments, for P@1
     dev_gold: GoldSegments
     train_gold: GoldSegments
@@ -67,10 +62,10 @@ def assemble(synth_cfg: SynthConfig, seed: int, n_train: int,
     dev_set = build_training_set(
         [by_id[q] for q in dev_ids], corpus.qrels, corpus.candidates,
         documents, policy, synth_cfg.query_token_budget, stats)
-    dev_bundle = build_eval_bundle(
+    dev_bundle = build_training_set(
         [by_id[q] for q in dev_ids], restrict(corpus.qrels, dev_id_set),
-        corpus.candidates, documents, stats, synth_cfg.max_tokens,
-        synth_cfg.max_segments)
+        corpus.candidates, documents, dataclasses.replace(policy, mode="inference"),
+        synth_cfg.query_token_budget, stats)
     cfg = train_cfg or TrainConfig(seed=seed)
     return Collection(
         corpus=corpus,

@@ -2,6 +2,8 @@
 and `eval` on a hand-written TREC set."""
 
 import gc
+import hashlib
+import json
 import math
 import os
 import subprocess
@@ -81,6 +83,68 @@ def test_outputs_identical_across_runs(data, model, tmp_path):
         assert one and one == (tmp_path / name.format(2)).read_bytes()
 
 
+# A tiny collection with late, noisy evidence, so that the dev metric
+# moves between epochs and rounds.
+LATE_CONFIG = {**TINY_CONFIG, "num_queries": 20, "plant_lo": 1, "noise": 0.3,
+               "distractor_overlap": 0.6, "epochs": 5, "patience_epochs": 2}
+
+# sha256 of every model, selection and run file the late collection
+# gives.  A change that alters any of these outputs must say why and
+# update the digests.
+PINNED_DIGESTS = {
+    "linear-first.txt":
+        "0903e88af03735ac104061ac86c9d7d47fa014722e4dd215e13b2b504cbd666d",
+    "linear-gold.txt":
+        "9f8032873d92236f7e4ed83eccd80b6e63072a01aad145fae0ebd07baed1d352",
+    "linear-theta0.txt":
+        "dec08f915d29041769cb4032b357ba8411bfe791f19fcc20e6e25f8dc4e6e2b8",
+    "linear-best.txt":
+        "c6813a7a4fcd53e3b0416c80d27eef3a190fff5dab12f133a30a905955fba885",
+    "mlp-first.txt":
+        "953fd90d9d7ef189f883b945d7e7f7506147d7eee4d3c3dbdd62389a92b2841f",
+    "mlp-gold.txt":
+        "05f4b690fbad33cfa7668ae32935c8122157666dddc79b459c6bd5c6c7da8607",
+    "mlp-theta0.txt":
+        "00a17de6bd655676bdac7e10616f142f026e54b6eb0554bc72fa3c4e9d3483f9",
+    "mlp-best.txt":
+        "30901aa73e125efc211049d040ff91165996b80dba0d1d6669ee95acb13fb8f0",
+    "selection.jsonl":
+        "ca043dacc5a3f17e0f286b1034ec937dcf7078f50cbb74df3c30b161ae0e7582",
+    "run-maxp.txt":
+        "738e1e73bb26f8046a8c92a4881d568ff1c832c173af2dbb458c72e01b6ddbe7",
+    "run-firstp.txt":
+        "53d79ae84b2a33f03e309048f940bd5470477ac06358441ea147d6263611a574",
+}
+
+
+def test_outputs_match_pinned_digests(tmp_path_factory, tmp_path):
+    data = tmp_path_factory.mktemp("late")
+    config = data / "config.txt"
+    config.write_text("".join(f"{k}={v}\n" for k, v in LATE_CONFIG.items()))
+    assert main(["synth", "--config", str(config), "--out", str(data)]) == 0
+    digests = {}
+    for loss, kind in (("pairwise_hinge", "linear"), ("pointwise_cross_entropy", "mlp")):
+        config = tmp_path / f"{kind}.txt"
+        config.write_text((data / "config.txt").read_text()
+                          + f"loss={loss}\nscorer_kind={kind}\n")
+        for mode in ("first", "gold", "theta0", "best"):
+            out = tmp_path / f"{kind}-{mode}.txt"
+            assert main(["train", "--mode", mode, *inputs(data, config=config),
+                         "--qrels", str(data / "qrels.txt"),
+                         "--gold", str(data / "gold.jsonl"), "--out", str(out)]) == 0
+            digests[out.name] = out
+    model = tmp_path / "linear-best.txt"
+    digests["selection.jsonl"] = tmp_path / "selection.jsonl"
+    assert select(data, model, digests["selection.jsonl"]) == 0
+    for mode in ("maxp", "firstp"):
+        digests[f"run-{mode}.txt"] = out = tmp_path / f"run-{mode}.txt"
+        assert main(["rerank", *inputs(data), "--model", str(model), "--mode", mode,
+                     "--out", str(out)]) == 0
+    got = {name: hashlib.sha256(path.read_bytes()).hexdigest()
+           for name, path in digests.items()}
+    assert got == PINNED_DIGESTS
+
+
 def test_usage_error_exits_1(data, capsys):
     with pytest.raises(SystemExit) as info:
         main(["rerank", *inputs(data), "--mode", "bogus"])
@@ -131,11 +195,24 @@ def test_candidate_missing_from_corpus_names_query_and_doc(data, model, tmp_path
 
 
 
+def test_gold_index_past_the_segments_exits_2(data, tmp_path, capsys):
+    gold = tmp_path / "gold.jsonl"
+    with open(gold, "w") as stream:
+        for line in (data / "gold.jsonl").read_text().splitlines():
+            stream.write(json.dumps({**json.loads(line), "gold_segment_index": 99}) + "\n")
+    assert main(["train", "--mode", "gold", *inputs(data), "--qrels",
+                 str(data / "qrels.txt"), "--gold", str(gold),
+                 "--out", str(tmp_path / "model.txt")]) == 2
+    assert "selected segment 99 of ('q" in capsys.readouterr().err
+    assert not (tmp_path / "model.txt").exists()
+
+
 @pytest.mark.parametrize("line, message", [
     ("loss=bogus", "loss must be one of"),
     ("batch_size=0", "batch_size must be positive"),
     ("max_tokens=100", "min_tokens=128 exceeds max_tokens=100"),
     ("noise=2", "noise must be in [0, 1]"),
+    ("hidden_dim=0", "hidden_dim must be positive"),
 ])
 @pytest.mark.parametrize("command", ["synth", "train"])
 def test_bad_config_value_exits_2_with_line(data, tmp_path, capsys, command, line,

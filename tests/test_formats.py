@@ -402,13 +402,18 @@ def test_gold_round_trip(gold):
 
 # A string value is stripped and cut at '#' by the parser.
 config_text = line_text.filter(lambda s: "#" not in s and s == s.strip())
-POSITIVE_KEYS = ("epochs", "batch_size", "max_segments", "max_iterations", "max_tokens",
-                 "min_tokens", "num_queries", "docs_per_query", "sentences_per_doc",
+POSITIVE_KEYS = ("hidden_dim", "epochs", "batch_size", "patience_epochs", "max_segments",
+                 "max_iterations", "max_tokens", "min_tokens", "mrr_cutoff", "ndcg_k",
+                 "num_queries", "docs_per_query", "sentences_per_doc",
                  "tokens_per_sentence", "vocab_size", "query_terms")
+NON_NEGATIVE_KEYS = ("learning_rate", "negatives_per_positive", "query_token_budget",
+                     "plant_lo", "title_token_count")
 VALID_VALUES = {
     "loss": st.sampled_from([kind.value for kind in LossKind]),
     "scorer_kind": st.sampled_from(["linear", "mlp"]),
     **dict.fromkeys(POSITIVE_KEYS, st.integers(1, 10**6)),
+    **dict.fromkeys(NON_NEGATIVE_KEYS, st.integers(0, 10**6)),
+    "learning_rate": st.floats(0, allow_infinity=False),
     "dev_fraction": st.floats(0, 1, exclude_min=True, exclude_max=True),
     "noise": st.floats(0, 1),
     "distractor_overlap": st.floats(0, 1),
@@ -431,6 +436,7 @@ def configs(draw, valid=True):
     if valid:
         low, high = sorted((values["min_tokens"], values["max_tokens"]))
         values["min_tokens"], values["max_tokens"] = low, high
+        values["plant_hi"] = values["plant_lo"] + draw(st.integers(1, 10**6))
     return PipelineConfig(**values)
 
 
@@ -442,11 +448,14 @@ def rejected_line(config: PipelineConfig) -> int | None:
         if ((name == "loss" and value not in ("pairwise_hinge", "pointwise_cross_entropy"))
                 or (name == "scorer_kind" and value not in ("linear", "mlp"))
                 or (name in POSITIVE_KEYS and value < 1)
+                or (name in NON_NEGATIVE_KEYS and not value >= 0)
                 or (name == "dev_fraction" and not 0 < value < 1)
                 or (name in ("noise", "distractor_overlap") and not 0 <= value <= 1)):
             return line_no
     if config.min_tokens > config.max_tokens:
         return max(names.index("min_tokens"), names.index("max_tokens")) + 1
+    if config.plant_lo >= config.plant_hi:
+        return max(names.index("plant_lo"), names.index("plant_hi")) + 1
     return None
 
 
@@ -489,6 +498,18 @@ def test_config_rejects_each_out_of_range_value_at_its_line(config):
     ("tokens_per_sentence=0", "tokens_per_sentence must be positive"),
     ("vocab_size=0", "vocab_size must be positive"),
     ("query_terms=0", "query_terms must be positive"),
+    ("hidden_dim=0", "hidden_dim must be positive, got '0'"),
+    ("patience_epochs=0", "patience_epochs must be positive"),
+    ("mrr_cutoff=0", "mrr_cutoff must be positive"),
+    ("ndcg_k=-2", "ndcg_k must be positive"),
+    ("negatives_per_positive=-1", "negatives_per_positive must be non-negative"),
+    ("query_token_budget=-5", "query_token_budget must be non-negative"),
+    ("title_token_count=-1", "title_token_count must be non-negative"),
+    ("learning_rate=-0.1", "learning_rate must be non-negative"),
+    ("learning_rate=nan", "learning_rate must be non-negative"),
+    ("plant_lo=-1", "plant_lo must be non-negative"),
+    ("plant_lo=4", "plant_lo=4 is not below plant_hi=4"),
+    ("plant_hi=0", "plant_lo=0 is not below plant_hi=0"),
     ("dev_fraction=0", "dev_fraction must be in (0, 1)"),
     ("dev_fraction=1.0", "dev_fraction must be in (0, 1)"),
     ("dev_fraction=nan", "dev_fraction must be in (0, 1)"),

@@ -1,6 +1,10 @@
-"""The package's exported names, resolved on first access."""
+"""The package's exported names, resolved on first access, and the
+function names the benchmark's tracer reads."""
 
+import ast
 import importlib
+import inspect
+from pathlib import Path
 
 import pytest
 
@@ -14,17 +18,20 @@ EXPORTED = {
     "evaluation": ["kfold_split", "mrr", "ndcg_at_k", "paired_t_test",
                    "per_query_metrics", "segment_p_at_1"],
     "ranking": ["Aggregation", "RankedList", "rerank", "score_document"],
-    "scorer": ["LossKind", "ScorerParams", "batch_loss_and_gradient",
-               "extract_features", "hinge_loss", "init_params", "pointwise_ce_loss",
-               "read_params", "score", "segment_features", "sgd_step",
-               "write_params"],
+    "scorer": ["LossKind", "ScorerParams", "batch_loss_and_gradient", "hinge_loss",
+               "init_params", "pointwise_ce_loss", "read_params",
+               "segment_features", "sgd_step", "write_params"],
     "synth": ["SynthConfig", "SynthCorpus", "generate_corpus"],
-    "training": ["ALL_SEGMENTS", "BestTrainResult", "EvalBundle", "SelectionSource",
-                 "TrainConfig", "TrainingSet", "TrainingTopic", "best_train",
-                 "build_eval_bundle", "build_pairs", "build_training_set",
-                 "evaluate_bundle", "loss_all_segments", "loss_selected",
-                 "select_segments", "train_baseline", "train_single"],
+    "training": ["BestTrainResult", "TrainConfig", "TrainingSet", "TrainingTopic",
+                 "best_train", "build_training_set", "evaluate_bundle",
+                 "loss_all_segments", "loss_selected", "select_segments",
+                 "train_baseline", "train_single"],
 }
+
+TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+# Traced names whose functions are gone: `extract_features` was folded
+# into `segment_features`, `build_eval_bundle` into `build_training_set`.
+RETIRED = {"scorer.extract_features", "training.build_eval_bundle"}
 
 
 def test_exported_names_are_the_submodule_attributes():
@@ -40,3 +47,38 @@ def test_version_and_unknown_names():
     assert segtrain.__version__ == "0.1.0"
     with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
         segtrain.no_such_name  # noqa: B018
+
+
+def traced_names() -> set[str]:
+    """The "layer.function" names `layer_metrics` in the tracer reads."""
+    tree = ast.parse(TRACER.read_text())
+    [metrics] = [node for node in ast.walk(tree)
+                 if isinstance(node, ast.FunctionDef) and node.name == "layer_metrics"]
+    return {arg.value for node in ast.walk(metrics)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in ("calls", "incl", "own")
+            for arg in node.args
+            if isinstance(arg, ast.Constant) and isinstance(arg.value, str)}
+
+
+def test_traced_names_are_public_functions():
+    names = traced_names()
+    assert {"scorer.score_batch", "training.select_segments", "ranking.rerank"} <= names
+    for name in sorted(names - RETIRED):
+        layer, attr = name.split(".")
+        module = importlib.import_module(f"segtrain.{layer}")
+        value = getattr(module, attr, None)
+        assert inspect.isfunction(value) and value.__module__ == module.__name__, name
+        assert not attr.startswith("_"), name
+    assert inspect.isfunction(segtrain.TrainingSet.features)
+
+
+def test_traced_commands_are_cli_subcommands():
+    # `layer_metrics` reads "cli.<command>", the span of `cli._cmd_<command>`
+    tree = ast.parse(TRACER.read_text())
+    [commands] = [node.value for node in tree.body if isinstance(node, ast.Assign)
+                  and [t.id for t in node.targets] == ["COMMANDS"]]
+    cli = importlib.import_module("segtrain.cli")
+    for command in ast.literal_eval(commands):
+        assert inspect.isfunction(getattr(cli, "_cmd_" + command.replace("-", "_"))), \
+            command

@@ -9,17 +9,17 @@ from segtrain.corpus import (
     SegmentationPolicy,
     compute_corpus_stats,
     document_stream,
+    segment_for_inference,
     segment_for_training,
 )
 from segtrain.ranking import (
     Aggregation,
     aggregate,
-    inference_features,
     rank_by_scores,
     rerank,
     score_document,
 )
-from segtrain.scorer import F_POSITION_RATIO, NUM_FEATURES, ScorerParams
+from segtrain.scorer import F_POSITION_RATIO, NUM_FEATURES, ScorerParams, segment_features
 
 
 def position_scorer() -> ScorerParams:
@@ -71,7 +71,8 @@ def test_inference_position_ratio_reaches_1_25_at_config_e():
                                         for i in range(18)])
     stats = compute_corpus_stats([doc])
     q = Query.from_text("q", "s0w0")
-    feats = inference_features(q, doc, stats, max_tokens=512, max_segments=4)
+    feats = segment_features(q, doc, segment_for_inference(doc, 512), stats,
+                             max_tokens=512, max_segments=4)
     assert feats[:, F_POSITION_RATIO].tolist() == [0.0, 0.25, 0.5, 0.75, 1.0, 1.25]
     policy = SegmentationPolicy("training", 512, 128, 4, seed=0)
     for seed in range(20):

@@ -28,11 +28,8 @@ from segtrain.scorer import (
     F_POSITION_RATIO,
     NUM_FEATURES,
     LossKind,
-    PairExample,
-    PointExample,
     ScorerParams,
     batch_loss_and_gradient,
-    extract_features,
     hinge_loss,
     idf,
     init_params,
@@ -40,7 +37,7 @@ from segtrain.scorer import (
     params_to_vector,
     pointwise_ce_loss,
     read_params,
-    score,
+    score_batch,
     segment_features,
     sgd_step,
     write_params,
@@ -48,9 +45,10 @@ from segtrain.scorer import (
 
 
 def segment_of(tokens, index=0, doc_id="d"):
-    """An untitled one-sentence document and its single segment."""
+    """An untitled one-sentence document and its one-segment list."""
     return (Document(doc_id, "", [list(tokens)]),
-            Segment(doc_id, index, 0, 1, len(tokens)))
+            [Segment(doc_id, index, 0, 1, len(tokens))])
+
 
 
 def segment_tokens(doc, segment):
@@ -60,16 +58,18 @@ def segment_tokens(doc, segment):
 
 
 class TestExtractFeatures:
+    """The feature row of a single segment."""
+
     def test_no_match_zeroes(self, tiny_stats):
         q = Query.from_text("q", "nothing matches here")
         doc, seg = segment_of(["alpha", "beta", "gamma"])
-        x = extract_features(q, doc, seg, tiny_stats)
+        [x] = segment_features(q, doc, seg, tiny_stats)
         assert all(x[i] == 0.0 for i in range(5))
 
     def test_full_match(self, tiny_stats):
         q = Query.from_text("q", "alpha beta gamma")
         doc, seg = segment_of(["alpha", "beta", "gamma", "delta"])
-        x = extract_features(q, doc, seg, tiny_stats)
+        [x] = segment_features(q, doc, seg, tiny_stats)
         assert x[F_MATCH_FRACTION] == 1.0
         assert x[F_BIGRAM_FRACTION] == 1.0
         assert x[F_BM25] > 0.0
@@ -84,18 +84,18 @@ class TestExtractFeatures:
         n = stats.doc_count
         expected_idf = math.log(1.0 + 0.5 / (n + 0.5))
         q = Query.from_text("q", "common")
-        x = extract_features(q, *segment_of(["common", "x"]), stats)
+        [x] = segment_features(q, *segment_of(["common", "x"]), stats)
         assert x[F_IDF_MATCH] == pytest.approx(expected_idf, abs=1e-12)
         assert 0.0 < x[F_IDF_MATCH] < 0.2
 
     def test_empty_query(self, tiny_stats):
         q = Query.from_text("q", "")
-        x = extract_features(q, *segment_of(["alpha"]), tiny_stats)
+        [x] = segment_features(q, *segment_of(["alpha"]), tiny_stats)
         assert all(x[i] == 0.0 for i in range(5))
 
     def test_all_finite(self, tiny_stats):
         q = Query.from_text("q", "alpha unseen 42")
-        x = extract_features(q, *segment_of(["alpha", "42", "alpha"]), tiny_stats)
+        [x] = segment_features(q, *segment_of(["alpha", "42", "alpha"]), tiny_stats)
         assert np.all(np.isfinite(x))
 
 
@@ -175,7 +175,7 @@ def test_segment_features_equal_per_segment_reference(
     assert batched.tobytes() == expected.tobytes()  # signs of zeros too
     for seg, row in zip(segments, expected):
         assert np.array_equal(
-            extract_features(q, doc, seg, stats, max_tokens, max_segments), row)
+            segment_features(q, doc, [seg], stats, max_tokens, max_segments)[0], row)
 
 
 span_lists = st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)).map(sorted),
@@ -263,25 +263,26 @@ def test_query_term_stats_give_the_same_features(docs, queries, max_tokens):
 class TestScore:
     def test_bias_only(self):
         p = ScorerParams("linear", np.zeros(NUM_FEATURES), 0.3)
-        assert score(p, np.random.default_rng(0).normal(size=NUM_FEATURES)) == 0.3
+        X = np.random.default_rng(0).normal(size=(3, NUM_FEATURES))
+        assert score_batch(p, X).tolist() == [0.3] * 3
 
     def test_unit_weight(self):
         w = np.zeros(NUM_FEATURES)
         w[F_MATCH_FRACTION] = 1.0
         p = ScorerParams("linear", w, 0.0)
-        x = np.zeros(NUM_FEATURES)
-        x[F_MATCH_FRACTION] = 0.5
-        assert score(p, x) == 0.5
+        X = np.zeros((2, NUM_FEATURES))
+        X[0, F_MATCH_FRACTION] = 0.5
+        assert score_batch(p, X).tolist() == [0.5, 0.0]
 
     def test_mlp_zero_weights_gives_bias(self):
         p = ScorerParams("mlp", np.zeros(8), 1.0, np.zeros((NUM_FEATURES, 8)),
                          np.zeros(8))
-        assert score(p, np.ones(NUM_FEATURES)) == 1.0
+        assert score_batch(p, np.ones((1, NUM_FEATURES))).tolist() == [1.0]
 
     def test_dimension_mismatch(self):
         p = init_params("linear", 0)
         with pytest.raises(ValueError):
-            score(p, np.zeros(5))
+            score_batch(p, np.zeros((1, 5)))
 
 
 class TestHinge:
@@ -340,12 +341,11 @@ def random_params(rng, kind):
 
 
 def random_batch(rng, loss, size=3):
+    """(positive rows, negative rows) or (rows, 0/1 labels)."""
+    X = rng.normal(size=(size, NUM_FEATURES))
     if loss == LossKind.PAIRWISE_HINGE:
-        return [PairExample(rng.normal(size=NUM_FEATURES),
-                            rng.normal(size=NUM_FEATURES))
-                for _ in range(size)]
-    return [PointExample(rng.normal(size=NUM_FEATURES), int(rng.integers(2)))
-            for _ in range(size)]
+        return X, rng.normal(size=(size, NUM_FEATURES))
+    return X, rng.integers(2, size=size)
 
 
 def numeric_gradient(params, batch, loss, h=1e-5):
@@ -356,19 +356,17 @@ def numeric_gradient(params, batch, loss, h=1e-5):
         bumped = vec.copy()
         bumped[i] += h
         up, _ = batch_loss_and_gradient(
-            params_from_vector(params.kind, bumped, hidden), batch, loss)
+            params_from_vector(params.kind, bumped, hidden), *batch, loss)
         bumped[i] -= 2 * h
         down, _ = batch_loss_and_gradient(
-            params_from_vector(params.kind, bumped, hidden), batch, loss)
+            params_from_vector(params.kind, bumped, hidden), *batch, loss)
         out[i] = (up - down) / (2 * h)
     return out
 
 
 def hinge_margins(params, batch):
-    from segtrain.scorer import score_batch
-    yp = score_batch(params, np.stack([ex.pos for ex in batch]))
-    yn = score_batch(params, np.stack([ex.neg for ex in batch]))
-    return 1.0 - yp + yn
+    pos, neg = batch
+    return 1.0 - score_batch(params, pos) + score_batch(params, neg)
 
 
 class TestBatchLossAndGradient:
@@ -376,7 +374,7 @@ class TestBatchLossAndGradient:
         rng = np.random.default_rng(1)
         p = ScorerParams("linear", np.zeros(NUM_FEATURES), 0.0)
         batch = random_batch(rng, LossKind.PAIRWISE_HINGE, 6)
-        loss, grad = batch_loss_and_gradient(p, batch, LossKind.PAIRWISE_HINGE)
+        loss, grad = batch_loss_and_gradient(p, *batch, LossKind.PAIRWISE_HINGE)
         assert loss == 1.0
         assert grad.out_bias == 0.0
 
@@ -386,21 +384,30 @@ class TestBatchLossAndGradient:
         p = ScorerParams("linear", w, 0.0)
         pos = np.zeros(NUM_FEATURES)
         pos[0] = 1.0
-        batch = [PairExample(pos, np.zeros(NUM_FEATURES))] * 4
-        loss, grad = batch_loss_and_gradient(p, batch, LossKind.PAIRWISE_HINGE)
+        loss, grad = batch_loss_and_gradient(p, np.tile(pos, (4, 1)),
+                                             np.zeros((4, NUM_FEATURES)),
+                                             LossKind.PAIRWISE_HINGE)
         assert loss == 0.0
         assert np.all(params_to_vector(grad) == 0.0)
 
     def test_empty_batch_rejected(self):
-        with pytest.raises(ValueError):
-            batch_loss_and_gradient(init_params("linear", 0), [],
-                                    LossKind.PAIRWISE_HINGE)
+        empty = np.zeros((0, NUM_FEATURES))
+        for loss in LossKind:
+            with pytest.raises(ValueError, match="empty batch"):
+                batch_loss_and_gradient(init_params("linear", 0), empty, empty, loss)
 
     def test_mixed_batch_rejected(self):
+        # a pointwise batch given to the pairwise loss, and the reverse
         rng = np.random.default_rng(0)
-        batch = [PointExample(rng.normal(size=NUM_FEATURES), 1)]
-        with pytest.raises(ValueError):
-            batch_loss_and_gradient(init_params("linear", 0), batch,
+        params = init_params("linear", 0)
+        points = random_batch(rng, LossKind.POINTWISE_CE)
+        pairs = random_batch(rng, LossKind.PAIRWISE_HINGE)
+        with pytest.raises(ValueError, match="negative rows of shape"):
+            batch_loss_and_gradient(params, *points, LossKind.PAIRWISE_HINGE)
+        with pytest.raises(ValueError, match="needs 3 labels"):
+            batch_loss_and_gradient(params, *pairs, LossKind.POINTWISE_CE)
+        with pytest.raises(ValueError, match="feature dimension 5"):
+            batch_loss_and_gradient(params, np.zeros((3, 5)), np.zeros((3, 5)),
                                     LossKind.PAIRWISE_HINGE)
 
     @pytest.mark.parametrize("kind", ["linear", "mlp"])
@@ -415,7 +422,7 @@ class TestBatchLossAndGradient:
                 # stay away from the hinge kink so the numeric quotient is valid
                 if np.any(np.abs(hinge_margins(params, batch)) < 1e-3):
                     continue
-            _, grad = batch_loss_and_gradient(params, batch, loss)
+            _, grad = batch_loss_and_gradient(params, *batch, loss)
             analytic = params_to_vector(grad)
             numeric = numeric_gradient(params, batch, loss)
             err = np.linalg.norm(analytic - numeric) / max(np.linalg.norm(numeric), 1e-8)
@@ -427,7 +434,7 @@ class TestBatchLossAndGradient:
         for _ in range(50):
             params = random_params(rng, "linear")
             batch = random_batch(rng, LossKind.PAIRWISE_HINGE, 5)
-            _, grad = batch_loss_and_gradient(params, batch, LossKind.PAIRWISE_HINGE)
+            _, grad = batch_loss_and_gradient(params, *batch, LossKind.PAIRWISE_HINGE)
             assert grad.out_bias == 0.0
 
 
@@ -443,7 +450,7 @@ class TestScoreMonotonicity:
         x_lo[F_MATCH_FRACTION] = lo
         x_hi = x.copy()
         x_hi[F_MATCH_FRACTION] = hi
-        assert score(p, x_hi) >= score(p, x_lo)
+        assert score_batch(p, x_hi[None, :])[0] >= score_batch(p, x_lo[None, :])[0]
 
 
 class TestSgdStep:
@@ -540,6 +547,15 @@ class TestModelFile:
         p.out_weights[0] = float("inf")
         with pytest.raises(ValueError):
             write_params(p, io.StringIO())
+
+    def test_mlp_without_hidden_units_rejected(self):
+        with pytest.raises(ValueError, match="hidden_dim >= 1, got 0"):
+            init_params("mlp", 0, hidden_dim=0)
+        init_params("linear", 0, hidden_dim=0)  # the linear scorer has no hidden layer
+        # 0 hidden units leave the output bias as the one parameter
+        text = "segtrain-model v1 kind=mlp dim=7 hidden=0\n0.5\n"
+        with pytest.raises(ValueError, match="mlp scorer needs hidden >= 1, got hidden=0"):
+            read_params(io.StringIO(text))
 
     def test_wrong_count_rejected(self):
         buf = io.StringIO()

@@ -7,27 +7,25 @@ import pytest
 from e2e_utils import assemble
 from segtrain.corpus import CorpusStats, Document, Query, Segment
 from segtrain.evaluation import segment_p_at_1
-from segtrain.ranking import Aggregation
+from segtrain.ranking import Aggregation, score_document
 from segtrain.scorer import (
     F_MATCH_FRACTION,
     NUM_FEATURES,
     LossKind,
-    PairExample,
-    PointExample,
     ScorerParams,
     init_params,
     params_to_vector,
-    score,
+    score_batch,
 )
 from segtrain.synth import SynthConfig
 from segtrain.training import (
-    ALL_SEGMENTS,
-    SelectionSource,
     TrainConfig,
     TrainingSet,
     TrainingTopic,
+    _epoch_rows,
+    _stack,
     best_train,
-    build_pairs,
+    build_training_set,
     evaluate_bundle,
     loss_all_segments,
     loss_selected,
@@ -72,25 +70,65 @@ def zero_scorer() -> ScorerParams:
     return ScorerParams("linear", np.zeros(NUM_FEATURES), 0.0)
 
 
+def draw_epoch(tset, selection, cfg, rng):
+    """One epoch as feature rows: (positive, negative) pairs under the
+    pairwise hinge, (row, label) points under the pointwise loss."""
+    X, rows = _stack(tset, selection, cfg.max_segments)
+    examples = _epoch_rows(tset, rows, cfg, rng)
+    if cfg.loss == LossKind.PAIRWISE_HINGE:
+        return [(X[a], X[b]) for a, b in examples]
+    return [(X[a], int(b)) for a, b in examples]
+
+
+def reference_epoch(tset, selection, cfg, rng):
+    """Per-example epoch builder reading each pair's feature matrix
+    directly, kept as the oracle of the stacked row arrays."""
+    examples = []
+    n_neg = cfg.resolved_negatives()
+    for topic in tset.topics:
+        if not topic.negatives:
+            continue
+
+        def feats(doc_id):
+            matrix = tset.features(topic.query, doc_id)
+            if selection is None:
+                return list(matrix[:cfg.max_segments])
+            return [matrix[selection[(topic.query.id, doc_id)]]]
+
+        for pos_id in topic.positives:
+            sampled = rng.sample(topic.negatives, min(n_neg, len(topic.negatives)))
+            pos = feats(pos_id)
+            if cfg.loss == LossKind.PAIRWISE_HINGE:
+                for neg_id in sampled:
+                    examples.extend(zip(pos, feats(neg_id)))
+            else:
+                examples.extend((x, 1) for x in pos)
+                for neg_id in sampled:
+                    examples.extend((x, 0) for x in feats(neg_id))
+    rng.shuffle(examples)
+    return examples
+
+
 class TestBuildPairs:
     def test_pairwise_count(self):
         tset = make_tset([
             ("a b", {"p": [["a"]], "n1": [["x"]], "n2": [["y"]],
                      "n3": [["z"]], "n4": [["w"]], "n5": [["v"]]}, ["p"]),
         ])
-        cfg = TrainConfig()
-        examples, skipped = build_pairs(tset, zero_selection(tset), cfg,
-                                        random.Random(0))
-        assert len(examples) == 1 and skipped == 0
-        assert isinstance(examples[0], PairExample)
+        examples = draw_epoch(tset, zero_selection(tset), TrainConfig(),
+                              random.Random(0))
+        assert len(examples) == 1
+        pos, neg = examples[0]
+        assert np.array_equal(pos, tset.features(tset.topics[0].query, "p")[0])
+        assert neg.shape == (NUM_FEATURES,)
 
     def test_pointwise_clamps_to_available_negatives(self):
         docs = {"p": [["a"]]}
         docs.update({f"n{i}": [["x"]] for i in range(6)})
         tset = make_tset([("a", docs, ["p"])])
         cfg = TrainConfig(loss=LossKind.POINTWISE_CE, negatives_per_positive=10)
-        examples, _ = build_pairs(tset, zero_selection(tset), cfg, random.Random(0))
-        labels = [ex.label for ex in examples]
+        examples = draw_epoch(tset, zero_selection(tset), cfg, random.Random(0))
+        labels = [label for _, label in examples]
         assert labels.count(1) == 1 and labels.count(0) == 6
 
     def test_same_seed_same_examples(self):
@@ -98,25 +136,64 @@ class TestBuildPairs:
         docs.update({f"n{i}": [["x", str(i)]] for i in range(8)})
         tset = make_tset([("a", docs, ["p"])])
         cfg = TrainConfig()
-        a, _ = build_pairs(tset, zero_selection(tset), cfg, random.Random(3))
-        b, _ = build_pairs(tset, zero_selection(tset), cfg, random.Random(3))
-        assert all(np.array_equal(x.pos, y.pos) and np.array_equal(x.neg, y.neg)
-                   for x, y in zip(a, b))
+        a = draw_epoch(tset, zero_selection(tset), cfg, random.Random(3))
+        b = draw_epoch(tset, zero_selection(tset), cfg, random.Random(3))
         assert len(a) == len(b)
+        assert all(np.array_equal(x[0], y[0]) and np.array_equal(x[1], y[1])
+                   for x, y in zip(a, b))
 
     def test_topic_without_negatives_skipped(self):
         tset = make_tset([
             ("a", {"p": [["a"]]}, ["p"]),
             ("b", {"p2": [["b"]], "n": [["x"]]}, ["p2"]),
         ])
-        examples, skipped = build_pairs(tset, zero_selection(tset), TrainConfig(),
-                                        random.Random(0))
-        assert skipped == 1 and len(examples) == 1
+        examples = draw_epoch(tset, zero_selection(tset), TrainConfig(),
+                              random.Random(0))
+        assert len(examples) == 1
+        assert np.array_equal(examples[0][0],
+                              tset.features(tset.topics[1].query, "p2")[0])
 
     def test_missing_selection_entry_rejected(self):
         tset = make_tset([("a", {"p": [["a"]], "n": [["x"]]}, ["p"])])
-        with pytest.raises(ValueError):
-            build_pairs(tset, {}, TrainConfig(), random.Random(0))
+        with pytest.raises(ValueError, match="selection missing entry"):
+            _stack(tset, {}, 4)
+
+    def test_selection_out_of_range_rejected(self):
+        tset = make_tset([("a", {"p": [["a"]], "n": [["x"]]}, ["p"])])
+        for index in (1, -1):
+            with pytest.raises(ValueError, match="is not one of its 1 segments"):
+                _stack(tset, {("q0", "p"): index, ("q0", "n"): 0}, 4)
+
+    def test_all_segments_pair_shared_leading_rows(self):
+        tset = make_tset([("a", {"p": [["a"], ["b"]],
+                                 "n": [["x"], ["y"], ["z"]]}, ["p"])])
+        query = tset.topics[0].query
+        pos, neg = tset.features(query, "p"), tset.features(query, "n")
+        pairs = draw_epoch(tset, None, TrainConfig(), random.Random(0))
+        assert sorted((p.tolist(), n.tolist()) for p, n in pairs) == \
+            sorted((pos[j].tolist(), neg[j].tolist()) for j in range(2))
+        points = draw_epoch(tset, None, TrainConfig(loss=LossKind.POINTWISE_CE,
+                                                    max_segments=2),
+                            random.Random(0))
+        assert sorted(label for _, label in points) == [0, 0, 1, 1]
+
+    @pytest.mark.parametrize("loss", list(LossKind))
+    def test_epoch_rows_equal_per_example_reference(self, loss):
+        rng = np.random.default_rng(17)
+        for trial in range(40):
+            tset = _random_tset(rng)
+            cfg = TrainConfig(loss=loss, max_segments=int(rng.integers(1, 5)),
+                              negatives_per_positive=int(rng.integers(1, 4)))
+            selection = None
+            if trial % 2:
+                selection = {
+                    (t.query.id, d): int(rng.integers(len(tset.features(t.query, d))))
+                    for t in tset.topics for d in t.candidates}
+            got = draw_epoch(tset, selection, cfg, random.Random(trial))
+            expected = reference_epoch(tset, selection, cfg, random.Random(trial))
+            assert len(got) == len(expected)
+            for (a, b), (x, y) in zip(got, expected):
+                assert np.array_equal(a, x) and np.array_equal(b, y)
 
 
 class TestLossAllSegments:
@@ -229,21 +306,22 @@ class TestSelectSegments:
         tset = make_tset([
             ("a b", {"p": [["x"], ["a", "b"], ["a", "x"]], "n": [["x"]]}, ["p"]),
         ])
-        sel = select_segments(match_scorer(), tset, 4)
+        sel, scores = select_segments(match_scorer(), tset, 4)
         assert sel[("q0", "p")] == 1
+        assert scores[("q0", "p")] == 1.0 and scores[("q0", "n")] == 0.0
 
     def test_tie_breaks_to_smallest_index(self):
         tset = make_tset([
             ("a b c", {"p": [["a", "b", "c"], ["a", "b", "c"], ["x"]],
                        "n": [["x"]]}, ["p"]),
         ])
-        sel = select_segments(match_scorer(), tset, 4)
+        sel, _ = select_segments(match_scorer(), tset, 4)
         assert sel[("q0", "p")] == 0
 
     def test_cap_at_k(self):
         segs = [["x"]] * 5 + [["a", "b"]]  # best segment is index 5
         tset = make_tset([("a b", {"p": segs, "n": [["x"]]}, ["p"])])
-        sel = select_segments(match_scorer(), tset, 4)
+        sel, _ = select_segments(match_scorer(), tset, 4)
         assert 0 <= sel[("q0", "p")] < 4
 
     def test_matches_exhaustive_enumeration(self):
@@ -253,16 +331,33 @@ class TestSelectSegments:
             params = ScorerParams("linear", rng.normal(size=NUM_FEATURES),
                                   float(rng.normal()))
             k = int(rng.integers(1, 6))
-            sel = select_segments(params, tset, k)
+            sel, scores = select_segments(params, tset, k)
             for topic in tset.topics:
                 for doc_id in topic.positives + topic.negatives:
                     feats = tset.features(topic.query, doc_id)
                     best, best_score = 0, -float("inf")
                     for i in range(min(k, len(feats))):
-                        s = score(params, feats[i])
+                        s = float(score_batch(params, feats[i:i + 1])[0])
                         if s > best_score:
                             best, best_score = i, s
                     assert sel[(topic.query.id, doc_id)] == best
+                    # a one-row product may round apart from the k-row one
+                    assert scores[(topic.query.id, doc_id)] == pytest.approx(
+                        best_score, rel=1e-12, abs=1e-12)
+
+    def test_store_without_qrels_covers_every_candidate(self):
+        queries = [Query.from_text("q0", "a"), Query.from_text("q1", "b"),
+                   Query.from_text("q2", "c")]
+        docs = {d: Document(d, "", [[d, "a", "b"]] * 3) for d in ("d0", "d1", "d2")}
+        candidates = {"q0": ["d0", "d1"], "q1": ["d1", "d2"], "q2": []}
+        policy = SynthConfig(min_tokens=2, max_tokens=4).policy(0)
+        store = build_training_set(queries, {}, candidates, docs, policy, 0,
+                                   CorpusStats(3, {}, 3.0))
+        assert [(t.query.id, t.positives, t.negatives) for t in store.topics] == \
+            [("q0", [], ["d0", "d1"]), ("q1", [], ["d1", "d2"])]
+        sel, scores = select_segments(match_scorer(), store, 4)
+        assert set(sel) == set(scores) == {("q0", "d0"), ("q0", "d1"),
+                                           ("q1", "d1"), ("q1", "d2")}
 
 
 def small_collection(seed=0, noise=0.0, plant=(0, 4), n_queries=40, n_train=30):
@@ -279,7 +374,7 @@ class TestTrainSingle:
     def test_zero_learning_rate_returns_init(self):
         coll = small_collection()
         cfg = TrainConfig(learning_rate=0.0, epochs=3, seed=21)
-        params, _ = train_single(coll.train_set, coll.dev_bundle, ALL_SEGMENTS,
+        params, _ = train_single(coll.train_set, coll.dev_bundle, None,
                                  cfg, seed=99)
         assert np.array_equal(params_to_vector(params),
                               params_to_vector(init_params("linear", 99)))
@@ -288,9 +383,9 @@ class TestTrainSingle:
         coll_a = small_collection()
         coll_b = small_collection()
         cfg = TrainConfig(epochs=4, seed=5)
-        pa, ma = train_single(coll_a.train_set, coll_a.dev_bundle, ALL_SEGMENTS,
+        pa, ma = train_single(coll_a.train_set, coll_a.dev_bundle, None,
                               cfg, seed=5)
-        pb, mb = train_single(coll_b.train_set, coll_b.dev_bundle, ALL_SEGMENTS,
+        pb, mb = train_single(coll_b.train_set, coll_b.dev_bundle, None,
                               cfg, seed=5)
         assert ma == mb
         assert np.array_equal(params_to_vector(pa), params_to_vector(pb))
@@ -299,7 +394,7 @@ class TestTrainSingle:
         coll = small_collection()
         cfg = TrainConfig(epochs=8, seed=2)
         initial = init_params(cfg.scorer_kind, 2)
-        trained, _ = train_single(coll.train_set, coll.dev_bundle, ALL_SEGMENTS,
+        trained, _ = train_single(coll.train_set, coll.dev_bundle, None,
                                   cfg, seed=2)
         before = loss_all_segments(initial, coll.train_set, cfg.max_segments)
         after = loss_all_segments(trained, coll.train_set, cfg.max_segments)
@@ -309,7 +404,7 @@ class TestTrainSingle:
         coll = small_collection()
         empty = TrainingSet([], {}, {}, coll.train_set.stats)
         with pytest.raises(ValueError):
-            train_single(empty, coll.dev_bundle, ALL_SEGMENTS, TrainConfig(), 0)
+            train_single(empty, coll.dev_bundle, None, TrainConfig(), 0)
 
 
 class TestBestTrain:
@@ -358,8 +453,8 @@ class TestBestTrain:
         coll = small_collection(seed=1)
         cfg = TrainConfig(max_iterations=2, epochs=8, seed=1)
         result = best_train(coll.train_set, coll.dev_bundle, cfg)
-        sel = select_segments(result.best_state.params, coll.dev_set,
-                              cfg.max_segments)
+        sel, _ = select_segments(result.best_state.params, coll.dev_set,
+                                 cfg.max_segments)
         assert segment_p_at_1(sel, coll.dev_gold) > 0.8
 
 
@@ -368,10 +463,8 @@ class TestTrainBaseline:
         coll = small_collection(plant=(0, 1))  # every gold index is 0
         assert set(coll.corpus.gold.values()) == {0}
         cfg = TrainConfig(epochs=4, seed=6)
-        p_first, m_first = train_baseline(coll.train_set, coll.dev_bundle,
-                                          SelectionSource.FIRST, cfg)
-        p_gold, m_gold = train_baseline(coll.train_set, coll.dev_bundle,
-                                        SelectionSource.GOLD, cfg,
+        p_first, m_first = train_baseline(coll.train_set, coll.dev_bundle, cfg)
+        p_gold, m_gold = train_baseline(coll.train_set, coll.dev_bundle, cfg,
                                         coll.corpus.gold)
         assert m_first == m_gold
         assert np.array_equal(params_to_vector(p_first), params_to_vector(p_gold))
@@ -379,23 +472,15 @@ class TestTrainBaseline:
     def test_missing_gold_rejected(self):
         coll = small_collection()
         with pytest.raises(ValueError):
-            train_baseline(coll.train_set, coll.dev_bundle, SelectionSource.GOLD,
-                           TrainConfig(), gold={})
-
-    def test_scorer_source_rejected(self):
-        coll = small_collection()
-        with pytest.raises(ValueError):
-            train_baseline(coll.train_set, coll.dev_bundle,
-                           SelectionSource.SCORER, TrainConfig())
+            train_baseline(coll.train_set, coll.dev_bundle, TrainConfig(), gold={})
 
     def test_gold_not_worse_than_first(self):
         # plant away from segment 0 so first-segment training sees no signal
         coll = small_collection(seed=9, plant=(1, 4))
         cfg = TrainConfig(epochs=8, seed=9)
-        _, m_first = train_baseline(coll.train_set, coll.dev_bundle,
-                                    SelectionSource.FIRST, cfg)
-        _, m_gold = train_baseline(coll.train_set, coll.dev_bundle,
-                                   SelectionSource.GOLD, cfg, coll.corpus.gold)
+        _, m_first = train_baseline(coll.train_set, coll.dev_bundle, cfg)
+        _, m_gold = train_baseline(coll.train_set, coll.dev_bundle, cfg,
+                                   coll.corpus.gold)
         assert m_gold >= m_first
 
 
@@ -410,4 +495,17 @@ class TestEvaluateBundle:
         # evidence is planted beyond segment 0, so first-passage scoring
         # must not beat max aggregation
         assert m_first <= m_max
-        assert set(run_max) == {q.id for q in coll.dev_bundle.queries}
+        assert set(run_max) == {t.query.id for t in coll.dev_bundle.topics}
+
+    def test_scores_are_rerank_scores(self):
+        # the dev set scores inference windows, as `rerank` does
+        coll = small_collection(seed=3)
+        dev = coll.dev_bundle
+        params = init_params("mlp", 3)
+        for agg in Aggregation:
+            _, run = evaluate_bundle(params, dev, agg)
+            for topic in dev.topics:
+                assert {e.doc_id: e.score for e in run[topic.query.id].entries} == {
+                    d: score_document(params, topic.query, dev.documents[d], agg,
+                                      dev.stats, dev.max_tokens, dev.max_segments)
+                    for d in topic.candidates}
