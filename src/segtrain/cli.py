@@ -20,7 +20,6 @@ from pathlib import Path
 from . import formats
 from .corpus import (
     CorpusStats,
-    SegmentationPolicy,
     average_segment_length,
     document_stream,
     segment_for_inference,
@@ -82,11 +81,6 @@ def _read(parser_fn, path: str):
             gc.enable()
 
 
-def _training_policy(config: PipelineConfig) -> SegmentationPolicy:
-    return SegmentationPolicy("training", config.max_tokens, config.min_tokens,
-                              config.max_segments, config.seed)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -96,7 +90,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     config = _load_config(args)
     out_dir = Path(config.out or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
-    corpus = generate_corpus(config.synth_config(), config.seed)
+    corpus = generate_corpus(config)
     with open(out_dir / "corpus.jsonl", "w") as stream:
         formats.write_corpus(corpus.documents, stream)
     with open(out_dir / "queries.tsv", "w") as stream:
@@ -115,13 +109,13 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 def _cmd_segment(args: argparse.Namespace) -> int:
     config = _load_config(args)
     documents = _read(formats.parse_documents, _path(args, config, "corpus"))
-    policy = _training_policy(config)
+    policy = config.policy()
     rows = []
     for doc_id in sorted(documents):
         doc = documents[doc_id]
         if args.mode == "training":
-            segments = segment_for_training(doc, config.query_token_budget, policy,
-                                            document_stream(config.seed, doc.id))
+            segments = segment_for_training(doc, policy,
+                                            document_stream(policy.seed, doc.id))
         else:
             segments = segment_for_inference(doc, config.max_tokens)
         rows.extend(
@@ -178,28 +172,27 @@ def _cmd_train(args: argparse.Namespace) -> int:
     dev_queries = [by_id[qid] for qid in dev_ids]
     dev_id_set = set(dev_ids)
     dev_qrels = {key: g for key, g in qrels.items() if key[0] in dev_id_set}
-    cfg = config.train_config()
-    policy = _training_policy(config)
+    policy = config.policy()
     tset = build_training_set(train_queries, qrels, candidates, documents, policy,
-                              config.query_token_budget, stats)
+                              stats)
     dev = build_training_set(dev_queries, dev_qrels, candidates, documents,
                              dataclasses.replace(policy, mode="inference"),
-                             config.query_token_budget, stats, config.mrr_cutoff)
+                             stats, config.mrr_cutoff)
     print(f"mode={args.mode} topics={len(tset.topics)} dev_queries={len(dev_queries)}")
     if args.mode == "best":
-        result = best_train(tset, dev, cfg)
+        result = best_train(tset, dev, config)
         for state in result.history:
             print(f"iteration={state.n} dev_mrr={state.validation_metric:.6f}")
         print(f"best_iteration={result.best_iteration}")
         params = result.best_state.params
         dev_mrr = result.best_state.validation_metric
     elif args.mode == "theta0":
-        params, dev_mrr = train_single(tset, dev, None, cfg, cfg.seed)
+        params, dev_mrr = train_single(tset, dev, None, config, config.seed)
     elif args.mode == "first":
-        params, dev_mrr = train_baseline(tset, dev, cfg)
+        params, dev_mrr = train_baseline(tset, dev, config)
     elif args.mode == "gold":
         gold = _read(formats.parse_gold, _path(args, config, "gold"))
-        params, dev_mrr = train_baseline(tset, dev, cfg, gold)
+        params, dev_mrr = train_baseline(tset, dev, config, gold)
     else:  # pragma: no cover - argparse restricts choices
         raise ParseError(f"unknown training mode {args.mode!r}")
     print(f"dev_mrr={dev_mrr:.6f}")
@@ -219,10 +212,9 @@ def _cmd_select(args: argparse.Namespace) -> int:
     config = _load_config(args)
     documents, queries, candidates, stats = _load_pools(args, config)
     params = _read(read_params, _path(args, config, "model"))
-    store = build_training_set(queries, {}, candidates, documents,
-                               _training_policy(config), config.query_token_budget,
+    store = build_training_set(queries, {}, candidates, documents, config.policy(),
                                stats)
-    selection, best_scores = select_segments(params, store, config.max_segments)
+    selection, best_scores = select_segments(params, store)
     with open(_path(args, config, "out"), "w") as stream:
         formats.write_selection(selection, stream, best_scores)
     print(f"selected segments for {len(selection)} pairs")
@@ -292,9 +284,17 @@ def _cmd_eval_selection(args: argparse.Namespace) -> int:
 
 # ---------------------------------------------------------------------------
 
+def _seed(text: str) -> int:
+    """A --seed value, range-checked as a configured seed is."""
+    try:
+        return PipelineConfig(seed=int(text)).seed
+    except ValueError as exc:  # not an integer, or out of range
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="pipeline configuration file")
-    parser.add_argument("--seed", type=int, help="override the configured seed")
+    parser.add_argument("--seed", type=_seed, help="override the configured seed")
     parser.add_argument("--out", help="output path")
 
 

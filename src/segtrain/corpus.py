@@ -30,6 +30,7 @@ from typing import Iterable
 DEFAULT_MAX_TOKENS = 512
 DEFAULT_MIN_TOKENS = 128
 DEFAULT_MAX_SEGMENTS = 4
+DEFAULT_QUERY_TOKEN_BUDGET = 16
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 _SENTENCE_BOUNDARY_RE = re.compile(r"(?<=[.!?])\s+")
@@ -196,19 +197,31 @@ class Segment:
 
 @dataclass
 class SegmentationPolicy:
+    """How documents are cut into segments.
+
+    A training segment's body budget is drawn from [min_tokens,
+    max_tokens] and reduced by the title and by `query_token_budget`,
+    the room kept for the query; at most `max_segments` segments are cut
+    (None: no cap), and `seed` seeds each document's stream of budgets.
+    An inference window's budget is `max_tokens` less the title, with no
+    room for the query, so it may hold up to `query_token_budget` more
+    body tokens than any training segment.  Changing either side changes
+    every model file.
+
+    The values are range-checked where they are configured
+    (`formats.SynthConfig`), not here.
+    """
+
     mode: str  # "training" or "inference"
     max_tokens: int = DEFAULT_MAX_TOKENS
     min_tokens: int = DEFAULT_MIN_TOKENS
     max_segments: int | None = DEFAULT_MAX_SEGMENTS
     seed: int = 0
+    query_token_budget: int = DEFAULT_QUERY_TOKEN_BUDGET
 
     def __post_init__(self) -> None:
         if self.mode not in ("training", "inference"):
             raise ValueError(f"unknown segmentation mode: {self.mode!r}")
-        if not (0 < self.min_tokens <= self.max_tokens):
-            raise ValueError("need 0 < min_tokens <= max_tokens")
-        if self.max_segments is not None and self.max_segments < 1:
-            raise ValueError("max_segments must be >= 1 or None")
 
 
 @dataclass
@@ -280,26 +293,20 @@ def _make_segments(doc: Document | DocView, lengths: list[int],
             for index, (start, end) in enumerate(spans)]
 
 
-def segment_for_training(doc: Document | DocView, query_token_budget: int,
-                         policy: SegmentationPolicy,
+def segment_for_training(doc: Document | DocView, policy: SegmentationPolicy,
                          rng: random.Random) -> list[Segment]:
     """Leading segments with per-segment randomized token budgets.
 
     Each segment's body budget is drawn uniformly from
     [min_tokens, max_tokens] and reduced by the title and query
-    overhead.  At most policy.max_segments segments are emitted, so
-    only the leading part of a long document is covered.
-
-    Only training budgets subtract `query_token_budget`:
-    `segment_for_inference` leaves no room for the query, so an
-    inference window may hold up to `query_token_budget` more body
-    tokens than any training segment.  Changing either side changes
-    every model file.
+    overhead (see `SegmentationPolicy`).  At most policy.max_segments
+    segments are emitted, so only the leading part of a long document
+    is covered.
     """
     if policy.mode != "training":
         raise ValueError("segment_for_training requires a training policy")
     lengths = doc.sentence_lengths
-    overhead = doc.title_length + query_token_budget
+    overhead = doc.title_length + policy.query_token_budget
     counter = (itertools.count() if policy.max_segments is None
                else range(policy.max_segments))
     budgets = (rng.randint(policy.min_tokens, policy.max_tokens) - overhead
@@ -319,7 +326,7 @@ def segment_for_inference(doc: Document | DocView,
     Every sentence lands in exactly one segment; the spans partition
     [0, sentence_count).  An empty body yields a single title-only
     segment.  The budget is `max_tokens` less the title, with no room
-    for the query (see `segment_for_training`).  The window count is not
+    for the query (see `SegmentationPolicy`).  The window count is not
     capped, so a long document gives indices at or past the scorer's
     `max_segments`: config_e's 18 sentences of 128 tokens make 6 windows
     at 512 tokens, and the last one's position feature is 5 / 4 = 1.25,

@@ -1,4 +1,4 @@
-"""File formats and pipeline configuration.
+"""File formats and all configuration.
 
 All parsers report the offending line number on malformed input, and
 every writer/parser pair round-trips (floats to their documented
@@ -10,24 +10,37 @@ and inverts `write_corpus`.  `parse_corpus`, which the commands that
 score documents use, gives each document's `DocView` (title length,
 sentence lengths and the hits of the terms it will be scored against)
 and, from the same pass, the document frequency of those terms; no
-token list is kept.  `parse_config` rejects out-of-range values at
-their line.
+token list is kept.
+
+The module also owns all configuration, without importing numpy:
+`TrainConfig` and `SynthConfig` (which `training`, `synth` and, for
+`LossKind`, `scorer` re-export), and `PipelineConfig`, which inherits
+both and adds only what the commands alone read.  Each field declares
+its range check once; building a configuration runs it, and
+`parse_config` reports a failure at the line of the value.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import enum
 import json
 from collections import Counter
 from dataclasses import dataclass
-from typing import IO, TYPE_CHECKING, Iterable, Iterator
+from typing import IO, Any, Callable, Iterable, Iterator
 
-from .corpus import DocView, Document, Query, view_from_text
+from .corpus import (
+    DEFAULT_MAX_SEGMENTS,
+    DEFAULT_MAX_TOKENS,
+    DEFAULT_MIN_TOKENS,
+    DEFAULT_QUERY_TOKEN_BUDGET,
+    DocView,
+    Document,
+    Query,
+    SegmentationPolicy,
+    view_from_text,
+)
 from .evaluation import Qrels, RankedList, RankEntry, Run, SegmentIndexMap
-
-if TYPE_CHECKING:
-    from .synth import SynthConfig
-    from .training import TrainConfig
 
 
 class ParseError(ValueError):
@@ -297,46 +310,141 @@ def parse_gold(stream: IO[str]) -> dict[tuple[str, str], int]:
 
 
 # ---------------------------------------------------------------------------
-# pipeline configuration: "key=value" lines with '#' comments
+# configuration: "key=value" lines with '#' comments
+
+class LossKind(enum.Enum):
+    PAIRWISE_HINGE = "pairwise_hinge"
+    POINTWISE_CE = "pointwise_cross_entropy"
+
+
+# The values `scorer.init_params` accepts, named here so that parsing a
+# configuration does not import numpy.
+SCORER_KINDS = ("linear", "mlp")
+
+
+class ConfigError(ValueError):
+    """A configuration value out of range; `keys` are the fields it involves."""
+
+    def __init__(self, message: str, keys: tuple[str, ...]):
+        super().__init__(message)
+        self.keys = keys
+
+
+def _checked(default, valid: Callable[[Any], bool], expected: str):
+    """A field whose values must pass `valid`; `expected` says what they must be."""
+    return dataclasses.field(default=default, metadata={"check": (valid, expected)})
+
+
+def _positive(default: int):
+    return _checked(default, lambda v: v > 0, "positive")
+
+
+def _non_negative(default):
+    return _checked(default, lambda v: v >= 0, "non-negative")
+
+
+def _unit(default: float):
+    return _checked(default, lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
+
+
+def _check(f: dataclasses.Field, value) -> None:
+    """Raise `ConfigError` if `value` fails the range check of field `f`."""
+    valid, expected = f.metadata.get("check", (None, ""))
+    if valid is not None and not valid(value):
+        raise ConfigError(f"{f.name} must be {expected}, got {value!r}", (f.name,))
+
 
 @dataclass
-class PipelineConfig:
-    """Flat key=value configuration covering the whole pipeline."""
+class _Config:
+    """The seed every configuration shares, and the range check of each
+    field, run when a configuration is built."""
 
-    # training
-    loss: str = "pairwise_hinge"
-    scorer_kind: str = "linear"
-    hidden_dim: int = 8
-    learning_rate: float = 0.05
-    epochs: int = 20
-    batch_size: int = 32
-    patience_epochs: int = 3
-    max_segments: int = 4
-    negatives_per_positive: int = 0  # 0: per-loss default (1 pairwise, 10 pointwise)
-    max_iterations: int = 4
+    seed: int = _non_negative(13)
+
+    def __post_init__(self) -> None:
+        for f in dataclasses.fields(self):
+            _check(f, getattr(self, f.name))
+
+
+@dataclass
+class TrainConfig(_Config):
+    loss: LossKind = LossKind.PAIRWISE_HINGE
+    scorer_kind: str = _checked("linear", SCORER_KINDS.__contains__,
+                                f"one of {', '.join(SCORER_KINDS)}")
+    hidden_dim: int = _positive(8)
+    learning_rate: float = _non_negative(0.05)
+    epochs: int = _positive(20)
+    batch_size: int = _positive(32)
+    patience_epochs: int = _positive(3)
+    negatives_per_positive: int = _non_negative(0)  # 0: the per-loss default
+    max_iterations: int = _positive(4)
     iteration_patience: int = 1
-    seed: int = 13
-    # segmentation
-    max_tokens: int = 512
-    min_tokens: int = 128
-    query_token_budget: int = 16
-    # evaluation
-    mrr_cutoff: int = 10
-    ndcg_k: int = 10
-    dev_fraction: float = 0.2
-    # synthetic collection
-    num_queries: int = 50
-    docs_per_query: int = 6
-    sentences_per_doc: int = 18
-    tokens_per_sentence: int = 128
-    vocab_size: int = 5000
-    query_terms: int = 5
-    plant_lo: int = 0
+
+    def resolved_negatives(self) -> int:
+        """Negatives sampled per positive: 1 under the pairwise hinge and
+        10 under the pointwise cross-entropy, unless set."""
+        return self.negatives_per_positive or (
+            1 if self.loss == LossKind.PAIRWISE_HINGE else 10)
+
+
+@dataclass
+class SynthConfig(_Config):
+    num_queries: int = _positive(50)
+    docs_per_query: int = _checked(  # candidate pool per topic, incl. the relevant doc
+        6, lambda v: v >= 2, "at least 2 (one relevant document and a negative)")
+    sentences_per_doc: int = _positive(18)
+    tokens_per_sentence: int = _positive(128)
+    vocab_size: int = _positive(5000)
+    query_terms: int = _positive(5)
+    plant_lo: int = _non_negative(0)
     plant_hi: int = 4
-    distractor_overlap: float = 0.3
-    noise: float = 0.1
-    title_token_count: int = 2
-    # file paths (optional; flags override)
+    distractor_overlap: float = _unit(0.3)
+    noise: float = _unit(0.1)
+    title_token_count: int = _non_negative(2)
+    # the training segmentation, see `policy`
+    max_tokens: int = _positive(DEFAULT_MAX_TOKENS)
+    min_tokens: int = _positive(DEFAULT_MIN_TOKENS)
+    max_segments: int = _positive(DEFAULT_MAX_SEGMENTS)
+    query_token_budget: int = _non_negative(DEFAULT_QUERY_TOKEN_BUDGET)
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if self.min_tokens > self.max_tokens:
+            raise ConfigError(f"min_tokens={self.min_tokens} exceeds "
+                              f"max_tokens={self.max_tokens}", ("min_tokens", "max_tokens"))
+        if self.plant_lo >= self.plant_hi:
+            raise ConfigError(f"plant_lo={self.plant_lo} is not below "
+                              f"plant_hi={self.plant_hi}", ("plant_lo", "plant_hi"))
+        if self.query_terms > self.tokens_per_sentence:
+            raise ConfigError(f"query_terms={self.query_terms} exceeds "
+                              f"tokens_per_sentence={self.tokens_per_sentence}",
+                              ("query_terms", "tokens_per_sentence"))
+        reserved = self.num_queries * self.query_terms
+        if reserved >= self.vocab_size:
+            raise ConfigError(f"vocab_size={self.vocab_size} leaves no background "
+                              f"terms after num_queries * query_terms = {reserved}",
+                              ("num_queries", "query_terms", "vocab_size"))
+
+    def policy(self) -> SegmentationPolicy:
+        """The one training segmentation of a collection.
+
+        Synthesis plants each gold segment in it, and `segment`, `train`
+        and `select` cut their segments with it, so a gold index and a
+        selected index name the same span.
+        """
+        return SegmentationPolicy("training", self.max_tokens, self.min_tokens,
+                                  self.max_segments, self.seed, self.query_token_budget)
+
+
+@dataclass
+class PipelineConfig(TrainConfig, SynthConfig):
+    """Every configuration key: the training and synthetic-collection
+    settings, plus what only the commands read.  Paths are optional;
+    flags override them."""
+
+    mrr_cutoff: int = _positive(10)
+    ndcg_k: int = _positive(10)
+    dev_fraction: float = _checked(0.2, lambda v: 0.0 < v < 1.0, "in (0, 1)")
     corpus: str = ""
     queries: str = ""
     qrels: str = ""
@@ -345,88 +453,18 @@ class PipelineConfig:
     model: str = ""
     out: str = ""
 
-    def train_config(self) -> TrainConfig:
-        from .scorer import LossKind
-        from .training import TrainConfig
 
-        return TrainConfig(
-            loss=LossKind(self.loss),
-            scorer_kind=self.scorer_kind,
-            hidden_dim=self.hidden_dim,
-            learning_rate=self.learning_rate,
-            epochs=self.epochs,
-            batch_size=self.batch_size,
-            patience_epochs=self.patience_epochs,
-            max_segments=self.max_segments,
-            negatives_per_positive=self.negatives_per_positive or None,
-            max_iterations=self.max_iterations,
-            iteration_patience=self.iteration_patience,
-            seed=self.seed,
-        )
-
-    def synth_config(self) -> SynthConfig:
-        from .synth import SynthConfig
-
-        return SynthConfig(
-            num_queries=self.num_queries,
-            docs_per_query=self.docs_per_query,
-            sentences_per_doc=self.sentences_per_doc,
-            tokens_per_sentence=self.tokens_per_sentence,
-            vocab_size=self.vocab_size,
-            query_terms=self.query_terms,
-            plant_lo=self.plant_lo,
-            plant_hi=self.plant_hi,
-            distractor_overlap=self.distractor_overlap,
-            noise=self.noise,
-            seed=self.seed,
-            title_token_count=self.title_token_count,
-            max_tokens=self.max_tokens,
-            min_tokens=self.min_tokens,
-            max_segments=self.max_segments,
-            query_token_budget=self.query_token_budget,
-        )
-
-
-_CONFIG_FIELDS = {f.name: f.type for f in dataclasses.fields(PipelineConfig)}
-
-# The values `scorer.LossKind` and `scorer.init_params` accept, named
-# here so that parsing a configuration does not import numpy.
-LOSSES = ("pairwise_hinge", "pointwise_cross_entropy")
-SCORER_KINDS = ("linear", "mlp")
-_POSITIVE = ("hidden_dim", "epochs", "batch_size", "patience_epochs",
-             "max_segments", "max_iterations", "max_tokens", "min_tokens",
-             "mrr_cutoff", "ndcg_k", "num_queries", "docs_per_query",
-             "sentences_per_doc", "tokens_per_sentence", "vocab_size",
-             "query_terms")
-# negatives_per_positive=0 keeps the per-loss default
-_NON_NEGATIVE = ("learning_rate", "negatives_per_positive", "query_token_budget",
-                 "plant_lo", "title_token_count")
-# key -> (test of the parsed value, what the value must be)
-_CONFIG_CHECKS = {
-    "loss": (LOSSES.__contains__, f"one of {', '.join(LOSSES)}"),
-    "scorer_kind": (SCORER_KINDS.__contains__, f"one of {', '.join(SCORER_KINDS)}"),
-    **dict.fromkeys(_POSITIVE, ((lambda v: v > 0), "positive")),
-    **dict.fromkeys(_NON_NEGATIVE, ((lambda v: v >= 0), "non-negative")),
-    "dev_fraction": ((lambda v: 0.0 < v < 1.0), "in (0, 1)"),
-    **dict.fromkeys(("noise", "distractor_overlap"),
-                    ((lambda v: 0.0 <= v <= 1.0), "in [0, 1]")),
-}
+_CONFIG_FIELDS = {f.name: f for f in dataclasses.fields(PipelineConfig)}
 
 
 def parse_config(stream: IO[str]) -> PipelineConfig:
     """key=value lines; '#' starts a comment; unknown keys are rejected.
 
-    Values are checked as they are read: `loss` and `scorer_kind` must
-    name a known kind; sizes, metric depths, `patience_epochs` and
-    synthetic counts must be positive; the learning rate, the query and
-    title token counts, `negatives_per_positive` and `plant_lo` must not
-    be negative; `dev_fraction` must lie in (0, 1), and `noise` and
-    `distractor_overlap` in [0, 1].  Two pairs are checked once all
-    lines are read and reported at the later line of the pair:
-    `min_tokens` may not exceed `max_tokens`, and `plant_lo` must lie
-    below `plant_hi`.
+    Each value is range-checked as it is read, with the check its field
+    declares; the checks on two or more fields run once all lines are
+    read, and report the latest line among the values they compare.
     """
-    config = PipelineConfig()
+    values: dict[str, Any] = {}
     key_lines: dict[str, int] = {}
     for line_no, line in _lines(stream):
         line = line.split("#", 1)[0].strip()
@@ -435,33 +473,29 @@ def parse_config(stream: IO[str]) -> PipelineConfig:
         if "=" not in line:
             raise ParseError("expected key=value", line_no)
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _CONFIG_FIELDS:
+        field = _CONFIG_FIELDS.get(key)
+        if field is None:
             raise ParseError(f"unknown configuration key {key!r}", line_no)
-        current = getattr(config, key)
+        kind = type(field.default)
         try:
-            if isinstance(current, int):
-                setattr(config, key, int(value))
-            elif isinstance(current, float):
-                setattr(config, key, float(value))
-            else:
-                setattr(config, key, value)
+            values[key] = kind(value)
+            _check(field, values[key])
+        except ConfigError as exc:
+            raise ParseError(str(exc), line_no) from None
         except ValueError:
+            if issubclass(kind, enum.Enum):
+                raise ParseError(f"{key} must be one of "
+                                 f"{', '.join(m.value for m in kind)}, got {value!r}",
+                                 line_no) from None
             raise ParseError(f"bad value {value!r} for key {key!r}", line_no) from None
-        valid, expected = _CONFIG_CHECKS.get(key, (None, ""))
-        if valid is not None and not valid(getattr(config, key)):
-            raise ParseError(f"{key} must be {expected}, got {value!r}", line_no)
         key_lines[key] = line_no
-    if config.min_tokens > config.max_tokens:
-        raise ParseError(
-            f"min_tokens={config.min_tokens} exceeds max_tokens={config.max_tokens}",
-            max(key_lines.get("min_tokens", 0), key_lines.get("max_tokens", 0)))
-    if config.plant_lo >= config.plant_hi:
-        raise ParseError(
-            f"plant_lo={config.plant_lo} is not below plant_hi={config.plant_hi}",
-            max(key_lines.get("plant_lo", 0), key_lines.get("plant_hi", 0)))
-    return config
+    try:
+        return PipelineConfig(**values)
+    except ConfigError as exc:
+        raise ParseError(str(exc), max(key_lines.get(key, 0) for key in exc.keys)) from None
 
 
 def write_config(config: PipelineConfig, stream: IO[str]) -> None:
-    for f in dataclasses.fields(PipelineConfig):
-        stream.write(f"{f.name}={getattr(config, f.name)}\n")
+    for f in dataclasses.fields(config):
+        value = getattr(config, f.name)
+        stream.write(f"{f.name}={value.value if isinstance(value, enum.Enum) else value}\n")

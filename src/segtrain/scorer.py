@@ -15,7 +15,6 @@ list.  The document frequencies behind idf come from the corpus parse
 from __future__ import annotations
 
 import bisect
-import enum
 import itertools
 import math
 from dataclasses import dataclass
@@ -32,6 +31,7 @@ from .corpus import (
     Query,
     Segment,
 )
+from .formats import LossKind
 
 NUM_FEATURES = 7
 
@@ -49,11 +49,6 @@ BM25_B = 0.75
 
 MODEL_FORMAT_NAME = "segtrain-model"
 MODEL_FORMAT_VERSION = "v1"
-
-
-class LossKind(enum.Enum):
-    PAIRWISE_HINGE = "pairwise_hinge"
-    POINTWISE_CE = "pointwise_cross_entropy"
 
 
 def idf(stats: CorpusStats, term: str) -> float:

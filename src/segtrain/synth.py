@@ -23,45 +23,7 @@ from .corpus import (
     segment_for_training,
 )
 from .evaluation import GoldSegments, Qrels
-
-
-@dataclass
-class SynthConfig:
-    num_queries: int = 50
-    docs_per_query: int = 6  # candidate pool per topic, incl. the relevant doc
-    sentences_per_doc: int = 18
-    tokens_per_sentence: int = 128
-    vocab_size: int = 5000
-    query_terms: int = 5
-    plant_lo: int = 0
-    plant_hi: int = 4
-    distractor_overlap: float = 0.3
-    noise: float = 0.1
-    seed: int = 0
-    # segmentation knobs; must match the downstream training policy
-    title_token_count: int = 2
-    max_tokens: int = 512
-    min_tokens: int = 128
-    max_segments: int = 4
-    query_token_budget: int = 16
-
-    def __post_init__(self) -> None:
-        if min(self.num_queries, self.docs_per_query, self.sentences_per_doc,
-               self.tokens_per_sentence, self.vocab_size, self.query_terms) < 1:
-            raise ValueError("all synthetic counts must be positive")
-        if self.docs_per_query < 2:
-            raise ValueError("need at least one negative per topic")
-        if not 0 <= self.plant_lo < self.plant_hi:
-            raise ValueError("invalid plant segment range")
-        if not (0.0 <= self.distractor_overlap <= 1.0
-                and 0.0 <= self.noise <= 1.0):
-            raise ValueError("distractor_overlap and noise must be in [0, 1]")
-        if self.query_terms > self.tokens_per_sentence:
-            raise ValueError("query terms cannot exceed sentence length")
-
-    def policy(self, seed: int) -> SegmentationPolicy:
-        return SegmentationPolicy("training", self.max_tokens, self.min_tokens,
-                                  self.max_segments, seed)
+from .formats import SynthConfig
 
 
 @dataclass
@@ -76,15 +38,12 @@ class SynthCorpus:
         return {doc.id: doc for doc in self.documents}
 
 
-def _training_spans(doc: Document, cfg: SynthConfig,
-                    seed: int) -> list[tuple[int, int]]:
-    segments = segment_for_training(doc, cfg.query_token_budget,
-                                    cfg.policy(seed),
-                                    document_stream(seed, doc.id))
+def _training_spans(doc: Document, policy: SegmentationPolicy) -> list[tuple[int, int]]:
+    segments = segment_for_training(doc, policy, document_stream(policy.seed, doc.id))
     return [(seg.start, seg.end) for seg in segments]
 
 
-def generate_corpus(cfg: SynthConfig, seed: int | None = None) -> SynthCorpus:
+def generate_corpus(cfg: SynthConfig) -> SynthCorpus:
     """Deterministic corpus with one planted relevant document per query.
 
     Background sentences are drawn from a mildly skewed unigram
@@ -92,14 +51,12 @@ def generate_corpus(cfg: SynthConfig, seed: int | None = None) -> SynthCorpus:
     replaces the leading tokens of one sentence inside the gold
     training segment, each query term surviving with probability
     1 - noise.  One negative per topic receives round(overlap * terms)
-    query terms in a random training segment.
+    query terms in a random training segment.  `cfg.seed` seeds the
+    draws, and the segments are those of `cfg.policy()`.
     """
-    if seed is None:
-        seed = cfg.seed
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(cfg.seed)
+    policy = cfg.policy()
     reserved = cfg.num_queries * cfg.query_terms
-    if reserved >= cfg.vocab_size:
-        raise ValueError("vocab_size too small for the reserved query terms")
     vocab = np.array([f"w{i:05d}" for i in range(cfg.vocab_size)], dtype=object)
     bg_ids = np.arange(reserved, cfg.vocab_size)
     bg_probs = 1.0 / (np.arange(len(bg_ids)) + 3.0)
@@ -129,7 +86,7 @@ def generate_corpus(cfg: SynthConfig, seed: int | None = None) -> SynthCorpus:
             pool_docs.append(Document(doc_id, " ".join(vocab[title_ids]), sentences))
 
         pos_doc = pool_docs[pos_slot]
-        spans = _training_spans(pos_doc, cfg, seed)
+        spans = _training_spans(pos_doc, policy)
         if cfg.plant_hi > len(spans):
             raise ValueError(
                 f"plant range [{cfg.plant_lo}, {cfg.plant_hi}) exceeds the "
@@ -146,7 +103,7 @@ def generate_corpus(cfg: SynthConfig, seed: int | None = None) -> SynthCorpus:
         negatives = [d for d in pool_docs if d.id != pos_doc.id]
         if leak_count > 0 and negatives:
             leak_doc = negatives[int(rng.integers(len(negatives)))]
-            leak_spans = _training_spans(leak_doc, cfg, seed)
+            leak_spans = _training_spans(leak_doc, policy)
             ls, le = leak_spans[int(rng.integers(len(leak_spans)))]
             leak_sent = leak_doc.sentences[int(rng.integers(ls, le))]
             picked = sorted(rng.choice(cfg.query_terms, size=leak_count,

@@ -45,9 +45,9 @@ from .corpus import (
     segment_for_training,
 )
 from .evaluation import Qrels, Run, SegmentIndexMap, mrr
+from .formats import LossKind, TrainConfig
 from .ranking import Aggregation, aggregate, rank_by_scores
 from .scorer import (
-    LossKind,
     ScorerParams,
     batch_loss_and_gradient,
     hinge_loss,
@@ -60,29 +60,6 @@ from .scorer import (
 
 # A (query id, doc id) pair's rows in a stacked feature matrix.
 PairRows = dict[tuple[str, str], range]
-
-
-@dataclass
-class TrainConfig:
-    loss: LossKind = LossKind.PAIRWISE_HINGE
-    scorer_kind: str = "linear"
-    hidden_dim: int = 8
-    learning_rate: float = 0.05
-    epochs: int = 20
-    batch_size: int = 32
-    patience_epochs: int = 3
-    max_segments: int = 4
-    negatives_per_positive: int | None = None  # None: 1 pairwise, 10 pointwise
-    max_iterations: int = 4
-    iteration_patience: int = 1
-    seed: int = 13
-
-    def resolved_negatives(self) -> int:
-        if self.negatives_per_positive is not None:
-            if self.negatives_per_positive < 1:
-                raise ValueError("negatives_per_positive must be >= 1")
-            return self.negatives_per_positive
-        return 1 if self.loss == LossKind.PAIRWISE_HINGE else 10
 
 
 @dataclass
@@ -169,7 +146,6 @@ def build_training_set(queries: list[Query], qrels: Qrels,
                        candidates: dict[str, list[str]],
                        documents: dict[str, Document] | dict[str, DocView],
                        policy: SegmentationPolicy,
-                       query_token_budget: int,
                        stats: CorpusStats,
                        mrr_cutoff: int = 10) -> TrainingSet:
     """Assemble topics and the segments of their candidates.
@@ -194,7 +170,7 @@ def build_training_set(queries: list[Query], qrels: Qrels,
             if doc_id not in store:
                 doc = documents[doc_id]
                 store[doc_id] = (
-                    segment_for_training(doc, query_token_budget, policy,
+                    segment_for_training(doc, policy,
                                          document_stream(policy.seed, doc.id))
                     if policy.mode == "training"
                     else segment_for_inference(doc, policy.max_tokens))
@@ -232,10 +208,10 @@ def _selected_features(tset: TrainingSet, query: Query, doc_id: str,
     return feats[_selected(selection, (query.id, doc_id), len(feats))]
 
 
-def _stack(tset: TrainingSet, selection: SegmentIndexMap | None,
-           max_segments: int) -> tuple[np.ndarray, PairRows]:
+def _stack(tset: TrainingSet,
+           selection: SegmentIndexMap | None) -> tuple[np.ndarray, PairRows]:
     """Every pair's features in one matrix, and the rows each pair
-    trains on: its leading `max_segments` segments or, given a
+    trains on: its leading `tset.max_segments` segments or, given a
     selection, the selected one."""
     blocks, rows, start = [], {}, 0
     for topic in tset.topics:
@@ -246,7 +222,7 @@ def _stack(tset: TrainingSet, selection: SegmentIndexMap | None,
             span = range(start, start + len(feats))
             start += len(feats)
             if selection is None:
-                rows[key] = span[:max_segments]
+                rows[key] = span[:tset.max_segments]
             else:
                 index = _selected(selection, key, len(span))
                 rows[key] = span[index:index + 1]
@@ -333,21 +309,20 @@ def loss_selected(params: ScorerParams, tset: TrainingSet,
     return fsum(terms) / len(terms)
 
 
-def select_segments(params: ScorerParams, tset: TrainingSet,
-                    k: int) -> tuple[SegmentIndexMap, dict[tuple[str, str], float]]:
-    """Argmax segment index per (query, document) pair, capped at k, and
-    its score.
+def select_segments(params: ScorerParams, tset: TrainingSet
+                    ) -> tuple[SegmentIndexMap, dict[tuple[str, str], float]]:
+    """Argmax segment index per (query, document) pair among its leading
+    `tset.max_segments` segments, and its score.
 
     Covers every pair in the store; score ties resolve to the smallest
     index.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
     selection: SegmentIndexMap = {}
     best_scores: dict[tuple[str, str], float] = {}
     for topic in tset.topics:
         for doc_id in topic.candidates:
-            scores = score_batch(params, tset.features(topic.query, doc_id)[:k])
+            feats = tset.features(topic.query, doc_id)
+            scores = score_batch(params, feats[:tset.max_segments])
             key = (topic.query.id, doc_id)
             selection[key] = best = int(np.argmax(scores))
             best_scores[key] = float(scores[best])
@@ -359,8 +334,8 @@ def train_single(tset: TrainingSet, dev: TrainingSet,
                  agg: Aggregation = Aggregation.MAX_P) -> tuple[ScorerParams, float]:
     """One complete training run: SGD epochs with dev-MRR early stopping.
 
-    `selection=None` trains on all leading segments, up to
-    cfg.max_segments per document; a selection trains on the segment it
+    `selection=None` trains on all leading segments, up to the store's
+    `max_segments` per document; a selection trains on the segment it
     names for every pair.  Parameters start from a fresh seeded
     initialization.  Negatives are resampled every epoch.  The best
     dev-MRR snapshot is returned along with its metric; training stops
@@ -369,7 +344,7 @@ def train_single(tset: TrainingSet, dev: TrainingSet,
     """
     if not tset.topics:
         raise ValueError("empty training set")
-    X, rows = _stack(tset, selection, cfg.max_segments)
+    X, rows = _stack(tset, selection)
     pairwise = cfg.loss == LossKind.PAIRWISE_HINGE
     params = init_params(cfg.scorer_kind, seed, cfg.hidden_dim)
     rng = random.Random(seed)
@@ -407,10 +382,8 @@ def best_train(tset: TrainingSet, dev: TrainingSet,
     early after cfg.iteration_patience rounds without dev improvement,
     and best_iteration records the round with the highest dev MRR.
     """
-    if cfg.max_iterations < 1:
-        raise ValueError("max_iterations must be >= 1")
     bootstrap, _ = train_single(tset, dev, None, cfg, cfg.seed)
-    selection, _ = select_segments(bootstrap, tset, cfg.max_segments)
+    selection, _ = select_segments(bootstrap, tset)
     history: list[IterationState] = []
     best_metric = -float("inf")
     stale = 0
@@ -425,7 +398,7 @@ def best_train(tset: TrainingSet, dev: TrainingSet,
             if stale >= cfg.iteration_patience:
                 break
         if n < cfg.max_iterations:
-            selection, _ = select_segments(params, tset, cfg.max_segments)
+            selection, _ = select_segments(params, tset)
     metrics = [state.validation_metric for state in history]
     best_iteration = history[metrics.index(max(metrics))].n
     return BestTrainResult(history, best_iteration)

@@ -41,13 +41,13 @@ class Collection:
     train_cfg: TrainConfig
 
 
-def assemble(synth_cfg: SynthConfig, seed: int, n_train: int,
+def assemble(synth_cfg: SynthConfig, n_train: int,
              train_cfg: TrainConfig | None = None) -> Collection:
     """Generate a corpus and split the leading topics into the train side."""
-    corpus = generate_corpus(synth_cfg, seed)
+    corpus = generate_corpus(synth_cfg)
     documents = corpus.documents_by_id()
     stats = compute_corpus_stats(corpus.documents, synth_cfg.max_tokens)
-    policy = synth_cfg.policy(seed)
+    policy = synth_cfg.policy()
     by_id = {q.id: q for q in corpus.queries}
     qids = [q.id for q in corpus.queries]
     train_ids, dev_ids = qids[:n_train], qids[n_train:]
@@ -58,15 +58,15 @@ def assemble(synth_cfg: SynthConfig, seed: int, n_train: int,
 
     train_set = build_training_set(
         [by_id[q] for q in train_ids], corpus.qrels, corpus.candidates,
-        documents, policy, synth_cfg.query_token_budget, stats)
+        documents, policy, stats)
     dev_set = build_training_set(
         [by_id[q] for q in dev_ids], corpus.qrels, corpus.candidates,
-        documents, policy, synth_cfg.query_token_budget, stats)
+        documents, policy, stats)
     dev_bundle = build_training_set(
         [by_id[q] for q in dev_ids], restrict(corpus.qrels, dev_id_set),
         corpus.candidates, documents, dataclasses.replace(policy, mode="inference"),
-        synth_cfg.query_token_budget, stats)
-    cfg = train_cfg or TrainConfig(seed=seed)
+        stats)
+    cfg = train_cfg or TrainConfig(seed=synth_cfg.seed)
     return Collection(
         corpus=corpus,
         train_set=train_set,

@@ -194,6 +194,22 @@ def test_candidate_missing_from_corpus_names_query_and_doc(data, model, tmp_path
     assert f"candidate 'not-a-doc' of query '{qid}' is not in the corpus" in err
 
 
+@pytest.mark.parametrize("command", ["synth", "segment", "train", "select", "rerank"])
+def test_negative_seed_flag_is_a_usage_error(tmp_path, capsys, command):
+    # every input path is missing: the flag must fail before any is read
+    missing = [str(tmp_path / "missing")]
+    args = {"synth": [], "segment": ["--mode", "training", "--corpus", *missing],
+            "train": ["--mode", "best", "--qrels", *missing],
+            "select": ["--model", *missing], "rerank": ["--model", *missing]}[command]
+    if command in ("train", "select", "rerank"):
+        args += ["--corpus", *missing, "--queries", *missing, "--candidates", *missing]
+    with pytest.raises(SystemExit) as info:
+        main([command, "--config", *missing, "--seed", "-1", *args,
+              "--out", str(tmp_path / "out")])
+    assert info.value.code == 1
+    assert "argument --seed: seed must be non-negative, got -1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
 
 def test_gold_index_past_the_segments_exits_2(data, tmp_path, capsys):
     gold = tmp_path / "gold.jsonl"
@@ -213,6 +229,9 @@ def test_gold_index_past_the_segments_exits_2(data, tmp_path, capsys):
     ("max_tokens=100", "min_tokens=128 exceeds max_tokens=100"),
     ("noise=2", "noise must be in [0, 1]"),
     ("hidden_dim=0", "hidden_dim must be positive"),
+    ("seed=-1", "seed must be non-negative"),
+    ("docs_per_query=1", "docs_per_query must be at least 2"),
+    ("query_terms=200", "query_terms=200 exceeds tokens_per_sentence=128"),
 ])
 @pytest.mark.parametrize("command", ["synth", "train"])
 def test_bad_config_value_exits_2_with_line(data, tmp_path, capsys, command, line,

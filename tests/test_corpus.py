@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -100,37 +101,37 @@ class TestTrainingSegmentation:
     def test_greedy_packing_fixed_budget(self):
         doc = uniform_doc(10, 100)
         policy = SegmentationPolicy("training", max_tokens=300, min_tokens=300,
-                                    max_segments=4, seed=0)
-        segs = segment_for_training(doc, 0, policy, random.Random(0))
+                                    max_segments=4, seed=0, query_token_budget=0)
+        segs = segment_for_training(doc, policy, random.Random(0))
         assert [(s.start, s.end) for s in segs] == [(0, 3), (3, 6), (6, 9), (9, 10)]
 
     def test_max_segments_cap(self):
         doc = uniform_doc(10, 100)
         policy = SegmentationPolicy("training", max_tokens=300, min_tokens=300,
-                                    max_segments=1, seed=0)
-        segs = segment_for_training(doc, 0, policy, random.Random(0))
+                                    max_segments=1, seed=0, query_token_budget=0)
+        segs = segment_for_training(doc, policy, random.Random(0))
         assert len(segs) == 1 and segs[0].start == 0
 
     def test_same_seed_same_spans(self):
         doc = uniform_doc(12, 37)
         policy = SegmentationPolicy("training", max_tokens=120, min_tokens=40,
-                                    max_segments=4, seed=9)
-        a = segment_for_training(doc, 5, policy, document_stream(9, doc.id))
-        b = segment_for_training(doc, 5, policy, document_stream(9, doc.id))
+                                    max_segments=4, seed=9, query_token_budget=5)
+        a = segment_for_training(doc, policy, document_stream(9, doc.id))
+        b = segment_for_training(doc, policy, document_stream(9, doc.id))
         assert a == b
 
     def test_oversized_sentence_is_singleton(self):
         doc = Document("doc", "", [["w"] * 500, ["v"] * 3])
         policy = SegmentationPolicy("training", max_tokens=100, min_tokens=100,
-                                    max_segments=4, seed=0)
-        segs = segment_for_training(doc, 0, policy, random.Random(0))
+                                    max_segments=4, seed=0, query_token_budget=0)
+        segs = segment_for_training(doc, policy, random.Random(0))
         assert (segs[0].start, segs[0].end) == (0, 1)
         assert segs[0].token_count == 500
 
     def test_empty_body_title_only(self):
         doc = Document("doc", "Some Title", [])
-        policy = SegmentationPolicy("training", seed=0)
-        segs = segment_for_training(doc, 0, policy, random.Random(0))
+        policy = SegmentationPolicy("training", seed=0, query_token_budget=0)
+        segs = segment_for_training(doc, policy, random.Random(0))
         assert len(segs) == 1
         assert segs[0].token_count == 2  # "some", "title"
         assert (segs[0].start, segs[0].end) == (0, 0)
@@ -139,7 +140,7 @@ class TestTrainingSegmentation:
         doc = uniform_doc(2, 5)
         policy = SegmentationPolicy("inference", seed=0)
         with pytest.raises(ValueError):
-            segment_for_training(doc, 0, policy, random.Random(0))
+            segment_for_training(doc, policy, random.Random(0))
 
 
 class TestInferenceSegmentation:
@@ -172,8 +173,8 @@ class TestTrainInferenceBudgets:
     def test_training_budget_subtracts_the_query_budget_inference_does_not(self):
         doc = uniform_doc(10, 10, title="two words")  # 2 title tokens
         policy = SegmentationPolicy("training", max_tokens=52, min_tokens=52,
-                                    max_segments=None, seed=0)
-        training = segment_for_training(doc, 10, policy, random.Random(0))
+                                    max_segments=None, seed=0, query_token_budget=10)
+        training = segment_for_training(doc, policy, random.Random(0))
         inference = segment_for_inference(doc, 52)
         # training windows hold 52 - 2 - 10 = 40 body tokens, inference 52 - 2 = 50
         assert [(s.start, s.end) for s in training] == [(0, 4), (4, 8), (8, 10)]
@@ -181,7 +182,8 @@ class TestTrainInferenceBudgets:
         assert max(s.token_count for s in training) == 42
         assert max(s.token_count for s in inference) == 52
         # with no query budget the two segmentations agree
-        assert segment_for_training(doc, 0, policy, random.Random(0)) == inference
+        no_query = dataclasses.replace(policy, query_token_budget=0)
+        assert segment_for_training(doc, no_query, random.Random(0)) == inference
 
 
 @st.composite
@@ -210,8 +212,8 @@ def test_inference_partition_property(doc, max_tokens):
 @given(documents(), st.integers(0, 5), st.integers(0, 10_000))
 def test_training_prefix_and_title_properties(doc, query_budget, seed):
     policy = SegmentationPolicy("training", max_tokens=30, min_tokens=8,
-                                max_segments=4, seed=seed)
-    segs = segment_for_training(doc, query_budget, policy,
+                                max_segments=4, seed=seed, query_token_budget=query_budget)
+    segs = segment_for_training(doc, policy,
                                 document_stream(seed, doc.id))
     title_tokens = tokenize(doc.title)
     assert segs[0].start == 0

@@ -1,17 +1,24 @@
+import ast
 import dataclasses
 import io
 import json
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from segtrain.corpus import Document, Query, average_segment_length, compute_corpus_stats
+from segtrain import scorer, synth, training
 from segtrain.formats import (
-    LOSSES,
     SCORER_KINDS,
+    ConfigError,
+    LossKind,
     ParseError,
     PipelineConfig,
+    SynthConfig,
+    TrainConfig,
     _lines,
     parse_candidates,
     parse_config,
@@ -32,8 +39,8 @@ from segtrain.formats import (
     write_selection,
 )
 from segtrain.ranking import RankedList, RankEntry
-from segtrain.scorer import LossKind, init_params
-from segtrain.synth import SynthConfig, generate_corpus
+from segtrain.scorer import init_params
+from segtrain.synth import generate_corpus
 
 tokens = st.text("abz09", min_size=1, max_size=4)
 sentences = st.lists(st.lists(tokens, max_size=5), max_size=5)
@@ -404,15 +411,16 @@ def test_gold_round_trip(gold):
 config_text = line_text.filter(lambda s: "#" not in s and s == s.strip())
 POSITIVE_KEYS = ("hidden_dim", "epochs", "batch_size", "patience_epochs", "max_segments",
                  "max_iterations", "max_tokens", "min_tokens", "mrr_cutoff", "ndcg_k",
-                 "num_queries", "docs_per_query", "sentences_per_doc",
-                 "tokens_per_sentence", "vocab_size", "query_terms")
-NON_NEGATIVE_KEYS = ("learning_rate", "negatives_per_positive", "query_token_budget",
-                     "plant_lo", "title_token_count")
+                 "num_queries", "sentences_per_doc", "tokens_per_sentence", "vocab_size",
+                 "query_terms")
+NON_NEGATIVE_KEYS = ("seed", "learning_rate", "negatives_per_positive",
+                     "query_token_budget", "plant_lo", "title_token_count")
 VALID_VALUES = {
-    "loss": st.sampled_from([kind.value for kind in LossKind]),
+    "loss": st.sampled_from(list(LossKind)),
     "scorer_kind": st.sampled_from(["linear", "mlp"]),
     **dict.fromkeys(POSITIVE_KEYS, st.integers(1, 10**6)),
     **dict.fromkeys(NON_NEGATIVE_KEYS, st.integers(0, 10**6)),
+    "docs_per_query": st.integers(2, 10**6),
     "learning_rate": st.floats(0, allow_infinity=False),
     "dev_fraction": st.floats(0, 1, exclude_min=True, exclude_max=True),
     "noise": st.floats(0, 1),
@@ -422,7 +430,8 @@ VALID_VALUES = {
 
 @st.composite
 def configs(draw, valid=True):
-    """Configurations; with `valid`, only values `parse_config` accepts."""
+    """The value of each configuration field, in field order; with
+    `valid`, only values `parse_config` accepts."""
     values = {}
     for f in dataclasses.fields(PipelineConfig):
         if valid and f.name in VALID_VALUES:
@@ -434,33 +443,48 @@ def configs(draw, valid=True):
         else:
             values[f.name] = draw(config_text)
     if valid:
-        low, high = sorted((values["min_tokens"], values["max_tokens"]))
-        values["min_tokens"], values["max_tokens"] = low, high
+        for low, high in (("min_tokens", "max_tokens"),
+                          ("query_terms", "tokens_per_sentence")):
+            values[low], values[high] = sorted((values[low], values[high]))
         values["plant_hi"] = values["plant_lo"] + draw(st.integers(1, 10**6))
-    return PipelineConfig(**values)
+        values["vocab_size"] = (values["num_queries"] * values["query_terms"]
+                                + draw(st.integers(1, 10**6)))
+    return values
 
 
-def rejected_line(config: PipelineConfig) -> int | None:
-    """The line of `write_config(config)` that parsing must reject, if any."""
-    names = [f.name for f in dataclasses.fields(PipelineConfig)]
-    for line_no, name in enumerate(names, 1):
-        value = getattr(config, name)
-        if ((name == "loss" and value not in ("pairwise_hinge", "pointwise_cross_entropy"))
+def config_lines(values: dict) -> str:
+    """`values` as `write_config` writes them."""
+    return "".join(f"{name}={value.value if isinstance(value, LossKind) else value}\n"
+                   for name, value in values.items())
+
+
+def rejected_line(values: dict) -> int | None:
+    """The line of `config_lines(values)` that parsing must reject, if any."""
+    names = list(values)
+    for line_no, (name, value) in enumerate(values.items(), 1):
+        if ((name == "loss" and value not in ("pairwise_hinge", "pointwise_cross_entropy")
+             and not isinstance(value, LossKind))
                 or (name == "scorer_kind" and value not in ("linear", "mlp"))
                 or (name in POSITIVE_KEYS and value < 1)
                 or (name in NON_NEGATIVE_KEYS and not value >= 0)
+                or (name == "docs_per_query" and value < 2)
                 or (name == "dev_fraction" and not 0 < value < 1)
                 or (name in ("noise", "distractor_overlap") and not 0 <= value <= 1)):
             return line_no
-    if config.min_tokens > config.max_tokens:
-        return max(names.index("min_tokens"), names.index("max_tokens")) + 1
-    if config.plant_lo >= config.plant_hi:
-        return max(names.index("plant_lo"), names.index("plant_hi")) + 1
+    for keys, rejected in (
+            (("min_tokens", "max_tokens"), values["min_tokens"] > values["max_tokens"]),
+            (("plant_lo", "plant_hi"), values["plant_lo"] >= values["plant_hi"]),
+            (("query_terms", "tokens_per_sentence"),
+             values["query_terms"] > values["tokens_per_sentence"]),
+            (("num_queries", "query_terms", "vocab_size"),
+             values["num_queries"] * values["query_terms"] >= values["vocab_size"])):
+        if rejected:
+            return max(names.index(key) for key in keys) + 1
     return None
 
 
 @settings(max_examples=100)
-@given(configs())
+@given(configs().map(lambda values: PipelineConfig(**values)))
 @example(PipelineConfig())
 def test_config_round_trip(config):
     text = rewrite(write_config, config)
@@ -471,11 +495,11 @@ def test_config_round_trip(config):
 
 @settings(max_examples=200)
 @given(configs(valid=False) | configs())
-def test_config_rejects_each_out_of_range_value_at_its_line(config):
-    text = rewrite(write_config, config)
-    line_no = rejected_line(config)
+def test_config_rejects_each_out_of_range_value_at_its_line(values):
+    text = config_lines(values)
+    line_no = rejected_line(values)
     if line_no is None:
-        assert parse_config(io.StringIO(text)) == config
+        assert rewrite(write_config, parse_config(io.StringIO(text))) == text
     else:
         with pytest.raises(ParseError) as info:
             parse_config(io.StringIO(text))
@@ -486,22 +510,24 @@ def test_config_rejects_each_out_of_range_value_at_its_line(config):
 @pytest.mark.parametrize("line, message", [
     ("loss=bogus", "loss must be one of pairwise_hinge, pointwise_cross_entropy"),
     ("scorer_kind=tree", "scorer_kind must be one of linear, mlp"),
-    ("batch_size=0", "batch_size must be positive, got '0'"),
+    ("batch_size=0", "batch_size must be positive, got 0"),
     ("epochs=-1", "epochs must be positive"),
     ("max_tokens=0", "max_tokens must be positive"),
     ("min_tokens=0", "min_tokens must be positive"),
     ("max_segments=0", "max_segments must be positive"),
     ("max_iterations=0", "max_iterations must be positive"),
     ("num_queries=0", "num_queries must be positive"),
-    ("docs_per_query=0", "docs_per_query must be positive"),
+    ("docs_per_query=0", "docs_per_query must be at least 2"),
+    ("docs_per_query=1", "docs_per_query must be at least 2"),
     ("sentences_per_doc=0", "sentences_per_doc must be positive"),
     ("tokens_per_sentence=0", "tokens_per_sentence must be positive"),
     ("vocab_size=0", "vocab_size must be positive"),
     ("query_terms=0", "query_terms must be positive"),
-    ("hidden_dim=0", "hidden_dim must be positive, got '0'"),
+    ("hidden_dim=0", "hidden_dim must be positive, got 0"),
     ("patience_epochs=0", "patience_epochs must be positive"),
     ("mrr_cutoff=0", "mrr_cutoff must be positive"),
     ("ndcg_k=-2", "ndcg_k must be positive"),
+    ("seed=-1", "seed must be non-negative, got -1"),
     ("negatives_per_positive=-1", "negatives_per_positive must be non-negative"),
     ("query_token_budget=-5", "query_token_budget must be non-negative"),
     ("title_token_count=-1", "title_token_count must be non-negative"),
@@ -516,6 +542,12 @@ def test_config_rejects_each_out_of_range_value_at_its_line(config):
     ("noise=1.5", "noise must be in [0, 1]"),
     ("distractor_overlap=-0.1", "distractor_overlap must be in [0, 1]"),
     ("min_tokens=600", "min_tokens=600 exceeds max_tokens=512"),
+    ("query_terms=129", "query_terms=129 exceeds tokens_per_sentence=128"),
+    ("tokens_per_sentence=4", "query_terms=5 exceeds tokens_per_sentence=4"),
+    ("vocab_size=250", "vocab_size=250 leaves no background terms after "
+                       "num_queries * query_terms = 250"),
+    ("num_queries=1000", "vocab_size=5000 leaves no background terms after "
+                         "num_queries * query_terms = 5000"),
 ])
 def test_config_value_errors_name_the_line(line, message):
     text = f"# comment\nseed=3\n{line}\nepochs=2\n"
@@ -529,14 +561,79 @@ def test_config_token_bounds_error_names_the_later_line():
     with pytest.raises(ParseError, match="^line 3: min_tokens=300 exceeds max_tokens=200"):
         parse_config(io.StringIO(text))
     assert parse_config(io.StringIO("min_tokens=300\nmax_tokens=300\n")).min_tokens == 300
+    text = "vocab_size=100\nnum_queries=10\nquery_terms=10\nseed=2\n"
+    with pytest.raises(ParseError, match="^line 3: vocab_size=100 leaves no background"):
+        parse_config(io.StringIO(text))
 
 
 def test_config_kinds_are_the_scorers():
-    assert LOSSES == tuple(kind.value for kind in LossKind)
     for kind in SCORER_KINDS:
         init_params(kind, 0)
     with pytest.raises(ValueError):
         init_params("tree", 0)
+
+
+# `write_config(PipelineConfig())` before the pipeline configuration was
+# derived from `TrainConfig` and `SynthConfig`: the keys and defaults of
+# a configuration file, which must not change.
+DEFAULT_CONFIG_LINES = {
+    "loss=pairwise_hinge", "scorer_kind=linear", "hidden_dim=8", "learning_rate=0.05",
+    "epochs=20", "batch_size=32", "patience_epochs=3", "max_segments=4",
+    "negatives_per_positive=0", "max_iterations=4", "iteration_patience=1", "seed=13",
+    "max_tokens=512", "min_tokens=128", "query_token_budget=16", "mrr_cutoff=10",
+    "ndcg_k=10", "dev_fraction=0.2", "num_queries=50", "docs_per_query=6",
+    "sentences_per_doc=18", "tokens_per_sentence=128", "vocab_size=5000",
+    "query_terms=5", "plant_lo=0", "plant_hi=4", "distractor_overlap=0.3", "noise=0.1",
+    "title_token_count=2", "corpus=", "queries=", "qrels=", "candidates=", "gold=",
+    "model=", "out=",
+}
+
+
+def test_each_config_key_is_declared_once():
+    assert set(rewrite(write_config, PipelineConfig()).splitlines()) == DEFAULT_CONFIG_LINES
+    library = {f.name for cls in (TrainConfig, SynthConfig) for f in dataclasses.fields(cls)}
+    own = set(PipelineConfig.__annotations__)
+    assert len(own) == 10 and own.isdisjoint(library)
+    assert {f.name for f in dataclasses.fields(PipelineConfig)} == library | own
+    assert scorer.LossKind is LossKind and training.TrainConfig is TrainConfig
+    assert synth.SynthConfig is SynthConfig
+
+
+@pytest.mark.parametrize("changes, message", [
+    ({"seed": -1}, "seed must be non-negative, got -1"),
+    ({"negatives_per_positive": -1}, "negatives_per_positive must be non-negative"),
+    ({"min_tokens": 600}, "min_tokens=600 exceeds max_tokens=512"),
+    ({"dev_fraction": 1.0}, "dev_fraction must be in (0, 1), got 1.0"),
+])
+def test_building_a_config_runs_the_checks_parsing_runs(changes, message):
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}"):
+        PipelineConfig(**changes)
+    text = "".join(f"{key}={value}\n" for key, value in changes.items())
+    with pytest.raises(ParseError, match=f"^line 1: {re.escape(message)}"):
+        parse_config(io.StringIO(text))
+
+
+BENCH_RUN = Path(__file__).resolve().parents[1] / "bench" / "run.py"
+
+
+def bench_configs() -> dict[str, dict]:
+    """The literal configuration dicts `bench/run.py` defines."""
+    tree = ast.parse(BENCH_RUN.read_text())
+    return {node.targets[0].id: ast.literal_eval(node.value) for node in tree.body
+            if isinstance(node, ast.Assign) and len(node.targets) == 1
+            and isinstance(node.targets[0], ast.Name)
+            and node.targets[0].id in ("SYNTH_LATE", "TINY")}
+
+
+@pytest.mark.parametrize("tiny", [False, True])
+def test_bench_configs_parse(tiny):
+    # written as `Bench.setup` writes them, and read back as `load_inputs` does
+    found = bench_configs()
+    config = {**found["SYNTH_LATE"], **(found["TINY"] if tiny else {}), "seed": 7}
+    text = "".join(f"{k}={v}\n" for k, v in config.items())
+    parsed = parse_config(io.StringIO(text))
+    assert parsed.max_segments == PipelineConfig().max_segments
+    assert parsed.seed == 7 and parsed.num_queries == config["num_queries"]
 
 
 json_values = st.recursive(

@@ -74,9 +74,9 @@ def test_inference_position_ratio_reaches_1_25_at_config_e():
     feats = segment_features(q, doc, segment_for_inference(doc, 512), stats,
                              max_tokens=512, max_segments=4)
     assert feats[:, F_POSITION_RATIO].tolist() == [0.0, 0.25, 0.5, 0.75, 1.0, 1.25]
-    policy = SegmentationPolicy("training", 512, 128, 4, seed=0)
+    policy = SegmentationPolicy("training", 512, 128, 4, seed=0, query_token_budget=16)
     for seed in range(20):
-        segments = segment_for_training(doc, 16, policy, document_stream(seed, doc.id))
+        segments = segment_for_training(doc, policy, document_stream(seed, doc.id))
         assert max(seg.index for seg in segments) / 4 <= 0.75
 
 

@@ -6,6 +6,7 @@ import dataclasses
 import pytest
 
 from segtrain.corpus import document_stream, segment_for_training
+from segtrain.formats import ConfigError
 from segtrain.synth import SynthConfig, generate_corpus
 
 SMALL = SynthConfig(num_queries=6, docs_per_query=3, sentences_per_doc=8,
@@ -30,16 +31,15 @@ def relevant_doc(corpus, qid):
 
 
 def test_same_seed_same_corpus_other_seed_differs():
-    assert generate_corpus(SMALL, 11) == generate_corpus(SMALL, 11)
-    assert generate_corpus(SMALL) == generate_corpus(SMALL, SMALL.seed)
-    a, b = generate_corpus(SMALL, 11), generate_corpus(SMALL, 12)
+    assert generate_corpus(small(seed=11)) == generate_corpus(small(seed=11))
+    a, b = generate_corpus(small(seed=11)), generate_corpus(small(seed=12))
     assert [d.sentences for d in a.documents] != [d.sentences for d in b.documents]
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_planted_sentence_lies_in_the_gold_training_segment(seed):
-    cfg = small()
-    corpus = generate_corpus(cfg, seed)
+    cfg = small(seed=seed)
+    corpus = generate_corpus(cfg)
     assert len(corpus.gold) == cfg.num_queries
     for query in corpus.queries:
         doc = relevant_doc(corpus, query.id)
@@ -49,8 +49,7 @@ def test_planted_sentence_lies_in_the_gold_training_segment(seed):
         sentence = positions[0][0]
         gold = corpus.gold[(query.id, doc.id)]
         assert cfg.plant_lo <= gold < cfg.plant_hi
-        segments = segment_for_training(doc, cfg.query_token_budget, cfg.policy(seed),
-                                        document_stream(seed, doc.id))
+        segments = segment_for_training(doc, cfg.policy(), document_stream(seed, doc.id))
         assert segments[gold].start <= sentence < segments[gold].end
 
 
@@ -88,7 +87,7 @@ def test_noise_zero_plants_every_term_noise_one_none():
         assert query_term_positions(relevant_doc(noisy, query.id), terms) == []
 
 
-@pytest.mark.parametrize("changes, message", [
+@pytest.mark.parametrize("changes, rule", [
     ({"num_queries": 0}, "all synthetic counts must be positive"),
     ({"docs_per_query": 0}, "all synthetic counts must be positive"),
     ({"sentences_per_doc": 0}, "all synthetic counts must be positive"),
@@ -103,14 +102,19 @@ def test_noise_zero_plants_every_term_noise_one_none():
     ({"noise": 1.1}, "distractor_overlap and noise must be in"),
     ({"noise": -0.5}, "distractor_overlap and noise must be in"),
     ({"query_terms": 17}, "query terms cannot exceed sentence length"),
+    ({"vocab_size": 24}, "vocab_size must exceed the reserved query terms"),
+    ({"seed": -1}, "the seed must be non-negative"),
 ])
-def test_config_errors(changes, message):
-    with pytest.raises(ValueError, match=message.replace("(", r"\(")):
+def test_config_errors(changes, rule):
+    # `rule` names the rule each case breaks; the error names every field
+    # it involves, which is how `parse_config` finds the line to report
+    with pytest.raises(ConfigError) as info:
         small(**changes)
+    keys = info.value.keys
+    assert set(changes) <= set(keys)
+    assert all(key in str(info.value) for key in keys)
 
 
 def test_generation_errors():
-    with pytest.raises(ValueError, match="vocab_size too small"):
-        generate_corpus(small(vocab_size=24))
     with pytest.raises(ValueError, match="exceeds the"):
         generate_corpus(small(plant_lo=5, plant_hi=6))

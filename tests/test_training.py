@@ -41,7 +41,7 @@ def make_segments(doc_id: str, token_lists: list[list[str]]) -> list[Segment]:
             for i, tokens in enumerate(token_lists)]
 
 
-def make_tset(topics_spec, stats=None) -> TrainingSet:
+def make_tset(topics_spec, stats=None, max_segments=4) -> TrainingSet:
     """topics_spec: list of (query_text, {doc_id: [segment token lists]}, pos_ids).
 
     Each segment is one sentence of an untitled document.
@@ -57,7 +57,7 @@ def make_tset(topics_spec, stats=None) -> TrainingSet:
         negs = [d for d in docs if d not in pos_ids]
         topics.append(TrainingTopic(query, list(pos_ids), negs))
     stats = stats or CorpusStats(4, {}, 10.0)
-    return TrainingSet(topics, documents, store, stats)
+    return TrainingSet(topics, documents, store, stats, max_segments=max_segments)
 
 
 def match_scorer(weight: float = 1.0) -> ScorerParams:
@@ -73,7 +73,7 @@ def zero_scorer() -> ScorerParams:
 def draw_epoch(tset, selection, cfg, rng):
     """One epoch as feature rows: (positive, negative) pairs under the
     pairwise hinge, (row, label) points under the pointwise loss."""
-    X, rows = _stack(tset, selection, cfg.max_segments)
+    X, rows = _stack(tset, selection)
     examples = _epoch_rows(tset, rows, cfg, rng)
     if cfg.loss == LossKind.PAIRWISE_HINGE:
         return [(X[a], X[b]) for a, b in examples]
@@ -92,7 +92,7 @@ def reference_epoch(tset, selection, cfg, rng):
         def feats(doc_id):
             matrix = tset.features(topic.query, doc_id)
             if selection is None:
-                return list(matrix[:cfg.max_segments])
+                return list(matrix[:tset.max_segments])
             return [matrix[selection[(topic.query.id, doc_id)]]]
 
         for pos_id in topic.positives:
@@ -156,34 +156,32 @@ class TestBuildPairs:
     def test_missing_selection_entry_rejected(self):
         tset = make_tset([("a", {"p": [["a"]], "n": [["x"]]}, ["p"])])
         with pytest.raises(ValueError, match="selection missing entry"):
-            _stack(tset, {}, 4)
+            _stack(tset, {})
 
     def test_selection_out_of_range_rejected(self):
         tset = make_tset([("a", {"p": [["a"]], "n": [["x"]]}, ["p"])])
         for index in (1, -1):
             with pytest.raises(ValueError, match="is not one of its 1 segments"):
-                _stack(tset, {("q0", "p"): index, ("q0", "n"): 0}, 4)
+                _stack(tset, {("q0", "p"): index, ("q0", "n"): 0})
 
     def test_all_segments_pair_shared_leading_rows(self):
-        tset = make_tset([("a", {"p": [["a"], ["b"]],
-                                 "n": [["x"], ["y"], ["z"]]}, ["p"])])
+        spec = [("a", {"p": [["a"], ["b"]], "n": [["x"], ["y"], ["z"]]}, ["p"])]
+        tset = make_tset(spec)
         query = tset.topics[0].query
         pos, neg = tset.features(query, "p"), tset.features(query, "n")
         pairs = draw_epoch(tset, None, TrainConfig(), random.Random(0))
         assert sorted((p.tolist(), n.tolist()) for p, n in pairs) == \
             sorted((pos[j].tolist(), neg[j].tolist()) for j in range(2))
-        points = draw_epoch(tset, None, TrainConfig(loss=LossKind.POINTWISE_CE,
-                                                    max_segments=2),
-                            random.Random(0))
+        points = draw_epoch(make_tset(spec, max_segments=2), None,
+                            TrainConfig(loss=LossKind.POINTWISE_CE), random.Random(0))
         assert sorted(label for _, label in points) == [0, 0, 1, 1]
 
     @pytest.mark.parametrize("loss", list(LossKind))
     def test_epoch_rows_equal_per_example_reference(self, loss):
         rng = np.random.default_rng(17)
         for trial in range(40):
-            tset = _random_tset(rng)
-            cfg = TrainConfig(loss=loss, max_segments=int(rng.integers(1, 5)),
-                              negatives_per_positive=int(rng.integers(1, 4)))
+            tset = _random_tset(rng, max_segments=int(rng.integers(1, 5)))
+            cfg = TrainConfig(loss=loss, negatives_per_positive=int(rng.integers(1, 4)))
             selection = None
             if trial % 2:
                 selection = {
@@ -282,7 +280,7 @@ class TestLossSelected:
         assert got == pytest.approx(2 * math.log(2))
 
 
-def _random_tset(rng) -> TrainingSet:
+def _random_tset(rng, max_segments=4) -> TrainingSet:
     vocab = [f"t{i}" for i in range(12)]
     spec = []
     n_topics = int(rng.integers(1, 4))
@@ -298,7 +296,7 @@ def _random_tset(rng) -> TrainingSet:
             ]
         spec.append((q, docs, [f"d{t}_0"]))
     stats = CorpusStats(8, {v: int(rng.integers(1, 8)) for v in vocab}, 6.0)
-    return make_tset(spec, stats)
+    return make_tset(spec, stats, max_segments)
 
 
 class TestSelectSegments:
@@ -306,7 +304,7 @@ class TestSelectSegments:
         tset = make_tset([
             ("a b", {"p": [["x"], ["a", "b"], ["a", "x"]], "n": [["x"]]}, ["p"]),
         ])
-        sel, scores = select_segments(match_scorer(), tset, 4)
+        sel, scores = select_segments(match_scorer(), tset)
         assert sel[("q0", "p")] == 1
         assert scores[("q0", "p")] == 1.0 and scores[("q0", "n")] == 0.0
 
@@ -315,23 +313,23 @@ class TestSelectSegments:
             ("a b c", {"p": [["a", "b", "c"], ["a", "b", "c"], ["x"]],
                        "n": [["x"]]}, ["p"]),
         ])
-        sel, _ = select_segments(match_scorer(), tset, 4)
+        sel, _ = select_segments(match_scorer(), tset)
         assert sel[("q0", "p")] == 0
 
     def test_cap_at_k(self):
         segs = [["x"]] * 5 + [["a", "b"]]  # best segment is index 5
         tset = make_tset([("a b", {"p": segs, "n": [["x"]]}, ["p"])])
-        sel, _ = select_segments(match_scorer(), tset, 4)
+        sel, _ = select_segments(match_scorer(), tset)
         assert 0 <= sel[("q0", "p")] < 4
 
     def test_matches_exhaustive_enumeration(self):
         rng = np.random.default_rng(11)
         for _ in range(100):
-            tset = _random_tset(rng)
+            k = int(rng.integers(1, 6))
+            tset = _random_tset(rng, max_segments=k)
             params = ScorerParams("linear", rng.normal(size=NUM_FEATURES),
                                   float(rng.normal()))
-            k = int(rng.integers(1, 6))
-            sel, scores = select_segments(params, tset, k)
+            sel, scores = select_segments(params, tset)
             for topic in tset.topics:
                 for doc_id in topic.positives + topic.negatives:
                     feats = tset.features(topic.query, doc_id)
@@ -350,12 +348,12 @@ class TestSelectSegments:
                    Query.from_text("q2", "c")]
         docs = {d: Document(d, "", [[d, "a", "b"]] * 3) for d in ("d0", "d1", "d2")}
         candidates = {"q0": ["d0", "d1"], "q1": ["d1", "d2"], "q2": []}
-        policy = SynthConfig(min_tokens=2, max_tokens=4).policy(0)
-        store = build_training_set(queries, {}, candidates, docs, policy, 0,
+        policy = SynthConfig(min_tokens=2, max_tokens=4, query_token_budget=0).policy()
+        store = build_training_set(queries, {}, candidates, docs, policy,
                                    CorpusStats(3, {}, 3.0))
         assert [(t.query.id, t.positives, t.negatives) for t in store.topics] == \
             [("q0", [], ["d0", "d1"]), ("q1", [], ["d1", "d2"])]
-        sel, scores = select_segments(match_scorer(), store, 4)
+        sel, scores = select_segments(match_scorer(), store)
         assert set(sel) == set(scores) == {("q0", "d0"), ("q0", "d1"),
                                            ("q1", "d1"), ("q1", "d2")}
 
@@ -367,7 +365,7 @@ def small_collection(seed=0, noise=0.0, plant=(0, 4), n_queries=40, n_train=30):
                       plant_lo=plant[0], plant_hi=plant[1],
                       distractor_overlap=0.3, noise=noise, seed=seed,
                       min_tokens=48, max_tokens=128, query_token_budget=8)
-    return assemble(cfg, seed, n_train)
+    return assemble(cfg, n_train)
 
 
 class TestTrainSingle:
@@ -396,8 +394,8 @@ class TestTrainSingle:
         initial = init_params(cfg.scorer_kind, 2)
         trained, _ = train_single(coll.train_set, coll.dev_bundle, None,
                                   cfg, seed=2)
-        before = loss_all_segments(initial, coll.train_set, cfg.max_segments)
-        after = loss_all_segments(trained, coll.train_set, cfg.max_segments)
+        before = loss_all_segments(initial, coll.train_set, coll.train_set.max_segments)
+        after = loss_all_segments(trained, coll.train_set, coll.train_set.max_segments)
         assert after < before
 
     def test_empty_training_set_rejected(self):
@@ -453,8 +451,7 @@ class TestBestTrain:
         coll = small_collection(seed=1)
         cfg = TrainConfig(max_iterations=2, epochs=8, seed=1)
         result = best_train(coll.train_set, coll.dev_bundle, cfg)
-        sel, _ = select_segments(result.best_state.params, coll.dev_set,
-                                 cfg.max_segments)
+        sel, _ = select_segments(result.best_state.params, coll.dev_set)
         assert segment_p_at_1(sel, coll.dev_gold) > 0.8
 
 
