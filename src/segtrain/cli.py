@@ -5,7 +5,9 @@ eval-selection.  Exit codes: 0 success, 1 usage error, 2 data error.
 
 Each subcommand imports the numpy-backed layers (ranking, scorer,
 synth, training) itself, so `eval` and `eval-selection` never load
-numpy.
+numpy.  `train`, `select` and `rerank` import them only after
+`_load_pools`, so the corpus parse forks its workers from a process
+that has no numpy thread pool yet.
 """
 
 from __future__ import annotations
@@ -159,11 +161,11 @@ def _load_pools(args: argparse.Namespace, config: PipelineConfig):
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
+    config = _load_config(args)
+    documents, queries, candidates, stats = _load_pools(args, config)
     from .scorer import write_params
     from .training import best_train, build_training_set, train_baseline, train_single
 
-    config = _load_config(args)
-    documents, queries, candidates, stats = _load_pools(args, config)
     qrels = _read(formats.parse_qrels, _path(args, config, "qrels"))
     train_ids, dev_ids = holdout_split([q.id for q in queries],
                                        config.dev_fraction, config.seed)
@@ -206,11 +208,11 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 
 def _cmd_select(args: argparse.Namespace) -> int:
+    config = _load_config(args)
+    documents, queries, candidates, stats = _load_pools(args, config)
     from .scorer import read_params
     from .training import build_training_set, select_segments
 
-    config = _load_config(args)
-    documents, queries, candidates, stats = _load_pools(args, config)
     params = _read(read_params, _path(args, config, "model"))
     store = build_training_set(queries, {}, candidates, documents, config.policy(),
                                stats)
@@ -222,11 +224,11 @@ def _cmd_select(args: argparse.Namespace) -> int:
 
 
 def _cmd_rerank(args: argparse.Namespace) -> int:
+    config = _load_config(args)
+    documents, queries, candidates, stats = _load_pools(args, config)
     from .ranking import Aggregation, rerank
     from .scorer import read_params
 
-    config = _load_config(args)
-    documents, queries, candidates, stats = _load_pools(args, config)
     params = _read(read_params, _path(args, config, "model"))
     agg = Aggregation(args.mode)
 
@@ -293,9 +295,13 @@ def _seed(text: str) -> int:
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="pipeline configuration file")
+    _add_config(parser)
     parser.add_argument("--seed", type=_seed, help="override the configured seed")
     parser.add_argument("--out", help="output path")
+
+
+def _add_config(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--config", help="pipeline configuration file")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -343,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_rerank)
 
     p = sub.add_parser("eval", help="extrinsic ranking metrics")
-    _add_common(p)
+    _add_config(p)
     p.add_argument("--run")
     p.add_argument("--qrels")
     p.add_argument("--baseline-run", dest="baseline_run",
@@ -353,7 +359,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_eval)
 
     p = sub.add_parser("eval-selection", help="segment selection precision")
-    _add_common(p)
     p.add_argument("--selection", required=True)
     p.add_argument("--gold", required=True)
     p.set_defaults(fn=_cmd_eval_selection)

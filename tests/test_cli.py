@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import segtrain
+from segtrain import formats
 from segtrain.cli import main
 
 TINY_CONFIG = {
@@ -117,7 +118,8 @@ PINNED_DIGESTS = {
 }
 
 
-def test_outputs_match_pinned_digests(tmp_path_factory, tmp_path):
+def pinned_outputs(tmp_path_factory, tmp_path) -> dict[str, str]:
+    """The sha256 of each file that `PINNED_DIGESTS` pins, made anew."""
     data = tmp_path_factory.mktemp("late")
     config = data / "config.txt"
     config.write_text("".join(f"{k}={v}\n" for k, v in LATE_CONFIG.items()))
@@ -140,9 +142,30 @@ def test_outputs_match_pinned_digests(tmp_path_factory, tmp_path):
         digests[f"run-{mode}.txt"] = out = tmp_path / f"run-{mode}.txt"
         assert main(["rerank", *inputs(data), "--model", str(model), "--mode", mode,
                      "--out", str(out)]) == 0
-    got = {name: hashlib.sha256(path.read_bytes()).hexdigest()
-           for name, path in digests.items()}
-    assert got == PINNED_DIGESTS
+    return {name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for name, path in digests.items()}
+
+
+def test_outputs_match_pinned_digests(tmp_path_factory, tmp_path):
+    assert pinned_outputs(tmp_path_factory, tmp_path) == PINNED_DIGESTS
+
+
+def test_outputs_match_pinned_digests_with_ranged_parse(tmp_path_factory, tmp_path,
+                                                        monkeypatch):
+    # each corpus parse cut into three ranges, two of them parsed by workers
+    parsed = []
+
+    def parse_ranges(*args):
+        parsed.append(parse_ranges.real(*args))
+        return parsed[-1]
+
+    parse_ranges.real = formats._parse_ranges
+    monkeypatch.setattr(formats, "MIN_RANGE_BYTES", 1)
+    monkeypatch.setattr(formats, "_cpu_count", lambda: 3)
+    monkeypatch.setattr(formats, "_parse_ranges", parse_ranges)
+    assert pinned_outputs(tmp_path_factory, tmp_path) == PINNED_DIGESTS
+    # eight trainings, one selection and two reranks, none parsed serially
+    assert len(parsed) == 11 and None not in parsed
 
 
 def test_usage_error_exits_1(data, capsys):
@@ -175,6 +198,29 @@ def test_malformed_corpus_exits_2_with_line(data, model, tmp_path, capsys, line,
     err = capsys.readouterr().err
     assert code == 2
     assert f"line 2: {message}" in err
+
+
+def test_malformed_corpus_exits_before_numpy_is_imported(data, model, tmp_path):
+    # the corpus parse forks its workers before numpy starts a thread pool
+    corpus = write_corpus_with(data, tmp_path, '{"doc_id": "x", "title": "t"')
+    runs = [["train", "--mode", "best", "--qrels", str(data / "qrels.txt")],
+            ["select", "--model", str(model)], ["rerank", "--model", str(model)]]
+    script = ("import sys\n"
+              "from segtrain import formats\n"
+              "from segtrain.cli import main\n"
+              "formats.MIN_RANGE_BYTES = 1\n"
+              "formats._cpu_count = lambda: 3\n"
+              f"for args in {runs!r}:\n"
+              f"    args += {inputs(data, corpus=corpus)!r}\n"
+              f"    assert main([*args, '--out', {str(tmp_path / 'out')!r}]) == 2\n"
+              "    assert 'numpy' not in sys.modules\n")
+    src = str(Path(segtrain.__file__).resolve().parent.parent)
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                            text=True, timeout=120,
+                            env={**os.environ, "PYTHONPATH": src})
+    assert result.returncode == 0, result.stderr
+    assert result.stderr.count("segtrain: error: line 2: bad JSON") == 3
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command", ["train", "select", "rerank"])
@@ -419,6 +465,25 @@ def test_eval_commands_do_not_import_numpy(trec):
                             env={**os.environ, "PYTHONPATH": src})
     assert result.returncode == 0, result.stderr
     assert "segment_p_at_1=1.000000" in result.stdout
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("eval", "--seed"), ("eval", "--out"),
+    ("eval-selection", "--seed"), ("eval-selection", "--out"),
+    ("eval-selection", "--config"),
+])
+def test_eval_commands_take_only_the_flags_they_read(trec, capsys, command, flag):
+    (trec / "selection.jsonl").write_text(SELECTION)
+    (trec / "gold.jsonl").write_text(GOLD)
+    out = trec / "out"
+    args = {"eval": ["--run", str(trec / "run.txt"), "--qrels", str(trec / "qrels.txt")],
+            "eval-selection": ["--selection", str(trec / "selection.jsonl"),
+                               "--gold", str(trec / "gold.jsonl")]}[command]
+    with pytest.raises(SystemExit) as info:
+        main([command, flag, "5" if flag == "--seed" else str(out), *args])
+    assert info.value.code == 1
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("line", [

@@ -1,16 +1,20 @@
 import ast
+import contextlib
 import dataclasses
 import io
 import json
+import os
 import re
+import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from segtrain.corpus import Document, Query, average_segment_length, compute_corpus_stats
-from segtrain import scorer, synth, training
+from segtrain import formats, scorer, synth, training
 from segtrain.formats import (
     SCORER_KINDS,
     ConfigError,
@@ -150,6 +154,118 @@ class TestCorpusViews:
             assert views[doc_id] == doc.view(doc_terms.get(doc_id, ()))
         assert df == compute_corpus_stats(list(documents.values()), 512,
                                           terms).document_frequency
+
+
+RANGE_WORDS = ["alpha", "Beta", "γάμμα", "ß", "naïve", "9", "\u2028", ".", "!"]
+BAD_LINES = ['{"doc_id": "x", "title": "t"', "5", '{"doc_id": "d0", "title": "", "body": ""}']
+
+
+@st.composite
+def corpus_files(draw):
+    """The lines of a corpus file, the ending of each and the indices of
+    the lines at which ranges start: up to four ranges.  Bodies may be
+    non-ASCII, some lines are blank, and some examples hold a malformed
+    line or repeat doc_id d0."""
+    records = draw(st.lists(st.tuples(st.lists(st.sampled_from(RANGE_WORDS), max_size=12),
+                                      st.sampled_from(RANGE_WORDS), st.booleans()),
+                            min_size=1, max_size=8))
+    lines = [json.dumps({"doc_id": f"d{i}", "title": title, "body": " ".join(body)},
+                        ensure_ascii=ascii_only)
+             for i, (body, title, ascii_only) in enumerate(records)]
+    extra = draw(st.lists(st.sampled_from(["", "  ", "\t"]), max_size=3))
+    extra += draw(st.lists(st.sampled_from(BAD_LINES), max_size=2))
+    for line in extra:
+        lines.insert(draw(st.integers(0, len(lines))), line)
+    endings = draw(st.lists(st.sampled_from(["\n", "\r\n"]), min_size=len(lines),
+                            max_size=len(lines)))
+    if draw(st.booleans()):
+        endings[-1] = ""  # no newline at the end of the file
+    starts = (draw(st.sets(st.sampled_from(range(1, len(lines))), max_size=3))
+              if len(lines) > 1 else set())
+    return lines, endings, starts
+
+
+class TestRangedParse:
+    """A corpus file parsed in line-aligned ranges, all but the first in
+    forked workers, gives what the serial parse gives: the same views in
+    the same order, document frequency in the same key order, or the
+    same error."""
+
+    @staticmethod
+    def parse(path: Path, doc_terms: dict, bounds: list[int] | None = None):
+        """parse_corpus of the file at `path`, or its error text; with
+        `bounds`, cut into those ranges."""
+        with contextlib.ExitStack() as stack:
+            if bounds is not None:
+                stack.enter_context(mock.patch.object(formats, "MIN_RANGE_BYTES", 1))
+                stack.enter_context(mock.patch.object(formats, "_cpu_count", lambda: 4))
+                stack.enter_context(mock.patch.object(formats, "_line_bounds",
+                                                      lambda fd, size, count: bounds))
+                ranged = stack.enter_context(mock.patch.object(
+                    formats, "_parse_ranges", wraps=formats._parse_ranges))
+            stream = stack.enter_context(open(path))
+            try:
+                views, df = parse_corpus(stream, doc_terms)
+                parsed = list(views.items()), list(df.items())
+            except ParseError as exc:
+                parsed = str(exc)
+            if bounds is not None:
+                assert ranged.call_count == 1
+        with pytest.raises(ChildProcessError):  # every worker was reaped
+            os.waitpid(-1, os.WNOHANG)
+        return parsed
+
+    @settings(max_examples=80, deadline=None)
+    @given(corpus_files(),
+           st.dictionaries(st.sampled_from(["d0", "d1", "d2", "d5"]),
+                           st.sets(st.sampled_from(["alpha", "beta", "γάμμα", "ß", "9"]))))
+    @example((['{"doc_id": "d0", "title": "a", "body": "alpha."}', "",
+               '{"doc_id": "d1", "title": "b", "body": "beta."}', BAD_LINES[0]],
+              ["\n", "\r\n", "\n", "\n"], {1, 3}), {"d0": {"alpha"}})
+    @example((['{"doc_id": "d0", "title": "a", "body": "alpha."}',
+               '{"doc_id": "d1", "title": "b", "body": "beta."}', BAD_LINES[2]],
+              ["\n", "\n", "\n"], {2}), {})
+    @example((['{"doc_id": "d0", "title": "a", "body": "alpha."}', BAD_LINES[1],
+               '{"doc_id": "d1", "title": "b", "body": "beta."}', BAD_LINES[0]],
+              ["\n", "\n", "\n", "\n"], {1, 3}), {})
+    @example((['{"doc_id": "d0", "title": "a", "body": "alpha."}',
+               '{"doc_id": "d1", "title": "b", "body": "beta."}', BAD_LINES[0],
+               '{"doc_id": "d2", "title": "c", "body": "ß."}', BAD_LINES[1]],
+              ["\n", "\n", "\n", "\n", ""], {2, 4}), {})
+    def test_ranged_parse_equals_serial(self, corpus, doc_terms):
+        lines, endings, starts = corpus
+        encoded = [(line + end).encode() for line, end in zip(lines, endings)]
+        offsets = [len(b"".join(encoded[:i])) for i in range(len(encoded) + 1)]
+        bounds = [0, *(offsets[i] for i in sorted(starts)), offsets[-1]]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "corpus.jsonl"
+            path.write_bytes(b"".join(encoded))
+            assert self.parse(path, doc_terms, bounds) == self.parse(path, doc_terms)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.sampled_from([b"a", b"\n", b"\r", "δ".encode()]), min_size=1),
+           st.integers(1, 6))
+    @example([b"x" * 200_000, b"\n", b"y" * 10, b"\n"], 2)  # a line over one read
+    def test_line_bounds_cut_after_newlines(self, pieces, count):
+        data = b"".join(pieces)
+        with tempfile.TemporaryFile() as file:
+            file.write(data)
+            file.flush()
+            bounds = formats._line_bounds(file.fileno(), len(data), count)
+        assert bounds[0] == 0 and bounds[-1] == len(data)
+        assert bounds == sorted(set(bounds)) and len(bounds) - 1 <= count
+        assert all(data[cut - 1:cut] == b"\n" for cut in bounds[1:-1])
+
+    def test_streams_that_parse_serially(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        path.write_text(GOOD + "\n")
+        with open(path) as stream:
+            assert formats._range_fd(stream) == stream.fileno()
+            stream.readline()  # no longer at the start
+            assert formats._range_fd(stream) is None
+        with open(path, encoding="utf-16") as stream:
+            assert formats._range_fd(stream) is None
+        assert formats._range_fd(io.StringIO(GOOD)) is None
 
 
 GOOD = '{"doc_id": "d1", "title": "t", "body": "a b."}'
@@ -410,7 +526,8 @@ def test_gold_round_trip(gold):
 # A string value is stripped and cut at '#' by the parser.
 config_text = line_text.filter(lambda s: "#" not in s and s == s.strip())
 POSITIVE_KEYS = ("hidden_dim", "epochs", "batch_size", "patience_epochs", "max_segments",
-                 "max_iterations", "max_tokens", "min_tokens", "mrr_cutoff", "ndcg_k",
+                 "max_iterations", "iteration_patience", "max_tokens", "min_tokens",
+                 "mrr_cutoff", "ndcg_k",
                  "num_queries", "sentences_per_doc", "tokens_per_sentence", "vocab_size",
                  "query_terms")
 NON_NEGATIVE_KEYS = ("seed", "learning_rate", "negatives_per_positive",
@@ -447,6 +564,7 @@ def configs(draw, valid=True):
                           ("query_terms", "tokens_per_sentence")):
             values[low], values[high] = sorted((values[low], values[high]))
         values["plant_hi"] = values["plant_lo"] + draw(st.integers(1, 10**6))
+        values["max_segments"] = max(values["max_segments"], values["plant_hi"])
         values["vocab_size"] = (values["num_queries"] * values["query_terms"]
                                 + draw(st.integers(1, 10**6)))
     return values
@@ -474,6 +592,7 @@ def rejected_line(values: dict) -> int | None:
     for keys, rejected in (
             (("min_tokens", "max_tokens"), values["min_tokens"] > values["max_tokens"]),
             (("plant_lo", "plant_hi"), values["plant_lo"] >= values["plant_hi"]),
+            (("plant_hi", "max_segments"), values["plant_hi"] > values["max_segments"]),
             (("query_terms", "tokens_per_sentence"),
              values["query_terms"] > values["tokens_per_sentence"]),
             (("num_queries", "query_terms", "vocab_size"),
@@ -516,6 +635,8 @@ def test_config_rejects_each_out_of_range_value_at_its_line(values):
     ("min_tokens=0", "min_tokens must be positive"),
     ("max_segments=0", "max_segments must be positive"),
     ("max_iterations=0", "max_iterations must be positive"),
+    ("iteration_patience=0", "iteration_patience must be positive, got 0"),
+    ("iteration_patience=-3", "iteration_patience must be positive, got -3"),
     ("num_queries=0", "num_queries must be positive"),
     ("docs_per_query=0", "docs_per_query must be at least 2"),
     ("docs_per_query=1", "docs_per_query must be at least 2"),
@@ -536,6 +657,8 @@ def test_config_rejects_each_out_of_range_value_at_its_line(values):
     ("plant_lo=-1", "plant_lo must be non-negative"),
     ("plant_lo=4", "plant_lo=4 is not below plant_hi=4"),
     ("plant_hi=0", "plant_lo=0 is not below plant_hi=0"),
+    ("plant_hi=5", "plant_hi=5 exceeds max_segments=4"),
+    ("max_segments=3", "plant_hi=4 exceeds max_segments=3"),
     ("dev_fraction=0", "dev_fraction must be in (0, 1)"),
     ("dev_fraction=1.0", "dev_fraction must be in (0, 1)"),
     ("dev_fraction=nan", "dev_fraction must be in (0, 1)"),
@@ -564,6 +687,11 @@ def test_config_token_bounds_error_names_the_later_line():
     text = "vocab_size=100\nnum_queries=10\nquery_terms=10\nseed=2\n"
     with pytest.raises(ParseError, match="^line 3: vocab_size=100 leaves no background"):
         parse_config(io.StringIO(text))
+    for text, line_no in (("max_segments=2\nseed=1\nplant_hi=3\n", 3),
+                          ("plant_hi=3\nmax_segments=2\nseed=1\n", 2)):
+        with pytest.raises(ParseError, match=f"^line {line_no}: plant_hi=3 exceeds "
+                                             "max_segments=2"):
+            parse_config(io.StringIO(text))
 
 
 def test_config_kinds_are_the_scorers():

@@ -104,6 +104,8 @@ def test_noise_zero_plants_every_term_noise_one_none():
     ({"query_terms": 17}, "query terms cannot exceed sentence length"),
     ({"vocab_size": 24}, "vocab_size must exceed the reserved query terms"),
     ({"seed": -1}, "the seed must be non-negative"),
+    ({"plant_hi": 5}, "the plant range must lie in the training segments"),
+    ({"max_segments": 2}, "the plant range must lie in the training segments"),
 ])
 def test_config_errors(changes, rule):
     # `rule` names the rule each case breaks; the error names every field
@@ -116,5 +118,6 @@ def test_config_errors(changes, rule):
 
 
 def test_generation_errors():
-    with pytest.raises(ValueError, match="exceeds the"):
-        generate_corpus(small(plant_lo=5, plant_hi=6))
+    # the configuration allows plant_hi=4 segments; a two-sentence document has fewer
+    with pytest.raises(ValueError, match="exceeds the [12] training segments"):
+        generate_corpus(small(sentences_per_doc=2, plant_hi=4))
