@@ -7,7 +7,9 @@ Each subcommand imports the numpy-backed layers (ranking, scorer,
 synth, training) itself, so `eval` and `eval-selection` never load
 numpy.  `train`, `select` and `rerank` import them only after
 `_load_pools`, so the corpus parse forks its workers from a process
-that has no numpy thread pool yet.
+that has no numpy thread pool yet.  The first of them to read a corpus
+of 8 MiB or more leaves `<corpus>.views` beside it, from which the
+others load the parsed corpus (see `formats.parse_corpus`).
 """
 
 from __future__ import annotations

@@ -15,7 +15,14 @@ CPU the process may use: it is cut into byte ranges of whole lines,
 forked workers parse all but the first, and the parts are merged in
 file order, so the result equals the serial parse.  A failing range,
 or a doc_id repeated across ranges, sends the file to the serial
-parse, which reports the error at its line.
+parse, which reports the error at its line.  A corpus file of 8 MiB or
+more keeps what `parse_corpus` returns in `<corpus file>.views`, a
+JSON-lines file beside it, keyed by the file's size and CRC-32, the
+stream's encoding and error handler, the scored terms and a CRC-32 of
+the code that builds the views.  Only a successful parse writes it, so
+no cache matches a malformed corpus; any other key or a damaged cache
+is a miss that parses the text again, and deleting the cache is always
+safe.
 
 The module also owns all configuration, without importing numpy:
 `TrainConfig` and `SynthConfig` (which `training`, `synth` and, for
@@ -37,10 +44,12 @@ import os
 import pickle
 import signal
 import stat
+import sys
 import threading
+import zlib
 from collections import Counter
 from dataclasses import dataclass
-from typing import IO, Any, Callable, Iterable, Iterator
+from typing import IO, Any, Callable, Iterable, Iterator, NamedTuple
 
 from .corpus import (
     DEFAULT_MAX_SEGMENTS,
@@ -208,6 +217,20 @@ def parse_documents(stream: IO[str]) -> dict[str, Document]:
 # smaller corpus parses in the calling process alone.
 MIN_RANGE_BYTES = 4 << 20
 
+# A corpus file of at least this many bytes keeps its parse in a views
+# cache beside it; a smaller one parses in milliseconds.
+MIN_CACHED_BYTES = 8 << 20
+
+# The version of the views cache layout; a cache of any other is a miss.
+# The key also holds a CRC-32 of the code that builds the views, so a
+# change to the tokenizer invalidates every cache without a bump here.
+VIEWS_FORMAT = 1
+
+# The sources that build a corpus's views: this module and `corpus`.
+_PARSER_SOURCES = (__file__, os.path.join(os.path.dirname(__file__), "corpus.py"))
+
+_CRC_CHUNK = 256 << 10
+
 _Views = tuple[dict[str, DocView], Counter]
 
 
@@ -220,6 +243,30 @@ def parse_corpus(stream: IO[str], doc_terms: dict[str, set[str]] | None = None
     records hits of those terms only, and a document it lacks records
     none.  Document frequency counts, over every document, the union of
     those terms.  No token list outlives its document's line.
+
+    A `TextIOWrapper` not yet read from is switched to universal
+    newlines first, so the serial, ranged and cached parses split lines
+    alike, whatever `newline=` the file was opened with.
+
+    A text stream over a regular file of at least `MIN_CACHED_BYTES`,
+    not yet read, whose name is the path of that file, has a views
+    cache beside it: `<name>.views`.  Its key is `VIEWS_FORMAT`, the
+    CRC-32 of the sources of this module and `corpus` (which build the
+    views), the Python version, the file's size and the CRC-32 of its
+    bytes, the stream's encoding and error handler, and `doc_terms`
+    itself.  A cache that holds this key and well-formed views is
+    returned and the text is not read; the bytes it covers passed every
+    check of the parse that wrote it.  Any other cache, missing, stale,
+    truncated or malformed, is a miss: the file is parsed and, if the
+    parse succeeds and the file did not change meanwhile, the cache is
+    replaced atomically.  A cache that cannot be written is skipped, and
+    deleting it is always safe.  The cache holds one entry: a read with
+    other `doc_terms` misses and replaces it.
+
+    The key is a checksum, not a signature, so the cache is trusted as
+    far as the directory that holds it: a corpus in a directory that
+    other users may write to gets no cache, and a cache owned by another
+    user, or reached through a symbolic link, is a miss.
 
     A UTF-8 text stream over a regular file, not yet read, is cut into
     one range of whole lines per CPU this process may use, each of at
@@ -235,6 +282,24 @@ def parse_corpus(stream: IO[str], doc_terms: dict[str, set[str]] | None = None
     same per-range parser.
     """
     doc_terms = doc_terms or {}
+    if isinstance(stream, io.TextIOWrapper):
+        try:
+            stream.reconfigure(newline=None)
+        except io.UnsupportedOperation:  # already read from
+            pass
+    cache = _views_cache(stream, doc_terms)
+    parsed = _load_views(cache) if cache is not None else None
+    if parsed is None:
+        parsed = _parse_text(stream, doc_terms)
+        if cache is not None:
+            _store_views(cache, parsed)
+    return parsed
+
+
+def _parse_text(stream: IO[str], doc_terms: dict[str, set[str]]
+                ) -> tuple[dict[str, DocView], dict[str, int]]:
+    """`parse_corpus` of the text: in ranges when `_range_fd` allows, else
+    serially."""
     parse = functools.partial(_corpus_views, doc_terms=doc_terms,
                               terms=set().union(*doc_terms.values()))
     fd = _range_fd(stream)
@@ -270,6 +335,20 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
+def _file_fd(stream: IO[str]) -> int | None:
+    """The file descriptor under `stream` if it is a text stream over a
+    regular file, not yet read from, else None."""
+    if not isinstance(stream, io.TextIOWrapper):
+        return None
+    try:
+        fd = stream.fileno()
+        if stat.S_ISREG(os.fstat(fd).st_mode) and stream.tell() == 0:
+            return fd
+    except OSError:  # no descriptor, or not seekable
+        pass
+    return None
+
+
 def _range_fd(stream: IO[str]) -> int | None:
     """The file descriptor under `stream` if its ranges may be parsed in
     forked workers, else None.
@@ -282,13 +361,7 @@ def _range_fd(stream: IO[str]) -> int | None:
             and isinstance(stream, io.TextIOWrapper)
             and codecs.lookup(stream.encoding).name == "utf-8"):
         return None
-    try:
-        fd = stream.fileno()
-        if stat.S_ISREG(os.fstat(fd).st_mode) and stream.tell() == 0:
-            return fd
-    except OSError:  # no descriptor, or not seekable
-        pass
-    return None
+    return _file_fd(stream)
 
 
 def _line_bounds(fd: int, size: int, count: int) -> list[int]:
@@ -402,6 +475,131 @@ def _reap(workers: list[tuple[int, int]], kill: bool) -> bool:
         _, status = os.waitpid(pid, 0)
         exited = exited and os.waitstatus_to_exitcode(status) == 0
     return exited
+
+
+class _ViewsCache(NamedTuple):
+    path: str
+    header: str  # the key, as the first line of the cache
+    fd: int  # the corpus file's descriptor
+    corpus: os.stat_result  # the corpus file's, taken before its bytes were read
+
+
+def _views_cache(stream: IO[str], doc_terms: dict[str, set[str]]) -> _ViewsCache | None:
+    """Where the views of the file under `stream` are cached, and their
+    key; None unless `stream` is a text stream, not yet read, over a
+    regular file of at least `MIN_CACHED_BYTES` that `stream.name` names,
+    in a directory that other users may not write to."""
+    fd = _file_fd(stream)
+    if fd is None or not isinstance(stream.name, str):
+        return None
+    info = os.fstat(fd)
+    if info.st_size < MIN_CACHED_BYTES:
+        return None
+    crc = 0
+    try:
+        directory = os.stat(os.path.dirname(stream.name) or os.curdir)
+        if (directory.st_mode & stat.S_IWOTH
+                or not os.path.samestat(info, os.stat(stream.name))):
+            return None
+        code = _parser_crc()
+        for offset in range(0, info.st_size, _CRC_CHUNK):
+            crc = zlib.crc32(os.pread(fd, _CRC_CHUNK, offset), crc)
+    except OSError:
+        return None
+    key = {"format": VIEWS_FORMAT, "code": code, "python": sys.version,
+           "size": info.st_size, "crc32": crc,
+           "encoding": codecs.lookup(stream.encoding).name, "errors": stream.errors,
+           "doc_terms": [[doc_id, sorted(doc_terms[doc_id])]
+                         for doc_id in sorted(doc_terms)]}
+    return _ViewsCache(stream.name + ".views", json.dumps(key, sort_keys=True), fd, info)
+
+
+def _parser_crc() -> int:
+    """The CRC-32 of the sources in `_PARSER_SOURCES`; an `OSError` if
+    one cannot be read."""
+    crc = 0
+    for path in _PARSER_SOURCES:
+        with open(path, "rb") as file:
+            crc = zlib.crc32(file.read(), crc)
+    return crc
+
+
+def _load_views(cache: _ViewsCache) -> tuple[dict[str, DocView], dict[str, int]] | None:
+    """The parse that `cache` holds, or None if its file is missing, not
+    a regular file owned by this process's user, keyed otherwise or not
+    exactly the shape `_store_views` writes."""
+    try:
+        # neither follows a link nor blocks on a FIFO
+        fd = os.open(cache.path, os.O_RDONLY | os.O_NOFOLLOW | os.O_NONBLOCK)
+    except OSError:
+        return None
+    try:
+        info = os.fstat(fd)
+        if not stat.S_ISREG(info.st_mode) or info.st_uid != os.geteuid():
+            return None
+        with open(fd, "rb", closefd=False) as file:
+            if file.readline() != cache.header.encode() + b"\n":
+                return None
+            *entries, pairs = map(json.loads, file)
+        views = {}
+        for entry in entries:
+            doc_id, title_length, lengths, hits = entry
+            hits = [(offset, term) for offset, term in _list(hits)]
+            if not (type(doc_id) is str and type(title_length) is int
+                    and all(type(n) is int for n in _list(lengths))
+                    and all(type(o) is int and type(t) is str for o, t in hits)):
+                return None
+            views[doc_id] = DocView(doc_id, title_length, lengths, hits)
+        df = {term: count for term, count in _list(pairs)
+              if type(term) is str and type(count) is int}
+    except (OSError, ValueError, TypeError, RecursionError):
+        return None
+    finally:
+        os.close(fd)
+    if len(views) != len(entries) or len(df) != len(pairs):  # a repeat, or a bad pair
+        return None
+    return views, df
+
+
+def _list(value) -> list:
+    """`value` if it is a JSON array; a `TypeError` otherwise."""
+    if type(value) is not list:
+        raise TypeError("expected a list")
+    return value
+
+
+def _store_views(cache: _ViewsCache,
+                 parsed: tuple[dict[str, DocView], dict[str, int]]) -> None:
+    """Write `parsed` to `cache` in JSON lines: its header, one line per
+    view in order, and the document frequency in key order.
+
+    Nothing is written if the corpus file changed while it was parsed.
+    The file is written beside its final name and renamed over it, so a
+    reader sees the old cache or the new one.  A failure leaves no file
+    behind and is ignored: the cache only saves time.
+    """
+    now = os.fstat(cache.fd)
+    if (now.st_size, now.st_mtime_ns) != (cache.corpus.st_size, cache.corpus.st_mtime_ns):
+        return
+    views, df = parsed
+    temp = f"{cache.path}.{os.urandom(8).hex()}.tmp"
+    try:  # a new file: O_EXCL follows no link planted at its name
+        fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError:
+        return
+    try:
+        with open(fd, "w", encoding="ascii", newline="\n") as file:
+            file.write(cache.header + "\n")
+            for v in views.values():
+                file.write(json.dumps([v.id, v.title_length, v.sentence_lengths,
+                                       v.hits]) + "\n")
+            file.write(json.dumps(list(df.items())) + "\n")
+        os.replace(temp, cache.path)
+    except OSError:
+        try:
+            os.unlink(temp)
+        except OSError:
+            pass
 
 
 # ---------------------------------------------------------------------------

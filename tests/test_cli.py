@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -168,6 +169,26 @@ def test_outputs_match_pinned_digests_with_ranged_parse(tmp_path_factory, tmp_pa
     assert len(parsed) == 11 and None not in parsed
 
 
+def test_outputs_match_pinned_digests_with_cached_views(tmp_path_factory, tmp_path,
+                                                        monkeypatch):
+    # the first training parses the corpus and caches its views, and the
+    # ten later corpus reads load them
+    loaded = []
+
+    def load_views(*args):
+        loaded.append(load_views.real(*args))
+        return loaded[-1]
+
+    load_views.real = formats._load_views
+    tokenized = mock.Mock(wraps=formats._corpus_views)
+    monkeypatch.setattr(formats, "MIN_CACHED_BYTES", 1)
+    monkeypatch.setattr(formats, "_load_views", load_views)
+    monkeypatch.setattr(formats, "_corpus_views", tokenized)
+    assert pinned_outputs(tmp_path_factory, tmp_path) == PINNED_DIGESTS
+    assert tokenized.call_count == 1
+    assert len(loaded) == 11 and loaded[0] is None and None not in loaded[1:]
+
+
 def test_usage_error_exits_1(data, capsys):
     with pytest.raises(SystemExit) as info:
         main(["rerank", *inputs(data), "--mode", "bogus"])
@@ -221,6 +242,24 @@ def test_malformed_corpus_exits_before_numpy_is_imported(data, model, tmp_path):
     assert result.returncode == 0, result.stderr
     assert result.stderr.count("segtrain: error: line 2: bad JSON") == 3
     assert not (tmp_path / "out").exists()
+
+
+def test_malformed_corpus_exits_2_with_line_despite_its_cache(data, model, tmp_path,
+                                                              capsys, monkeypatch):
+    monkeypatch.setattr(formats, "MIN_CACHED_BYTES", 1)
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_bytes((data / "corpus.jsonl").read_bytes())
+    qrels = ["--qrels", str(data / "qrels.txt")]
+    assert main(["train", "--mode", "best", *inputs(data, corpus=corpus), *qrels,
+                 "--out", str(tmp_path / "model.txt")]) == 0
+    assert (tmp_path / "corpus.jsonl.views").exists()
+    write_corpus_with(data, tmp_path, '{"doc_id": "x", "title": "t"')
+    for args in (["train", "--mode", "best", *qrels], ["select", "--model", str(model)],
+                 ["rerank", "--model", str(model)]):
+        capsys.readouterr()
+        assert main([*args, *inputs(data, corpus=corpus),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert "line 2: bad JSON" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["train", "select", "rerank"])

@@ -4,7 +4,9 @@ import dataclasses
 import io
 import json
 import os
+import inspect
 import re
+import sys
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -13,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from segtrain import corpus as corpus_module
 from segtrain.corpus import Document, Query, average_segment_length, compute_corpus_stats
 from segtrain import formats, scorer, synth, training
 from segtrain.formats import (
@@ -185,6 +188,18 @@ def corpus_files(draw):
     return lines, endings, starts
 
 
+def corpus_bytes(corpus) -> tuple[bytes, list[int]]:
+    """The file of a `corpus_files` example, and the bounds of its ranges."""
+    lines, endings, starts = corpus
+    encoded = [(line + end).encode() for line, end in zip(lines, endings)]
+    offsets = [len(b"".join(encoded[:i])) for i in range(len(encoded) + 1)]
+    return b"".join(encoded), [0, *(offsets[i] for i in sorted(starts)), offsets[-1]]
+
+
+scored_terms = st.dictionaries(st.sampled_from(["d0", "d1", "d2", "d5"]),
+                               st.sets(st.sampled_from(["alpha", "beta", "γάμμα", "ß", "9"])))
+
+
 class TestRangedParse:
     """A corpus file parsed in line-aligned ranges, all but the first in
     forked workers, gives what the serial parse gives: the same views in
@@ -192,10 +207,14 @@ class TestRangedParse:
     same error."""
 
     @staticmethod
-    def parse(path: Path, doc_terms: dict, bounds: list[int] | None = None):
+    def parse(path: Path, doc_terms: dict, bounds: list[int] | None = None,
+              cached: bool = False):
         """parse_corpus of the file at `path`, or its error text; with
-        `bounds`, cut into those ranges."""
+        `bounds`, cut into those ranges; if `cached`, through its views
+        cache."""
         with contextlib.ExitStack() as stack:
+            if cached:
+                stack.enter_context(mock.patch.object(formats, "MIN_CACHED_BYTES", 1))
             if bounds is not None:
                 stack.enter_context(mock.patch.object(formats, "MIN_RANGE_BYTES", 1))
                 stack.enter_context(mock.patch.object(formats, "_cpu_count", lambda: 4))
@@ -216,9 +235,7 @@ class TestRangedParse:
         return parsed
 
     @settings(max_examples=80, deadline=None)
-    @given(corpus_files(),
-           st.dictionaries(st.sampled_from(["d0", "d1", "d2", "d5"]),
-                           st.sets(st.sampled_from(["alpha", "beta", "γάμμα", "ß", "9"]))))
+    @given(corpus_files(), scored_terms)
     @example((['{"doc_id": "d0", "title": "a", "body": "alpha."}', "",
                '{"doc_id": "d1", "title": "b", "body": "beta."}', BAD_LINES[0]],
               ["\n", "\r\n", "\n", "\n"], {1, 3}), {"d0": {"alpha"}})
@@ -233,13 +250,10 @@ class TestRangedParse:
                '{"doc_id": "d2", "title": "c", "body": "ß."}', BAD_LINES[1]],
               ["\n", "\n", "\n", "\n", ""], {2, 4}), {})
     def test_ranged_parse_equals_serial(self, corpus, doc_terms):
-        lines, endings, starts = corpus
-        encoded = [(line + end).encode() for line, end in zip(lines, endings)]
-        offsets = [len(b"".join(encoded[:i])) for i in range(len(encoded) + 1)]
-        bounds = [0, *(offsets[i] for i in sorted(starts)), offsets[-1]]
+        data, bounds = corpus_bytes(corpus)
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "corpus.jsonl"
-            path.write_bytes(b"".join(encoded))
+            path.write_bytes(data)
             assert self.parse(path, doc_terms, bounds) == self.parse(path, doc_terms)
 
     @settings(max_examples=100, deadline=None)
@@ -266,6 +280,262 @@ class TestRangedParse:
         with open(path, encoding="utf-16") as stream:
             assert formats._range_fd(stream) is None
         assert formats._range_fd(io.StringIO(GOOD)) is None
+
+
+def doc_line(doc_id: str, body: str = "alpha beta.") -> str:
+    return json.dumps({"doc_id": doc_id, "title": "alpha", "body": body})
+
+
+CACHED_CORPUS = "".join(doc_line(f"d{i}", body) + "\n" for i, body in
+                        enumerate(["alpha beta.", "beta gamma. alpha.", "ß 9."]))
+CACHED_TERMS = {"d0": {"alpha"}, "d1": {"alpha", "beta"}}
+
+
+def edit_views(edit):
+    """A corruption that applies `edit` to the list of cached views and
+    writes them back as valid JSON lines."""
+    def corrupt(data: bytes) -> bytes:
+        header, *lines, df, end = data.split(b"\n")
+        views = [json.loads(line) for line in lines]
+        edit(views)
+        return b"\n".join([header, *(json.dumps(view).encode() for view in views), df, end])
+    return corrupt
+
+
+def set_line(index: int, line: bytes):
+    def corrupt(data: bytes) -> bytes:
+        lines = data.split(b"\n")
+        lines[index] = line
+        return b"\n".join(lines)
+    return corrupt
+
+
+CORRUPTIONS = {
+    "truncated": lambda data: data[:len(data) // 2],
+    "truncated after the views": lambda data: data[:data.rindex(b"\n", 0, -1) + 1],
+    "empty": lambda data: b"",
+    "extra line": lambda data: data + b"[]\n",
+    "bytes after the last line": lambda data: data + b"[]",
+    "not JSON": set_line(1, b"\xff\x00{[ not json"),
+    "nested too deep": set_line(1, b"[" * 100_000),
+    "view an object": set_line(1, b'{"d0": [1, [2], []]}'),
+    "view too short": edit_views(lambda views: views[0].pop()),
+    "title length a string": edit_views(lambda views: views[0].__setitem__(1, "1")),
+    "sentence length a bool": edit_views(lambda views: views[0].__setitem__(2, [True])),
+    "sentence lengths a string": edit_views(lambda views: views[0].__setitem__(2, "")),
+    "hits a string": edit_views(lambda views: views[0].__setitem__(3, "")),
+    "hit of three fields": edit_views(lambda views: views[0].__setitem__(3, [[0, "a", 1]])),
+    "hit term a number": edit_views(lambda views: views[0].__setitem__(3, [[0, 5]])),
+    "doc_id repeated": edit_views(lambda views: views.append(views[0])),
+    "df an object": set_line(-2, b'{"alpha": 2}'),
+    "df a string": set_line(-2, b'""'),
+    "df count a float": set_line(-2, b'[["alpha", 2.0]]'),
+    "df term repeated": set_line(-2, b'[["alpha", 2], ["alpha", 2]]'),
+}
+
+
+class TestViewsCache:
+    """A corpus file of at least `MIN_CACHED_BYTES` keeps its parse in
+    `<file>.views`.  A hit gives what a fresh parse gives without
+    tokenizing the text; any other cache is a miss, which parses the
+    text and rewrites the cache."""
+
+    @staticmethod
+    def parse(path: Path, doc_terms: dict, errors: str = "strict", **patches):
+        """parse_corpus of the file at `path` through its cache, and
+        whether that was a hit."""
+        with contextlib.ExitStack() as stack:
+            for name, value in {"MIN_CACHED_BYTES": 1, **patches}.items():
+                stack.enter_context(mock.patch.object(formats, name, value))
+            tokenized = stack.enter_context(mock.patch.object(
+                formats, "_corpus_views", wraps=formats._corpus_views))
+            with open(path, errors=errors) as stream:
+                views, df = parse_corpus(stream, doc_terms)
+        return (list(views.items()), list(df.items())), tokenized.call_count == 0
+
+    @staticmethod
+    def corpus(tmp_path: Path) -> Path:
+        path = tmp_path / "corpus.jsonl"
+        path.write_text(CACHED_CORPUS)
+        return path
+
+    @settings(max_examples=60, deadline=None)
+    @given(corpus_files(), scored_terms, st.booleans())
+    def test_hit_equals_fresh_parse(self, corpus, doc_terms, ranged):
+        data, bounds = corpus_bytes(corpus)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "corpus.jsonl"
+            path.write_bytes(data)
+            fresh = TestRangedParse.parse(path, doc_terms)
+            assert not Path(f"{path}.views").exists()  # under MIN_CACHED_BYTES
+            miss = TestRangedParse.parse(path, doc_terms, bounds if ranged else None,
+                                         cached=True)
+            assert miss == fresh
+            # only a parse that succeeds writes the cache
+            assert Path(f"{path}.views").exists() == (not isinstance(fresh, str))
+            if not isinstance(fresh, str):
+                assert self.parse(path, doc_terms) == (fresh, True)
+
+    @pytest.mark.parametrize("change", ["one byte", "doc_terms", "format version",
+                                        "parser source", "python version"])
+    def test_a_changed_key_is_a_miss(self, tmp_path, change):
+        path = self.corpus(tmp_path)
+        cached, hit = self.parse(path, CACHED_TERMS)
+        assert not hit and self.parse(path, CACHED_TERMS) == (cached, True)
+        doc_terms, patches, python = CACHED_TERMS, {}, sys.version
+        if change == "one byte":  # same size and modification time
+            times = os.stat(path).st_atime_ns, os.stat(path).st_mtime_ns
+            path.write_text(CACHED_CORPUS.replace("gamma", "alpha"))
+            os.utime(path, ns=times)
+        elif change == "doc_terms":
+            doc_terms = {**CACHED_TERMS, "d2": {"9"}}
+        elif change == "format version":
+            patches = {"VIEWS_FORMAT": formats.VIEWS_FORMAT + 1}
+        elif change == "parser source":
+            patches = {"_parser_crc": lambda crc=formats._parser_crc(): crc ^ 1}
+        else:
+            python += "+"
+        fresh = TestRangedParse.parse(path, doc_terms)
+        assert (fresh == cached) == (change not in ("one byte", "doc_terms"))
+        with mock.patch.object(sys, "version", python):
+            assert self.parse(path, doc_terms, **patches) == (fresh, False)
+            assert self.parse(path, doc_terms, **patches) == (fresh, True)
+
+    def test_the_key_covers_the_code_that_builds_views(self, tmp_path):
+        builders = [corpus_module.tokenize, corpus_module._sentence_tokens,
+                    corpus_module.view_from_text, corpus_module.DocView,
+                    formats._corpus_views, formats._corpus_records, formats._parse_text]
+        sources = {os.path.realpath(path) for path in formats._PARSER_SOURCES}
+        assert {os.path.realpath(inspect.getsourcefile(f)) for f in builders} <= sources
+        copies = []
+        for path in formats._PARSER_SOURCES:
+            copies.append(tmp_path / Path(path).name)
+            copies[-1].write_bytes(Path(path).read_bytes())
+        crc = formats._parser_crc()
+        with mock.patch.object(formats, "_PARSER_SOURCES", copies):
+            assert formats._parser_crc() == crc
+            for copy in copies:  # one byte more in either source changes the key
+                copy.write_bytes(copy.read_bytes() + b"#")
+                assert formats._parser_crc() != crc
+                copy.write_bytes(copy.read_bytes()[:-1])
+
+    def test_replaced_decoding_never_serves_a_strict_reader(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        path.write_bytes(CACHED_CORPUS.encode().replace(b"9", b"\xff"))
+        replaced, hit = self.parse(path, CACHED_TERMS, errors="replace")
+        assert not hit and Path(f"{path}.views").exists()
+        with pytest.raises(UnicodeDecodeError):
+            self.parse(path, CACHED_TERMS)
+        assert self.parse(path, CACHED_TERMS, errors="replace") == (replaced, True)
+
+    @pytest.mark.parametrize("corrupt", CORRUPTIONS.values(), ids=CORRUPTIONS)
+    def test_a_bad_cache_is_a_miss(self, tmp_path, corrupt):
+        path = self.corpus(tmp_path)
+        fresh, _ = self.parse(path, CACHED_TERMS)
+        cache = Path(f"{path}.views")
+        cache.write_bytes(corrupt(cache.read_bytes()))
+        assert self.parse(path, CACHED_TERMS) == (fresh, False)
+        assert self.parse(path, CACHED_TERMS) == (fresh, True)  # rewritten
+
+    @pytest.mark.parametrize("make", [os.mkdir, os.mkfifo], ids=["directory", "fifo"])
+    def test_a_cache_that_is_no_regular_file_is_a_miss(self, tmp_path, make):
+        path = self.corpus(tmp_path)
+        make(tmp_path / "corpus.jsonl.views")
+        fresh = TestRangedParse.parse(path, CACHED_TERMS)
+        assert self.parse(path, CACHED_TERMS) == (fresh, False)  # without blocking
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.jsonl",
+                                                              "corpus.jsonl.views"]
+
+    def test_a_cache_owned_by_another_user_is_a_miss(self, tmp_path):
+        path = self.corpus(tmp_path)
+        fresh, _ = self.parse(path, CACHED_TERMS)
+        with mock.patch.object(os, "geteuid", lambda uid=os.geteuid(): uid + 1):
+            assert self.parse(path, CACHED_TERMS) == (fresh, False)
+
+    def test_a_linked_cache_is_a_miss_and_its_target_is_kept(self, tmp_path):
+        path = self.corpus(tmp_path)
+        fresh, _ = self.parse(path, CACHED_TERMS)
+        cache, target = Path(f"{path}.views"), tmp_path / "elsewhere"
+        cache.rename(target)
+        cache.symlink_to(target)
+        kept = target.read_bytes()
+        assert self.parse(path, CACHED_TERMS) == (fresh, False)
+        assert not cache.is_symlink() and cache.read_bytes() == kept == target.read_bytes()
+
+    def test_a_link_at_the_temporary_name_is_not_followed(self, tmp_path):
+        path = self.corpus(tmp_path)
+        fresh = TestRangedParse.parse(path, CACHED_TERMS)
+        target = tmp_path / "target"
+        target.write_bytes(b"kept")
+        Path(f"{path}.views.{bytes(8).hex()}.tmp").symlink_to(target)
+        with mock.patch.object(os, "urandom", bytes):
+            assert self.parse(path, CACHED_TERMS) == (fresh, False)
+        assert target.read_bytes() == b"kept" and not Path(f"{path}.views").exists()
+
+    def test_a_directory_others_may_write_gets_no_cache(self, tmp_path):
+        path = self.corpus(tmp_path)
+        fresh = TestRangedParse.parse(path, CACHED_TERMS)
+        tmp_path.chmod(0o1777)
+        assert self.parse(path, CACHED_TERMS) == (fresh, False)
+        assert [p.name for p in tmp_path.iterdir()] == ["corpus.jsonl"]
+
+    def test_a_stream_whose_name_names_another_file_gets_no_cache(self, tmp_path):
+        path = self.corpus(tmp_path)
+        fresh = TestRangedParse.parse(path, CACHED_TERMS)
+        with mock.patch.object(formats, "MIN_CACHED_BYTES", 1), open(path) as stream:
+            path.rename(tmp_path / "moved.jsonl")
+            path.write_text(CACHED_CORPUS)
+            views, df = parse_corpus(stream, CACHED_TERMS)
+        assert (list(views.items()), list(df.items())) == fresh
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.jsonl", "moved.jsonl"]
+
+    def test_a_corpus_changed_while_parsed_gets_no_cache(self, tmp_path):
+        path = self.corpus(tmp_path)
+        parse = formats._corpus_views
+
+        def rewrite_then_parse(*args, **kwargs):
+            path.write_text(CACHED_CORPUS.replace("gamma", "alpha"))
+            os.utime(path, ns=(0, 0))
+            return parse(*args, **kwargs)
+
+        with mock.patch.object(formats, "_corpus_views", rewrite_then_parse):
+            self.parse(path, CACHED_TERMS)
+        assert not Path(f"{path}.views").exists()
+
+    @pytest.mark.parametrize("call", ["open", "replace"])
+    def test_an_unwritable_directory_gets_no_cache(self, tmp_path, call):
+        # a read-only directory refuses the temporary file; a full disk can
+        # also refuse its rename
+        path = self.corpus(tmp_path)
+        fresh = TestRangedParse.parse(path, CACHED_TERMS)
+        with mock.patch.object(formats.os, call, side_effect=PermissionError(13, call)):
+            assert self.parse(path, CACHED_TERMS) == (fresh, False)
+        assert [p.name for p in tmp_path.iterdir()] == ["corpus.jsonl"]
+
+
+@pytest.mark.parametrize("how", ["serial", "ranged", "cached"])
+def test_corpus_lines_split_on_universal_newlines(tmp_path, how):
+    # a lone "\r" ends a line, whatever newline= the stream was opened with
+    first = doc_line("a")
+    path = tmp_path / "corpus.jsonl"
+    path.write_bytes(f"{first}\r{doc_line('c')}\n".encode())
+    patches = {"ranged": {"MIN_RANGE_BYTES": 1, "_cpu_count": lambda: 2,
+                          "_line_bounds": lambda fd, size, count: [0, len(first) + 1, size]},
+               "cached": {"MIN_CACHED_BYTES": 1}}.get(how, {})
+    parse_ranges, ranged = formats._parse_ranges, []
+    with contextlib.ExitStack() as stack:
+        for name, value in patches.items():
+            stack.enter_context(mock.patch.object(formats, name, value))
+        stack.enter_context(mock.patch.object(
+            formats, "_parse_ranges",
+            lambda *args: ranged.append(parse_ranges(*args)) or ranged[-1]))
+        tokenized = stack.enter_context(mock.patch.object(
+            formats, "_corpus_views", wraps=formats._corpus_views))
+        for _ in range(2):  # a cached parse is a hit the second time
+            with open(path, newline="\n") as stream:
+                assert list(parse_corpus(stream)[0]) == ["a", "c"]
+    assert tokenized.call_count == (1 if how == "cached" else 2)
+    assert len(ranged) == (2 if how == "ranged" else 0) and None not in ranged
 
 
 GOOD = '{"doc_id": "d1", "title": "t", "body": "a b."}'
