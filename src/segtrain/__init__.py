@@ -14,15 +14,15 @@ _EXPORTS = {
                "split_sentences", "tokenize"),
     "evaluation": ("RankedList", "kfold_split", "mrr", "ndcg_at_k",
                    "paired_t_test", "per_query_metrics", "segment_p_at_1"),
-    "ranking": ("Aggregation", "rerank", "score_document"),
+    "ranking": ("Aggregation",),
     "scorer": ("LossKind", "ScorerParams", "batch_loss_and_gradient",
                "hinge_loss", "init_params", "pointwise_ce_loss", "read_params",
                "segment_features", "sgd_step", "write_params"),
     "synth": ("SynthConfig", "SynthCorpus", "generate_corpus"),
     "training": ("BestTrainResult", "TrainConfig", "TrainingSet",
                  "TrainingTopic", "best_train", "build_training_set",
-                 "evaluate_bundle", "loss_all_segments", "loss_selected",
-                 "select_segments", "train_baseline", "train_single"),
+                 "evaluate_bundle", "rank_store", "select_segments",
+                 "train_baseline", "train_single"),
 }
 _SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
 

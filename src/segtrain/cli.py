@@ -10,6 +10,10 @@ numpy.  `train`, `select` and `rerank` import them only after
 that has no numpy thread pool yet.  The first of them to read a corpus
 of 8 MiB or more leaves `<corpus>.views` beside it, from which the
 others load the parsed corpus (see `formats.parse_corpus`).
+
+`rerank` builds the store `train` builds as its dev set, the inference
+windows of each query's candidates, and ranks it as the dev set is
+ranked, with `training.rank_store`.
 """
 
 from __future__ import annotations
@@ -228,18 +232,15 @@ def _cmd_select(args: argparse.Namespace) -> int:
 def _cmd_rerank(args: argparse.Namespace) -> int:
     config = _load_config(args)
     documents, queries, candidates, stats = _load_pools(args, config)
-    from .ranking import Aggregation, rerank
+    from .ranking import Aggregation
     from .scorer import read_params
+    from .training import build_training_set, rank_store
 
     params = _read(read_params, _path(args, config, "model"))
-    agg = Aggregation(args.mode)
-
-    run = {}
-    for query in queries:
-        pool = [documents[d] for d in candidates.get(query.id, [])]
-        if pool:
-            run[query.id] = rerank(params, query, pool, agg, stats,
-                                   config.max_tokens, config.max_segments)
+    store = build_training_set(queries, {}, candidates, documents,
+                               dataclasses.replace(config.policy(), mode="inference"),
+                               stats)
+    run = rank_store(params, store, Aggregation(args.mode))
     with open(_path(args, config, "out"), "w") as stream:
         formats.write_run(run, args.tag, stream)
     print(f"wrote rankings for {len(run)} queries")

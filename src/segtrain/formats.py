@@ -2,8 +2,10 @@
 
 All parsers report the offending line number on malformed input, and
 every writer/parser pair round-trips (floats to their documented
-formatting precision).  Writers emit rows in a fixed sort order so
-identical inputs always produce byte-identical files.
+formatting precision).  Bytes that a stream cannot decode are reported
+at their line too, if the stream's file can be read again.  Writers
+emit rows in a fixed sort order so identical inputs always produce
+byte-identical files.
 
 The corpus has two readers.  `parse_documents` gives full `Document`s
 and inverts `write_corpus`.  `parse_corpus`, which the commands that
@@ -39,6 +41,7 @@ import dataclasses
 import enum
 import functools
 import io
+import itertools
 import json
 import os
 import pickle
@@ -76,10 +79,48 @@ class ParseError(ValueError):
 
 
 def _lines(stream: IO[str]) -> Iterable[tuple[int, str]]:
-    for line_no, raw in enumerate(stream, start=1):
-        line = raw.rstrip("\n")
-        if line.strip():
-            yield line_no, line
+    try:
+        for line_no, raw in enumerate(stream, start=1):
+            line = raw.rstrip("\n")
+            if line.strip():
+                yield line_no, line
+    except UnicodeDecodeError as exc:
+        raise _decode_error(stream, exc) from None
+
+
+def _decode_error(stream: IO[str], exc: UnicodeDecodeError) -> ParseError:
+    """The `ParseError` for bytes of `stream` that its codec cannot decode.
+
+    A text stream decodes its bytes in chunks ahead of the line being
+    read, so `exc` gives an offset into a chunk, not a line.  The line
+    is found here, off the parse's path, by decoding the file under
+    `stream` again from its start, one line at a time, and counting line
+    breaks as universal newlines do.  A stream whose bytes cannot be
+    read again gets no line number.
+    """
+    found, line_no = exc, None
+    try:
+        stream.buffer.seek(0)
+    except (AttributeError, OSError):  # no bytes to read again
+        pass
+    else:
+        decoder = codecs.getincrementaldecoder(stream.encoding)(stream.errors)
+        breaks = 0
+        for chunk in itertools.chain(stream.buffer, [b""]):
+            try:
+                text = decoder.decode(chunk, final=not chunk)
+            except UnicodeDecodeError as error:
+                prefix = error.object[:error.start].decode(stream.encoding, "replace")
+                found, line_no = error, 1 + breaks + _line_breaks(prefix)
+                break
+            breaks += _line_breaks(text)
+    bad = " ".join(f"0x{byte:02x}" for byte in found.object[found.start:found.end])
+    return ParseError(f"{found.encoding} cannot decode {bad} ({found.reason})", line_no)
+
+
+def _line_breaks(text: str) -> int:
+    """The line breaks in `text`: each "\\n", "\\r" and "\\r\\n"."""
+    return text.count("\n") + text.count("\r") - text.count("\r\n")
 
 
 def _json_line(line: str, line_no: int):
@@ -134,27 +175,30 @@ def parse_run(stream: IO[str]) -> Run:
     """
     rows: dict[str, list[tuple[int, str, float]]] = {}
     qid_now, entries, docs = None, [], set()
-    for line_no, raw in enumerate(stream, 1):
-        fields = raw.split()
-        if not fields:
-            continue
-        if len(fields) != 6:
-            raise ParseError(f"expected 6 fields, got {len(fields)}", line_no)
-        qid, _, doc_id, rank, score, _tag = fields
-        try:
-            entry = (int(rank), doc_id, float(score))
-        except ValueError:
-            raise ParseError("bad rank or score", line_no) from None
-        if entry[0] < 1:
-            raise ParseError(f"rank {entry[0]} is below 1", line_no)
-        if qid != qid_now:
-            qid_now, entries = qid, rows.setdefault(qid, [])
-            docs = {doc for _, doc, _ in entries}
-        if doc_id in docs:
-            raise ParseError(f"duplicate doc_id {doc_id!r} for query {qid!r}",
-                             line_no)
-        docs.add(doc_id)
-        entries.append(entry)
+    try:
+        for line_no, raw in enumerate(stream, 1):
+            fields = raw.split()
+            if not fields:
+                continue
+            if len(fields) != 6:
+                raise ParseError(f"expected 6 fields, got {len(fields)}", line_no)
+            qid, _, doc_id, rank, score, _tag = fields
+            try:
+                entry = (int(rank), doc_id, float(score))
+            except ValueError:
+                raise ParseError("bad rank or score", line_no) from None
+            if entry[0] < 1:
+                raise ParseError(f"rank {entry[0]} is below 1", line_no)
+            if qid != qid_now:
+                qid_now, entries = qid, rows.setdefault(qid, [])
+                docs = {doc for _, doc, _ in entries}
+            if doc_id in docs:
+                raise ParseError(f"duplicate doc_id {doc_id!r} for query {qid!r}",
+                                 line_no)
+            docs.add(doc_id)
+            entries.append(entry)
+    except UnicodeDecodeError as exc:
+        raise _decode_error(stream, exc) from None
     run: Run = {}
     for qid, entries in rows.items():
         entries.sort()

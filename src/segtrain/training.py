@@ -4,8 +4,9 @@ A `TrainingSet` holds topics, the segments of their candidate documents
 and one cached feature matrix per (query, document) pair.  Built with a
 training policy it holds training segments: SGD learns from it and
 `select` picks segments in it.  Built with an inference policy it holds
-the windows `rerank` scores, and serves as the dev set whose MRR stops
-training.
+each candidate's inference windows, and `rank_store` ranks its
+candidates by their aggregated window scores: as the dev set whose MRR
+stops training, and as the pool the `rerank` command ranks.
 
 Training stacks the store's features into one matrix and draws each
 epoch as integer rows of it: (positive row, negative row) pairs for the
@@ -26,8 +27,8 @@ and the best round wins.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass, field
-from math import fsum
 
 import numpy as np
 
@@ -50,9 +51,7 @@ from .ranking import Aggregation, aggregate, rank_by_scores
 from .scorer import (
     ScorerParams,
     batch_loss_and_gradient,
-    hinge_loss,
     init_params,
-    pointwise_ce_loss,
     score_batch,
     segment_features,
     sgd_step,
@@ -67,7 +66,8 @@ class TrainingTopic:
     """A query and its candidates, split by judgment.
 
     A topic without positives adds no training examples; its pairs are
-    still scored by `select_segments` and `evaluate_bundle`.
+    still scored by `select_segments` and `rank_store`.  Each candidate
+    is listed once.
     """
 
     query: Query
@@ -78,6 +78,9 @@ class TrainingTopic:
         overlap = set(self.positives) & set(self.negatives)
         if overlap:
             raise ValueError(f"topic {self.query.id}: docs judged both ways: {overlap}")
+        repeated = sorted(d for d, n in Counter(self.candidates).items() if n > 1)
+        if repeated:
+            raise ValueError(f"topic {self.query.id}: duplicate candidates: {repeated}")
 
     @property
     def candidates(self) -> list[str]:
@@ -178,15 +181,27 @@ def build_training_set(queries: list[Query], qrels: Qrels,
                        policy.max_segments or DEFAULT_MAX_SEGMENTS, qrels, mrr_cutoff)
 
 
-def evaluate_bundle(params: ScorerParams, dev: TrainingSet,
-                    agg: Aggregation = Aggregation.MAX_P) -> tuple[float, Run]:
-    """Dev MRR (and the run): each candidate's segment scores aggregated."""
+def rank_store(params: ScorerParams, store: TrainingSet,
+               agg: Aggregation = Aggregation.MAX_P) -> Run:
+    """Each topic's candidates ranked by their aggregated segment scores.
+
+    A candidate is scored by one `score_batch` call over every segment
+    the store holds for it; FirstP takes the first score, MaxP the
+    largest.  Ties rank by doc id.
+    """
     run: Run = {}
-    for topic in dev.topics:
+    for topic in store.topics:
         query = topic.query
-        scores = {doc_id: aggregate(score_batch(params, dev.features(query, doc_id)), agg)
+        scores = {doc_id: aggregate(score_batch(params, store.features(query, doc_id)), agg)
                   for doc_id in topic.candidates}
         run[query.id] = rank_by_scores(query.id, scores)
+    return run
+
+
+def evaluate_bundle(params: ScorerParams, dev: TrainingSet,
+                    agg: Aggregation = Aggregation.MAX_P) -> tuple[float, Run]:
+    """Dev MRR of `rank_store`'s run, and the run."""
+    run = rank_store(params, dev, agg)
     return mrr(run, dev.qrels, dev.mrr_cutoff), run
 
 
@@ -200,12 +215,6 @@ def _selected(selection: SegmentIndexMap, key: tuple[str, str],
         raise ValueError(f"selected segment {index} of {key} "
                          f"is not one of its {n_segments} segments")
     return index
-
-
-def _selected_features(tset: TrainingSet, query: Query, doc_id: str,
-                       selection: SegmentIndexMap) -> np.ndarray:
-    feats = tset.features(query, doc_id)
-    return feats[_selected(selection, (query.id, doc_id), len(feats))]
 
 
 def _stack(tset: TrainingSet,
@@ -256,57 +265,6 @@ def _epoch_rows(tset: TrainingSet, rows: PairRows, cfg: TrainConfig,
                 examples += zip(pos, neg) if pairwise else ((row, 0) for row in neg)
     rng.shuffle(examples)
     return np.array(examples, dtype=np.intp).reshape(-1, 2)
-
-
-def loss_all_segments(params: ScorerParams, tset: TrainingSet, k: int) -> float:
-    """Bootstrap objective: mean hinge over depth-aligned segment pairs.
-
-    Every (positive, negative) document pair contributes one hinge term
-    per shared leading segment index j < min(k, segment counts).
-    """
-    terms = []
-    for topic in tset.topics:
-        for pos_id in topic.positives:
-            pos_scores = score_batch(params, tset.features(topic.query, pos_id))
-            for neg_id in topic.negatives:
-                neg_scores = score_batch(params, tset.features(topic.query, neg_id))
-                depth = min(k, len(pos_scores), len(neg_scores))
-                terms.extend(
-                    hinge_loss(float(pos_scores[j]), float(neg_scores[j]))
-                    for j in range(depth))
-    if not terms:
-        raise ValueError("no segment pairs to score")
-    return fsum(terms) / len(terms)
-
-
-def loss_selected(params: ScorerParams, tset: TrainingSet,
-                  selection: SegmentIndexMap,
-                  loss: LossKind = LossKind.PAIRWISE_HINGE) -> float:
-    """Mean loss over all (positive, negative) pairs at selected segments.
-
-    With the zero selection this reduces exactly to first-segment
-    training.  Under the pointwise loss each pair contributes the sum
-    of its positive and negative cross-entropy terms.
-    """
-    terms = []
-    for topic in tset.topics:
-        query = topic.query
-        for pos_id in topic.positives:
-            y_pos = float(score_batch(
-                params,
-                _selected_features(tset, query, pos_id, selection)[None, :])[0])
-            for neg_id in topic.negatives:
-                y_neg = float(score_batch(
-                    params,
-                    _selected_features(tset, query, neg_id, selection)[None, :])[0])
-                if loss == LossKind.PAIRWISE_HINGE:
-                    terms.append(hinge_loss(y_pos, y_neg))
-                else:
-                    terms.append(pointwise_ce_loss(y_pos, 1)
-                                 + pointwise_ce_loss(y_neg, 0))
-    if not terms:
-        raise ValueError("no pairs to score")
-    return fsum(terms) / len(terms)
 
 
 def select_segments(params: ScorerParams, tset: TrainingSet
@@ -404,15 +362,6 @@ def best_train(tset: TrainingSet, dev: TrainingSet,
     return BestTrainResult(history, best_iteration)
 
 
-def zero_selection(tset: TrainingSet) -> SegmentIndexMap:
-    """First-segment selection for every (query, document) pair."""
-    return {
-        (topic.query.id, doc_id): 0
-        for topic in tset.topics
-        for doc_id in topic.candidates
-    }
-
-
 def train_baseline(tset: TrainingSet, dev: TrainingSet, cfg: TrainConfig,
                    gold: SegmentIndexMap | None = None) -> tuple[ScorerParams, float]:
     """First-segment training, or gold-segment training given a gold map
@@ -422,7 +371,8 @@ def train_baseline(tset: TrainingSet, dev: TrainingSet, cfg: TrainConfig,
     to their first segment.  Uses seed cfg.seed + 1, the same slot as
     the first selected-training round.
     """
-    selection = zero_selection(tset)
+    selection = {(topic.query.id, doc_id): 0
+                 for topic in tset.topics for doc_id in topic.candidates}
     if gold is not None:
         for topic in tset.topics:
             for pos_id in topic.positives:

@@ -221,6 +221,34 @@ def test_malformed_corpus_exits_2_with_line(data, model, tmp_path, capsys, line,
     assert f"line 2: {message}" in err
 
 
+@pytest.mark.parametrize("command", ["train", "select", "rerank", "segment"])
+def test_undecodable_corpus_exits_2_with_line(data, model, tmp_path, capsys, command):
+    lines = (data / "corpus.jsonl").read_bytes().splitlines(keepends=True)
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_bytes(lines[0] + lines[1].replace(b'"body": "', b'"body": "\xff') +
+                       b"".join(lines[2:]))
+    args = {"train": ["--mode", "best", *inputs(data, corpus=corpus),
+                      "--qrels", str(data / "qrels.txt")],
+            "select": [*inputs(data, corpus=corpus), "--model", str(model)],
+            "rerank": [*inputs(data, corpus=corpus), "--model", str(model)],
+            "segment": ["--mode", "inference", "--corpus", str(corpus)]}[command]
+    code = main([command, *args, "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == "segtrain: error: line 2: utf-8 cannot decode 0xff (invalid start byte)\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_duplicate_candidate_exits_2_with_line(data, model, tmp_path, capsys):
+    candidates = tmp_path / "candidates.tsv"
+    first = (data / "candidates.tsv").read_text().splitlines()[0]
+    candidates.write_text(f"{first}\n{first}\n")
+    code = main(["rerank", *inputs(data, candidates=candidates), "--model", str(model),
+                 "--out", str(tmp_path / "run.txt")])
+    assert code == 2
+    assert "line 2: duplicate candidate" in capsys.readouterr().err
+
+
 def test_malformed_corpus_exits_before_numpy_is_imported(data, model, tmp_path):
     # the corpus parse forks its workers before numpy starts a thread pool
     corpus = write_corpus_with(data, tmp_path, '{"doc_id": "x", "title": "t"')

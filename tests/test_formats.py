@@ -424,7 +424,7 @@ class TestViewsCache:
         path.write_bytes(CACHED_CORPUS.encode().replace(b"9", b"\xff"))
         replaced, hit = self.parse(path, CACHED_TERMS, errors="replace")
         assert not hit and Path(f"{path}.views").exists()
-        with pytest.raises(UnicodeDecodeError):
+        with pytest.raises(ParseError, match="^line 3: utf-8 cannot decode 0xff"):
             self.parse(path, CACHED_TERMS)
         assert self.parse(path, CACHED_TERMS, errors="replace") == (replaced, True)
 
@@ -560,6 +560,86 @@ def test_corpus_parse_error_line(bad, line_no, message, parser):
     assert info.value.line_no == line_no
     assert str(info.value).startswith(f"line {line_no}: ")
     assert message in str(info.value)
+
+
+def undecodable_corpus(lines: int) -> tuple[bytes, int]:
+    """A corpus file whose last line but one holds a byte UTF-8 cannot
+    decode, and that line's number.  Lines end in "\n", "\r\n" or a
+    lone "\r", some are blank, and bodies hold multi-byte characters."""
+    endings = [b"\n", b"\r\n", b"\r", b"\r", b"\n"]
+    data = b"".join((b"" if i % 7 == 3 else doc_line(f"d{i}", "γάμμα ß alpha.").encode())
+                    + endings[i % 5] for i in range(lines - 2))
+    data += doc_line("bad", "alpha XX.").encode().replace(b"XX", b"\xff")
+    data += b"\n" + doc_line("last").encode() + b"\n"
+    # the line as universal newlines count it, with the byte replaced
+    with io.TextIOWrapper(io.BytesIO(data), errors="replace") as text:
+        [line_no] = [n for n, line in enumerate(text, 1) if "\ufffd" in line]
+    return data, line_no
+
+
+@pytest.mark.parametrize("lines", [2, 3, 1000])
+@pytest.mark.parametrize("how", ["serial", "ranged", "cached"])
+def test_undecodable_corpus_byte_names_its_line(tmp_path, how, lines):
+    # the decoder reads ahead in chunks; 1000 lines fill several
+    data, line_no = undecodable_corpus(lines)
+    path = tmp_path / "corpus.jsonl"
+    path.write_bytes(data)
+    patches = {"ranged": {"MIN_RANGE_BYTES": 1, "_cpu_count": lambda: 3},
+               "cached": {"MIN_CACHED_BYTES": 1}}.get(how, {})
+    with contextlib.ExitStack() as stack:
+        for name, value in patches.items():
+            stack.enter_context(mock.patch.object(formats, name, value))
+        ranged = stack.enter_context(mock.patch.object(
+            formats, "_parse_ranges", wraps=formats._parse_ranges))
+        for parser in (parse_corpus, parse_documents):
+            with open(path) as stream, pytest.raises(ParseError) as info:
+                parser(stream)
+            assert info.value.line_no == line_no
+            assert str(info.value) == \
+                f"line {line_no}: utf-8 cannot decode 0xff (invalid start byte)"
+    assert ranged.call_count == (1 if how == "ranged" else 0)
+    assert [p.name for p in tmp_path.iterdir()] == ["corpus.jsonl"]
+
+
+@pytest.mark.parametrize("parser", [parse_queries, parse_candidates, parse_qrels,
+                                    parse_run, parse_selection, parse_gold,
+                                    parse_config])
+@pytest.mark.parametrize("data, line_no, reason", [
+    (b"q\tfine\n\xff\n", 2, "0xff (invalid start byte)"),
+    (b"q\tfine\r\n\r\nq2\tb\xce\xce\n", 3, "0xce (invalid continuation byte)"),
+])
+def test_undecodable_byte_names_its_line(tmp_path, parser, data, line_no, reason):
+    path = tmp_path / "input.txt"
+    path.write_bytes(data)
+    with open(path) as stream, pytest.raises(ParseError) as info:
+        parser(stream)
+    assert str(info.value) == f"line {line_no}: utf-8 cannot decode {reason}"
+
+
+def test_undecodable_last_byte_names_its_line(tmp_path):
+    path = tmp_path / "queries.tsv"
+    path.write_bytes(b"q\tfine\rq2\tb\xce")
+    with open(path) as stream, pytest.raises(ParseError) as info:
+        parse_queries(stream)
+    assert str(info.value) == "line 2: utf-8 cannot decode 0xce (unexpected end of data)"
+
+
+def test_undecodable_byte_of_a_pipe_has_no_line():
+    # a pipe cannot be read again, so the line is unknown
+    read_end, write_end = os.pipe()
+    with open(write_end, "wb") as pipe:
+        pipe.write(b"q\tfine\n\xff\n")
+    with open(read_end, encoding="utf-8") as stream, pytest.raises(ParseError) as info:
+        parse_queries(stream)
+    assert info.value.line_no is None
+    assert str(info.value) == "utf-8 cannot decode 0xff (invalid start byte)"
+
+
+def test_duplicate_candidate_names_its_line():
+    with pytest.raises(ParseError) as info:
+        parse_candidates(io.StringIO("q\td\nq\td\n"))
+    assert info.value.line_no == 2
+    assert str(info.value) == "line 2: duplicate candidate 'd' for 'q'"
 
 
 # ---------------------------------------------------------------------------

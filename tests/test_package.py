@@ -17,21 +17,22 @@ EXPORTED = {
                "segment_for_training", "split_sentences", "tokenize"],
     "evaluation": ["kfold_split", "mrr", "ndcg_at_k", "paired_t_test",
                    "per_query_metrics", "segment_p_at_1"],
-    "ranking": ["Aggregation", "RankedList", "rerank", "score_document"],
+    "ranking": ["Aggregation", "RankedList"],
     "scorer": ["LossKind", "ScorerParams", "batch_loss_and_gradient", "hinge_loss",
                "init_params", "pointwise_ce_loss", "read_params",
                "segment_features", "sgd_step", "write_params"],
     "synth": ["SynthConfig", "SynthCorpus", "generate_corpus"],
     "training": ["BestTrainResult", "TrainConfig", "TrainingSet", "TrainingTopic",
                  "best_train", "build_training_set", "evaluate_bundle",
-                 "loss_all_segments", "loss_selected", "select_segments",
-                 "train_baseline", "train_single"],
+                 "rank_store", "select_segments", "train_baseline", "train_single"],
 }
 
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 # Traced names whose functions are gone: `extract_features` was folded
-# into `segment_features`, `build_eval_bundle` into `build_training_set`.
-RETIRED = {"scorer.extract_features", "training.build_eval_bundle"}
+# into `segment_features`, `build_eval_bundle` into `build_training_set`,
+# and `rerank` and `score_document` into `training.rank_store`.
+RETIRED = {"scorer.extract_features", "training.build_eval_bundle",
+           "ranking.rerank", "ranking.score_document"}
 
 
 def test_exported_names_are_the_submodule_attributes():

@@ -12,14 +12,16 @@ from segtrain.corpus import (
     segment_for_inference,
     segment_for_training,
 )
-from segtrain.ranking import (
-    Aggregation,
-    aggregate,
-    rank_by_scores,
-    rerank,
-    score_document,
+from segtrain.evaluation import RankedList
+from segtrain.ranking import Aggregation, aggregate, rank_by_scores
+from segtrain.scorer import (
+    F_MATCH_FRACTION,
+    F_POSITION_RATIO,
+    NUM_FEATURES,
+    ScorerParams,
+    segment_features,
 )
-from segtrain.scorer import F_POSITION_RATIO, NUM_FEATURES, ScorerParams, segment_features
+from segtrain.training import build_training_set, rank_store
 
 
 def position_scorer() -> ScorerParams:
@@ -27,6 +29,16 @@ def position_scorer() -> ScorerParams:
     w = np.zeros(NUM_FEATURES)
     w[F_POSITION_RATIO] = 1.0
     return ScorerParams("linear", w, 0.0)
+
+
+def rank(params: ScorerParams, query: Query, docs: list[Document],
+         agg: Aggregation = Aggregation.MAX_P) -> RankedList:
+    """`query`'s ranking of `docs` by `rank_store`, over the store the
+    `rerank` command builds: the inference windows of every candidate."""
+    store = build_training_set([query], {}, {query.id: [d.id for d in docs]},
+                               {d.id: d for d in docs},
+                               SegmentationPolicy("inference"), compute_corpus_stats(docs))
+    return rank_store(params, store, agg)[query.id]
 
 
 @pytest.fixture
@@ -37,30 +49,27 @@ def two_window_doc() -> Document:
 
 
 class TestScoreDocument:
+    """A document's score in `rank_store`: its window scores aggregated."""
+
     def test_max_p_takes_best_window(self, two_window_doc):
-        stats = compute_corpus_stats([two_window_doc])
         q = Query.from_text("q", "anything")
         # position scorer: window 0 scores 0.0, window 1 scores 0.25
-        got = score_document(position_scorer(), q, two_window_doc,
-                             Aggregation.MAX_P, stats)
-        assert got == pytest.approx(0.25)
+        [entry] = rank(position_scorer(), q, [two_window_doc], Aggregation.MAX_P).entries
+        assert entry.score == pytest.approx(0.25)
 
     def test_first_p_takes_first_window(self, two_window_doc):
-        stats = compute_corpus_stats([two_window_doc])
         q = Query.from_text("q", "anything")
-        got = score_document(position_scorer(), q, two_window_doc,
-                             Aggregation.FIRST_P, stats)
-        assert got == pytest.approx(0.0)
+        [entry] = rank(position_scorer(), q, [two_window_doc], Aggregation.FIRST_P).entries
+        assert entry.score == pytest.approx(0.0)
 
     def test_single_segment_doc_agg_equal(self):
         doc = Document.from_text("doc", "t", "just one short sentence.")
-        stats = compute_corpus_stats([doc])
         q = Query.from_text("q", "short sentence")
         rng = np.random.default_rng(0)
         params = ScorerParams("linear", rng.normal(size=NUM_FEATURES), 0.2)
-        first = score_document(params, q, doc, Aggregation.FIRST_P, stats)
-        best = score_document(params, q, doc, Aggregation.MAX_P, stats)
-        assert first == best
+        [first] = rank(params, q, [doc], Aggregation.FIRST_P).entries
+        [best] = rank(params, q, [doc], Aggregation.MAX_P).entries
+        assert first.score == best.score
 
 
 def test_inference_position_ratio_reaches_1_25_at_config_e():
@@ -105,55 +114,39 @@ def doc_with_terms(doc_id: str, terms: str) -> Document:
 
 
 class TestRerank:
-    def _setup(self, texts: dict[str, str]):
-        docs = [doc_with_terms(d, t) for d, t in texts.items()]
-        stats = compute_corpus_stats(docs)
-        return docs, stats
+    """A candidate pool ranked by `rank_store`, as the `rerank` command
+    ranks it."""
 
     def test_matching_doc_wins(self):
-        docs, stats = self._setup({"a": "unrelated filler words",
-                                   "b": "target phrase here"})
+        docs = [doc_with_terms("a", "unrelated filler words"),
+                doc_with_terms("b", "target phrase here")]
         q = Query.from_text("q", "target phrase")
-        from segtrain.scorer import F_MATCH_FRACTION
         w = np.zeros(NUM_FEATURES)
         w[F_MATCH_FRACTION] = 1.0
-        ranked = rerank(ScorerParams("linear", w, 0.0), q, docs,
-                        Aggregation.MAX_P, stats)
+        ranked = rank(ScorerParams("linear", w, 0.0), q, docs)
         assert ranked.entries[0].doc_id == "b"
         assert ranked.entries[0].rank == 1
 
     def test_identical_docs_tie_by_id(self):
-        docs, stats = self._setup({"z": "same words here", "a": "same words here"})
+        docs = [doc_with_terms("z", "same words here"),
+                doc_with_terms("a", "same words here")]
         q = Query.from_text("q", "same words")
         rng = np.random.default_rng(1)
         params = ScorerParams("linear", rng.normal(size=NUM_FEATURES), 0.0)
-        ranked = rerank(params, q, docs, Aggregation.MAX_P, stats)
+        ranked = rank(params, q, docs)
         assert [e.doc_id for e in ranked.entries] == ["a", "z"]
-
-    def test_duplicate_doc_id_rejected(self):
-        docs, stats = self._setup({"a": "words"})
-        q = Query.from_text("q", "words")
-        params = ScorerParams("linear", np.zeros(NUM_FEATURES), 0.0)
-        with pytest.raises(ValueError):
-            rerank(params, q, docs + docs, Aggregation.MAX_P, stats)
-
-    def test_empty_pool_rejected(self):
-        _, stats = self._setup({"a": "words"})
-        params = ScorerParams("linear", np.zeros(NUM_FEATURES), 0.0)
-        with pytest.raises(ValueError):
-            rerank(params, Query.from_text("q", "x"), [], Aggregation.MAX_P, stats)
 
     def test_permutation_property(self):
         rng = np.random.default_rng(2)
         vocab = [f"w{i}" for i in range(30)]
         docs = [doc_with_terms(f"d{i}", " ".join(rng.choice(vocab, size=8)))
                 for i in range(12)]
-        stats = compute_corpus_stats(docs)
         q = Query.from_text("q", "w1 w2 w3")
         params = ScorerParams("linear", rng.normal(size=NUM_FEATURES), 0.0)
-        ranked = rerank(params, q, docs, Aggregation.MAX_P, stats)
-        assert sorted(e.doc_id for e in ranked.entries) == \
-            sorted(d.id for d in docs)
+        for agg in Aggregation:
+            ranked = rank(params, q, docs, agg)
+            assert sorted(e.doc_id for e in ranked.entries) == sorted(d.id for d in docs)
+            assert [e.rank for e in ranked.entries] == list(range(1, len(docs) + 1))
 
 
 score_lists = st.dictionaries(

@@ -429,6 +429,25 @@ class TestBatchLossAndGradient:
             assert err < 1e-4
             checked += 1
 
+    @settings(max_examples=60)
+    @given(st.sampled_from(["linear", "mlp"]), st.sampled_from(list(LossKind)),
+           st.integers(1, 40), st.sampled_from([0.01, 1.0, 100.0]),
+           st.integers(0, 2**32 - 1))
+    def test_loss_is_the_mean_of_the_scalar_losses(self, kind, loss, size, scale, seed):
+        rng = np.random.default_rng(seed)
+        params = random_params(rng, kind)
+        X, other = random_batch(rng, loss, size)
+        X = X * scale
+        if loss == LossKind.PAIRWISE_HINGE:
+            other = other * scale
+            terms = [hinge_loss(float(p), float(n)) for p, n in
+                     zip(score_batch(params, X), score_batch(params, other))]
+        else:
+            terms = [pointwise_ce_loss(float(y), int(label))
+                     for y, label in zip(score_batch(params, X), other)]
+        got, _ = batch_loss_and_gradient(params, X, other, loss)
+        assert got == pytest.approx(math.fsum(terms) / size, rel=1e-12, abs=1e-12)
+
     def test_pairwise_bias_gradient_identically_zero(self):
         rng = np.random.default_rng(7)
         for _ in range(50):

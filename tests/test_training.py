@@ -1,21 +1,22 @@
-import math
 import random
 
 import numpy as np
 import pytest
 
 from e2e_utils import assemble
-from segtrain.corpus import CorpusStats, Document, Query, Segment
+from segtrain.corpus import CorpusStats, Document, Query, Segment, segment_for_inference
 from segtrain.evaluation import segment_p_at_1
-from segtrain.ranking import Aggregation, score_document
+from segtrain.ranking import Aggregation
 from segtrain.scorer import (
     F_MATCH_FRACTION,
     NUM_FEATURES,
     LossKind,
     ScorerParams,
+    batch_loss_and_gradient,
     init_params,
     params_to_vector,
     score_batch,
+    segment_features,
 )
 from segtrain.synth import SynthConfig
 from segtrain.training import (
@@ -27,12 +28,9 @@ from segtrain.training import (
     best_train,
     build_training_set,
     evaluate_bundle,
-    loss_all_segments,
-    loss_selected,
     select_segments,
     train_baseline,
     train_single,
-    zero_selection,
 )
 
 
@@ -68,6 +66,11 @@ def match_scorer(weight: float = 1.0) -> ScorerParams:
 
 def zero_scorer() -> ScorerParams:
     return ScorerParams("linear", np.zeros(NUM_FEATURES), 0.0)
+
+
+def first_segments(tset) -> dict[tuple[str, str], int]:
+    """The selection of every pair's first segment."""
+    return {(t.query.id, d): 0 for t in tset.topics for d in t.candidates}
 
 
 def draw_epoch(tset, selection, cfg, rng):
@@ -109,13 +112,28 @@ def reference_epoch(tset, selection, cfg, rng):
     return examples
 
 
+class TestTrainingTopic:
+    def test_duplicate_doc_id_rejected(self):
+        query = Query.from_text("q", "words")
+        for positives, negatives, repeated in ((["a"], ["b", "b"], "['b']"),
+                                               (["a", "a"], ["c"], "['a']"),
+                                               ([], ["c", "b", "c", "b"], "['b', 'c']")):
+            with pytest.raises(ValueError) as info:
+                TrainingTopic(query, positives, negatives)
+            assert str(info.value) == f"topic q: duplicate candidates: {repeated}"
+
+    def test_doc_judged_both_ways_rejected(self):
+        with pytest.raises(ValueError, match="judged both ways"):
+            TrainingTopic(Query.from_text("q", "words"), ["a"], ["a"])
+
+
 class TestBuildPairs:
     def test_pairwise_count(self):
         tset = make_tset([
             ("a b", {"p": [["a"]], "n1": [["x"]], "n2": [["y"]],
                      "n3": [["z"]], "n4": [["w"]], "n5": [["v"]]}, ["p"]),
         ])
-        examples = draw_epoch(tset, zero_selection(tset), TrainConfig(),
+        examples = draw_epoch(tset, first_segments(tset), TrainConfig(),
                               random.Random(0))
         assert len(examples) == 1
         pos, neg = examples[0]
@@ -127,7 +145,7 @@ class TestBuildPairs:
         docs.update({f"n{i}": [["x"]] for i in range(6)})
         tset = make_tset([("a", docs, ["p"])])
         cfg = TrainConfig(loss=LossKind.POINTWISE_CE, negatives_per_positive=10)
-        examples = draw_epoch(tset, zero_selection(tset), cfg, random.Random(0))
+        examples = draw_epoch(tset, first_segments(tset), cfg, random.Random(0))
         labels = [label for _, label in examples]
         assert labels.count(1) == 1 and labels.count(0) == 6
 
@@ -136,8 +154,8 @@ class TestBuildPairs:
         docs.update({f"n{i}": [["x", str(i)]] for i in range(8)})
         tset = make_tset([("a", docs, ["p"])])
         cfg = TrainConfig()
-        a = draw_epoch(tset, zero_selection(tset), cfg, random.Random(3))
-        b = draw_epoch(tset, zero_selection(tset), cfg, random.Random(3))
+        a = draw_epoch(tset, first_segments(tset), cfg, random.Random(3))
+        b = draw_epoch(tset, first_segments(tset), cfg, random.Random(3))
         assert len(a) == len(b)
         assert all(np.array_equal(x[0], y[0]) and np.array_equal(x[1], y[1])
                    for x, y in zip(a, b))
@@ -147,7 +165,7 @@ class TestBuildPairs:
             ("a", {"p": [["a"]]}, ["p"]),
             ("b", {"p2": [["b"]], "n": [["x"]]}, ["p2"]),
         ])
-        examples = draw_epoch(tset, zero_selection(tset), TrainConfig(),
+        examples = draw_epoch(tset, first_segments(tset), TrainConfig(),
                               random.Random(0))
         assert len(examples) == 1
         assert np.array_equal(examples[0][0],
@@ -192,92 +210,6 @@ class TestBuildPairs:
             assert len(got) == len(expected)
             for (a, b), (x, y) in zip(got, expected):
                 assert np.array_equal(a, x) and np.array_equal(b, y)
-
-
-class TestLossAllSegments:
-    def test_zero_scorer_depth_pairing(self):
-        tset = make_tset([
-            ("a", {"p": [["a"], ["b"]],
-                   "n": [["x"], ["y"], ["z"]]}, ["p"]),
-        ])
-        # depth = min(4, 2, 3) = 2 summands, each hinge(0, 0) = 1
-        assert loss_all_segments(zero_scorer(), tset, 4) == pytest.approx(1.0)
-
-    def test_k1_single_segment_equals_first_loss(self):
-        tset = make_tset([
-            ("a b", {"p": [["a", "b"]], "n": [["x"]]}, ["p"]),
-            ("c", {"p2": [["c"]], "n2": [["c"]]}, ["p2"]),
-        ])
-        params = match_scorer(0.7)
-        all_seg = loss_all_segments(params, tset, 1)
-        first = loss_selected(params, tset, zero_selection(tset))
-        assert all_seg == pytest.approx(first, abs=1e-12)
-
-    def test_large_margin_zero(self):
-        tset = make_tset([
-            ("a b", {"p": [["a", "b"], ["a", "b"]],
-                     "n": [["x"], ["y"]]}, ["p"]),
-        ])
-        assert loss_all_segments(match_scorer(2.0), tset, 4) == 0.0
-
-
-class TestLossSelected:
-    def test_zero_selection_equals_first_segment_loss(self):
-        # independent oracle: direct double loop over first segments
-        rng = np.random.default_rng(5)
-        for _ in range(20):
-            tset = _random_tset(rng)
-            params = ScorerParams("linear", rng.normal(size=NUM_FEATURES),
-                                  float(rng.normal()))
-            got = loss_selected(params, tset, zero_selection(tset))
-            terms = []
-            for topic in tset.topics:
-                for pos in topic.positives:
-                    xp = tset.features(topic.query, pos)[0]
-                    yp = float(np.dot(params.out_weights, xp)) + params.out_bias
-                    for neg in topic.negatives:
-                        xn = tset.features(topic.query, neg)[0]
-                        yn = float(np.dot(params.out_weights, xn)) + params.out_bias
-                        terms.append(max(0.0, 1.0 - yp + yn))
-            expected = math.fsum(terms) / len(terms)
-            assert abs(got - expected) < 1e-12
-
-    def test_zero_scorer_value(self):
-        tset = make_tset([("a", {"p": [["a"], ["b"]], "n": [["x"], ["y"]]}, ["p"])])
-        selection = {("q0", "p"): 1, ("q0", "n"): 0}
-        assert loss_selected(zero_scorer(), tset, selection) == pytest.approx(1.0)
-
-    def test_informed_selection_not_worse_than_first(self):
-        # three topics, the query evidence sits in segment 1 of each positive
-        spec = []
-        for t in range(3):
-            q = f"term{t} other{t}"
-            docs = {
-                f"p{t}": [["filler", "words"], [f"term{t}", f"other{t}"]],
-                f"n{t}": [["noise"], ["more", "noise"]],
-            }
-            spec.append((q, docs, [f"p{t}"]))
-        tset = make_tset(spec)
-        params = match_scorer(1.0)
-        informed = {}
-        for topic in tset.topics:
-            informed[(topic.query.id, topic.positives[0])] = 1
-            informed[(topic.query.id, topic.negatives[0])] = 0
-        first = zero_selection(tset)
-        # brute-force both objectives for the comparison
-        assert loss_selected(params, tset, informed) <= \
-            loss_selected(params, tset, first)
-
-    def test_missing_entry_rejected(self):
-        tset = make_tset([("a", {"p": [["a"]], "n": [["x"]]}, ["p"])])
-        with pytest.raises(ValueError):
-            loss_selected(zero_scorer(), tset, {("q0", "p"): 0})
-
-    def test_pointwise_pair_terms(self):
-        tset = make_tset([("a", {"p": [["a"]], "n": [["x"]]}, ["p"])])
-        got = loss_selected(zero_scorer(), tset, zero_selection(tset),
-                            LossKind.POINTWISE_CE)
-        assert got == pytest.approx(2 * math.log(2))
 
 
 def _random_tset(rng, max_segments=4) -> TrainingSet:
@@ -389,14 +321,23 @@ class TestTrainSingle:
         assert np.array_equal(params_to_vector(pa), params_to_vector(pb))
 
     def test_training_reduces_loss(self):
+        # the mean hinge over every (positive, negative) pair of shared
+        # leading rows: the objective SGD samples its epochs from
         coll = small_collection()
+        X, rows = _stack(coll.train_set, None)
+        pairs = np.array([(a, b) for t in coll.train_set.topics
+                          for p in t.positives for n in t.negatives
+                          for a, b in zip(rows[(t.query.id, p)], rows[(t.query.id, n)])])
+
+        def objective(params):
+            loss, _ = batch_loss_and_gradient(params, X[pairs[:, 0]], X[pairs[:, 1]],
+                                              LossKind.PAIRWISE_HINGE)
+            return loss
+
         cfg = TrainConfig(epochs=8, seed=2)
-        initial = init_params(cfg.scorer_kind, 2)
         trained, _ = train_single(coll.train_set, coll.dev_bundle, None,
                                   cfg, seed=2)
-        before = loss_all_segments(initial, coll.train_set, coll.train_set.max_segments)
-        after = loss_all_segments(trained, coll.train_set, coll.train_set.max_segments)
-        assert after < before
+        assert objective(trained) < objective(init_params(cfg.scorer_kind, 2))
 
     def test_empty_training_set_rejected(self):
         coll = small_collection()
@@ -495,14 +436,20 @@ class TestEvaluateBundle:
         assert set(run_max) == {t.query.id for t in coll.dev_bundle.topics}
 
     def test_scores_are_rerank_scores(self):
-        # the dev set scores inference windows, as `rerank` does
+        # the dev set scores every inference window of a candidate in one
+        # call, as `rerank` does, then takes the first or the best score
         coll = small_collection(seed=3)
         dev = coll.dev_bundle
         params = init_params("mlp", 3)
         for agg in Aggregation:
             _, run = evaluate_bundle(params, dev, agg)
             for topic in dev.topics:
-                assert {e.doc_id: e.score for e in run[topic.query.id].entries} == {
-                    d: score_document(params, topic.query, dev.documents[d], agg,
-                                      dev.stats, dev.max_tokens, dev.max_segments)
-                    for d in topic.candidates}
+                expected = {}
+                for d in topic.candidates:
+                    doc = dev.documents[d]
+                    scores = score_batch(params, segment_features(
+                        topic.query, doc, segment_for_inference(doc, dev.max_tokens),
+                        dev.stats, dev.max_tokens, dev.max_segments))
+                    expected[d] = float(scores[0] if agg == Aggregation.FIRST_P
+                                        else scores.max())
+                assert {e.doc_id: e.score for e in run[topic.query.id].entries} == expected
