@@ -201,8 +201,8 @@ class SegmentationPolicy:
 
     A training segment's body budget is drawn from [min_tokens,
     max_tokens] and reduced by the title and by `query_token_budget`,
-    the room kept for the query; at most `max_segments` segments are cut
-    (None: no cap), and `seed` seeds each document's stream of budgets.
+    the room kept for the query; at most `max_segments` segments are cut,
+    and `seed` seeds each document's stream of budgets.
     An inference window's budget is `max_tokens` less the title, with no
     room for the query, so it may hold up to `query_token_budget` more
     body tokens than any training segment.  Changing either side changes
@@ -215,7 +215,7 @@ class SegmentationPolicy:
     mode: str  # "training" or "inference"
     max_tokens: int = DEFAULT_MAX_TOKENS
     min_tokens: int = DEFAULT_MIN_TOKENS
-    max_segments: int | None = DEFAULT_MAX_SEGMENTS
+    max_segments: int = DEFAULT_MAX_SEGMENTS
     seed: int = 0
     query_token_budget: int = DEFAULT_QUERY_TOKEN_BUDGET
 
@@ -307,10 +307,8 @@ def segment_for_training(doc: Document | DocView, policy: SegmentationPolicy,
         raise ValueError("segment_for_training requires a training policy")
     lengths = doc.sentence_lengths
     overhead = doc.title_length + policy.query_token_budget
-    counter = (itertools.count() if policy.max_segments is None
-               else range(policy.max_segments))
     budgets = (rng.randint(policy.min_tokens, policy.max_tokens) - overhead
-               for _ in counter)
+               for _ in range(policy.max_segments))
     return _make_segments(doc, lengths, _spans(lengths, budgets))
 
 

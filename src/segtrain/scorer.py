@@ -31,7 +31,7 @@ from .corpus import (
     Query,
     Segment,
 )
-from .formats import LossKind
+from .formats import LossKind, ParseError, _lines
 
 NUM_FEATURES = 7
 
@@ -195,22 +195,28 @@ def init_params(kind: str, seed: int, hidden_dim: int = 8) -> ScorerParams:
     raise ValueError(f"unknown scorer kind: {kind!r}")
 
 
-def _check_features(params: ScorerParams, X: np.ndarray) -> None:
-    if X.shape[-1] != NUM_FEATURES:
-        raise ValueError(
-            f"feature dimension {X.shape[-1]} does not match {NUM_FEATURES}")
-    if params.kind not in ("linear", "mlp"):
-        raise ValueError(f"unknown scorer kind: {params.kind!r}")
+def _affine(X: np.ndarray, W: np.ndarray, b: float | np.ndarray) -> np.ndarray:
+    """`X @ W + b` as `b + X[:, 0] * W[0] + X[:, 1] * W[1] + ...`, rounded
+    after each step, so row i's bits depend on row i alone.  BLAS `X @ W`
+    orders the sum by the shape of the whole call."""
+    acc = np.full((len(X),) + W.shape[1:], b)
+    for j in range(X.shape[1]):
+        acc += np.multiply.outer(X[:, j], W[j])
+    return acc
 
 
 def score_batch(params: ScorerParams, X: np.ndarray) -> np.ndarray:
-    """Scores for a (n, 7) feature matrix."""
+    """Scores for a (n, 7) feature matrix.  Batch-invariant: each row's
+    score has the same bits whatever other rows share the call."""
     X = np.asarray(X, dtype=float)
-    _check_features(params, X)
+    if X.shape[-1] != NUM_FEATURES:
+        raise ValueError(f"feature dimension {X.shape[-1]} does not match {NUM_FEATURES}")
     if params.kind == "linear":
-        return X @ params.out_weights + params.out_bias
-    h = np.tanh(X @ params.hidden_weights + params.hidden_bias)
-    return h @ params.out_weights + params.out_bias
+        return _affine(X, params.out_weights, params.out_bias)
+    if params.kind == "mlp":
+        h = np.tanh(_affine(X, params.hidden_weights, params.hidden_bias))
+        return _affine(h, params.out_weights, params.out_bias)
+    raise ValueError(f"unknown scorer kind: {params.kind!r}")
 
 
 def hinge_loss(y_pos: float, y_neg: float) -> float:
@@ -234,13 +240,8 @@ def pointwise_ce_loss(y: float, label: int) -> float:
 
 
 def _zero_like(params: ScorerParams) -> ScorerParams:
-    g = params.copy()
-    g.out_weights[:] = 0.0
-    g.out_bias = 0.0
-    if g.hidden_weights is not None:
-        g.hidden_weights[:] = 0.0
-        g.hidden_bias[:] = 0.0
-    return g
+    size = params_to_vector(params).size
+    return params_from_vector(params.kind, np.zeros(size), params.hidden_dim)
 
 
 def _backward(params: ScorerParams, X: np.ndarray, upstream: np.ndarray,
@@ -254,7 +255,7 @@ def _backward(params: ScorerParams, X: np.ndarray, upstream: np.ndarray,
         grad.out_weights += X.T @ upstream
         grad.out_bias += float(upstream.sum())
         return
-    h = np.tanh(X @ params.hidden_weights + params.hidden_bias)
+    h = np.tanh(_affine(X, params.hidden_weights, params.hidden_bias))
     grad.out_weights += h.T @ upstream
     grad.out_bias += float(upstream.sum())
     t = (upstream[:, None] * (1.0 - h * h)) * params.out_weights[None, :]
@@ -358,29 +359,29 @@ def write_params(params: ScorerParams, stream: IO[str]) -> None:
 
 
 def read_params(stream: IO[str]) -> ScorerParams:
-    header = stream.readline().strip()
+    """The parameters in a model file; a malformed file raises
+    `formats.ParseError` at its line, the header being line 1."""
+    lines = _lines(stream)
+    line_no, header = next(lines, (1, ""))
+    header = header.strip() if line_no == 1 else ""
     fields = header.split()
-    if (len(fields) != 5 or fields[0] != MODEL_FORMAT_NAME
-            or fields[1] != MODEL_FORMAT_VERSION):
-        raise ValueError(f"bad model header: {header!r}")
-    opts = dict(f.split("=", 1) for f in fields[2:])
-    kind = opts.get("kind", "")
-    if int(opts.get("dim", "0")) != NUM_FEATURES:
-        raise ValueError("model feature dimension mismatch")
-    hidden = int(opts.get("hidden", "0"))
-    if kind == "mlp" and hidden < 1:
-        raise ValueError(f"bad model header: mlp scorer needs hidden >= 1, "
-                         f"got hidden={hidden}")
+    opts = dict(f.partition("=")[::2] for f in fields[2:])
+    kind, dim, hidden = (opts.get(key, "") for key in ("kind", "dim", "hidden"))
+    if (fields[:2] != [MODEL_FORMAT_NAME, MODEL_FORMAT_VERSION] or len(fields) != 5
+            or kind not in ("linear", "mlp") or not dim.isdecimal()
+            or not hidden.isdecimal()):
+        raise ParseError(f"bad model header: {header!r}", 1)
+    if int(dim) != NUM_FEATURES:
+        raise ParseError(f"model feature dimension {dim} does not match {NUM_FEATURES}", 1)
+    if kind == "mlp" and int(hidden) < 1:
+        raise ParseError(f"bad model header: mlp scorer needs hidden >= 1, "
+                         f"got hidden={hidden}", 1)
     values = []
-    for line_no, line in enumerate(stream, start=2):
-        line = line.strip()
-        if not line:
-            continue
+    for line_no, line in lines:
         try:
             values.append(float(line))
-        except ValueError as exc:
-            raise ValueError(f"bad parameter at line {line_no}: {line!r}") from exc
-    params = params_from_vector(kind, np.array(values), hidden_dim=hidden)
-    if not _all_finite(params):
-        raise ValueError("model file contains non-finite parameters")
-    return params
+        except ValueError:
+            values.append(math.nan)  # rejected with the non-finite values
+        if not math.isfinite(values[-1]):
+            raise ParseError(f"bad parameter: {line.strip()!r}", line_no)
+    return params_from_vector(kind, np.array(values), hidden_dim=int(hidden))

@@ -1,19 +1,20 @@
 """Iterative segment-selection training over one feature store.
 
 A `TrainingSet` holds topics, the segments of their candidate documents
-and one cached feature matrix per (query, document) pair.  Built with a
-training policy it holds training segments: SGD learns from it and
-`select` picks segments in it.  Built with an inference policy it holds
-each candidate's inference windows, and `rank_store` ranks its
-candidates by their aggregated window scores: as the dev set whose MRR
-stops training, and as the pool the `rerank` command ranks.
+and one matrix stacking the feature rows of every (query, document)
+pair.  Built with a training policy it holds training segments: SGD
+learns from it and `select` picks segments in it.  Built with an
+inference policy it holds each candidate's inference windows, and
+`rank_store` ranks its candidates by their aggregated window scores: as
+the dev set whose MRR stops training, and as the pool the `rerank`
+command ranks.  Both score the whole matrix in one batch-invariant
+`score_batch` call, so each pair gets the scores it gets alone.
 
-Training stacks the store's features into one matrix and draws each
-epoch as integer rows of it: (positive row, negative row) pairs for the
-pairwise hinge, (row, label) points for the pointwise cross-entropy.
-The training modes differ only in the rows a (query, document) pair
-contributes: every leading segment up to `max_segments`
-(`selection=None`), or the one segment a selection names.
+Training draws each epoch as integer rows of the matrix: (positive row,
+negative row) pairs for the pairwise hinge, (row, label) points for the
+pointwise cross-entropy.  The training modes differ only in the rows a
+(query, document) pair contributes: every leading segment up to
+`max_segments` (`selection=None`), or the one segment a selection names.
 
 The trainer alternates two estimates: scorer parameters and, per pair,
 the index of the segment used as that pair's training instance.  A
@@ -49,6 +50,7 @@ from .evaluation import Qrels, Run, SegmentIndexMap, mrr
 from .formats import LossKind, TrainConfig
 from .ranking import Aggregation, aggregate, rank_by_scores
 from .scorer import (
+    NUM_FEATURES,
     ScorerParams,
     batch_loss_and_gradient,
     init_params,
@@ -89,10 +91,10 @@ class TrainingTopic:
 
 @dataclass
 class TrainingSet:
-    """Topics, the documents and segments they draw from, and one cached
-    feature matrix per (query, document) pair.
-
-    As a dev set, its `qrels` and `mrr_cutoff` give the dev MRR.
+    """Topics, the documents and segments they draw from, and one
+    read-only matrix of the feature rows of every (query, document)
+    pair, built on first use.  As a dev set, its `qrels` and
+    `mrr_cutoff` give the dev MRR.
     """
 
     topics: list[TrainingTopic]
@@ -103,8 +105,8 @@ class TrainingSet:
     max_segments: int = DEFAULT_MAX_SEGMENTS
     qrels: Qrels = field(default_factory=dict)
     mrr_cutoff: int = 10
-    _features: dict[tuple[str, str], np.ndarray] = field(
-        default_factory=dict, repr=False, compare=False)
+    _stacked: tuple[np.ndarray, PairRows] | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for topic in self.topics:
@@ -112,16 +114,30 @@ class TrainingSet:
                 if doc_id not in self.segments or doc_id not in self.documents:
                     raise ValueError(f"no document or segments stored for {doc_id}")
 
+    def stacked(self) -> tuple[np.ndarray, PairRows]:
+        """The feature matrix, pair after pair in topic and candidate
+        order, and the rows of each pair."""
+        if self._stacked is None:
+            blocks, rows, start = [np.empty((0, NUM_FEATURES))], {}, 0
+            for topic in self.topics:
+                for doc_id in topic.candidates:
+                    feats = segment_features(topic.query, self.documents[doc_id],
+                                             self.segments[doc_id], self.stats,
+                                             self.max_tokens, self.max_segments)
+                    blocks.append(feats)
+                    rows[(topic.query.id, doc_id)] = range(start, start + len(feats))
+                    start += len(feats)
+            X = np.concatenate(blocks)
+            X.flags.writeable = False
+            self._stacked = X, rows
+        return self._stacked
+
     def features(self, query: Query, doc_id: str) -> np.ndarray:
-        """Cached (n_segments, 7) feature matrix for one query/doc pair."""
-        key = (query.id, doc_id)
-        cached = self._features.get(key)
-        if cached is None:
-            cached = segment_features(query, self.documents[doc_id],
-                                      self.segments[doc_id], self.stats,
-                                      self.max_tokens, self.max_segments)
-            self._features[key] = cached
-        return cached
+        """The (n_segments, 7) rows of one query/doc pair: a view of the
+        stacked matrix."""
+        X, rows = self.stacked()
+        span = rows[(query.id, doc_id)]
+        return X[span.start:span.stop]
 
 
 @dataclass
@@ -178,24 +194,26 @@ def build_training_set(queries: list[Query], qrels: Qrels,
                     if policy.mode == "training"
                     else segment_for_inference(doc, policy.max_tokens))
     return TrainingSet(topics, documents, store, stats, policy.max_tokens,
-                       policy.max_segments or DEFAULT_MAX_SEGMENTS, qrels, mrr_cutoff)
+                       policy.max_segments, qrels, mrr_cutoff)
+
+
+def _pair_scores(params: ScorerParams, store: TrainingSet,
+                 rows: PairRows) -> dict[tuple[str, str], np.ndarray]:
+    """The scores of each pair's `rows`, from one `score_batch` call over
+    the store's whole matrix."""
+    scores = score_batch(params, store.stacked()[0])
+    return {key: scores[span.start:span.stop] for key, span in rows.items()}
 
 
 def rank_store(params: ScorerParams, store: TrainingSet,
                agg: Aggregation = Aggregation.MAX_P) -> Run:
-    """Each topic's candidates ranked by their aggregated segment scores.
-
-    A candidate is scored by one `score_batch` call over every segment
-    the store holds for it; FirstP takes the first score, MaxP the
-    largest.  Ties rank by doc id.
-    """
-    run: Run = {}
-    for topic in store.topics:
-        query = topic.query
-        scores = {doc_id: aggregate(score_batch(params, store.features(query, doc_id)), agg)
-                  for doc_id in topic.candidates}
-        run[query.id] = rank_by_scores(query.id, scores)
-    return run
+    """Each topic's candidates ranked by their aggregated segment scores:
+    FirstP takes a candidate's first score, MaxP its largest, over every
+    segment the store holds for it.  Ties rank by doc id."""
+    by_query: dict[str, dict[str, float]] = {t.query.id: {} for t in store.topics}
+    for (qid, doc_id), scores in _pair_scores(params, store, store.stacked()[1]).items():
+        by_query[qid][doc_id] = aggregate(scores, agg)
+    return {qid: rank_by_scores(qid, scores) for qid, scores in by_query.items()}
 
 
 def evaluate_bundle(params: ScorerParams, dev: TrainingSet,
@@ -205,37 +223,24 @@ def evaluate_bundle(params: ScorerParams, dev: TrainingSet,
     return mrr(run, dev.qrels, dev.mrr_cutoff), run
 
 
-def _selected(selection: SegmentIndexMap, key: tuple[str, str],
-              n_segments: int) -> int:
-    """The segment index `selection` names for a pair, checked."""
-    if key not in selection:
-        raise ValueError(f"selection missing entry for {key}")
-    index = selection[key]
-    if not 0 <= index < n_segments:
-        raise ValueError(f"selected segment {index} of {key} "
-                         f"is not one of its {n_segments} segments")
-    return index
-
-
 def _stack(tset: TrainingSet,
            selection: SegmentIndexMap | None) -> tuple[np.ndarray, PairRows]:
-    """Every pair's features in one matrix, and the rows each pair
-    trains on: its leading `tset.max_segments` segments or, given a
-    selection, the selected one."""
-    blocks, rows, start = [], {}, 0
-    for topic in tset.topics:
-        for doc_id in topic.candidates:
-            key = (topic.query.id, doc_id)
-            feats = tset.features(topic.query, doc_id)
-            blocks.append(feats)
-            span = range(start, start + len(feats))
-            start += len(feats)
-            if selection is None:
-                rows[key] = span[:tset.max_segments]
-            else:
-                index = _selected(selection, key, len(span))
-                rows[key] = span[index:index + 1]
-    return np.concatenate(blocks), rows
+    """The store's feature matrix, and the rows each pair trains on: its
+    leading `tset.max_segments` segments or, given a selection, the
+    selected one."""
+    X, pair_rows = tset.stacked()
+    if selection is None:
+        return X, {key: span[:tset.max_segments] for key, span in pair_rows.items()}
+    rows = {}
+    for key, span in pair_rows.items():
+        if key not in selection:
+            raise ValueError(f"selection missing entry for {key}")
+        index = selection[key]
+        if not 0 <= index < len(span):
+            raise ValueError(f"selected segment {index} of {key} "
+                             f"is not one of its {len(span)} segments")
+        rows[key] = span[index:index + 1]
+    return X, rows
 
 
 def _epoch_rows(tset: TrainingSet, rows: PairRows, cfg: TrainConfig,
@@ -277,28 +282,24 @@ def select_segments(params: ScorerParams, tset: TrainingSet
     """
     selection: SegmentIndexMap = {}
     best_scores: dict[tuple[str, str], float] = {}
-    for topic in tset.topics:
-        for doc_id in topic.candidates:
-            feats = tset.features(topic.query, doc_id)
-            scores = score_batch(params, feats[:tset.max_segments])
-            key = (topic.query.id, doc_id)
-            selection[key] = best = int(np.argmax(scores))
-            best_scores[key] = float(scores[best])
+    for key, scores in _pair_scores(params, tset, _stack(tset, None)[1]).items():
+        selection[key] = best = int(np.argmax(scores))
+        best_scores[key] = float(scores[best])
     return selection, best_scores
 
 
 def train_single(tset: TrainingSet, dev: TrainingSet,
-                 selection: SegmentIndexMap | None, cfg: TrainConfig, seed: int,
-                 agg: Aggregation = Aggregation.MAX_P) -> tuple[ScorerParams, float]:
+                 selection: SegmentIndexMap | None, cfg: TrainConfig,
+                 seed: int) -> tuple[ScorerParams, float]:
     """One complete training run: SGD epochs with dev-MRR early stopping.
 
     `selection=None` trains on all leading segments, up to the store's
     `max_segments` per document; a selection trains on the segment it
     names for every pair.  Parameters start from a fresh seeded
     initialization.  Negatives are resampled every epoch.  The best
-    dev-MRR snapshot is returned along with its metric; training stops
-    once the metric has not improved for cfg.patience_epochs consecutive
-    epochs.
+    dev-MRR snapshot (MaxP over the dev store) is returned along with
+    its metric; training stops once the metric has not improved for
+    cfg.patience_epochs consecutive epochs.
     """
     if not tset.topics:
         raise ValueError("empty training set")
@@ -318,7 +319,7 @@ def train_single(tset: TrainingSet, dev: TrainingSet,
             other = X[batch[:, 1]] if pairwise else batch[:, 1]
             _, grad = batch_loss_and_gradient(params, X[batch[:, 0]], other, cfg.loss)
             params = sgd_step(params, grad, cfg.learning_rate)
-        metric, _ = evaluate_bundle(params, dev, agg)
+        metric, _ = evaluate_bundle(params, dev, Aggregation.MAX_P)
         if metric > best_metric:
             best = params.copy()
             best_metric = metric

@@ -105,13 +105,13 @@ PINNED_DIGESTS = {
     "mlp-first.txt":
         "953fd90d9d7ef189f883b945d7e7f7506147d7eee4d3c3dbdd62389a92b2841f",
     "mlp-gold.txt":
-        "05f4b690fbad33cfa7668ae32935c8122157666dddc79b459c6bd5c6c7da8607",
+        "c411598a79811e912d0f88323658bb18ed37b4cf9f760208e852377049aac415",
     "mlp-theta0.txt":
-        "00a17de6bd655676bdac7e10616f142f026e54b6eb0554bc72fa3c4e9d3483f9",
+        "163041fffeed813f1239004db8b1f6f84b9630321f4fefe4a1cad1e36cf1903d",
     "mlp-best.txt":
         "30901aa73e125efc211049d040ff91165996b80dba0d1d6669ee95acb13fb8f0",
     "selection.jsonl":
-        "ca043dacc5a3f17e0f286b1034ec937dcf7078f50cbb74df3c30b161ae0e7582",
+        "ed399e8af25df1490200ce6d980e6231a226bcd5a06bcb279eb359f18de37af2",
     "run-maxp.txt":
         "738e1e73bb26f8046a8c92a4881d568ff1c832c173af2dbb458c72e01b6ddbe7",
     "run-firstp.txt":
@@ -236,6 +236,18 @@ def test_undecodable_corpus_exits_2_with_line(data, model, tmp_path, capsys, com
     err = capsys.readouterr().err
     assert code == 2
     assert err == "segtrain: error: line 2: utf-8 cannot decode 0xff (invalid start byte)\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_undecodable_model_exits_2_with_line(data, model, tmp_path, capsys):
+    lines = model.read_bytes().splitlines()
+    lines[2] = b"0.5\xff"
+    bad = tmp_path / "model.txt"
+    bad.write_bytes(b"\n".join(lines) + b"\n")
+    for command in (select, rerank):
+        assert command(data, bad, tmp_path / "out") == 2
+        assert capsys.readouterr().err == \
+            "segtrain: error: line 3: utf-8 cannot decode 0xff (invalid start byte)\n"
     assert not (tmp_path / "out").exists()
 
 

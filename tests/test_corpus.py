@@ -173,7 +173,7 @@ class TestTrainInferenceBudgets:
     def test_training_budget_subtracts_the_query_budget_inference_does_not(self):
         doc = uniform_doc(10, 10, title="two words")  # 2 title tokens
         policy = SegmentationPolicy("training", max_tokens=52, min_tokens=52,
-                                    max_segments=None, seed=0, query_token_budget=10)
+                                    max_segments=3, seed=0, query_token_budget=10)
         training = segment_for_training(doc, policy, random.Random(0))
         inference = segment_for_inference(doc, 52)
         # training windows hold 52 - 2 - 10 = 40 body tokens, inference 52 - 2 = 50

@@ -16,6 +16,7 @@ from segtrain.corpus import (
     compute_corpus_stats,
     segment_for_inference,
 )
+from segtrain.formats import ParseError
 from segtrain.scorer import (
     BM25_B,
     BM25_K1,
@@ -283,6 +284,25 @@ class TestScore:
         p = init_params("linear", 0)
         with pytest.raises(ValueError):
             score_batch(p, np.zeros((1, 5)))
+
+    @settings(max_examples=80, deadline=None)
+    @given(kind=st.sampled_from(["linear", "mlp"]), hidden=st.sampled_from([1, 2, 8, 33]),
+           sizes=st.lists(st.integers(1, 40), min_size=1, max_size=12),
+           seed=st.integers(0, 2**32 - 1))
+    def test_scores_do_not_depend_on_the_rows_beside_them(self, kind, hidden, sizes, seed):
+        # one call per block, all blocks in one call, and all blocks
+        # behind one more row give every row the same bits
+        rng = np.random.default_rng(seed)
+        count = NUM_FEATURES + 1 if kind == "linear" else (NUM_FEATURES + 2) * hidden + 1
+        params = params_from_vector(kind, rng.normal(size=count), hidden_dim=hidden)
+        blocks = [rng.normal(size=(n, NUM_FEATURES)) * 10.0 ** rng.integers(-3, 4, NUM_FEATURES)
+                  for n in sizes]
+        per_block = np.concatenate([score_batch(params, block) for block in blocks])
+        stacked = score_batch(params, np.concatenate(blocks))
+        behind = score_batch(params, np.concatenate([rng.normal(size=(1, NUM_FEATURES)),
+                                                     *blocks]))[1:]
+        assert stacked.tobytes() == per_block.tobytes()
+        assert behind.tobytes() == per_block.tobytes()
 
 
 class TestHinge:
@@ -557,9 +577,42 @@ class TestModelFile:
         assert buf.getvalue().splitlines()[0] == \
             "segtrain-model v1 kind=mlp dim=7 hidden=8"
 
-    def test_bad_header_rejected(self):
-        with pytest.raises(ValueError):
-            read_params(io.StringIO("some other format\n1.0\n"))
+    @pytest.mark.parametrize("header, message", [
+        ("some other format", "bad model header: 'some other format'"),
+        ("segtrain-model v1 kind=linear dim=x hidden=0", "bad model header"),
+        ("segtrain-model v1 kind=linear dim7 hidden=0", "bad model header"),
+        ("segtrain-model v1 kind=linear dim=7 hidden=-1", "bad model header"),
+        ("segtrain-model v1 kind=tree dim=7 hidden=0", "bad model header"),
+        ("segtrain-model v1 kind=linear dim=7", "bad model header"),
+        ("segtrain-model v2 kind=linear dim=7 hidden=0", "bad model header"),
+        ("segtrain-model v1 kind=linear dim=5 hidden=0",
+         "model feature dimension 5 does not match 7"),
+    ])
+    def test_bad_header_rejected(self, header, message):
+        with pytest.raises(ParseError) as info:
+            read_params(io.StringIO(header + "\n" + "0.5\n" * 8))
+        assert info.value.line_no == 1
+        assert str(info.value).startswith(f"line 1: {message}")
+
+    @pytest.mark.parametrize("value", ["x", "0.5 0.5", "nan", "-inf", "1e999"])
+    def test_bad_parameter_rejected_at_its_line(self, value):
+        buf = io.StringIO()
+        write_params(init_params("linear", 0), buf)
+        lines = buf.getvalue().splitlines()
+        lines[3] = value
+        with pytest.raises(ParseError) as info:
+            read_params(io.StringIO("\n".join(lines) + "\n"))
+        assert str(info.value) == f"line 4: bad parameter: {value!r}"
+
+    def test_undecodable_byte_rejected_at_its_line(self):
+        buf = io.StringIO()
+        write_params(init_params("linear", 0), buf)
+        lines = buf.getvalue().encode().splitlines()
+        lines[2] = b"0.5\xff"
+        stream = io.TextIOWrapper(io.BytesIO(b"\n".join(lines) + b"\n"), encoding="utf-8")
+        with pytest.raises(ParseError) as info:
+            read_params(stream)
+        assert str(info.value) == "line 3: utf-8 cannot decode 0xff (invalid start byte)"
 
     def test_non_finite_rejected(self):
         p = init_params("linear", 0)

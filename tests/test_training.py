@@ -1,10 +1,18 @@
+import dataclasses
 import random
 
 import numpy as np
 import pytest
 
 from e2e_utils import assemble
-from segtrain.corpus import CorpusStats, Document, Query, Segment, segment_for_inference
+from segtrain.corpus import (
+    CorpusStats,
+    Document,
+    Query,
+    Segment,
+    compute_corpus_stats,
+    segment_for_inference,
+)
 from segtrain.evaluation import segment_p_at_1
 from segtrain.ranking import Aggregation
 from segtrain.scorer import (
@@ -14,11 +22,12 @@ from segtrain.scorer import (
     ScorerParams,
     batch_loss_and_gradient,
     init_params,
+    params_from_vector,
     params_to_vector,
     score_batch,
     segment_features,
 )
-from segtrain.synth import SynthConfig
+from segtrain.synth import SynthConfig, generate_corpus
 from segtrain.training import (
     TrainConfig,
     TrainingSet,
@@ -28,6 +37,7 @@ from segtrain.training import (
     best_train,
     build_training_set,
     evaluate_bundle,
+    rank_store,
     select_segments,
     train_baseline,
     train_single,
@@ -194,6 +204,21 @@ class TestBuildPairs:
                             TrainConfig(loss=LossKind.POINTWISE_CE), random.Random(0))
         assert sorted(label for _, label in points) == [0, 0, 1, 1]
 
+    def test_rows_are_views_of_one_stacked_matrix(self):
+        tset = _random_tset(np.random.default_rng(5))
+        X, rows = tset.stacked()
+        assert not X.flags.writeable
+        assert len(X) == sum(len(span) for span in rows.values())
+        for topic in tset.topics:
+            for doc_id in topic.candidates:
+                feats = tset.features(topic.query, doc_id)
+                assert np.shares_memory(feats, X)
+                assert np.array_equal(feats, segment_features(
+                    topic.query, tset.documents[doc_id], tset.segments[doc_id],
+                    tset.stats, tset.max_tokens, tset.max_segments))
+        assert _stack(tset, None)[0] is X
+        assert _stack(tset, first_segments(tset))[0] is X
+
     @pytest.mark.parametrize("loss", list(LossKind))
     def test_epoch_rows_equal_per_example_reference(self, loss):
         rng = np.random.default_rng(17)
@@ -271,9 +296,8 @@ class TestSelectSegments:
                         if s > best_score:
                             best, best_score = i, s
                     assert sel[(topic.query.id, doc_id)] == best
-                    # a one-row product may round apart from the k-row one
-                    assert scores[(topic.query.id, doc_id)] == pytest.approx(
-                        best_score, rel=1e-12, abs=1e-12)
+                    # one row alone scores the bits it scores in the store
+                    assert scores[(topic.query.id, doc_id)] == best_score
 
     def test_store_without_qrels_covers_every_candidate(self):
         queries = [Query.from_text("q0", "a"), Query.from_text("q1", "b"),
@@ -434,6 +458,39 @@ class TestEvaluateBundle:
         # must not beat max aggregation
         assert m_first <= m_max
         assert set(run_max) == {t.query.id for t in coll.dev_bundle.topics}
+
+    @pytest.mark.parametrize("kind", ["linear", "mlp"])
+    def test_scores_do_not_depend_on_the_store(self, kind):
+        # a store built for a subset of the queries, as a fold is, scores
+        # and ranks each of its pairs bit for bit as the full store does
+        cfg = SynthConfig(num_queries=24, docs_per_query=4, sentences_per_doc=12,
+                          tokens_per_sentence=32, vocab_size=2000, query_terms=3,
+                          plant_lo=1, plant_hi=4, noise=0.3, seed=4,
+                          min_tokens=48, max_tokens=128, query_token_budget=8)
+        corpus = generate_corpus(cfg)
+        documents = corpus.documents_by_id()
+        stats = compute_corpus_stats(corpus.documents, cfg.max_tokens)
+        rng = np.random.default_rng(4)
+        count = NUM_FEATURES + 1 if kind == "linear" else (NUM_FEATURES + 2) * 8 + 1
+        params = params_from_vector(kind, rng.normal(size=count))
+        for policy in (cfg.policy(), dataclasses.replace(cfg.policy(), mode="inference")):
+            full = build_training_set(corpus.queries, corpus.qrels, corpus.candidates,
+                                      documents, policy, stats)
+            full_selection, full_scores = select_segments(params, full)
+            full_runs = {agg: rank_store(params, full, agg) for agg in Aggregation}
+            for subset in (corpus.queries[1::3], corpus.queries[5:6]):
+                part = build_training_set(subset, corpus.qrels, corpus.candidates,
+                                          documents, policy, stats)
+                for topic in part.topics:
+                    for doc_id in topic.candidates:
+                        assert part.features(topic.query, doc_id).tobytes() == \
+                            full.features(topic.query, doc_id).tobytes()
+                selection, scores = select_segments(params, part)
+                assert selection == {key: full_selection[key] for key in selection}
+                assert scores == {key: full_scores[key] for key in scores}
+                for agg, full_run in full_runs.items():
+                    assert rank_store(params, part, agg) == \
+                        {q.id: full_run[q.id] for q in subset}
 
     def test_scores_are_rerank_scores(self):
         # the dev set scores every inference window of a candidate in one
