@@ -5,11 +5,11 @@ eval-selection.  Exit codes: 0 success, 1 usage error, 2 data error.
 
 Each subcommand imports the numpy-backed layers (ranking, scorer,
 synth, training) itself, so `eval` and `eval-selection` never load
-numpy.  `train`, `select` and `rerank` import them only after
-`_load_pools`, so the corpus parse forks its workers from a process
-that has no numpy thread pool yet.  The first of them to read a corpus
-of 8 MiB or more leaves `<corpus>.views` beside it, from which the
-others load the parsed corpus (see `formats.parse_corpus`).
+numpy.  `train`, `select` and `rerank` import them after `_load_pools`,
+so a malformed corpus, query or candidate file is reported before
+numpy loads.  The first of them to read a corpus of 8 MiB or more
+leaves `<corpus>.views` beside it, from which the others load the
+parsed corpus (see `formats.parse_corpus`).
 
 `rerank` builds the store `train` builds as its dev set, the inference
 windows of each query's candidates, and ranks it as the dev set is

@@ -3,7 +3,7 @@
 Documents are token sequences grouped into sentences; segments are
 contiguous runs of whole sentences, each prefixed with the document
 title.  Training segments use randomized token budgets so segment
-length carries no label signal; inference segments tile the whole body
+length tells nothing of the label; inference segments tile the whole body
 with fixed-size non-overlapping windows.
 
 The scorer reads only a document's title length, its sentence lengths

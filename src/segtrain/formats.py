@@ -12,19 +12,13 @@ and inverts `write_corpus`.  `parse_corpus`, which the commands that
 score documents use, gives each document's `DocView` (title length,
 sentence lengths and the hits of the terms it will be scored against)
 and, from the same pass, the document frequency of those terms; no
-token list is kept.  A corpus file of several MiB is parsed on every
-CPU the process may use: it is cut into byte ranges of whole lines,
-forked workers parse all but the first, and the parts are merged in
-file order, so the result equals the serial parse.  A failing range,
-or a doc_id repeated across ranges, sends the file to the serial
-parse, which reports the error at its line.  A corpus file of 8 MiB or
-more keeps what `parse_corpus` returns in `<corpus file>.views`, a
-JSON-lines file beside it, keyed by the file's size and CRC-32, the
-stream's encoding and error handler, the scored terms and a CRC-32 of
-the code that builds the views.  Only a successful parse writes it, so
-no cache matches a malformed corpus; any other key or a damaged cache
-is a miss that parses the text again, and deleting the cache is always
-safe.
+token list is kept.  A corpus file of 8 MiB or more keeps what
+`parse_corpus` returns in `<corpus file>.views`, a JSON-lines file
+beside it, keyed by the file's size and CRC-32, the stream's encoding
+and error handler, the scored terms and a CRC-32 of the code that
+builds the views.  Only a successful parse writes it, so no cache
+matches a malformed corpus; any other key or a damaged cache is a miss
+that parses the text again, and deleting the cache is always safe.
 
 The module also owns all configuration, without importing numpy:
 `TrainConfig` and `SynthConfig` (which `training`, `synth` and, for
@@ -39,16 +33,12 @@ from __future__ import annotations
 import codecs
 import dataclasses
 import enum
-import functools
 import io
 import itertools
 import json
 import os
-import pickle
-import signal
 import stat
 import sys
-import threading
 import zlib
 from collections import Counter
 from dataclasses import dataclass
@@ -144,9 +134,12 @@ def parse_qrels(stream: IO[str]) -> Qrels:
             raise ParseError(f"expected 4 fields, got {len(fields)}", line_no)
         qid, _, doc_id, grade = fields
         try:
-            qrels[(qid, doc_id)] = int(grade)  # duplicates: last grade wins
+            value = int(grade)
         except ValueError:
             raise ParseError(f"bad relevance grade {grade!r}", line_no) from None
+        if value < 0:
+            raise ParseError(f"negative relevance grade for {(qid, doc_id)}", line_no)
+        qrels[(qid, doc_id)] = value  # duplicates: last grade wins
     return qrels
 
 
@@ -257,10 +250,6 @@ def parse_documents(stream: IO[str]) -> dict[str, Document]:
             for doc_id, title, body in _corpus_records(stream)}
 
 
-# A forked worker parses a corpus range of at least this many bytes, so a
-# smaller corpus parses in the calling process alone.
-MIN_RANGE_BYTES = 4 << 20
-
 # A corpus file of at least this many bytes keeps its parse in a views
 # cache beside it; a smaller one parses in milliseconds.
 MIN_CACHED_BYTES = 8 << 20
@@ -275,8 +264,6 @@ _PARSER_SOURCES = (__file__, os.path.join(os.path.dirname(__file__), "corpus.py"
 
 _CRC_CHUNK = 256 << 10
 
-_Views = tuple[dict[str, DocView], Counter]
-
 
 def parse_corpus(stream: IO[str], doc_terms: dict[str, set[str]] | None = None
                  ) -> tuple[dict[str, DocView], dict[str, int]]:
@@ -289,8 +276,8 @@ def parse_corpus(stream: IO[str], doc_terms: dict[str, set[str]] | None = None
     those terms.  No token list outlives its document's line.
 
     A `TextIOWrapper` not yet read from is switched to universal
-    newlines first, so the serial, ranged and cached parses split lines
-    alike, whatever `newline=` the file was opened with.
+    newlines first, so the parse and the cache split lines alike,
+    whatever `newline=` the file was opened with.
 
     A text stream over a regular file of at least `MIN_CACHED_BYTES`,
     not yet read, whose name is the path of that file, has a views
@@ -311,19 +298,6 @@ def parse_corpus(stream: IO[str], doc_terms: dict[str, set[str]] | None = None
     far as the directory that holds it: a corpus in a directory that
     other users may write to gets no cache, and a cache owned by another
     user, or reached through a symbolic link, is a miss.
-
-    A UTF-8 text stream over a regular file, not yet read, is cut into
-    one range of whole lines per CPU this process may use, each of at
-    least `MIN_RANGE_BYTES`.  This process parses the first range and a
-    forked worker each other one.  Each range is read by byte offset
-    and decoded as `open(path)` decodes it: with the stream's encoding
-    and error handler, and universal newlines.  The parts are merged in
-    file order, so the views, the order of their keys and the document
-    frequency equal those of a serial parse.  If a range fails or a
-    doc_id repeats across ranges, the stream is parsed serially, which
-    raises the error at its line.  Any other stream, a small file, a
-    single CPU or a platform without `os.fork` parses serially with the
-    same per-range parser.
     """
     doc_terms = doc_terms or {}
     if isinstance(stream, io.TextIOWrapper):
@@ -334,191 +308,25 @@ def parse_corpus(stream: IO[str], doc_terms: dict[str, set[str]] | None = None
     cache = _views_cache(stream, doc_terms)
     parsed = _load_views(cache) if cache is not None else None
     if parsed is None:
-        parsed = _parse_text(stream, doc_terms)
+        parsed = _corpus_views(stream, doc_terms)
         if cache is not None:
             _store_views(cache, parsed)
     return parsed
 
 
-def _parse_text(stream: IO[str], doc_terms: dict[str, set[str]]
-                ) -> tuple[dict[str, DocView], dict[str, int]]:
-    """`parse_corpus` of the text: in ranges when `_range_fd` allows, else
-    serially."""
-    parse = functools.partial(_corpus_views, doc_terms=doc_terms,
-                              terms=set().union(*doc_terms.values()))
-    fd = _range_fd(stream)
-    if fd is not None:
-        size = os.fstat(fd).st_size
-        count = min(_cpu_count(), size // MIN_RANGE_BYTES)
-        if count > 1:
-            parsed = _parse_ranges(stream, fd, _line_bounds(fd, size, count), parse)
-            if parsed is not None:
-                return parsed
-    views, df = parse(stream)
-    return views, dict(df)
-
-
-def _corpus_views(stream: IO[str], doc_terms: dict[str, set[str]],
-                  terms: set[str]) -> _Views:
+def _corpus_views(stream: IO[str], doc_terms: dict[str, set[str]]
+                  ) -> tuple[dict[str, DocView], dict[str, int]]:
     """The views of the documents in `stream`, and the count of the
-    documents holding each member of `terms`, keyed in first-seen order."""
+    documents holding each term of `doc_terms`, keyed in first-seen
+    order."""
+    terms = set().union(*doc_terms.values())
     views: dict[str, DocView] = {}
     df: Counter[str] = Counter()
     for doc_id, title, body in _corpus_records(stream):
         views[doc_id], found = view_from_text(
             doc_id, title, body, doc_terms.get(doc_id, set()), terms)
         df.update(found)
-    return views, df
-
-
-def _cpu_count() -> int:
-    """The number of CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no CPU affinity on this platform
-        return os.cpu_count() or 1
-
-
-def _file_fd(stream: IO[str]) -> int | None:
-    """The file descriptor under `stream` if it is a text stream over a
-    regular file, not yet read from, else None."""
-    if not isinstance(stream, io.TextIOWrapper):
-        return None
-    try:
-        fd = stream.fileno()
-        if stat.S_ISREG(os.fstat(fd).st_mode) and stream.tell() == 0:
-            return fd
-    except OSError:  # no descriptor, or not seekable
-        pass
-    return None
-
-
-def _range_fd(stream: IO[str]) -> int | None:
-    """The file descriptor under `stream` if its ranges may be parsed in
-    forked workers, else None.
-
-    That needs `os.fork` and no other thread, a UTF-8 text stream, in
-    which a line starts after each b"\\n", and a regular file not yet
-    read from.
-    """
-    if not (hasattr(os, "fork") and threading.active_count() == 1
-            and isinstance(stream, io.TextIOWrapper)
-            and codecs.lookup(stream.encoding).name == "utf-8"):
-        return None
-    return _file_fd(stream)
-
-
-def _line_bounds(fd: int, size: int, count: int) -> list[int]:
-    """Offsets from 0 to `size` that cut the file into at most `count`
-    ranges of whole lines and about equal size: each inner cut follows
-    the first b"\\n" at or after its share of the bytes."""
-    cuts = {0, size}
-    for k in range(1, count):
-        pos = max(size * k // count - 1, 0)
-        while pos < size:
-            chunk = os.pread(fd, 1 << 16, pos)
-            if b"\n" in chunk:
-                cuts.add(pos + chunk.index(b"\n") + 1)
-                break
-            if not chunk:  # the file ended early
-                break
-            pos += len(chunk)
-    return sorted(cuts)
-
-
-class _ByteRange(io.RawIOBase):
-    """Bytes [start, end) of an open file.  `os.pread` leaves the offset
-    of the descriptor, which forked processes share, where it is."""
-
-    def __init__(self, fd: int, start: int, end: int):
-        self.fd, self.pos, self.end = fd, start, end
-
-    def readable(self) -> bool:
-        return True
-
-    def readinto(self, buffer) -> int:
-        data = os.pread(self.fd, min(len(buffer), self.end - self.pos), self.pos)
-        buffer[:len(data)] = data
-        self.pos += len(data)
-        return len(data)
-
-
-def _parse_ranges(stream: IO[str], fd: int, bounds: list[int],
-                  parse: Callable[[IO[str]], _Views]
-                  ) -> tuple[dict[str, DocView], dict[str, int]] | None:
-    """`parse` of each range [bounds[i], bounds[i + 1]), the first in this
-    process and the others in forked workers, merged in file order.
-
-    None if a range fails, a worker cannot be forked or a doc_id repeats
-    across ranges.  Every worker is reaped before this returns.
-    """
-    def parse_range(start: int, end: int) -> _Views:
-        raw = io.BufferedReader(_ByteRange(fd, start, end))
-        with io.TextIOWrapper(raw, encoding=stream.encoding, errors=stream.errors) as text:
-            return parse(text)
-
-    workers: list[tuple[int, int]] = []  # (pid, read end of its pipe)
-    payloads: list[bytes] = []
-    try:
-        try:
-            for start, end in zip(bounds[1:-1], bounds[2:]):
-                workers.append(_fork(functools.partial(parse_range, start, end)))
-        except OSError:  # no process to spare
-            return None
-        try:
-            views, df = parse_range(bounds[0], bounds[1])
-        except ValueError:  # a ParseError or a decoding error
-            return None
-        for _, read_end in workers:
-            with open(read_end, "rb", closefd=False) as pipe:
-                payloads.append(pipe.read())
-    finally:
-        exited = _reap(workers, kill=len(payloads) < len(workers))
-    if not exited:
-        return None
-    for payload in payloads:
-        part_views, part_df = pickle.loads(payload)
-        if not views.keys().isdisjoint(part_views):
-            return None
-        views.update(part_views)
-        df.update(part_df)
     return views, dict(df)
-
-
-def _fork(job: Callable[[], Any]) -> tuple[int, int]:
-    """Fork a worker that pickles `job()` into a pipe; its pid and the
-    pipe's read end.  The worker exits 0 once it has written it all."""
-    read_end, write_end = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_end)
-        os.close(write_end)
-        raise
-    if pid == 0:
-        status = 1
-        try:
-            os.close(read_end)
-            with open(write_end, "wb") as pipe:
-                pipe.write(pickle.dumps(job(), pickle.HIGHEST_PROTOCOL))
-            status = 0
-        finally:
-            os._exit(status)  # never return into the caller's frames
-    os.close(write_end)
-    return pid, read_end
-
-
-def _reap(workers: list[tuple[int, int]], kill: bool) -> bool:
-    """Close each worker's pipe and wait for it to exit, killing it first
-    if `kill`; True if every worker exited 0."""
-    exited = True
-    for pid, read_end in workers:
-        os.close(read_end)
-        if kill:
-            os.kill(pid, signal.SIGKILL)
-        _, status = os.waitpid(pid, 0)
-        exited = exited and os.waitstatus_to_exitcode(status) == 0
-    return exited
 
 
 class _ViewsCache(NamedTuple):
@@ -533,14 +341,15 @@ def _views_cache(stream: IO[str], doc_terms: dict[str, set[str]]) -> _ViewsCache
     key; None unless `stream` is a text stream, not yet read, over a
     regular file of at least `MIN_CACHED_BYTES` that `stream.name` names,
     in a directory that other users may not write to."""
-    fd = _file_fd(stream)
-    if fd is None or not isinstance(stream.name, str):
-        return None
-    info = os.fstat(fd)
-    if info.st_size < MIN_CACHED_BYTES:
+    if not isinstance(stream, io.TextIOWrapper):
         return None
     crc = 0
     try:
+        fd = stream.fileno()
+        info = os.fstat(fd)
+        if (not stat.S_ISREG(info.st_mode) or stream.tell() != 0
+                or not isinstance(stream.name, str) or info.st_size < MIN_CACHED_BYTES):
+            return None
         directory = os.stat(os.path.dirname(stream.name) or os.curdir)
         if (directory.st_mode & stat.S_IWOTH
                 or not os.path.samestat(info, os.stat(stream.name))):
@@ -698,13 +507,13 @@ def parse_candidates(stream: IO[str]) -> dict[str, list[str]]:
 # selection: JSON-lines {"qid", "doc_id", "segment_index", "score"}
 
 def write_selection(selection: SegmentIndexMap, stream: IO[str],
-                    scores: dict[tuple[str, str], float] | None = None) -> None:
+                    scores: dict[tuple[str, str], float]) -> None:
     for (qid, doc_id), index in sorted(selection.items()):
         record = {
             "qid": qid,
             "doc_id": doc_id,
             "segment_index": index,
-            "score": (scores or {}).get((qid, doc_id), 0.0),
+            "score": scores.get((qid, doc_id), 0.0),
         }
         stream.write(json.dumps(record, sort_keys=True) + "\n")
 

@@ -174,9 +174,6 @@ class ScorerParams:
         return 0 if self.kind == "linear" else self.out_weights.shape[0]
 
 
-Gradient = ScorerParams
-
-
 def init_params(kind: str, seed: int, hidden_dim: int = 8) -> ScorerParams:
     """Seeded uniform weights on [-0.1, 0.1]; biases start at zero.
 
@@ -264,7 +261,7 @@ def _backward(params: ScorerParams, X: np.ndarray, upstream: np.ndarray,
 
 
 def batch_loss_and_gradient(params: ScorerParams, X: np.ndarray, other: np.ndarray,
-                            loss: LossKind) -> tuple[float, Gradient]:
+                            loss: LossKind) -> tuple[float, ScorerParams]:
     """Mean loss over a batch and its exact analytic gradient.
 
     `X` holds one feature row per example.  Under the pairwise hinge
@@ -305,7 +302,7 @@ def _all_finite(params: ScorerParams) -> bool:
     return all(np.all(np.isfinite(a)) for a in params.arrays())
 
 
-def sgd_step(params: ScorerParams, grad: Gradient, lr: float) -> ScorerParams:
+def sgd_step(params: ScorerParams, grad: ScorerParams, lr: float) -> ScorerParams:
     """params - lr * grad, elementwise; rejects non-finite gradients."""
     if lr < 0:
         raise ValueError("learning rate must be non-negative")
@@ -360,7 +357,9 @@ def write_params(params: ScorerParams, stream: IO[str]) -> None:
 
 def read_params(stream: IO[str]) -> ScorerParams:
     """The parameters in a model file; a malformed file raises
-    `formats.ParseError` at its line, the header being line 1."""
+    `formats.ParseError` at its line, the header being line 1.  Too many
+    parameters are reported at the first extra one, too few at the last
+    line."""
     lines = _lines(stream)
     line_no, header = next(lines, (1, ""))
     header = header.strip() if line_no == 1 else ""
@@ -376,12 +375,21 @@ def read_params(stream: IO[str]) -> ScorerParams:
     if kind == "mlp" and int(hidden) < 1:
         raise ParseError(f"bad model header: mlp scorer needs hidden >= 1, "
                          f"got hidden={hidden}", 1)
-    values = []
+    h = int(hidden)
+    expected = NUM_FEATURES + 1 if kind == "linear" else (NUM_FEATURES + 2) * h + 1
+    values, last = [], 1
     for line_no, line in lines:
+        if len(values) == expected:
+            raise ParseError(f"expected {expected} parameters for a {kind} scorer, "
+                             f"got more", line_no)
         try:
             values.append(float(line))
         except ValueError:
             values.append(math.nan)  # rejected with the non-finite values
         if not math.isfinite(values[-1]):
             raise ParseError(f"bad parameter: {line.strip()!r}", line_no)
-    return params_from_vector(kind, np.array(values), hidden_dim=int(hidden))
+        last = line_no
+    if len(values) < expected:
+        raise ParseError(f"expected {expected} parameters for a {kind} scorer, "
+                         f"got {len(values)}", last)
+    return params_from_vector(kind, np.array(values), hidden_dim=h)

@@ -151,24 +151,6 @@ def test_outputs_match_pinned_digests(tmp_path_factory, tmp_path):
     assert pinned_outputs(tmp_path_factory, tmp_path) == PINNED_DIGESTS
 
 
-def test_outputs_match_pinned_digests_with_ranged_parse(tmp_path_factory, tmp_path,
-                                                        monkeypatch):
-    # each corpus parse cut into three ranges, two of them parsed by workers
-    parsed = []
-
-    def parse_ranges(*args):
-        parsed.append(parse_ranges.real(*args))
-        return parsed[-1]
-
-    parse_ranges.real = formats._parse_ranges
-    monkeypatch.setattr(formats, "MIN_RANGE_BYTES", 1)
-    monkeypatch.setattr(formats, "_cpu_count", lambda: 3)
-    monkeypatch.setattr(formats, "_parse_ranges", parse_ranges)
-    assert pinned_outputs(tmp_path_factory, tmp_path) == PINNED_DIGESTS
-    # eight trainings, one selection and two reranks, none parsed serially
-    assert len(parsed) == 11 and None not in parsed
-
-
 def test_outputs_match_pinned_digests_with_cached_views(tmp_path_factory, tmp_path,
                                                         monkeypatch):
     # the first training parses the corpus and caches its views, and the
@@ -251,6 +233,18 @@ def test_undecodable_model_exits_2_with_line(data, model, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_wrong_parameter_count_exits_2_with_line(data, model, tmp_path, capsys):
+    header, *values = model.read_text().splitlines()
+    assert header.split()[2] == "kind=linear" and len(values) == 8
+    bad = tmp_path / "model.txt"
+    for kept, line_no, got in ((values[:7], 8, "7"), ([*values, "0.5"], 10, "more")):
+        bad.write_text("\n".join([header, *kept]) + "\n")
+        assert rerank(data, bad, tmp_path / "out") == 2
+        assert capsys.readouterr().err == (f"segtrain: error: line {line_no}: expected 8 "
+                                           f"parameters for a linear scorer, got {got}\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_duplicate_candidate_exits_2_with_line(data, model, tmp_path, capsys):
     candidates = tmp_path / "candidates.tsv"
     first = (data / "candidates.tsv").read_text().splitlines()[0]
@@ -262,15 +256,12 @@ def test_duplicate_candidate_exits_2_with_line(data, model, tmp_path, capsys):
 
 
 def test_malformed_corpus_exits_before_numpy_is_imported(data, model, tmp_path):
-    # the corpus parse forks its workers before numpy starts a thread pool
+    # the numpy-backed layers load only once the inputs have parsed
     corpus = write_corpus_with(data, tmp_path, '{"doc_id": "x", "title": "t"')
     runs = [["train", "--mode", "best", "--qrels", str(data / "qrels.txt")],
             ["select", "--model", str(model)], ["rerank", "--model", str(model)]]
     script = ("import sys\n"
-              "from segtrain import formats\n"
               "from segtrain.cli import main\n"
-              "formats.MIN_RANGE_BYTES = 1\n"
-              "formats._cpu_count = lambda: 3\n"
               f"for args in {runs!r}:\n"
               f"    args += {inputs(data, corpus=corpus)!r}\n"
               f"    assert main([*args, '--out', {str(tmp_path / 'out')!r}]) == 2\n"
@@ -500,6 +491,22 @@ def test_eval_bad_run_exits_2_with_line(trec, capsys, run, line_no, message):
         assert eval_trec(trec, *args) == 2
         assert f"line {line_no}: {message}" in capsys.readouterr().err
         assert gc.isenabled()
+
+
+def test_negative_grade_exits_2_with_line(trec, data, tmp_path, capsys):
+    (trec / "qrels.txt").write_text(QRELS.replace("q1 0 d2 0", "q1 0 d2 -1"))
+    assert eval_trec(trec) == 2
+    out, err = capsys.readouterr()
+    assert out == ""  # refused before any figure is printed
+    assert err == "segtrain: error: line 2: negative relevance grade for ('q1', 'd2')\n"
+    lines = (data / "qrels.txt").read_text().splitlines()
+    qrels = tmp_path / "qrels.txt"
+    qrels.write_text("\n".join([*lines, "q1 0 d2 -1"]) + "\n")
+    assert main(["train", "--mode", "first", *inputs(data), "--qrels", str(qrels),
+                 "--out", str(tmp_path / "model.txt")]) == 2
+    assert capsys.readouterr().err == (f"segtrain: error: line {len(lines) + 1}: "
+                                       f"negative relevance grade for ('q1', 'd2')\n")
+    assert not (tmp_path / "model.txt").exists()
 
 
 def test_eval_too_few_shared_queries_exits_2(trec, capsys):

@@ -159,18 +159,17 @@ class TestCorpusViews:
                                           terms).document_frequency
 
 
-RANGE_WORDS = ["alpha", "Beta", "γάμμα", "ß", "naïve", "9", "\u2028", ".", "!"]
+CORPUS_WORDS = ["alpha", "Beta", "γάμμα", "ß", "naïve", "9", "\u2028", ".", "!"]
 BAD_LINES = ['{"doc_id": "x", "title": "t"', "5", '{"doc_id": "d0", "title": "", "body": ""}']
 
 
 @st.composite
-def corpus_files(draw):
-    """The lines of a corpus file, the ending of each and the indices of
-    the lines at which ranges start: up to four ranges.  Bodies may be
+def corpus_files(draw) -> bytes:
+    """A corpus file whose lines end in "\n" or "\r\n".  Bodies may be
     non-ASCII, some lines are blank, and some examples hold a malformed
     line or repeat doc_id d0."""
-    records = draw(st.lists(st.tuples(st.lists(st.sampled_from(RANGE_WORDS), max_size=12),
-                                      st.sampled_from(RANGE_WORDS), st.booleans()),
+    records = draw(st.lists(st.tuples(st.lists(st.sampled_from(CORPUS_WORDS), max_size=12),
+                                      st.sampled_from(CORPUS_WORDS), st.booleans()),
                             min_size=1, max_size=8))
     lines = [json.dumps({"doc_id": f"d{i}", "title": title, "body": " ".join(body)},
                         ensure_ascii=ascii_only)
@@ -183,103 +182,25 @@ def corpus_files(draw):
                             max_size=len(lines)))
     if draw(st.booleans()):
         endings[-1] = ""  # no newline at the end of the file
-    starts = (draw(st.sets(st.sampled_from(range(1, len(lines))), max_size=3))
-              if len(lines) > 1 else set())
-    return lines, endings, starts
-
-
-def corpus_bytes(corpus) -> tuple[bytes, list[int]]:
-    """The file of a `corpus_files` example, and the bounds of its ranges."""
-    lines, endings, starts = corpus
-    encoded = [(line + end).encode() for line, end in zip(lines, endings)]
-    offsets = [len(b"".join(encoded[:i])) for i in range(len(encoded) + 1)]
-    return b"".join(encoded), [0, *(offsets[i] for i in sorted(starts)), offsets[-1]]
+    return "".join(line + end for line, end in zip(lines, endings)).encode()
 
 
 scored_terms = st.dictionaries(st.sampled_from(["d0", "d1", "d2", "d5"]),
                                st.sets(st.sampled_from(["alpha", "beta", "γάμμα", "ß", "9"])))
 
 
-class TestRangedParse:
-    """A corpus file parsed in line-aligned ranges, all but the first in
-    forked workers, gives what the serial parse gives: the same views in
-    the same order, document frequency in the same key order, or the
-    same error."""
-
-    @staticmethod
-    def parse(path: Path, doc_terms: dict, bounds: list[int] | None = None,
-              cached: bool = False):
-        """parse_corpus of the file at `path`, or its error text; with
-        `bounds`, cut into those ranges; if `cached`, through its views
-        cache."""
-        with contextlib.ExitStack() as stack:
-            if cached:
-                stack.enter_context(mock.patch.object(formats, "MIN_CACHED_BYTES", 1))
-            if bounds is not None:
-                stack.enter_context(mock.patch.object(formats, "MIN_RANGE_BYTES", 1))
-                stack.enter_context(mock.patch.object(formats, "_cpu_count", lambda: 4))
-                stack.enter_context(mock.patch.object(formats, "_line_bounds",
-                                                      lambda fd, size, count: bounds))
-                ranged = stack.enter_context(mock.patch.object(
-                    formats, "_parse_ranges", wraps=formats._parse_ranges))
-            stream = stack.enter_context(open(path))
-            try:
-                views, df = parse_corpus(stream, doc_terms)
-                parsed = list(views.items()), list(df.items())
-            except ParseError as exc:
-                parsed = str(exc)
-            if bounds is not None:
-                assert ranged.call_count == 1
-        with pytest.raises(ChildProcessError):  # every worker was reaped
-            os.waitpid(-1, os.WNOHANG)
-        return parsed
-
-    @settings(max_examples=80, deadline=None)
-    @given(corpus_files(), scored_terms)
-    @example((['{"doc_id": "d0", "title": "a", "body": "alpha."}', "",
-               '{"doc_id": "d1", "title": "b", "body": "beta."}', BAD_LINES[0]],
-              ["\n", "\r\n", "\n", "\n"], {1, 3}), {"d0": {"alpha"}})
-    @example((['{"doc_id": "d0", "title": "a", "body": "alpha."}',
-               '{"doc_id": "d1", "title": "b", "body": "beta."}', BAD_LINES[2]],
-              ["\n", "\n", "\n"], {2}), {})
-    @example((['{"doc_id": "d0", "title": "a", "body": "alpha."}', BAD_LINES[1],
-               '{"doc_id": "d1", "title": "b", "body": "beta."}', BAD_LINES[0]],
-              ["\n", "\n", "\n", "\n"], {1, 3}), {})
-    @example((['{"doc_id": "d0", "title": "a", "body": "alpha."}',
-               '{"doc_id": "d1", "title": "b", "body": "beta."}', BAD_LINES[0],
-               '{"doc_id": "d2", "title": "c", "body": "ß."}', BAD_LINES[1]],
-              ["\n", "\n", "\n", "\n", ""], {2, 4}), {})
-    def test_ranged_parse_equals_serial(self, corpus, doc_terms):
-        data, bounds = corpus_bytes(corpus)
-        with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "corpus.jsonl"
-            path.write_bytes(data)
-            assert self.parse(path, doc_terms, bounds) == self.parse(path, doc_terms)
-
-    @settings(max_examples=100, deadline=None)
-    @given(st.lists(st.sampled_from([b"a", b"\n", b"\r", "δ".encode()]), min_size=1),
-           st.integers(1, 6))
-    @example([b"x" * 200_000, b"\n", b"y" * 10, b"\n"], 2)  # a line over one read
-    def test_line_bounds_cut_after_newlines(self, pieces, count):
-        data = b"".join(pieces)
-        with tempfile.TemporaryFile() as file:
-            file.write(data)
-            file.flush()
-            bounds = formats._line_bounds(file.fileno(), len(data), count)
-        assert bounds[0] == 0 and bounds[-1] == len(data)
-        assert bounds == sorted(set(bounds)) and len(bounds) - 1 <= count
-        assert all(data[cut - 1:cut] == b"\n" for cut in bounds[1:-1])
-
-    def test_streams_that_parse_serially(self, tmp_path):
-        path = tmp_path / "corpus.jsonl"
-        path.write_text(GOOD + "\n")
-        with open(path) as stream:
-            assert formats._range_fd(stream) == stream.fileno()
-            stream.readline()  # no longer at the start
-            assert formats._range_fd(stream) is None
-        with open(path, encoding="utf-16") as stream:
-            assert formats._range_fd(stream) is None
-        assert formats._range_fd(io.StringIO(GOOD)) is None
+def parse_file(path: Path, doc_terms: dict, cached: bool = False):
+    """parse_corpus of the file at `path`, or its error text; if `cached`,
+    through its views cache."""
+    with contextlib.ExitStack() as stack:
+        if cached:
+            stack.enter_context(mock.patch.object(formats, "MIN_CACHED_BYTES", 1))
+        stream = stack.enter_context(open(path))
+        try:
+            views, df = parse_corpus(stream, doc_terms)
+            return list(views.items()), list(df.items())
+        except ParseError as exc:
+            return str(exc)
 
 
 def doc_line(doc_id: str, body: str = "alpha beta.") -> str:
@@ -360,16 +281,14 @@ class TestViewsCache:
         return path
 
     @settings(max_examples=60, deadline=None)
-    @given(corpus_files(), scored_terms, st.booleans())
-    def test_hit_equals_fresh_parse(self, corpus, doc_terms, ranged):
-        data, bounds = corpus_bytes(corpus)
+    @given(corpus_files(), scored_terms)
+    def test_hit_equals_fresh_parse(self, data, doc_terms):
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "corpus.jsonl"
             path.write_bytes(data)
-            fresh = TestRangedParse.parse(path, doc_terms)
+            fresh = parse_file(path, doc_terms)
             assert not Path(f"{path}.views").exists()  # under MIN_CACHED_BYTES
-            miss = TestRangedParse.parse(path, doc_terms, bounds if ranged else None,
-                                         cached=True)
+            miss = parse_file(path, doc_terms, cached=True)
             assert miss == fresh
             # only a parse that succeeds writes the cache
             assert Path(f"{path}.views").exists() == (not isinstance(fresh, str))
@@ -395,7 +314,7 @@ class TestViewsCache:
             patches = {"_parser_crc": lambda crc=formats._parser_crc(): crc ^ 1}
         else:
             python += "+"
-        fresh = TestRangedParse.parse(path, doc_terms)
+        fresh = parse_file(path, doc_terms)
         assert (fresh == cached) == (change not in ("one byte", "doc_terms"))
         with mock.patch.object(sys, "version", python):
             assert self.parse(path, doc_terms, **patches) == (fresh, False)
@@ -404,7 +323,7 @@ class TestViewsCache:
     def test_the_key_covers_the_code_that_builds_views(self, tmp_path):
         builders = [corpus_module.tokenize, corpus_module._sentence_tokens,
                     corpus_module.view_from_text, corpus_module.DocView,
-                    formats._corpus_views, formats._corpus_records, formats._parse_text]
+                    formats._corpus_views, formats._corpus_records]
         sources = {os.path.realpath(path) for path in formats._PARSER_SOURCES}
         assert {os.path.realpath(inspect.getsourcefile(f)) for f in builders} <= sources
         copies = []
@@ -441,7 +360,7 @@ class TestViewsCache:
     def test_a_cache_that_is_no_regular_file_is_a_miss(self, tmp_path, make):
         path = self.corpus(tmp_path)
         make(tmp_path / "corpus.jsonl.views")
-        fresh = TestRangedParse.parse(path, CACHED_TERMS)
+        fresh = parse_file(path, CACHED_TERMS)
         assert self.parse(path, CACHED_TERMS) == (fresh, False)  # without blocking
         assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.jsonl",
                                                               "corpus.jsonl.views"]
@@ -464,7 +383,7 @@ class TestViewsCache:
 
     def test_a_link_at_the_temporary_name_is_not_followed(self, tmp_path):
         path = self.corpus(tmp_path)
-        fresh = TestRangedParse.parse(path, CACHED_TERMS)
+        fresh = parse_file(path, CACHED_TERMS)
         target = tmp_path / "target"
         target.write_bytes(b"kept")
         Path(f"{path}.views.{bytes(8).hex()}.tmp").symlink_to(target)
@@ -474,14 +393,14 @@ class TestViewsCache:
 
     def test_a_directory_others_may_write_gets_no_cache(self, tmp_path):
         path = self.corpus(tmp_path)
-        fresh = TestRangedParse.parse(path, CACHED_TERMS)
+        fresh = parse_file(path, CACHED_TERMS)
         tmp_path.chmod(0o1777)
         assert self.parse(path, CACHED_TERMS) == (fresh, False)
         assert [p.name for p in tmp_path.iterdir()] == ["corpus.jsonl"]
 
     def test_a_stream_whose_name_names_another_file_gets_no_cache(self, tmp_path):
         path = self.corpus(tmp_path)
-        fresh = TestRangedParse.parse(path, CACHED_TERMS)
+        fresh = parse_file(path, CACHED_TERMS)
         with mock.patch.object(formats, "MIN_CACHED_BYTES", 1), open(path) as stream:
             path.rename(tmp_path / "moved.jsonl")
             path.write_text(CACHED_CORPUS)
@@ -507,35 +426,26 @@ class TestViewsCache:
         # a read-only directory refuses the temporary file; a full disk can
         # also refuse its rename
         path = self.corpus(tmp_path)
-        fresh = TestRangedParse.parse(path, CACHED_TERMS)
+        fresh = parse_file(path, CACHED_TERMS)
         with mock.patch.object(formats.os, call, side_effect=PermissionError(13, call)):
             assert self.parse(path, CACHED_TERMS) == (fresh, False)
         assert [p.name for p in tmp_path.iterdir()] == ["corpus.jsonl"]
 
 
-@pytest.mark.parametrize("how", ["serial", "ranged", "cached"])
+@pytest.mark.parametrize("how", ["serial", "cached"])
 def test_corpus_lines_split_on_universal_newlines(tmp_path, how):
     # a lone "\r" ends a line, whatever newline= the stream was opened with
-    first = doc_line("a")
     path = tmp_path / "corpus.jsonl"
-    path.write_bytes(f"{first}\r{doc_line('c')}\n".encode())
-    patches = {"ranged": {"MIN_RANGE_BYTES": 1, "_cpu_count": lambda: 2,
-                          "_line_bounds": lambda fd, size, count: [0, len(first) + 1, size]},
-               "cached": {"MIN_CACHED_BYTES": 1}}.get(how, {})
-    parse_ranges, ranged = formats._parse_ranges, []
+    path.write_bytes(f"{doc_line('a')}\r{doc_line('c')}\n".encode())
     with contextlib.ExitStack() as stack:
-        for name, value in patches.items():
-            stack.enter_context(mock.patch.object(formats, name, value))
-        stack.enter_context(mock.patch.object(
-            formats, "_parse_ranges",
-            lambda *args: ranged.append(parse_ranges(*args)) or ranged[-1]))
+        if how == "cached":
+            stack.enter_context(mock.patch.object(formats, "MIN_CACHED_BYTES", 1))
         tokenized = stack.enter_context(mock.patch.object(
             formats, "_corpus_views", wraps=formats._corpus_views))
         for _ in range(2):  # a cached parse is a hit the second time
             with open(path, newline="\n") as stream:
                 assert list(parse_corpus(stream)[0]) == ["a", "c"]
     assert tokenized.call_count == (1 if how == "cached" else 2)
-    assert len(ranged) == (2 if how == "ranged" else 0) and None not in ranged
 
 
 GOOD = '{"doc_id": "d1", "title": "t", "body": "a b."}'
@@ -578,26 +488,21 @@ def undecodable_corpus(lines: int) -> tuple[bytes, int]:
 
 
 @pytest.mark.parametrize("lines", [2, 3, 1000])
-@pytest.mark.parametrize("how", ["serial", "ranged", "cached"])
+@pytest.mark.parametrize("how", ["serial", "cached"])
 def test_undecodable_corpus_byte_names_its_line(tmp_path, how, lines):
     # the decoder reads ahead in chunks; 1000 lines fill several
     data, line_no = undecodable_corpus(lines)
     path = tmp_path / "corpus.jsonl"
     path.write_bytes(data)
-    patches = {"ranged": {"MIN_RANGE_BYTES": 1, "_cpu_count": lambda: 3},
-               "cached": {"MIN_CACHED_BYTES": 1}}.get(how, {})
     with contextlib.ExitStack() as stack:
-        for name, value in patches.items():
-            stack.enter_context(mock.patch.object(formats, name, value))
-        ranged = stack.enter_context(mock.patch.object(
-            formats, "_parse_ranges", wraps=formats._parse_ranges))
+        if how == "cached":
+            stack.enter_context(mock.patch.object(formats, "MIN_CACHED_BYTES", 1))
         for parser in (parse_corpus, parse_documents):
             with open(path) as stream, pytest.raises(ParseError) as info:
                 parser(stream)
             assert info.value.line_no == line_no
             assert str(info.value) == \
                 f"line {line_no}: utf-8 cannot decode 0xff (invalid start byte)"
-    assert ranged.call_count == (1 if how == "ranged" else 0)
     assert [p.name for p in tmp_path.iterdir()] == ["corpus.jsonl"]
 
 
@@ -686,7 +591,7 @@ def test_run_round_trip(run, tag):
 
 
 @settings(max_examples=150)
-@given(st.dictionaries(st.tuples(ids, ids), st.integers(-5, 5)))
+@given(st.dictionaries(st.tuples(ids, ids), st.integers(0, 5)))
 def test_qrels_round_trip(qrels):
     out = io.StringIO()
     write_qrels(qrels, out)
@@ -695,6 +600,18 @@ def test_qrels_round_trip(qrels):
     rewritten = io.StringIO()
     write_qrels(parsed, rewritten)
     assert rewritten.getvalue() == out.getvalue()
+
+
+@pytest.mark.parametrize("line, message", [
+    ("q1 0 d2", "expected 4 fields, got 3"),
+    ("q1 0 d2 high", "bad relevance grade 'high'"),
+    ("q1 0 d2 -1", "negative relevance grade for ('q1', 'd2')"),
+], ids=["fields", "grade", "negative"])
+def test_qrels_parse_error_names_the_line(line, message):
+    # a blank line still counts toward the line number
+    with pytest.raises(ParseError) as info:
+        parse_qrels(io.StringIO(f"q1 0 d1 1\n\n{line}\nq2 0 d3 0\n"))
+    assert str(info.value) == f"line 3: {message}"
 
 
 # Lines that are sometimes well formed: fields from a small alphabet, joined
@@ -856,7 +773,7 @@ pair_keys = st.tuples(st.text(max_size=4), st.text(max_size=4))
        st.booleans())
 def test_selection_round_trip(rows, with_scores):
     selection = {key: index for key, (index, _) in rows.items()}
-    scores = {key: score for key, (_, score) in rows.items()} if with_scores else None
+    scores = {key: score for key, (_, score) in rows.items()} if with_scores else {}
     text = rewrite(write_selection, selection, scores)
     parsed, parsed_scores = parse_selection(io.StringIO(text))
     assert parsed == selection

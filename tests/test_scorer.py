@@ -629,9 +629,21 @@ class TestModelFile:
         with pytest.raises(ValueError, match="mlp scorer needs hidden >= 1, got hidden=0"):
             read_params(io.StringIO(text))
 
-    def test_wrong_count_rejected(self):
+    @pytest.mark.parametrize("kind, count, line_no, got", [
+        ("linear", 7, 8, "7"),  # the last parameter missing
+        ("linear", 0, 1, "0"),  # the header alone
+        ("linear", 9, 10, "more"),  # at the first extra parameter
+        ("linear", 12, 10, "more"),
+        ("mlp", 72, 73, "72"),
+        ("mlp", 74, 75, "more"),
+    ])
+    def test_wrong_count_rejected_at_its_line(self, kind, count, line_no, got):
         buf = io.StringIO()
-        write_params(init_params("linear", 0), buf)
-        lines = buf.getvalue().splitlines()[:-1]  # drop one parameter
-        with pytest.raises(ValueError):
-            read_params(io.StringIO("\n".join(lines) + "\n"))
+        write_params(init_params(kind, 0), buf)
+        header, *values = buf.getvalue().splitlines()
+        values = (values * 2)[:count]
+        with pytest.raises(ParseError) as info:
+            read_params(io.StringIO("\n".join([header, *values]) + "\n\n"))
+        expected = {"linear": 8, "mlp": 73}[kind]
+        assert str(info.value) == (f"line {line_no}: expected {expected} parameters "
+                                   f"for a {kind} scorer, got {got}")
