@@ -7,9 +7,11 @@ Each subcommand imports the numpy-backed layers (ranking, scorer,
 synth, training) itself, so `eval` and `eval-selection` never load
 numpy.  `train`, `select` and `rerank` import them after `_load_pools`,
 so a malformed corpus, query or candidate file is reported before
-numpy loads.  The first of them to read a corpus of 8 MiB or more
+numpy loads.  Every command that reads a corpus, `segment` too, reads
+it as views.  The first of them to read a corpus of 8 MiB or more
 leaves `<corpus>.views` beside it, from which the others load the
-parsed corpus (see `formats.parse_corpus`).
+parsed corpus (see `formats.parse_corpus`).  `synth` writes nothing
+until the whole collection is generated.
 
 `rerank` builds the store `train` builds as its dev set, the inference
 windows of each query's candidates, and ranks it as the dev set is
@@ -96,9 +98,9 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     from .synth import generate_corpus
 
     config = _load_config(args)
+    corpus = generate_corpus(config)
     out_dir = Path(config.out or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
-    corpus = generate_corpus(config)
     with open(out_dir / "corpus.jsonl", "w") as stream:
         formats.write_corpus(corpus.documents, stream)
     with open(out_dir / "queries.tsv", "w") as stream:
@@ -116,7 +118,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 def _cmd_segment(args: argparse.Namespace) -> int:
     config = _load_config(args)
-    documents = _read(formats.parse_documents, _path(args, config, "corpus"))
+    documents, _ = _read(formats.parse_corpus, _path(args, config, "corpus"))
     policy = config.policy()
     rows = []
     for doc_id in sorted(documents):

@@ -12,9 +12,9 @@ read the corpus into a `DocView` holding just that: `view_from_text`
 builds one straight from the raw text, keeps no token list, and also
 reports which of the scored terms the document holds, which gives
 document frequency in the same pass.  `Document` keeps its sentences
-for synthesis, corpus writing and segmentation output, and reaches the
-scorer through the same view (`Document.view`).  Both segmenters accept
-either form.
+for synthesis and corpus writing, and reaches the scorer through the
+same view (`Document.view`).  Both segmenters accept either form; every
+command that reads a corpus, `segment` too, segments views.
 """
 
 from __future__ import annotations

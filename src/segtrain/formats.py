@@ -7,18 +7,18 @@ at their line too, if the stream's file can be read again.  Writers
 emit rows in a fixed sort order so identical inputs always produce
 byte-identical files.
 
-The corpus has two readers.  `parse_documents` gives full `Document`s
-and inverts `write_corpus`.  `parse_corpus`, which the commands that
-score documents use, gives each document's `DocView` (title length,
+`write_corpus` writes full `Document`s.  The one corpus reader,
+`parse_corpus`, gives each document's `DocView` (title length,
 sentence lengths and the hits of the terms it will be scored against)
 and, from the same pass, the document frequency of those terms; no
-token list is kept.  A corpus file of 8 MiB or more keeps what
-`parse_corpus` returns in `<corpus file>.views`, a JSON-lines file
-beside it, keyed by the file's size and CRC-32, the stream's encoding
-and error handler, the scored terms and a CRC-32 of the code that
-builds the views.  Only a successful parse writes it, so no cache
-matches a malformed corpus; any other key or a damaged cache is a miss
-that parses the text again, and deleting the cache is always safe.
+token list is kept, since every command that reads a corpus needs only
+views.  A corpus file of 8 MiB or more keeps what `parse_corpus`
+returns in `<corpus file>.views`, a JSON-lines file beside it, keyed by
+the file's size and CRC-32, the stream's encoding and error handler,
+the scored terms and a CRC-32 of the code that builds the views.  Only
+a successful parse writes it, so no cache matches a malformed corpus;
+any other key or a damaged cache is a miss that parses the text again,
+and deleting the cache is always safe.
 
 The module also owns all configuration, without importing numpy:
 `TrainConfig` and `SynthConfig` (which `training`, `synth` and, for
@@ -238,16 +238,6 @@ def _corpus_records(stream: IO[str]) -> Iterator[tuple[str, str, str]]:
             raise ParseError(f"duplicate doc_id {doc_id!r}", line_no)
         seen.add(doc_id)
         yield doc_id, record["title"], record["body"]
-
-
-def parse_documents(stream: IO[str]) -> dict[str, Document]:
-    """Documents by id; all documents share one interned vocabulary.
-
-    This is the inverse of `write_corpus`.
-    """
-    vocab: dict[str, str] = {}
-    return {doc_id: Document.from_text(doc_id, title, body, vocab)
-            for doc_id, title, body in _corpus_records(stream)}
 
 
 # A corpus file of at least this many bytes keeps its parse in a views

@@ -24,12 +24,17 @@ TINY_CONFIG = {
 }
 
 
+def synth(config: dict, out: Path) -> int:
+    """Run `synth` into `out`, with `config` written to `out/config.txt`."""
+    out.mkdir(parents=True, exist_ok=True)
+    (out / "config.txt").write_text("".join(f"{k}={v}\n" for k, v in config.items()))
+    return main(["synth", "--config", str(out / "config.txt"), "--out", str(out)])
+
+
 @pytest.fixture(scope="module")
 def data(tmp_path_factory) -> Path:
     root = tmp_path_factory.mktemp("cli")
-    config = root / "config.txt"
-    config.write_text("".join(f"{k}={v}\n" for k, v in TINY_CONFIG.items()))
-    assert main(["synth", "--config", str(config), "--out", str(root)]) == 0
+    assert synth(TINY_CONFIG, root) == 0
     return root
 
 
@@ -122,9 +127,7 @@ PINNED_DIGESTS = {
 def pinned_outputs(tmp_path_factory, tmp_path) -> dict[str, str]:
     """The sha256 of each file that `PINNED_DIGESTS` pins, made anew."""
     data = tmp_path_factory.mktemp("late")
-    config = data / "config.txt"
-    config.write_text("".join(f"{k}={v}\n" for k, v in LATE_CONFIG.items()))
-    assert main(["synth", "--config", str(config), "--out", str(data)]) == 0
+    assert synth(LATE_CONFIG, data) == 0
     digests = {}
     for loss, kind in (("pairwise_hinge", "linear"), ("pointwise_cross_entropy", "mlp")):
         config = tmp_path / f"{kind}.txt"
@@ -169,6 +172,76 @@ def test_outputs_match_pinned_digests_with_cached_views(tmp_path_factory, tmp_pa
     assert pinned_outputs(tmp_path_factory, tmp_path) == PINNED_DIGESTS
     assert tokenized.call_count == 1
     assert len(loaded) == 11 and loaded[0] is None and None not in loaded[1:]
+
+
+# The benchmark's late-evidence collection (config_e with the plant in
+# segments 1-3), at 20 topics instead of 250.
+SYNTH_LATE = {"num_queries": 20, "docs_per_query": 6, "sentences_per_doc": 18,
+              "tokens_per_sentence": 128, "vocab_size": 5000, "query_terms": 5,
+              "plant_lo": 1, "plant_hi": 4, "distractor_overlap": 0.3, "noise": 0.3}
+
+# sha256 of the five files `synth` writes.  They pin the background
+# draws, which must stay those of `Generator.choice` with `p=`, and
+# every later draw of the generator.
+SYNTH_DIGESTS = {
+    "late": (LATE_CONFIG, {
+        "corpus.jsonl": "420e0e6d7f369eb1d25841d89fb35a74ebf9d19571f7da30f8fae1fd3554c1c4",
+        "queries.tsv": "8ad175ee2c19c981ecb70aea4ad87a834ff0a93cd660e6503a38a78e3419d385",
+        "qrels.txt": "2c10bf15d5dd7816b2fb555f606bff50721774ed59e91050ef6ab0107c84617f",
+        "candidates.tsv": "f4759ec43b3f42b2becfab478921184ae78a5b058ab1685974bbd0b94378e547",
+        "gold.jsonl": "3d14d7aab41a2cbf564d88b0bb28ae688b48b690e5ae4195761e5566c0fd1c92",
+    }),
+    "synth_late-1": ({**SYNTH_LATE, "seed": 1}, {
+        "corpus.jsonl": "d9a131d40baab74cbba4fa5ea4cf38dc7f5e17bbd3a81cf6abf36277348b60e2",
+        "queries.tsv": "8ad175ee2c19c981ecb70aea4ad87a834ff0a93cd660e6503a38a78e3419d385",
+        "qrels.txt": "5764c2dd81c30ca47d69bb667ef5fadf253d1e8f3e2443c47f61c1347173e470",
+        "candidates.tsv": "f4f82b6d491aec49f4dc54790cf50dec21b951c7d610084f3cf7079e91a8499d",
+        "gold.jsonl": "1e05eeab7e03e5ce886a3880fe1289e128ed2cea43a71672dc6f7121b7222ee8",
+    }),
+    "synth_late-2": ({**SYNTH_LATE, "seed": 2}, {
+        "corpus.jsonl": "97d4a9d5f9100c6c059f206f561631e2c4537509986bb35595490491369dd3a0",
+        "queries.tsv": "8ad175ee2c19c981ecb70aea4ad87a834ff0a93cd660e6503a38a78e3419d385",
+        "qrels.txt": "bddb057910c6fbad598a1ef9210ff189ce8146fc145d0e9d175330cee6065732",
+        "candidates.tsv": "f4f82b6d491aec49f4dc54790cf50dec21b951c7d610084f3cf7079e91a8499d",
+        "gold.jsonl": "18320f8a836d5ac220058b67dbe3f14bfc5203b9e5ad32706d459d56a1326d26",
+    }),
+}
+
+# sha256 of `segment` on the late collection, per mode.
+SEGMENT_DIGESTS = {
+    "training": "aeb29ef15274798c84072f8db0dfd73081416ccb58264734f3dfc246275d8b48",
+    "inference": "830a65073d12e726780d6727af045cf49ae93c4885847042ea4712b4af4fd6c1",
+}
+
+
+@pytest.mark.parametrize("name", SYNTH_DIGESTS)
+def test_synth_outputs_match_pinned_digests(tmp_path, name):
+    config, digests = SYNTH_DIGESTS[name]
+    assert synth(config, tmp_path) == 0
+    assert {file: hashlib.sha256((tmp_path / file).read_bytes()).hexdigest()
+            for file in digests} == digests
+
+
+@pytest.mark.parametrize("mode", SEGMENT_DIGESTS)
+def test_segment_outputs_match_pinned_digests(tmp_path, mode):
+    assert synth(LATE_CONFIG, tmp_path) == 0
+    out = tmp_path / "segments.jsonl"
+    assert main(["segment", "--config", str(tmp_path / "config.txt"), "--corpus",
+                 str(tmp_path / "corpus.jsonl"), "--mode", mode, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == SEGMENT_DIGESTS[mode]
+
+
+def test_synth_that_fails_to_generate_writes_nothing(tmp_path, capsys):
+    # the configuration passes its checks, but a two-sentence document
+    # has fewer training segments than the plant range needs
+    config = tmp_path / "config.txt"
+    config.write_text("".join(f"{k}={v}\n" for k, v in {
+        **TINY_CONFIG, "sentences_per_doc": 2, "plant_lo": 1, "plant_hi": 4}.items()))
+    out = tmp_path / "out" / "data"
+    assert main(["synth", "--config", str(config), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == ("segtrain: error: plant range [1, 4) exceeds "
+                                       "the 2 training segments of d00002\n")
+    assert not (tmp_path / "out").exists()
 
 
 def test_usage_error_exits_1(data, capsys):

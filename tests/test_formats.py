@@ -30,7 +30,6 @@ from segtrain.formats import (
     parse_candidates,
     parse_config,
     parse_corpus,
-    parse_documents,
     parse_gold,
     parse_queries,
     parse_qrels,
@@ -48,6 +47,15 @@ from segtrain.formats import (
 from segtrain.ranking import RankedList, RankEntry
 from segtrain.scorer import init_params
 from segtrain.synth import generate_corpus
+
+
+def parse_documents(stream) -> dict[str, Document]:
+    """Documents by id, the inverse of `write_corpus`, read with the checks
+    of `parse_corpus`; all documents share one interned vocabulary."""
+    vocab: dict[str, str] = {}
+    return {doc_id: Document.from_text(doc_id, title, body, vocab)
+            for doc_id, title, body in formats._corpus_records(stream)}
+
 
 tokens = st.text("abz09", min_size=1, max_size=4)
 sentences = st.lists(st.lists(tokens, max_size=5), max_size=5)

@@ -1,13 +1,18 @@
-"""The synthetic collection: determinism, planted and leaked evidence,
-noise, and the configuration checks."""
+"""The synthetic collection: the background sampler, determinism, planted
+and leaked evidence, noise, and the configuration checks."""
 
 import dataclasses
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from segtrain import synth
 from segtrain.corpus import document_stream, segment_for_training
 from segtrain.formats import ConfigError
-from segtrain.synth import SynthConfig, generate_corpus
+from segtrain.synth import InverseCdf, SynthConfig, generate_corpus
 
 SMALL = SynthConfig(num_queries=6, docs_per_query=3, sentences_per_doc=8,
                     tokens_per_sentence=16, vocab_size=200, query_terms=4,
@@ -28,6 +33,87 @@ def query_term_positions(doc, terms):
 def relevant_doc(corpus, qid):
     (doc_id,) = [d for (q, d), grade in corpus.qrels.items() if q == qid and grade > 0]
     return corpus.documents_by_id()[doc_id]
+
+
+def zipf(n: int) -> np.ndarray:
+    """The background weights `generate_corpus` draws from, over n terms."""
+    p = 1.0 / (np.arange(n) + 3.0)
+    return p / p.sum()
+
+
+@st.composite
+def distributions(draw):
+    """Probability vectors: uniform, Zipf, random with zero entries, or one
+    dominant entry among many tiny ones."""
+    n = draw(st.integers(1, 6000))
+    kind = draw(st.sampled_from(["uniform", "zipf", "random", "dominant"]))
+    if kind == "uniform":
+        p = np.ones(n)
+    elif kind == "zipf":
+        p = zipf(n)
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        p = rng.random(n) * (rng.random(n) < draw(st.floats(0.05, 1.0)))
+        if kind == "dominant" or not p.any():
+            p[rng.integers(n)] = n
+    return p / p.sum()
+
+
+sizes = st.sampled_from([0, 1, 7, (3, 5), (18, 128)])
+# A smaller guide table leaves more CDF steps in a bucket for `draw` to walk.
+guide_sizes = st.sampled_from([synth.GUIDE_SIZE, 8])
+
+
+@settings(max_examples=150, deadline=None)
+@given(distributions(), sizes, st.integers(0, 2**32 - 1), guide_sizes)
+@example(np.array([1.0]), 7, 0, synth.GUIDE_SIZE)
+@example(np.array([0.0, 0.0, 1.0, 0.0]), (3, 5), 1, synth.GUIDE_SIZE)
+@example(np.array([0.0, 0.5, 0.0, 0.5, 0.0]), 7, 2, 1)
+@example(np.array([1 - 1e-12, 1e-12]), (18, 128), 3, synth.GUIDE_SIZE)
+@example(zipf(3750), (18, 128), 4, synth.GUIDE_SIZE)
+@example(zipf(3750), 0, 5, synth.GUIDE_SIZE)
+@example(zipf(3750), 1, 6, synth.GUIDE_SIZE)
+@example(zipf(200), (3, 5), 7, 1)
+def test_sampler_draws_what_choice_draws(p, size, seed, guide_size):
+    # `Generator.choice` of the installed numpy is the reference
+    ids = np.arange(100, 100 + len(p))
+    ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+    with mock.patch.object(synth, "GUIDE_SIZE", guide_size):
+        drawn = ids[InverseCdf(p).draw(ours, size)]
+    expected = theirs.choice(ids, size, p=p)
+    assert drawn.shape == expected.shape and (drawn == expected).all()
+    # the generators stand at the same state, so later draws line up
+    assert ours.random() == theirs.random()
+
+
+class FixedUniforms:
+    """A stand-in generator whose `random` returns the given values."""
+
+    def __init__(self, values):
+        self.values = np.array(values)
+
+    def random(self, size):
+        return self.values.reshape(size)
+
+
+@pytest.mark.parametrize("guide_size", [1, 2, 4, synth.GUIDE_SIZE])
+def test_sampler_inverts_the_normalised_cdf_at_its_steps(guide_size):
+    # weights 1, 1, 0, 2 give the CDF 0.25, 0.5, 0.5, 1.0; a u on a step
+    # lies past it, and so does a u on a bucket's lower edge
+    u = [0.0, 0.25 - 2**-54, 0.25, 0.5 - 2**-53, 0.5, 0.75, 1 - 2**-53]
+    expected = [0, 0, 1, 1, 3, 3, 3]
+    with mock.patch.object(synth, "GUIDE_SIZE", guide_size):
+        sampler = InverseCdf(np.array([1.0, 1.0, 0.0, 2.0]))
+        assert sampler.draw(FixedUniforms(u), (7,)).tolist() == expected
+        # alone, too, so that no other entry keeps the walk going
+        assert [sampler.draw(FixedUniforms([x]), 1)[0] for x in u] == expected
+
+
+@pytest.mark.parametrize("p", [[], [[0.5, 0.5]], [-0.5, 1.5], [np.nan, 1.0],
+                               [np.inf, 1.0], [0.0, 0.0]])
+def test_sampler_rejects_what_is_not_a_distribution(p):
+    with pytest.raises(ValueError, match="probabilities must be"):
+        InverseCdf(np.array(p))
 
 
 def test_same_seed_same_corpus_other_seed_differs():
