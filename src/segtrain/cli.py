@@ -10,12 +10,22 @@ so a malformed corpus, query or candidate file is reported before
 numpy loads.  Every command that reads a corpus, `segment` too, reads
 it as views.  The first of them to read a corpus of 8 MiB or more
 leaves `<corpus>.views` beside it, from which the others load the
-parsed corpus (see `formats.parse_corpus`).  `synth` writes nothing
-until the whole collection is generated.
+parsed corpus (see `formats.parse_corpus`).  `segment` scores no terms,
+so it never replaces a cache that `train`, `select` or `rerank` left.
+`synth` writes nothing until the whole collection is generated.
 
 `rerank` builds the store `train` builds as its dev set, the inference
 windows of each query's candidates, and ranks it as the dev set is
 ranked, with `training.rank_store`.
+
+`eval --baseline-run` parses its two runs at the same time: the
+baseline in one forked worker (`_Worker`), the run and the qrels in the
+calling process.  The two parses are independent and take most of the
+command, so on two CPUs they overlap.  The worker's result, or its
+error, is taken where a serial `eval` would parse the baseline, so the
+output and the error reported are the serial command's.  Without
+`os.fork`, or with another thread running, the baseline is parsed in
+process at that point.
 """
 
 from __future__ import annotations
@@ -24,7 +34,11 @@ import argparse
 import dataclasses
 import gc
 import json
+import os
+import pickle
+import signal
 import sys
+import threading
 from pathlib import Path
 
 from . import formats
@@ -36,6 +50,8 @@ from .corpus import (
     segment_for_training,
 )
 from .evaluation import (
+    RankedList,
+    RankEntry,
     group_qrels,
     holdout_split,
     judged_metrics,
@@ -89,6 +105,67 @@ def _read(parser_fn, path: str):
     finally:
         if enabled:
             gc.enable()
+
+
+class _Worker:
+    """`job()` run in a forked worker process while the caller goes on.
+
+    `result()` returns what `job()` returned, or raises what it raised,
+    as if the caller had called it there: the worker pickles either back
+    through a pipe and leaves with `os._exit`.  Without `os.fork`, with
+    another thread running (a fork copies no thread but the caller's),
+    if the fork fails or if the worker sent nothing, `result()` calls
+    `job()` itself.  `close()` kills a worker whose result was not
+    collected, and reaps it.
+    """
+
+    def __init__(self, job):
+        self.job, self.pid, self.fd = job, None, None
+        if not hasattr(os, "fork") or threading.active_count() > 1:
+            return
+        read_fd, write_fd = os.pipe()
+        try:
+            self.pid = os.fork()
+        except OSError:
+            os.close(read_fd)
+            os.close(write_fd)
+            return
+        if self.pid == 0:
+            try:
+                os.close(read_fd)
+                try:
+                    payload = pickle.dumps((True, job()))
+                except Exception as exc:  # raised again by result()
+                    payload = pickle.dumps((False, exc))
+                with open(write_fd, "wb") as pipe:
+                    pipe.write(payload)
+            finally:
+                os._exit(0)
+        os.close(write_fd)
+        self.fd = read_fd
+
+    def result(self):
+        if self.fd is not None:
+            with open(self.fd, "rb") as pipe:
+                self.fd = None
+                payload = pipe.read()
+            self.close()
+            if payload:
+                done, value = pickle.loads(payload)
+                if done:
+                    return value
+                raise value
+        return self.job()
+
+    def close(self) -> None:
+        if self.pid is None:
+            return
+        if self.fd is not None:
+            os.close(self.fd)
+            self.fd = None
+            os.kill(self.pid, signal.SIGKILL)
+        os.waitpid(self.pid, 0)
+        self.pid = None
 
 
 # ---------------------------------------------------------------------------
@@ -249,8 +326,40 @@ def _cmd_rerank(args: argparse.Namespace) -> int:
     return 0
 
 
+def _top_entries(path: str, depth: int) -> dict[str, list[tuple[str, float, int]]]:
+    """(doc_id, score, rank) of the first `depth` entries of each ranking
+    of the run at `path`: plain tuples pickle at a fraction of the cost
+    of `RankEntry`s."""
+    run = _read(formats.parse_run, path)
+    return {qid: [(e.doc_id, e.score, e.rank) for e in ranked.entries[:depth]]
+            for qid, ranked in run.items()}
+
+
 def _cmd_eval(args: argparse.Namespace) -> int:
+    """Metrics of a run, and a paired t-test against `--baseline-run`.
+
+    The baseline is parsed in a `_Worker` while the run and the qrels
+    parse here, since the two parses are independent and take most of
+    the command.  The worker sends back only the entries that
+    `judged_metrics` reads, the first `max(mrr_cutoff, ndcg_k)` of each
+    ranking.  Its result is collected where a serial command would parse
+    the baseline, so the output, and which error is reported when
+    several inputs are malformed, are those of the serial command.
+    """
     config = _load_config(args)
+    baseline = None
+    if args.baseline_run:
+        depth = max(config.mrr_cutoff, config.ndcg_k)
+        baseline = _Worker(lambda: _top_entries(args.baseline_run, depth))
+    try:
+        return _eval(args, config, baseline)
+    finally:
+        if baseline is not None:
+            baseline.close()
+
+
+def _eval(args: argparse.Namespace, config: PipelineConfig,
+          baseline: _Worker | None) -> int:
     run = _read(formats.parse_run, _path(args, config, "run"))
     qrels = _read(formats.parse_qrels, _path(args, config, "qrels"))
     print(f"# mrr_cutoff={config.mrr_cutoff}")
@@ -265,10 +374,10 @@ def _cmd_eval(args: argparse.Namespace) -> int:
             stream.write(f"qid\tmrr\tndcg@{config.ndcg_k}\n")
             for qid, (rr, nd) in sorted(per_query.items()):
                 stream.write(f"{qid}\t{rr:.6f}\t{nd:.6f}\n")
-    if args.baseline_run:
-        baseline = _read(formats.parse_run, args.baseline_run)
-        base_metrics = judged_metrics(baseline, judgments, config.mrr_cutoff,
-                                      config.ndcg_k)
+    if baseline is not None:
+        top = {qid: RankedList(qid, [RankEntry(*entry) for entry in entries])
+               for qid, entries in baseline.result().items()}
+        base_metrics = judged_metrics(top, judgments, config.mrr_cutoff, config.ndcg_k)
         shared = sorted(set(per_query) & set(base_metrics))
         if len(shared) < 2:
             raise ParseError("need at least 2 shared queries for the t-test")

@@ -19,14 +19,14 @@ from dataclasses import dataclass
 from functools import partial
 
 
-@dataclass
+@dataclass(slots=True)
 class RankEntry:
     doc_id: str
     score: float
     rank: int
 
 
-@dataclass
+@dataclass(slots=True)
 class RankedList:
     query_id: str
     entries: list[RankEntry]

@@ -282,7 +282,8 @@ def parse_corpus(stream: IO[str], doc_terms: dict[str, set[str]] | None = None
     parse succeeds and the file did not change meanwhile, the cache is
     replaced atomically.  A cache that cannot be written is skipped, and
     deleting it is always safe.  The cache holds one entry: a read with
-    other `doc_terms` misses and replaces it.
+    other `doc_terms` misses and replaces it, unless it scores no terms
+    (as `segment` reads), which writes a cache only where there is none.
 
     The key is a checksum, not a signature, so the cache is trusted as
     far as the directory that holds it: a corpus in a directory that
@@ -299,7 +300,8 @@ def parse_corpus(stream: IO[str], doc_terms: dict[str, set[str]] | None = None
     parsed = _load_views(cache) if cache is not None else None
     if parsed is None:
         parsed = _corpus_views(stream, doc_terms)
-        if cache is not None:
+        if cache is not None and (any(doc_terms.values())
+                                  or not os.path.lexists(cache.path)):
             _store_views(cache, parsed)
     return parsed
 

@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 from unittest import mock
 
@@ -16,12 +17,21 @@ import pytest
 import segtrain
 from segtrain import formats
 from segtrain.cli import main
+from segtrain.evaluation import paired_t_test, per_query_metrics
 
 TINY_CONFIG = {
     "num_queries": 10, "docs_per_query": 3, "sentences_per_doc": 12,
     "tokens_per_sentence": 16, "vocab_size": 300, "max_tokens": 64,
     "min_tokens": 32, "epochs": 3, "max_iterations": 2, "seed": 5,
 }
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """Every command reaps each process it forks, on every path."""
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def synth(config: dict, out: Path) -> int:
@@ -366,6 +376,26 @@ def test_malformed_corpus_exits_2_with_line_despite_its_cache(data, model, tmp_p
         assert "line 2: bad JSON" in capsys.readouterr().err
 
 
+def test_segment_keeps_the_views_cache_of_a_scoring_command(data, tmp_path,
+                                                            monkeypatch):
+    """`segment` scores no terms, so it does not replace the one cache
+    slot that `train`, `select` and `rerank` share."""
+    monkeypatch.setattr(formats, "MIN_CACHED_BYTES", 1)
+    corpus, cache = tmp_path / "corpus.jsonl", tmp_path / "corpus.jsonl.views"
+    corpus.write_bytes((data / "corpus.jsonl").read_bytes())
+    train = ["train", "--mode", "first", *inputs(data, corpus=corpus),
+             "--qrels", str(data / "qrels.txt"), "--out", str(tmp_path / "model.txt")]
+    assert main(train) == 0
+    key = cache.read_text().splitlines()[0]
+    assert main(["segment", "--config", str(data / "config.txt"), "--corpus", str(corpus),
+                 "--mode", "training", "--out", str(tmp_path / "segments.jsonl")]) == 0
+    assert cache.read_text().splitlines()[0] == key
+    tokenized = mock.Mock(wraps=formats._corpus_views)
+    monkeypatch.setattr(formats, "_corpus_views", tokenized)
+    assert main(train) == 0
+    assert tokenized.call_count == 0
+
+
 @pytest.mark.parametrize("command", ["train", "select", "rerank"])
 def test_candidate_missing_from_corpus_names_query_and_doc(data, model, tmp_path,
                                                            capsys, command):
@@ -598,6 +628,147 @@ def test_read_keeps_a_disabled_collector_disabled(trec):
         assert not gc.isenabled()
     finally:
         gc.enable()
+
+
+# ---------------------------------------------------------------------------
+# eval parses --baseline-run in a forked worker
+
+def in_process(monkeypatch) -> None:
+    """Leave `eval` no `os.fork`, so the baseline parses in process."""
+    monkeypatch.delattr(os, "fork")
+
+
+def eval_outputs(trec: Path, capsys, **files) -> tuple[int, str, str, str | None]:
+    """Exit code, stdout, stderr and per-query table of `eval_trec`."""
+    table = trec / "per_query.tsv"
+    table.unlink(missing_ok=True)
+    code = eval_trec(trec, **files)
+    out, err = capsys.readouterr()
+    return code, out, err, table.read_text() if table.exists() else None
+
+
+def test_eval_worker_outputs_equal_the_in_process_outputs(trec, capsys, monkeypatch):
+    forks = mock.Mock(wraps=os.fork)
+    monkeypatch.setattr(os, "fork", forks)
+    forked = eval_outputs(trec, capsys)
+    assert forks.call_count == 1 and forked[0] == 0 and "t_test_mrr_p=" in forked[1]
+    in_process(monkeypatch)
+    assert eval_outputs(trec, capsys) == forked
+
+
+# Each query's first relevant document is at rank 2.
+DEEP_BASELINE = """\
+q1 Q0 d2 1 3.0 base
+q1 Q0 d1 2 2.0 base
+q1 Q0 d3 3 1.0 base
+q2 Q0 d9 1 3.0 base
+q2 Q0 d4 2 2.0 base
+q2 Q0 d5 3 1.0 base
+q3 Q0 d7 1 2.0 base
+q3 Q0 d6 2 1.0 base
+"""
+
+
+@pytest.mark.parametrize("cutoff, k", [(2, 1), (1, 2)])
+def test_eval_t_test_reads_the_whole_baseline_within_the_depths(trec, capsys,
+                                                                 cutoff, k):
+    """The worker sends each ranking's first max(mrr_cutoff, ndcg_k)
+    entries, which give the p-values of the full rankings."""
+    (trec / "deep.txt").write_text(DEEP_BASELINE)
+    (trec / "config.txt").write_text(f"mrr_cutoff={cutoff}\nndcg_k={k}\n")
+    assert main(["eval", "--config", str(trec / "config.txt"),
+                 "--run", str(trec / "run.txt"), "--qrels", str(trec / "qrels.txt"),
+                 "--baseline-run", str(trec / "deep.txt")]) == 0
+    printed = dict(line.split("=") for line in capsys.readouterr().out.splitlines()
+                   if not line.startswith("#"))
+    with open(trec / "qrels.txt") as stream:
+        qrels = formats.parse_qrels(stream)
+    tables = []
+    for name in ("run.txt", "deep.txt"):
+        with open(trec / name) as stream:
+            tables.append(per_query_metrics(formats.parse_run(stream), qrels, cutoff, k))
+    table, base = tables
+    assert any(base[q][cutoff < k] > 0 for q in base)  # read at rank 2
+    for i, name in enumerate(("t_test_mrr_p", "t_test_ndcg_p")):
+        expected = paired_t_test([table[q][i] for q in table], [base[q][i] for q in table])
+        assert printed[name] == f"{expected:.6f}"
+
+
+BAD_BASELINE = BASELINE.replace("q1 Q0 d2 2 2.0 base", "q1 Q0 d2 2 2.0")
+
+
+@pytest.mark.parametrize("forking", [True, False], ids=["worker", "in process"])
+def test_eval_bad_baseline_exits_2_with_its_line_after_the_means(trec, capsys,
+                                                                monkeypatch, forking):
+    _, out, _, table = eval_outputs(trec, capsys)
+    (trec / "bad.txt").write_text(BAD_BASELINE)
+    if not forking:
+        in_process(monkeypatch)
+    means = "".join(line for line in out.splitlines(keepends=True)
+                    if not line.startswith("t_test_"))
+    assert means.endswith("\nndcg@10=0.408403\n")
+    assert eval_outputs(trec, capsys, baseline="bad.txt") == (
+        2, means, "segtrain: error: line 2: expected 6 fields, got 5\n", table)
+
+
+@pytest.mark.parametrize("forking", [True, False], ids=["worker", "in process"])
+@pytest.mark.parametrize("bad", ["run", "qrels"])
+def test_eval_bad_run_or_qrels_wins_over_a_bad_baseline(trec, capsys, monkeypatch,
+                                                        forking, bad):
+    (trec / "bad.txt").write_text(BAD_BASELINE)
+    if bad == "run":
+        (trec / "run.txt").write_text(RUN.replace("q2 Q0 d9 2", "q2 Q0 d9 0"))
+        message = "line 6: rank 0 is below 1"
+    else:
+        (trec / "qrels.txt").write_text(QRELS.replace("q2 0 d4 1", "q2 0 d4 x"))
+        message = "line 4: "
+    if not forking:
+        in_process(monkeypatch)
+    code, out, err, table = eval_outputs(trec, capsys, baseline="bad.txt")
+    assert code == 2 and out == "" and table is None
+    assert err.startswith(f"segtrain: error: {message}")
+
+
+def test_eval_missing_baseline_gives_the_in_process_error(trec, capsys, monkeypatch):
+    forked = eval_outputs(trec, capsys, baseline="missing.txt")
+    assert forked[0] == 2
+    assert forked[2] == ("segtrain: error: [Errno 2] No such file or directory: "
+                         f"{str(trec / 'missing.txt')!r}\n")
+    in_process(monkeypatch)
+    assert eval_outputs(trec, capsys, baseline="missing.txt") == forked
+
+
+def test_eval_worker_that_sends_nothing_leaves_the_parse_in_process(trec, capsys,
+                                                                     monkeypatch):
+    expected = eval_outputs(trec, capsys)
+    forks = mock.Mock(wraps=os.fork)
+    monkeypatch.setattr(os, "fork", forks)
+    # the worker cannot pickle its result or an error; only it pickles
+    monkeypatch.setattr("segtrain.cli.pickle.dumps", mock.Mock(side_effect=TypeError))
+    assert eval_outputs(trec, capsys) == expected
+    assert forks.call_count == 1
+
+
+def test_eval_whose_fork_fails_parses_in_process(trec, capsys, monkeypatch):
+    expected = eval_outputs(trec, capsys)
+    monkeypatch.setattr(os, "fork", mock.Mock(side_effect=BlockingIOError(11, "no")))
+    assert eval_outputs(trec, capsys) == expected
+
+
+def test_eval_with_another_thread_running_parses_in_process(trec, capsys,
+                                                            monkeypatch):
+    expected = eval_outputs(trec, capsys)
+    forks = mock.Mock(side_effect=AssertionError("forked beside a thread"))
+    monkeypatch.setattr(os, "fork", forks)
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait, args=(60,))
+    thread.start()
+    try:
+        assert eval_outputs(trec, capsys) == expected
+    finally:
+        release.set()
+        thread.join(60)
+    assert not thread.is_alive() and not forks.called
 
 
 SELECTION = '{"doc_id": "d1", "qid": "q1", "score": 0.5, "segment_index": 1}\n'

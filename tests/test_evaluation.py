@@ -2,6 +2,7 @@
 paired t-test against scipy."""
 
 import math
+import pickle
 from itertools import accumulate
 
 import pytest
@@ -191,6 +192,16 @@ def test_table_covers_judged_queries_in_the_run():
     assert per_query_metrics(run, qrels) == {"a": (1.0, 1.0)}
     run, qrels = ALL_ZERO
     assert per_query_metrics(run, qrels, 1, 1) == {"a": (0.0, 0.0)}
+
+
+@settings(max_examples=50)
+@given(runs())
+def test_runs_are_slotted_and_pickle_to_equal_runs(run):
+    for ranked in run.values():
+        assert not hasattr(ranked, "__dict__")
+        assert all(not hasattr(entry, "__dict__") for entry in ranked.entries)
+    copy = pickle.loads(pickle.dumps(run))
+    assert copy == run and copy is not run
 
 
 # ---------------------------------------------------------------------------
