@@ -20,7 +20,7 @@ _EXPORTS = {
                "segment_features", "sgd_step", "write_params"),
     "synth": ("SynthConfig", "SynthCorpus", "generate_corpus"),
     "training": ("BestTrainResult", "TrainConfig", "TrainingSet",
-                 "TrainingTopic", "best_train", "build_training_set",
+                 "TrainingTopic", "best_train", "build_stores", "build_training_set",
                  "evaluate_bundle", "rank_store", "select_segments",
                  "train_baseline", "train_single"),
 }

@@ -7,16 +7,23 @@ Each subcommand imports the numpy-backed layers (ranking, scorer,
 synth, training) itself, so `eval` and `eval-selection` never load
 numpy.  `train`, `select` and `rerank` import them after `_load_pools`,
 so a malformed corpus, query or candidate file is reported before
-numpy loads.  Every command that reads a corpus, `segment` too, reads
-it as views.  The first of them to read a corpus of 8 MiB or more
-leaves `<corpus>.views` beside it, from which the others load the
-parsed corpus (see `formats.parse_corpus`).  `segment` scores no terms,
-so it never replaces a cache that `train`, `select` or `rerank` left.
-`synth` writes nothing until the whole collection is generated.
+numpy loads.  `synth` writes nothing until the whole collection is
+generated.
 
-`rerank` builds the store `train` builds as its dev set, the inference
-windows of each query's candidates, and ranks it as the dev set is
-ranked, with `training.rank_store`.
+`train`, `select` and `rerank` share two feature stores over every
+listed query's candidates: one of training windows cut by the
+configured policy, one of inference windows at `max_tokens`
+(`training.build_stores`).  `train` takes its training set from the
+first and its dev set from the second (`TrainingSet.subset`), `select`
+picks segments in the first, and `rerank` ranks the second as the dev
+set is ranked, with `training.rank_store`.  On a corpus of 8 MiB or
+more, the first of them to run leaves `<corpus>.stores` beside it, and
+the others, given the same corpus, queries, candidates and policy, load
+both stores from it without parsing the corpus, segmenting or
+computing a feature (see `formats.read_corpus`).  A miss reads the
+corpus as views, through `<corpus>.views` (see `formats.parse_corpus`).
+`segment` reads views too; it scores no terms, so it never replaces a
+views cache that `train`, `select` or `rerank` left.
 
 `eval --baseline-run` parses its two runs at the same time: the
 baseline in one forked worker (`_Worker`), the run and the qrels in the
@@ -44,7 +51,6 @@ from pathlib import Path
 from . import formats
 from .corpus import (
     CorpusStats,
-    average_segment_length,
     document_stream,
     segment_for_inference,
     segment_for_training,
@@ -220,52 +226,71 @@ def _cmd_segment(args: argparse.Namespace) -> int:
 
 
 def _load_pools(args: argparse.Namespace, config: PipelineConfig):
-    """Document views, queries, candidate pools and corpus stats.
+    """Queries, candidate pools and what `formats.read_corpus` reads of
+    the corpus: its cached feature stores or, on a miss, its views.
 
     Queries and candidates are read first, so the corpus parses straight
     into views that record the hits of each document's candidate
     queries' terms, and into the document frequency of those terms.
-    Every candidate of a listed query must be a corpus document.
+    The stores cache is keyed by those inputs and the segmentation
+    policy.  Every candidate of a listed query must be a corpus
+    document; stores are cached only once that held.
     """
     queries = _read(formats.parse_queries, _path(args, config, "queries"))
     candidates = _read(formats.parse_candidates, _path(args, config, "candidates"))
     doc_terms: dict[str, set[str]] = {}
-    for query in queries:
-        for doc_id in candidates.get(query.id, []):
-            doc_terms.setdefault(doc_id, set()).update(query.tokens)
-    views, df = _read(lambda stream: formats.parse_corpus(stream, doc_terms),
-                      _path(args, config, "corpus"))
-    for query in queries:
-        for doc_id in candidates.get(query.id, []):
-            if doc_id not in views:
-                raise ParseError(f"candidate {doc_id!r} of query {query.id!r} "
-                                 f"is not in the corpus")
-    stats = CorpusStats(len(views), df,
-                        average_segment_length(views.values(), config.max_tokens))
-    return views, queries, candidates, stats
+    pools = [[query.id, query.tokens, candidates.get(query.id, [])] for query in queries]
+    for _, tokens, pool in pools:
+        for doc_id in pool:
+            doc_terms.setdefault(doc_id, set()).update(tokens)
+    key = {"policy": dataclasses.asdict(config.policy()), "pools": pools}
+    pairs = sum(len(pool) for _, _, pool in pools)
+    corpus = _read(lambda stream: formats.read_corpus(stream, doc_terms, key, pairs),
+                   _path(args, config, "corpus"))
+    if corpus.views is not None:
+        for qid, _, pool in pools:
+            for doc_id in pool:
+                if doc_id not in corpus.views:
+                    raise ParseError(f"candidate {doc_id!r} of query {qid!r} "
+                                     f"is not in the corpus")
+    return queries, candidates, corpus
+
+
+def _load_stores(args: argparse.Namespace, config: PipelineConfig):
+    """The queries, and the training-window and inference-window stores
+    of all their candidates (`training.build_stores`).
+
+    The inputs are read, and a malformed one reported, before numpy
+    loads.  A stores cache hit gives both stores without segmenting the
+    corpus or computing a feature; a miss builds both from the corpus's
+    views and caches them, so the next command on the same corpus,
+    queries, candidates and policy hits.
+    """
+    queries, candidates, corpus = _load_pools(args, config)
+    from .training import build_stores, stores_from_cache
+
+    if corpus.stores is not None:
+        return queries, stores_from_cache(queries, candidates, corpus.stores,
+                                          config.max_segments)
+    stats = CorpusStats.from_views(corpus.views, corpus.df, config.max_tokens)
+    stores = build_stores(queries, candidates, corpus.views, config.policy(), stats)
+    if corpus.cache is not None:
+        formats.save_stores(corpus.cache, [(s.row_counts(), s.matrix) for s in stores])
+    return queries, stores
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
     config = _load_config(args)
-    documents, queries, candidates, stats = _load_pools(args, config)
+    queries, (training, inference) = _load_stores(args, config)
     from .scorer import write_params
-    from .training import best_train, build_training_set, train_baseline, train_single
+    from .training import best_train, train_baseline, train_single
 
     qrels = _read(formats.parse_qrels, _path(args, config, "qrels"))
     train_ids, dev_ids = holdout_split([q.id for q in queries],
                                        config.dev_fraction, config.seed)
-    by_id = {q.id: q for q in queries}
-    train_queries = [by_id[qid] for qid in train_ids]
-    dev_queries = [by_id[qid] for qid in dev_ids]
-    dev_id_set = set(dev_ids)
-    dev_qrels = {key: g for key, g in qrels.items() if key[0] in dev_id_set}
-    policy = config.policy()
-    tset = build_training_set(train_queries, qrels, candidates, documents, policy,
-                              stats)
-    dev = build_training_set(dev_queries, dev_qrels, candidates, documents,
-                             dataclasses.replace(policy, mode="inference"),
-                             stats, config.mrr_cutoff)
-    print(f"mode={args.mode} topics={len(tset.topics)} dev_queries={len(dev_queries)}")
+    tset = training.subset(train_ids, qrels)
+    dev = inference.subset(dev_ids, qrels, config.mrr_cutoff)
+    print(f"mode={args.mode} topics={len(tset.topics)} dev_queries={len(dev_ids)}")
     if args.mode == "best":
         result = best_train(tset, dev, config)
         for state in result.history:
@@ -294,13 +319,11 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 def _cmd_select(args: argparse.Namespace) -> int:
     config = _load_config(args)
-    documents, queries, candidates, stats = _load_pools(args, config)
+    _, (store, _) = _load_stores(args, config)
     from .scorer import read_params
-    from .training import build_training_set, select_segments
+    from .training import select_segments
 
     params = _read(read_params, _path(args, config, "model"))
-    store = build_training_set(queries, {}, candidates, documents, config.policy(),
-                               stats)
     selection, best_scores = select_segments(params, store)
     with open(_path(args, config, "out"), "w") as stream:
         formats.write_selection(selection, stream, best_scores)
@@ -310,15 +333,12 @@ def _cmd_select(args: argparse.Namespace) -> int:
 
 def _cmd_rerank(args: argparse.Namespace) -> int:
     config = _load_config(args)
-    documents, queries, candidates, stats = _load_pools(args, config)
+    _, (_, store) = _load_stores(args, config)
     from .ranking import Aggregation
     from .scorer import read_params
-    from .training import build_training_set, rank_store
+    from .training import rank_store
 
     params = _read(read_params, _path(args, config, "model"))
-    store = build_training_set(queries, {}, candidates, documents,
-                               dataclasses.replace(config.policy(), mode="inference"),
-                               stats)
     run = rank_store(params, store, Aggregation(args.mode))
     with open(_path(args, config, "out"), "w") as stream:
         formats.write_run(run, args.tag, stream)

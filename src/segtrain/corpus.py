@@ -238,6 +238,15 @@ class CorpusStats:
     document_frequency: dict[str, int]
     avg_segment_length: float
 
+    @classmethod
+    def from_views(cls, views: dict[str, DocView], df: dict[str, int],
+                   max_tokens: int = DEFAULT_MAX_TOKENS) -> "CorpusStats":
+        """The stats of a parsed corpus: its views and the document
+        frequency that `formats.parse_corpus` counted with them.  They
+        equal `compute_corpus_stats` over the corpus's documents, with
+        document frequency counted for the scored terms."""
+        return cls(len(views), df, average_segment_length(views.values(), max_tokens))
+
 
 def document_stream(seed: int, doc_id: str) -> random.Random:
     """Per-document random stream, stable across processes."""
@@ -365,7 +374,7 @@ def compute_corpus_stats(docs: list[Document],
     absent either way.  The average segment length is taken over the
     fixed-budget inference segmentation at `max_tokens`, over every
     document.  The commands that score documents take the same numbers
-    from the corpus parse instead (`formats.parse_corpus`).
+    from the corpus parse instead (`CorpusStats.from_views`).
     """
     if not docs:
         raise ValueError("cannot compute stats over an empty corpus")

@@ -15,10 +15,19 @@ token list is kept, since every command that reads a corpus needs only
 views.  A corpus file of 8 MiB or more keeps what `parse_corpus`
 returns in `<corpus file>.views`, a JSON-lines file beside it, keyed by
 the file's size and CRC-32, the stream's encoding and error handler,
-the scored terms and a CRC-32 of the code that builds the views.  Only
-a successful parse writes it, so no cache matches a malformed corpus;
-any other key or a damaged cache is a miss that parses the text again,
-and deleting the cache is always safe.
+the scored terms and a CRC-32 of the code that builds the views.
+
+The commands that score read the corpus through `read_corpus`, which
+first looks for `<corpus file>.stores`: the feature rows of every
+(query, candidate) pair under training windows and under inference
+windows, as raw float64 rows, keyed by the views key, a CRC-32 of the
+code that segments and featurizes, the byte order, the segmentation
+policy, and each query's id, tokens and candidate pool.  A hit needs no
+parse; a miss parses the corpus (through the views cache), and
+`save_stores` caches the stores built from it.  Only a successful parse
+leads to either cache, so no cache matches a malformed corpus; any
+other key or a damaged cache is a miss that parses the text again, and
+deleting either cache is always safe.
 
 The module also owns all configuration, without importing numpy:
 `TrainConfig` and `SynthConfig` (which `training`, `synth` and, for
@@ -30,6 +39,7 @@ its range check once; building a configuration runs it, and
 
 from __future__ import annotations
 
+import array
 import codecs
 import dataclasses
 import enum
@@ -240,8 +250,9 @@ def _corpus_records(stream: IO[str]) -> Iterator[tuple[str, str, str]]:
         yield doc_id, record["title"], record["body"]
 
 
-# A corpus file of at least this many bytes keeps its parse in a views
-# cache beside it; a smaller one parses in milliseconds.
+# A corpus file of at least this many bytes keeps its parse, and the
+# feature stores built from it, in caches beside it; a smaller one
+# parses in milliseconds.
 MIN_CACHED_BYTES = 8 << 20
 
 # The version of the views cache layout; a cache of any other is a miss.
@@ -249,8 +260,23 @@ MIN_CACHED_BYTES = 8 << 20
 # change to the tokenizer invalidates every cache without a bump here.
 VIEWS_FORMAT = 1
 
+# The version of the feature stores layout; a cache of any other is a miss.
+STORES_FORMAT = 1
+
+# The stores a stores cache holds: training windows, inference windows.
+STORE_COUNT = 2
+
+# The width of a feature row: a model file's `dim` and a feature store's
+# row length.  `scorer` lays the features out.
+NUM_FEATURES = 7
+
 # The sources that build a corpus's views: this module and `corpus`.
 _PARSER_SOURCES = (__file__, os.path.join(os.path.dirname(__file__), "corpus.py"))
+
+# The sources that build feature stores from views, beside those above:
+# the feature kernel and the store builder.
+_STORES_SOURCES = tuple(os.path.join(os.path.dirname(__file__), name)
+                        for name in ("scorer.py", "training.py"))
 
 _CRC_CHUNK = 256 << 10
 
@@ -291,19 +317,23 @@ def parse_corpus(stream: IO[str], doc_terms: dict[str, set[str]] | None = None
     user, or reached through a symbolic link, is a miss.
     """
     doc_terms = doc_terms or {}
+    _universal_newlines(stream)
+    corpus = _corpus_key(stream, doc_terms)
+    parsed = _load_views(corpus) if corpus is not None else None
+    if parsed is None:
+        parsed = _corpus_views(stream, doc_terms)
+        if corpus is not None and (any(doc_terms.values())
+                                   or not os.path.lexists(corpus.views_path)):
+            _store_views(corpus, parsed)
+    return parsed
+
+
+def _universal_newlines(stream: IO[str]) -> None:
     if isinstance(stream, io.TextIOWrapper):
         try:
             stream.reconfigure(newline=None)
         except io.UnsupportedOperation:  # already read from
             pass
-    cache = _views_cache(stream, doc_terms)
-    parsed = _load_views(cache) if cache is not None else None
-    if parsed is None:
-        parsed = _corpus_views(stream, doc_terms)
-        if cache is not None and (any(doc_terms.values())
-                                  or not os.path.lexists(cache.path)):
-            _store_views(cache, parsed)
-    return parsed
 
 
 def _corpus_views(stream: IO[str], doc_terms: dict[str, set[str]]
@@ -321,18 +351,25 @@ def _corpus_views(stream: IO[str], doc_terms: dict[str, set[str]]
     return views, dict(df)
 
 
-class _ViewsCache(NamedTuple):
-    path: str
-    header: str  # the key, as the first line of the cache
-    fd: int  # the corpus file's descriptor
-    corpus: os.stat_result  # the corpus file's, taken before its bytes were read
+class _CorpusKey(NamedTuple):
+    path: str  # the corpus file's name
+    info: os.stat_result  # the corpus file's, taken before its bytes were read
+    key: dict  # what the views depend on
+
+    @property
+    def views_path(self) -> str:
+        return self.path + ".views"
+
+    @property
+    def views_header(self) -> str:
+        return json.dumps(self.key, sort_keys=True)
 
 
-def _views_cache(stream: IO[str], doc_terms: dict[str, set[str]]) -> _ViewsCache | None:
-    """Where the views of the file under `stream` are cached, and their
-    key; None unless `stream` is a text stream, not yet read, over a
-    regular file of at least `MIN_CACHED_BYTES` that `stream.name` names,
-    in a directory that other users may not write to."""
+def _corpus_key(stream: IO[str], doc_terms: dict[str, set[str]]) -> _CorpusKey | None:
+    """The key of the views of the file under `stream`; None unless
+    `stream` is a text stream, not yet read, over a regular file of at
+    least `MIN_CACHED_BYTES` that `stream.name` names, in a directory
+    that other users may not write to."""
     if not isinstance(stream, io.TextIOWrapper):
         return None
     crc = 0
@@ -356,51 +393,105 @@ def _views_cache(stream: IO[str], doc_terms: dict[str, set[str]]) -> _ViewsCache
            "encoding": codecs.lookup(stream.encoding).name, "errors": stream.errors,
            "doc_terms": [[doc_id, sorted(doc_terms[doc_id])]
                          for doc_id in sorted(doc_terms)]}
-    return _ViewsCache(stream.name + ".views", json.dumps(key, sort_keys=True), fd, info)
+    return _CorpusKey(stream.name, info, key)
 
 
 def _parser_crc() -> int:
     """The CRC-32 of the sources in `_PARSER_SOURCES`; an `OSError` if
     one cannot be read."""
+    return _sources_crc(_PARSER_SOURCES)
+
+
+def _stores_crc() -> int:
+    """The CRC-32 of the sources in `_STORES_SOURCES`; an `OSError` if
+    one cannot be read."""
+    return _sources_crc(_STORES_SOURCES)
+
+
+def _sources_crc(paths: Iterable[str]) -> int:
     crc = 0
-    for path in _PARSER_SOURCES:
+    for path in paths:
         with open(path, "rb") as file:
             crc = zlib.crc32(file.read(), crc)
     return crc
 
 
-def _load_views(cache: _ViewsCache) -> tuple[dict[str, DocView], dict[str, int]] | None:
-    """The parse that `cache` holds, or None if its file is missing, not
-    a regular file owned by this process's user, keyed otherwise or not
-    exactly the shape `_store_views` writes."""
+def _open_cache(path: str) -> IO[bytes] | None:
+    """The cache file at `path`, open for reading, or None if it is
+    missing or not a regular file owned by this process's user.  Opening
+    it neither follows a link nor blocks on a FIFO."""
     try:
-        # neither follows a link nor blocks on a FIFO
-        fd = os.open(cache.path, os.O_RDONLY | os.O_NOFOLLOW | os.O_NONBLOCK)
+        fd = os.open(path, os.O_RDONLY | os.O_NOFOLLOW | os.O_NONBLOCK)
     except OSError:
         return None
     try:
         info = os.fstat(fd)
-        if not stat.S_ISREG(info.st_mode) or info.st_uid != os.geteuid():
-            return None
-        with open(fd, "rb", closefd=False) as file:
-            if file.readline() != cache.header.encode() + b"\n":
+        if stat.S_ISREG(info.st_mode) and info.st_uid == os.geteuid():
+            return open(fd, "rb")
+    except OSError:
+        pass
+    os.close(fd)
+    return None
+
+
+def _write_cache(path: str, corpus: _CorpusKey, chunks: Iterable[bytes]) -> None:
+    """Write `chunks` as the cache file at `path`.
+
+    Nothing is written if the corpus file changed since its key was
+    taken.  The file is written beside its final name and renamed over
+    it, so a reader sees the old cache or the new one.  A failure leaves
+    no file behind and is ignored: a cache only saves time.
+    """
+    try:
+        now = os.stat(corpus.path)
+    except OSError:
+        return
+    if (not os.path.samestat(now, corpus.info)
+            or (now.st_size, now.st_mtime_ns) != (corpus.info.st_size,
+                                                  corpus.info.st_mtime_ns)):
+        return
+    temp = f"{path}.{os.urandom(8).hex()}.tmp"
+    try:  # a new file: O_EXCL follows no link planted at its name
+        fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError:
+        return
+    try:
+        with open(fd, "wb") as file:
+            for chunk in chunks:
+                file.write(chunk)
+        os.replace(temp, path)
+    except OSError:
+        try:
+            os.unlink(temp)
+        except OSError:
+            pass
+
+
+def _load_views(corpus: _CorpusKey) -> tuple[dict[str, DocView], dict[str, int]] | None:
+    """The parse that the views cache of `corpus` holds, or None if the
+    cache is missing, not a regular file owned by this process's user,
+    keyed otherwise or not exactly the shape `_store_views` writes."""
+    file = _open_cache(corpus.views_path)
+    if file is None:
+        return None
+    with file:
+        try:
+            if file.readline() != corpus.views_header.encode() + b"\n":
                 return None
             *entries, pairs = map(json.loads, file)
-        views = {}
-        for entry in entries:
-            doc_id, title_length, lengths, hits = entry
-            hits = [(offset, term) for offset, term in _list(hits)]
-            if not (type(doc_id) is str and type(title_length) is int
-                    and all(type(n) is int for n in _list(lengths))
-                    and all(type(o) is int and type(t) is str for o, t in hits)):
-                return None
-            views[doc_id] = DocView(doc_id, title_length, lengths, hits)
-        df = {term: count for term, count in _list(pairs)
-              if type(term) is str and type(count) is int}
-    except (OSError, ValueError, TypeError, RecursionError):
-        return None
-    finally:
-        os.close(fd)
+            views = {}
+            for entry in entries:
+                doc_id, title_length, lengths, hits = entry
+                hits = [(offset, term) for offset, term in _list(hits)]
+                if not (type(doc_id) is str and type(title_length) is int
+                        and all(type(n) is int for n in _list(lengths))
+                        and all(type(o) is int and type(t) is str for o, t in hits)):
+                    return None
+                views[doc_id] = DocView(doc_id, title_length, lengths, hits)
+            df = {term: count for term, count in _list(pairs)
+                  if type(term) is str and type(count) is int}
+        except (OSError, ValueError, TypeError, RecursionError):
+            return None
     if len(views) != len(entries) or len(df) != len(pairs):  # a repeat, or a bad pair
         return None
     return views, df
@@ -413,38 +504,140 @@ def _list(value) -> list:
     return value
 
 
-def _store_views(cache: _ViewsCache,
+def _store_views(corpus: _CorpusKey,
                  parsed: tuple[dict[str, DocView], dict[str, int]]) -> None:
-    """Write `parsed` to `cache` in JSON lines: its header, one line per
-    view in order, and the document frequency in key order.
-
-    Nothing is written if the corpus file changed while it was parsed.
-    The file is written beside its final name and renamed over it, so a
-    reader sees the old cache or the new one.  A failure leaves no file
-    behind and is ignored: the cache only saves time.
-    """
-    now = os.fstat(cache.fd)
-    if (now.st_size, now.st_mtime_ns) != (cache.corpus.st_size, cache.corpus.st_mtime_ns):
-        return
+    """Write `parsed` to the views cache of `corpus` in JSON lines: its
+    header, one line per view in order, and the document frequency in
+    key order."""
     views, df = parsed
-    temp = f"{cache.path}.{os.urandom(8).hex()}.tmp"
-    try:  # a new file: O_EXCL follows no link planted at its name
-        fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-    except OSError:
-        return
+    lines = [corpus.views_header]
+    lines += (json.dumps([v.id, v.title_length, v.sentence_lengths, v.hits])
+              for v in views.values())
+    lines.append(json.dumps(list(df.items())))
+    _write_cache(corpus.views_path, corpus, ["\n".join(lines).encode() + b"\n"])
+
+
+# ---------------------------------------------------------------------------
+# feature stores: the cached feature rows of every (query, candidate) pair
+
+class StoresCache(NamedTuple):
+    """Where the feature stores of a corpus are cached, and their key."""
+
+    corpus: _CorpusKey
+    header: bytes  # the key, as the first line of the cache
+    pairs: int  # the (query, candidate) pairs each store covers
+
+
+class Store(NamedTuple):
+    """One cached feature store: each pair's row count, in pair order,
+    and the rows, `NUM_FEATURES` native float64 values each, pair after
+    pair."""
+
+    counts: list[int]
+    rows: memoryview
+
+
+class CorpusRead(NamedTuple):
+    """What `read_corpus` found: the cached feature stores, or else the
+    corpus's views and document frequency; and the cache the stores
+    built from those may be written to, if any."""
+
+    stores: list[Store] | None
+    views: dict[str, DocView] | None
+    df: dict[str, int] | None
+    cache: StoresCache | None
+
+
+def read_corpus(stream: IO[str], doc_terms: dict[str, set[str]], key: dict,
+                pairs: int) -> CorpusRead:
+    """The two feature stores cached for the corpus in `stream`, of
+    training windows and of inference windows, or, on a miss, its parse
+    (`parse_corpus`).
+
+    `key` names what the stores hold beyond the corpus (for the
+    commands: the segmentation policy, and each query's id, tokens and
+    candidate pool, whose `pairs` pairs each store covers).  The cache
+    is `<name>.stores` beside the corpus, under the views cache's rules:
+    the same streams and directories get one, and a file that is not a
+    regular file owned by this process's user, or is reached through a
+    link, is a miss.  Its key is the views key (`parse_corpus`) with
+    `STORES_FORMAT`, the CRC-32 of the sources that build the stores,
+    the byte order, the row width and `key`.  Its body is each store's
+    row counts (native int64, one per pair), each store's rows (native
+    float64) and a CRC-32 of all of them.  A cache that holds this key
+    and a body of exactly that shape and checksum is a hit, and the
+    corpus is not read; any other is a miss.  Only `save_stores` writes
+    the cache, from stores built from a parse that succeeded.
+    """
+    _universal_newlines(stream)
+    corpus = _corpus_key(stream, doc_terms)
+    cache = _stores_cache(corpus, key, pairs) if corpus is not None else None
+    stores = _load_stores(cache) if cache is not None else None
+    if stores is not None:
+        return CorpusRead(stores, None, None, cache)
+    views, df = parse_corpus(stream, doc_terms)
+    return CorpusRead(None, views, df, cache)
+
+
+def _stores_cache(corpus: _CorpusKey, key: dict, pairs: int) -> StoresCache | None:
+    """The stores cache of `corpus` for `key`; None if the sources that
+    build the stores cannot be read."""
     try:
-        with open(fd, "w", encoding="ascii", newline="\n") as file:
-            file.write(cache.header + "\n")
-            for v in views.values():
-                file.write(json.dumps([v.id, v.title_length, v.sentence_lengths,
-                                       v.hits]) + "\n")
-            file.write(json.dumps(list(df.items())) + "\n")
-        os.replace(temp, cache.path)
+        code = _stores_crc()
     except OSError:
+        return None
+    full = {"format": STORES_FORMAT, "code": code, "byteorder": sys.byteorder,
+            "width": NUM_FEATURES, "views": corpus.key, "stores": key}
+    return StoresCache(corpus, json.dumps(full, sort_keys=True).encode() + b"\n", pairs)
+
+
+def _load_stores(cache: StoresCache) -> list[Store] | None:
+    """The stores that `cache` holds, or None if its file is missing,
+    not a regular file owned by this process's user, keyed otherwise or
+    not exactly the shape and checksum `save_stores` writes."""
+    file = _open_cache(cache.corpus.path + ".stores")
+    if file is None:
+        return None
+    with file:
         try:
-            os.unlink(temp)
+            data = file.read()
         except OSError:
-            pass
+            return None
+    start, end = len(cache.header), len(data) - 4
+    if end < start or not data.startswith(cache.header):
+        return None
+    body = memoryview(data)[start:end]
+    if zlib.crc32(body) != int.from_bytes(data[end:], "little"):
+        return None
+    offset = STORE_COUNT * 8 * cache.pairs
+    if len(body) < offset:
+        return None
+    heads = array.array("q")
+    heads.frombytes(body[:offset])
+    stores = []
+    for i in range(STORE_COUNT):
+        block = heads[i * cache.pairs:(i + 1) * cache.pairs].tolist()
+        if min(block, default=1) < 1:
+            return None
+        size = 8 * NUM_FEATURES * sum(block)
+        stores.append(Store(block, body[offset:offset + size]))
+        offset += size
+    return stores if offset == len(body) else None
+
+
+def save_stores(cache: StoresCache, stores: Iterable[tuple[list[int], Any]]) -> None:
+    """Write each store's row counts and rows (a C-contiguous float64
+    buffer of `NUM_FEATURES` columns) to `cache`, as `read_corpus`
+    reads them; nothing is written if the corpus changed since its key
+    was taken, and a failure is ignored."""
+    stores = list(stores)
+    body = [array.array("q", counts).tobytes() for counts, _ in stores]
+    body += [memoryview(rows).cast("B") for _, rows in stores]
+    crc = 0
+    for chunk in body:
+        crc = zlib.crc32(chunk, crc)
+    _write_cache(cache.corpus.path + ".stores", cache.corpus,
+                 [cache.header, *body, crc.to_bytes(4, "little")])
 
 
 # ---------------------------------------------------------------------------

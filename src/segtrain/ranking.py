@@ -15,11 +15,18 @@ class Aggregation(enum.Enum):
     MAX_P = "maxp"
 
 
-def aggregate(seg_scores: np.ndarray, agg: Aggregation) -> float:
+def aggregate(scores: np.ndarray, starts: np.ndarray, agg: Aggregation) -> np.ndarray:
+    """The document score of each run of segment scores.
+
+    `scores` holds the runs back to back, and `starts` the index of each
+    run's first score, ascending; no run is empty.  FirstP takes a run's
+    first score, MaxP its largest (NaN if it holds a NaN), in one numpy
+    call over all runs.
+    """
     if agg == Aggregation.FIRST_P:
-        return float(seg_scores[0])
+        return scores[starts]
     if agg == Aggregation.MAX_P:
-        return float(seg_scores.max())
+        return np.maximum.reduceat(scores, starts)
     raise ValueError(f"unknown aggregation: {agg!r}")
 
 

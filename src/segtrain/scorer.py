@@ -9,7 +9,11 @@ over numpy arrays.
 Features read a document's view (`corpus.DocView`): each segment's
 token count and the offsets of the query terms' hits, never a token
 list.  The document frequencies behind idf come from the corpus parse
-(`formats.parse_corpus`) or from `corpus.compute_corpus_stats`.
+(`CorpusStats.from_views`) or from `corpus.compute_corpus_stats`.  The
+features are computed in plain Python, one loop per segment, which for
+rows of seven values costs less than numpy calls per column;
+`tests/numpy_features.py` keeps the vectorized kernel it replaced as
+the oracle of its bits.
 """
 
 from __future__ import annotations
@@ -31,9 +35,7 @@ from .corpus import (
     Query,
     Segment,
 )
-from .formats import LossKind, ParseError, _lines
-
-NUM_FEATURES = 7
+from .formats import NUM_FEATURES, LossKind, ParseError, _lines
 
 # feature vector layout
 F_MATCH_FRACTION = 0    # fraction of unique query terms present
@@ -70,68 +72,69 @@ def segment_features(query: Query, doc: Document | DocView,
 
     Only the document's view is read (`doc.view`): each segment's token
     count and the hits of the query's terms, as segment-local offsets
-    and query-term ids.  Term frequencies of all segments come from one
-    scatter-add, and idf and BM25 are summed over the unique query terms
-    in query order with the same scalar operations as a per-segment
-    loop, so every row is exactly the vector that segment alone gives.
+    and query-term ids.  Each row comes from one loop over its segment's
+    hits; idf and BM25 are summed over the unique query terms in query
+    order, so a row is the same vector whatever other segments share the
+    call.
 
     The position feature is `index / max_segments`; inference windows
     are not capped at `max_segments`, so it can exceed 1 there (see
     `segment_for_inference`).
     """
-    n = len(segments)
-    lengths = np.array([seg.token_count for seg in segments], dtype=np.int64)
-    x = np.zeros((n, NUM_FEATURES))
-    x[:, F_LENGTH_RATIO] = lengths / max_tokens
-    x[:, F_POSITION_RATIO] = np.array([seg.index for seg in segments]) / max_segments
+    # the five match features, then F_LENGTH_RATIO and F_POSITION_RATIO
+    rows = [[0.0, 0.0, 0.0, 0.0, 0.0, seg.token_count / max_tokens,
+             seg.index / max_segments] for seg in segments]
     q_unique = list(dict.fromkeys(query.tokens))
-    if not q_unique:
-        return x
-    nq = len(q_unique)
     slot = {term: j for j, term in enumerate(q_unique)}
     view = doc.view(slot)
     hits = [(p, slot[term]) for p, term in view.hits if term in slot]
-    if not hits:
-        return x
+    if hits:
+        _match_features(query, q_unique, slot, view, hits, segments, stats, rows)
+    return np.array(rows, dtype=float).reshape(len(rows), NUM_FEATURES)
+
+
+def _match_features(query: Query, q_unique: list[str], slot: dict[str, int],
+                    view: DocView, hits: list[tuple[int, int]],
+                    segments: Sequence[Segment], stats: CorpusStats,
+                    rows: list[list[float]]) -> None:
+    """Fill the five match features of each row of `rows`, given the
+    (offset, query-term id) `hits` of the document's view."""
+    nq = len(q_unique)
+    weights = [idf(stats, term) for term in q_unique]
     title_length = view.title_length
     n_title = bisect.bisect_left(hits, (title_length,))
     title_hits, body_hits = hits[:n_title], hits[n_title:]
     body_offsets = [p for p, _ in body_hits]
     # offset of each sentence's first token in the title-plus-body stream
     starts = list(itertools.accumulate(view.sentence_lengths, initial=title_length))
-    q_bigrams = {slot[a] * nq + slot[b]
-                 for a, b in zip(query.tokens, query.tokens[1:])}
-    cells = []  # i * nq + j for each occurrence of query term j in segment i
-    bigrams_found = [0] * n
-    for i, seg in enumerate(segments):
+    q_bigrams = {slot[a] * nq + slot[b] for a, b in zip(query.tokens, query.tokens[1:])}
+    avg = stats.avg_segment_length
+    for seg, row in zip(segments, rows):
         lo, hi = starts[seg.start], starts[seg.end]
         shift = lo - title_length
         seg_hits = title_hits + [
             (p - shift, j) for p, j in body_hits[bisect.bisect_left(body_offsets, lo):
                                                  bisect.bisect_left(body_offsets, hi)]]
-        cells.extend(i * nq + j for _, j in seg_hits)
-        adjacent = {a * nq + b for (p, a), (p_next, b) in zip(seg_hits, seg_hits[1:])
-                    if p_next == p + 1}
-        bigrams_found[i] = len(adjacent & q_bigrams)
-    if not cells:
-        return x
-    tf = np.bincount(cells, minlength=n * nq).reshape(n, nq)
-    matched = tf > 0
-    x[:, F_MATCH_FRACTION] = matched.sum(axis=1) / nq
-    norm = BM25_K1 * (1.0 - BM25_B + BM25_B * lengths / stats.avg_segment_length)
-    idf_sum = np.zeros(n)
-    bm25 = np.zeros(n)
-    for j, term in enumerate(q_unique):
-        w = idf(stats, term)
-        np.add(idf_sum, w, out=idf_sum, where=matched[:, j])
-        np.add(bm25, w * tf[:, j] * (BM25_K1 + 1.0) / (tf[:, j] + norm),
-               out=bm25, where=matched[:, j])
-    x[:, F_IDF_MATCH] = idf_sum / nq
-    x[:, F_BM25] = bm25
-    x[:, F_LOG_MAX_TF] = [math.log1p(m) for m in tf.max(axis=1).tolist()]
-    if q_bigrams:
-        x[:, F_BIGRAM_FRACTION] = np.array(bigrams_found) / len(q_bigrams)
-    return x
+        if not seg_hits:
+            continue
+        tf = [0] * nq
+        for _, j in seg_hits:
+            tf[j] += 1
+        norm = BM25_K1 * (1.0 - BM25_B + BM25_B * seg.token_count / avg)
+        matched, idf_sum, bm25 = 0, 0.0, 0.0
+        for w, count in zip(weights, tf):
+            if count:
+                matched += 1
+                idf_sum += w
+                bm25 += w * count * (BM25_K1 + 1.0) / (count + norm)
+        row[F_MATCH_FRACTION] = matched / nq
+        row[F_IDF_MATCH] = idf_sum / nq
+        row[F_BM25] = bm25
+        row[F_LOG_MAX_TF] = math.log1p(max(tf))
+        if q_bigrams:
+            adjacent = {a * nq + b for (p, a), (p_next, b) in zip(seg_hits, seg_hits[1:])
+                        if p_next == p + 1}
+            row[F_BIGRAM_FRACTION] = len(adjacent & q_bigrams) / len(q_bigrams)
 
 
 @dataclass

@@ -1,14 +1,22 @@
 """Iterative segment-selection training over one feature store.
 
-A `TrainingSet` holds topics, the segments of their candidate documents
-and one matrix stacking the feature rows of every (query, document)
-pair.  Built with a training policy it holds training segments: SGD
-learns from it and `select` picks segments in it.  Built with an
-inference policy it holds each candidate's inference windows, and
-`rank_store` ranks its candidates by their aggregated window scores: as
-the dev set whose MRR stops training, and as the pool the `rerank`
-command ranks.  Both score the whole matrix in one batch-invariant
-`score_batch` call, so each pair gets the scores it gets alone.
+A `TrainingSet` holds topics and one read-only matrix stacking the
+feature rows of every (query, document) pair, pair after pair, with
+each pair's row range.  Built with a training policy it holds training
+segments: SGD learns from it and `select` picks segments in it.  Built
+with an inference policy it holds each candidate's inference windows,
+and `rank_store` ranks its candidates by their aggregated window
+scores: as the dev set whose MRR stops training, and as the pool the
+`rerank` command ranks.  Both score the whole matrix in one
+batch-invariant `score_batch` call, so each pair gets the scores it
+gets alone, and reduce each pair's rows in one numpy call.
+
+The commands build one store of each kind over every listed query's
+candidates (`build_stores`), or load both from the corpus's stores
+cache (`stores_from_cache`), and `TrainingSet.subset` gives `train`
+its training set and its dev set: the rows of the subset's pairs,
+gathered in the order a store built for the subset alone would hold
+them.
 
 Training draws each epoch as integer rows of the matrix: (positive row,
 negative row) pairs for the pairwise hinge, (row, label) points for the
@@ -27,15 +35,17 @@ and the best round wins.
 
 from __future__ import annotations
 
+import dataclasses
+import itertools
 import random
 from collections import Counter
 from dataclasses import dataclass, field
+from typing import Iterable
 
 import numpy as np
 
 from .corpus import (
     DEFAULT_MAX_SEGMENTS,
-    DEFAULT_MAX_TOKENS,
     CorpusStats,
     DocView,
     Document,
@@ -47,7 +57,7 @@ from .corpus import (
     segment_for_training,
 )
 from .evaluation import Qrels, Run, SegmentIndexMap, mrr
-from .formats import LossKind, TrainConfig
+from .formats import LossKind, Store, TrainConfig
 from .ranking import Aggregation, aggregate, rank_by_scores
 from .scorer import (
     NUM_FEATURES,
@@ -88,56 +98,90 @@ class TrainingTopic:
     def candidates(self) -> list[str]:
         return self.positives + self.negatives
 
+    @classmethod
+    def judged(cls, query: Query, pool: list[str], qrels: Qrels) -> "TrainingTopic":
+        """The topic of `query` whose candidates are `pool`, split by
+        `qrels`, each side in pool order."""
+        return cls(query, [d for d in pool if qrels.get((query.id, d), 0) > 0],
+                   [d for d in pool if qrels.get((query.id, d), 0) <= 0])
 
-@dataclass
+
+def _tile(keys: Iterable[tuple[str, str]], counts: Iterable[int]) -> PairRows:
+    """Consecutive row ranges of the given sizes from row 0, by pair."""
+    rows, start = {}, 0
+    for key, count in zip(keys, counts):
+        rows[key] = range(start, start + count)
+        start += count
+    return rows
+
+
+@dataclass(eq=False)
 class TrainingSet:
-    """Topics, the documents and segments they draw from, and one
-    read-only matrix of the feature rows of every (query, document)
-    pair, built on first use.  As a dev set, its `qrels` and
-    `mrr_cutoff` give the dev MRR.
+    """Topics and one read-only matrix of the feature rows of every
+    (query, document) pair, pair after pair in topic and candidate
+    order; `rows` gives each pair's range of rows.  As a dev set, its
+    `qrels` and `mrr_cutoff` give the dev MRR.
     """
 
     topics: list[TrainingTopic]
-    documents: dict[str, Document | DocView]
-    segments: dict[str, list[Segment]]
-    stats: CorpusStats
-    max_tokens: int = DEFAULT_MAX_TOKENS
+    matrix: np.ndarray
+    rows: PairRows
     max_segments: int = DEFAULT_MAX_SEGMENTS
     qrels: Qrels = field(default_factory=dict)
     mrr_cutoff: int = 10
-    _stacked: tuple[np.ndarray, PairRows] | None = field(
-        default=None, init=False, repr=False, compare=False)
+    starts: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        for topic in self.topics:
-            for doc_id in topic.candidates:
-                if doc_id not in self.segments or doc_id not in self.documents:
-                    raise ValueError(f"no document or segments stored for {doc_id}")
-
-    def stacked(self) -> tuple[np.ndarray, PairRows]:
-        """The feature matrix, pair after pair in topic and candidate
-        order, and the rows of each pair."""
-        if self._stacked is None:
-            blocks, rows, start = [np.empty((0, NUM_FEATURES))], {}, 0
-            for topic in self.topics:
-                for doc_id in topic.candidates:
-                    feats = segment_features(topic.query, self.documents[doc_id],
-                                             self.segments[doc_id], self.stats,
-                                             self.max_tokens, self.max_segments)
-                    blocks.append(feats)
-                    rows[(topic.query.id, doc_id)] = range(start, start + len(feats))
-                    start += len(feats)
-            X = np.concatenate(blocks)
-            X.flags.writeable = False
-            self._stacked = X, rows
-        return self._stacked
+        pairs = [(topic.query.id, doc_id) for topic in self.topics
+                 for doc_id in topic.candidates]
+        if list(self.rows) != pairs:
+            raise ValueError("the rows must cover each candidate of each topic, in order")
+        end = 0
+        for key, span in self.rows.items():
+            if span.start != end or span.step != 1 or not span:
+                raise ValueError(f"the rows of {key} do not follow the previous pair's")
+            end = span.stop
+        if self.matrix.shape != (end, NUM_FEATURES):
+            raise ValueError(f"a matrix of shape {self.matrix.shape} "
+                             f"for {end} rows of {NUM_FEATURES} features")
+        self.matrix.flags.writeable = False
+        self.starts = np.array([span.start for span in self.rows.values()], dtype=np.intp)
 
     def features(self, query: Query, doc_id: str) -> np.ndarray:
         """The (n_segments, 7) rows of one query/doc pair: a view of the
-        stacked matrix."""
-        X, rows = self.stacked()
-        span = rows[(query.id, doc_id)]
-        return X[span.start:span.stop]
+        matrix."""
+        span = self.rows[(query.id, doc_id)]
+        return self.matrix[span.start:span.stop]
+
+    def row_counts(self) -> list[int]:
+        """Each pair's row count, in pair order."""
+        return [len(span) for span in self.rows.values()]
+
+    def subset(self, query_ids: Iterable[str], qrels: Qrels,
+               mrr_cutoff: int | None = None) -> "TrainingSet":
+        """The store of the listed queries, in their order, with each
+        topic's candidates, in this store's order, split by `qrels`
+        into positives and negatives, and with `qrels` kept for those
+        queries only.
+
+        The pairs' rows are gathered into a matrix of the subset's own,
+        so the subset of a store built without qrels equals, bit for
+        bit, the store `build_training_set` builds for those queries and
+        qrels.  A listed query the store has no topic for is dropped,
+        as a query without candidates is.
+        """
+        by_id = {topic.query.id: topic for topic in self.topics}
+        query_ids = list(query_ids)
+        topics = [TrainingTopic.judged(by_id[qid].query, by_id[qid].candidates, qrels)
+                  for qid in query_ids if qid in by_id]
+        spans = [self.rows[(t.query.id, d)] for t in topics for d in t.candidates]
+        index = np.fromiter(itertools.chain.from_iterable(spans), dtype=np.intp)
+        rows = _tile(((t.query.id, d) for t in topics for d in t.candidates),
+                     map(len, spans))
+        wanted = set(query_ids)
+        return TrainingSet(topics, self.matrix[index], rows, self.max_segments,
+                           {key: g for key, g in qrels.items() if key[0] in wanted},
+                           self.mrr_cutoff if mrr_cutoff is None else mrr_cutoff)
 
 
 @dataclass
@@ -167,42 +211,61 @@ def build_training_set(queries: list[Query], qrels: Qrels,
                        policy: SegmentationPolicy,
                        stats: CorpusStats,
                        mrr_cutoff: int = 10) -> TrainingSet:
-    """Assemble topics and the segments of their candidates.
+    """Topics, and the feature rows of the segments of their candidates.
 
     Positives are a query's judged-relevant candidates; every other
     candidate is a negative, so a store built without qrels holds
-    negatives only.  Queries without candidates are dropped.  A training
-    policy cuts training segments from a per-document stream derived
-    from the policy seed, so the store is reproducible regardless of
-    document order; an inference policy cuts inference windows.
+    negatives only, in pool order.  Queries without candidates are
+    dropped.  A training policy cuts training segments from a
+    per-document stream derived from the policy seed, so the store is
+    reproducible regardless of document order; an inference policy cuts
+    inference windows.
     """
-    topics = []
-    store: dict[str, list[Segment]] = {}
-    for query in queries:
-        pool = candidates.get(query.id, [])
-        if not pool:
-            continue
-        positives = [d for d in pool if qrels.get((query.id, d), 0) > 0]
-        negatives = [d for d in pool if qrels.get((query.id, d), 0) <= 0]
-        topics.append(TrainingTopic(query, positives, negatives))
-        for doc_id in pool:
-            if doc_id not in store:
-                doc = documents[doc_id]
-                store[doc_id] = (
+    topics = [TrainingTopic.judged(query, candidates[query.id], qrels)
+              for query in queries if candidates.get(query.id)]
+    segments: dict[str, list[Segment]] = {}
+    blocks = [np.empty((0, NUM_FEATURES))]
+    for topic in topics:
+        for doc_id in topic.candidates:
+            doc = documents[doc_id]
+            if doc_id not in segments:
+                segments[doc_id] = (
                     segment_for_training(doc, policy,
                                          document_stream(policy.seed, doc.id))
                     if policy.mode == "training"
                     else segment_for_inference(doc, policy.max_tokens))
-    return TrainingSet(topics, documents, store, stats, policy.max_tokens,
-                       policy.max_segments, qrels, mrr_cutoff)
+            blocks.append(segment_features(topic.query, doc, segments[doc_id], stats,
+                                           policy.max_tokens, policy.max_segments))
+    rows = _tile(((t.query.id, d) for t in topics for d in t.candidates),
+                 map(len, blocks[1:]))
+    return TrainingSet(topics, np.concatenate(blocks), rows, policy.max_segments, qrels,
+                       mrr_cutoff)
 
 
-def _pair_scores(params: ScorerParams, store: TrainingSet,
-                 rows: PairRows) -> dict[tuple[str, str], np.ndarray]:
-    """The scores of each pair's `rows`, from one `score_batch` call over
-    the store's whole matrix."""
-    scores = score_batch(params, store.stacked()[0])
-    return {key: scores[span.start:span.stop] for key, span in rows.items()}
+def build_stores(queries: list[Query], candidates: dict[str, list[str]],
+                 documents: dict[str, DocView], policy: SegmentationPolicy,
+                 stats: CorpusStats) -> tuple[TrainingSet, TrainingSet]:
+    """The training-window store and the inference-window store of every
+    listed query's candidates, judged by no qrels."""
+    inference = dataclasses.replace(policy, mode="inference")
+    return (build_training_set(queries, {}, candidates, documents, policy, stats),
+            build_training_set(queries, {}, candidates, documents, inference, stats))
+
+
+def stores_from_cache(queries: list[Query], candidates: dict[str, list[str]],
+                      stores: list[Store], max_segments: int
+                      ) -> tuple[TrainingSet, TrainingSet]:
+    """The stores `build_stores` built, from their cached row counts and
+    rows (`formats.read_corpus`): the same topics, and matrices that are
+    read-only views of the cached bytes."""
+    topics = [TrainingTopic(query, [], candidates[query.id])
+              for query in queries if candidates.get(query.id)]
+    keys = [(topic.query.id, doc_id) for topic in topics for doc_id in topic.candidates]
+    built = []
+    for counts, rows in stores:
+        matrix = np.frombuffer(rows, dtype=np.float64).reshape(-1, NUM_FEATURES)
+        built.append(TrainingSet(topics, matrix, _tile(keys, counts), max_segments))
+    return tuple(built)
 
 
 def rank_store(params: ScorerParams, store: TrainingSet,
@@ -210,10 +273,11 @@ def rank_store(params: ScorerParams, store: TrainingSet,
     """Each topic's candidates ranked by their aggregated segment scores:
     FirstP takes a candidate's first score, MaxP its largest, over every
     segment the store holds for it.  Ties rank by doc id."""
+    scores = aggregate(score_batch(params, store.matrix), store.starts, agg)
     by_query: dict[str, dict[str, float]] = {t.query.id: {} for t in store.topics}
-    for (qid, doc_id), scores in _pair_scores(params, store, store.stacked()[1]).items():
-        by_query[qid][doc_id] = aggregate(scores, agg)
-    return {qid: rank_by_scores(qid, scores) for qid, scores in by_query.items()}
+    for (qid, doc_id), score in zip(store.rows, scores.tolist()):
+        by_query[qid][doc_id] = score
+    return {qid: rank_by_scores(qid, doc_scores) for qid, doc_scores in by_query.items()}
 
 
 def evaluate_bundle(params: ScorerParams, dev: TrainingSet,
@@ -228,11 +292,11 @@ def _stack(tset: TrainingSet,
     """The store's feature matrix, and the rows each pair trains on: its
     leading `tset.max_segments` segments or, given a selection, the
     selected one."""
-    X, pair_rows = tset.stacked()
     if selection is None:
-        return X, {key: span[:tset.max_segments] for key, span in pair_rows.items()}
+        return tset.matrix, {key: span[:tset.max_segments]
+                             for key, span in tset.rows.items()}
     rows = {}
-    for key, span in pair_rows.items():
+    for key, span in tset.rows.items():
         if key not in selection:
             raise ValueError(f"selection missing entry for {key}")
         index = selection[key]
@@ -240,7 +304,7 @@ def _stack(tset: TrainingSet,
             raise ValueError(f"selected segment {index} of {key} "
                              f"is not one of its {len(span)} segments")
         rows[key] = span[index:index + 1]
-    return X, rows
+    return tset.matrix, rows
 
 
 def _epoch_rows(tset: TrainingSet, rows: PairRows, cfg: TrainConfig,
@@ -278,14 +342,19 @@ def select_segments(params: ScorerParams, tset: TrainingSet
     `tset.max_segments` segments, and its score.
 
     Covers every pair in the store; score ties resolve to the smallest
-    index.
+    index, as `np.argmax` does (a NaN counts as the largest score).
     """
-    selection: SegmentIndexMap = {}
-    best_scores: dict[tuple[str, str], float] = {}
-    for key, scores in _pair_scores(params, tset, _stack(tset, None)[1]).items():
-        selection[key] = best = int(np.argmax(scores))
-        best_scores[key] = float(scores[best])
-    return selection, best_scores
+    scores = score_batch(params, tset.matrix)
+    lengths = np.diff(tset.starts, append=len(scores))
+    local = np.arange(len(scores)) - np.repeat(tset.starts, lengths)
+    if len(scores) and local.max() >= tset.max_segments:
+        scores = np.where(local < tset.max_segments, scores, -np.inf)
+    best = np.repeat(np.maximum.reduceat(scores, tset.starts), lengths)
+    at_best = (scores == best) | np.isnan(scores)
+    index = np.minimum.reduceat(np.where(at_best, local, len(scores)), tset.starts)
+    keys = list(tset.rows)
+    return (dict(zip(keys, index.tolist())),
+            dict(zip(keys, scores[tset.starts + index].tolist())))
 
 
 def train_single(tset: TrainingSet, dev: TrainingSet,

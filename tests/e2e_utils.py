@@ -5,7 +5,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 
-from segtrain.corpus import compute_corpus_stats
+from segtrain.corpus import CorpusStats, compute_corpus_stats
 from segtrain.evaluation import GoldSegments, Qrels
 from segtrain.synth import SynthConfig, SynthCorpus, generate_corpus
 from segtrain.training import TrainConfig, TrainingSet, build_training_set
@@ -39,6 +39,8 @@ class Collection:
     dev_gold: GoldSegments
     train_gold: GoldSegments
     train_cfg: TrainConfig
+    synth_cfg: SynthConfig
+    stats: CorpusStats
 
 
 def assemble(synth_cfg: SynthConfig, n_train: int,
@@ -75,4 +77,6 @@ def assemble(synth_cfg: SynthConfig, n_train: int,
         dev_gold=restrict(corpus.gold, dev_id_set),
         train_gold=restrict(corpus.gold, set(train_ids)),
         train_cfg=cfg,
+        synth_cfg=synth_cfg,
+        stats=stats,
     )

@@ -167,7 +167,8 @@ def test_outputs_match_pinned_digests(tmp_path_factory, tmp_path):
 def test_outputs_match_pinned_digests_with_cached_views(tmp_path_factory, tmp_path,
                                                         monkeypatch):
     # the first training parses the corpus and caches its views, and the
-    # ten later corpus reads load them
+    # ten later corpus reads load them; the stores cache, which would
+    # spare them the views, always misses here
     loaded = []
 
     def load_views(*args):
@@ -179,9 +180,116 @@ def test_outputs_match_pinned_digests_with_cached_views(tmp_path_factory, tmp_pa
     monkeypatch.setattr(formats, "MIN_CACHED_BYTES", 1)
     monkeypatch.setattr(formats, "_load_views", load_views)
     monkeypatch.setattr(formats, "_corpus_views", tokenized)
+    monkeypatch.setattr(formats, "_load_stores", lambda *args: None)
     assert pinned_outputs(tmp_path_factory, tmp_path) == PINNED_DIGESTS
     assert tokenized.call_count == 1
     assert len(loaded) == 11 and loaded[0] is None and None not in loaded[1:]
+
+
+def test_outputs_match_pinned_digests_with_cached_stores(tmp_path_factory, tmp_path,
+                                                         monkeypatch):
+    # the first training parses the corpus, builds both feature stores and
+    # caches them; the ten later commands load them, and neither parse,
+    # segment nor compute a feature
+    from segtrain import training
+
+    built = {name: mock.Mock(wraps=getattr(training, name)) for name in
+             ("segment_for_training", "segment_for_inference", "segment_features")}
+    parsed = mock.Mock(wraps=formats.parse_corpus)
+    loaded, calls = [], []
+
+    def load_stores(*args):
+        loaded.append(load_stores.real(*args))
+        calls.append([m.call_count for m in (parsed, *built.values())])
+        return loaded[-1]
+
+    load_stores.real = formats._load_stores
+    monkeypatch.setattr(formats, "MIN_CACHED_BYTES", 1)
+    monkeypatch.setattr(formats, "_load_stores", load_stores)
+    monkeypatch.setattr(formats, "parse_corpus", parsed)
+    for name, wrapped in built.items():
+        monkeypatch.setattr(training, name, wrapped)
+    assert pinned_outputs(tmp_path_factory, tmp_path) == PINNED_DIGESTS
+    assert len(loaded) == 11 and loaded[0] is None and None not in loaded[1:]
+    final = [m.call_count for m in (parsed, *built.values())]
+    assert calls[0] == [0, 0, 0, 0] and final[0] == 1 and all(final)
+    assert calls[1:] == [final] * 10
+
+
+# Each change of an input the stores depend on, which may change the
+# outputs, and each change of the code or the cache file, which may not.
+INPUT_CHANGES = ["policy", "seed", "queries", "candidates", "corpus"]
+STORES_MISSES = INPUT_CHANGES + ["format version", "stores source", "damaged",
+                                 "truncated", "foreign-owned", "symlinked"]
+
+
+@pytest.mark.parametrize("change", STORES_MISSES)
+def test_a_changed_input_or_a_bad_stores_cache_is_a_miss(data, model, tmp_path,
+                                                        monkeypatch, change):
+    for name in ("config.txt", "corpus.jsonl", "queries.tsv", "candidates.tsv"):
+        (tmp_path / name).write_bytes((data / name).read_bytes())
+    hits, seed = [], []
+
+    def load_stores(*args):
+        stores = load_stores.real(*args)
+        hits.append(stores is not None)
+        return stores
+
+    def select_bytes(min_cached_bytes: int = 1) -> bytes:
+        out = tmp_path / "selection.jsonl"
+        with mock.patch.object(formats, "MIN_CACHED_BYTES", min_cached_bytes):
+            assert main(["select", *inputs(tmp_path), *seed, "--model", str(model),
+                         "--out", str(out)]) == 0
+        return out.read_bytes()
+
+    load_stores.real = formats._load_stores
+    monkeypatch.setattr(formats, "_load_stores", load_stores)
+    before = select_bytes()
+    assert select_bytes() == before and hits == [False, True]
+    stores = tmp_path / "corpus.jsonl.stores"
+    kept = None
+    if change == "policy":
+        with open(tmp_path / "config.txt", "a") as stream:
+            stream.write("query_token_budget=8\n")
+    elif change == "seed":
+        seed = ["--seed", "6"]
+    elif change in ("queries", "candidates", "corpus"):
+        path = tmp_path / f"{change}.{'jsonl' if change == 'corpus' else 'tsv'}"
+        lines = path.read_text().splitlines(keepends=True)
+        if change == "queries":
+            lines[0] = lines[0].split("\t")[0] + "\tother words\n"
+        elif change == "candidates":
+            lines.pop()
+        else:
+            lines.append(json.dumps({"doc_id": "extra", "title": "t", "body": "b."})
+                         + "\n")
+        path.write_text("".join(lines))
+    elif change == "format version":
+        monkeypatch.setattr(formats, "STORES_FORMAT", formats.STORES_FORMAT + 1)
+    elif change == "stores source":
+        monkeypatch.setattr(formats, "_stores_crc",
+                            lambda crc=formats._stores_crc(): crc ^ 1)
+    elif change == "damaged":
+        damaged = bytearray(stores.read_bytes())
+        damaged[-100] ^= 1
+        stores.write_bytes(damaged)
+    elif change == "truncated":
+        stores.write_bytes(stores.read_bytes()[:-8])
+    elif change == "foreign-owned":
+        monkeypatch.setattr(os, "geteuid", lambda uid=os.geteuid(): uid + 1)
+    else:
+        kept = stores.read_bytes()
+        stores.rename(tmp_path / "elsewhere")
+        stores.symlink_to(tmp_path / "elsewhere")
+    after = select_bytes()
+    assert hits[2] is False
+    assert after == select_bytes(1 << 62)  # as no cache gives
+    if change not in INPUT_CHANGES:
+        assert after == before
+    assert select_bytes() == after
+    assert hits[3] is (change != "foreign-owned")  # rewritten
+    if kept is not None:
+        assert not stores.is_symlink() and (tmp_path / "elsewhere").read_bytes() == kept
 
 
 # The benchmark's late-evidence collection (config_e with the plant in
@@ -367,6 +475,7 @@ def test_malformed_corpus_exits_2_with_line_despite_its_cache(data, model, tmp_p
     assert main(["train", "--mode", "best", *inputs(data, corpus=corpus), *qrels,
                  "--out", str(tmp_path / "model.txt")]) == 0
     assert (tmp_path / "corpus.jsonl.views").exists()
+    assert (tmp_path / "corpus.jsonl.stores").exists()
     write_corpus_with(data, tmp_path, '{"doc_id": "x", "title": "t"')
     for args in (["train", "--mode", "best", *qrels], ["select", "--model", str(model)],
                  ["rerank", "--model", str(model)]):

@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from segtrain import corpus as corpus_module
-from segtrain.corpus import Document, Query, average_segment_length, compute_corpus_stats
+from segtrain.corpus import CorpusStats, Document, Query, compute_corpus_stats
 from segtrain import formats, scorer, synth, training
 from segtrain.formats import (
     SCORER_KINDS,
@@ -146,9 +146,9 @@ class TestCorpusViews:
             assert views[doc.id] == doc.view(doc_terms.get(doc.id, ()))
         terms = set().union(*doc_terms.values())
         expected = compute_corpus_stats(documents, max_tokens, terms)
-        assert df == expected.document_frequency
-        avg = average_segment_length(views.values(), max_tokens)
-        assert avg.hex() == expected.avg_segment_length.hex()
+        stats = CorpusStats.from_views(views, df, max_tokens)
+        assert stats == expected and stats.document_frequency is df
+        assert stats.avg_segment_length.hex() == expected.avg_segment_length.hex()
 
     @settings(max_examples=300)
     @given(st.lists(st.tuples(st.text("aZz09.!? \t\n,#-éİß\xa0", max_size=30),

@@ -167,11 +167,27 @@ def increasing(s: float) -> float:
 @example({"a": [-0.0], "b": [0.0]})
 def test_max_aggregation_invariant_under_monotone_transform(segment_scores):
     """Strictly increasing transforms of segment scores keep the max_p order."""
-    raw = {d: aggregate(np.array(scores), Aggregation.MAX_P)
-           for d, scores in segment_scores.items()}
-    transformed = {d: aggregate(np.array([increasing(s) for s in scores]),
-                                Aggregation.MAX_P)
-                   for d, scores in segment_scores.items()}
+    docs = list(segment_scores)
+    flat = np.array([s for d in docs for s in segment_scores[d]])
+    starts = np.cumsum([0] + [len(segment_scores[d]) for d in docs[:-1]])
+    raw = dict(zip(docs, aggregate(flat, starts, Aggregation.MAX_P).tolist()))
+    transformed = dict(zip(docs, aggregate(np.array([increasing(s) for s in flat]),
+                                           starts, Aggregation.MAX_P).tolist()))
     order_raw = [e.doc_id for e in rank_by_scores("q", raw).entries]
     order_t = [e.doc_id for e in rank_by_scores("q", transformed).entries]
     assert order_raw == order_t
+
+
+@settings(max_examples=80)
+@given(st.lists(st.lists(st.floats(allow_infinity=True), min_size=1, max_size=5),
+                max_size=6))
+@example([[float("nan"), 1.0], [2.0, float("nan")], [-0.0, 0.0]])
+def test_aggregate_reduces_each_run_at_once(runs):
+    """One call over runs laid back to back gives, bit for bit, each
+    run's first score and its `max()`."""
+    flat = np.array([s for run in runs for s in run])
+    starts = np.cumsum([0] + [len(run) for run in runs[:-1]]) if runs else []
+    first = aggregate(flat, np.asarray(starts, dtype=np.intp), Aggregation.FIRST_P)
+    best = aggregate(flat, np.asarray(starts, dtype=np.intp), Aggregation.MAX_P)
+    assert first.tobytes() == np.array([run[0] for run in runs]).tobytes()
+    assert best.tobytes() == np.array([np.array(run).max() for run in runs]).tobytes()

@@ -8,13 +8,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from numpy_features import numpy_segment_features
 from segtrain.corpus import (
     CorpusStats,
     Document,
     Query,
     Segment,
     compute_corpus_stats,
+    document_stream,
     segment_for_inference,
+    segment_for_training,
 )
 from segtrain.formats import ParseError
 from segtrain.scorer import (
@@ -43,6 +46,8 @@ from segtrain.scorer import (
     sgd_step,
     write_params,
 )
+from segtrain.synth import SynthConfig, generate_corpus
+from segtrain.training import build_stores
 
 
 def segment_of(tokens, index=0, doc_id="d"):
@@ -230,6 +235,70 @@ def test_view_features_equal_token_reference(query, other_terms, title, sentence
                                   max_segments)
         assert np.array_equal(actual, expected)
         assert actual.tobytes() == expected.tobytes()
+
+
+@settings(max_examples=300)
+@given(query=st.lists(vocab_terms, max_size=10),
+       other_terms=st.lists(vocab_terms, max_size=4),
+       title=st.lists(vocab_terms, max_size=3),
+       sentences=st.lists(st.lists(vocab_terms, max_size=8), max_size=7),
+       spans=span_lists,
+       indices=st.lists(st.integers(0, 9), min_size=5, max_size=5),
+       df=st.dictionaries(st.sampled_from("abcdefgh"), st.integers(0, 60)),
+       doc_count=st.integers(0, 60),
+       avg=st.floats(0.5, 700.0),
+       max_tokens=st.integers(1, 600),
+       max_segments=st.integers(1, 8))
+@example(query=["a", "b", "a", "c"], other_terms=["d"], title=["a"],
+         sentences=[["b", "a", "b"], [], ["c", "a", "b", "a"]], spans=[(0, 1), (1, 3)],
+         indices=[0, 5, 0, 0, 0], df={"a": 60, "b": 1}, doc_count=50, avg=0.5,
+         max_tokens=3, max_segments=4)
+def test_segment_features_equal_the_numpy_kernel(query, other_terms, title, sentences,
+                                                 spans, indices, df, doc_count, avg,
+                                                 max_tokens, max_segments):
+    """The per-segment loop gives, bit for bit, the rows of the numpy
+    kernel it replaced, signs of zeros included: from documents and from
+    views, for any spans and segment indices."""
+    q = Query("q", " ".join(query), query)
+    doc = Document("d", " ".join(title), sentences)
+    spans = [(min(start, len(sentences)), min(end, len(sentences)))
+             for start, end in spans]
+    segments = [Segment("d", index, start, end,
+                        len(title) + sum(map(len, sentences[start:end])))
+                for index, (start, end) in zip(indices, spans)]
+    stats = CorpusStats(doc_count, df, avg)
+    for source in (doc, doc.view(query + other_terms)):
+        actual = segment_features(q, source, segments, stats, max_tokens, max_segments)
+        expected = numpy_segment_features(q, source, segments, stats, max_tokens,
+                                          max_segments)
+        assert actual.shape == expected.shape == (len(segments), NUM_FEATURES)
+        assert actual.tobytes() == expected.tobytes()
+
+
+def test_stores_equal_the_numpy_kernel_on_the_late_collection():
+    """Both stores of a late-evidence collection (the bench's, at 20
+    topics) hold the numpy kernel's rows, bit for bit."""
+    cfg = SynthConfig(num_queries=20, docs_per_query=6, sentences_per_doc=18,
+                      tokens_per_sentence=128, vocab_size=5000, query_terms=5,
+                      plant_lo=1, plant_hi=4, distractor_overlap=0.3, noise=0.3, seed=1)
+    corpus = generate_corpus(cfg)
+    documents = corpus.documents_by_id()
+    stats = compute_corpus_stats(corpus.documents, cfg.max_tokens)
+    stores = build_stores(corpus.queries, corpus.candidates, documents, cfg.policy(),
+                          stats)
+    for store, cut in zip(stores, ("training", "inference")):
+        assert len(store.matrix) == 120 * (4 if cut == "training" else 6)
+        for topic in store.topics:
+            for doc_id in topic.candidates:
+                doc = documents[doc_id]
+                segments = (segment_for_training(doc, cfg.policy(),
+                                                 document_stream(cfg.seed, doc_id))
+                            if cut == "training"
+                            else segment_for_inference(doc, cfg.max_tokens))
+                expected = numpy_segment_features(topic.query, doc, segments, stats,
+                                                  cfg.max_tokens, cfg.max_segments)
+                assert store.features(topic.query, doc_id).tobytes() == \
+                    expected.tobytes()
 
 
 @settings(max_examples=150)

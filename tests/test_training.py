@@ -1,10 +1,15 @@
 import dataclasses
+import inspect
+import os
 import random
+import zlib
 
 import numpy as np
 import pytest
 
 from e2e_utils import assemble
+from segtrain import corpus as corpus_module
+from segtrain import formats
 from segtrain.corpus import (
     CorpusStats,
     Document,
@@ -13,7 +18,7 @@ from segtrain.corpus import (
     compute_corpus_stats,
     segment_for_inference,
 )
-from segtrain.evaluation import segment_p_at_1
+from segtrain.evaluation import holdout_split, segment_p_at_1
 from segtrain.ranking import Aggregation
 from segtrain.scorer import (
     F_MATCH_FRACTION,
@@ -35,10 +40,12 @@ from segtrain.training import (
     _epoch_rows,
     _stack,
     best_train,
+    build_stores,
     build_training_set,
     evaluate_bundle,
     rank_store,
     select_segments,
+    stores_from_cache,
     train_baseline,
     train_single,
 )
@@ -52,20 +59,23 @@ def make_segments(doc_id: str, token_lists: list[list[str]]) -> list[Segment]:
 def make_tset(topics_spec, stats=None, max_segments=4) -> TrainingSet:
     """topics_spec: list of (query_text, {doc_id: [segment token lists]}, pos_ids).
 
-    Each segment is one sentence of an untitled document.
+    Each segment is one sentence of an untitled document; the store
+    stacks each pair's `segment_features`.
     """
-    topics = []
-    documents = {}
-    store = {}
+    stats = stats or CorpusStats(4, {}, 10.0)
+    topics, blocks, rows, start = [], [np.empty((0, NUM_FEATURES))], {}, 0
     for t, (q_text, docs, pos_ids) in enumerate(topics_spec):
         query = Query.from_text(f"q{t}", q_text)
-        for doc_id, token_lists in docs.items():
-            documents[doc_id] = Document(doc_id, "", token_lists)
-            store[doc_id] = make_segments(doc_id, token_lists)
-        negs = [d for d in docs if d not in pos_ids]
-        topics.append(TrainingTopic(query, list(pos_ids), negs))
-    stats = stats or CorpusStats(4, {}, 10.0)
-    return TrainingSet(topics, documents, store, stats, max_segments=max_segments)
+        topic = TrainingTopic(query, list(pos_ids), [d for d in docs if d not in pos_ids])
+        topics.append(topic)
+        for doc_id in topic.candidates:
+            feats = segment_features(query, Document(doc_id, "", docs[doc_id]),
+                                     make_segments(doc_id, docs[doc_id]), stats,
+                                     max_segments=max_segments)
+            blocks.append(feats)
+            rows[(query.id, doc_id)] = range(start, start + len(feats))
+            start += len(feats)
+    return TrainingSet(topics, np.concatenate(blocks), rows, max_segments)
 
 
 def match_scorer(weight: float = 1.0) -> ScorerParams:
@@ -206,18 +216,31 @@ class TestBuildPairs:
 
     def test_rows_are_views_of_one_stacked_matrix(self):
         tset = _random_tset(np.random.default_rng(5))
-        X, rows = tset.stacked()
+        X, rows = tset.matrix, tset.rows
         assert not X.flags.writeable
         assert len(X) == sum(len(span) for span in rows.values())
         for topic in tset.topics:
             for doc_id in topic.candidates:
-                feats = tset.features(topic.query, doc_id)
-                assert np.shares_memory(feats, X)
-                assert np.array_equal(feats, segment_features(
-                    topic.query, tset.documents[doc_id], tset.segments[doc_id],
-                    tset.stats, tset.max_tokens, tset.max_segments))
+                assert np.shares_memory(tset.features(topic.query, doc_id), X)
         assert _stack(tset, None)[0] is X
         assert _stack(tset, first_segments(tset))[0] is X
+
+    def test_rows_must_tile_the_matrix_in_pair_order(self):
+        tset = _random_tset(np.random.default_rng(6))
+        topics, X = tset.topics, tset.matrix
+        keys = list(tset.rows)
+        spans = list(tset.rows.values())
+        bad = {
+            "pairs reordered": (dict(zip(keys[::-1], spans)), X),
+            "a gap": ({**tset.rows, keys[-1]: range(spans[-1].start + 1,
+                                                   spans[-1].stop + 1)}, X),
+            "an empty pair": ({**tset.rows, keys[-1]: range(spans[-1].start,
+                                                           spans[-1].start)}, X),
+            "rows left over": (tset.rows, np.vstack([X, X[:1]])),
+        }
+        for rows, matrix in bad.values():
+            with pytest.raises(ValueError):
+                TrainingSet(topics, matrix, rows)
 
     @pytest.mark.parametrize("loss", list(LossKind))
     def test_epoch_rows_equal_per_example_reference(self, loss):
@@ -299,6 +322,24 @@ class TestSelectSegments:
                     # one row alone scores the bits it scores in the store
                     assert scores[(topic.query.id, doc_id)] == best_score
 
+    def test_infinite_and_nan_scores_select_as_argmax_does(self):
+        # weights that overflow or multiply 0 by infinity give infinite
+        # and NaN scores: the first NaN, else the first maximum, wins
+        rng = np.random.default_rng(12)
+        for _ in range(60):
+            k = int(rng.integers(1, 6))
+            tset = _random_tset(rng, max_segments=k)
+            weights = rng.choice([-np.inf, np.inf, 1e308, -1e308, 0.0, 1.0],
+                                 size=NUM_FEATURES)
+            params = ScorerParams("linear", weights, float(rng.choice([0.0, np.inf])))
+            with np.errstate(invalid="ignore", over="ignore"):
+                sel, scores = select_segments(params, tset)
+                all_scores = score_batch(params, tset.matrix)
+            for key, span in tset.rows.items():
+                leading = all_scores[span.start:span.stop][:k]
+                assert sel[key] == int(np.argmax(leading))
+                assert np.array_equal(scores[key], leading[sel[key]], equal_nan=True)
+
     def test_store_without_qrels_covers_every_candidate(self):
         queries = [Query.from_text("q0", "a"), Query.from_text("q1", "b"),
                    Query.from_text("q2", "c")]
@@ -365,7 +406,7 @@ class TestTrainSingle:
 
     def test_empty_training_set_rejected(self):
         coll = small_collection()
-        empty = TrainingSet([], {}, {}, coll.train_set.stats)
+        empty = TrainingSet([], np.empty((0, NUM_FEATURES)), {})
         with pytest.raises(ValueError):
             train_single(empty, coll.dev_bundle, None, TrainConfig(), 0)
 
@@ -496,17 +537,142 @@ class TestEvaluateBundle:
         # the dev set scores every inference window of a candidate in one
         # call, as `rerank` does, then takes the first or the best score
         coll = small_collection(seed=3)
-        dev = coll.dev_bundle
+        dev, cfg = coll.dev_bundle, coll.synth_cfg
+        documents = coll.corpus.documents_by_id()
         params = init_params("mlp", 3)
         for agg in Aggregation:
             _, run = evaluate_bundle(params, dev, agg)
             for topic in dev.topics:
                 expected = {}
                 for d in topic.candidates:
-                    doc = dev.documents[d]
+                    doc = documents[d]
                     scores = score_batch(params, segment_features(
-                        topic.query, doc, segment_for_inference(doc, dev.max_tokens),
-                        dev.stats, dev.max_tokens, dev.max_segments))
+                        topic.query, doc, segment_for_inference(doc, cfg.max_tokens),
+                        coll.stats, cfg.max_tokens, cfg.max_segments))
                     expected[d] = float(scores[0] if agg == Aggregation.FIRST_P
                                         else scores.max())
                 assert {e.doc_id: e.score for e in run[topic.query.id].entries} == expected
+
+
+def late_collection(seed=4):
+    """A small late-evidence collection, its documents and its stats."""
+    cfg = SynthConfig(num_queries=24, docs_per_query=4, sentences_per_doc=12,
+                      tokens_per_sentence=32, vocab_size=2000, query_terms=3,
+                      plant_lo=1, plant_hi=4, noise=0.3, seed=seed,
+                      min_tokens=48, max_tokens=128, query_token_budget=8)
+    corpus = generate_corpus(cfg)
+    return (cfg, corpus, corpus.documents_by_id(),
+            compute_corpus_stats(corpus.documents, cfg.max_tokens))
+
+
+def restrict(qrels, query_ids):
+    return {key: grade for key, grade in qrels.items() if key[0] in set(query_ids)}
+
+
+class TestStores:
+    """The training-window and inference-window stores over every query,
+    and the topic subsets the commands take of them."""
+
+    def test_subsets_equal_stores_built_for_them(self):
+        cfg, corpus, documents, stats = late_collection()
+        full = build_stores(corpus.queries, corpus.candidates, documents, cfg.policy(),
+                            stats)
+        policies = (cfg.policy(), dataclasses.replace(cfg.policy(), mode="inference"))
+        by_id = {q.id: q for q in corpus.queries}
+        ids = [q.id for q in corpus.queries]
+        for store, policy in zip(full, policies):
+            assert [(t.query.id, t.positives) for t in store.topics] == \
+                [(qid, []) for qid in ids]
+            for subset in (ids, ids[1::3], ids[5:6], ids[::-1], []):
+                part = store.subset(subset, corpus.qrels, 7)
+                fresh = build_training_set([by_id[q] for q in subset],
+                                           restrict(corpus.qrels, subset),
+                                           corpus.candidates, documents, policy, stats, 7)
+                assert [(t.query, t.positives, t.negatives) for t in part.topics] == \
+                    [(t.query, t.positives, t.negatives) for t in fresh.topics]
+                assert part.rows == fresh.rows and part.qrels == fresh.qrels
+                assert part.matrix.tobytes() == fresh.matrix.tobytes()
+                assert not part.matrix.flags.writeable
+                assert (part.max_segments, part.mrr_cutoff) == (cfg.max_segments, 7)
+
+    @pytest.mark.parametrize("loss, kind", [(LossKind.PAIRWISE_HINGE, "linear"),
+                                            (LossKind.POINTWISE_CE, "mlp")])
+    def test_models_trained_on_subsets_equal_those_of_fresh_stores(self, loss, kind):
+        # the commands train on subsets of the two full stores; a store
+        # built for the training or the dev queries alone trains the same
+        # bits in every mode
+        cfg, corpus, documents, stats = late_collection(seed=7)
+        train_cfg = TrainConfig(loss=loss, scorer_kind=kind, epochs=4, max_iterations=2,
+                                iteration_patience=2, seed=7)
+        training, inference = build_stores(corpus.queries, corpus.candidates, documents,
+                                           cfg.policy(), stats)
+        train_ids, dev_ids = holdout_split([q.id for q in corpus.queries], 0.25, 7)
+        by_id = {q.id: q for q in corpus.queries}
+        subsets = (training.subset(train_ids, corpus.qrels),
+                   inference.subset(dev_ids, corpus.qrels))
+        fresh = (build_training_set([by_id[q] for q in train_ids], corpus.qrels,
+                                    corpus.candidates, documents, cfg.policy(), stats),
+                 build_training_set([by_id[q] for q in dev_ids],
+                                    restrict(corpus.qrels, dev_ids), corpus.candidates,
+                                    documents,
+                                    dataclasses.replace(cfg.policy(), mode="inference"),
+                                    stats))
+        models = []
+        for tset, dev in (subsets, fresh):
+            result = best_train(tset, dev, train_cfg)
+            models.append([
+                params_to_vector(result.best_state.params).tobytes(),
+                [state.validation_metric for state in result.history],
+                params_to_vector(train_baseline(tset, dev, train_cfg)[0]).tobytes(),
+                params_to_vector(train_baseline(tset, dev, train_cfg,
+                                                corpus.gold)[0]).tobytes(),
+                params_to_vector(train_single(tset, dev, None, train_cfg, 7)[0]).tobytes()])
+        assert models[0] == models[1]
+
+    def test_the_stores_key_covers_the_code_that_builds_stores(self):
+        builders = [corpus_module.segment_for_training, corpus_module.segment_for_inference,
+                    segment_features, build_training_set, build_stores]
+        sources = {os.path.realpath(path)
+                   for path in formats._PARSER_SOURCES + formats._STORES_SOURCES}
+        assert {os.path.realpath(inspect.getsourcefile(f)) for f in builders} <= sources
+
+    def test_cached_stores_equal_the_built_ones(self, tmp_path, monkeypatch):
+        cfg, corpus, documents, stats = late_collection()
+        path = tmp_path / "corpus.jsonl"
+        with open(path, "w") as stream:
+            formats.write_corpus(corpus.documents, stream)
+        monkeypatch.setattr(formats, "MIN_CACHED_BYTES", 1)
+        key = {"policy": dataclasses.asdict(cfg.policy())}
+        pairs = sum(map(len, corpus.candidates.values()))
+        doc_terms = {d: set(q.tokens) for q in corpus.queries
+                     for d in corpus.candidates[q.id]}
+        with open(path) as stream:
+            read = formats.read_corpus(stream, doc_terms, key, pairs)
+        assert read.stores is None and read.cache is not None
+        terms = set().union(*doc_terms.values())
+        assert CorpusStats.from_views(read.views, read.df, cfg.max_tokens) == \
+            compute_corpus_stats(corpus.documents, cfg.max_tokens, terms)
+        built = build_stores(corpus.queries, corpus.candidates, read.views, cfg.policy(),
+                             stats)
+        formats.save_stores(read.cache, [(s.row_counts(), s.matrix) for s in built])
+        with open(path) as stream:
+            read = formats.read_corpus(stream, doc_terms, key, pairs)
+        assert read.views is None
+        loaded = stores_from_cache(corpus.queries, corpus.candidates, read.stores,
+                                   cfg.max_segments)
+        for store, fresh in zip(loaded, built):
+            assert [(t.query, t.positives, t.negatives) for t in store.topics] == \
+                [(t.query, t.positives, t.negatives) for t in fresh.topics]
+            assert store.rows == fresh.rows
+            assert store.matrix.tobytes() == fresh.matrix.tobytes()
+            assert not store.matrix.flags.writeable
+        # a pair without rows is a miss, even under a matching checksum
+        path = tmp_path / "corpus.jsonl.stores"
+        data = path.read_bytes()
+        body = bytearray(data[len(read.cache.header):-4])
+        counts = np.frombuffer(body, dtype=np.int64, count=2)
+        body[:16] = np.array([0, counts[0] + counts[1]], dtype=np.int64).tobytes()
+        path.write_bytes(read.cache.header + bytes(body)
+                         + zlib.crc32(body).to_bytes(4, "little"))
+        with open(path.with_suffix("")) as stream:
+            assert formats.read_corpus(stream, doc_terms, key, pairs).stores is None
