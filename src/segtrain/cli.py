@@ -20,10 +20,8 @@ set is ranked, with `training.rank_store`.  On a corpus of 8 MiB or
 more, the first of them to run leaves `<corpus>.stores` beside it, and
 the others, given the same corpus, queries, candidates and policy, load
 both stores from it without parsing the corpus, segmenting or
-computing a feature (see `formats.read_corpus`).  A miss reads the
-corpus as views, through `<corpus>.views` (see `formats.parse_corpus`).
-`segment` reads views too; it scores no terms, so it never replaces a
-views cache that `train`, `select` or `rerank` left.
+computing a feature (see `formats.read_corpus`).  A miss parses the
+corpus into views (`formats.parse_corpus`), which `segment` reads too.
 
 `eval --baseline-run` parses its two runs at the same time: the
 baseline in one forked worker (`_Worker`), the run and the qrels in the
@@ -40,7 +38,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import gc
-import json
 import os
 import pickle
 import signal
@@ -218,7 +215,7 @@ def _cmd_segment(args: argparse.Namespace) -> int:
     out = open(config.out, "w") if config.out else sys.stdout
     try:
         for row in rows:
-            out.write(json.dumps(row, sort_keys=True) + "\n")
+            out.write(formats.SORTED_JSON.encode(row) + "\n")
     finally:
         if out is not sys.stdout:
             out.close()

@@ -12,22 +12,20 @@ byte-identical files.
 sentence lengths and the hits of the terms it will be scored against)
 and, from the same pass, the document frequency of those terms; no
 token list is kept, since every command that reads a corpus needs only
-views.  A corpus file of 8 MiB or more keeps what `parse_corpus`
-returns in `<corpus file>.views`, a JSON-lines file beside it, keyed by
-the file's size and CRC-32, the stream's encoding and error handler,
-the scored terms and a CRC-32 of the code that builds the views.
+views.
 
-The commands that score read the corpus through `read_corpus`, which
-first looks for `<corpus file>.stores`: the feature rows of every
-(query, candidate) pair under training windows and under inference
-windows, as raw float64 rows, keyed by the views key, a CRC-32 of the
-code that segments and featurizes, the byte order, the segmentation
+The commands that score read the corpus through `read_corpus`.  A
+corpus file of 8 MiB or more keeps `<corpus file>.stores` beside it:
+the feature rows of every (query, candidate) pair under training
+windows and under inference windows, as raw float64 rows, keyed by the
+file's size and CRC-32, the stream's encoding and error handler, the
+scored terms, a CRC-32 of the code that parses, segments and
+featurizes, the Python version, the byte order, the segmentation
 policy, and each query's id, tokens and candidate pool.  A hit needs no
-parse; a miss parses the corpus (through the views cache), and
-`save_stores` caches the stores built from it.  Only a successful parse
-leads to either cache, so no cache matches a malformed corpus; any
-other key or a damaged cache is a miss that parses the text again, and
-deleting either cache is always safe.
+parse; a miss parses the corpus, and `save_stores` caches the stores
+built from it.  Only a successful parse leads to the cache, so no cache
+matches a malformed corpus; any other key or a damaged cache is a miss
+that parses the text again, and deleting the cache is always safe.
 
 The module also owns all configuration, without importing numpy:
 `TrainConfig` and `SynthConfig` (which `training`, `synth` and, for
@@ -133,6 +131,12 @@ def _json_line(line: str, line_no: int):
         raise ParseError(f"bad JSON ({exc})", line_no) from None
 
 
+# The encoder of every JSON line written: keys sorted, so equal records
+# give equal bytes.  `json.dumps(..., sort_keys=True)` would build a new
+# encoder for each record.
+SORTED_JSON = json.JSONEncoder(sort_keys=True)
+
+
 # ---------------------------------------------------------------------------
 # qrels: "qid 0 docid grade", whitespace separated
 
@@ -224,7 +228,7 @@ def write_corpus(documents: Iterable[Document], stream: IO[str]) -> None:
         if doc.sentences:
             body += "."
         record = {"doc_id": doc.id, "title": doc.title, "body": body}
-        stream.write(json.dumps(record, sort_keys=True) + "\n")
+        stream.write(SORTED_JSON.encode(record) + "\n")
 
 
 _CORPUS_FIELDS = ("doc_id", "title", "body")
@@ -250,18 +254,16 @@ def _corpus_records(stream: IO[str]) -> Iterator[tuple[str, str, str]]:
         yield doc_id, record["title"], record["body"]
 
 
-# A corpus file of at least this many bytes keeps its parse, and the
-# feature stores built from it, in caches beside it; a smaller one
-# parses in milliseconds.
+# A corpus file of at least this many bytes keeps the feature stores
+# built from it in a cache beside it; a smaller one parses, segments and
+# featurizes in milliseconds.
 MIN_CACHED_BYTES = 8 << 20
 
-# The version of the views cache layout; a cache of any other is a miss.
-# The key also holds a CRC-32 of the code that builds the views, so a
-# change to the tokenizer invalidates every cache without a bump here.
-VIEWS_FORMAT = 1
-
 # The version of the feature stores layout; a cache of any other is a miss.
-STORES_FORMAT = 1
+# The key also holds a CRC-32 of the code that builds the stores, so a
+# change to the parse, the segmentation or the features invalidates every
+# cache without a bump here.
+STORES_FORMAT = 2
 
 # The stores a stores cache holds: training windows, inference windows.
 STORE_COUNT = 2
@@ -270,13 +272,10 @@ STORE_COUNT = 2
 # row length.  `scorer` lays the features out.
 NUM_FEATURES = 7
 
-# The sources that build a corpus's views: this module and `corpus`.
-_PARSER_SOURCES = (__file__, os.path.join(os.path.dirname(__file__), "corpus.py"))
-
-# The sources that build feature stores from views, beside those above:
-# the feature kernel and the store builder.
-_STORES_SOURCES = tuple(os.path.join(os.path.dirname(__file__), name)
-                        for name in ("scorer.py", "training.py"))
+# The sources that build feature stores from a corpus file: this module
+# and `corpus` parse and segment it, `scorer` and `training` featurize.
+_SOURCES = tuple(os.path.join(os.path.dirname(__file__), name)
+                 for name in ("formats.py", "corpus.py", "scorer.py", "training.py"))
 
 _CRC_CHUNK = 256 << 10
 
@@ -289,58 +288,19 @@ def parse_corpus(stream: IO[str], doc_terms: dict[str, set[str]] | None = None
     (the tokens of the queries that list it as a candidate); its view
     records hits of those terms only, and a document it lacks records
     none.  Document frequency counts, over every document, the union of
-    those terms.  No token list outlives its document's line.
+    those terms, keyed in first-seen order.  No token list outlives its
+    document's line.
 
     A `TextIOWrapper` not yet read from is switched to universal
-    newlines first, so the parse and the cache split lines alike,
-    whatever `newline=` the file was opened with.
-
-    A text stream over a regular file of at least `MIN_CACHED_BYTES`,
-    not yet read, whose name is the path of that file, has a views
-    cache beside it: `<name>.views`.  Its key is `VIEWS_FORMAT`, the
-    CRC-32 of the sources of this module and `corpus` (which build the
-    views), the Python version, the file's size and the CRC-32 of its
-    bytes, the stream's encoding and error handler, and `doc_terms`
-    itself.  A cache that holds this key and well-formed views is
-    returned and the text is not read; the bytes it covers passed every
-    check of the parse that wrote it.  Any other cache, missing, stale,
-    truncated or malformed, is a miss: the file is parsed and, if the
-    parse succeeds and the file did not change meanwhile, the cache is
-    replaced atomically.  A cache that cannot be written is skipped, and
-    deleting it is always safe.  The cache holds one entry: a read with
-    other `doc_terms` misses and replaces it, unless it scores no terms
-    (as `segment` reads), which writes a cache only where there is none.
-
-    The key is a checksum, not a signature, so the cache is trusted as
-    far as the directory that holds it: a corpus in a directory that
-    other users may write to gets no cache, and a cache owned by another
-    user, or reached through a symbolic link, is a miss.
+    newlines first, so lines split alike whatever `newline=` the file
+    was opened with.
     """
     doc_terms = doc_terms or {}
-    _universal_newlines(stream)
-    corpus = _corpus_key(stream, doc_terms)
-    parsed = _load_views(corpus) if corpus is not None else None
-    if parsed is None:
-        parsed = _corpus_views(stream, doc_terms)
-        if corpus is not None and (any(doc_terms.values())
-                                   or not os.path.lexists(corpus.views_path)):
-            _store_views(corpus, parsed)
-    return parsed
-
-
-def _universal_newlines(stream: IO[str]) -> None:
     if isinstance(stream, io.TextIOWrapper):
         try:
             stream.reconfigure(newline=None)
         except io.UnsupportedOperation:  # already read from
             pass
-
-
-def _corpus_views(stream: IO[str], doc_terms: dict[str, set[str]]
-                  ) -> tuple[dict[str, DocView], dict[str, int]]:
-    """The views of the documents in `stream`, and the count of the
-    documents holding each term of `doc_terms`, keyed in first-seen
-    order."""
     terms = set().union(*doc_terms.values())
     views: dict[str, DocView] = {}
     df: Counter[str] = Counter()
@@ -351,179 +311,14 @@ def _corpus_views(stream: IO[str], doc_terms: dict[str, set[str]]
     return views, dict(df)
 
 
-class _CorpusKey(NamedTuple):
-    path: str  # the corpus file's name
-    info: os.stat_result  # the corpus file's, taken before its bytes were read
-    key: dict  # what the views depend on
-
-    @property
-    def views_path(self) -> str:
-        return self.path + ".views"
-
-    @property
-    def views_header(self) -> str:
-        return json.dumps(self.key, sort_keys=True)
-
-
-def _corpus_key(stream: IO[str], doc_terms: dict[str, set[str]]) -> _CorpusKey | None:
-    """The key of the views of the file under `stream`; None unless
-    `stream` is a text stream, not yet read, over a regular file of at
-    least `MIN_CACHED_BYTES` that `stream.name` names, in a directory
-    that other users may not write to."""
-    if not isinstance(stream, io.TextIOWrapper):
-        return None
-    crc = 0
-    try:
-        fd = stream.fileno()
-        info = os.fstat(fd)
-        if (not stat.S_ISREG(info.st_mode) or stream.tell() != 0
-                or not isinstance(stream.name, str) or info.st_size < MIN_CACHED_BYTES):
-            return None
-        directory = os.stat(os.path.dirname(stream.name) or os.curdir)
-        if (directory.st_mode & stat.S_IWOTH
-                or not os.path.samestat(info, os.stat(stream.name))):
-            return None
-        code = _parser_crc()
-        for offset in range(0, info.st_size, _CRC_CHUNK):
-            crc = zlib.crc32(os.pread(fd, _CRC_CHUNK, offset), crc)
-    except OSError:
-        return None
-    key = {"format": VIEWS_FORMAT, "code": code, "python": sys.version,
-           "size": info.st_size, "crc32": crc,
-           "encoding": codecs.lookup(stream.encoding).name, "errors": stream.errors,
-           "doc_terms": [[doc_id, sorted(doc_terms[doc_id])]
-                         for doc_id in sorted(doc_terms)]}
-    return _CorpusKey(stream.name, info, key)
-
-
-def _parser_crc() -> int:
-    """The CRC-32 of the sources in `_PARSER_SOURCES`; an `OSError` if
-    one cannot be read."""
-    return _sources_crc(_PARSER_SOURCES)
-
-
-def _stores_crc() -> int:
-    """The CRC-32 of the sources in `_STORES_SOURCES`; an `OSError` if
-    one cannot be read."""
-    return _sources_crc(_STORES_SOURCES)
-
-
-def _sources_crc(paths: Iterable[str]) -> int:
-    crc = 0
-    for path in paths:
-        with open(path, "rb") as file:
-            crc = zlib.crc32(file.read(), crc)
-    return crc
-
-
-def _open_cache(path: str) -> IO[bytes] | None:
-    """The cache file at `path`, open for reading, or None if it is
-    missing or not a regular file owned by this process's user.  Opening
-    it neither follows a link nor blocks on a FIFO."""
-    try:
-        fd = os.open(path, os.O_RDONLY | os.O_NOFOLLOW | os.O_NONBLOCK)
-    except OSError:
-        return None
-    try:
-        info = os.fstat(fd)
-        if stat.S_ISREG(info.st_mode) and info.st_uid == os.geteuid():
-            return open(fd, "rb")
-    except OSError:
-        pass
-    os.close(fd)
-    return None
-
-
-def _write_cache(path: str, corpus: _CorpusKey, chunks: Iterable[bytes]) -> None:
-    """Write `chunks` as the cache file at `path`.
-
-    Nothing is written if the corpus file changed since its key was
-    taken.  The file is written beside its final name and renamed over
-    it, so a reader sees the old cache or the new one.  A failure leaves
-    no file behind and is ignored: a cache only saves time.
-    """
-    try:
-        now = os.stat(corpus.path)
-    except OSError:
-        return
-    if (not os.path.samestat(now, corpus.info)
-            or (now.st_size, now.st_mtime_ns) != (corpus.info.st_size,
-                                                  corpus.info.st_mtime_ns)):
-        return
-    temp = f"{path}.{os.urandom(8).hex()}.tmp"
-    try:  # a new file: O_EXCL follows no link planted at its name
-        fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-    except OSError:
-        return
-    try:
-        with open(fd, "wb") as file:
-            for chunk in chunks:
-                file.write(chunk)
-        os.replace(temp, path)
-    except OSError:
-        try:
-            os.unlink(temp)
-        except OSError:
-            pass
-
-
-def _load_views(corpus: _CorpusKey) -> tuple[dict[str, DocView], dict[str, int]] | None:
-    """The parse that the views cache of `corpus` holds, or None if the
-    cache is missing, not a regular file owned by this process's user,
-    keyed otherwise or not exactly the shape `_store_views` writes."""
-    file = _open_cache(corpus.views_path)
-    if file is None:
-        return None
-    with file:
-        try:
-            if file.readline() != corpus.views_header.encode() + b"\n":
-                return None
-            *entries, pairs = map(json.loads, file)
-            views = {}
-            for entry in entries:
-                doc_id, title_length, lengths, hits = entry
-                hits = [(offset, term) for offset, term in _list(hits)]
-                if not (type(doc_id) is str and type(title_length) is int
-                        and all(type(n) is int for n in _list(lengths))
-                        and all(type(o) is int and type(t) is str for o, t in hits)):
-                    return None
-                views[doc_id] = DocView(doc_id, title_length, lengths, hits)
-            df = {term: count for term, count in _list(pairs)
-                  if type(term) is str and type(count) is int}
-        except (OSError, ValueError, TypeError, RecursionError):
-            return None
-    if len(views) != len(entries) or len(df) != len(pairs):  # a repeat, or a bad pair
-        return None
-    return views, df
-
-
-def _list(value) -> list:
-    """`value` if it is a JSON array; a `TypeError` otherwise."""
-    if type(value) is not list:
-        raise TypeError("expected a list")
-    return value
-
-
-def _store_views(corpus: _CorpusKey,
-                 parsed: tuple[dict[str, DocView], dict[str, int]]) -> None:
-    """Write `parsed` to the views cache of `corpus` in JSON lines: its
-    header, one line per view in order, and the document frequency in
-    key order."""
-    views, df = parsed
-    lines = [corpus.views_header]
-    lines += (json.dumps([v.id, v.title_length, v.sentence_lengths, v.hits])
-              for v in views.values())
-    lines.append(json.dumps(list(df.items())))
-    _write_cache(corpus.views_path, corpus, ["\n".join(lines).encode() + b"\n"])
-
-
 # ---------------------------------------------------------------------------
 # feature stores: the cached feature rows of every (query, candidate) pair
 
 class StoresCache(NamedTuple):
     """Where the feature stores of a corpus are cached, and their key."""
 
-    corpus: _CorpusKey
+    path: str  # the corpus file's name; the cache is `<path>.stores`
+    info: os.stat_result  # the corpus file's, taken before its bytes were read
     header: bytes  # the key, as the first line of the cache
     pairs: int  # the (query, candidate) pairs each store covers
 
@@ -556,22 +351,30 @@ def read_corpus(stream: IO[str], doc_terms: dict[str, set[str]], key: dict,
 
     `key` names what the stores hold beyond the corpus (for the
     commands: the segmentation policy, and each query's id, tokens and
-    candidate pool, whose `pairs` pairs each store covers).  The cache
-    is `<name>.stores` beside the corpus, under the views cache's rules:
-    the same streams and directories get one, and a file that is not a
+    candidate pool, whose `pairs` pairs each store covers).  A text
+    stream over a regular file of at least `MIN_CACHED_BYTES`, not yet
+    read, whose name is the path of that file, has a cache beside it:
+    `<name>.stores`.  Its key is `STORES_FORMAT`, the CRC-32 of the
+    sources that parse, segment and featurize (`_SOURCES`), the Python
+    version, the byte order, the row width, the file's size and the
+    CRC-32 of its bytes, the stream's encoding and error handler,
+    `doc_terms` and `key`.  Its body is each store's row counts (native
+    int64, one per pair), each store's rows (native float64) and a
+    CRC-32 of all of them.  A cache that holds this key and a body of
+    exactly that shape and checksum is a hit, and the corpus is not
+    read; the bytes it covers passed every check of the parse that
+    built its stores.  Any other cache, missing, stale, truncated or
+    damaged, is a miss.  Only `save_stores` writes the cache, from
+    stores built from a parse that succeeded, and deleting it is always
+    safe.
+
+    The key is a checksum, not a signature, so the cache is trusted as
+    far as the directory that holds it: a corpus in a directory that
+    other users may write to gets no cache, and a cache that is not a
     regular file owned by this process's user, or is reached through a
-    link, is a miss.  Its key is the views key (`parse_corpus`) with
-    `STORES_FORMAT`, the CRC-32 of the sources that build the stores,
-    the byte order, the row width and `key`.  Its body is each store's
-    row counts (native int64, one per pair), each store's rows (native
-    float64) and a CRC-32 of all of them.  A cache that holds this key
-    and a body of exactly that shape and checksum is a hit, and the
-    corpus is not read; any other is a miss.  Only `save_stores` writes
-    the cache, from stores built from a parse that succeeded.
+    symbolic link, is a miss.
     """
-    _universal_newlines(stream)
-    corpus = _corpus_key(stream, doc_terms)
-    cache = _stores_cache(corpus, key, pairs) if corpus is not None else None
+    cache = _corpus_key(stream, doc_terms, key, pairs)
     stores = _load_stores(cache) if cache is not None else None
     if stores is not None:
         return CorpusRead(stores, None, None, cache)
@@ -579,23 +382,108 @@ def read_corpus(stream: IO[str], doc_terms: dict[str, set[str]], key: dict,
     return CorpusRead(None, views, df, cache)
 
 
-def _stores_cache(corpus: _CorpusKey, key: dict, pairs: int) -> StoresCache | None:
-    """The stores cache of `corpus` for `key`; None if the sources that
-    build the stores cannot be read."""
+def _corpus_key(stream: IO[str], doc_terms: dict[str, set[str]], key: dict,
+                pairs: int) -> StoresCache | None:
+    """The stores cache of the file under `stream` for `doc_terms` and
+    `key`; None unless `stream` is a text stream, not yet read, over a
+    regular file of at least `MIN_CACHED_BYTES` that `stream.name`
+    names, in a directory that other users may not write to, and the
+    sources in `_SOURCES` can be read."""
+    if not isinstance(stream, io.TextIOWrapper):
+        return None
+    crc = 0
     try:
-        code = _stores_crc()
+        fd = stream.fileno()
+        info = os.fstat(fd)
+        if (not stat.S_ISREG(info.st_mode) or stream.tell() != 0
+                or not isinstance(stream.name, str) or info.st_size < MIN_CACHED_BYTES):
+            return None
+        directory = os.stat(os.path.dirname(stream.name) or os.curdir)
+        if (directory.st_mode & stat.S_IWOTH
+                or not os.path.samestat(info, os.stat(stream.name))):
+            return None
+        code = _sources_crc()
+        for offset in range(0, info.st_size, _CRC_CHUNK):
+            crc = zlib.crc32(os.pread(fd, _CRC_CHUNK, offset), crc)
     except OSError:
         return None
-    full = {"format": STORES_FORMAT, "code": code, "byteorder": sys.byteorder,
-            "width": NUM_FEATURES, "views": corpus.key, "stores": key}
-    return StoresCache(corpus, json.dumps(full, sort_keys=True).encode() + b"\n", pairs)
+    full = {"format": STORES_FORMAT, "code": code, "python": sys.version,
+            "byteorder": sys.byteorder, "width": NUM_FEATURES,
+            "size": info.st_size, "crc32": crc,
+            "encoding": codecs.lookup(stream.encoding).name, "errors": stream.errors,
+            "doc_terms": [[doc_id, sorted(doc_terms[doc_id])]
+                          for doc_id in sorted(doc_terms)],
+            "stores": key}
+    return StoresCache(stream.name, info, SORTED_JSON.encode(full).encode() + b"\n", pairs)
+
+
+def _sources_crc() -> int:
+    """The CRC-32 of the sources in `_SOURCES`; an `OSError` if one
+    cannot be read."""
+    crc = 0
+    for path in _SOURCES:
+        with open(path, "rb") as file:
+            crc = zlib.crc32(file.read(), crc)
+    return crc
+
+
+def _open_cache(path: str) -> IO[bytes] | None:
+    """The cache file at `path`, open for reading, or None if it is
+    missing or not a regular file owned by this process's user.  Opening
+    it neither follows a link nor blocks on a FIFO."""
+    try:
+        fd = os.open(path, os.O_RDONLY | os.O_NOFOLLOW | os.O_NONBLOCK)
+    except OSError:
+        return None
+    try:
+        info = os.fstat(fd)
+        if stat.S_ISREG(info.st_mode) and info.st_uid == os.geteuid():
+            return open(fd, "rb")
+    except OSError:
+        pass
+    os.close(fd)
+    return None
+
+
+def _write_cache(cache: StoresCache, chunks: Iterable[bytes]) -> None:
+    """Write `chunks` as the file of `cache`.
+
+    Nothing is written if the corpus file changed since its key was
+    taken.  The file is written beside its final name and renamed over
+    it, so a reader sees the old cache or the new one.  A failure leaves
+    no file behind and is ignored: a cache only saves time.
+    """
+    try:
+        now = os.stat(cache.path)
+    except OSError:
+        return
+    if (not os.path.samestat(now, cache.info)
+            or (now.st_size, now.st_mtime_ns) != (cache.info.st_size,
+                                                  cache.info.st_mtime_ns)):
+        return
+    path = cache.path + ".stores"
+    temp = f"{path}.{os.urandom(8).hex()}.tmp"
+    try:  # a new file: O_EXCL follows no link planted at its name
+        fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError:
+        return
+    try:
+        with open(fd, "wb") as file:
+            for chunk in chunks:
+                file.write(chunk)
+        os.replace(temp, path)
+    except OSError:
+        try:
+            os.unlink(temp)
+        except OSError:
+            pass
 
 
 def _load_stores(cache: StoresCache) -> list[Store] | None:
     """The stores that `cache` holds, or None if its file is missing,
     not a regular file owned by this process's user, keyed otherwise or
     not exactly the shape and checksum `save_stores` writes."""
-    file = _open_cache(cache.corpus.path + ".stores")
+    file = _open_cache(cache.path + ".stores")
     if file is None:
         return None
     with file:
@@ -636,8 +524,7 @@ def save_stores(cache: StoresCache, stores: Iterable[tuple[list[int], Any]]) -> 
     crc = 0
     for chunk in body:
         crc = zlib.crc32(chunk, crc)
-    _write_cache(cache.corpus.path + ".stores", cache.corpus,
-                 [cache.header, *body, crc.to_bytes(4, "little")])
+    _write_cache(cache, [cache.header, *body, crc.to_bytes(4, "little")])
 
 
 # ---------------------------------------------------------------------------
@@ -700,7 +587,7 @@ def write_selection(selection: SegmentIndexMap, stream: IO[str],
             "segment_index": index,
             "score": scores.get((qid, doc_id), 0.0),
         }
-        stream.write(json.dumps(record, sort_keys=True) + "\n")
+        stream.write(SORTED_JSON.encode(record) + "\n")
 
 
 def parse_selection(stream: IO[str]) -> tuple[SegmentIndexMap, dict[tuple[str, str], float]]:
@@ -723,7 +610,7 @@ def parse_selection(stream: IO[str]) -> tuple[SegmentIndexMap, dict[tuple[str, s
 def write_gold(gold: dict[tuple[str, str], int], stream: IO[str]) -> None:
     for (qid, doc_id), index in sorted(gold.items()):
         record = {"qid": qid, "doc_id": doc_id, "gold_segment_index": index}
-        stream.write(json.dumps(record, sort_keys=True) + "\n")
+        stream.write(SORTED_JSON.encode(record) + "\n")
 
 
 def parse_gold(stream: IO[str]) -> dict[tuple[str, str], int]:

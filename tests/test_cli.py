@@ -134,10 +134,14 @@ PINNED_DIGESTS = {
 }
 
 
-def pinned_outputs(tmp_path_factory, tmp_path) -> dict[str, str]:
-    """The sha256 of each file that `PINNED_DIGESTS` pins, made anew."""
+def pinned_outputs(tmp_path_factory, tmp_path, prepare=None) -> dict[str, str]:
+    """The sha256 of each file that `PINNED_DIGESTS` pins, made anew;
+    `prepare`, if given, is called with the collection's directory
+    before the first command reads it."""
     data = tmp_path_factory.mktemp("late")
     assert synth(LATE_CONFIG, data) == 0
+    if prepare is not None:
+        prepare(data)
     digests = {}
     for loss, kind in (("pairwise_hinge", "linear"), ("pointwise_cross_entropy", "mlp")):
         config = tmp_path / f"{kind}.txt"
@@ -162,28 +166,6 @@ def pinned_outputs(tmp_path_factory, tmp_path) -> dict[str, str]:
 
 def test_outputs_match_pinned_digests(tmp_path_factory, tmp_path):
     assert pinned_outputs(tmp_path_factory, tmp_path) == PINNED_DIGESTS
-
-
-def test_outputs_match_pinned_digests_with_cached_views(tmp_path_factory, tmp_path,
-                                                        monkeypatch):
-    # the first training parses the corpus and caches its views, and the
-    # ten later corpus reads load them; the stores cache, which would
-    # spare them the views, always misses here
-    loaded = []
-
-    def load_views(*args):
-        loaded.append(load_views.real(*args))
-        return loaded[-1]
-
-    load_views.real = formats._load_views
-    tokenized = mock.Mock(wraps=formats._corpus_views)
-    monkeypatch.setattr(formats, "MIN_CACHED_BYTES", 1)
-    monkeypatch.setattr(formats, "_load_views", load_views)
-    monkeypatch.setattr(formats, "_corpus_views", tokenized)
-    monkeypatch.setattr(formats, "_load_stores", lambda *args: None)
-    assert pinned_outputs(tmp_path_factory, tmp_path) == PINNED_DIGESTS
-    assert tokenized.call_count == 1
-    assert len(loaded) == 11 and loaded[0] is None and None not in loaded[1:]
 
 
 def test_outputs_match_pinned_digests_with_cached_stores(tmp_path_factory, tmp_path,
@@ -216,6 +198,32 @@ def test_outputs_match_pinned_digests_with_cached_stores(tmp_path_factory, tmp_p
     assert calls[1:] == [final] * 10
 
 
+def test_outputs_ignore_a_leftover_views_file(tmp_path_factory, tmp_path, monkeypatch):
+    # older versions cached each corpus parse in `<corpus>.views`; such a
+    # file is neither read, replaced nor written again
+    garbage = b'{"format": 1}\n["d00000", 2, [16], []]\nnot JSON\n'
+    planted = []
+
+    def plant(data: Path) -> None:
+        views = data / "corpus.jsonl.views"
+        views.write_bytes(garbage)
+        planted.append((views, views.stat()))
+
+    monkeypatch.setattr(formats, "MIN_CACHED_BYTES", 1)
+    assert pinned_outputs(tmp_path_factory, tmp_path, plant) == PINNED_DIGESTS
+    [(views, before)] = planted
+    data = views.parent
+    assert main(["segment", "--config", str(data / "config.txt"), "--corpus",
+                 str(data / "corpus.jsonl"), "--mode", "training",
+                 "--out", str(tmp_path / "segments.jsonl")]) == 0
+    after = views.stat()
+    assert views.read_bytes() == garbage
+    assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+    assert (data / "corpus.jsonl.stores").exists()
+    assert [p.name for p in data.glob("*.views*")] == [views.name]
+    assert not list(tmp_path.glob("*.views*"))
+
+
 # Each change of an input the stores depend on, which may change the
 # outputs, and each change of the code or the cache file, which may not.
 INPUT_CHANGES = ["policy", "seed", "queries", "candidates", "corpus"]
@@ -229,6 +237,7 @@ def test_a_changed_input_or_a_bad_stores_cache_is_a_miss(data, model, tmp_path,
     for name in ("config.txt", "corpus.jsonl", "queries.tsv", "candidates.tsv"):
         (tmp_path / name).write_bytes((data / name).read_bytes())
     hits, seed = [], []
+    keys = mock.Mock(wraps=formats._corpus_key)
 
     def load_stores(*args):
         stores = load_stores.real(*args)
@@ -236,14 +245,16 @@ def test_a_changed_input_or_a_bad_stores_cache_is_a_miss(data, model, tmp_path,
         return stores
 
     def select_bytes(min_cached_bytes: int = 1) -> bytes:
-        out = tmp_path / "selection.jsonl"
+        out, calls = tmp_path / "selection.jsonl", keys.call_count
         with mock.patch.object(formats, "MIN_CACHED_BYTES", min_cached_bytes):
             assert main(["select", *inputs(tmp_path), *seed, "--model", str(model),
                          "--out", str(out)]) == 0
+        assert keys.call_count == calls + 1  # one key per command, hit or miss
         return out.read_bytes()
 
     load_stores.real = formats._load_stores
     monkeypatch.setattr(formats, "_load_stores", load_stores)
+    monkeypatch.setattr(formats, "_corpus_key", keys)
     before = select_bytes()
     assert select_bytes() == before and hits == [False, True]
     stores = tmp_path / "corpus.jsonl.stores"
@@ -267,8 +278,8 @@ def test_a_changed_input_or_a_bad_stores_cache_is_a_miss(data, model, tmp_path,
     elif change == "format version":
         monkeypatch.setattr(formats, "STORES_FORMAT", formats.STORES_FORMAT + 1)
     elif change == "stores source":
-        monkeypatch.setattr(formats, "_stores_crc",
-                            lambda crc=formats._stores_crc(): crc ^ 1)
+        monkeypatch.setattr(formats, "_sources_crc",
+                            lambda crc=formats._sources_crc(): crc ^ 1)
     elif change == "damaged":
         damaged = bytearray(stores.read_bytes())
         damaged[-100] ^= 1
@@ -474,7 +485,6 @@ def test_malformed_corpus_exits_2_with_line_despite_its_cache(data, model, tmp_p
     qrels = ["--qrels", str(data / "qrels.txt")]
     assert main(["train", "--mode", "best", *inputs(data, corpus=corpus), *qrels,
                  "--out", str(tmp_path / "model.txt")]) == 0
-    assert (tmp_path / "corpus.jsonl.views").exists()
     assert (tmp_path / "corpus.jsonl.stores").exists()
     write_corpus_with(data, tmp_path, '{"doc_id": "x", "title": "t"')
     for args in (["train", "--mode", "best", *qrels], ["select", "--model", str(model)],
@@ -483,26 +493,6 @@ def test_malformed_corpus_exits_2_with_line_despite_its_cache(data, model, tmp_p
         assert main([*args, *inputs(data, corpus=corpus),
                      "--out", str(tmp_path / "out")]) == 2
         assert "line 2: bad JSON" in capsys.readouterr().err
-
-
-def test_segment_keeps_the_views_cache_of_a_scoring_command(data, tmp_path,
-                                                            monkeypatch):
-    """`segment` scores no terms, so it does not replace the one cache
-    slot that `train`, `select` and `rerank` share."""
-    monkeypatch.setattr(formats, "MIN_CACHED_BYTES", 1)
-    corpus, cache = tmp_path / "corpus.jsonl", tmp_path / "corpus.jsonl.views"
-    corpus.write_bytes((data / "corpus.jsonl").read_bytes())
-    train = ["train", "--mode", "first", *inputs(data, corpus=corpus),
-             "--qrels", str(data / "qrels.txt"), "--out", str(tmp_path / "model.txt")]
-    assert main(train) == 0
-    key = cache.read_text().splitlines()[0]
-    assert main(["segment", "--config", str(data / "config.txt"), "--corpus", str(corpus),
-                 "--mode", "training", "--out", str(tmp_path / "segments.jsonl")]) == 0
-    assert cache.read_text().splitlines()[0] == key
-    tokenized = mock.Mock(wraps=formats._corpus_views)
-    monkeypatch.setattr(formats, "_corpus_views", tokenized)
-    assert main(train) == 0
-    assert tokenized.call_count == 0
 
 
 @pytest.mark.parametrize("command", ["train", "select", "rerank"])

@@ -1,13 +1,14 @@
+import array
 import ast
 import contextlib
 import dataclasses
 import io
 import json
 import os
-import inspect
 import re
 import sys
 import tempfile
+import zlib
 from pathlib import Path
 from unittest import mock
 
@@ -15,8 +16,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from segtrain import corpus as corpus_module
-from segtrain.corpus import CorpusStats, Document, Query, compute_corpus_stats
+from segtrain.corpus import (
+    CorpusStats,
+    Document,
+    Query,
+    SegmentationPolicy,
+    compute_corpus_stats,
+)
 from segtrain import formats, scorer, synth, training
 from segtrain.formats import (
     SCORER_KINDS,
@@ -197,13 +203,9 @@ scored_terms = st.dictionaries(st.sampled_from(["d0", "d1", "d2", "d5"]),
                                st.sets(st.sampled_from(["alpha", "beta", "γάμμα", "ß", "9"])))
 
 
-def parse_file(path: Path, doc_terms: dict, cached: bool = False):
-    """parse_corpus of the file at `path`, or its error text; if `cached`,
-    through its views cache."""
-    with contextlib.ExitStack() as stack:
-        if cached:
-            stack.enter_context(mock.patch.object(formats, "MIN_CACHED_BYTES", 1))
-        stream = stack.enter_context(open(path))
+def parse_file(path: Path, doc_terms: dict):
+    """parse_corpus of the file at `path`, or its error text."""
+    with open(path) as stream:
         try:
             views, df = parse_corpus(stream, doc_terms)
             return list(views.items()), list(df.items())
@@ -215,72 +217,77 @@ def doc_line(doc_id: str, body: str = "alpha beta.") -> str:
     return json.dumps({"doc_id": doc_id, "title": "alpha", "body": body})
 
 
+# A corpus, the queries and candidate pools that score it, and the key and
+# segmentation policy of its stores.
 CACHED_CORPUS = "".join(doc_line(f"d{i}", body) + "\n" for i, body in
                         enumerate(["alpha beta.", "beta gamma. alpha.", "ß 9."]))
+CACHED_QUERIES = [Query.from_text("q0", "alpha"), Query.from_text("q1", "beta")]
+CACHED_CANDIDATES = {"q0": ["d0", "d1"], "q1": ["d1"]}
 CACHED_TERMS = {"d0": {"alpha"}, "d1": {"alpha", "beta"}}
+CACHED_POLICY = SegmentationPolicy("training", 8, 4, 3, 1, 0)
+CACHED_KEY = {"policy": dataclasses.asdict(CACHED_POLICY)}
+CACHED_PAIRS = 3
 
 
-def edit_views(edit):
-    """A corruption that applies `edit` to the list of cached views and
-    writes them back as valid JSON lines."""
+def rechecked(edit):
+    """A corruption that applies `edit` to the body of a stores cache, its
+    row counts and rows as one int64 array, and checksums it again."""
     def corrupt(data: bytes) -> bytes:
-        header, *lines, df, end = data.split(b"\n")
-        views = [json.loads(line) for line in lines]
-        edit(views)
-        return b"\n".join([header, *(json.dumps(view).encode() for view in views), df, end])
+        start = data.index(b"\n") + 1
+        body = array.array("q", data[start:-4])
+        edit(body)
+        return data[:start] + body.tobytes() + zlib.crc32(body).to_bytes(4, "little")
     return corrupt
 
 
-def set_line(index: int, line: bytes):
-    def corrupt(data: bytes) -> bytes:
-        lines = data.split(b"\n")
-        lines[index] = line
-        return b"\n".join(lines)
-    return corrupt
+def without_rows(body: array.array) -> None:
+    """The first pair's rows given to the second: the row total is kept."""
+    body[0], body[1] = 0, body[0] + body[1]
 
 
-CORRUPTIONS = {
-    "truncated": lambda data: data[:len(data) // 2],
-    "truncated after the views": lambda data: data[:data.rindex(b"\n", 0, -1) + 1],
+STORES_CORRUPTIONS = {
     "empty": lambda data: b"",
-    "extra line": lambda data: data + b"[]\n",
-    "bytes after the last line": lambda data: data + b"[]",
-    "not JSON": set_line(1, b"\xff\x00{[ not json"),
-    "nested too deep": set_line(1, b"[" * 100_000),
-    "view an object": set_line(1, b'{"d0": [1, [2], []]}'),
-    "view too short": edit_views(lambda views: views[0].pop()),
-    "title length a string": edit_views(lambda views: views[0].__setitem__(1, "1")),
-    "sentence length a bool": edit_views(lambda views: views[0].__setitem__(2, [True])),
-    "sentence lengths a string": edit_views(lambda views: views[0].__setitem__(2, "")),
-    "hits a string": edit_views(lambda views: views[0].__setitem__(3, "")),
-    "hit of three fields": edit_views(lambda views: views[0].__setitem__(3, [[0, "a", 1]])),
-    "hit term a number": edit_views(lambda views: views[0].__setitem__(3, [[0, 5]])),
-    "doc_id repeated": edit_views(lambda views: views.append(views[0])),
-    "df an object": set_line(-2, b'{"alpha": 2}'),
-    "df a string": set_line(-2, b'""'),
-    "df count a float": set_line(-2, b'[["alpha", 2.0]]'),
-    "df term repeated": set_line(-2, b'[["alpha", 2], ["alpha", 2]]'),
+    "header only": lambda data: data[:data.index(b"\n") + 1],
+    "truncated": lambda data: data[:len(data) // 2],
+    "one byte more": lambda data: data + b"\0",
+    "another key": lambda data: data.replace(b'"crc32": ', b'"crc32": 1', 1),
+    "row byte flipped": lambda data: data[:-20] + bytes([data[-20] ^ 1]) + data[-19:],
+    "checksum flipped": lambda data: data[:-1] + bytes([data[-1] ^ 1]),
+    "a pair without rows": rechecked(without_rows),
+    "a row count too many": rechecked(lambda body: body.__setitem__(0, body[0] + 1)),
+    "a value missing": rechecked(lambda body: body.pop()),
 }
 
 
-class TestViewsCache:
-    """A corpus file of at least `MIN_CACHED_BYTES` keeps its parse in
-    `<file>.views`.  A hit gives what a fresh parse gives without
-    tokenizing the text; any other cache is a miss, which parses the
-    text and rewrites the cache."""
+class TestStoresCache:
+    """A corpus file of at least `MIN_CACHED_BYTES` keeps the feature
+    stores built from it in `<file>.stores`.  A hit gives what a fresh
+    build gives without reading the text; any other cache is a miss,
+    which parses the text, and the stores built from that replace it."""
 
     @staticmethod
-    def parse(path: Path, doc_terms: dict, errors: str = "strict", **patches):
-        """parse_corpus of the file at `path` through its cache, and
-        whether that was a hit."""
+    def read(path: Path, doc_terms: dict = CACHED_TERMS, errors: str = "strict",
+             **patches):
+        """The two stores of the corpus at `path`, through its cache, as
+        (row counts, row bytes), and whether they were a hit.  A miss
+        builds them from the parse and saves them."""
         with contextlib.ExitStack() as stack:
             for name, value in {"MIN_CACHED_BYTES": 1, **patches}.items():
                 stack.enter_context(mock.patch.object(formats, name, value))
-            tokenized = stack.enter_context(mock.patch.object(
-                formats, "_corpus_views", wraps=formats._corpus_views))
             with open(path, errors=errors) as stream:
-                views, df = parse_corpus(stream, doc_terms)
-        return (list(views.items()), list(df.items())), tokenized.call_count == 0
+                read = formats.read_corpus(stream, doc_terms, CACHED_KEY, CACHED_PAIRS)
+            if read.stores is not None:
+                return [(store.counts, bytes(store.rows)) for store in read.stores], True
+            stats = CorpusStats.from_views(read.views, read.df, CACHED_POLICY.max_tokens)
+            built = [(store.row_counts(), store.matrix) for store in training.build_stores(
+                CACHED_QUERIES, CACHED_CANDIDATES, read.views, CACHED_POLICY, stats)]
+            if read.cache is not None:
+                formats.save_stores(read.cache, built)
+        return [(counts, matrix.tobytes()) for counts, matrix in built], False
+
+    def uncached(self, path: Path):
+        """The stores a read with no cache builds."""
+        return self.read(path, MIN_CACHED_BYTES=1 << 62)[0]
 
     @staticmethod
     def corpus(tmp_path: Path) -> Path:
@@ -290,25 +297,30 @@ class TestViewsCache:
 
     @settings(max_examples=60, deadline=None)
     @given(corpus_files(), scored_terms)
-    def test_hit_equals_fresh_parse(self, data, doc_terms):
+    def test_a_miss_equals_a_fresh_parse(self, data, doc_terms):
+        # taking the key reads the file, not the stream, so the parse
+        # that follows gives what a plain parse gives, or its error, and
+        # only `save_stores` writes a cache
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "corpus.jsonl"
             path.write_bytes(data)
             fresh = parse_file(path, doc_terms)
-            assert not Path(f"{path}.views").exists()  # under MIN_CACHED_BYTES
-            miss = parse_file(path, doc_terms, cached=True)
-            assert miss == fresh
-            # only a parse that succeeds writes the cache
-            assert Path(f"{path}.views").exists() == (not isinstance(fresh, str))
-            if not isinstance(fresh, str):
-                assert self.parse(path, doc_terms) == (fresh, True)
+            with mock.patch.object(formats, "MIN_CACHED_BYTES", 1), open(path) as stream:
+                try:
+                    read = formats.read_corpus(stream, doc_terms, CACHED_KEY, 1)
+                except ParseError as exc:
+                    assert str(exc) == fresh
+                else:
+                    assert read.stores is None and read.cache is not None
+                    assert (list(read.views.items()), list(read.df.items())) == fresh
+            assert [p.name for p in Path(tmp).iterdir()] == ["corpus.jsonl"]
 
     @pytest.mark.parametrize("change", ["one byte", "doc_terms", "format version",
-                                        "parser source", "python version"])
+                                        "source", "python version"])
     def test_a_changed_key_is_a_miss(self, tmp_path, change):
         path = self.corpus(tmp_path)
-        cached, hit = self.parse(path, CACHED_TERMS)
-        assert not hit and self.parse(path, CACHED_TERMS) == (cached, True)
+        cached, hit = self.read(path)
+        assert not hit and self.read(path) == (cached, True)
         doc_terms, patches, python = CACHED_TERMS, {}, sys.version
         if change == "one byte":  # same size and modification time
             times = os.stat(path).st_atime_ns, os.stat(path).st_mtime_ns
@@ -317,93 +329,58 @@ class TestViewsCache:
         elif change == "doc_terms":
             doc_terms = {**CACHED_TERMS, "d2": {"9"}}
         elif change == "format version":
-            patches = {"VIEWS_FORMAT": formats.VIEWS_FORMAT + 1}
-        elif change == "parser source":
-            patches = {"_parser_crc": lambda crc=formats._parser_crc(): crc ^ 1}
+            patches = {"STORES_FORMAT": formats.STORES_FORMAT + 1}
+        elif change == "source":
+            patches = {"_sources_crc": lambda crc=formats._sources_crc(): crc ^ 1}
         else:
             python += "+"
-        fresh = parse_file(path, doc_terms)
-        assert (fresh == cached) == (change not in ("one byte", "doc_terms"))
         with mock.patch.object(sys, "version", python):
-            assert self.parse(path, doc_terms, **patches) == (fresh, False)
-            assert self.parse(path, doc_terms, **patches) == (fresh, True)
-
-    def test_the_key_covers_the_code_that_builds_views(self, tmp_path):
-        builders = [corpus_module.tokenize, corpus_module._sentence_tokens,
-                    corpus_module.view_from_text, corpus_module.DocView,
-                    formats._corpus_views, formats._corpus_records]
-        sources = {os.path.realpath(path) for path in formats._PARSER_SOURCES}
-        assert {os.path.realpath(inspect.getsourcefile(f)) for f in builders} <= sources
-        copies = []
-        for path in formats._PARSER_SOURCES:
-            copies.append(tmp_path / Path(path).name)
-            copies[-1].write_bytes(Path(path).read_bytes())
-        crc = formats._parser_crc()
-        with mock.patch.object(formats, "_PARSER_SOURCES", copies):
-            assert formats._parser_crc() == crc
-            for copy in copies:  # one byte more in either source changes the key
-                copy.write_bytes(copy.read_bytes() + b"#")
-                assert formats._parser_crc() != crc
-                copy.write_bytes(copy.read_bytes()[:-1])
+            fresh, hit = self.read(path, doc_terms, **patches)
+            assert not hit and self.read(path, doc_terms, **patches) == (fresh, True)
+        assert (fresh == cached) == (change != "one byte")
 
     def test_replaced_decoding_never_serves_a_strict_reader(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
         path.write_bytes(CACHED_CORPUS.encode().replace(b"9", b"\xff"))
-        replaced, hit = self.parse(path, CACHED_TERMS, errors="replace")
-        assert not hit and Path(f"{path}.views").exists()
+        replaced, hit = self.read(path, errors="replace")
+        assert not hit and Path(f"{path}.stores").exists()
         with pytest.raises(ParseError, match="^line 3: utf-8 cannot decode 0xff"):
-            self.parse(path, CACHED_TERMS)
-        assert self.parse(path, CACHED_TERMS, errors="replace") == (replaced, True)
+            self.read(path)
+        assert self.read(path, errors="replace") == (replaced, True)
 
-    @pytest.mark.parametrize("corrupt", CORRUPTIONS.values(), ids=CORRUPTIONS)
+    @pytest.mark.parametrize("corrupt", STORES_CORRUPTIONS.values(), ids=STORES_CORRUPTIONS)
     def test_a_bad_cache_is_a_miss(self, tmp_path, corrupt):
         path = self.corpus(tmp_path)
-        fresh, _ = self.parse(path, CACHED_TERMS)
-        cache = Path(f"{path}.views")
+        fresh, _ = self.read(path)
+        cache = Path(f"{path}.stores")
         cache.write_bytes(corrupt(cache.read_bytes()))
-        assert self.parse(path, CACHED_TERMS) == (fresh, False)
-        assert self.parse(path, CACHED_TERMS) == (fresh, True)  # rewritten
+        assert self.read(path) == (fresh, False)
+        assert self.read(path) == (fresh, True)  # rewritten
 
     @pytest.mark.parametrize("make", [os.mkdir, os.mkfifo], ids=["directory", "fifo"])
     def test_a_cache_that_is_no_regular_file_is_a_miss(self, tmp_path, make):
         path = self.corpus(tmp_path)
-        make(tmp_path / "corpus.jsonl.views")
-        fresh = parse_file(path, CACHED_TERMS)
-        assert self.parse(path, CACHED_TERMS) == (fresh, False)  # without blocking
+        make(tmp_path / "corpus.jsonl.stores")
+        fresh = self.uncached(path)
+        assert self.read(path) == (fresh, False)  # without blocking
         assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.jsonl",
-                                                              "corpus.jsonl.views"]
-
-    def test_a_cache_owned_by_another_user_is_a_miss(self, tmp_path):
-        path = self.corpus(tmp_path)
-        fresh, _ = self.parse(path, CACHED_TERMS)
-        with mock.patch.object(os, "geteuid", lambda uid=os.geteuid(): uid + 1):
-            assert self.parse(path, CACHED_TERMS) == (fresh, False)
-
-    def test_a_linked_cache_is_a_miss_and_its_target_is_kept(self, tmp_path):
-        path = self.corpus(tmp_path)
-        fresh, _ = self.parse(path, CACHED_TERMS)
-        cache, target = Path(f"{path}.views"), tmp_path / "elsewhere"
-        cache.rename(target)
-        cache.symlink_to(target)
-        kept = target.read_bytes()
-        assert self.parse(path, CACHED_TERMS) == (fresh, False)
-        assert not cache.is_symlink() and cache.read_bytes() == kept == target.read_bytes()
+                                                              "corpus.jsonl.stores"]
 
     def test_a_link_at_the_temporary_name_is_not_followed(self, tmp_path):
         path = self.corpus(tmp_path)
-        fresh = parse_file(path, CACHED_TERMS)
+        fresh = self.uncached(path)
         target = tmp_path / "target"
         target.write_bytes(b"kept")
-        Path(f"{path}.views.{bytes(8).hex()}.tmp").symlink_to(target)
+        Path(f"{path}.stores.{bytes(8).hex()}.tmp").symlink_to(target)
         with mock.patch.object(os, "urandom", bytes):
-            assert self.parse(path, CACHED_TERMS) == (fresh, False)
-        assert target.read_bytes() == b"kept" and not Path(f"{path}.views").exists()
+            assert self.read(path) == (fresh, False)
+        assert target.read_bytes() == b"kept" and not Path(f"{path}.stores").exists()
 
     def test_a_directory_others_may_write_gets_no_cache(self, tmp_path):
         path = self.corpus(tmp_path)
-        fresh = parse_file(path, CACHED_TERMS)
+        fresh = self.uncached(path)
         tmp_path.chmod(0o1777)
-        assert self.parse(path, CACHED_TERMS) == (fresh, False)
+        assert self.read(path) == (fresh, False)
         assert [p.name for p in tmp_path.iterdir()] == ["corpus.jsonl"]
 
     def test_a_stream_whose_name_names_another_file_gets_no_cache(self, tmp_path):
@@ -412,48 +389,56 @@ class TestViewsCache:
         with mock.patch.object(formats, "MIN_CACHED_BYTES", 1), open(path) as stream:
             path.rename(tmp_path / "moved.jsonl")
             path.write_text(CACHED_CORPUS)
-            views, df = parse_corpus(stream, CACHED_TERMS)
-        assert (list(views.items()), list(df.items())) == fresh
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.jsonl", "moved.jsonl"]
+            read = formats.read_corpus(stream, CACHED_TERMS, CACHED_KEY, CACHED_PAIRS)
+        assert read.cache is None
+        assert (list(read.views.items()), list(read.df.items())) == fresh
+
+    def test_a_stream_already_read_gets_no_cache(self, tmp_path):
+        # the key covers the whole file, but the parse reads only the rest
+        path = self.corpus(tmp_path)
+        with mock.patch.object(formats, "MIN_CACHED_BYTES", 1), open(path) as stream:
+            stream.readline()
+            read = formats.read_corpus(stream, CACHED_TERMS, CACHED_KEY, CACHED_PAIRS)
+        assert read.cache is None and list(read.views) == ["d1", "d2"]
 
     def test_a_corpus_changed_while_parsed_gets_no_cache(self, tmp_path):
         path = self.corpus(tmp_path)
-        parse = formats._corpus_views
+        parse = formats.parse_corpus
 
         def rewrite_then_parse(*args, **kwargs):
             path.write_text(CACHED_CORPUS.replace("gamma", "alpha"))
             os.utime(path, ns=(0, 0))
             return parse(*args, **kwargs)
 
-        with mock.patch.object(formats, "_corpus_views", rewrite_then_parse):
-            self.parse(path, CACHED_TERMS)
-        assert not Path(f"{path}.views").exists()
+        assert self.read(path, parse_corpus=rewrite_then_parse)[1] is False
+        assert not Path(f"{path}.stores").exists()
 
     @pytest.mark.parametrize("call", ["open", "replace"])
     def test_an_unwritable_directory_gets_no_cache(self, tmp_path, call):
         # a read-only directory refuses the temporary file; a full disk can
         # also refuse its rename
         path = self.corpus(tmp_path)
-        fresh = parse_file(path, CACHED_TERMS)
+        fresh = self.uncached(path)
         with mock.patch.object(formats.os, call, side_effect=PermissionError(13, call)):
-            assert self.parse(path, CACHED_TERMS) == (fresh, False)
+            assert self.read(path) == (fresh, False)
         assert [p.name for p in tmp_path.iterdir()] == ["corpus.jsonl"]
 
 
 @pytest.mark.parametrize("how", ["serial", "cached"])
 def test_corpus_lines_split_on_universal_newlines(tmp_path, how):
-    # a lone "\r" ends a line, whatever newline= the stream was opened with
+    # a lone "\r" ends a line, whatever newline= the stream was opened
+    # with, also once `read_corpus` has taken the key of the file
     path = tmp_path / "corpus.jsonl"
     path.write_bytes(f"{doc_line('a')}\r{doc_line('c')}\n".encode())
-    with contextlib.ExitStack() as stack:
+    with mock.patch.object(formats, "MIN_CACHED_BYTES", 1), \
+            open(path, newline="\n") as stream:
         if how == "cached":
-            stack.enter_context(mock.patch.object(formats, "MIN_CACHED_BYTES", 1))
-        tokenized = stack.enter_context(mock.patch.object(
-            formats, "_corpus_views", wraps=formats._corpus_views))
-        for _ in range(2):  # a cached parse is a hit the second time
-            with open(path, newline="\n") as stream:
-                assert list(parse_corpus(stream)[0]) == ["a", "c"]
-    assert tokenized.call_count == (1 if how == "cached" else 2)
+            read = formats.read_corpus(stream, {}, {}, 0)
+            assert read.cache is not None
+            views = read.views
+        else:
+            views, _ = parse_corpus(stream)
+    assert list(views) == ["a", "c"]
 
 
 GOOD = '{"doc_id": "d1", "title": "t", "body": "a b."}'
@@ -502,10 +487,12 @@ def test_undecodable_corpus_byte_names_its_line(tmp_path, how, lines):
     data, line_no = undecodable_corpus(lines)
     path = tmp_path / "corpus.jsonl"
     path.write_bytes(data)
-    with contextlib.ExitStack() as stack:
-        if how == "cached":
-            stack.enter_context(mock.patch.object(formats, "MIN_CACHED_BYTES", 1))
-        for parser in (parse_corpus, parse_documents):
+    with mock.patch.object(formats, "MIN_CACHED_BYTES", 1):
+        if how == "cached":  # the key is taken first
+            parsers = [lambda stream: formats.read_corpus(stream, {}, {}, 0)]
+        else:
+            parsers = [parse_corpus, parse_documents]
+        for parser in parsers:
             with open(path) as stream, pytest.raises(ParseError) as info:
                 parser(stream)
             assert info.value.line_no == line_no

@@ -3,6 +3,7 @@ import inspect
 import os
 import random
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -629,12 +630,26 @@ class TestStores:
                 params_to_vector(train_single(tset, dev, None, train_cfg, 7)[0]).tobytes()])
         assert models[0] == models[1]
 
-    def test_the_stores_key_covers_the_code_that_builds_stores(self):
-        builders = [corpus_module.segment_for_training, corpus_module.segment_for_inference,
+    def test_the_stores_key_covers_the_code_that_builds_stores(self, tmp_path,
+                                                               monkeypatch):
+        builders = [corpus_module.tokenize, corpus_module._sentence_tokens,
+                    corpus_module.view_from_text, corpus_module.DocView,
+                    formats.parse_corpus, formats._corpus_records,
+                    corpus_module.segment_for_training, corpus_module.segment_for_inference,
                     segment_features, build_training_set, build_stores]
-        sources = {os.path.realpath(path)
-                   for path in formats._PARSER_SOURCES + formats._STORES_SOURCES}
+        sources = {os.path.realpath(path) for path in formats._SOURCES}
         assert {os.path.realpath(inspect.getsourcefile(f)) for f in builders} <= sources
+        copies = []
+        for path in formats._SOURCES:
+            copies.append(tmp_path / Path(path).name)
+            copies[-1].write_bytes(Path(path).read_bytes())
+        crc = formats._sources_crc()
+        monkeypatch.setattr(formats, "_SOURCES", copies)
+        assert formats._sources_crc() == crc
+        for copy in copies:  # one byte more in any source changes the key
+            copy.write_bytes(copy.read_bytes() + b"#")
+            assert formats._sources_crc() != crc
+            copy.write_bytes(copy.read_bytes()[:-1])
 
     def test_cached_stores_equal_the_built_ones(self, tmp_path, monkeypatch):
         cfg, corpus, documents, stats = late_collection()
