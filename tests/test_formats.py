@@ -245,6 +245,18 @@ def without_rows(body: array.array) -> None:
     body[0], body[1] = 0, body[0] + body[1]
 
 
+def negative_rows(body: array.array) -> None:
+    """The first pair's count made -1: the row total is kept."""
+    body[0], body[1] = -1, body[0] + body[1] + 1
+
+
+def cut_counts(data: bytes) -> bytes:
+    """A stores cache cut inside its row counts and checksummed again."""
+    start = data.index(b"\n") + 1
+    body = data[start:start + 20]
+    return data[:start] + body + zlib.crc32(body).to_bytes(4, "little")
+
+
 STORES_CORRUPTIONS = {
     "empty": lambda data: b"",
     "header only": lambda data: data[:data.index(b"\n") + 1],
@@ -256,6 +268,9 @@ STORES_CORRUPTIONS = {
     "a pair without rows": rechecked(without_rows),
     "a row count too many": rechecked(lambda body: body.__setitem__(0, body[0] + 1)),
     "a value missing": rechecked(lambda body: body.pop()),
+    "a value more": rechecked(lambda body: body.append(0)),
+    "a negative row count": rechecked(negative_rows),
+    "row counts cut short": cut_counts,
 }
 
 
@@ -267,20 +282,22 @@ class TestStoresCache:
 
     @staticmethod
     def read(path: Path, doc_terms: dict = CACHED_TERMS, errors: str = "strict",
-             **patches):
+             encoding: str = "utf-8", key: dict = CACHED_KEY,
+             candidates: dict = CACHED_CANDIDATES, **patches):
         """The two stores of the corpus at `path`, through its cache, as
         (row counts, row bytes), and whether they were a hit.  A miss
         builds them from the parse and saves them."""
+        pairs = sum(map(len, candidates.values()))
         with contextlib.ExitStack() as stack:
             for name, value in {"MIN_CACHED_BYTES": 1, **patches}.items():
                 stack.enter_context(mock.patch.object(formats, name, value))
-            with open(path, errors=errors) as stream:
-                read = formats.read_corpus(stream, doc_terms, CACHED_KEY, CACHED_PAIRS)
+            with open(path, encoding=encoding, errors=errors) as stream:
+                read = formats.read_corpus(stream, doc_terms, key, pairs)
             if read.stores is not None:
                 return [(store.counts, bytes(store.rows)) for store in read.stores], True
             stats = CorpusStats.from_views(read.views, read.df, CACHED_POLICY.max_tokens)
             built = [(store.row_counts(), store.matrix) for store in training.build_stores(
-                CACHED_QUERIES, CACHED_CANDIDATES, read.views, CACHED_POLICY, stats)]
+                CACHED_QUERIES, candidates, read.views, CACHED_POLICY, stats)]
             if read.cache is not None:
                 formats.save_stores(read.cache, built)
         return [(counts, matrix.tobytes()) for counts, matrix in built], False
@@ -315,13 +332,50 @@ class TestStoresCache:
                     assert (list(read.views.items()), list(read.df.items())) == fresh
             assert [p.name for p in Path(tmp).iterdir()] == ["corpus.jsonl"]
 
+    @settings(max_examples=40, deadline=None)
+    @given(corpus_files(), scored_terms)
+    def test_a_hit_equals_a_fresh_build(self, data, doc_terms):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "corpus.jsonl"
+            path.write_bytes(data)
+            fresh = parse_file(path, doc_terms)
+            if isinstance(fresh, str):  # only a parse that succeeds is cached
+                with pytest.raises(ParseError):
+                    self.read(path, doc_terms)
+                assert [p.name for p in Path(tmp).iterdir()] == ["corpus.jsonl"]
+                return
+            ids = [doc_id for doc_id, _ in fresh[0]]
+            candidates = {"q0": ids, "q1": ids[::2]}
+            built = self.read(path, doc_terms, candidates=candidates,
+                              MIN_CACHED_BYTES=1 << 62)[0]
+            assert self.read(path, doc_terms, candidates=candidates) == (built, False)
+            assert self.read(path, doc_terms, candidates=candidates) == (built, True)
+
+    def test_a_hit_reads_no_text(self, tmp_path):
+        path = self.corpus(tmp_path)
+        fresh, _ = self.read(path)
+
+        def parse_corpus(*args, **kwargs):
+            raise AssertionError("parsed on a hit")
+
+        assert self.read(path, parse_corpus=parse_corpus) == (fresh, True)
+
+    def test_a_touched_corpus_is_still_a_hit(self, tmp_path):
+        # the key holds the size and the CRC-32 of the bytes, not the times
+        path = self.corpus(tmp_path)
+        fresh, _ = self.read(path)
+        os.utime(path, ns=(0, 0))
+        assert self.read(path) == (fresh, True)
+
     @pytest.mark.parametrize("change", ["one byte", "doc_terms", "format version",
-                                        "source", "python version"])
+                                        "source", "python version", "byte order",
+                                        "encoding", "key"])
     def test_a_changed_key_is_a_miss(self, tmp_path, change):
         path = self.corpus(tmp_path)
         cached, hit = self.read(path)
         assert not hit and self.read(path) == (cached, True)
-        doc_terms, patches, python = CACHED_TERMS, {}, sys.version
+        doc_terms, patches = CACHED_TERMS, {}
+        system = {"version": sys.version, "byteorder": sys.byteorder}
         if change == "one byte":  # same size and modification time
             times = os.stat(path).st_atime_ns, os.stat(path).st_mtime_ns
             path.write_text(CACHED_CORPUS.replace("gamma", "alpha"))
@@ -332,9 +386,15 @@ class TestStoresCache:
             patches = {"STORES_FORMAT": formats.STORES_FORMAT + 1}
         elif change == "source":
             patches = {"_sources_crc": lambda crc=formats._sources_crc(): crc ^ 1}
+        elif change == "python version":
+            system["version"] += "+"
+        elif change == "byte order":  # the key's only: the rows are native
+            system["byteorder"] = {"little": "big", "big": "little"}[sys.byteorder]
+        elif change == "encoding":  # decodes this ASCII file as UTF-8 does
+            patches = {"encoding": "utf-8-sig"}
         else:
-            python += "+"
-        with mock.patch.object(sys, "version", python):
+            patches = {"key": {**CACHED_KEY, "pools": CACHED_CANDIDATES}}
+        with mock.patch.multiple(sys, **system):
             fresh, hit = self.read(path, doc_terms, **patches)
             assert not hit and self.read(path, doc_terms, **patches) == (fresh, True)
         assert (fresh == cached) == (change != "one byte")
@@ -366,6 +426,22 @@ class TestStoresCache:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.jsonl",
                                                               "corpus.jsonl.stores"]
 
+    def test_a_cache_owned_by_another_user_is_a_miss(self, tmp_path):
+        path = self.corpus(tmp_path)
+        fresh, _ = self.read(path)
+        with mock.patch.object(os, "geteuid", lambda uid=os.geteuid(): uid + 1):
+            assert self.read(path) == (fresh, False)
+
+    def test_a_linked_cache_is_a_miss_and_its_target_is_kept(self, tmp_path):
+        path = self.corpus(tmp_path)
+        fresh, _ = self.read(path)
+        cache, target = Path(f"{path}.stores"), tmp_path / "elsewhere"
+        cache.rename(target)
+        cache.symlink_to(target)
+        kept = target.read_bytes()
+        assert self.read(path) == (fresh, False)
+        assert not cache.is_symlink() and cache.read_bytes() == kept == target.read_bytes()
+
     def test_a_link_at_the_temporary_name_is_not_followed(self, tmp_path):
         path = self.corpus(tmp_path)
         fresh = self.uncached(path)
@@ -393,6 +469,29 @@ class TestStoresCache:
         assert read.cache is None
         assert (list(read.views.items()), list(read.df.items())) == fresh
 
+    @pytest.mark.parametrize("kind", ["string", "pipe"])
+    def test_a_stream_over_no_regular_file_gets_no_cache(self, kind):
+        fresh = parse_corpus(io.StringIO(CACHED_CORPUS), CACHED_TERMS)
+        if kind == "string":
+            stream = io.StringIO(CACHED_CORPUS)
+        else:
+            read_end, write_end = os.pipe()
+            with open(write_end, "w") as pipe:
+                pipe.write(CACHED_CORPUS)
+            stream = open(read_end, encoding="utf-8")
+        with mock.patch.object(formats, "MIN_CACHED_BYTES", 1), stream:
+            read = formats.read_corpus(stream, CACHED_TERMS, CACHED_KEY, CACHED_PAIRS)
+        assert read.cache is None and (read.views, read.df) == fresh
+
+    def test_a_corpus_under_min_cached_bytes_gets_no_cache(self, tmp_path):
+        path = self.corpus(tmp_path)
+        size = path.stat().st_size
+        fresh = self.uncached(path)
+        assert self.read(path, MIN_CACHED_BYTES=size + 1) == (fresh, False)
+        assert [p.name for p in tmp_path.iterdir()] == ["corpus.jsonl"]
+        assert self.read(path, MIN_CACHED_BYTES=size) == (fresh, False)
+        assert self.read(path, MIN_CACHED_BYTES=size) == (fresh, True)
+
     def test_a_stream_already_read_gets_no_cache(self, tmp_path):
         # the key covers the whole file, but the parse reads only the rest
         path = self.corpus(tmp_path)
@@ -411,6 +510,24 @@ class TestStoresCache:
             return parse(*args, **kwargs)
 
         assert self.read(path, parse_corpus=rewrite_then_parse)[1] is False
+        assert not Path(f"{path}.stores").exists()
+
+    @pytest.mark.parametrize("move", ["deleted", "replaced by a copy"])
+    def test_a_corpus_moved_while_parsed_gets_no_cache(self, tmp_path, move):
+        # the open stream still reads the file whose key was taken
+        path = self.corpus(tmp_path)
+        fresh = self.uncached(path)
+        parse = formats.parse_corpus
+
+        def move_then_parse(*args, **kwargs):
+            times = os.stat(path).st_atime_ns, os.stat(path).st_mtime_ns
+            path.unlink()
+            if move == "replaced by a copy":  # of the same size and times
+                path.write_text(CACHED_CORPUS)
+                os.utime(path, ns=times)
+            return parse(*args, **kwargs)
+
+        assert self.read(path, parse_corpus=move_then_parse) == (fresh, False)
         assert not Path(f"{path}.stores").exists()
 
     @pytest.mark.parametrize("call", ["open", "replace"])
