@@ -9,9 +9,8 @@ import importlib
 
 _EXPORTS = {
     "corpus": ("CorpusStats", "Document", "Query", "Segment",
-               "SegmentationPolicy", "compute_corpus_stats",
-               "segment_for_inference", "segment_for_training",
-               "split_sentences", "tokenize"),
+               "SegmentationPolicy", "segment_for_inference",
+               "segment_for_training", "split_sentences", "tokenize"),
     "evaluation": ("RankedList", "kfold_split", "mrr", "ndcg_at_k",
                    "paired_t_test", "per_query_metrics", "segment_p_at_1"),
     "ranking": ("Aggregation",),

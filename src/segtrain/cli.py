@@ -46,12 +46,7 @@ import threading
 from pathlib import Path
 
 from . import formats
-from .corpus import (
-    CorpusStats,
-    document_stream,
-    segment_for_inference,
-    segment_for_training,
-)
+from .corpus import CorpusStats
 from .evaluation import (
     RankedList,
     RankEntry,
@@ -199,19 +194,13 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 def _cmd_segment(args: argparse.Namespace) -> int:
     config = _load_config(args)
     documents, _ = _read(formats.parse_corpus, _path(args, config, "corpus"))
-    policy = config.policy()
+    policy = dataclasses.replace(config.policy(), mode=args.mode)
     rows = []
     for doc_id in sorted(documents):
-        doc = documents[doc_id]
-        if args.mode == "training":
-            segments = segment_for_training(doc, policy,
-                                            document_stream(policy.seed, doc.id))
-        else:
-            segments = segment_for_inference(doc, config.max_tokens)
         rows.extend(
             {"doc_id": seg.doc_id, "index": seg.index, "start": seg.start,
              "end": seg.end, "token_count": seg.token_count}
-            for seg in segments)
+            for seg in policy.segments(documents[doc_id]))
     out = open(config.out, "w") if config.out else sys.stdout
     try:
         for row in rows:

@@ -4,17 +4,19 @@ Documents are token sequences grouped into sentences; segments are
 contiguous runs of whole sentences, each prefixed with the document
 title.  Training segments use randomized token budgets so segment
 length tells nothing of the label; inference segments tile the whole body
-with fixed-size non-overlapping windows.
+with fixed-size non-overlapping windows.  A `SegmentationPolicy` picks
+which of the two cuts a document (`SegmentationPolicy.segments`).
 
 The scorer reads only a document's title length, its sentence lengths
-and where the query terms fall, so the commands that score documents
-read the corpus into a `DocView` holding just that: `view_from_text`
-builds one straight from the raw text, keeps no token list, and also
-reports which of the scored terms the document holds, which gives
-document frequency in the same pass.  `Document` keeps its sentences
-for synthesis and corpus writing, and reaches the scorer through the
-same view (`Document.view`).  Both segmenters accept either form; every
-command that reads a corpus, `segment` too, segments views.
+and where the query terms fall, so every command reads the corpus into
+a `DocView` holding just that: `view_from_text` builds one straight
+from the raw text, keeps no token list, and also reports which of the
+scored terms the document holds, which gives document frequency in the
+same pass, and `CorpusStats.from_views` takes the collection statistics
+from the views.  A `Document` keeps its tokenized sentences: it is what
+`synth` generates, plants its gold segments in and writes as a corpus
+file.  `tests/document_oracle.py` reads a corpus the long way, into
+`Document`s, as the oracle of the views and stats.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ import itertools
 import random
 import re
 import string
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -96,13 +97,12 @@ class DocView:
     sentence_lengths: list[int]
     hits: list[tuple[int, str]]
 
-    def view(self, terms: Iterable[str]) -> "DocView":
-        """The view itself: it already holds the hits of every scored term."""
-        return self
-
 
 @dataclass
 class Document:
+    """A document as `synth` generates it and `formats.write_corpus`
+    writes it: its title and its tokenized sentences."""
+
     id: str
     title: str
     sentences: list[list[str]]
@@ -118,25 +118,6 @@ class Document:
     @property
     def sentence_lengths(self) -> list[int]:
         return list(map(len, self.sentences))
-
-    @classmethod
-    def from_text(cls, doc_id: str, title: str, body: str,
-                  vocab: dict[str, str] | None = None) -> "Document":
-        """Tokenized sentences of `body`, as `tokenize` over `split_sentences`.
-
-        Tokens are interned through `vocab` when given: documents parsed
-        with one vocabulary share a single string object per term.
-        """
-        if vocab is None:
-            vocab = {}
-        return cls(doc_id, title, [list(map(vocab.setdefault, toks, toks))
-                                   for toks in _sentence_tokens(body)])
-
-    def view(self, terms: Iterable[str]) -> DocView:
-        """The document's view, with the hits of `terms`."""
-        tokens = list(itertools.chain(self.title_tokens, *self.sentences))
-        return DocView(self.id, len(self.title_tokens), self.sentence_lengths,
-                       _hits(tokens, set(terms)))
 
 
 def _sentence_tokens(body: str) -> list[list[str]]:
@@ -165,9 +146,9 @@ def view_from_text(doc_id: str, title: str, body: str, hit_terms: set[str],
                    terms: set[str]) -> tuple[DocView, set[str]]:
     """The view of a raw document, and the members of `terms` it holds.
 
-    The text is tokenized as `Document.from_text` tokenizes it, but only
-    sentence lengths and the hits of `hit_terms` are kept, so the view
-    equals `Document.from_text(doc_id, title, body).view(hit_terms)`.
+    The text is tokenized as `tokenize` over `split_sentences` tokenizes
+    it, but only sentence lengths and the hits of `hit_terms` are kept
+    (`tests/document_oracle.py` holds the tokenize-then-project oracle).
     `hit_terms` must be a subset of `terms`.  The terms found, in title
     or body, are what document frequency counts.
     """
@@ -223,15 +204,25 @@ class SegmentationPolicy:
         if self.mode not in ("training", "inference"):
             raise ValueError(f"unknown segmentation mode: {self.mode!r}")
 
+    def segments(self, doc: Document | DocView) -> list[Segment]:
+        """The segments this policy cuts `doc` into: training segments,
+        their budgets drawn from the document's own stream
+        (`document_stream`), or inference windows at `max_tokens`."""
+        if self.mode == "training":
+            return segment_for_training(doc, self, document_stream(self.seed, doc.id))
+        return segment_for_inference(doc, self.max_tokens)
+
 
 @dataclass
 class CorpusStats:
     """Collection statistics the lexical features read.
 
     `document_frequency` maps a term to the number of documents holding
-    it, in title or body; it may cover only the terms that will be
-    scored (see `compute_corpus_stats`), and a term it lacks has
-    document frequency 0.
+    it, in title or body; it covers only the terms that will be scored
+    (the scorer asks `idf` about query terms alone), and a term it lacks
+    has document frequency 0.  `avg_segment_length` is the mean token
+    count of the inference windows at `max_tokens`, over every document
+    (`average_segment_length`).
     """
 
     doc_count: int
@@ -243,8 +234,8 @@ class CorpusStats:
                    max_tokens: int = DEFAULT_MAX_TOKENS) -> "CorpusStats":
         """The stats of a parsed corpus: its views and the document
         frequency that `formats.parse_corpus` counted with them.  They
-        equal `compute_corpus_stats` over the corpus's documents, with
-        document frequency counted for the scored terms."""
+        equal the stats `tests/document_oracle.py` counts token by token
+        over the corpus's documents, for the scored terms."""
         return cls(len(views), df, average_segment_length(views.values(), max_tokens))
 
 
@@ -343,7 +334,7 @@ def segment_for_inference(doc: Document | DocView,
     return _make_segments(doc, lengths, _inference_spans(doc, lengths, max_tokens))
 
 
-def average_segment_length(docs: Iterable[Document | DocView],
+def average_segment_length(docs: Iterable[DocView],
                            max_tokens: int = DEFAULT_MAX_TOKENS) -> float:
     """Mean token count of the inference segments at `max_tokens`, at least 1.
 
@@ -360,26 +351,3 @@ def average_segment_length(docs: Iterable[Document | DocView],
     if not total_segments:
         raise ValueError("cannot compute stats over an empty corpus")
     return max(total_len / total_segments, 1.0)
-
-
-def compute_corpus_stats(docs: list[Document],
-                         max_tokens: int = DEFAULT_MAX_TOKENS,
-                         terms: Iterable[str] | None = None) -> CorpusStats:
-    """Document frequencies plus the mean inference-segment length.
-
-    Title tokens count toward a document's term set because they are
-    part of every segment.  With `terms`, document frequency is counted
-    for those terms only (the scorer asks `idf` about query terms
-    alone, so the queries' tokens are enough); a term in no document is
-    absent either way.  The average segment length is taken over the
-    fixed-budget inference segmentation at `max_tokens`, over every
-    document.  The commands that score documents take the same numbers
-    from the corpus parse instead (`CorpusStats.from_views`).
-    """
-    if not docs:
-        raise ValueError("cannot compute stats over an empty corpus")
-    keep = set if terms is None else set(terms).intersection
-    df: Counter[str] = Counter()
-    for doc in docs:
-        df.update(keep(itertools.chain(doc.title_tokens, *doc.sentences)))
-    return CorpusStats(len(docs), dict(df), average_segment_length(docs, max_tokens))

@@ -9,11 +9,12 @@ over numpy arrays.
 Features read a document's view (`corpus.DocView`): each segment's
 token count and the offsets of the query terms' hits, never a token
 list.  The document frequencies behind idf come from the corpus parse
-(`CorpusStats.from_views`) or from `corpus.compute_corpus_stats`.  The
-features are computed in plain Python, one loop per segment, which for
-rows of seven values costs less than numpy calls per column;
-`tests/numpy_features.py` keeps the vectorized kernel it replaced as
-the oracle of its bits.
+(`CorpusStats.from_views`).  The features are computed in plain
+Python, one loop per segment, which for rows of seven values costs
+less than numpy calls per column; `tests/numpy_features.py` keeps the
+vectorized kernel it replaced as the oracle of its bits, and
+`tests/test_scorer.py` a token-scanning loop over documents read by
+`tests/document_oracle.py`.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from .corpus import (
     DEFAULT_MAX_TOKENS,
     CorpusStats,
     DocView,
-    Document,
     Query,
     Segment,
 )
@@ -59,23 +59,23 @@ def idf(stats: CorpusStats, term: str) -> float:
     return math.log(1.0 + (stats.doc_count - df + 0.5) / (df + 0.5))
 
 
-def segment_features(query: Query, doc: Document | DocView,
+def segment_features(query: Query, view: DocView,
                      segments: Sequence[Segment], stats: CorpusStats,
                      max_tokens: int = DEFAULT_MAX_TOKENS,
                      max_segments: int = DEFAULT_MAX_SEGMENTS) -> np.ndarray:
     """Lexical feature matrix, one row per segment of a (query, doc) pair.
 
-    `segments` are segments of `doc`.  Matching runs over each segment's
+    `segments` are segments of the viewed document, and `view` must hold
+    the hits of every query term.  Matching runs over each segment's
     token stream, which starts with the document title, so title matches
     count; bigrams may span the title and the body, and sentences.  A
     query with no tokens produces zeros for all match features.
 
-    Only the document's view is read (`doc.view`): each segment's token
-    count and the hits of the query's terms, as segment-local offsets
-    and query-term ids.  Each row comes from one loop over its segment's
-    hits; idf and BM25 are summed over the unique query terms in query
-    order, so a row is the same vector whatever other segments share the
-    call.
+    Only each segment's token count and the view's hits of the query's
+    terms are read, as segment-local offsets and query-term ids.  Each
+    row comes from one loop over its segment's hits; idf and BM25 are
+    summed over the unique query terms in query order, so a row is the
+    same vector whatever other segments share the call.
 
     The position feature is `index / max_segments`; inference windows
     are not capped at `max_segments`, so it can exceed 1 there (see
@@ -86,7 +86,6 @@ def segment_features(query: Query, doc: Document | DocView,
              seg.index / max_segments] for seg in segments]
     q_unique = list(dict.fromkeys(query.tokens))
     slot = {term: j for j, term in enumerate(q_unique)}
-    view = doc.view(slot)
     hits = [(p, slot[term]) for p, term in view.hits if term in slot]
     if hits:
         _match_features(query, q_unique, slot, view, hits, segments, stats, rows)

@@ -22,13 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import (
-    Document,
-    Query,
-    SegmentationPolicy,
-    document_stream,
-    segment_for_training,
-)
+from .corpus import Document, Query, SegmentationPolicy
 from .evaluation import GoldSegments, Qrels
 from .formats import SynthConfig
 
@@ -40,9 +34,6 @@ class SynthCorpus:
     qrels: Qrels
     gold: GoldSegments
     candidates: dict[str, list[str]]
-
-    def documents_by_id(self) -> dict[str, Document]:
-        return {doc.id: doc for doc in self.documents}
 
 
 # Entries in the guide table of an `InverseCdf`.  A power of two, so
@@ -94,8 +85,7 @@ class InverseCdf:
 
 
 def _training_spans(doc: Document, policy: SegmentationPolicy) -> list[tuple[int, int]]:
-    segments = segment_for_training(doc, policy, document_stream(policy.seed, doc.id))
-    return [(seg.start, seg.end) for seg in segments]
+    return [(seg.start, seg.end) for seg in policy.segments(doc)]
 
 
 def generate_corpus(cfg: SynthConfig) -> SynthCorpus:

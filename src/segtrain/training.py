@@ -12,11 +12,13 @@ batch-invariant `score_batch` call, so each pair gets the scores it
 gets alone, and reduce each pair's rows in one numpy call.
 
 The commands build one store of each kind over every listed query's
-candidates (`build_stores`), or load both from the corpus's stores
-cache (`stores_from_cache`), and `TrainingSet.subset` gives `train`
-its training set and its dev set: the rows of the subset's pairs,
-gathered in the order a store built for the subset alone would hold
-them.
+candidates from the corpus's views (`build_stores`), or load both from
+the corpus's stores cache (`stores_from_cache`), and
+`TrainingSet.subset` gives `train` its training set and its dev set:
+the rows of the subset's pairs, gathered in the order a store built for
+the subset alone would hold them.  The tests also build stores from
+the views `tests/document_oracle.py` projects from whole documents, and
+require the same bits.
 
 Training draws each epoch as integer rows of the matrix: (positive row,
 negative row) pairs for the pairwise hinge, (row, label) points for the
@@ -48,13 +50,9 @@ from .corpus import (
     DEFAULT_MAX_SEGMENTS,
     CorpusStats,
     DocView,
-    Document,
     Query,
     Segment,
     SegmentationPolicy,
-    document_stream,
-    segment_for_inference,
-    segment_for_training,
 )
 from .evaluation import Qrels, Run, SegmentIndexMap, mrr
 from .formats import LossKind, Store, TrainConfig
@@ -207,7 +205,7 @@ class BestTrainResult:
 
 def build_training_set(queries: list[Query], qrels: Qrels,
                        candidates: dict[str, list[str]],
-                       documents: dict[str, Document] | dict[str, DocView],
+                       views: dict[str, DocView],
                        policy: SegmentationPolicy,
                        stats: CorpusStats,
                        mrr_cutoff: int = 10) -> TrainingSet:
@@ -216,10 +214,10 @@ def build_training_set(queries: list[Query], qrels: Qrels,
     Positives are a query's judged-relevant candidates; every other
     candidate is a negative, so a store built without qrels holds
     negatives only, in pool order.  Queries without candidates are
-    dropped.  A training policy cuts training segments from a
-    per-document stream derived from the policy seed, so the store is
-    reproducible regardless of document order; an inference policy cuts
-    inference windows.
+    dropped.  Each candidate's view is cut by `policy.segments`: a
+    training policy draws its budgets from a per-document stream derived
+    from the policy seed, so the store is reproducible regardless of
+    document order; an inference policy cuts inference windows.
     """
     topics = [TrainingTopic.judged(query, candidates[query.id], qrels)
               for query in queries if candidates.get(query.id)]
@@ -227,14 +225,10 @@ def build_training_set(queries: list[Query], qrels: Qrels,
     blocks = [np.empty((0, NUM_FEATURES))]
     for topic in topics:
         for doc_id in topic.candidates:
-            doc = documents[doc_id]
+            view = views[doc_id]
             if doc_id not in segments:
-                segments[doc_id] = (
-                    segment_for_training(doc, policy,
-                                         document_stream(policy.seed, doc.id))
-                    if policy.mode == "training"
-                    else segment_for_inference(doc, policy.max_tokens))
-            blocks.append(segment_features(topic.query, doc, segments[doc_id], stats,
+                segments[doc_id] = policy.segments(view)
+            blocks.append(segment_features(topic.query, view, segments[doc_id], stats,
                                            policy.max_tokens, policy.max_segments))
     rows = _tile(((t.query.id, d) for t in topics for d in t.candidates),
                  map(len, blocks[1:]))
@@ -243,13 +237,13 @@ def build_training_set(queries: list[Query], qrels: Qrels,
 
 
 def build_stores(queries: list[Query], candidates: dict[str, list[str]],
-                 documents: dict[str, DocView], policy: SegmentationPolicy,
+                 views: dict[str, DocView], policy: SegmentationPolicy,
                  stats: CorpusStats) -> tuple[TrainingSet, TrainingSet]:
     """The training-window store and the inference-window store of every
     listed query's candidates, judged by no qrels."""
     inference = dataclasses.replace(policy, mode="inference")
-    return (build_training_set(queries, {}, candidates, documents, policy, stats),
-            build_training_set(queries, {}, candidates, documents, inference, stats))
+    return (build_training_set(queries, {}, candidates, views, policy, stats),
+            build_training_set(queries, {}, candidates, views, inference, stats))
 
 
 def stores_from_cache(queries: list[Query], candidates: dict[str, list[str]],

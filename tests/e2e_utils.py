@@ -1,14 +1,42 @@
-"""Synthetic-collection assembly shared by integration and acceptance tests."""
+"""Synthetic-collection assembly shared by integration and acceptance
+tests, read back into views as the commands read a corpus."""
 
 from __future__ import annotations
 
 import dataclasses
+import io
 from dataclasses import dataclass
+from typing import Iterable
 
-from segtrain.corpus import CorpusStats, compute_corpus_stats
-from segtrain.evaluation import GoldSegments, Qrels
+from segtrain import formats
+from segtrain.corpus import DEFAULT_MAX_TOKENS, CorpusStats, DocView, Document, Query
+from segtrain.evaluation import GoldSegments
 from segtrain.synth import SynthConfig, SynthCorpus, generate_corpus
 from segtrain.training import TrainConfig, TrainingSet, build_training_set
+
+
+def scored_terms(queries: list[Query],
+                 candidates: dict[str, list[str]]) -> dict[str, set[str]]:
+    """Each candidate's scored terms, the tokens of every query that
+    lists it, as `train` gathers them."""
+    doc_terms: dict[str, set[str]] = {}
+    for query in queries:
+        for doc_id in candidates.get(query.id, []):
+            doc_terms.setdefault(doc_id, set()).update(query.tokens)
+    return doc_terms
+
+
+def read_views(documents: Iterable[Document], queries: list[Query],
+               candidates: dict[str, list[str]], max_tokens: int = DEFAULT_MAX_TOKENS
+               ) -> tuple[dict[str, DocView], CorpusStats]:
+    """The views and stats `train` builds its stores from: `documents`
+    written by `write_corpus`, read back by `parse_corpus` with the
+    candidates' query terms, and the stats of `CorpusStats.from_views`."""
+    text = io.StringIO()
+    formats.write_corpus(documents, text)
+    text.seek(0)
+    views, df = formats.parse_corpus(text, scored_terms(queries, candidates))
+    return views, CorpusStats.from_views(views, df, max_tokens)
 
 
 def config_e(seed: int, noise: float = 0.1) -> SynthConfig:
@@ -40,15 +68,17 @@ class Collection:
     train_gold: GoldSegments
     train_cfg: TrainConfig
     synth_cfg: SynthConfig
+    views: dict[str, DocView]
     stats: CorpusStats
 
 
 def assemble(synth_cfg: SynthConfig, n_train: int,
              train_cfg: TrainConfig | None = None) -> Collection:
-    """Generate a corpus and split the leading topics into the train side."""
+    """Generate a corpus, read it back as `train` does, and split the
+    leading topics into the train side."""
     corpus = generate_corpus(synth_cfg)
-    documents = corpus.documents_by_id()
-    stats = compute_corpus_stats(corpus.documents, synth_cfg.max_tokens)
+    views, stats = read_views(corpus.documents, corpus.queries, corpus.candidates,
+                              synth_cfg.max_tokens)
     policy = synth_cfg.policy()
     by_id = {q.id: q for q in corpus.queries}
     qids = [q.id for q in corpus.queries]
@@ -60,13 +90,13 @@ def assemble(synth_cfg: SynthConfig, n_train: int,
 
     train_set = build_training_set(
         [by_id[q] for q in train_ids], corpus.qrels, corpus.candidates,
-        documents, policy, stats)
+        views, policy, stats)
     dev_set = build_training_set(
         [by_id[q] for q in dev_ids], corpus.qrels, corpus.candidates,
-        documents, policy, stats)
+        views, policy, stats)
     dev_bundle = build_training_set(
         [by_id[q] for q in dev_ids], restrict(corpus.qrels, dev_id_set),
-        corpus.candidates, documents, dataclasses.replace(policy, mode="inference"),
+        corpus.candidates, views, dataclasses.replace(policy, mode="inference"),
         stats)
     cfg = train_cfg or TrainConfig(seed=synth_cfg.seed)
     return Collection(
@@ -78,5 +108,6 @@ def assemble(synth_cfg: SynthConfig, n_train: int,
         train_gold=restrict(corpus.gold, set(train_ids)),
         train_cfg=cfg,
         synth_cfg=synth_cfg,
+        views=views,
         stats=stats,
     )

@@ -26,7 +26,7 @@ from segtrain.scorer import (
 )
 
 
-def numpy_segment_features(query, doc, segments, stats,
+def numpy_segment_features(query, view, segments, stats,
                            max_tokens=DEFAULT_MAX_TOKENS,
                            max_segments=DEFAULT_MAX_SEGMENTS) -> np.ndarray:
     """Term frequencies of all segments from one scatter-add, and idf and
@@ -42,7 +42,6 @@ def numpy_segment_features(query, doc, segments, stats,
         return x
     nq = len(q_unique)
     slot = {term: j for j, term in enumerate(q_unique)}
-    view = doc.view(slot)
     hits = [(p, slot[term]) for p, term in view.hits if term in slot]
     if not hits:
         return x

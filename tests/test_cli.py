@@ -173,10 +173,9 @@ def test_outputs_match_pinned_digests_with_cached_stores(tmp_path_factory, tmp_p
     # the first training parses the corpus, builds both feature stores and
     # caches them; the ten later commands load them, and neither parse,
     # segment nor compute a feature
-    from segtrain import training
+    from segtrain import corpus, training
 
-    built = {name: mock.Mock(wraps=getattr(training, name)) for name in
-             ("segment_for_training", "segment_for_inference", "segment_features")}
+    built = {}
     parsed = mock.Mock(wraps=formats.parse_corpus)
     loaded, calls = [], []
 
@@ -185,13 +184,19 @@ def test_outputs_match_pinned_digests_with_cached_stores(tmp_path_factory, tmp_p
         calls.append([m.call_count for m in (parsed, *built.values())])
         return loaded[-1]
 
+    def watch_builders(data: Path) -> None:
+        # from after `synth`, which segments its documents too
+        for module, name in ((corpus, "segment_for_training"),
+                             (corpus, "segment_for_inference"),
+                             (training, "segment_features")):
+            built[name] = mock.Mock(wraps=getattr(module, name))
+            monkeypatch.setattr(module, name, built[name])
+
     load_stores.real = formats._load_stores
     monkeypatch.setattr(formats, "MIN_CACHED_BYTES", 1)
     monkeypatch.setattr(formats, "_load_stores", load_stores)
     monkeypatch.setattr(formats, "parse_corpus", parsed)
-    for name, wrapped in built.items():
-        monkeypatch.setattr(training, name, wrapped)
-    assert pinned_outputs(tmp_path_factory, tmp_path) == PINNED_DIGESTS
+    assert pinned_outputs(tmp_path_factory, tmp_path, watch_builders) == PINNED_DIGESTS
     assert len(loaded) == 11 and loaded[0] is None and None not in loaded[1:]
     final = [m.call_count for m in (parsed, *built.values())]
     assert calls[0] == [0, 0, 0, 0] and final[0] == 1 and all(final)

@@ -5,10 +5,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from e2e_utils import read_views
 from segtrain.corpus import (
+    CorpusStats,
     Document,
+    Query,
     SegmentationPolicy,
-    compute_corpus_stats,
+    _sentence_tokens,
     document_stream,
     segment_for_inference,
     segment_for_training,
@@ -65,7 +68,7 @@ ASCII_ALPHABET = ".!?" + " \t\n\x0b\x1c" + ",;:-)'#" + "09aZz"
 TOKENIZER_ALPHABET = ASCII_ALPHABET + "éİß\xa0"
 
 
-class TestDocumentFromText:
+class TestSentenceTokens:
     """The one-pass tokenizer equals tokenize over split_sentences."""
 
     @settings(max_examples=500)
@@ -82,13 +85,13 @@ class TestDocumentFromText:
     @example("İZ. Kß.\xa0x é")
     def test_matches_sentence_then_token_split(self, text):
         expected = [tokenize(s) for s in split_sentences(text)]
-        assert Document.from_text("d", "", text).sentences == expected
+        assert _sentence_tokens(text) == expected
 
     @settings(max_examples=300)
     @given(st.text(ASCII_ALPHABET, max_size=40))
     def test_ascii_matches_sentence_then_token_split(self, text):
         expected = [tokenize(s) for s in split_sentences(text)]
-        assert Document.from_text("d", "", text).sentences == expected
+        assert _sentence_tokens(text) == expected
 
 
 def uniform_doc(n_sentences: int, sentence_len: int, title: str = "") -> Document:
@@ -226,9 +229,19 @@ def test_training_prefix_and_title_properties(doc, query_budget, seed):
     assert len(segs) <= 4
 
 
+def parsed_stats(docs: list[Document], terms: list[str],
+                 max_tokens: int = 512) -> CorpusStats:
+    """The stats of `docs` read back as `train` reads them, for one query
+    of `terms` that lists every document."""
+    query = Query("q", " ".join(terms), terms)
+    return read_views(docs, [query], {"q": [doc.id for doc in docs]}, max_tokens)[1]
+
+
 class TestCorpusStats:
+    """`CorpusStats.from_views` over a corpus read back as `train` reads it."""
+
     def test_document_frequency(self, tiny_docs):
-        stats = compute_corpus_stats(tiny_docs)
+        stats = parsed_stats(tiny_docs, ["alpha", "absent"])
         assert stats.doc_count == 3
         assert stats.document_frequency["alpha"] == 2  # d1 (title+body), d3
         assert "absent" not in stats.document_frequency
@@ -236,19 +249,19 @@ class TestCorpusStats:
     def test_repeated_term_counts_once(self):
         doc = Document("d", "", [["rep"] * 5])
         other = Document("e", "", [["x"]])
-        stats = compute_corpus_stats([doc, other])
+        stats = parsed_stats([doc, other], ["rep"])
         assert stats.document_frequency["rep"] == 1
 
     def test_title_terms_counted(self):
         doc = Document("d", "only in title", [["body"]])
-        stats = compute_corpus_stats([doc])
+        stats = parsed_stats([doc], ["title"])
         assert stats.document_frequency["title"] == 1
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError):
-            compute_corpus_stats([])
+            CorpusStats.from_views({}, {})
 
     def test_avg_segment_length(self):
         doc = uniform_doc(10, 100)  # two 512-token windows of 500 tokens each
-        stats = compute_corpus_stats([doc], max_tokens=512)
+        stats = parsed_stats([doc], [], max_tokens=512)
         assert stats.avg_segment_length == 500.0

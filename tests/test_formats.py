@@ -16,13 +16,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from segtrain.corpus import (
-    CorpusStats,
-    Document,
-    Query,
-    SegmentationPolicy,
-    compute_corpus_stats,
-)
+from document_oracle import compute_corpus_stats, document_view, parse_documents
+from segtrain.corpus import CorpusStats, Document, Query, SegmentationPolicy
 from segtrain import formats, scorer, synth, training
 from segtrain.formats import (
     SCORER_KINDS,
@@ -53,14 +48,6 @@ from segtrain.formats import (
 from segtrain.ranking import RankedList, RankEntry
 from segtrain.scorer import init_params
 from segtrain.synth import generate_corpus
-
-
-def parse_documents(stream) -> dict[str, Document]:
-    """Documents by id, the inverse of `write_corpus`, read with the checks
-    of `parse_corpus`; all documents share one interned vocabulary."""
-    vocab: dict[str, str] = {}
-    return {doc_id: Document.from_text(doc_id, title, body, vocab)
-            for doc_id, title, body in formats._corpus_records(stream)}
 
 
 tokens = st.text("abz09", min_size=1, max_size=4)
@@ -105,12 +92,6 @@ class TestCorpusRoundTrip:
         write_corpus(parsed.values(), rewritten)
         assert rewritten.getvalue() == text
 
-    def test_parsed_terms_are_shared_objects(self):
-        text, parsed = round_trip([Document("a", "", [["x", "y"]]),
-                                   Document("b", "", [["y", "x"]])])
-        a, b = parsed["a"].sentences[0], parsed["b"].sentences[0]
-        assert a[0] is b[1] and a[1] is b[0]
-
 
 query_terms = st.sampled_from(["a", "b", "z", "a0", "9"])
 view_tokens = query_terms | tokens
@@ -134,8 +115,9 @@ def scored_corpora(draw):
 
 
 class TestCorpusViews:
-    """The parse straight into views equals the parse into documents,
-    projected to views, and gives the same collection statistics."""
+    """The parse straight into views equals the oracle's parse into
+    documents, projected to views, and gives the statistics the oracle
+    counts over the documents."""
 
     @settings(max_examples=150)
     @given(scored_corpora(), st.integers(1, 30))
@@ -149,7 +131,7 @@ class TestCorpusViews:
         views, df = parse_corpus(io.StringIO(text), doc_terms)
         assert list(views) == [doc.id for doc in documents]
         for doc in documents:
-            assert views[doc.id] == doc.view(doc_terms.get(doc.id, ()))
+            assert views[doc.id] == document_view(doc, doc_terms.get(doc.id, ()))
         terms = set().union(*doc_terms.values())
         expected = compute_corpus_stats(documents, max_tokens, terms)
         stats = CorpusStats.from_views(views, df, max_tokens)
@@ -168,7 +150,7 @@ class TestCorpusViews:
         views, df = parse_corpus(io.StringIO(text), doc_terms)
         documents = parse_documents(io.StringIO(text))
         for doc_id, doc in documents.items():
-            assert views[doc_id] == doc.view(doc_terms.get(doc_id, ()))
+            assert views[doc_id] == document_view(doc, doc_terms.get(doc_id, ()))
         assert df == compute_corpus_stats(list(documents.values()), 512,
                                           terms).document_frequency
 

@@ -1,5 +1,5 @@
-"""The package's exported names, resolved on first access, and the
-function names the benchmark's tracer reads."""
+"""The package's exported names, resolved on first access, the function
+names the benchmark's tracer reads, and the imports of its modules."""
 
 import ast
 import importlib
@@ -13,8 +13,8 @@ import segtrain
 # Every name the package exports, by the submodule it comes from.
 EXPORTED = {
     "corpus": ["CorpusStats", "Document", "Query", "Segment", "SegmentationPolicy",
-               "compute_corpus_stats", "segment_for_inference",
-               "segment_for_training", "split_sentences", "tokenize"],
+               "segment_for_inference", "segment_for_training", "split_sentences",
+               "tokenize"],
     "evaluation": ["kfold_split", "mrr", "ndcg_at_k", "paired_t_test",
                    "per_query_metrics", "segment_p_at_1"],
     "ranking": ["Aggregation", "RankedList"],
@@ -30,9 +30,11 @@ EXPORTED = {
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 # Traced names whose functions are gone: `extract_features` was folded
 # into `segment_features`, `build_eval_bundle` into `build_training_set`,
-# and `rerank` and `score_document` into `training.rank_store`.
+# and `rerank` and `score_document` into `training.rank_store`;
+# `compute_corpus_stats` moved into the tests' document oracle, since
+# the commands take their stats from views (`CorpusStats.from_views`).
 RETIRED = {"scorer.extract_features", "training.build_eval_bundle",
-           "ranking.rerank", "ranking.score_document"}
+           "ranking.rerank", "ranking.score_document", "corpus.compute_corpus_stats"}
 
 
 def test_exported_names_are_the_submodule_attributes():
@@ -83,3 +85,50 @@ def test_traced_commands_are_cli_subcommands():
     for command in ast.literal_eval(commands):
         assert inspect.isfunction(getattr(cli, "_cmd_" + command.replace("-", "_"))), \
             command
+
+
+def annotation_names(tree: ast.AST) -> set[str]:
+    """The names read by the string annotations in `tree`, such as
+    `-> "Query"`, which the module's `ast` holds as constants."""
+    annotations = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            annotations.append(node.returns)
+            annotations += [arg.annotation for arg in (*args.posonlyargs, *args.args,
+                                                       *args.kwonlyargs, args.vararg,
+                                                       args.kwarg) if arg is not None]
+        elif isinstance(node, ast.AnnAssign):
+            annotations.append(node.annotation)
+    return {name.id for annotation in annotations if annotation is not None
+            for text in ast.walk(annotation)
+            if isinstance(text, ast.Constant) and isinstance(text.value, str)
+            for name in ast.walk(ast.parse(text.value, mode="eval"))
+            if isinstance(name, ast.Name)}
+
+
+def unused_imports(source: str) -> list[str]:
+    """The names a module imports and never reads, `__future__` imports
+    aside, as "line: name"."""
+    tree = ast.parse(source)
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [(node.lineno, alias.asname or alias.name.partition(".")[0])
+                         for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [(node.lineno, alias.asname or alias.name) for alias in node.names]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    used |= annotation_names(tree)
+    return [f"{line}: {name}" for line, name in sorted(imported) if name not in used]
+
+
+def test_every_import_is_used():
+    # the package has no linter; a deletion must not leave its imports behind
+    sources = sorted(Path(segtrain.__file__).parent.glob("*.py"))
+    unused = {path.name: unused_imports(path.read_text()) for path in sources}
+    assert "corpus.py" in unused
+    assert {name: found for name, found in unused.items() if found} == {}
+    assert unused_imports("from collections import Counter\nimport os.path\n") == \
+        ["1: Counter", "2: os"]
+    assert unused_imports("from a import B, C\ndef f(x: 'list[B]') -> 'C': pass\n") == []

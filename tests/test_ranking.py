@@ -3,11 +3,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from document_oracle import document_from_text
+from e2e_utils import read_views
 from segtrain.corpus import (
     Document,
     Query,
     SegmentationPolicy,
-    compute_corpus_stats,
     document_stream,
     segment_for_inference,
     segment_for_training,
@@ -34,10 +35,12 @@ def position_scorer() -> ScorerParams:
 def rank(params: ScorerParams, query: Query, docs: list[Document],
          agg: Aggregation = Aggregation.MAX_P) -> RankedList:
     """`query`'s ranking of `docs` by `rank_store`, over the store the
-    `rerank` command builds: the inference windows of every candidate."""
-    store = build_training_set([query], {}, {query.id: [d.id for d in docs]},
-                               {d.id: d for d in docs},
-                               SegmentationPolicy("inference"), compute_corpus_stats(docs))
+    `rerank` command builds from the views of the candidates: the
+    inference windows of every candidate."""
+    candidates = {query.id: [d.id for d in docs]}
+    views, stats = read_views(docs, [query], candidates)
+    store = build_training_set([query], {}, candidates, views,
+                               SegmentationPolicy("inference"), stats)
     return rank_store(params, store, agg)[query.id]
 
 
@@ -63,7 +66,7 @@ class TestScoreDocument:
         assert entry.score == pytest.approx(0.0)
 
     def test_single_segment_doc_agg_equal(self):
-        doc = Document.from_text("doc", "t", "just one short sentence.")
+        doc = document_from_text("doc", "t", "just one short sentence.")
         q = Query.from_text("q", "short sentence")
         rng = np.random.default_rng(0)
         params = ScorerParams("linear", rng.normal(size=NUM_FEATURES), 0.2)
@@ -78,10 +81,10 @@ def test_inference_position_ratio_reaches_1_25_at_config_e():
     feature runs to 5 / 4, past the 3 / 4 that training segments reach."""
     doc = Document("doc", "two words", [[f"s{i}w{j}" for j in range(128)]
                                         for i in range(18)])
-    stats = compute_corpus_stats([doc])
     q = Query.from_text("q", "s0w0")
-    feats = segment_features(q, doc, segment_for_inference(doc, 512), stats,
-                             max_tokens=512, max_segments=4)
+    views, stats = read_views([doc], [q], {"q": ["doc"]})
+    feats = segment_features(q, views["doc"], segment_for_inference(views["doc"], 512),
+                             stats, max_tokens=512, max_segments=4)
     assert feats[:, F_POSITION_RATIO].tolist() == [0.0, 0.25, 0.5, 0.75, 1.0, 1.25]
     policy = SegmentationPolicy("training", 512, 128, 4, seed=0, query_token_budget=16)
     for seed in range(20):
@@ -110,7 +113,7 @@ class TestRankByScores:
 
 
 def doc_with_terms(doc_id: str, terms: str) -> Document:
-    return Document.from_text(doc_id, "", terms + ".")
+    return document_from_text(doc_id, "", terms + ".")
 
 
 class TestRerank:

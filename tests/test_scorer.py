@@ -8,13 +8,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from document_oracle import compute_corpus_stats, document_view
+from e2e_utils import read_views
 from numpy_features import numpy_segment_features
 from segtrain.corpus import (
     CorpusStats,
     Document,
     Query,
     Segment,
-    compute_corpus_stats,
     document_stream,
     segment_for_inference,
     segment_for_training,
@@ -51,10 +52,10 @@ from segtrain.training import build_stores
 
 
 def segment_of(tokens, index=0, doc_id="d"):
-    """An untitled one-sentence document and its one-segment list."""
-    return (Document(doc_id, "", [list(tokens)]),
+    """The view of an untitled one-sentence document, with the hits of
+    each of its tokens, and its one-segment list."""
+    return (document_view(Document(doc_id, "", [list(tokens)]), tokens),
             [Segment(doc_id, index, 0, 1, len(tokens))])
-
 
 
 def segment_tokens(doc, segment):
@@ -86,10 +87,10 @@ class TestExtractFeatures:
         docs = [Document("a", "", [["common", "x"]]),
                 Document("b", "", [["common", "y"]]),
                 Document("c", "", [["common", "z"]])]
-        stats = compute_corpus_stats(docs)
+        q = Query.from_text("q", "common")
+        _, stats = read_views(docs, [q], {"q": ["a", "b", "c"]})
         n = stats.doc_count
         expected_idf = math.log(1.0 + 0.5 / (n + 0.5))
-        q = Query.from_text("q", "common")
         [x] = segment_features(q, *segment_of(["common", "x"]), stats)
         assert x[F_IDF_MATCH] == pytest.approx(expected_idf, abs=1e-12)
         assert 0.0 < x[F_IDF_MATCH] < 0.2
@@ -170,10 +171,10 @@ def test_segment_features_equal_per_segment_reference(
         query, title, bodies, df, doc_count, avg, max_tokens, max_segments):
     q = Query("q", " ".join(query), query)
     stats = CorpusStats(doc_count, df, avg)
-    doc = Document("d", " ".join(title), bodies)
+    view = document_view(Document("d", " ".join(title), bodies), query)
     segments = [Segment("d", i, i, i + 1, len(title) + len(body))
                 for i, body in enumerate(bodies)]
-    batched = segment_features(q, doc, segments, stats, max_tokens, max_segments)
+    batched = segment_features(q, view, segments, stats, max_tokens, max_segments)
     expected = np.stack([reference_features(q, title + body, i, stats, max_tokens,
                                             max_segments)
                          for i, body in enumerate(bodies)])
@@ -181,7 +182,7 @@ def test_segment_features_equal_per_segment_reference(
     assert batched.tobytes() == expected.tobytes()  # signs of zeros too
     for seg, row in zip(segments, expected):
         assert np.array_equal(
-            segment_features(q, doc, [seg], stats, max_tokens, max_segments)[0], row)
+            segment_features(q, view, [seg], stats, max_tokens, max_segments)[0], row)
 
 
 span_lists = st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)).map(sorted),
@@ -230,9 +231,9 @@ def test_view_features_equal_token_reference(query, other_terms, title, sentence
     expected = np.stack([
         reference_features(q, segment_tokens(doc, seg), seg.index, stats,
                            max_tokens, max_segments) for seg in segments])
-    for source in (doc, doc.view(query), doc.view(query + other_terms)):
-        actual = segment_features(q, source, segments, stats, max_tokens,
-                                  max_segments)
+    for terms in (query, query + other_terms):
+        actual = segment_features(q, document_view(doc, terms), segments, stats,
+                                  max_tokens, max_segments)
         assert np.array_equal(actual, expected)
         assert actual.tobytes() == expected.tobytes()
 
@@ -257,8 +258,8 @@ def test_segment_features_equal_the_numpy_kernel(query, other_terms, title, sent
                                                  spans, indices, df, doc_count, avg,
                                                  max_tokens, max_segments):
     """The per-segment loop gives, bit for bit, the rows of the numpy
-    kernel it replaced, signs of zeros included: from documents and from
-    views, for any spans and segment indices."""
+    kernel it replaced, signs of zeros included: from views of the query's
+    terms alone or of more, for any spans and segment indices."""
     q = Query("q", " ".join(query), query)
     doc = Document("d", " ".join(title), sentences)
     spans = [(min(start, len(sentences)), min(end, len(sentences)))
@@ -267,9 +268,9 @@ def test_segment_features_equal_the_numpy_kernel(query, other_terms, title, sent
                         len(title) + sum(map(len, sentences[start:end])))
                 for index, (start, end) in zip(indices, spans)]
     stats = CorpusStats(doc_count, df, avg)
-    for source in (doc, doc.view(query + other_terms)):
-        actual = segment_features(q, source, segments, stats, max_tokens, max_segments)
-        expected = numpy_segment_features(q, source, segments, stats, max_tokens,
+    for view in (document_view(doc, query), document_view(doc, query + other_terms)):
+        actual = segment_features(q, view, segments, stats, max_tokens, max_segments)
+        expected = numpy_segment_features(q, view, segments, stats, max_tokens,
                                           max_segments)
         assert actual.shape == expected.shape == (len(segments), NUM_FEATURES)
         assert actual.tobytes() == expected.tobytes()
@@ -277,25 +278,25 @@ def test_segment_features_equal_the_numpy_kernel(query, other_terms, title, sent
 
 def test_stores_equal_the_numpy_kernel_on_the_late_collection():
     """Both stores of a late-evidence collection (the bench's, at 20
-    topics) hold the numpy kernel's rows, bit for bit."""
+    topics), built from its views as `train` builds them, hold the numpy
+    kernel's rows, bit for bit."""
     cfg = SynthConfig(num_queries=20, docs_per_query=6, sentences_per_doc=18,
                       tokens_per_sentence=128, vocab_size=5000, query_terms=5,
                       plant_lo=1, plant_hi=4, distractor_overlap=0.3, noise=0.3, seed=1)
     corpus = generate_corpus(cfg)
-    documents = corpus.documents_by_id()
-    stats = compute_corpus_stats(corpus.documents, cfg.max_tokens)
-    stores = build_stores(corpus.queries, corpus.candidates, documents, cfg.policy(),
-                          stats)
+    views, stats = read_views(corpus.documents, corpus.queries, corpus.candidates,
+                              cfg.max_tokens)
+    stores = build_stores(corpus.queries, corpus.candidates, views, cfg.policy(), stats)
     for store, cut in zip(stores, ("training", "inference")):
         assert len(store.matrix) == 120 * (4 if cut == "training" else 6)
         for topic in store.topics:
             for doc_id in topic.candidates:
-                doc = documents[doc_id]
-                segments = (segment_for_training(doc, cfg.policy(),
+                view = views[doc_id]
+                segments = (segment_for_training(view, cfg.policy(),
                                                  document_stream(cfg.seed, doc_id))
                             if cut == "training"
-                            else segment_for_inference(doc, cfg.max_tokens))
-                expected = numpy_segment_features(topic.query, doc, segments, stats,
+                            else segment_for_inference(view, cfg.max_tokens))
+                expected = numpy_segment_features(topic.query, view, segments, stats,
                                                   cfg.max_tokens, cfg.max_segments)
                 assert store.features(topic.query, doc_id).tobytes() == \
                     expected.tobytes()
@@ -311,21 +312,26 @@ def test_stores_equal_the_numpy_kernel_on_the_late_collection():
 @example(docs=[(["a"], [["b", "a"], []]), ([], [])], queries=[["a", "z", "a"], []],
          max_tokens=2)
 def test_query_term_stats_give_the_same_features(docs, queries, max_tokens):
+    """The stats `train` takes from a corpus read with the queries' terms
+    hold document frequency for those terms only, and give the features
+    that the oracle's stats over every term give."""
     documents = [Document(f"d{i}", " ".join(title), sentences)
                  for i, (title, sentences) in enumerate(docs)]
-    terms = [term for tokens in queries for term in tokens]
+    queries = [Query(f"q{k}", " ".join(tokens), tokens) for k, tokens in enumerate(queries)]
+    terms = {term for query in queries for term in query.tokens}
     full = compute_corpus_stats(documents, max_tokens)
-    restricted = compute_corpus_stats(documents, max_tokens, terms)
+    pool = [doc.id for doc in documents]
+    views, restricted = read_views(documents, queries, {q.id: pool for q in queries},
+                                   max_tokens)
     assert restricted.doc_count == full.doc_count
     assert restricted.avg_segment_length == full.avg_segment_length
     assert restricted.document_frequency == {
         term: df for term, df in full.document_frequency.items() if term in terms}
-    for tokens in queries:
-        query = Query("q", " ".join(tokens), tokens)
-        for doc in documents:
-            segments = segment_for_inference(doc, max_tokens)
-            expected = segment_features(query, doc, segments, full, max_tokens)
-            actual = segment_features(query, doc, segments, restricted, max_tokens)
+    for query in queries:
+        for view in views.values():
+            segments = segment_for_inference(view, max_tokens)
+            expected = segment_features(query, view, segments, full, max_tokens)
+            actual = segment_features(query, view, segments, restricted, max_tokens)
             assert np.array_equal(actual, expected)
             assert actual.tobytes() == expected.tobytes()
 

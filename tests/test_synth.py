@@ -32,7 +32,8 @@ def query_term_positions(doc, terms):
 
 def relevant_doc(corpus, qid):
     (doc_id,) = [d for (q, d), grade in corpus.qrels.items() if q == qid and grade > 0]
-    return corpus.documents_by_id()[doc_id]
+    (doc,) = [doc for doc in corpus.documents if doc.id == doc_id]
+    return doc
 
 
 def zipf(n: int) -> np.ndarray:
@@ -143,7 +144,7 @@ def test_planted_sentence_lies_in_the_gold_training_segment(seed):
 def test_one_negative_leaks_round_overlap_times_terms(overlap, leaked):
     cfg = small(distractor_overlap=overlap)
     corpus = generate_corpus(cfg)
-    documents = corpus.documents_by_id()
+    documents = {doc.id: doc for doc in corpus.documents}
     for query in corpus.queries:
         terms = set(query.tokens)
         pool = [documents[d] for d in corpus.candidates[query.id]]

@@ -8,7 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from e2e_utils import assemble
+from document_oracle import compute_corpus_stats, document_view
+from e2e_utils import assemble, read_views, scored_terms
 from segtrain import corpus as corpus_module
 from segtrain import formats
 from segtrain.corpus import (
@@ -16,7 +17,6 @@ from segtrain.corpus import (
     Document,
     Query,
     Segment,
-    compute_corpus_stats,
     segment_for_inference,
 )
 from segtrain.evaluation import holdout_split, segment_p_at_1
@@ -61,7 +61,7 @@ def make_tset(topics_spec, stats=None, max_segments=4) -> TrainingSet:
     """topics_spec: list of (query_text, {doc_id: [segment token lists]}, pos_ids).
 
     Each segment is one sentence of an untitled document; the store
-    stacks each pair's `segment_features`.
+    stacks the `segment_features` of each pair's view.
     """
     stats = stats or CorpusStats(4, {}, 10.0)
     topics, blocks, rows, start = [], [np.empty((0, NUM_FEATURES))], {}, 0
@@ -70,9 +70,9 @@ def make_tset(topics_spec, stats=None, max_segments=4) -> TrainingSet:
         topic = TrainingTopic(query, list(pos_ids), [d for d in docs if d not in pos_ids])
         topics.append(topic)
         for doc_id in topic.candidates:
-            feats = segment_features(query, Document(doc_id, "", docs[doc_id]),
-                                     make_segments(doc_id, docs[doc_id]), stats,
-                                     max_segments=max_segments)
+            view = document_view(Document(doc_id, "", docs[doc_id]), query.tokens)
+            feats = segment_features(query, view, make_segments(doc_id, docs[doc_id]),
+                                     stats, max_segments=max_segments)
             blocks.append(feats)
             rows[(query.id, doc_id)] = range(start, start + len(feats))
             start += len(feats)
@@ -344,7 +344,8 @@ class TestSelectSegments:
     def test_store_without_qrels_covers_every_candidate(self):
         queries = [Query.from_text("q0", "a"), Query.from_text("q1", "b"),
                    Query.from_text("q2", "c")]
-        docs = {d: Document(d, "", [[d, "a", "b"]] * 3) for d in ("d0", "d1", "d2")}
+        docs = {d: document_view(Document(d, "", [[d, "a", "b"]] * 3), "abc")
+                for d in ("d0", "d1", "d2")}
         candidates = {"q0": ["d0", "d1"], "q1": ["d1", "d2"], "q2": []}
         policy = SynthConfig(min_tokens=2, max_tokens=4, query_token_budget=0).policy()
         store = build_training_set(queries, {}, candidates, docs, policy,
@@ -505,24 +506,18 @@ class TestEvaluateBundle:
     def test_scores_do_not_depend_on_the_store(self, kind):
         # a store built for a subset of the queries, as a fold is, scores
         # and ranks each of its pairs bit for bit as the full store does
-        cfg = SynthConfig(num_queries=24, docs_per_query=4, sentences_per_doc=12,
-                          tokens_per_sentence=32, vocab_size=2000, query_terms=3,
-                          plant_lo=1, plant_hi=4, noise=0.3, seed=4,
-                          min_tokens=48, max_tokens=128, query_token_budget=8)
-        corpus = generate_corpus(cfg)
-        documents = corpus.documents_by_id()
-        stats = compute_corpus_stats(corpus.documents, cfg.max_tokens)
+        cfg, corpus, views, stats = late_collection(seed=4)
         rng = np.random.default_rng(4)
         count = NUM_FEATURES + 1 if kind == "linear" else (NUM_FEATURES + 2) * 8 + 1
         params = params_from_vector(kind, rng.normal(size=count))
         for policy in (cfg.policy(), dataclasses.replace(cfg.policy(), mode="inference")):
             full = build_training_set(corpus.queries, corpus.qrels, corpus.candidates,
-                                      documents, policy, stats)
+                                      views, policy, stats)
             full_selection, full_scores = select_segments(params, full)
             full_runs = {agg: rank_store(params, full, agg) for agg in Aggregation}
             for subset in (corpus.queries[1::3], corpus.queries[5:6]):
                 part = build_training_set(subset, corpus.qrels, corpus.candidates,
-                                          documents, policy, stats)
+                                          views, policy, stats)
                 for topic in part.topics:
                     for doc_id in topic.candidates:
                         assert part.features(topic.query, doc_id).tobytes() == \
@@ -539,16 +534,15 @@ class TestEvaluateBundle:
         # call, as `rerank` does, then takes the first or the best score
         coll = small_collection(seed=3)
         dev, cfg = coll.dev_bundle, coll.synth_cfg
-        documents = coll.corpus.documents_by_id()
         params = init_params("mlp", 3)
         for agg in Aggregation:
             _, run = evaluate_bundle(params, dev, agg)
             for topic in dev.topics:
                 expected = {}
                 for d in topic.candidates:
-                    doc = documents[d]
+                    view = coll.views[d]
                     scores = score_batch(params, segment_features(
-                        topic.query, doc, segment_for_inference(doc, cfg.max_tokens),
+                        topic.query, view, segment_for_inference(view, cfg.max_tokens),
                         coll.stats, cfg.max_tokens, cfg.max_segments))
                     expected[d] = float(scores[0] if agg == Aggregation.FIRST_P
                                         else scores.max())
@@ -556,14 +550,15 @@ class TestEvaluateBundle:
 
 
 def late_collection(seed=4):
-    """A small late-evidence collection, its documents and its stats."""
+    """A small late-evidence collection, and its views and stats as
+    `train` reads them."""
     cfg = SynthConfig(num_queries=24, docs_per_query=4, sentences_per_doc=12,
                       tokens_per_sentence=32, vocab_size=2000, query_terms=3,
                       plant_lo=1, plant_hi=4, noise=0.3, seed=seed,
                       min_tokens=48, max_tokens=128, query_token_budget=8)
     corpus = generate_corpus(cfg)
-    return (cfg, corpus, corpus.documents_by_id(),
-            compute_corpus_stats(corpus.documents, cfg.max_tokens))
+    return (cfg, corpus, *read_views(corpus.documents, corpus.queries, corpus.candidates,
+                                     cfg.max_tokens))
 
 
 def restrict(qrels, query_ids):
@@ -575,9 +570,8 @@ class TestStores:
     and the topic subsets the commands take of them."""
 
     def test_subsets_equal_stores_built_for_them(self):
-        cfg, corpus, documents, stats = late_collection()
-        full = build_stores(corpus.queries, corpus.candidates, documents, cfg.policy(),
-                            stats)
+        cfg, corpus, views, stats = late_collection()
+        full = build_stores(corpus.queries, corpus.candidates, views, cfg.policy(), stats)
         policies = (cfg.policy(), dataclasses.replace(cfg.policy(), mode="inference"))
         by_id = {q.id: q for q in corpus.queries}
         ids = [q.id for q in corpus.queries]
@@ -588,7 +582,7 @@ class TestStores:
                 part = store.subset(subset, corpus.qrels, 7)
                 fresh = build_training_set([by_id[q] for q in subset],
                                            restrict(corpus.qrels, subset),
-                                           corpus.candidates, documents, policy, stats, 7)
+                                           corpus.candidates, views, policy, stats, 7)
                 assert [(t.query, t.positives, t.negatives) for t in part.topics] == \
                     [(t.query, t.positives, t.negatives) for t in fresh.topics]
                 assert part.rows == fresh.rows and part.qrels == fresh.qrels
@@ -602,20 +596,20 @@ class TestStores:
         # the commands train on subsets of the two full stores; a store
         # built for the training or the dev queries alone trains the same
         # bits in every mode
-        cfg, corpus, documents, stats = late_collection(seed=7)
+        cfg, corpus, views, stats = late_collection(seed=7)
         train_cfg = TrainConfig(loss=loss, scorer_kind=kind, epochs=4, max_iterations=2,
                                 iteration_patience=2, seed=7)
-        training, inference = build_stores(corpus.queries, corpus.candidates, documents,
+        training, inference = build_stores(corpus.queries, corpus.candidates, views,
                                            cfg.policy(), stats)
         train_ids, dev_ids = holdout_split([q.id for q in corpus.queries], 0.25, 7)
         by_id = {q.id: q for q in corpus.queries}
         subsets = (training.subset(train_ids, corpus.qrels),
                    inference.subset(dev_ids, corpus.qrels))
         fresh = (build_training_set([by_id[q] for q in train_ids], corpus.qrels,
-                                    corpus.candidates, documents, cfg.policy(), stats),
+                                    corpus.candidates, views, cfg.policy(), stats),
                  build_training_set([by_id[q] for q in dev_ids],
                                     restrict(corpus.qrels, dev_ids), corpus.candidates,
-                                    documents,
+                                    views,
                                     dataclasses.replace(cfg.policy(), mode="inference"),
                                     stats))
         models = []
@@ -635,6 +629,7 @@ class TestStores:
         builders = [corpus_module.tokenize, corpus_module._sentence_tokens,
                     corpus_module.view_from_text, corpus_module.DocView,
                     formats.parse_corpus, formats._corpus_records,
+                    corpus_module.SegmentationPolicy.segments,
                     corpus_module.segment_for_training, corpus_module.segment_for_inference,
                     segment_features, build_training_set, build_stores]
         sources = {os.path.realpath(path) for path in formats._SOURCES}
@@ -652,23 +647,35 @@ class TestStores:
             copy.write_bytes(copy.read_bytes()[:-1])
 
     def test_cached_stores_equal_the_built_ones(self, tmp_path, monkeypatch):
-        cfg, corpus, documents, stats = late_collection()
+        # the stores `train` builds from the parsed views and caches equal,
+        # bit for bit, those built from the oracle's views of the synthetic
+        # documents in memory, under the oracle's stats
+        cfg, corpus, _, _ = late_collection()
         path = tmp_path / "corpus.jsonl"
         with open(path, "w") as stream:
             formats.write_corpus(corpus.documents, stream)
         monkeypatch.setattr(formats, "MIN_CACHED_BYTES", 1)
         key = {"policy": dataclasses.asdict(cfg.policy())}
         pairs = sum(map(len, corpus.candidates.values()))
-        doc_terms = {d: set(q.tokens) for q in corpus.queries
-                     for d in corpus.candidates[q.id]}
+        doc_terms = scored_terms(corpus.queries, corpus.candidates)
         with open(path) as stream:
             read = formats.read_corpus(stream, doc_terms, key, pairs)
         assert read.stores is None and read.cache is not None
         terms = set().union(*doc_terms.values())
-        assert CorpusStats.from_views(read.views, read.df, cfg.max_tokens) == \
-            compute_corpus_stats(corpus.documents, cfg.max_tokens, terms)
+        stats = CorpusStats.from_views(read.views, read.df, cfg.max_tokens)
+        oracle_stats = compute_corpus_stats(corpus.documents, cfg.max_tokens, terms)
+        assert stats == oracle_stats
         built = build_stores(corpus.queries, corpus.candidates, read.views, cfg.policy(),
                              stats)
+        oracle_views = {doc.id: document_view(doc, doc_terms.get(doc.id, ()))
+                        for doc in corpus.documents}
+        oracle = build_stores(corpus.queries, corpus.candidates, oracle_views,
+                              cfg.policy(), oracle_stats)
+        for store, fresh in zip(built, oracle):
+            assert [(t.query, t.positives, t.negatives) for t in store.topics] == \
+                [(t.query, t.positives, t.negatives) for t in fresh.topics]
+            assert store.rows == fresh.rows
+            assert store.matrix.tobytes() == fresh.matrix.tobytes()
         formats.save_stores(read.cache, [(s.row_counts(), s.matrix) for s in built])
         with open(path) as stream:
             read = formats.read_corpus(stream, doc_terms, key, pairs)
