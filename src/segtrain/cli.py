@@ -5,15 +5,16 @@ eval-selection.  Exit codes: 0 success, 1 usage error, 2 data error.
 
 Each subcommand imports the numpy-backed layers (ranking, scorer,
 synth, training) itself, so `eval` and `eval-selection` never load
-numpy.  `train`, `select` and `rerank` import them after `_load_pools`,
-so a malformed corpus, query or candidate file is reported before
-numpy loads.  `synth` writes nothing until the whole collection is
-generated.
+numpy.  `train`, `select` and `rerank` resolve their output path first
+and import them in `_load_stores` once the queries, candidates and
+corpus are read, so a missing output path, or a malformed corpus,
+query or candidate file, is reported before numpy loads.  `synth`
+writes nothing until the whole collection is generated.
 
 `train`, `select` and `rerank` share two feature stores over every
 listed query's candidates: one of training windows cut by the
 configured policy, one of inference windows at `max_tokens`
-(`training.build_stores`).  `train` takes its training set from the
+(`training.load_stores`).  `train` takes its training set from the
 first and its dev set from the second (`TrainingSet.subset`), `select`
 picks segments in the first, and `rerank` ranks the second as the dev
 set is ranked, with `training.rank_store`.  On a corpus of 8 MiB or
@@ -46,7 +47,6 @@ import threading
 from pathlib import Path
 
 from . import formats
-from .corpus import CorpusStats
 from .evaluation import (
     RankedList,
     RankEntry,
@@ -83,7 +83,8 @@ def _load_config(args: argparse.Namespace) -> PipelineConfig:
 def _path(args: argparse.Namespace, config: PipelineConfig, name: str) -> str:
     value = getattr(args, name, None) or getattr(config, name, "")
     if not value:
-        raise ParseError(f"missing required input: --{name}")
+        kind = "output path" if name == "out" else "input"
+        raise ParseError(f"missing required {kind}: --{name}")
     return value
 
 
@@ -211,62 +212,30 @@ def _cmd_segment(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_pools(args: argparse.Namespace, config: PipelineConfig):
-    """Queries, candidate pools and what `formats.read_corpus` reads of
-    the corpus: its cached feature stores or, on a miss, its views.
+def _load_stores(args: argparse.Namespace, config: PipelineConfig):
+    """The queries, and the training-window and inference-window stores
+    of all their candidates (`training.load_stores`), from the stores
+    cache of the corpus or, on a miss, from its parse.
 
-    Queries and candidates are read first, so the corpus parses straight
-    into views that record the hits of each document's candidate
-    queries' terms, and into the document frequency of those terms.
-    The stores cache is keyed by those inputs and the segmentation
-    policy.  Every candidate of a listed query must be a corpus
-    document; stores are cached only once that held.
+    The queries and candidates are parsed, and the corpus read for them
+    (`formats.read_corpus`), before numpy loads, so a malformed input is
+    reported first.
     """
     queries = _read(formats.parse_queries, _path(args, config, "queries"))
     candidates = _read(formats.parse_candidates, _path(args, config, "candidates"))
-    doc_terms: dict[str, set[str]] = {}
-    pools = [[query.id, query.tokens, candidates.get(query.id, [])] for query in queries]
-    for _, tokens, pool in pools:
-        for doc_id in pool:
-            doc_terms.setdefault(doc_id, set()).update(tokens)
-    key = {"policy": dataclasses.asdict(config.policy()), "pools": pools}
-    pairs = sum(len(pool) for _, _, pool in pools)
-    corpus = _read(lambda stream: formats.read_corpus(stream, doc_terms, key, pairs),
-                   _path(args, config, "corpus"))
-    if corpus.views is not None:
-        for qid, _, pool in pools:
-            for doc_id in pool:
-                if doc_id not in corpus.views:
-                    raise ParseError(f"candidate {doc_id!r} of query {qid!r} "
-                                     f"is not in the corpus")
-    return queries, candidates, corpus
+    policy = config.policy()
+    read = _read(lambda stream: formats.read_corpus(stream, queries, candidates, policy),
+                 _path(args, config, "corpus"))
+    from .training import load_stores
 
-
-def _load_stores(args: argparse.Namespace, config: PipelineConfig):
-    """The queries, and the training-window and inference-window stores
-    of all their candidates (`training.build_stores`).
-
-    The inputs are read, and a malformed one reported, before numpy
-    loads.  A stores cache hit gives both stores without segmenting the
-    corpus or computing a feature; a miss builds both from the corpus's
-    views and caches them, so the next command on the same corpus,
-    queries, candidates and policy hits.
-    """
-    queries, candidates, corpus = _load_pools(args, config)
-    from .training import build_stores, stores_from_cache
-
-    if corpus.stores is not None:
-        return queries, stores_from_cache(queries, candidates, corpus.stores,
-                                          config.max_segments)
-    stats = CorpusStats.from_views(corpus.views, corpus.df, config.max_tokens)
-    stores = build_stores(queries, candidates, corpus.views, config.policy(), stats)
-    if corpus.cache is not None:
-        formats.save_stores(corpus.cache, [(s.row_counts(), s.matrix) for s in stores])
-    return queries, stores
+    return queries, load_stores(read, queries, candidates, policy)
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
     config = _load_config(args)
+    out_path = config.out or config.model
+    if not out_path:
+        raise ParseError("missing required output path: --out")
     queries, (training, inference) = _load_stores(args, config)
     from .scorer import write_params
     from .training import best_train, train_baseline, train_single
@@ -294,9 +263,6 @@ def _cmd_train(args: argparse.Namespace) -> int:
     else:  # pragma: no cover - argparse restricts choices
         raise ParseError(f"unknown training mode {args.mode!r}")
     print(f"dev_mrr={dev_mrr:.6f}")
-    out_path = config.out or config.model
-    if not out_path:
-        raise ParseError("missing required output path: --out")
     with open(out_path, "w") as stream:
         write_params(params, stream)
     print(f"model written to {out_path}")
@@ -305,13 +271,14 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 def _cmd_select(args: argparse.Namespace) -> int:
     config = _load_config(args)
+    out_path = _path(args, config, "out")
     _, (store, _) = _load_stores(args, config)
     from .scorer import read_params
     from .training import select_segments
 
     params = _read(read_params, _path(args, config, "model"))
     selection, best_scores = select_segments(params, store)
-    with open(_path(args, config, "out"), "w") as stream:
+    with open(out_path, "w") as stream:
         formats.write_selection(selection, stream, best_scores)
     print(f"selected segments for {len(selection)} pairs")
     return 0
@@ -319,6 +286,7 @@ def _cmd_select(args: argparse.Namespace) -> int:
 
 def _cmd_rerank(args: argparse.Namespace) -> int:
     config = _load_config(args)
+    out_path = _path(args, config, "out")
     _, (_, store) = _load_stores(args, config)
     from .ranking import Aggregation
     from .scorer import read_params
@@ -326,7 +294,7 @@ def _cmd_rerank(args: argparse.Namespace) -> int:
 
     params = _read(read_params, _path(args, config, "model"))
     run = rank_store(params, store, Aggregation(args.mode))
-    with open(_path(args, config, "out"), "w") as stream:
+    with open(out_path, "w") as stream:
         formats.write_run(run, args.tag, stream)
     print(f"wrote rankings for {len(run)} queries")
     return 0

@@ -14,16 +14,17 @@ and, from the same pass, the document frequency of those terms; no
 token list is kept, since every command that reads a corpus needs only
 views.
 
-The commands that score read the corpus through `read_corpus`.  A
-corpus file of 8 MiB or more keeps `<corpus file>.stores` beside it:
-the feature rows of every (query, candidate) pair under training
-windows and under inference windows, as raw float64 rows, keyed by the
-file's size and CRC-32, the stream's encoding and error handler, the
-scored terms, a CRC-32 of the code that parses, segments and
-featurizes, the Python version, the byte order, the segmentation
-policy, and each query's id, tokens and candidate pool.  A hit needs no
-parse; a miss parses the corpus, and `save_stores` caches the stores
-built from it.  Only a successful parse leads to the cache, so no cache
+The commands that score read the corpus through `read_corpus`, given
+their queries, candidate pools and segmentation policy.  A corpus file
+of 8 MiB or more keeps `<corpus file>.stores` beside it: the feature
+rows of every (query, candidate) pair under training windows and under
+inference windows, as raw float64 rows, keyed by the file's size and
+CRC-32, the stream's encoding and error handler, a CRC-32 of the code
+that parses, segments and featurizes, the Python version, the byte
+order, the segmentation policy, and each query's id, tokens and
+candidate pool.  A hit needs no parse; a miss parses the corpus, and
+`save_stores` caches the stores built from it.  Only a successful
+parse that holds every candidate leads to the cache, so no cache
 matches a malformed corpus; any other key or a damaged cache is a miss
 that parses the text again, and deleting the cache is always safe.
 
@@ -263,7 +264,7 @@ MIN_CACHED_BYTES = 8 << 20
 # The key also holds a CRC-32 of the code that builds the stores, so a
 # change to the parse, the segmentation or the features invalidates every
 # cache without a bump here.
-STORES_FORMAT = 2
+STORES_FORMAT = 3
 
 # The stores a stores cache holds: training windows, inference windows.
 STORE_COUNT = 2
@@ -343,30 +344,34 @@ class CorpusRead(NamedTuple):
     cache: StoresCache | None
 
 
-def read_corpus(stream: IO[str], doc_terms: dict[str, set[str]], key: dict,
-                pairs: int) -> CorpusRead:
+def read_corpus(stream: IO[str], queries: list[Query], candidates: dict[str, list[str]],
+                policy: SegmentationPolicy) -> CorpusRead:
     """The two feature stores cached for the corpus in `stream`, of
-    training windows and of inference windows, or, on a miss, its parse
-    (`parse_corpus`).
+    training windows and of inference windows, over the candidate pool
+    in `candidates` of each of `queries` cut by `policy`, or, on a miss,
+    its parse.
 
-    `key` names what the stores hold beyond the corpus (for the
-    commands: the segmentation policy, and each query's id, tokens and
-    candidate pool, whose `pairs` pairs each store covers).  A text
-    stream over a regular file of at least `MIN_CACHED_BYTES`, not yet
-    read, whose name is the path of that file, has a cache beside it:
-    `<name>.stores`.  Its key is `STORES_FORMAT`, the CRC-32 of the
-    sources that parse, segment and featurize (`_SOURCES`), the Python
-    version, the byte order, the row width, the file's size and the
-    CRC-32 of its bytes, the stream's encoding and error handler,
-    `doc_terms` and `key`.  Its body is each store's row counts (native
-    int64, one per pair), each store's rows (native float64) and a
-    CRC-32 of all of them.  A cache that holds this key and a body of
-    exactly that shape and checksum is a hit, and the corpus is not
-    read; the bytes it covers passed every check of the parse that
-    built its stores.  Any other cache, missing, stale, truncated or
-    damaged, is a miss.  Only `save_stores` writes the cache, from
-    stores built from a parse that succeeded, and deleting it is always
-    safe.
+    A text stream over a regular file of at least `MIN_CACHED_BYTES`,
+    not yet read, whose name is the path of that file, has a cache
+    beside it: `<name>.stores`.  Its key, the cache's first line, is a
+    JSON object of exactly these members: `format` (`STORES_FORMAT`),
+    `code` (the CRC-32 of the sources that parse, segment and
+    featurize, `_SOURCES`), `python` (the version), `byteorder`,
+    `width` (the row width), `size` and `crc32` (of the file's bytes),
+    `encoding` and `errors` (the stream's), `policy`, and `pools`: each
+    query's id, tokens and candidate pool.  Its body is each store's row
+    counts (native int64, one per pair), each store's rows (native
+    float64) and a CRC-32 of all of them.  A cache that holds this key
+    and a body of exactly that shape and checksum is a hit, and the
+    corpus is not read; the bytes it covers passed every check of the
+    parse that built its stores.  Any other cache, missing, stale,
+    truncated or damaged, is a miss.
+
+    A miss parses the corpus (`parse_corpus`) with each candidate's
+    scored terms, the tokens of every query that lists it, and requires
+    every candidate of a listed query to be a corpus document.  Only
+    `save_stores` writes the cache, from stores built from a read that
+    got this far, and deleting it is always safe.
 
     The key is a checksum, not a signature, so the cache is trusted as
     far as the directory that holds it: a corpus in a directory that
@@ -374,18 +379,28 @@ def read_corpus(stream: IO[str], doc_terms: dict[str, set[str]], key: dict,
     regular file owned by this process's user, or is reached through a
     symbolic link, is a miss.
     """
-    cache = _corpus_key(stream, doc_terms, key, pairs)
+    pools = [[query.id, query.tokens, candidates.get(query.id, [])] for query in queries]
+    cache = _corpus_key(stream, policy, pools)
     stores = _load_stores(cache) if cache is not None else None
     if stores is not None:
         return CorpusRead(stores, None, None, cache)
+    doc_terms: dict[str, set[str]] = {}
+    for _, tokens, pool in pools:
+        for doc_id in pool:
+            doc_terms.setdefault(doc_id, set()).update(tokens)
     views, df = parse_corpus(stream, doc_terms)
+    for qid, _, pool in pools:
+        for doc_id in pool:
+            if doc_id not in views:
+                raise ParseError(f"candidate {doc_id!r} of query {qid!r} "
+                                 f"is not in the corpus")
     return CorpusRead(None, views, df, cache)
 
 
-def _corpus_key(stream: IO[str], doc_terms: dict[str, set[str]], key: dict,
-                pairs: int) -> StoresCache | None:
-    """The stores cache of the file under `stream` for `doc_terms` and
-    `key`; None unless `stream` is a text stream, not yet read, over a
+def _corpus_key(stream: IO[str], policy: SegmentationPolicy,
+                pools: list[list]) -> StoresCache | None:
+    """The stores cache of the file under `stream` for `policy` and
+    `pools`; None unless `stream` is a text stream, not yet read, over a
     regular file of at least `MIN_CACHED_BYTES` that `stream.name`
     names, in a directory that other users may not write to, and the
     sources in `_SOURCES` can be read."""
@@ -407,14 +422,13 @@ def _corpus_key(stream: IO[str], doc_terms: dict[str, set[str]], key: dict,
             crc = zlib.crc32(os.pread(fd, _CRC_CHUNK, offset), crc)
     except OSError:
         return None
-    full = {"format": STORES_FORMAT, "code": code, "python": sys.version,
-            "byteorder": sys.byteorder, "width": NUM_FEATURES,
-            "size": info.st_size, "crc32": crc,
-            "encoding": codecs.lookup(stream.encoding).name, "errors": stream.errors,
-            "doc_terms": [[doc_id, sorted(doc_terms[doc_id])]
-                          for doc_id in sorted(doc_terms)],
-            "stores": key}
-    return StoresCache(stream.name, info, SORTED_JSON.encode(full).encode() + b"\n", pairs)
+    key = {"format": STORES_FORMAT, "code": code, "python": sys.version,
+           "byteorder": sys.byteorder, "width": NUM_FEATURES,
+           "size": info.st_size, "crc32": crc,
+           "encoding": codecs.lookup(stream.encoding).name, "errors": stream.errors,
+           "policy": dataclasses.asdict(policy), "pools": pools}
+    return StoresCache(stream.name, info, SORTED_JSON.encode(key).encode() + b"\n",
+                       sum(len(pool) for _, _, pool in pools))
 
 
 def _sources_crc() -> int:
@@ -520,7 +534,8 @@ def save_stores(cache: StoresCache, stores: Iterable[tuple[list[int], Any]]) -> 
     was taken, and a failure is ignored."""
     stores = list(stores)
     body = [array.array("q", counts).tobytes() for counts, _ in stores]
-    body += [memoryview(rows).cast("B") for _, rows in stores]
+    # a store of no pairs has no rows, and a view of zero rows cannot be cast
+    body += [memoryview(rows).cast("B") if counts else b"" for counts, rows in stores]
     crc = 0
     for chunk in body:
         crc = zlib.crc32(chunk, crc)

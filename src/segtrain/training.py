@@ -11,14 +11,14 @@ scores: as the dev set whose MRR stops training, and as the pool the
 batch-invariant `score_batch` call, so each pair gets the scores it
 gets alone, and reduce each pair's rows in one numpy call.
 
-The commands build one store of each kind over every listed query's
-candidates from the corpus's views (`build_stores`), or load both from
-the corpus's stores cache (`stores_from_cache`), and
-`TrainingSet.subset` gives `train` its training set and its dev set:
-the rows of the subset's pairs, gathered in the order a store built for
-the subset alone would hold them.  The tests also build stores from
-the views `tests/document_oracle.py` projects from whole documents, and
-require the same bits.
+The commands get one store of each kind over every listed query's
+candidates from `load_stores`, which loads both from the corpus's
+stores cache or builds them from the corpus's views (`build_stores`)
+and caches them, and `TrainingSet.subset` gives `train` its training
+set and its dev set: the rows of the subset's pairs, gathered in the
+order a store built for the subset alone would hold them.  The tests
+also build stores from the views `tests/document_oracle.py` projects
+from whole documents, and require the same bits.
 
 Training draws each epoch as integer rows of the matrix: (positive row,
 negative row) pairs for the pairwise hinge, (row, label) points for the
@@ -55,7 +55,7 @@ from .corpus import (
     SegmentationPolicy,
 )
 from .evaluation import Qrels, Run, SegmentIndexMap, mrr
-from .formats import LossKind, Store, TrainConfig
+from .formats import CorpusRead, LossKind, TrainConfig, save_stores
 from .ranking import Aggregation, aggregate, rank_by_scores
 from .scorer import (
     NUM_FEATURES,
@@ -246,19 +246,30 @@ def build_stores(queries: list[Query], candidates: dict[str, list[str]],
             build_training_set(queries, {}, candidates, views, inference, stats))
 
 
-def stores_from_cache(queries: list[Query], candidates: dict[str, list[str]],
-                      stores: list[Store], max_segments: int
-                      ) -> tuple[TrainingSet, TrainingSet]:
-    """The stores `build_stores` built, from their cached row counts and
-    rows (`formats.read_corpus`): the same topics, and matrices that are
-    read-only views of the cached bytes."""
+def load_stores(read: CorpusRead, queries: list[Query],
+                candidates: dict[str, list[str]], policy: SegmentationPolicy
+                ) -> tuple[TrainingSet, TrainingSet]:
+    """The stores `build_stores` builds for `queries`, `candidates` and
+    `policy`, from what `formats.read_corpus` read for the same three.
+
+    On a stores cache hit these are the same topics, and matrices that
+    are read-only views of the cached bytes.  On a miss both stores are
+    built from the corpus's views, under stats taken at
+    `policy.max_tokens`, and saved to the read's cache, if it has one.
+    """
+    if read.stores is None:
+        stats = CorpusStats.from_views(read.views, read.df, policy.max_tokens)
+        stores = build_stores(queries, candidates, read.views, policy, stats)
+        if read.cache is not None:
+            save_stores(read.cache, [(s.row_counts(), s.matrix) for s in stores])
+        return stores
     topics = [TrainingTopic(query, [], candidates[query.id])
               for query in queries if candidates.get(query.id)]
     keys = [(topic.query.id, doc_id) for topic in topics for doc_id in topic.candidates]
     built = []
-    for counts, rows in stores:
+    for counts, rows in read.stores:
         matrix = np.frombuffer(rows, dtype=np.float64).reshape(-1, NUM_FEATURES)
-        built.append(TrainingSet(topics, matrix, _tile(keys, counts), max_segments))
+        built.append(TrainingSet(topics, matrix, _tile(keys, counts), policy.max_segments))
     return tuple(built)
 
 

@@ -500,21 +500,72 @@ def test_malformed_corpus_exits_2_with_line_despite_its_cache(data, model, tmp_p
         assert "line 2: bad JSON" in capsys.readouterr().err
 
 
+def scoring_args(command: str, data: Path, model: Path) -> list[str]:
+    """What `train`, `select` or `rerank` reads besides the inputs."""
+    return {"train": ["--mode", "best", "--qrels", str(data / "qrels.txt")],
+            "select": ["--model", str(model)],
+            "rerank": ["--model", str(model)]}[command]
+
+
+@pytest.mark.parametrize("cacheable", [False, True], ids=["small", "cacheable"])
 @pytest.mark.parametrize("command", ["train", "select", "rerank"])
 def test_candidate_missing_from_corpus_names_query_and_doc(data, model, tmp_path,
-                                                           capsys, command):
+                                                           capsys, monkeypatch,
+                                                           command, cacheable):
+    # no stores are cached for a corpus that lacks a candidate
+    if cacheable:
+        monkeypatch.setattr(formats, "MIN_CACHED_BYTES", 1)
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_bytes((data / "corpus.jsonl").read_bytes())
     candidates = tmp_path / "candidates.tsv"
     lines = (data / "candidates.tsv").read_text().splitlines()
     qid = lines[-1].split("\t")[0]
     candidates.write_text("\n".join(lines + [f"{qid}\tnot-a-doc"]) + "\n")
-    extra = {"train": ["--mode", "best", "--qrels", str(data / "qrels.txt")],
-             "select": ["--model", str(model)],
-             "rerank": ["--model", str(model)]}[command]
-    code = main([command, *inputs(data, candidates=candidates), *extra,
-                 "--out", str(tmp_path / "out")])
+    code = main([command, *inputs(data, corpus=corpus, candidates=candidates),
+                 *scoring_args(command, data, model), "--out", str(tmp_path / "out")])
     err = capsys.readouterr().err
     assert code == 2
-    assert f"candidate 'not-a-doc' of query '{qid}' is not in the corpus" in err
+    assert err == (f"segtrain: error: candidate 'not-a-doc' of query '{qid}' "
+                   f"is not in the corpus\n")
+    assert not list(tmp_path.glob("*.stores*")) and not (tmp_path / "out").exists()
+    assert main([command, *inputs(data, corpus=corpus),
+                 *scoring_args(command, data, model), "--out", str(tmp_path / "out")]) == 0
+    assert (tmp_path / "corpus.jsonl.stores").exists() is cacheable
+
+
+@pytest.mark.parametrize("command", ["train", "select", "rerank"])
+def test_a_missing_output_path_exits_2_before_any_work(data, model, capsys,
+                                                       monkeypatch, command):
+    from segtrain import training
+
+    read_corpus = mock.Mock(wraps=formats.read_corpus)
+    best_train = mock.Mock(wraps=training.best_train)
+    monkeypatch.setattr(formats, "read_corpus", read_corpus)
+    monkeypatch.setattr(training, "best_train", best_train)
+    assert main([command, *inputs(data), *scoring_args(command, data, model)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "segtrain: error: missing required output path: --out\n"
+    assert read_corpus.call_count == best_train.call_count == 0
+
+
+@pytest.mark.parametrize("cacheable", [False, True], ids=["small", "cacheable"])
+def test_queries_without_candidates_give_empty_outputs(data, model, tmp_path,
+                                                       monkeypatch, cacheable):
+    # stores of no pairs are cached, and loaded, like any others
+    if cacheable:
+        monkeypatch.setattr(formats, "MIN_CACHED_BYTES", 1)
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_bytes((data / "corpus.jsonl").read_bytes())
+    candidates = tmp_path / "candidates.tsv"
+    candidates.write_text("")
+    for _ in range(2):
+        for command in ("select", "rerank"):
+            out = tmp_path / f"{command}.out"
+            assert main([command, *inputs(data, corpus=corpus, candidates=candidates),
+                         "--model", str(model), "--out", str(out)]) == 0
+            assert out.read_bytes() == b""
+    assert (tmp_path / "corpus.jsonl.stores").exists() is cacheable
 
 
 @pytest.mark.parametrize("command", ["synth", "segment", "train", "select", "rerank"])

@@ -17,6 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from document_oracle import compute_corpus_stats, document_view, parse_documents
+from e2e_utils import scored_terms
 from segtrain.corpus import CorpusStats, Document, Query, SegmentationPolicy
 from segtrain import formats, scorer, synth, training
 from segtrain.formats import (
@@ -181,34 +182,54 @@ def corpus_files(draw) -> bytes:
     return "".join(line + end for line, end in zip(lines, endings)).encode()
 
 
-scored_terms = st.dictionaries(st.sampled_from(["d0", "d1", "d2", "d5"]),
-                               st.sets(st.sampled_from(["alpha", "beta", "γάμμα", "ß", "9"])))
+@st.composite
+def query_pools(draw) -> tuple[list[Query], dict[str, list[str]]]:
+    """Queries over the words of `corpus_files`, and candidate pools of
+    doc ids that such a file may or may not hold."""
+    words = st.lists(st.sampled_from(["alpha", "beta", "γάμμα", "ß", "9"]), max_size=3)
+    queries = [Query.from_text(f"q{i}", " ".join(draw(words)))
+               for i in range(draw(st.integers(0, 3)))]
+    doc_ids = st.lists(st.sampled_from(["d0", "d1", "d2", "d5"]), unique=True, max_size=3)
+    return queries, {query.id: draw(doc_ids) for query in queries}
 
 
-def parse_file(path: Path, doc_terms: dict):
-    """parse_corpus of the file at `path`, or its error text."""
+def parse_file(path: Path, queries: list[Query], candidates: dict[str, list[str]]):
+    """parse_corpus of the file at `path` with the scored terms of
+    `queries` and `candidates`, or its error text."""
     with open(path) as stream:
         try:
-            views, df = parse_corpus(stream, doc_terms)
+            views, df = parse_corpus(stream, scored_terms(queries, candidates))
             return list(views.items()), list(df.items())
         except ParseError as exc:
             return str(exc)
+
+
+def missing_candidate(queries: list[Query], candidates: dict[str, list[str]],
+                      doc_ids: list[str]) -> str | None:
+    """The error `read_corpus` raises for the first candidate of a listed
+    query that is not among `doc_ids`, or None."""
+    for query in queries:
+        for doc_id in candidates.get(query.id, []):
+            if doc_id not in doc_ids:
+                return f"candidate {doc_id!r} of query {query.id!r} is not in the corpus"
+    return None
 
 
 def doc_line(doc_id: str, body: str = "alpha beta.") -> str:
     return json.dumps({"doc_id": doc_id, "title": "alpha", "body": body})
 
 
-# A corpus, the queries and candidate pools that score it, and the key and
+# A corpus, the queries and candidate pools that score it, and the
 # segmentation policy of its stores.
 CACHED_CORPUS = "".join(doc_line(f"d{i}", body) + "\n" for i, body in
                         enumerate(["alpha beta.", "beta gamma. alpha.", "ß 9."]))
 CACHED_QUERIES = [Query.from_text("q0", "alpha"), Query.from_text("q1", "beta")]
 CACHED_CANDIDATES = {"q0": ["d0", "d1"], "q1": ["d1"]}
-CACHED_TERMS = {"d0": {"alpha"}, "d1": {"alpha", "beta"}}
 CACHED_POLICY = SegmentationPolicy("training", 8, 4, 3, 1, 0)
-CACHED_KEY = {"policy": dataclasses.asdict(CACHED_POLICY)}
-CACHED_PAIRS = 3
+
+# The members of a stores cache's key, as `read_corpus` documents them.
+STORES_KEY = {"format", "code", "python", "byteorder", "width", "size", "crc32",
+              "encoding", "errors", "policy", "pools"}
 
 
 def rechecked(edit):
@@ -263,30 +284,24 @@ class TestStoresCache:
     which parses the text, and the stores built from that replace it."""
 
     @staticmethod
-    def read(path: Path, doc_terms: dict = CACHED_TERMS, errors: str = "strict",
-             encoding: str = "utf-8", key: dict = CACHED_KEY,
-             candidates: dict = CACHED_CANDIDATES, **patches):
-        """The two stores of the corpus at `path`, through its cache, as
-        (row counts, row bytes), and whether they were a hit.  A miss
-        builds them from the parse and saves them."""
-        pairs = sum(map(len, candidates.values()))
+    def read(path: Path, queries: list = CACHED_QUERIES,
+             candidates: dict = CACHED_CANDIDATES, policy=CACHED_POLICY,
+             errors: str = "strict", encoding: str = "utf-8", **patches):
+        """The two stores of the corpus at `path`, as the commands load
+        them (`read_corpus`, then `training.load_stores`), as (row counts,
+        row bytes), and whether they were a hit."""
         with contextlib.ExitStack() as stack:
             for name, value in {"MIN_CACHED_BYTES": 1, **patches}.items():
                 stack.enter_context(mock.patch.object(formats, name, value))
             with open(path, encoding=encoding, errors=errors) as stream:
-                read = formats.read_corpus(stream, doc_terms, key, pairs)
-            if read.stores is not None:
-                return [(store.counts, bytes(store.rows)) for store in read.stores], True
-            stats = CorpusStats.from_views(read.views, read.df, CACHED_POLICY.max_tokens)
-            built = [(store.row_counts(), store.matrix) for store in training.build_stores(
-                CACHED_QUERIES, candidates, read.views, CACHED_POLICY, stats)]
-            if read.cache is not None:
-                formats.save_stores(read.cache, built)
-        return [(counts, matrix.tobytes()) for counts, matrix in built], False
+                read = formats.read_corpus(stream, queries, candidates, policy)
+            stores = training.load_stores(read, queries, candidates, policy)
+        return ([(store.row_counts(), store.matrix.tobytes()) for store in stores],
+                read.stores is not None)
 
-    def uncached(self, path: Path):
+    def uncached(self, path: Path, **inputs):
         """The stores a read with no cache builds."""
-        return self.read(path, MIN_CACHED_BYTES=1 << 62)[0]
+        return self.read(path, MIN_CACHED_BYTES=1 << 62, **inputs)[0]
 
     @staticmethod
     def corpus(tmp_path: Path) -> Path:
@@ -295,18 +310,23 @@ class TestStoresCache:
         return path
 
     @settings(max_examples=60, deadline=None)
-    @given(corpus_files(), scored_terms)
-    def test_a_miss_equals_a_fresh_parse(self, data, doc_terms):
+    @given(corpus_files(), query_pools())
+    def test_a_miss_equals_a_fresh_parse(self, data, pools):
         # taking the key reads the file, not the stream, so the parse
-        # that follows gives what a plain parse gives, or its error, and
-        # only `save_stores` writes a cache
+        # that follows gives what a plain parse gives, or its error, or
+        # else names a candidate the corpus lacks; only `save_stores`
+        # writes a cache
+        queries, candidates = pools
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "corpus.jsonl"
             path.write_bytes(data)
-            fresh = parse_file(path, doc_terms)
+            fresh = parse_file(path, queries, candidates)
+            if not isinstance(fresh, str):
+                fresh = missing_candidate(queries, candidates,
+                                          [doc_id for doc_id, _ in fresh[0]]) or fresh
             with mock.patch.object(formats, "MIN_CACHED_BYTES", 1), open(path) as stream:
                 try:
-                    read = formats.read_corpus(stream, doc_terms, CACHED_KEY, 1)
+                    read = formats.read_corpus(stream, queries, candidates, CACHED_POLICY)
                 except ParseError as exc:
                     assert str(exc) == fresh
                 else:
@@ -315,23 +335,24 @@ class TestStoresCache:
             assert [p.name for p in Path(tmp).iterdir()] == ["corpus.jsonl"]
 
     @settings(max_examples=40, deadline=None)
-    @given(corpus_files(), scored_terms)
-    def test_a_hit_equals_a_fresh_build(self, data, doc_terms):
+    @given(corpus_files(), query_pools())
+    def test_a_hit_equals_a_fresh_build(self, data, pools):
+        queries, candidates = pools
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "corpus.jsonl"
             path.write_bytes(data)
-            fresh = parse_file(path, doc_terms)
+            fresh = parse_file(path, queries, candidates)
             if isinstance(fresh, str):  # only a parse that succeeds is cached
                 with pytest.raises(ParseError):
-                    self.read(path, doc_terms)
+                    self.read(path, queries, candidates)
                 assert [p.name for p in Path(tmp).iterdir()] == ["corpus.jsonl"]
                 return
             ids = [doc_id for doc_id, _ in fresh[0]]
-            candidates = {"q0": ids, "q1": ids[::2]}
-            built = self.read(path, doc_terms, candidates=candidates,
-                              MIN_CACHED_BYTES=1 << 62)[0]
-            assert self.read(path, doc_terms, candidates=candidates) == (built, False)
-            assert self.read(path, doc_terms, candidates=candidates) == (built, True)
+            candidates = {qid: [d for d in pool if d in ids]
+                          for qid, pool in candidates.items()}
+            built = self.uncached(path, queries=queries, candidates=candidates)
+            assert self.read(path, queries, candidates) == (built, False)
+            assert self.read(path, queries, candidates) == (built, True)
 
     def test_a_hit_reads_no_text(self, tmp_path):
         path = self.corpus(tmp_path)
@@ -349,21 +370,28 @@ class TestStoresCache:
         os.utime(path, ns=(0, 0))
         assert self.read(path) == (fresh, True)
 
-    @pytest.mark.parametrize("change", ["one byte", "doc_terms", "format version",
-                                        "source", "python version", "byte order",
-                                        "encoding", "key"])
+    @pytest.mark.parametrize("change", ["one byte", "query token", "candidate moved",
+                                        "policy", "format version", "source",
+                                        "python version", "byte order", "encoding"])
     def test_a_changed_key_is_a_miss(self, tmp_path, change):
         path = self.corpus(tmp_path)
         cached, hit = self.read(path)
         assert not hit and self.read(path) == (cached, True)
-        doc_terms, patches = CACHED_TERMS, {}
+        header = json.loads(Path(f"{path}.stores").read_bytes().partition(b"\n")[0])
+        assert set(header) == STORES_KEY  # no input the pools derive
+        assert all(f"`{name}`" in formats.read_corpus.__doc__ for name in STORES_KEY)
+        inputs, patches = {}, {}
         system = {"version": sys.version, "byteorder": sys.byteorder}
         if change == "one byte":  # same size and modification time
             times = os.stat(path).st_atime_ns, os.stat(path).st_mtime_ns
             path.write_text(CACHED_CORPUS.replace("gamma", "alpha"))
             os.utime(path, ns=times)
-        elif change == "doc_terms":
-            doc_terms = {**CACHED_TERMS, "d2": {"9"}}
+        elif change == "query token":
+            inputs = {"queries": [CACHED_QUERIES[0], Query.from_text("q1", "gamma")]}
+        elif change == "candidate moved":  # from q0 to q1: still three pairs
+            inputs = {"candidates": {"q0": ["d1"], "q1": ["d1", "d0"]}}
+        elif change == "policy":
+            inputs = {"policy": dataclasses.replace(CACHED_POLICY, seed=2)}
         elif change == "format version":
             patches = {"STORES_FORMAT": formats.STORES_FORMAT + 1}
         elif change == "source":
@@ -372,14 +400,14 @@ class TestStoresCache:
             system["version"] += "+"
         elif change == "byte order":  # the key's only: the rows are native
             system["byteorder"] = {"little": "big", "big": "little"}[sys.byteorder]
-        elif change == "encoding":  # decodes this ASCII file as UTF-8 does
+        else:  # decodes this ASCII file as UTF-8 does
             patches = {"encoding": "utf-8-sig"}
-        else:
-            patches = {"key": {**CACHED_KEY, "pools": CACHED_CANDIDATES}}
         with mock.patch.multiple(sys, **system):
-            fresh, hit = self.read(path, doc_terms, **patches)
-            assert not hit and self.read(path, doc_terms, **patches) == (fresh, True)
-        assert (fresh == cached) == (change != "one byte")
+            fresh, hit = self.read(path, **inputs, **patches)
+            assert not hit and self.read(path, **inputs, **patches) == (fresh, True)
+        assert fresh == self.uncached(path, **inputs)
+        if change != "one byte" and not inputs:
+            assert fresh == cached
 
     def test_replaced_decoding_never_serves_a_strict_reader(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
@@ -443,17 +471,19 @@ class TestStoresCache:
 
     def test_a_stream_whose_name_names_another_file_gets_no_cache(self, tmp_path):
         path = self.corpus(tmp_path)
-        fresh = parse_file(path, CACHED_TERMS)
+        fresh = parse_file(path, CACHED_QUERIES, CACHED_CANDIDATES)
         with mock.patch.object(formats, "MIN_CACHED_BYTES", 1), open(path) as stream:
             path.rename(tmp_path / "moved.jsonl")
             path.write_text(CACHED_CORPUS)
-            read = formats.read_corpus(stream, CACHED_TERMS, CACHED_KEY, CACHED_PAIRS)
+            read = formats.read_corpus(stream, CACHED_QUERIES, CACHED_CANDIDATES,
+                                       CACHED_POLICY)
         assert read.cache is None
         assert (list(read.views.items()), list(read.df.items())) == fresh
 
     @pytest.mark.parametrize("kind", ["string", "pipe"])
     def test_a_stream_over_no_regular_file_gets_no_cache(self, kind):
-        fresh = parse_corpus(io.StringIO(CACHED_CORPUS), CACHED_TERMS)
+        fresh = parse_corpus(io.StringIO(CACHED_CORPUS),
+                             scored_terms(CACHED_QUERIES, CACHED_CANDIDATES))
         if kind == "string":
             stream = io.StringIO(CACHED_CORPUS)
         else:
@@ -462,7 +492,8 @@ class TestStoresCache:
                 pipe.write(CACHED_CORPUS)
             stream = open(read_end, encoding="utf-8")
         with mock.patch.object(formats, "MIN_CACHED_BYTES", 1), stream:
-            read = formats.read_corpus(stream, CACHED_TERMS, CACHED_KEY, CACHED_PAIRS)
+            read = formats.read_corpus(stream, CACHED_QUERIES, CACHED_CANDIDATES,
+                                       CACHED_POLICY)
         assert read.cache is None and (read.views, read.df) == fresh
 
     def test_a_corpus_under_min_cached_bytes_gets_no_cache(self, tmp_path):
@@ -479,7 +510,7 @@ class TestStoresCache:
         path = self.corpus(tmp_path)
         with mock.patch.object(formats, "MIN_CACHED_BYTES", 1), open(path) as stream:
             stream.readline()
-            read = formats.read_corpus(stream, CACHED_TERMS, CACHED_KEY, CACHED_PAIRS)
+            read = formats.read_corpus(stream, [], {}, CACHED_POLICY)
         assert read.cache is None and list(read.views) == ["d1", "d2"]
 
     def test_a_corpus_changed_while_parsed_gets_no_cache(self, tmp_path):
@@ -532,7 +563,7 @@ def test_corpus_lines_split_on_universal_newlines(tmp_path, how):
     with mock.patch.object(formats, "MIN_CACHED_BYTES", 1), \
             open(path, newline="\n") as stream:
         if how == "cached":
-            read = formats.read_corpus(stream, {}, {}, 0)
+            read = formats.read_corpus(stream, [], {}, CACHED_POLICY)
             assert read.cache is not None
             views = read.views
         else:
@@ -588,7 +619,7 @@ def test_undecodable_corpus_byte_names_its_line(tmp_path, how, lines):
     path.write_bytes(data)
     with mock.patch.object(formats, "MIN_CACHED_BYTES", 1):
         if how == "cached":  # the key is taken first
-            parsers = [lambda stream: formats.read_corpus(stream, {}, {}, 0)]
+            parsers = [lambda stream: formats.read_corpus(stream, [], {}, CACHED_POLICY)]
         else:
             parsers = [parse_corpus, parse_documents]
         for parser in parsers:

@@ -132,3 +132,36 @@ def test_every_import_is_used():
     assert unused_imports("from collections import Counter\nimport os.path\n") == \
         ["1: Counter", "2: os"]
     assert unused_imports("from a import B, C\ndef f(x: 'list[B]') -> 'C': pass\n") == []
+
+
+def unused_private_names(source: str) -> list[str]:
+    """The module-level private names (`_name`: functions, classes and
+    constants) that a module defines and never reads, as "line: name"."""
+    tree = ast.parse(source)
+    defined = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.append((node.lineno, node.name))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined += [(node.lineno, target.id) for target in targets
+                        if isinstance(target, ast.Name)]
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    read |= annotation_names(tree)
+    return [f"{line}: {name}" for line, name in sorted(defined)
+            if name.startswith("_") and not name.startswith("__") and name not in read]
+
+
+def test_every_private_name_is_read():
+    # a private name only its own module may read; once nothing does, the
+    # code that replaced it must not leave it behind
+    sources = sorted(Path(segtrain.__file__).parent.glob("*.py"))
+    unused = {path.name: unused_private_names(path.read_text()) for path in sources}
+    assert "cli.py" in unused
+    assert {name: found for name, found in unused.items() if found} == {}
+    assert unused_private_names("def _f(): pass\nclass _C: pass\n_K = 1\n_A: int = 2\n"
+                                "__all__ = []\ndef g(): return h\n") == \
+        ["1: _f", "2: _C", "3: _K", "4: _A"]
+    assert unused_private_names("def _f(): return _K\n_K = 1\nx = _f\n"
+                                "def g(c: '_C'): pass\nclass _C: pass\n") == []

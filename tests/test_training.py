@@ -44,9 +44,9 @@ from segtrain.training import (
     build_stores,
     build_training_set,
     evaluate_bundle,
+    load_stores,
     rank_store,
     select_segments,
-    stores_from_cache,
     train_baseline,
     train_single,
 )
@@ -649,45 +649,37 @@ class TestStores:
     def test_cached_stores_equal_the_built_ones(self, tmp_path, monkeypatch):
         # the stores `train` builds from the parsed views and caches equal,
         # bit for bit, those built from the oracle's views of the synthetic
-        # documents in memory, under the oracle's stats
+        # documents in memory, under the oracle's stats, and so do the
+        # stores the next command loads from the cache
         cfg, corpus, _, _ = late_collection()
         path = tmp_path / "corpus.jsonl"
         with open(path, "w") as stream:
             formats.write_corpus(corpus.documents, stream)
         monkeypatch.setattr(formats, "MIN_CACHED_BYTES", 1)
-        key = {"policy": dataclasses.asdict(cfg.policy())}
-        pairs = sum(map(len, corpus.candidates.values()))
-        doc_terms = scored_terms(corpus.queries, corpus.candidates)
+        inputs = corpus.queries, corpus.candidates, cfg.policy()
         with open(path) as stream:
-            read = formats.read_corpus(stream, doc_terms, key, pairs)
+            read = formats.read_corpus(stream, *inputs)
         assert read.stores is None and read.cache is not None
-        terms = set().union(*doc_terms.values())
-        stats = CorpusStats.from_views(read.views, read.df, cfg.max_tokens)
-        oracle_stats = compute_corpus_stats(corpus.documents, cfg.max_tokens, terms)
-        assert stats == oracle_stats
-        built = build_stores(corpus.queries, corpus.candidates, read.views, cfg.policy(),
-                             stats)
+        built = load_stores(read, *inputs)
+        doc_terms = scored_terms(corpus.queries, corpus.candidates)
+        oracle_stats = compute_corpus_stats(corpus.documents, cfg.max_tokens,
+                                            set().union(*doc_terms.values()))
+        assert CorpusStats.from_views(read.views, read.df, cfg.max_tokens) == oracle_stats
         oracle_views = {doc.id: document_view(doc, doc_terms.get(doc.id, ()))
                         for doc in corpus.documents}
         oracle = build_stores(corpus.queries, corpus.candidates, oracle_views,
                               cfg.policy(), oracle_stats)
-        for store, fresh in zip(built, oracle):
-            assert [(t.query, t.positives, t.negatives) for t in store.topics] == \
-                [(t.query, t.positives, t.negatives) for t in fresh.topics]
-            assert store.rows == fresh.rows
-            assert store.matrix.tobytes() == fresh.matrix.tobytes()
-        formats.save_stores(read.cache, [(s.row_counts(), s.matrix) for s in built])
         with open(path) as stream:
-            read = formats.read_corpus(stream, doc_terms, key, pairs)
+            read = formats.read_corpus(stream, *inputs)
         assert read.views is None
-        loaded = stores_from_cache(corpus.queries, corpus.candidates, read.stores,
-                                   cfg.max_segments)
-        for store, fresh in zip(loaded, built):
-            assert [(t.query, t.positives, t.negatives) for t in store.topics] == \
-                [(t.query, t.positives, t.negatives) for t in fresh.topics]
-            assert store.rows == fresh.rows
-            assert store.matrix.tobytes() == fresh.matrix.tobytes()
-            assert not store.matrix.flags.writeable
+        loaded = load_stores(read, *inputs)
+        for stores in (built, loaded):
+            for store, fresh in zip(stores, oracle):
+                assert [(t.query, t.positives, t.negatives) for t in store.topics] == \
+                    [(t.query, t.positives, t.negatives) for t in fresh.topics]
+                assert store.rows == fresh.rows
+                assert store.matrix.tobytes() == fresh.matrix.tobytes()
+                assert not store.matrix.flags.writeable
         # a pair without rows is a miss, even under a matching checksum
         path = tmp_path / "corpus.jsonl.stores"
         data = path.read_bytes()
@@ -697,4 +689,4 @@ class TestStores:
         path.write_bytes(read.cache.header + bytes(body)
                          + zlib.crc32(body).to_bytes(4, "little"))
         with open(path.with_suffix("")) as stream:
-            assert formats.read_corpus(stream, doc_terms, key, pairs).stores is None
+            assert formats.read_corpus(stream, *inputs).stores is None
