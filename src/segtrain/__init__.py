@@ -8,15 +8,15 @@ does not load numpy.
 import importlib
 
 _EXPORTS = {
-    "corpus": ("CorpusStats", "Document", "Query", "Segment",
+    "corpus": ("CorpusStats", "Query", "Segment",
                "SegmentationPolicy", "segment_for_inference",
                "segment_for_training", "split_sentences", "tokenize"),
     "evaluation": ("RankedList", "kfold_split", "mrr", "ndcg_at_k",
                    "paired_t_test", "per_query_metrics", "segment_p_at_1"),
     "ranking": ("Aggregation",),
     "scorer": ("LossKind", "ScorerParams", "batch_loss_and_gradient",
-               "hinge_loss", "init_params", "pointwise_ce_loss", "read_params",
-               "segment_features", "sgd_step", "write_params"),
+               "init_params", "read_params", "segment_features", "sgd_step",
+               "write_params"),
     "synth": ("SynthConfig", "SynthCorpus", "generate_corpus"),
     "training": ("BestTrainResult", "TrainConfig", "TrainingSet",
                  "TrainingTopic", "best_train", "build_stores", "build_training_set",

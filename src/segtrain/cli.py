@@ -5,11 +5,14 @@ eval-selection.  Exit codes: 0 success, 1 usage error, 2 data error.
 
 Each subcommand imports the numpy-backed layers (ranking, scorer,
 synth, training) itself, so `eval` and `eval-selection` never load
-numpy.  `train`, `select` and `rerank` resolve their output path first
-and import them in `_load_stores` once the queries, candidates and
-corpus are read, so a missing output path, or a malformed corpus,
-query or candidate file, is reported before numpy loads.  `synth`
-writes nothing until the whole collection is generated.
+numpy.  `train`, `select` and `rerank` resolve the paths of their
+output and of every input first (`--qrels` and, for `--mode gold`,
+`--gold`; `--model`), and import them in `_load_stores` once the
+queries, candidates and corpus are read, so a missing path, or a
+malformed corpus, query or candidate file, is reported before numpy
+loads, and a missing path before the corpus is read.  `synth` holds
+the collection as vocabulary ids and writes nothing until the whole
+of it is generated; `synth.write_corpus` renders the corpus file.
 
 `train`, `select` and `rerank` share two feature stores over every
 listed query's candidates: one of training windows cut by the
@@ -171,14 +174,14 @@ class _Worker:
 # subcommands
 
 def _cmd_synth(args: argparse.Namespace) -> int:
-    from .synth import generate_corpus
+    from .synth import generate_corpus, write_corpus
 
     config = _load_config(args)
     corpus = generate_corpus(config)
     out_dir = Path(config.out or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "corpus.jsonl", "w") as stream:
-        formats.write_corpus(corpus.documents, stream)
+        write_corpus(corpus, stream)
     with open(out_dir / "queries.tsv", "w") as stream:
         formats.write_queries(corpus.queries, stream)
     with open(out_dir / "qrels.txt", "w") as stream:
@@ -187,7 +190,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
         formats.write_candidates(corpus.candidates, stream)
     with open(out_dir / "gold.jsonl", "w") as stream:
         formats.write_gold(corpus.gold, stream)
-    print(f"wrote {len(corpus.queries)} topics, {len(corpus.documents)} documents "
+    print(f"wrote {len(corpus.queries)} topics, {len(corpus.doc_ids)} documents "
           f"to {out_dir}")
     return 0
 
@@ -236,11 +239,13 @@ def _cmd_train(args: argparse.Namespace) -> int:
     out_path = config.out or config.model
     if not out_path:
         raise ParseError("missing required output path: --out")
+    qrels_path = _path(args, config, "qrels")
+    gold_path = _path(args, config, "gold") if args.mode == "gold" else None
     queries, (training, inference) = _load_stores(args, config)
     from .scorer import write_params
     from .training import best_train, train_baseline, train_single
 
-    qrels = _read(formats.parse_qrels, _path(args, config, "qrels"))
+    qrels = _read(formats.parse_qrels, qrels_path)
     train_ids, dev_ids = holdout_split([q.id for q in queries],
                                        config.dev_fraction, config.seed)
     tset = training.subset(train_ids, qrels)
@@ -258,7 +263,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
     elif args.mode == "first":
         params, dev_mrr = train_baseline(tset, dev, config)
     elif args.mode == "gold":
-        gold = _read(formats.parse_gold, _path(args, config, "gold"))
+        gold = _read(formats.parse_gold, gold_path)
         params, dev_mrr = train_baseline(tset, dev, config, gold)
     else:  # pragma: no cover - argparse restricts choices
         raise ParseError(f"unknown training mode {args.mode!r}")
@@ -272,11 +277,12 @@ def _cmd_train(args: argparse.Namespace) -> int:
 def _cmd_select(args: argparse.Namespace) -> int:
     config = _load_config(args)
     out_path = _path(args, config, "out")
+    model_path = _path(args, config, "model")
     _, (store, _) = _load_stores(args, config)
     from .scorer import read_params
     from .training import select_segments
 
-    params = _read(read_params, _path(args, config, "model"))
+    params = _read(read_params, model_path)
     selection, best_scores = select_segments(params, store)
     with open(out_path, "w") as stream:
         formats.write_selection(selection, stream, best_scores)
@@ -287,12 +293,13 @@ def _cmd_select(args: argparse.Namespace) -> int:
 def _cmd_rerank(args: argparse.Namespace) -> int:
     config = _load_config(args)
     out_path = _path(args, config, "out")
+    model_path = _path(args, config, "model")
     _, (_, store) = _load_stores(args, config)
     from .ranking import Aggregation
     from .scorer import read_params
     from .training import rank_store
 
-    params = _read(read_params, _path(args, config, "model"))
+    params = _read(read_params, model_path)
     run = rank_store(params, store, Aggregation(args.mode))
     with open(out_path, "w") as stream:
         formats.write_run(run, args.tag, stream)

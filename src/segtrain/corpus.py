@@ -12,11 +12,13 @@ and where the query terms fall, so every command reads the corpus into
 a `DocView` holding just that: `view_from_text` builds one straight
 from the raw text, keeps no token list, and also reports which of the
 scored terms the document holds, which gives document frequency in the
-same pass, and `CorpusStats.from_views` takes the collection statistics
-from the views.  A `Document` keeps its tokenized sentences: it is what
-`synth` generates, plants its gold segments in and writes as a corpus
-file.  `tests/document_oracle.py` reads a corpus the long way, into
-`Document`s, as the oracle of the views and stats.
+same pass.  `CorpusStats.from_windows` takes the collection statistics
+from each document's inference windows (`inference_windows`), which a
+command cuts once for the stats and for its inference-window store.
+No command keeps a document's tokens: `synth` holds its collection as
+vocabulary ids and cuts its gold segments from views too.
+`tests/document_oracle.py` reads a corpus the long way, into tokenized
+documents, as the oracle of the views and stats.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import itertools
 import random
 import re
 import string
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 DEFAULT_MAX_TOKENS = 512
@@ -96,28 +98,6 @@ class DocView:
     title_length: int
     sentence_lengths: list[int]
     hits: list[tuple[int, str]]
-
-
-@dataclass
-class Document:
-    """A document as `synth` generates it and `formats.write_corpus`
-    writes it: its title and its tokenized sentences."""
-
-    id: str
-    title: str
-    sentences: list[list[str]]
-    title_tokens: list[str] = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        self.title_tokens = tokenize(self.title)
-
-    @property
-    def title_length(self) -> int:
-        return len(self.title_tokens)
-
-    @property
-    def sentence_lengths(self) -> list[int]:
-        return list(map(len, self.sentences))
 
 
 def _sentence_tokens(body: str) -> list[list[str]]:
@@ -204,7 +184,7 @@ class SegmentationPolicy:
         if self.mode not in ("training", "inference"):
             raise ValueError(f"unknown segmentation mode: {self.mode!r}")
 
-    def segments(self, doc: Document | DocView) -> list[Segment]:
+    def segments(self, doc: DocView) -> list[Segment]:
         """The segments this policy cuts `doc` into: training segments,
         their budgets drawn from the document's own stream
         (`document_stream`), or inference windows at `max_tokens`."""
@@ -221,8 +201,8 @@ class CorpusStats:
     it, in title or body; it covers only the terms that will be scored
     (the scorer asks `idf` about query terms alone), and a term it lacks
     has document frequency 0.  `avg_segment_length` is the mean token
-    count of the inference windows at `max_tokens`, over every document
-    (`average_segment_length`).
+    count of the inference windows at `max_tokens`, over every document,
+    and at least 1.
     """
 
     doc_count: int
@@ -230,13 +210,17 @@ class CorpusStats:
     avg_segment_length: float
 
     @classmethod
-    def from_views(cls, views: dict[str, DocView], df: dict[str, int],
-                   max_tokens: int = DEFAULT_MAX_TOKENS) -> "CorpusStats":
-        """The stats of a parsed corpus: its views and the document
-        frequency that `formats.parse_corpus` counted with them.  They
-        equal the stats `tests/document_oracle.py` counts token by token
-        over the corpus's documents, for the scored terms."""
-        return cls(len(views), df, average_segment_length(views.values(), max_tokens))
+    def from_windows(cls, windows: dict[str, list[Segment]],
+                     df: dict[str, int]) -> "CorpusStats":
+        """The stats of a parsed corpus: the inference windows of each of
+        its documents (`inference_windows`), and the document frequency
+        that `formats.parse_corpus` counted with its views.  They equal
+        the stats `tests/document_oracle.py` counts token by token over
+        the corpus's documents, for the scored terms."""
+        counts = [seg.token_count for segments in windows.values() for seg in segments]
+        if not counts:
+            raise ValueError("cannot compute stats over an empty corpus")
+        return cls(len(windows), df, max(sum(counts) / len(counts), 1.0))
 
 
 def document_stream(seed: int, doc_id: str) -> random.Random:
@@ -285,7 +269,7 @@ def _spans(lengths: list[int], budgets: Iterable[int]) -> list[tuple[int, int]]:
     return spans or [(0, 0)]
 
 
-def _make_segments(doc: Document | DocView, lengths: list[int],
+def _make_segments(doc: DocView, lengths: list[int],
                    spans: list[tuple[int, int]]) -> list[Segment]:
     title_length = doc.title_length
     return [Segment(doc.id, index, start, end,
@@ -293,7 +277,7 @@ def _make_segments(doc: Document | DocView, lengths: list[int],
             for index, (start, end) in enumerate(spans)]
 
 
-def segment_for_training(doc: Document | DocView, policy: SegmentationPolicy,
+def segment_for_training(doc: DocView, policy: SegmentationPolicy,
                          rng: random.Random) -> list[Segment]:
     """Leading segments with per-segment randomized token budgets.
 
@@ -312,12 +296,12 @@ def segment_for_training(doc: Document | DocView, policy: SegmentationPolicy,
     return _make_segments(doc, lengths, _spans(lengths, budgets))
 
 
-def _inference_spans(doc: Document | DocView, lengths: list[int],
+def _inference_spans(doc: DocView, lengths: list[int],
                      max_tokens: int) -> list[tuple[int, int]]:
     return _spans(lengths, itertools.repeat(max_tokens - doc.title_length))
 
 
-def segment_for_inference(doc: Document | DocView,
+def segment_for_inference(doc: DocView,
                           max_tokens: int = DEFAULT_MAX_TOKENS) -> list[Segment]:
     """Non-overlapping fixed-budget windows covering the whole body.
 
@@ -334,20 +318,8 @@ def segment_for_inference(doc: Document | DocView,
     return _make_segments(doc, lengths, _inference_spans(doc, lengths, max_tokens))
 
 
-def average_segment_length(docs: Iterable[DocView],
-                           max_tokens: int = DEFAULT_MAX_TOKENS) -> float:
-    """Mean token count of the inference segments at `max_tokens`, at least 1.
-
-    The spans partition each body and every segment repeats its title,
-    so only the span count is needed of each document.
-    """
-    total_len = 0
-    total_segments = 0
-    for doc in docs:
-        lengths = doc.sentence_lengths
-        n_segments = len(_inference_spans(doc, lengths, max_tokens))
-        total_len += n_segments * doc.title_length + sum(lengths)
-        total_segments += n_segments
-    if not total_segments:
-        raise ValueError("cannot compute stats over an empty corpus")
-    return max(total_len / total_segments, 1.0)
+def inference_windows(views: dict[str, DocView],
+                      max_tokens: int = DEFAULT_MAX_TOKENS) -> dict[str, list[Segment]]:
+    """Each document's inference windows at `max_tokens`, by id."""
+    return {doc_id: segment_for_inference(view, max_tokens)
+            for doc_id, view in views.items()}

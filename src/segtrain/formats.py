@@ -7,7 +7,8 @@ at their line too, if the stream's file can be read again.  Writers
 emit rows in a fixed sort order so identical inputs always produce
 byte-identical files.
 
-`write_corpus` writes full `Document`s.  The one corpus reader,
+A corpus file is written by `synth.write_corpus`, straight from the
+vocabulary ids of a generated collection.  The one corpus reader,
 `parse_corpus`, gives each document's `DocView` (title length,
 sentence lengths and the hits of the terms it will be scored against)
 and, from the same pass, the document frequency of those terms; no
@@ -59,7 +60,6 @@ from .corpus import (
     DEFAULT_MIN_TOKENS,
     DEFAULT_QUERY_TOKEN_BUDGET,
     DocView,
-    Document,
     Query,
     SegmentationPolicy,
     view_from_text,
@@ -217,20 +217,6 @@ def parse_run(stream: IO[str]) -> Run:
 
 # ---------------------------------------------------------------------------
 # corpus: JSON-lines {"doc_id", "title", "body"}
-
-def write_corpus(documents: Iterable[Document], stream: IO[str]) -> None:
-    """Canonical serialization: each sentence ends with a '.' terminator.
-
-    Sentences are joined with '. ', so a sentence without tokens still
-    reads back as an empty sentence.
-    """
-    for doc in documents:
-        body = ". ".join(" ".join(sent) for sent in doc.sentences)
-        if doc.sentences:
-            body += "."
-        record = {"doc_id": doc.id, "title": doc.title, "body": body}
-        stream.write(SORTED_JSON.encode(record) + "\n")
-
 
 _CORPUS_FIELDS = ("doc_id", "title", "body")
 

@@ -9,12 +9,13 @@ over numpy arrays.
 Features read a document's view (`corpus.DocView`): each segment's
 token count and the offsets of the query terms' hits, never a token
 list.  The document frequencies behind idf come from the corpus parse
-(`CorpusStats.from_views`).  The features are computed in plain
+(`CorpusStats.from_windows`).  The features are computed in plain
 Python, one loop per segment, which for rows of seven values costs
 less than numpy calls per column; `tests/numpy_features.py` keeps the
 vectorized kernel it replaced as the oracle of its bits, and
 `tests/test_scorer.py` a token-scanning loop over documents read by
-`tests/document_oracle.py`.
+`tests/document_oracle.py`.  `tests/loss_oracle.py` keeps each loss as
+a function of one score, the oracle of `batch_loss_and_gradient`.
 """
 
 from __future__ import annotations
@@ -218,11 +219,6 @@ def score_batch(params: ScorerParams, X: np.ndarray) -> np.ndarray:
     raise ValueError(f"unknown scorer kind: {params.kind!r}")
 
 
-def hinge_loss(y_pos: float, y_neg: float) -> float:
-    """max(0, 1 - y_pos + y_neg)."""
-    return max(0.0, 1.0 - y_pos + y_neg)
-
-
 def _sigmoid(y: np.ndarray) -> np.ndarray:
     out = np.empty_like(y)
     pos = y >= 0
@@ -230,12 +226,6 @@ def _sigmoid(y: np.ndarray) -> np.ndarray:
     e = np.exp(y[~pos])
     out[~pos] = e / (1.0 + e)
     return out
-
-
-def pointwise_ce_loss(y: float, label: int) -> float:
-    """Logistic cross-entropy of a raw score, numerically stable."""
-    # max(y,0) - y*label + log(1 + exp(-|y|))
-    return max(y, 0.0) - y * label + math.log1p(math.exp(-abs(y)))
 
 
 def _zero_like(params: ScorerParams) -> ScorerParams:

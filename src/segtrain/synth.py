@@ -8,6 +8,14 @@ from the background distribution and from each other, so a brute-force
 term-overlap oracle recovers the planted segment exactly when no noise
 is applied.
 
+A collection is one array of vocabulary ids, a row per document: its
+title tokens, then its body, sentence after sentence.  Every vocabulary
+entry `w%05d` is one token, so each document's segments are cut from a
+`DocView` of its lengths alone, and query terms are planted by writing
+their ids.  `write_corpus` renders the corpus file from the ids, a few
+documents at a time, through a table of each entry's JSON-escaped
+bytes; no token string is built per document.
+
 Background tokens are drawn by inverting the cumulative distribution
 of their weights (`InverseCdf`).  Each draw equals
 `rng.choice(ids, size, p=weights)` and consumes the generator as that
@@ -19,18 +27,32 @@ the binary search.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import IO
 
 import numpy as np
 
-from .corpus import Document, Query, SegmentationPolicy
+from .corpus import DocView, Query, SegmentationPolicy
 from .evaluation import GoldSegments, Qrels
-from .formats import SynthConfig
+from .formats import SORTED_JSON, SynthConfig
 
 
-@dataclass
+@dataclass(eq=False)
 class SynthCorpus:
+    """A generated collection.
+
+    `tokens[i]` holds the vocabulary ids (indices into `vocab`) of
+    document `doc_ids[i]`: its `title_length` title tokens, then its
+    body, `sentence_length` tokens per sentence.  `generate_corpus`
+    stores them in the smallest integer type that holds every id.
+    Corpora compare by identity, since an array has no one truth value.
+    """
+
     queries: list[Query]
-    documents: list[Document]
+    doc_ids: list[str]
+    vocab: list[str]
+    tokens: np.ndarray
+    title_length: int
+    sentence_length: int
     qrels: Qrels
     gold: GoldSegments
     candidates: dict[str, list[str]]
@@ -84,20 +106,24 @@ class InverseCdf:
         return idx
 
 
-def _training_spans(doc: Document, policy: SegmentationPolicy) -> list[tuple[int, int]]:
-    return [(seg.start, seg.end) for seg in policy.segments(doc)]
+def _training_spans(doc_id: str, title_length: int, lengths: list[int],
+                    policy: SegmentationPolicy) -> list[tuple[int, int]]:
+    return [(seg.start, seg.end)
+            for seg in policy.segments(DocView(doc_id, title_length, lengths, []))]
 
 
 def generate_corpus(cfg: SynthConfig) -> SynthCorpus:
     """Deterministic corpus with one planted relevant document per query.
 
-    Background sentences are drawn from a mildly skewed unigram
-    distribution over the non-query vocabulary: each title and body
-    draw equals `rng.choice(background, size, p=bg_probs)` on the same
-    generator, through one `InverseCdf` built for the corpus.  The
-    planted sentence replaces the leading tokens of one sentence inside
-    the gold training segment, each query term surviving with
-    probability 1 - noise.  One negative per topic receives
+    Background tokens are drawn from a mildly skewed unigram
+    distribution over the non-query vocabulary, one draw per topic:
+    `rng.choice(background, (docs_per_query, row length), p=bg_probs)`
+    on the corpus's generator, through one `InverseCdf` built for the
+    corpus.  `Generator.random` fills an array in C order, so the rows
+    take the doubles that a title draw and then a body draw per document
+    would take.  The planted sentence replaces the leading tokens of one
+    sentence inside the gold training segment, each query term surviving
+    with probability 1 - noise.  One negative per topic receives
     round(overlap * terms) query terms in a random training segment.
     `cfg.seed` seeds the draws, and the segments are those of
     `cfg.policy()`.
@@ -105,62 +131,123 @@ def generate_corpus(cfg: SynthConfig) -> SynthCorpus:
     rng = np.random.default_rng(cfg.seed)
     policy = cfg.policy()
     reserved = cfg.num_queries * cfg.query_terms
-    vocab = np.array([f"w{i:05d}" for i in range(cfg.vocab_size)], dtype=object)
-    background = vocab[reserved:]
-    bg_probs = 1.0 / (np.arange(len(background)) + 3.0)
+    vocab = [f"w{i:05d}" for i in range(cfg.vocab_size)]
+    bg_probs = 1.0 / (np.arange(cfg.vocab_size - reserved) + 3.0)
     bg_probs /= bg_probs.sum()
     sampler = InverseCdf(bg_probs)
+    title, width = cfg.title_token_count, cfg.tokens_per_sentence
+    lengths = [width] * cfg.sentences_per_doc
+    doc_ids = [f"d{i:05d}" for i in range(cfg.num_queries * cfg.docs_per_query)]
+    tokens = np.empty((len(doc_ids), title + cfg.sentences_per_doc * width),
+                      dtype=np.min_scalar_type(cfg.vocab_size - 1))
 
     queries: list[Query] = []
-    documents: list[Document] = []
     qrels: Qrels = {}
     gold: GoldSegments = {}
     candidates: dict[str, list[str]] = {}
 
     for t in range(cfg.num_queries):
         qid = f"q{t:04d}"
-        q_tokens = [vocab[t * cfg.query_terms + i] for i in range(cfg.query_terms)]
-        queries.append(Query(qid, " ".join(q_tokens), list(q_tokens)))
+        q_ids = range(t * cfg.query_terms, (t + 1) * cfg.query_terms)
+        q_tokens = [vocab[i] for i in q_ids]
+        queries.append(Query(qid, " ".join(q_tokens), q_tokens))
 
-        pool_ids = [f"d{t * cfg.docs_per_query + j:05d}"
-                    for j in range(cfg.docs_per_query)]
+        first = t * cfg.docs_per_query
+        pool_ids = doc_ids[first:first + cfg.docs_per_query]
+        pool = tokens[first:first + cfg.docs_per_query]
         pos_slot = int(rng.integers(cfg.docs_per_query))
-        pool_docs: list[Document] = []
-        for doc_id in pool_ids:
-            title = background[sampler.draw(rng, cfg.title_token_count)]
-            body = background[sampler.draw(
-                rng, (cfg.sentences_per_doc, cfg.tokens_per_sentence))]
-            pool_docs.append(Document(doc_id, " ".join(title), body.tolist()))
+        pool[...] = sampler.draw(rng, pool.shape) + reserved
 
-        pos_doc = pool_docs[pos_slot]
-        spans = _training_spans(pos_doc, policy)
+        pos_id = pool_ids[pos_slot]
+        spans = _training_spans(pos_id, title, lengths, policy)
         if cfg.plant_hi > len(spans):
             raise ValueError(
                 f"plant range [{cfg.plant_lo}, {cfg.plant_hi}) exceeds the "
-                f"{len(spans)} training segments of {pos_doc.id}")
+                f"{len(spans)} training segments of {pos_id}")
         g = int(rng.integers(cfg.plant_lo, cfg.plant_hi))
         start, end = spans[g]
         sent_idx = int(rng.integers(start, end)) if end > start else start
-        sentence = pos_doc.sentences[sent_idx]
-        for i, term in enumerate(q_tokens):
+        planted = pool[pos_slot, title + sent_idx * width:]
+        for i, term in enumerate(q_ids):
             if rng.random() >= cfg.noise:
-                sentence[i] = term
+                planted[i] = term
 
         leak_count = int(round(cfg.distractor_overlap * cfg.query_terms))
-        negatives = [d for d in pool_docs if d.id != pos_doc.id]
+        negatives = [j for j in range(cfg.docs_per_query) if j != pos_slot]
         if leak_count > 0 and negatives:
-            leak_doc = negatives[int(rng.integers(len(negatives)))]
-            leak_spans = _training_spans(leak_doc, policy)
+            leak_slot = negatives[int(rng.integers(len(negatives)))]
+            leak_spans = _training_spans(pool_ids[leak_slot], title, lengths, policy)
             ls, le = leak_spans[int(rng.integers(len(leak_spans)))]
-            leak_sent = leak_doc.sentences[int(rng.integers(ls, le))]
+            leaked = pool[leak_slot, title + int(rng.integers(ls, le)) * width:]
             picked = sorted(rng.choice(cfg.query_terms, size=leak_count,
                                        replace=False).tolist())
             for i, q_pos in enumerate(picked):
-                leak_sent[i] = q_tokens[q_pos]
+                leaked[i] = q_ids[q_pos]
 
-        documents.extend(pool_docs)
-        qrels[(qid, pos_doc.id)] = 1
-        gold[(qid, pos_doc.id)] = g
+        qrels[(qid, pos_id)] = 1
+        gold[(qid, pos_id)] = g
         candidates[qid] = pool_ids
 
-    return SynthCorpus(queries, documents, qrels, gold, candidates)
+    return SynthCorpus(queries, doc_ids, vocab, tokens, title, width, qrels, gold,
+                       candidates)
+
+
+# The documents `write_corpus` renders at a time: its peak memory is
+# that of this many rows, whatever the size of the corpus.
+WRITE_ROWS = 16
+
+# What follows a token in a corpus line: nothing after a title's last
+# token, " " inside a sentence, ". " after a sentence and "." after the
+# body's last sentence.
+_SEPARATORS = (b"", b" ", b". ", b".")
+
+
+def _escaped(text: str) -> bytes:
+    """The characters of `text` as `SORTED_JSON` writes them inside a
+    JSON string: ASCII, each character escaped on its own."""
+    return SORTED_JSON.encode(text)[1:-1].encode("ascii")
+
+
+def write_corpus(corpus: SynthCorpus, stream: IO[str]) -> None:
+    """Write each document as the line `SORTED_JSON.encode({"doc_id",
+    "title", "body"}) + "\\n"`, byte for byte.
+
+    The title is the title tokens joined by " ".  The body is the
+    sentences, each its tokens joined by " ", joined by ". " and ended
+    by ".", so a sentence reads back as one.  `WRITE_ROWS` documents at
+    a time, each token's escaped bytes and its separator are gathered
+    from a table holding every vocabulary entry followed by each of the
+    four separators, padded with NUL bytes to one width.  An escaped
+    entry holds no NUL (JSON writes it as "\\u0000"), so deleting every
+    NUL drops the padding, and each line is framed around the title and
+    body bytes that remain.
+    """
+    title = corpus.title_length
+    row_length = corpus.tokens.shape[1]
+    kinds = np.ones(row_length, dtype=np.intp)
+    kinds[title + corpus.sentence_length - 1::corpus.sentence_length] = 2
+    if row_length > title:
+        kinds[-1] = 3
+    if title:
+        kinds[title - 1] = 0
+    offsets = kinds * len(corpus.vocab)
+    escaped = list(map(_escaped, corpus.vocab))
+    cells = [entry + separator for separator in _SEPARATORS for entry in escaped]
+    width = max(map(len, cells))
+    table = np.frombuffer(b"".join(cell.ljust(width, b"\0") for cell in cells),
+                          dtype=f"V{width}")
+    sizes = np.array(list(map(len, cells)))
+    for lo in range(0, len(corpus.doc_ids), WRITE_ROWS):
+        index = corpus.tokens[lo:lo + WRITE_ROWS] + offsets
+        used = sizes[index]
+        text = memoryview(table[index].tobytes().translate(None, b"\0"))
+        lines = []
+        at = 0
+        for doc_id, title_size, size in zip(corpus.doc_ids[lo:lo + WRITE_ROWS],
+                                            used[:, :title].sum(axis=1).tolist(),
+                                            used.sum(axis=1).tolist()):
+            lines += [b'{"body": "', text[at + title_size:at + size],
+                      b'", "doc_id": "', _escaped(doc_id), b'", "title": "',
+                      text[at:at + title_size], b'"}\n']
+            at += size
+        stream.write(b"".join(lines).decode("ascii"))

@@ -53,6 +53,7 @@ from .corpus import (
     Query,
     Segment,
     SegmentationPolicy,
+    inference_windows,
 )
 from .evaluation import Qrels, Run, SegmentIndexMap, mrr
 from .formats import CorpusRead, LossKind, TrainConfig, save_stores
@@ -208,20 +209,22 @@ def build_training_set(queries: list[Query], qrels: Qrels,
                        views: dict[str, DocView],
                        policy: SegmentationPolicy,
                        stats: CorpusStats,
-                       mrr_cutoff: int = 10) -> TrainingSet:
+                       mrr_cutoff: int = 10,
+                       segments: dict[str, list[Segment]] | None = None) -> TrainingSet:
     """Topics, and the feature rows of the segments of their candidates.
 
     Positives are a query's judged-relevant candidates; every other
     candidate is a negative, so a store built without qrels holds
     negatives only, in pool order.  Queries without candidates are
-    dropped.  Each candidate's view is cut by `policy.segments`: a
-    training policy draws its budgets from a per-document stream derived
-    from the policy seed, so the store is reproducible regardless of
-    document order; an inference policy cuts inference windows.
+    dropped.  Each candidate's view is cut by `policy.segments`, unless
+    `segments` holds its cut already: a training policy draws its
+    budgets from a per-document stream derived from the policy seed, so
+    the store is reproducible regardless of document order; an
+    inference policy cuts inference windows.
     """
     topics = [TrainingTopic.judged(query, candidates[query.id], qrels)
               for query in queries if candidates.get(query.id)]
-    segments: dict[str, list[Segment]] = {}
+    segments = dict(segments or {})
     blocks = [np.empty((0, NUM_FEATURES))]
     for topic in topics:
         for doc_id in topic.candidates:
@@ -238,12 +241,17 @@ def build_training_set(queries: list[Query], qrels: Qrels,
 
 def build_stores(queries: list[Query], candidates: dict[str, list[str]],
                  views: dict[str, DocView], policy: SegmentationPolicy,
-                 stats: CorpusStats) -> tuple[TrainingSet, TrainingSet]:
+                 stats: CorpusStats, windows: dict[str, list[Segment]]
+                 ) -> tuple[TrainingSet, TrainingSet]:
     """The training-window store and the inference-window store of every
-    listed query's candidates, judged by no qrels."""
+    listed query's candidates, judged by no qrels.  The inference-window
+    store takes each candidate's windows from `windows`, the inference
+    windows at `policy.max_tokens` (`inference_windows`) that `stats`
+    was taken from too."""
     inference = dataclasses.replace(policy, mode="inference")
     return (build_training_set(queries, {}, candidates, views, policy, stats),
-            build_training_set(queries, {}, candidates, views, inference, stats))
+            build_training_set(queries, {}, candidates, views, inference, stats,
+                               segments=windows))
 
 
 def load_stores(read: CorpusRead, queries: list[Query],
@@ -254,12 +262,14 @@ def load_stores(read: CorpusRead, queries: list[Query],
 
     On a stores cache hit these are the same topics, and matrices that
     are read-only views of the cached bytes.  On a miss both stores are
-    built from the corpus's views, under stats taken at
-    `policy.max_tokens`, and saved to the read's cache, if it has one.
+    built from the corpus's views, under stats taken from the inference
+    windows at `policy.max_tokens`, which the inference-window store
+    reuses, and saved to the read's cache, if it has one.
     """
     if read.stores is None:
-        stats = CorpusStats.from_views(read.views, read.df, policy.max_tokens)
-        stores = build_stores(queries, candidates, read.views, policy, stats)
+        windows = inference_windows(read.views, policy.max_tokens)
+        stats = CorpusStats.from_windows(windows, read.df)
+        stores = build_stores(queries, candidates, read.views, policy, stats, windows)
         if read.cache is not None:
             save_stores(read.cache, [(s.row_counts(), s.matrix) for s in stores])
         return stores

@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from document_oracle import document_from_text
+from document_oracle import Document, document_from_text
 from e2e_utils import read_views
-from segtrain.corpus import CorpusStats, Document, Query
+from segtrain.corpus import CorpusStats, Query
 
 # The queries the tiny collection is scored against, each listing every
 # tiny document as a candidate.

@@ -1,34 +1,90 @@
-"""A corpus read the long way, into `Document`s: the oracle of the views
-and the collection statistics the commands read.
+"""A corpus written and read the long way, as `Document`s: the oracle of
+the corpus file `synth.write_corpus` writes, of the views and of the
+collection statistics the commands read.
 
-The commands never read a corpus file back into documents:
-`formats.parse_corpus` reads each line straight into a `DocView`
-(`corpus.view_from_text`), counting the document frequency of the
-scored terms in the same pass, and `CorpusStats.from_views` takes the
-statistics from the views.  Here each line is tokenized in full, as
-`tokenize` over `split_sentences` (`document_from_text`), a view is
-projected from the tokens (`document_view`), and the statistics are
-counted over the documents (`compute_corpus_stats`).  The tests require
-both ways to give equal views and stats, and stores built from either
-to hold the same bits.
+`synth` holds a collection as vocabulary ids and renders the corpus
+file from them; here each synthetic document is spelled out in tokens
+(`synth_documents`) and written one JSON record at a time
+(`write_corpus`), and the tests require the same bytes.  The commands
+never read a corpus file back into documents: `formats.parse_corpus`
+reads each line straight into a `DocView` (`corpus.view_from_text`),
+counting the document frequency of the scored terms in the same pass,
+and `CorpusStats.from_windows` takes the statistics from the views'
+inference windows.  Here each line is tokenized in full, as `tokenize`
+over `split_sentences` (`document_from_text`), a view is projected from
+the tokens (`document_view`), and the statistics are counted over the
+documents (`compute_corpus_stats`).  The tests require both ways to
+give equal views and stats, and stores built from either to hold the
+same bits.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import Counter
-from typing import Iterable
+from dataclasses import dataclass, field
+from typing import IO, Iterable
 
 from segtrain import formats
 from segtrain.corpus import (
     DEFAULT_MAX_TOKENS,
     CorpusStats,
     DocView,
-    Document,
     segment_for_inference,
     split_sentences,
     tokenize,
 )
+from segtrain.synth import SynthCorpus
+
+
+@dataclass
+class Document:
+    """A document as a corpus file spells it: its title and its
+    tokenized sentences."""
+
+    id: str
+    title: str
+    sentences: list[list[str]]
+    title_tokens: list[str] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.title_tokens = tokenize(self.title)
+
+    @property
+    def title_length(self) -> int:
+        return len(self.title_tokens)
+
+    @property
+    def sentence_lengths(self) -> list[int]:
+        return list(map(len, self.sentences))
+
+
+def write_corpus(documents: Iterable[Document], stream: IO[str]) -> None:
+    """Canonical serialization: each sentence ends with a '.' terminator.
+
+    Sentences are joined with '. ', so a sentence without tokens still
+    reads back as an empty sentence.
+    """
+    for doc in documents:
+        body = ". ".join(" ".join(sent) for sent in doc.sentences)
+        if doc.sentences:
+            body += "."
+        record = {"doc_id": doc.id, "title": doc.title, "body": body}
+        stream.write(formats.SORTED_JSON.encode(record) + "\n")
+
+
+def synth_documents(corpus: SynthCorpus) -> list[Document]:
+    """The documents of a synthetic collection, spelled out from its
+    vocabulary ids: the title's entries joined by " ", then the body cut
+    into sentences of `sentence_length` entries."""
+    documents = []
+    for doc_id, row in zip(corpus.doc_ids, corpus.tokens.tolist()):
+        words = [corpus.vocab[i] for i in row]
+        body = words[corpus.title_length:]
+        documents.append(Document(doc_id, " ".join(words[:corpus.title_length]),
+                                  [body[i:i + corpus.sentence_length]
+                                   for i in range(0, len(body), corpus.sentence_length)]))
+    return documents
 
 
 def document_from_text(doc_id: str, title: str, body: str) -> Document:

@@ -8,8 +8,15 @@ import io
 from dataclasses import dataclass
 from typing import Iterable
 
+from document_oracle import Document, synth_documents, write_corpus
 from segtrain import formats
-from segtrain.corpus import DEFAULT_MAX_TOKENS, CorpusStats, DocView, Document, Query
+from segtrain.corpus import (
+    DEFAULT_MAX_TOKENS,
+    CorpusStats,
+    DocView,
+    Query,
+    inference_windows,
+)
 from segtrain.evaluation import GoldSegments
 from segtrain.synth import SynthConfig, SynthCorpus, generate_corpus
 from segtrain.training import TrainConfig, TrainingSet, build_training_set
@@ -31,12 +38,12 @@ def read_views(documents: Iterable[Document], queries: list[Query],
                ) -> tuple[dict[str, DocView], CorpusStats]:
     """The views and stats `train` builds its stores from: `documents`
     written by `write_corpus`, read back by `parse_corpus` with the
-    candidates' query terms, and the stats of `CorpusStats.from_views`."""
+    candidates' query terms, and the stats of `CorpusStats.from_windows`."""
     text = io.StringIO()
-    formats.write_corpus(documents, text)
+    write_corpus(documents, text)
     text.seek(0)
     views, df = formats.parse_corpus(text, scored_terms(queries, candidates))
-    return views, CorpusStats.from_views(views, df, max_tokens)
+    return views, CorpusStats.from_windows(inference_windows(views, max_tokens), df)
 
 
 def config_e(seed: int, noise: float = 0.1) -> SynthConfig:
@@ -77,8 +84,8 @@ def assemble(synth_cfg: SynthConfig, n_train: int,
     """Generate a corpus, read it back as `train` does, and split the
     leading topics into the train side."""
     corpus = generate_corpus(synth_cfg)
-    views, stats = read_views(corpus.documents, corpus.queries, corpus.candidates,
-                              synth_cfg.max_tokens)
+    views, stats = read_views(synth_documents(corpus), corpus.queries,
+                              corpus.candidates, synth_cfg.max_tokens)
     policy = synth_cfg.policy()
     by_id = {q.id: q for q in corpus.queries}
     qids = [q.id for q in corpus.queries]

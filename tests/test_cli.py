@@ -549,6 +549,55 @@ def test_a_missing_output_path_exits_2_before_any_work(data, model, capsys,
     assert read_corpus.call_count == best_train.call_count == 0
 
 
+def test_a_missing_input_path_exits_2_before_any_work(data, tmp_path):
+    # on a corpus it would cache stores for, a command that lacks --qrels,
+    # --gold or --model neither parses the corpus, writes its stores nor
+    # loads numpy
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_bytes((data / "corpus.jsonl").read_bytes())
+    qrels = ["--qrels", str(data / "qrels.txt")]
+    runs = [(["train", "--mode", "best"], "--qrels"),
+            (["train", "--mode", "gold", *qrels], "--gold"),
+            (["select"], "--model"), (["rerank"], "--model")]
+    script = ("import sys\n"
+              "from segtrain import formats\n"
+              "from segtrain.cli import main\n"
+              "formats.MIN_CACHED_BYTES = 1\n"
+              "parsed, parse = [], formats.parse_corpus\n"
+              "formats.parse_corpus = lambda *args: parsed.append(args) or parse(*args)\n"
+              f"for args, _ in {runs!r}:\n"
+              f"    args += {inputs(data, corpus=corpus)!r}\n"
+              f"    assert main([*args, '--out', {str(tmp_path / 'out')!r}]) == 2\n"
+              "    assert 'numpy' not in sys.modules and not parsed\n")
+    src = str(Path(segtrain.__file__).resolve().parent.parent)
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                            text=True, timeout=120,
+                            env={**os.environ, "PYTHONPATH": src})
+    assert result.returncode == 0, result.stderr
+    assert result.stderr == "".join(f"segtrain: error: missing required input: {flag}\n"
+                                    for _, flag in runs)
+    assert not list(tmp_path.glob("*.stores*")) and not (tmp_path / "out").exists()
+
+
+def test_a_cold_train_cuts_each_documents_inference_windows_once(data, tmp_path,
+                                                                  monkeypatch):
+    # the stats and the inference-window store share one cut of each
+    # document, on a stores miss
+    from segtrain import corpus as corpus_module
+
+    spans = mock.Mock(wraps=corpus_module._inference_spans)
+    monkeypatch.setattr(corpus_module, "_inference_spans", spans)
+    monkeypatch.setattr(formats, "MIN_CACHED_BYTES", 1)
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_bytes((data / "corpus.jsonl").read_bytes())
+    assert main(["train", "--mode", "best", *inputs(data, corpus=corpus),
+                 "--qrels", str(data / "qrels.txt"),
+                 "--out", str(tmp_path / "model.txt")]) == 0
+    doc_ids = [json.loads(line)["doc_id"] for line in corpus.read_text().splitlines()]
+    assert sorted(call.args[0].id for call in spans.call_args_list) == sorted(doc_ids)
+    assert (tmp_path / "corpus.jsonl.stores").exists()
+
+
 @pytest.mark.parametrize("cacheable", [False, True], ids=["small", "cacheable"])
 def test_queries_without_candidates_give_empty_outputs(data, model, tmp_path,
                                                        monkeypatch, cacheable):

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from document_oracle import Document
 from e2e_utils import read_views
 from segtrain.corpus import (
     CorpusStats,
-    Document,
     Query,
     SegmentationPolicy,
     _sentence_tokens,
@@ -238,7 +238,7 @@ def parsed_stats(docs: list[Document], terms: list[str],
 
 
 class TestCorpusStats:
-    """`CorpusStats.from_views` over a corpus read back as `train` reads it."""
+    """`CorpusStats.from_windows` over a corpus read back as `train` reads it."""
 
     def test_document_frequency(self, tiny_docs):
         stats = parsed_stats(tiny_docs, ["alpha", "absent"])
@@ -259,7 +259,7 @@ class TestCorpusStats:
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError):
-            CorpusStats.from_views({}, {})
+            CorpusStats.from_windows({}, {})
 
     def test_avg_segment_length(self):
         doc = uniform_doc(10, 100)  # two 512-token windows of 500 tokens each

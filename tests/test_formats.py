@@ -16,9 +16,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from document_oracle import compute_corpus_stats, document_view, parse_documents
+from document_oracle import (
+    Document,
+    compute_corpus_stats,
+    document_view,
+    parse_documents,
+    synth_documents,
+    write_corpus,
+)
 from e2e_utils import scored_terms
-from segtrain.corpus import CorpusStats, Document, Query, SegmentationPolicy
+from segtrain.corpus import CorpusStats, Query, SegmentationPolicy, inference_windows
 from segtrain import formats, scorer, synth, training
 from segtrain.formats import (
     SCORER_KINDS,
@@ -39,7 +46,6 @@ from segtrain.formats import (
     parse_selection,
     write_candidates,
     write_config,
-    write_corpus,
     write_gold,
     write_qrels,
     write_queries,
@@ -86,9 +92,13 @@ class TestCorpusRoundTrip:
         cfg = SynthConfig(num_queries=3, docs_per_query=2, sentences_per_doc=6,
                           tokens_per_sentence=20, vocab_size=100,
                           max_tokens=64, min_tokens=32)
-        documents = generate_corpus(cfg).documents
+        corpus = generate_corpus(cfg)
+        documents = synth_documents(corpus)
         text, parsed = round_trip(documents)
         assert list(parsed.values()) == documents
+        written = io.StringIO()
+        synth.write_corpus(corpus, written)
+        assert written.getvalue() == text
         rewritten = io.StringIO()
         write_corpus(parsed.values(), rewritten)
         assert rewritten.getvalue() == text
@@ -135,7 +145,7 @@ class TestCorpusViews:
             assert views[doc.id] == document_view(doc, doc_terms.get(doc.id, ()))
         terms = set().union(*doc_terms.values())
         expected = compute_corpus_stats(documents, max_tokens, terms)
-        stats = CorpusStats.from_views(views, df, max_tokens)
+        stats = CorpusStats.from_windows(inference_windows(views, max_tokens), df)
         assert stats == expected and stats.document_frequency is df
         assert stats.avg_segment_length.hex() == expected.avg_segment_length.hex()
 

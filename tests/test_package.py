@@ -12,15 +12,14 @@ import segtrain
 
 # Every name the package exports, by the submodule it comes from.
 EXPORTED = {
-    "corpus": ["CorpusStats", "Document", "Query", "Segment", "SegmentationPolicy",
+    "corpus": ["CorpusStats", "Query", "Segment", "SegmentationPolicy",
                "segment_for_inference", "segment_for_training", "split_sentences",
                "tokenize"],
     "evaluation": ["kfold_split", "mrr", "ndcg_at_k", "paired_t_test",
                    "per_query_metrics", "segment_p_at_1"],
     "ranking": ["Aggregation", "RankedList"],
-    "scorer": ["LossKind", "ScorerParams", "batch_loss_and_gradient", "hinge_loss",
-               "init_params", "pointwise_ce_loss", "read_params",
-               "segment_features", "sgd_step", "write_params"],
+    "scorer": ["LossKind", "ScorerParams", "batch_loss_and_gradient", "init_params",
+               "read_params", "segment_features", "sgd_step", "write_params"],
     "synth": ["SynthConfig", "SynthCorpus", "generate_corpus"],
     "training": ["BestTrainResult", "TrainConfig", "TrainingSet", "TrainingTopic",
                  "best_train", "build_stores", "build_training_set", "evaluate_bundle",
@@ -32,7 +31,7 @@ TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 # into `segment_features`, `build_eval_bundle` into `build_training_set`,
 # and `rerank` and `score_document` into `training.rank_store`;
 # `compute_corpus_stats` moved into the tests' document oracle, since
-# the commands take their stats from views (`CorpusStats.from_views`).
+# the commands take their stats from views (`CorpusStats.from_windows`).
 RETIRED = {"scorer.extract_features", "training.build_eval_bundle",
            "ranking.rerank", "ranking.score_document", "corpus.compute_corpus_stats"}
 

@@ -3,10 +3,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from document_oracle import document_from_text
+from document_oracle import Document, document_from_text
 from e2e_utils import read_views
 from segtrain.corpus import (
-    Document,
     Query,
     SegmentationPolicy,
     document_stream,

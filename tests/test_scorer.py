@@ -8,15 +8,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from document_oracle import compute_corpus_stats, document_view
+from document_oracle import Document, compute_corpus_stats, document_view, synth_documents
 from e2e_utils import read_views
+from loss_oracle import hinge_loss, pointwise_ce_loss
 from numpy_features import numpy_segment_features
 from segtrain.corpus import (
     CorpusStats,
-    Document,
     Query,
     Segment,
     document_stream,
+    inference_windows,
     segment_for_inference,
     segment_for_training,
 )
@@ -35,12 +36,10 @@ from segtrain.scorer import (
     LossKind,
     ScorerParams,
     batch_loss_and_gradient,
-    hinge_loss,
     idf,
     init_params,
     params_from_vector,
     params_to_vector,
-    pointwise_ce_loss,
     read_params,
     score_batch,
     segment_features,
@@ -284,9 +283,10 @@ def test_stores_equal_the_numpy_kernel_on_the_late_collection():
                       tokens_per_sentence=128, vocab_size=5000, query_terms=5,
                       plant_lo=1, plant_hi=4, distractor_overlap=0.3, noise=0.3, seed=1)
     corpus = generate_corpus(cfg)
-    views, stats = read_views(corpus.documents, corpus.queries, corpus.candidates,
-                              cfg.max_tokens)
-    stores = build_stores(corpus.queries, corpus.candidates, views, cfg.policy(), stats)
+    views, stats = read_views(synth_documents(corpus), corpus.queries,
+                              corpus.candidates, cfg.max_tokens)
+    stores = build_stores(corpus.queries, corpus.candidates, views, cfg.policy(), stats,
+                          inference_windows(views, cfg.max_tokens))
     for store, cut in zip(stores, ("training", "inference")):
         assert len(store.matrix) == 120 * (4 if cut == "training" else 6)
         for topic in store.topics:

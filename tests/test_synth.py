@@ -1,7 +1,11 @@
 """The synthetic collection: the background sampler, determinism, planted
-and leaked evidence, noise, and the configuration checks."""
+and leaked evidence, noise, the corpus writer and the configuration
+checks."""
 
 import dataclasses
+import io
+import os
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -9,10 +13,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from document_oracle import synth_documents, write_corpus
 from segtrain import synth
 from segtrain.corpus import document_stream, segment_for_training
 from segtrain.formats import ConfigError
-from segtrain.synth import InverseCdf, SynthConfig, generate_corpus
+from segtrain.synth import InverseCdf, SynthConfig, SynthCorpus, generate_corpus
 
 SMALL = SynthConfig(num_queries=6, docs_per_query=3, sentences_per_doc=8,
                     tokens_per_sentence=16, vocab_size=200, query_terms=4,
@@ -32,7 +37,7 @@ def query_term_positions(doc, terms):
 
 def relevant_doc(corpus, qid):
     (doc_id,) = [d for (q, d), grade in corpus.qrels.items() if q == qid and grade > 0]
-    (doc,) = [doc for doc in corpus.documents if doc.id == doc_id]
+    (doc,) = [doc for doc in synth_documents(corpus) if doc.id == doc_id]
     return doc
 
 
@@ -81,10 +86,20 @@ def test_sampler_draws_what_choice_draws(p, size, seed, guide_size):
     ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
     with mock.patch.object(synth, "GUIDE_SIZE", guide_size):
         drawn = ids[InverseCdf(p).draw(ours, size)]
-    expected = theirs.choice(ids, size, p=p)
-    assert drawn.shape == expected.shape and (drawn == expected).all()
-    # the generators stand at the same state, so later draws line up
-    assert ours.random() == theirs.random()
+        expected = theirs.choice(ids, size, p=p)
+        assert drawn.shape == expected.shape and (drawn == expected).all()
+        # the generators stand at the same state, so later draws line up
+        assert ours.random() == theirs.random()
+        # one draw of a topic's pool, a row per document, takes the
+        # doubles of each document's title draw and then its body draw
+        body = size if isinstance(size, tuple) else (1, size)
+        for title in (0, 2):
+            pool = ids[InverseCdf(p).draw(ours, (3, title + body[0] * body[1]))]
+            rows = np.array([np.concatenate([theirs.choice(ids, title, p=p),
+                                             theirs.choice(ids, body, p=p).ravel()])
+                             for _ in range(3)])
+            assert pool.shape == rows.shape and (pool == rows).all()
+            assert ours.random() == theirs.random()
 
 
 class FixedUniforms:
@@ -117,10 +132,18 @@ def test_sampler_rejects_what_is_not_a_distribution(p):
         InverseCdf(np.array(p))
 
 
+def fields(corpus: SynthCorpus) -> dict:
+    """Every field of `corpus`, its token array as its dtype, shape and bytes."""
+    values = {f.name: getattr(corpus, f.name) for f in dataclasses.fields(corpus)}
+    tokens = values.pop("tokens")
+    return {**values, "tokens": (tokens.dtype, tokens.shape, tokens.tobytes())}
+
+
 def test_same_seed_same_corpus_other_seed_differs():
-    assert generate_corpus(small(seed=11)) == generate_corpus(small(seed=11))
+    assert fields(generate_corpus(small(seed=11))) == fields(generate_corpus(small(seed=11)))
     a, b = generate_corpus(small(seed=11)), generate_corpus(small(seed=12))
-    assert [d.sentences for d in a.documents] != [d.sentences for d in b.documents]
+    assert [d.sentences for d in synth_documents(a)] != \
+        [d.sentences for d in synth_documents(b)]
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -144,7 +167,7 @@ def test_planted_sentence_lies_in_the_gold_training_segment(seed):
 def test_one_negative_leaks_round_overlap_times_terms(overlap, leaked):
     cfg = small(distractor_overlap=overlap)
     corpus = generate_corpus(cfg)
-    documents = {doc.id: doc for doc in corpus.documents}
+    documents = {doc.id: doc for doc in synth_documents(corpus)}
     for query in corpus.queries:
         terms = set(query.tokens)
         pool = [documents[d] for d in corpus.candidates[query.id]]
@@ -172,6 +195,73 @@ def test_noise_zero_plants_every_term_noise_one_none():
                    query_term_positions(relevant_doc(clean, query.id), terms)}
         assert planted == terms
         assert query_term_positions(relevant_doc(noisy, query.id), terms) == []
+
+
+# Vocabulary entries and doc ids: any text, and the characters JSON
+# escapes (quote, backslash, control characters, DEL, line separators),
+# non-ASCII and non-BMP characters, the empty entry, and entries of mixed
+# widths, such as w99999 beside w100000.
+SPECIAL_ENTRIES = ['"', "\\", "\x00", "\x1f", "\n", "\t", "\x7f", "é", "\u2028",
+                   "\U0001f600", "", "w99999", "w100000", 'a"\\b. c']
+entries = st.text(max_size=5) | st.sampled_from(SPECIAL_ENTRIES)
+
+
+@st.composite
+def synth_corpora(draw) -> SynthCorpus:
+    """Collections over a random vocabulary, of random vocabulary ids."""
+    vocab = draw(st.lists(entries, min_size=1, max_size=8))
+    doc_ids = draw(st.lists(entries, unique=True, max_size=7))
+    title, sentence_length = draw(st.integers(0, 3)), draw(st.integers(1, 4))
+    row_length = title + draw(st.integers(0, 3)) * sentence_length
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    tokens = rng.integers(len(vocab), size=(len(doc_ids), row_length))
+    return SynthCorpus([], doc_ids, vocab, tokens.astype(np.min_scalar_type(len(vocab) - 1)),
+                       title, sentence_length, {}, {}, {})
+
+
+def oracle_text(corpus: SynthCorpus) -> str:
+    text = io.StringIO()
+    write_corpus(synth_documents(corpus), text)
+    return text.getvalue()
+
+
+@settings(max_examples=200, deadline=None)
+@given(synth_corpora(), st.sampled_from([1, 3, synth.WRITE_ROWS]))
+@example(SynthCorpus([], ["d0", "d1"], ["w99999", "w100000", '"', "\\"],
+                     np.array([[1, 0, 2, 3], [3, 2, 1, 0]], dtype=np.uint8),
+                     0, 2, {}, {}, {}), 1)
+@example(SynthCorpus([], ["\U0001f600\x00"], ["\x1f", "é\U0001f600"],
+                     np.array([[0, 1, 1]], dtype=np.uint8), 1, 1, {}, {}, {}),
+         synth.WRITE_ROWS)
+def test_write_corpus_writes_the_oracles_bytes(corpus, rows):
+    written = io.StringIO()
+    with mock.patch.object(synth, "WRITE_ROWS", rows):
+        synth.write_corpus(corpus, written)
+    assert written.getvalue() == oracle_text(corpus)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_written_corpus_is_the_oracles(seed):
+    corpus = generate_corpus(small(seed=seed, title_token_count=seed))
+    written = io.StringIO()
+    synth.write_corpus(corpus, written)
+    assert written.getvalue() == oracle_text(corpus)
+
+
+def test_write_corpus_peak_memory_does_not_grow_with_the_corpus():
+    # the lines are rendered a few documents at a time, so four times the
+    # documents take no more memory at the peak
+    peaks = []
+    for topics in (20, 80):
+        corpus = generate_corpus(small(num_queries=topics, vocab_size=400))
+        with open(os.devnull, "w") as stream:
+            tracemalloc.start()
+            try:
+                synth.write_corpus(corpus, stream)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+    assert peaks[0] == peaks[1]
 
 
 @pytest.mark.parametrize("changes, rule", [

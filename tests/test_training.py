@@ -8,15 +8,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from document_oracle import compute_corpus_stats, document_view
+from document_oracle import Document, compute_corpus_stats, document_view, synth_documents
 from e2e_utils import assemble, read_views, scored_terms
 from segtrain import corpus as corpus_module
 from segtrain import formats
 from segtrain.corpus import (
     CorpusStats,
-    Document,
     Query,
     Segment,
+    inference_windows,
     segment_for_inference,
 )
 from segtrain.evaluation import holdout_split, segment_p_at_1
@@ -33,7 +33,7 @@ from segtrain.scorer import (
     score_batch,
     segment_features,
 )
-from segtrain.synth import SynthConfig, generate_corpus
+from segtrain.synth import SynthConfig, generate_corpus, write_corpus
 from segtrain.training import (
     TrainConfig,
     TrainingSet,
@@ -557,8 +557,8 @@ def late_collection(seed=4):
                       plant_lo=1, plant_hi=4, noise=0.3, seed=seed,
                       min_tokens=48, max_tokens=128, query_token_budget=8)
     corpus = generate_corpus(cfg)
-    return (cfg, corpus, *read_views(corpus.documents, corpus.queries, corpus.candidates,
-                                     cfg.max_tokens))
+    return (cfg, corpus, *read_views(synth_documents(corpus), corpus.queries,
+                                     corpus.candidates, cfg.max_tokens))
 
 
 def restrict(qrels, query_ids):
@@ -571,7 +571,8 @@ class TestStores:
 
     def test_subsets_equal_stores_built_for_them(self):
         cfg, corpus, views, stats = late_collection()
-        full = build_stores(corpus.queries, corpus.candidates, views, cfg.policy(), stats)
+        full = build_stores(corpus.queries, corpus.candidates, views, cfg.policy(), stats,
+                            inference_windows(views, cfg.max_tokens))
         policies = (cfg.policy(), dataclasses.replace(cfg.policy(), mode="inference"))
         by_id = {q.id: q for q in corpus.queries}
         ids = [q.id for q in corpus.queries]
@@ -600,7 +601,8 @@ class TestStores:
         train_cfg = TrainConfig(loss=loss, scorer_kind=kind, epochs=4, max_iterations=2,
                                 iteration_patience=2, seed=7)
         training, inference = build_stores(corpus.queries, corpus.candidates, views,
-                                           cfg.policy(), stats)
+                                           cfg.policy(), stats,
+                                           inference_windows(views, cfg.max_tokens))
         train_ids, dev_ids = holdout_split([q.id for q in corpus.queries], 0.25, 7)
         by_id = {q.id: q for q in corpus.queries}
         subsets = (training.subset(train_ids, corpus.qrels),
@@ -654,7 +656,7 @@ class TestStores:
         cfg, corpus, _, _ = late_collection()
         path = tmp_path / "corpus.jsonl"
         with open(path, "w") as stream:
-            formats.write_corpus(corpus.documents, stream)
+            write_corpus(corpus, stream)
         monkeypatch.setattr(formats, "MIN_CACHED_BYTES", 1)
         inputs = corpus.queries, corpus.candidates, cfg.policy()
         with open(path) as stream:
@@ -662,13 +664,17 @@ class TestStores:
         assert read.stores is None and read.cache is not None
         built = load_stores(read, *inputs)
         doc_terms = scored_terms(corpus.queries, corpus.candidates)
-        oracle_stats = compute_corpus_stats(corpus.documents, cfg.max_tokens,
+        documents = synth_documents(corpus)
+        oracle_stats = compute_corpus_stats(documents, cfg.max_tokens,
                                             set().union(*doc_terms.values()))
-        assert CorpusStats.from_views(read.views, read.df, cfg.max_tokens) == oracle_stats
+        windows = inference_windows(read.views, cfg.max_tokens)
+        assert CorpusStats.from_windows(windows, read.df) == oracle_stats
         oracle_views = {doc.id: document_view(doc, doc_terms.get(doc.id, ()))
-                        for doc in corpus.documents}
+                        for doc in documents}
         oracle = build_stores(corpus.queries, corpus.candidates, oracle_views,
-                              cfg.policy(), oracle_stats)
+                              cfg.policy(), oracle_stats,
+                              {doc.id: segment_for_inference(doc, cfg.max_tokens)
+                               for doc in documents})
         with open(path) as stream:
             read = formats.read_corpus(stream, *inputs)
         assert read.views is None
