@@ -11,8 +11,8 @@ _EXPORTS = {
     "corpus": ("CorpusStats", "Query", "Segment",
                "SegmentationPolicy", "segment_for_inference",
                "segment_for_training", "split_sentences", "tokenize"),
-    "evaluation": ("RankedList", "kfold_split", "mrr", "ndcg_at_k",
-                   "paired_t_test", "per_query_metrics", "segment_p_at_1"),
+    "evaluation": ("RankedList", "kfold_split", "mrr", "paired_t_test",
+                   "segment_p_at_1"),
     "ranking": ("Aggregation",),
     "scorer": ("LossKind", "ScorerParams", "batch_loss_and_gradient",
                "init_params", "read_params", "segment_features", "sgd_step",

@@ -1,12 +1,12 @@
 """Ranking metrics, segment-selection precision, significance, splits.
 
 Qrels map (query_id, doc_id) to an integer relevance grade; a missing
-pair means grade 0.  Runs map query ids to RankedLists.
-`per_query_metrics` is the per-query primitive: one pass over the
-qrels gives every judged query's reciprocal rank and NDCG@k, and `mrr`
-and `ndcg_at_k` are means of the same per-query values.  To score
-several runs against one qrels file, group it once with `group_qrels`
-and use `judged_metrics` and `table_means`.  The paired t-test is
+pair means grade 0.  Runs map query ids to RankedLists.  `mrr` is the
+dev metric that stops training.  `judged_metrics` is the per-query
+primitive: over qrels grouped once by `group_qrels`, it gives every
+judged query's reciprocal rank and NDCG@k, and `table_means` their
+means, so several runs can be scored against one qrels file.  The
+paired t-test is
 self-contained: the t distribution CDF goes through the regularized
 incomplete beta function evaluated by continued fraction.
 """
@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from functools import partial
 
 
 @dataclass(slots=True)
@@ -89,51 +88,30 @@ def _mean(values, count: int) -> float:
     return total / count
 
 
-def _mean_over_judged(run: Run, qrels: Qrels, metric) -> float:
-    """Sum of `metric(ranked, judged)` in qid order over the judged
-    queries, divided by their number; a query missing from the run
-    adds nothing."""
-    judgments = group_qrels(qrels)
-    _check_overlap(run, judgments)
-    return _mean((metric(run[qid], judged) for qid, judged in judgments.items()
-                  if qid in run), len(judgments))
-
-
 def mrr(run: Run, qrels: Qrels, cutoff: int = 10) -> float:
     """Mean reciprocal rank of the first relevant document within cutoff.
 
-    Averaged over the queries present in the qrels; a query with no
-    run entries or no relevant document in the top `cutoff` scores 0.
+    Summed in qid order and averaged over the queries present in the
+    qrels; a query with no run entries or no relevant document in the
+    top `cutoff` scores 0.
     """
     _check_depth("cutoff", cutoff)
-    return _mean_over_judged(run, qrels, partial(_reciprocal_rank, cutoff=cutoff))
-
-
-def ndcg_at_k(run: Run, qrels: Qrels, k: int = 10) -> float:
-    """NDCG@k with linear gain and log2(rank + 1) discount.
-
-    The ideal DCG comes from the query's judged grades sorted in
-    descending order; queries without any relevant document score 0.
-    """
-    _check_depth("k", k)
-    return _mean_over_judged(run, qrels, partial(_ndcg, k=k))
-
-
-def per_query_metrics(run: Run, qrels: Qrels, cutoff: int = 10,
-                      k: int = 10) -> dict[str, tuple[float, float]]:
-    """{qid: (reciprocal rank within cutoff, NDCG@k)} of every judged
-    query the run contains, in qid order.
-
-    Each value is the one `mrr` and `ndcg_at_k` add up for that query,
-    so their means over the judged queries are those two metrics.
-    """
-    return judged_metrics(run, group_qrels(qrels), cutoff, k)
+    judgments = group_qrels(qrels)
+    _check_overlap(run, judgments)
+    return _mean((_reciprocal_rank(run[qid], judged, cutoff)
+                  for qid, judged in judgments.items() if qid in run), len(judgments))
 
 
 def judged_metrics(run: Run, judgments: Judgments, cutoff: int = 10,
                    k: int = 10) -> dict[str, tuple[float, float]]:
-    """`per_query_metrics` over qrels already grouped by `group_qrels`,
-    so several runs can share one grouping."""
+    """{qid: (reciprocal rank within cutoff, NDCG@k)} of every judged
+    query the run contains, in qid order, over qrels grouped by
+    `group_qrels`.
+
+    NDCG@k has linear gain and a log2(rank + 1) discount, and its ideal
+    DCG comes from the query's judged grades sorted in descending order;
+    a query without any relevant document scores 0.
+    """
     _check_depth("cutoff", cutoff)
     _check_depth("k", k)
     _check_overlap(run, judgments)
@@ -144,9 +122,10 @@ def judged_metrics(run: Run, judgments: Judgments, cutoff: int = 10,
 
 def table_means(table: dict[str, tuple[float, float]],
                 judgments: Judgments) -> tuple[float, float]:
-    """(MRR, NDCG@k) of a `judged_metrics` table over `judgments`.
-
-    Both are bit-identical to `mrr` and `ndcg_at_k` of the same run.
+    """(MRR, NDCG@k) of a `judged_metrics` table over `judgments`: each
+    column summed in qid order and divided by the number of judged
+    queries, so a judged query missing from the run adds 0.  The MRR is
+    bit-identical to `mrr` of the same run.
     """
     return (_mean((rr for rr, _ in table.values()), len(judgments)),
             _mean((nd for _, nd in table.values()), len(judgments)))

@@ -46,6 +46,7 @@ import enum
 import io
 import itertools
 import json
+import math
 import os
 import stat
 import sys
@@ -688,7 +689,8 @@ class TrainConfig(_Config):
     scorer_kind: str = _checked("linear", SCORER_KINDS.__contains__,
                                 f"one of {', '.join(SCORER_KINDS)}")
     hidden_dim: int = _positive(8)
-    learning_rate: float = _non_negative(0.05)
+    learning_rate: float = _checked(0.05, lambda v: 0 <= v < math.inf,
+                                    "non-negative and finite")
     epochs: int = _positive(20)
     batch_size: int = _positive(32)
     patience_epochs: int = _positive(3)

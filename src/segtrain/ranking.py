@@ -4,6 +4,7 @@ from document scores."""
 from __future__ import annotations
 
 import enum
+import math
 
 import numpy as np
 
@@ -30,8 +31,20 @@ def aggregate(scores: np.ndarray, starts: np.ndarray, agg: Aggregation) -> np.nd
     raise ValueError(f"unknown aggregation: {agg!r}")
 
 
+def _rank_key(item: tuple[str, float]) -> tuple[bool, float, str]:
+    doc_id, score = item
+    if math.isnan(score):
+        return True, 0.0, doc_id
+    return False, -score, doc_id
+
+
 def rank_by_scores(query_id: str, scores: dict[str, float]) -> RankedList:
-    """Ranked list sorted by score descending, ties by doc id ascending."""
-    ordered = sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))
+    """Ranked list sorted by score descending, ties by doc id ascending.
+
+    A NaN score ranks after every number, -inf included, and NaNs rank
+    among themselves by doc id; so a diverged model ranks its candidates
+    by doc id, whatever order `scores` lists them in.
+    """
+    ordered = sorted(scores.items(), key=_rank_key)
     entries = [RankEntry(doc_id, s, i + 1) for i, (doc_id, s) in enumerate(ordered)]
     return RankedList(query_id, entries)

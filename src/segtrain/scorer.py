@@ -2,9 +2,11 @@
 
 A segment is scored against a query from a 7-dimensional lexical
 feature vector, by either a linear model or a one-hidden-layer tanh
-network.  Losses (pairwise hinge, pointwise logistic cross-entropy)
-come with exact analytic gradients so the whole trainer is plain SGD
-over numpy arrays.
+network.  A scorer's parameters are one float64 vector in model-file
+order (`ScorerParams`), whose weight blocks are views.  Losses
+(pairwise hinge, pointwise logistic cross-entropy) come with exact
+analytic gradients in the same layout, so an SGD step is one vector
+operation.
 
 Features read a document's view (`corpus.DocView`): each segment's
 token count and the offsets of the query terms' hits, never a token
@@ -137,62 +139,81 @@ def _match_features(query: Query, q_unique: list[str], slot: dict[str, int],
             row[F_BIGRAM_FRACTION] = len(adjacent & q_bigrams) / len(q_bigrams)
 
 
+def _param_count(kind: str, hidden: int) -> int:
+    """The length of the parameter vector of a `kind` scorer with
+    `hidden` units, which must be 0 for the linear scorer and at least 1
+    for the mlp."""
+    if kind == "linear":
+        if hidden != 0:
+            raise ValueError(f"linear scorer needs hidden=0, got hidden={hidden}")
+        return NUM_FEATURES + 1
+    if kind == "mlp":
+        if hidden < 1:
+            raise ValueError(f"mlp scorer needs hidden >= 1, got hidden={hidden}")
+        return (NUM_FEATURES + 2) * hidden + 1
+    raise ValueError(f"unknown scorer kind: {kind!r}")
+
+
 @dataclass
 class ScorerParams:
     """Weights of the segment scorer; doubles as its gradient container.
 
+    `vector` holds every parameter as float64, in model-file order:
+
     linear: out_weights (7,), out_bias.
-    mlp:    hidden_weights (7, H), hidden_bias (H,),
+    mlp:    hidden_weights (7, H) row by row, hidden_bias (H,),
             out_weights (H,), out_bias; tanh activation.
+
+    The blocks are views of `vector`, so writing into one writes the
+    vector, and `out_bias` is its last value.  The linear scorer has
+    `hidden_dim` 0 and empty hidden blocks.
     """
 
     kind: str
-    out_weights: np.ndarray
-    out_bias: float
-    hidden_weights: np.ndarray | None = None
-    hidden_bias: np.ndarray | None = None
+    hidden_dim: int
+    vector: np.ndarray
+
+    def __post_init__(self) -> None:
+        self.vector = np.asarray(self.vector, dtype=np.float64)
+        count = _param_count(self.kind, self.hidden_dim)
+        if self.vector.shape != (count,):
+            raise ValueError(f"{self.kind} scorer with hidden={self.hidden_dim} has "
+                             f"{count} parameters, got shape {self.vector.shape}")
 
     def copy(self) -> "ScorerParams":
-        return ScorerParams(
-            self.kind,
-            self.out_weights.copy(),
-            float(self.out_bias),
-            None if self.hidden_weights is None else self.hidden_weights.copy(),
-            None if self.hidden_bias is None else self.hidden_bias.copy(),
-        )
-
-    def arrays(self) -> list[np.ndarray]:
-        """Parameter blocks in serialization order."""
-        if self.kind == "linear":
-            return [self.out_weights, np.array([self.out_bias])]
-        return [
-            self.hidden_weights.reshape(-1),
-            self.hidden_bias,
-            self.out_weights,
-            np.array([self.out_bias]),
-        ]
+        return ScorerParams(self.kind, self.hidden_dim, self.vector.copy())
 
     @property
-    def hidden_dim(self) -> int:
-        return 0 if self.kind == "linear" else self.out_weights.shape[0]
+    def hidden_weights(self) -> np.ndarray:
+        h = self.hidden_dim
+        return self.vector[:NUM_FEATURES * h].reshape(NUM_FEATURES, h)
+
+    @property
+    def hidden_bias(self) -> np.ndarray:
+        h = self.hidden_dim
+        return self.vector[NUM_FEATURES * h:(NUM_FEATURES + 1) * h]
+
+    @property
+    def out_weights(self) -> np.ndarray:
+        return self.vector[-1 - (self.hidden_dim or NUM_FEATURES):-1]
+
+    @property
+    def out_bias(self) -> float:
+        return float(self.vector[-1])
 
 
 def init_params(kind: str, seed: int, hidden_dim: int = 8) -> ScorerParams:
-    """Seeded uniform weights on [-0.1, 0.1]; biases start at zero.
+    """Seeded uniform weights on [-0.1, 0.1], hidden then output; biases
+    start at zero.
 
     `hidden_dim` is read by the mlp only, which needs at least one unit.
     """
+    hidden = hidden_dim if kind == "mlp" else 0
+    params = ScorerParams(kind, hidden, np.zeros(_param_count(kind, hidden)))
     rng = np.random.default_rng(seed)
-    if kind == "linear":
-        w = rng.uniform(-0.1, 0.1, NUM_FEATURES)
-        return ScorerParams("linear", w, 0.0)
-    if kind == "mlp":
-        if hidden_dim < 1:
-            raise ValueError(f"mlp scorer needs hidden_dim >= 1, got {hidden_dim}")
-        hw = rng.uniform(-0.1, 0.1, (NUM_FEATURES, hidden_dim))
-        ow = rng.uniform(-0.1, 0.1, hidden_dim)
-        return ScorerParams("mlp", ow, 0.0, hw, np.zeros(hidden_dim))
-    raise ValueError(f"unknown scorer kind: {kind!r}")
+    params.hidden_weights[:] = rng.uniform(-0.1, 0.1, params.hidden_weights.shape)
+    params.out_weights[:] = rng.uniform(-0.1, 0.1, params.out_weights.shape)
+    return params
 
 
 def _affine(X: np.ndarray, W: np.ndarray, b: float | np.ndarray) -> np.ndarray:
@@ -213,10 +234,8 @@ def score_batch(params: ScorerParams, X: np.ndarray) -> np.ndarray:
         raise ValueError(f"feature dimension {X.shape[-1]} does not match {NUM_FEATURES}")
     if params.kind == "linear":
         return _affine(X, params.out_weights, params.out_bias)
-    if params.kind == "mlp":
-        h = np.tanh(_affine(X, params.hidden_weights, params.hidden_bias))
-        return _affine(h, params.out_weights, params.out_bias)
-    raise ValueError(f"unknown scorer kind: {params.kind!r}")
+    h = np.tanh(_affine(X, params.hidden_weights, params.hidden_bias))
+    return _affine(h, params.out_weights, params.out_bias)
 
 
 def _sigmoid(y: np.ndarray) -> np.ndarray:
@@ -228,11 +247,6 @@ def _sigmoid(y: np.ndarray) -> np.ndarray:
     return out
 
 
-def _zero_like(params: ScorerParams) -> ScorerParams:
-    size = params_to_vector(params).size
-    return params_from_vector(params.kind, np.zeros(size), params.hidden_dim)
-
-
 def _backward(params: ScorerParams, X: np.ndarray, upstream: np.ndarray,
               grad: ScorerParams) -> None:
     """Accumulate d(sum_i upstream_i * score_i)/dparams into grad.
@@ -240,16 +254,15 @@ def _backward(params: ScorerParams, X: np.ndarray, upstream: np.ndarray,
     The mlp's hidden activations are recomputed as `score_batch` forms
     them, so they are the same values the scores came from.
     """
+    grad.vector[-1] += upstream.sum()
     if params.kind == "linear":
-        grad.out_weights += X.T @ upstream
-        grad.out_bias += float(upstream.sum())
+        grad.out_weights[:] += X.T @ upstream
         return
     h = np.tanh(_affine(X, params.hidden_weights, params.hidden_bias))
-    grad.out_weights += h.T @ upstream
-    grad.out_bias += float(upstream.sum())
+    grad.out_weights[:] += h.T @ upstream
     t = (upstream[:, None] * (1.0 - h * h)) * params.out_weights[None, :]
-    grad.hidden_weights += X.T @ t
-    grad.hidden_bias += t.sum(axis=0)
+    grad.hidden_weights[:] += X.T @ t
+    grad.hidden_bias[:] += t.sum(axis=0)
 
 
 def batch_loss_and_gradient(params: ScorerParams, X: np.ndarray, other: np.ndarray,
@@ -267,7 +280,7 @@ def batch_loss_and_gradient(params: ScorerParams, X: np.ndarray, other: np.ndarr
     n = len(X)
     if n == 0:
         raise ValueError("empty batch")
-    grad = _zero_like(params)
+    grad = ScorerParams(params.kind, params.hidden_dim, np.zeros_like(params.vector))
     if loss == LossKind.PAIRWISE_HINGE:
         if other.shape != X.shape:
             raise ValueError(f"pairwise hinge needs negative rows of shape {X.shape}, "
@@ -291,7 +304,7 @@ def batch_loss_and_gradient(params: ScorerParams, X: np.ndarray, other: np.ndarr
 
 
 def _all_finite(params: ScorerParams) -> bool:
-    return all(np.all(np.isfinite(a)) for a in params.arrays())
+    return bool(np.isfinite(params.vector).all())
 
 
 def sgd_step(params: ScorerParams, grad: ScorerParams, lr: float) -> ScorerParams:
@@ -300,36 +313,7 @@ def sgd_step(params: ScorerParams, grad: ScorerParams, lr: float) -> ScorerParam
         raise ValueError("learning rate must be non-negative")
     if not _all_finite(grad):
         raise ValueError("non-finite gradient")
-    out = params.copy()
-    out.out_weights -= lr * grad.out_weights
-    out.out_bias -= lr * grad.out_bias
-    if out.hidden_weights is not None:
-        out.hidden_weights -= lr * grad.hidden_weights
-        out.hidden_bias -= lr * grad.hidden_bias
-    return out
-
-
-def params_to_vector(params: ScorerParams) -> np.ndarray:
-    return np.concatenate([a.reshape(-1) for a in params.arrays()])
-
-
-def params_from_vector(kind: str, vec: np.ndarray, hidden_dim: int = 8) -> ScorerParams:
-    vec = np.asarray(vec, dtype=float)
-    if kind == "linear":
-        if vec.size != NUM_FEATURES + 1:
-            raise ValueError("bad parameter count for linear scorer")
-        return ScorerParams("linear", vec[:NUM_FEATURES].copy(), float(vec[NUM_FEATURES]))
-    if kind == "mlp":
-        h = hidden_dim
-        expected = NUM_FEATURES * h + h + h + 1
-        if vec.size != expected:
-            raise ValueError("bad parameter count for mlp scorer")
-        i = NUM_FEATURES * h
-        hw = vec[:i].reshape(NUM_FEATURES, h).copy()
-        hb = vec[i:i + h].copy()
-        ow = vec[i + h:i + 2 * h].copy()
-        return ScorerParams("mlp", ow, float(vec[-1]), hw, hb)
-    raise ValueError(f"unknown scorer kind: {kind!r}")
+    return ScorerParams(params.kind, params.hidden_dim, params.vector - lr * grad.vector)
 
 
 def write_params(params: ScorerParams, stream: IO[str]) -> None:
@@ -343,8 +327,8 @@ def write_params(params: ScorerParams, stream: IO[str]) -> None:
     stream.write(
         f"{MODEL_FORMAT_NAME} {MODEL_FORMAT_VERSION} kind={params.kind} "
         f"dim={NUM_FEATURES} hidden={params.hidden_dim}\n")
-    for value in params_to_vector(params):
-        stream.write(format(float(value), ".17g") + "\n")
+    for value in params.vector.tolist():
+        stream.write(format(value, ".17g") + "\n")
 
 
 def read_params(stream: IO[str]) -> ScorerParams:
@@ -359,16 +343,14 @@ def read_params(stream: IO[str]) -> ScorerParams:
     opts = dict(f.partition("=")[::2] for f in fields[2:])
     kind, dim, hidden = (opts.get(key, "") for key in ("kind", "dim", "hidden"))
     if (fields[:2] != [MODEL_FORMAT_NAME, MODEL_FORMAT_VERSION] or len(fields) != 5
-            or kind not in ("linear", "mlp") or not dim.isdecimal()
-            or not hidden.isdecimal()):
+            or not dim.isdecimal() or not hidden.isdecimal()):
         raise ParseError(f"bad model header: {header!r}", 1)
     if int(dim) != NUM_FEATURES:
         raise ParseError(f"model feature dimension {dim} does not match {NUM_FEATURES}", 1)
-    if kind == "mlp" and int(hidden) < 1:
-        raise ParseError(f"bad model header: mlp scorer needs hidden >= 1, "
-                         f"got hidden={hidden}", 1)
-    h = int(hidden)
-    expected = NUM_FEATURES + 1 if kind == "linear" else (NUM_FEATURES + 2) * h + 1
+    try:
+        expected = _param_count(kind, int(hidden))
+    except ValueError as error:
+        raise ParseError(f"bad model header: {error}", 1) from None
     values, last = [], 1
     for line_no, line in lines:
         if len(values) == expected:
@@ -384,4 +366,4 @@ def read_params(stream: IO[str]) -> ScorerParams:
     if len(values) < expected:
         raise ParseError(f"expected {expected} parameters for a {kind} scorer, "
                          f"got {len(values)}", last)
-    return params_from_vector(kind, np.array(values), hidden_dim=h)
+    return ScorerParams(kind, int(hidden), np.array(values))

@@ -146,12 +146,6 @@ class TrainingSet:
         self.matrix.flags.writeable = False
         self.starts = np.array([span.start for span in self.rows.values()], dtype=np.intp)
 
-    def features(self, query: Query, doc_id: str) -> np.ndarray:
-        """The (n_segments, 7) rows of one query/doc pair: a view of the
-        matrix."""
-        span = self.rows[(query.id, doc_id)]
-        return self.matrix[span.start:span.stop]
-
     def row_counts(self) -> list[int]:
         """Each pair's row count, in pair order."""
         return [len(span) for span in self.rows.values()]

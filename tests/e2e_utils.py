@@ -8,6 +8,8 @@ import io
 from dataclasses import dataclass
 from typing import Iterable
 
+import numpy as np
+
 from document_oracle import Document, synth_documents, write_corpus
 from segtrain import formats
 from segtrain.corpus import (
@@ -31,6 +33,13 @@ def scored_terms(queries: list[Query],
         for doc_id in candidates.get(query.id, []):
             doc_terms.setdefault(doc_id, set()).update(query.tokens)
     return doc_terms
+
+
+def pair_rows(store: TrainingSet, query_id: str, doc_id: str) -> np.ndarray:
+    """The feature rows of one (query, document) pair of a store: a view
+    of its matrix."""
+    span = store.rows[(query_id, doc_id)]
+    return store.matrix[span.start:span.stop]
 
 
 def read_views(documents: Iterable[Document], queries: list[Query],

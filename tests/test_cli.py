@@ -17,7 +17,7 @@ import pytest
 import segtrain
 from segtrain import formats
 from segtrain.cli import main
-from segtrain.evaluation import paired_t_test, per_query_metrics
+from segtrain.evaluation import group_qrels, judged_metrics, paired_t_test
 
 TINY_CONFIG = {
     "num_queries": 10, "docs_per_query": 3, "sentences_per_doc": 12,
@@ -890,7 +890,8 @@ def test_eval_t_test_reads_the_whole_baseline_within_the_depths(trec, capsys,
     tables = []
     for name in ("run.txt", "deep.txt"):
         with open(trec / name) as stream:
-            tables.append(per_query_metrics(formats.parse_run(stream), qrels, cutoff, k))
+            tables.append(judged_metrics(formats.parse_run(stream), group_qrels(qrels),
+                                         cutoff, k))
     table, base = tables
     assert any(base[q][cutoff < k] > 0 for q in base)  # read at rank 2
     for i, name in enumerate(("t_test_mrr_p", "t_test_ndcg_p")):

@@ -9,20 +9,12 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from segtrain.evaluation import (
-    group_qrels,
-    judged_metrics,
-    mrr,
-    ndcg_at_k,
-    paired_t_test,
-    per_query_metrics,
-    table_means,
-)
+from segtrain.evaluation import group_qrels, judged_metrics, mrr, paired_t_test, table_means
 from segtrain.ranking import RankedList, RankEntry
 
 # ---------------------------------------------------------------------------
-# Oracles: `mrr`, `ndcg_at_k` and the CLI's per-query table as they were
-# written before `per_query_metrics` existed.  The table re-filtered the
+# Oracles: `mrr`, NDCG@k and the CLI's per-query table as they were
+# written before one per-query table existed.  The table re-filtered the
 # whole qrels for every query.
 
 
@@ -120,6 +112,18 @@ def bits(value: float) -> str:
     return value.hex()
 
 
+def table(run, qrels, cutoff=10, k=10):
+    """The per-query table `eval` writes: `judged_metrics` over `qrels`
+    grouped once."""
+    return judged_metrics(run, group_qrels(qrels), cutoff, k)
+
+
+def means(run, qrels, cutoff=10, k=10):
+    """The (MRR, NDCG@k) `eval` prints: `table_means` of the table."""
+    judgments = group_qrels(qrels)
+    return table_means(judged_metrics(run, judgments, cutoff, k), judgments)
+
+
 def entries(*pairs):
     return [RankEntry(doc, 0.0, rank) for doc, rank in pairs]
 
@@ -155,16 +159,17 @@ UNJUDGED_IN_RUN = ({"a": RankedList("a", entries(("x", 1))),
 @example(*GRADED, 10, 10)
 def test_metrics_equal_the_old_code_bit_for_bit(run, qrels, cutoff, k):
     if not any(qid in run for qid, _ in qrels):
-        for fn in (mrr, ndcg_at_k, per_query_metrics):
+        for fn in (mrr, table, means):
             with pytest.raises(ValueError, match="share no queries"):
                 fn(run, qrels)
         return
     assert bits(mrr(run, qrels, cutoff)) == bits(reference_mrr(run, qrels, cutoff))
-    assert bits(ndcg_at_k(run, qrels, k)) == bits(reference_ndcg(run, qrels, k))
-    table = per_query_metrics(run, qrels, cutoff, k)
+    assert tuple(map(bits, means(run, qrels, cutoff, k))) == \
+        (bits(reference_mrr(run, qrels, cutoff)), bits(reference_ndcg(run, qrels, k)))
+    got = table(run, qrels, cutoff, k)
     expected = reference_per_query(run, qrels, cutoff, k)
-    assert list(table) == list(expected)
-    assert {q: tuple(map(bits, v)) for q, v in table.items()} == \
+    assert list(got) == list(expected)
+    assert {q: tuple(map(bits, v)) for q, v in got.items()} == \
         {q: tuple(map(bits, v)) for q, v in expected.items()}
 
 
@@ -173,25 +178,22 @@ def test_metrics_equal_the_old_code_bit_for_bit(run, qrels, cutoff, k):
 @example(*SUMMED, 10, 10)
 def test_aggregates_are_means_of_the_table(run, qrels, cutoff, k):
     assume(any(qid in run for qid, _ in qrels))
-    table = per_query_metrics(run, qrels, cutoff, k)
+    got = table(run, qrels, cutoff, k)
     judged = len({qid for qid, _ in qrels})
-    metrics = (mrr(run, qrels, cutoff), ndcg_at_k(run, qrels, k))
+    metrics = means(run, qrels, cutoff, k)
     for i, metric in enumerate(metrics):
         total = 0.0
-        for values in table.values():
+        for values in got.values():
             total += values[i]
         assert bits(total / judged) == bits(metric)
-    judgments = group_qrels(qrels)
-    grouped = judged_metrics(run, judgments, cutoff, k)
-    assert list(grouped.items()) == list(table.items())
-    assert tuple(map(bits, table_means(grouped, judgments))) == tuple(map(bits, metrics))
+    assert bits(mrr(run, qrels, cutoff)) == bits(metrics[0])
 
 
 def test_table_covers_judged_queries_in_the_run():
     run, qrels = UNJUDGED_IN_RUN
-    assert per_query_metrics(run, qrels) == {"a": (1.0, 1.0)}
+    assert table(run, qrels) == {"a": (1.0, 1.0)}
     run, qrels = ALL_ZERO
-    assert per_query_metrics(run, qrels, 1, 1) == {"a": (0.0, 0.0)}
+    assert table(run, qrels, 1, 1) == {"a": (0.0, 0.0)}
 
 
 @settings(max_examples=50)
@@ -209,17 +211,13 @@ def test_runs_are_slotted_and_pickle_to_equal_runs(run):
 RUN = {"a": RankedList("a", entries(("x", 1)))}
 
 
-def grouped_metrics(run, qrels):
-    return judged_metrics(run, group_qrels(qrels))
-
-
-@pytest.mark.parametrize("fn", [mrr, ndcg_at_k, per_query_metrics, grouped_metrics])
+@pytest.mark.parametrize("fn", [mrr, table, means])
 def test_negative_grade_rejected(fn):
     with pytest.raises(ValueError, match="negative relevance grade"):
         fn(RUN, {("a", "x"): 1, ("a", "y"): -1})
 
 
-@pytest.mark.parametrize("fn", [mrr, ndcg_at_k, per_query_metrics, grouped_metrics])
+@pytest.mark.parametrize("fn", [mrr, table, means])
 def test_no_overlap_rejected(fn):
     with pytest.raises(ValueError, match="share no queries"):
         fn(RUN, {("b", "x"): 1})
@@ -231,12 +229,10 @@ def test_depth_below_one_rejected():
     qrels = {("a", "x"): 1}
     with pytest.raises(ValueError, match="cutoff must be >= 1"):
         mrr(RUN, qrels, 0)
-    with pytest.raises(ValueError, match="k must be >= 1"):
-        ndcg_at_k(RUN, qrels, 0)
     with pytest.raises(ValueError, match="cutoff must be >= 1"):
-        per_query_metrics(RUN, qrels, 0, 10)
+        table(RUN, qrels, 0, 10)
     with pytest.raises(ValueError, match="k must be >= 1"):
-        per_query_metrics(RUN, qrels, 10, 0)
+        table(RUN, qrels, 10, 0)
 
 
 # ---------------------------------------------------------------------------

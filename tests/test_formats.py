@@ -4,6 +4,7 @@ import contextlib
 import dataclasses
 import io
 import json
+import math
 import os
 import re
 import sys
@@ -987,6 +988,7 @@ def rejected_line(values: dict) -> int | None:
                 or (name == "scorer_kind" and value not in ("linear", "mlp"))
                 or (name in POSITIVE_KEYS and value < 1)
                 or (name in NON_NEGATIVE_KEYS and not value >= 0)
+                or (name == "learning_rate" and value == math.inf)
                 or (name == "docs_per_query" and value < 2)
                 or (name == "dev_fraction" and not 0 < value < 1)
                 or (name in ("noise", "distractor_overlap") and not 0 <= value <= 1)):
@@ -1056,6 +1058,8 @@ def test_config_rejects_each_out_of_range_value_at_its_line(values):
     ("title_token_count=-1", "title_token_count must be non-negative"),
     ("learning_rate=-0.1", "learning_rate must be non-negative"),
     ("learning_rate=nan", "learning_rate must be non-negative"),
+    ("learning_rate=inf", "learning_rate must be non-negative and finite, got inf"),
+    ("learning_rate=1e400", "learning_rate must be non-negative and finite, got inf"),
     ("plant_lo=-1", "plant_lo must be non-negative"),
     ("plant_lo=4", "plant_lo=4 is not below plant_hi=4"),
     ("plant_hi=0", "plant_lo=0 is not below plant_hi=0"),

@@ -15,8 +15,7 @@ EXPORTED = {
     "corpus": ["CorpusStats", "Query", "Segment", "SegmentationPolicy",
                "segment_for_inference", "segment_for_training", "split_sentences",
                "tokenize"],
-    "evaluation": ["kfold_split", "mrr", "ndcg_at_k", "paired_t_test",
-                   "per_query_metrics", "segment_p_at_1"],
+    "evaluation": ["kfold_split", "mrr", "paired_t_test", "segment_p_at_1"],
     "ranking": ["Aggregation", "RankedList"],
     "scorer": ["LossKind", "ScorerParams", "batch_loss_and_gradient", "init_params",
                "read_params", "segment_features", "sgd_step", "write_params"],
@@ -31,9 +30,12 @@ TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 # into `segment_features`, `build_eval_bundle` into `build_training_set`,
 # and `rerank` and `score_document` into `training.rank_store`;
 # `compute_corpus_stats` moved into the tests' document oracle, since
-# the commands take their stats from views (`CorpusStats.from_windows`).
+# the commands take their stats from views (`CorpusStats.from_windows`);
+# `ndcg_at_k` gave way to `judged_metrics` and `table_means`, which
+# `eval` reads.
 RETIRED = {"scorer.extract_features", "training.build_eval_bundle",
-           "ranking.rerank", "ranking.score_document", "corpus.compute_corpus_stats"}
+           "ranking.rerank", "ranking.score_document", "corpus.compute_corpus_stats",
+           "evaluation.ndcg_at_k"}
 
 
 def test_exported_names_are_the_submodule_attributes():
@@ -72,7 +74,6 @@ def test_traced_names_are_public_functions():
         value = getattr(module, attr, None)
         assert inspect.isfunction(value) and value.__module__ == module.__name__, name
         assert not attr.startswith("_"), name
-    assert inspect.isfunction(segtrain.TrainingSet.features)
 
 
 def test_traced_commands_are_cli_subcommands():

@@ -28,7 +28,7 @@ def position_scorer() -> ScorerParams:
     """Scores a segment by its index: segment i scores i / max_segments."""
     w = np.zeros(NUM_FEATURES)
     w[F_POSITION_RATIO] = 1.0
-    return ScorerParams("linear", w, 0.0)
+    return ScorerParams("linear", 0, np.append(w, 0.0))
 
 
 def rank(params: ScorerParams, query: Query, docs: list[Document],
@@ -68,7 +68,7 @@ class TestScoreDocument:
         doc = document_from_text("doc", "t", "just one short sentence.")
         q = Query.from_text("q", "short sentence")
         rng = np.random.default_rng(0)
-        params = ScorerParams("linear", rng.normal(size=NUM_FEATURES), 0.2)
+        params = ScorerParams("linear", 0, np.append(rng.normal(size=NUM_FEATURES), 0.2))
         [first] = rank(params, q, [doc], Aggregation.FIRST_P).entries
         [best] = rank(params, q, [doc], Aggregation.MAX_P).entries
         assert first.score == best.score
@@ -104,6 +104,12 @@ class TestRankByScores:
         ranked = rank_by_scores("q", {"B": 0.5, "A": 0.5})
         assert [e.doc_id for e in ranked.entries] == ["A", "B"]
 
+    def test_nan_ranks_after_every_number_then_by_doc_id(self):
+        scores = {"e": np.nan, "d": -np.inf, "c": np.nan, "b": 2.0, "a": np.nan}
+        ranked = rank_by_scores("q", scores)
+        assert [e.doc_id for e in ranked.entries] == ["b", "d", "a", "c", "e"]
+        assert [e.rank for e in ranked.entries] == [1, 2, 3, 4, 5]
+
     def test_ranks_consecutive(self):
         ranked = rank_by_scores("q", {c: float(i) for i, c in enumerate("fedcba")})
         assert [e.rank for e in ranked.entries] == [1, 2, 3, 4, 5, 6]
@@ -125,7 +131,7 @@ class TestRerank:
         q = Query.from_text("q", "target phrase")
         w = np.zeros(NUM_FEATURES)
         w[F_MATCH_FRACTION] = 1.0
-        ranked = rank(ScorerParams("linear", w, 0.0), q, docs)
+        ranked = rank(ScorerParams("linear", 0, np.append(w, 0.0)), q, docs)
         assert ranked.entries[0].doc_id == "b"
         assert ranked.entries[0].rank == 1
 
@@ -134,7 +140,7 @@ class TestRerank:
                 doc_with_terms("a", "same words here")]
         q = Query.from_text("q", "same words")
         rng = np.random.default_rng(1)
-        params = ScorerParams("linear", rng.normal(size=NUM_FEATURES), 0.0)
+        params = ScorerParams("linear", 0, np.append(rng.normal(size=NUM_FEATURES), 0.0))
         ranked = rank(params, q, docs)
         assert [e.doc_id for e in ranked.entries] == ["a", "z"]
 
@@ -144,7 +150,7 @@ class TestRerank:
         docs = [doc_with_terms(f"d{i}", " ".join(rng.choice(vocab, size=8)))
                 for i in range(12)]
         q = Query.from_text("q", "w1 w2 w3")
-        params = ScorerParams("linear", rng.normal(size=NUM_FEATURES), 0.0)
+        params = ScorerParams("linear", 0, np.append(rng.normal(size=NUM_FEATURES), 0.0))
         for agg in Aggregation:
             ranked = rank(params, q, docs, agg)
             assert sorted(e.doc_id for e in ranked.entries) == sorted(d.id for d in docs)

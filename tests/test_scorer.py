@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from document_oracle import Document, compute_corpus_stats, document_view, synth_documents
-from e2e_utils import read_views
+from e2e_utils import pair_rows, read_views
 from loss_oracle import hinge_loss, pointwise_ce_loss
 from numpy_features import numpy_segment_features
 from segtrain.corpus import (
@@ -38,8 +38,6 @@ from segtrain.scorer import (
     batch_loss_and_gradient,
     idf,
     init_params,
-    params_from_vector,
-    params_to_vector,
     read_params,
     score_batch,
     segment_features,
@@ -298,7 +296,7 @@ def test_stores_equal_the_numpy_kernel_on_the_late_collection():
                             else segment_for_inference(view, cfg.max_tokens))
                 expected = numpy_segment_features(topic.query, view, segments, stats,
                                                   cfg.max_tokens, cfg.max_segments)
-                assert store.features(topic.query, doc_id).tobytes() == \
+                assert pair_rows(store, topic.query.id, doc_id).tobytes() == \
                     expected.tobytes()
 
 
@@ -338,21 +336,20 @@ def test_query_term_stats_give_the_same_features(docs, queries, max_tokens):
 
 class TestScore:
     def test_bias_only(self):
-        p = ScorerParams("linear", np.zeros(NUM_FEATURES), 0.3)
+        p = ScorerParams("linear", 0, np.append(np.zeros(NUM_FEATURES), 0.3))
         X = np.random.default_rng(0).normal(size=(3, NUM_FEATURES))
         assert score_batch(p, X).tolist() == [0.3] * 3
 
     def test_unit_weight(self):
         w = np.zeros(NUM_FEATURES)
         w[F_MATCH_FRACTION] = 1.0
-        p = ScorerParams("linear", w, 0.0)
+        p = ScorerParams("linear", 0, np.append(w, 0.0))
         X = np.zeros((2, NUM_FEATURES))
         X[0, F_MATCH_FRACTION] = 0.5
         assert score_batch(p, X).tolist() == [0.5, 0.0]
 
     def test_mlp_zero_weights_gives_bias(self):
-        p = ScorerParams("mlp", np.zeros(8), 1.0, np.zeros((NUM_FEATURES, 8)),
-                         np.zeros(8))
+        p = ScorerParams("mlp", 8, np.append(np.zeros((NUM_FEATURES + 2) * 8), 1.0))
         assert score_batch(p, np.ones((1, NUM_FEATURES))).tolist() == [1.0]
 
     def test_dimension_mismatch(self):
@@ -369,7 +366,7 @@ class TestScore:
         # behind one more row give every row the same bits
         rng = np.random.default_rng(seed)
         count = NUM_FEATURES + 1 if kind == "linear" else (NUM_FEATURES + 2) * hidden + 1
-        params = params_from_vector(kind, rng.normal(size=count), hidden_dim=hidden)
+        params = ScorerParams(kind, hidden if kind == "mlp" else 0, rng.normal(size=count))
         blocks = [rng.normal(size=(n, NUM_FEATURES)) * 10.0 ** rng.integers(-3, 4, NUM_FEATURES)
                   for n in sizes]
         per_block = np.concatenate([score_batch(params, block) for block in blocks])
@@ -429,10 +426,8 @@ class TestPointwiseCE:
 
 def random_params(rng, kind):
     if kind == "linear":
-        return ScorerParams("linear", rng.normal(size=NUM_FEATURES),
-                            float(rng.normal()))
-    return ScorerParams("mlp", rng.normal(size=8), float(rng.normal()),
-                        rng.normal(size=(NUM_FEATURES, 8)), rng.normal(size=8))
+        return ScorerParams("linear", 0, rng.normal(size=NUM_FEATURES + 1))
+    return ScorerParams("mlp", 8, rng.normal(size=(NUM_FEATURES + 2) * 8 + 1))
 
 
 def random_batch(rng, loss, size=3):
@@ -444,17 +439,16 @@ def random_batch(rng, loss, size=3):
 
 
 def numeric_gradient(params, batch, loss, h=1e-5):
-    vec = params_to_vector(params)
-    hidden = params.hidden_dim or 1
+    vec = params.vector
     out = np.zeros_like(vec)
     for i in range(vec.size):
         bumped = vec.copy()
         bumped[i] += h
         up, _ = batch_loss_and_gradient(
-            params_from_vector(params.kind, bumped, hidden), *batch, loss)
+            ScorerParams(params.kind, params.hidden_dim, bumped), *batch, loss)
         bumped[i] -= 2 * h
         down, _ = batch_loss_and_gradient(
-            params_from_vector(params.kind, bumped, hidden), *batch, loss)
+            ScorerParams(params.kind, params.hidden_dim, bumped), *batch, loss)
         out[i] = (up - down) / (2 * h)
     return out
 
@@ -467,7 +461,7 @@ def hinge_margins(params, batch):
 class TestBatchLossAndGradient:
     def test_zero_scorer_pairwise(self):
         rng = np.random.default_rng(1)
-        p = ScorerParams("linear", np.zeros(NUM_FEATURES), 0.0)
+        p = ScorerParams("linear", 0, np.zeros(NUM_FEATURES + 1))
         batch = random_batch(rng, LossKind.PAIRWISE_HINGE, 6)
         loss, grad = batch_loss_and_gradient(p, *batch, LossKind.PAIRWISE_HINGE)
         assert loss == 1.0
@@ -476,14 +470,14 @@ class TestBatchLossAndGradient:
     def test_satisfied_margins_flat(self):
         w = np.zeros(NUM_FEATURES)
         w[0] = 10.0
-        p = ScorerParams("linear", w, 0.0)
+        p = ScorerParams("linear", 0, np.append(w, 0.0))
         pos = np.zeros(NUM_FEATURES)
         pos[0] = 1.0
         loss, grad = batch_loss_and_gradient(p, np.tile(pos, (4, 1)),
                                              np.zeros((4, NUM_FEATURES)),
                                              LossKind.PAIRWISE_HINGE)
         assert loss == 0.0
-        assert np.all(params_to_vector(grad) == 0.0)
+        assert np.all(grad.vector == 0.0)
 
     def test_empty_batch_rejected(self):
         empty = np.zeros((0, NUM_FEATURES))
@@ -518,7 +512,7 @@ class TestBatchLossAndGradient:
                 if np.any(np.abs(hinge_margins(params, batch)) < 1e-3):
                     continue
             _, grad = batch_loss_and_gradient(params, *batch, loss)
-            analytic = params_to_vector(grad)
+            analytic = grad.vector
             numeric = numeric_gradient(params, batch, loss)
             err = np.linalg.norm(analytic - numeric) / max(np.linalg.norm(numeric), 1e-8)
             assert err < 1e-4
@@ -557,7 +551,7 @@ class TestScoreMonotonicity:
     def test_positive_weights_monotone_in_match(self, f1_lo, f1_hi):
         rng = np.random.default_rng(3)
         w = np.abs(rng.normal(size=NUM_FEATURES))
-        p = ScorerParams("linear", w, 0.1)
+        p = ScorerParams("linear", 0, np.append(w, 0.1))
         x = rng.normal(size=NUM_FEATURES)
         lo, hi = min(f1_lo, f1_hi), max(f1_lo, f1_hi)
         x_lo = x.copy()
@@ -572,24 +566,22 @@ class TestSgdStep:
         p = init_params("linear", 4)
         g = init_params("linear", 5)
         out = sgd_step(p, g, 0.0)
-        assert np.array_equal(params_to_vector(out), params_to_vector(p))
+        assert np.array_equal(out.vector, p.vector)
 
     def test_zero_grad(self):
         p = init_params("mlp", 4)
         g = p.copy()
-        for a in g.arrays():
-            a[:] = 0.0
-        g.out_bias = 0.0
+        g.vector[:] = 0.0
         out = sgd_step(p, g, 0.5)
-        assert np.array_equal(params_to_vector(out), params_to_vector(p))
+        assert np.array_equal(out.vector, p.vector)
 
     def test_basic_update(self):
         w = np.zeros(NUM_FEATURES)
         w[0] = 1.0
-        p = ScorerParams("linear", w, 0.0)
+        p = ScorerParams("linear", 0, np.append(w, 0.0))
         gw = np.zeros(NUM_FEATURES)
         gw[0] = 0.5
-        g = ScorerParams("linear", gw, 0.0)
+        g = ScorerParams("linear", 0, np.append(gw, 0.0))
         out = sgd_step(p, g, 0.2)
         assert out.out_weights[0] == pytest.approx(0.9)
 
@@ -604,7 +596,7 @@ class TestSgdStep:
 class TestInitParams:
     def test_deterministic(self):
         a, b = init_params("mlp", 11), init_params("mlp", 11)
-        assert np.array_equal(params_to_vector(a), params_to_vector(b))
+        assert np.array_equal(a.vector, b.vector)
 
     def test_seeds_differ(self):
         a, b = init_params("linear", 1), init_params("linear", 2)
@@ -622,6 +614,34 @@ class TestInitParams:
             init_params("transformer", 0)
 
 
+class TestScorerParams:
+    def test_blocks_are_views_in_model_file_order(self):
+        h = 3
+        p = ScorerParams("mlp", h, np.arange((NUM_FEATURES + 2) * h + 1, dtype=float))
+        assert p.hidden_weights.tolist() == np.arange(NUM_FEATURES * h).reshape(-1, h).tolist()
+        assert p.hidden_bias.tolist() == [21.0, 22.0, 23.0]
+        assert p.out_weights.tolist() == [24.0, 25.0, 26.0]
+        assert p.out_bias == 27.0
+        p.hidden_bias[:] = -1.0
+        assert p.vector[21:24].tolist() == [-1.0] * 3
+        q = ScorerParams("linear", 0, np.arange(NUM_FEATURES + 1, dtype=float))
+        assert q.out_weights.tolist() == list(range(NUM_FEATURES))
+        assert q.out_bias == NUM_FEATURES
+        assert q.hidden_weights.shape == (NUM_FEATURES, 0) and q.hidden_bias.size == 0
+
+    @pytest.mark.parametrize("kind, hidden, size, message", [
+        ("linear", 0, NUM_FEATURES,
+         r"linear scorer with hidden=0 has 8 parameters, got shape \(7,\)"),
+        ("mlp", 2, 8, "mlp scorer with hidden=2 has 19 parameters"),
+        ("linear", 2, 19, "linear scorer needs hidden=0, got hidden=2"),
+        ("mlp", 0, 1, "mlp scorer needs hidden >= 1, got hidden=0"),
+        ("tree", 0, 8, "unknown scorer kind: 'tree'"),
+    ])
+    def test_layout_mismatch_rejected(self, kind, hidden, size, message):
+        with pytest.raises(ValueError, match=message):
+            ScorerParams(kind, hidden, np.zeros(size))
+
+
 finite_floats = st.floats(allow_nan=False, allow_infinity=False, width=64)
 
 
@@ -634,17 +654,17 @@ class TestModelFile:
         buf.seek(0)
         q = read_params(buf)
         assert q.kind == p.kind
-        assert np.array_equal(params_to_vector(q), params_to_vector(p))
+        assert np.array_equal(q.vector, p.vector)
 
     @settings(max_examples=50)
     @given(st.lists(finite_floats, min_size=8, max_size=8))
     def test_round_trip_arbitrary_values(self, values):
-        p = params_from_vector("linear", np.array(values))
+        p = ScorerParams("linear", 0, np.array(values))
         buf = io.StringIO()
         write_params(p, buf)
         buf.seek(0)
         q = read_params(buf)
-        assert params_to_vector(q).tolist() == params_to_vector(p).tolist()
+        assert q.vector.tolist() == p.vector.tolist()
 
     def test_header(self):
         buf = io.StringIO()
@@ -662,6 +682,9 @@ class TestModelFile:
         ("segtrain-model v2 kind=linear dim=7 hidden=0", "bad model header"),
         ("segtrain-model v1 kind=linear dim=5 hidden=0",
          "model feature dimension 5 does not match 7"),
+        # `write_params` would write hidden=0, so the file would not round-trip
+        ("segtrain-model v1 kind=linear dim=7 hidden=5",
+         "bad model header: linear scorer needs hidden=0, got hidden=5"),
     ])
     def test_bad_header_rejected(self, header, message):
         with pytest.raises(ParseError) as info:
@@ -696,7 +719,7 @@ class TestModelFile:
             write_params(p, io.StringIO())
 
     def test_mlp_without_hidden_units_rejected(self):
-        with pytest.raises(ValueError, match="hidden_dim >= 1, got 0"):
+        with pytest.raises(ValueError, match="mlp scorer needs hidden >= 1, got hidden=0"):
             init_params("mlp", 0, hidden_dim=0)
         init_params("linear", 0, hidden_dim=0)  # the linear scorer has no hidden layer
         # 0 hidden units leave the output bias as the one parameter

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from document_oracle import Document, compute_corpus_stats, document_view, synth_documents
-from e2e_utils import assemble, read_views, scored_terms
+from e2e_utils import assemble, pair_rows, read_views, scored_terms
 from segtrain import corpus as corpus_module
 from segtrain import formats
 from segtrain.corpus import (
@@ -28,8 +28,6 @@ from segtrain.scorer import (
     ScorerParams,
     batch_loss_and_gradient,
     init_params,
-    params_from_vector,
-    params_to_vector,
     score_batch,
     segment_features,
 )
@@ -82,11 +80,11 @@ def make_tset(topics_spec, stats=None, max_segments=4) -> TrainingSet:
 def match_scorer(weight: float = 1.0) -> ScorerParams:
     w = np.zeros(NUM_FEATURES)
     w[F_MATCH_FRACTION] = weight
-    return ScorerParams("linear", w, 0.0)
+    return ScorerParams("linear", 0, np.append(w, 0.0))
 
 
 def zero_scorer() -> ScorerParams:
-    return ScorerParams("linear", np.zeros(NUM_FEATURES), 0.0)
+    return ScorerParams("linear", 0, np.zeros(NUM_FEATURES + 1))
 
 
 def first_segments(tset) -> dict[tuple[str, str], int]:
@@ -114,7 +112,7 @@ def reference_epoch(tset, selection, cfg, rng):
             continue
 
         def feats(doc_id):
-            matrix = tset.features(topic.query, doc_id)
+            matrix = pair_rows(tset, topic.query.id, doc_id)
             if selection is None:
                 return list(matrix[:tset.max_segments])
             return [matrix[selection[(topic.query.id, doc_id)]]]
@@ -158,7 +156,7 @@ class TestBuildPairs:
                               random.Random(0))
         assert len(examples) == 1
         pos, neg = examples[0]
-        assert np.array_equal(pos, tset.features(tset.topics[0].query, "p")[0])
+        assert np.array_equal(pos, pair_rows(tset, tset.topics[0].query.id, "p")[0])
         assert neg.shape == (NUM_FEATURES,)
 
     def test_pointwise_clamps_to_available_negatives(self):
@@ -190,7 +188,7 @@ class TestBuildPairs:
                               random.Random(0))
         assert len(examples) == 1
         assert np.array_equal(examples[0][0],
-                              tset.features(tset.topics[1].query, "p2")[0])
+                              pair_rows(tset, tset.topics[1].query.id, "p2")[0])
 
     def test_missing_selection_entry_rejected(self):
         tset = make_tset([("a", {"p": [["a"]], "n": [["x"]]}, ["p"])])
@@ -207,7 +205,7 @@ class TestBuildPairs:
         spec = [("a", {"p": [["a"], ["b"]], "n": [["x"], ["y"], ["z"]]}, ["p"])]
         tset = make_tset(spec)
         query = tset.topics[0].query
-        pos, neg = tset.features(query, "p"), tset.features(query, "n")
+        pos, neg = pair_rows(tset, query.id, "p"), pair_rows(tset, query.id, "n")
         pairs = draw_epoch(tset, None, TrainConfig(), random.Random(0))
         assert sorted((p.tolist(), n.tolist()) for p, n in pairs) == \
             sorted((pos[j].tolist(), neg[j].tolist()) for j in range(2))
@@ -222,7 +220,7 @@ class TestBuildPairs:
         assert len(X) == sum(len(span) for span in rows.values())
         for topic in tset.topics:
             for doc_id in topic.candidates:
-                assert np.shares_memory(tset.features(topic.query, doc_id), X)
+                assert np.shares_memory(pair_rows(tset, topic.query.id, doc_id), X)
         assert _stack(tset, None)[0] is X
         assert _stack(tset, first_segments(tset))[0] is X
 
@@ -252,7 +250,7 @@ class TestBuildPairs:
             selection = None
             if trial % 2:
                 selection = {
-                    (t.query.id, d): int(rng.integers(len(tset.features(t.query, d))))
+                    (t.query.id, d): int(rng.integers(len(pair_rows(tset, t.query.id, d))))
                     for t in tset.topics for d in t.candidates}
             got = draw_epoch(tset, selection, cfg, random.Random(trial))
             expected = reference_epoch(tset, selection, cfg, random.Random(trial))
@@ -308,12 +306,11 @@ class TestSelectSegments:
         for _ in range(100):
             k = int(rng.integers(1, 6))
             tset = _random_tset(rng, max_segments=k)
-            params = ScorerParams("linear", rng.normal(size=NUM_FEATURES),
-                                  float(rng.normal()))
+            params = ScorerParams("linear", 0, rng.normal(size=NUM_FEATURES + 1))
             sel, scores = select_segments(params, tset)
             for topic in tset.topics:
                 for doc_id in topic.positives + topic.negatives:
-                    feats = tset.features(topic.query, doc_id)
+                    feats = pair_rows(tset, topic.query.id, doc_id)
                     best, best_score = 0, -float("inf")
                     for i in range(min(k, len(feats))):
                         s = float(score_batch(params, feats[i:i + 1])[0])
@@ -332,7 +329,7 @@ class TestSelectSegments:
             tset = _random_tset(rng, max_segments=k)
             weights = rng.choice([-np.inf, np.inf, 1e308, -1e308, 0.0, 1.0],
                                  size=NUM_FEATURES)
-            params = ScorerParams("linear", weights, float(rng.choice([0.0, np.inf])))
+            params = ScorerParams("linear", 0, np.append(weights, rng.choice([0.0, np.inf])))
             with np.errstate(invalid="ignore", over="ignore"):
                 sel, scores = select_segments(params, tset)
                 all_scores = score_batch(params, tset.matrix)
@@ -373,8 +370,7 @@ class TestTrainSingle:
         cfg = TrainConfig(learning_rate=0.0, epochs=3, seed=21)
         params, _ = train_single(coll.train_set, coll.dev_bundle, None,
                                  cfg, seed=99)
-        assert np.array_equal(params_to_vector(params),
-                              params_to_vector(init_params("linear", 99)))
+        assert np.array_equal(params.vector, init_params("linear", 99).vector)
 
     def test_deterministic(self):
         coll_a = small_collection()
@@ -385,7 +381,7 @@ class TestTrainSingle:
         pb, mb = train_single(coll_b.train_set, coll_b.dev_bundle, None,
                               cfg, seed=5)
         assert ma == mb
-        assert np.array_equal(params_to_vector(pa), params_to_vector(pb))
+        assert np.array_equal(pa.vector, pb.vector)
 
     def test_training_reduces_loss(self):
         # the mean hinge over every (positive, negative) pair of shared
@@ -438,8 +434,7 @@ class TestBestTrain:
         result = best_train(coll.train_set, coll.dev_bundle, cfg)
         for state in result.history:
             expected = init_params(cfg.scorer_kind, cfg.seed + state.n)
-            assert np.array_equal(params_to_vector(state.params),
-                                  params_to_vector(expected))
+            assert np.array_equal(state.params.vector, expected.vector)
 
     def test_deterministic_end_to_end(self):
         results = []
@@ -450,8 +445,7 @@ class TestBestTrain:
         a, b = results
         assert [s.validation_metric for s in a.history] == \
                [s.validation_metric for s in b.history]
-        assert all(np.array_equal(params_to_vector(x.params),
-                                  params_to_vector(y.params))
+        assert all(np.array_equal(x.params.vector, y.params.vector)
                    for x, y in zip(a.history, b.history))
         assert a.best_iteration == b.best_iteration
 
@@ -472,7 +466,7 @@ class TestTrainBaseline:
         p_gold, m_gold = train_baseline(coll.train_set, coll.dev_bundle, cfg,
                                         coll.corpus.gold)
         assert m_first == m_gold
-        assert np.array_equal(params_to_vector(p_first), params_to_vector(p_gold))
+        assert np.array_equal(p_first.vector, p_gold.vector)
 
     def test_missing_gold_rejected(self):
         coll = small_collection()
@@ -502,6 +496,18 @@ class TestEvaluateBundle:
         assert m_first <= m_max
         assert set(run_max) == {t.query.id for t in coll.dev_bundle.topics}
 
+    def test_a_diverged_model_does_not_read_as_a_perfect_one(self):
+        # the dev store lists each topic's positives first; NaN scores must
+        # rank by doc id, not keep that order and score MRR 1
+        dev = small_collection(seed=3).dev_bundle
+        params = init_params("linear", 0)
+        params.vector[-1] = np.nan
+        metric, run = evaluate_bundle(params, dev)
+        for topic in dev.topics:
+            assert [e.doc_id for e in run[topic.query.id].entries] == \
+                sorted(topic.candidates)
+        assert metric < 1.0
+
     @pytest.mark.parametrize("kind", ["linear", "mlp"])
     def test_scores_do_not_depend_on_the_store(self, kind):
         # a store built for a subset of the queries, as a fold is, scores
@@ -509,7 +515,7 @@ class TestEvaluateBundle:
         cfg, corpus, views, stats = late_collection(seed=4)
         rng = np.random.default_rng(4)
         count = NUM_FEATURES + 1 if kind == "linear" else (NUM_FEATURES + 2) * 8 + 1
-        params = params_from_vector(kind, rng.normal(size=count))
+        params = ScorerParams(kind, 8 if kind == "mlp" else 0, rng.normal(size=count))
         for policy in (cfg.policy(), dataclasses.replace(cfg.policy(), mode="inference")):
             full = build_training_set(corpus.queries, corpus.qrels, corpus.candidates,
                                       views, policy, stats)
@@ -520,8 +526,8 @@ class TestEvaluateBundle:
                                           views, policy, stats)
                 for topic in part.topics:
                     for doc_id in topic.candidates:
-                        assert part.features(topic.query, doc_id).tobytes() == \
-                            full.features(topic.query, doc_id).tobytes()
+                        assert pair_rows(part, topic.query.id, doc_id).tobytes() == \
+                            pair_rows(full, topic.query.id, doc_id).tobytes()
                 selection, scores = select_segments(params, part)
                 assert selection == {key: full_selection[key] for key in selection}
                 assert scores == {key: full_scores[key] for key in scores}
@@ -618,12 +624,11 @@ class TestStores:
         for tset, dev in (subsets, fresh):
             result = best_train(tset, dev, train_cfg)
             models.append([
-                params_to_vector(result.best_state.params).tobytes(),
+                result.best_state.params.vector.tobytes(),
                 [state.validation_metric for state in result.history],
-                params_to_vector(train_baseline(tset, dev, train_cfg)[0]).tobytes(),
-                params_to_vector(train_baseline(tset, dev, train_cfg,
-                                                corpus.gold)[0]).tobytes(),
-                params_to_vector(train_single(tset, dev, None, train_cfg, 7)[0]).tobytes()])
+                train_baseline(tset, dev, train_cfg)[0].vector.tobytes(),
+                train_baseline(tset, dev, train_cfg, corpus.gold)[0].vector.tobytes(),
+                train_single(tset, dev, None, train_cfg, 7)[0].vector.tobytes()])
         assert models[0] == models[1]
 
     def test_the_stores_key_covers_the_code_that_builds_stores(self, tmp_path,
