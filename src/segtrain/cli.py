@@ -27,14 +27,19 @@ both stores from it without parsing the corpus, segmenting or
 computing a feature (see `formats.read_corpus`).  A miss parses the
 corpus into views (`formats.parse_corpus`), which `segment` reads too.
 
-`eval --baseline-run` parses its two runs at the same time: the
-baseline in one forked worker (`_Worker`), the run and the qrels in the
-calling process.  The two parses are independent and take most of the
-command, so on two CPUs they overlap.  The worker's result, or its
-error, is taken where a serial `eval` would parse the baseline, so the
-output and the error reported are the serial command's.  Without
-`os.fork`, or with another thread running, the baseline is parsed in
-process at that point.
+`eval` reads only the first `max(mrr_cutoff, ndcg_k)` entries of each
+ranking, and reads each run through `formats.read_run`: a run file of
+1 MiB or more keeps that top of each ranking in `<run>.top` beside it,
+so a run that was evaluated before, at the same depth, is not parsed
+again.  A miss parses the whole run, with every check, and writes the
+cache; a malformed run is never cached.  With `--baseline-run`, the
+baseline is read at the same time in one forked worker (`_Worker`),
+and the run and the qrels in the calling process, so on two CPUs two
+misses overlap; the worker writes the baseline's cache.  The worker's
+result, or its error, is taken where a serial `eval` would read the
+baseline, so the output and the error reported are the serial
+command's.  Without `os.fork`, or with another thread running, the
+baseline is read in process at that point.
 """
 
 from __future__ import annotations
@@ -307,31 +312,36 @@ def _cmd_rerank(args: argparse.Namespace) -> int:
     return 0
 
 
+def _read_top(path: str, depth: int) -> dict[str, RankedList]:
+    """The first `depth` entries of each ranking of the run at `path`
+    (`formats.read_run`)."""
+    return _read(lambda stream: formats.read_run(stream, depth), path)
+
+
 def _top_entries(path: str, depth: int) -> dict[str, list[tuple[str, float, int]]]:
     """(doc_id, score, rank) of the first `depth` entries of each ranking
     of the run at `path`: plain tuples pickle at a fraction of the cost
     of `RankEntry`s."""
-    run = _read(formats.parse_run, path)
-    return {qid: [(e.doc_id, e.score, e.rank) for e in ranked.entries[:depth]]
-            for qid, ranked in run.items()}
+    return {qid: [(e.doc_id, e.score, e.rank) for e in ranked.entries]
+            for qid, ranked in _read_top(path, depth).items()}
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
     """Metrics of a run, and a paired t-test against `--baseline-run`.
 
-    The baseline is parsed in a `_Worker` while the run and the qrels
-    parse here, since the two parses are independent and take most of
-    the command.  The worker sends back only the entries that
-    `judged_metrics` reads, the first `max(mrr_cutoff, ndcg_k)` of each
-    ranking.  Its result is collected where a serial command would parse
-    the baseline, so the output, and which error is reported when
-    several inputs are malformed, are those of the serial command.
+    Each run is read through `formats.read_run` at the depth that
+    `judged_metrics` reads, the first `max(mrr_cutoff, ndcg_k)` entries
+    of each ranking, from the cache beside the run or from its parse.
+    The baseline is read in a `_Worker` while the run and the qrels are
+    read here, since on a miss the two parses are independent and take
+    most of the command.  Its result is collected where a serial command
+    would read the baseline, so the output, and which error is reported
+    when several inputs are malformed, are those of the serial command.
     """
     config = _load_config(args)
     baseline = None
     if args.baseline_run:
-        depth = max(config.mrr_cutoff, config.ndcg_k)
-        baseline = _Worker(lambda: _top_entries(args.baseline_run, depth))
+        baseline = _Worker(lambda: _top_entries(args.baseline_run, _depth(config)))
     try:
         return _eval(args, config, baseline)
     finally:
@@ -339,9 +349,14 @@ def _cmd_eval(args: argparse.Namespace) -> int:
             baseline.close()
 
 
+def _depth(config: PipelineConfig) -> int:
+    """The entries of a ranking that `judged_metrics` reads."""
+    return max(config.mrr_cutoff, config.ndcg_k)
+
+
 def _eval(args: argparse.Namespace, config: PipelineConfig,
           baseline: _Worker | None) -> int:
-    run = _read(formats.parse_run, _path(args, config, "run"))
+    run = _read_top(_path(args, config, "run"), _depth(config))
     qrels = _read(formats.parse_qrels, _path(args, config, "qrels"))
     print(f"# mrr_cutoff={config.mrr_cutoff}")
     print(f"# ndcg_k={config.ndcg_k}")

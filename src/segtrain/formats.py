@@ -19,15 +19,25 @@ The commands that score read the corpus through `read_corpus`, given
 their queries, candidate pools and segmentation policy.  A corpus file
 of 8 MiB or more keeps `<corpus file>.stores` beside it: the feature
 rows of every (query, candidate) pair under training windows and under
-inference windows, as raw float64 rows, keyed by the file's size and
-CRC-32, the stream's encoding and error handler, a CRC-32 of the code
-that parses, segments and featurizes, the Python version, the byte
-order, the segmentation policy, and each query's id, tokens and
-candidate pool.  A hit needs no parse; a miss parses the corpus, and
-`save_stores` caches the stores built from it.  Only a successful
-parse that holds every candidate leads to the cache, so no cache
-matches a malformed corpus; any other key or a damaged cache is a miss
-that parses the text again, and deleting the cache is always safe.
+inference windows, as raw float64 rows, keyed also by a CRC-32 of the
+code that parses, segments and featurizes, the byte order, the
+segmentation policy, and each query's id, tokens and candidate pool.
+A hit needs no parse; a miss parses the corpus, and `save_stores`
+caches the stores built from it.  `eval` reads each run through
+`read_run`, and a run file of 1 MiB or more keeps `<run file>.top`
+beside it: the first entries of each ranking, as many as the metrics
+read, as run lines, keyed also by that depth.
+
+The two caches share one set of rules (`_cache_key`, `_read_cache` and
+`_write_cache`).  A cache sits beside a regular file, read through a
+text stream not yet read whose name still names the file, in a
+directory that other users may not write to.  Its key, its first line,
+holds the file's size and CRC-32, the stream's encoding and error
+handler, the Python version and a CRC-32 of the code that builds what
+it caches; a CRC-32 of its body ends it.  Only a parse that passed
+every check is cached, so no cache matches a malformed input; any other
+key or a damaged cache is a miss that parses the text again, and
+deleting a cache is always safe.
 
 The module also owns all configuration, without importing numpy:
 `TrainConfig` and `SynthConfig` (which `training`, `synth` and, for
@@ -216,6 +226,67 @@ def parse_run(stream: IO[str]) -> Run:
     return run
 
 
+# A run file of at least this many bytes keeps the top of each of its
+# rankings in a cache beside it; a smaller one parses in milliseconds.
+MIN_CACHED_RUN_BYTES = 1 << 20
+
+# The version of the top-of-run cache layout; a cache of any other is a miss.
+TOP_FORMAT = 1
+
+# The sources that build a run from its file: this module parses it into
+# the types of `evaluation`.
+_RUN_SOURCES = tuple(os.path.join(os.path.dirname(__file__), name)
+                     for name in ("formats.py", "evaluation.py"))
+
+
+def read_run(stream: IO[str], depth: int) -> Run:
+    """The first `depth` entries of each ranking of the run in `stream`,
+    in `parse_run`'s (rank, doc_id) order, from the cache of its top or,
+    on a miss, from its parse.
+
+    The rules are those of every cache (`_cache_key`, `_read_cache`),
+    with a floor of `MIN_CACHED_RUN_BYTES`: a text stream over a regular
+    file of at least that size, not yet read, whose name is the path of
+    that file, in a directory that other users may not write to, has its
+    cache at `<name>.top`.  Its key, the cache's first line, is a JSON
+    object of exactly these members: `format` (`TOP_FORMAT`), `code` (the
+    CRC-32 of `_RUN_SOURCES`), `python` (the version), `size` and
+    `crc32` (of the file's bytes), `encoding` and `errors` (the
+    stream's), and `depth`.  Its body is the entries as run lines, each
+    score written by `repr` so that it parses back to the same bits,
+    and a CRC-32 of them.  A hit parses only that body.
+
+    A miss parses the whole file with `parse_run`, every check included,
+    and caches the top of the result; a malformed run raises before
+    anything is written, so no cache matches one.  Any other cache,
+    stale, truncated or damaged, is a miss, and deleting it is always
+    safe.
+    """
+    cache = _cache_key(stream, MIN_CACHED_RUN_BYTES, _RUN_SOURCES,
+                       format=TOP_FORMAT, depth=depth)
+    body = _read_cache(cache, ".top") if cache is not None else None
+    if body is not None:
+        try:
+            return parse_run(io.StringIO(str(body, "utf-8", "surrogatepass")))
+        except (ParseError, UnicodeDecodeError):
+            pass
+    run = {qid: RankedList(qid, ranked.entries[:depth])
+           for qid, ranked in parse_run(stream).items()}
+    if cache is not None:
+        lines = [f"{qid} Q0 {entry.doc_id} {entry.rank} {_score_text(entry.score)} "
+                 f"segtrain\n" for qid, ranked in run.items() for entry in ranked.entries]
+        _write_cache(cache, ".top", ["".join(lines).encode("utf-8", "surrogatepass")])
+    return run
+
+
+def _score_text(score: float) -> str:
+    """`score` as text that `float` parses back to the same bits: its
+    `repr`, which drops only the sign of a NaN."""
+    if score != score and math.copysign(1.0, score) < 0:
+        return "-nan"
+    return repr(score)
+
+
 # ---------------------------------------------------------------------------
 # corpus: JSON-lines {"doc_id", "title", "body"}
 
@@ -302,13 +373,12 @@ def parse_corpus(stream: IO[str], doc_terms: dict[str, set[str]] | None = None
 # ---------------------------------------------------------------------------
 # feature stores: the cached feature rows of every (query, candidate) pair
 
-class StoresCache(NamedTuple):
-    """Where the feature stores of a corpus are cached, and their key."""
+class FileCache(NamedTuple):
+    """Where the cache of an input file goes, and its key."""
 
-    path: str  # the corpus file's name; the cache is `<path>.stores`
-    info: os.stat_result  # the corpus file's, taken before its bytes were read
+    path: str  # the input file's name; the cache is `<path><suffix>`
+    info: os.stat_result  # the input file's, taken before its bytes were read
     header: bytes  # the key, as the first line of the cache
-    pairs: int  # the (query, candidate) pairs each store covers
 
 
 class Store(NamedTuple):
@@ -328,7 +398,7 @@ class CorpusRead(NamedTuple):
     stores: list[Store] | None
     views: dict[str, DocView] | None
     df: dict[str, int] | None
-    cache: StoresCache | None
+    cache: FileCache | None
 
 
 def read_corpus(stream: IO[str], queries: list[Query], candidates: dict[str, list[str]],
@@ -360,15 +430,16 @@ def read_corpus(stream: IO[str], queries: list[Query], candidates: dict[str, lis
     `save_stores` writes the cache, from stores built from a read that
     got this far, and deleting it is always safe.
 
-    The key is a checksum, not a signature, so the cache is trusted as
-    far as the directory that holds it: a corpus in a directory that
-    other users may write to gets no cache, and a cache that is not a
-    regular file owned by this process's user, or is reached through a
-    symbolic link, is a miss.
+    The rules of which file gets a cache, and of which cache file is
+    read, are those of every cache (`_cache_key`, `_read_cache`): a
+    corpus in a directory that other users may write to gets no cache,
+    and a cache that is not a regular file owned by this process's user,
+    or is reached through a symbolic link, is a miss.
     """
     pools = [[query.id, query.tokens, candidates.get(query.id, [])] for query in queries]
     cache = _corpus_key(stream, policy, pools)
-    stores = _load_stores(cache) if cache is not None else None
+    pairs = sum(len(pool) for _, _, pool in pools)
+    stores = _load_stores(cache, pairs) if cache is not None else None
     if stores is not None:
         return CorpusRead(stores, None, None, cache)
     doc_terms: dict[str, set[str]] = {}
@@ -385,12 +456,28 @@ def read_corpus(stream: IO[str], queries: list[Query], candidates: dict[str, lis
 
 
 def _corpus_key(stream: IO[str], policy: SegmentationPolicy,
-                pools: list[list]) -> StoresCache | None:
+                pools: list[list]) -> FileCache | None:
     """The stores cache of the file under `stream` for `policy` and
-    `pools`; None unless `stream` is a text stream, not yet read, over a
-    regular file of at least `MIN_CACHED_BYTES` that `stream.name`
-    names, in a directory that other users may not write to, and the
-    sources in `_SOURCES` can be read."""
+    `pools`, under the rules of `_cache_key`."""
+    return _cache_key(stream, MIN_CACHED_BYTES, _SOURCES, format=STORES_FORMAT,
+                      byteorder=sys.byteorder, width=NUM_FEATURES,
+                      policy=dataclasses.asdict(policy), pools=pools)
+
+
+def _cache_key(stream: IO[str], floor: int, sources: Iterable[str],
+               **members: Any) -> FileCache | None:
+    """The cache of the file under `stream`, keyed by `members` and by
+    the members every cache key holds: `code` (the CRC-32 of `sources`),
+    `python`, the file's `size` and `crc32`, and the stream's `encoding`
+    and `errors`.
+
+    None unless `stream` is a text stream, not yet read, over a regular
+    file of at least `floor` bytes that `stream.name` still names, in a
+    directory that other users may not write to, and `sources` can be
+    read.  These are the rules of every cache: the key is a checksum,
+    not a signature, so a cache is trusted only as far as the directory
+    that holds it.
+    """
     if not isinstance(stream, io.TextIOWrapper):
         return None
     crc = 0
@@ -398,31 +485,28 @@ def _corpus_key(stream: IO[str], policy: SegmentationPolicy,
         fd = stream.fileno()
         info = os.fstat(fd)
         if (not stat.S_ISREG(info.st_mode) or stream.tell() != 0
-                or not isinstance(stream.name, str) or info.st_size < MIN_CACHED_BYTES):
+                or not isinstance(stream.name, str) or info.st_size < floor):
             return None
         directory = os.stat(os.path.dirname(stream.name) or os.curdir)
         if (directory.st_mode & stat.S_IWOTH
                 or not os.path.samestat(info, os.stat(stream.name))):
             return None
-        code = _sources_crc()
+        code = _sources_crc(sources)
         for offset in range(0, info.st_size, _CRC_CHUNK):
             crc = zlib.crc32(os.pread(fd, _CRC_CHUNK, offset), crc)
     except OSError:
         return None
-    key = {"format": STORES_FORMAT, "code": code, "python": sys.version,
-           "byteorder": sys.byteorder, "width": NUM_FEATURES,
-           "size": info.st_size, "crc32": crc,
-           "encoding": codecs.lookup(stream.encoding).name, "errors": stream.errors,
-           "policy": dataclasses.asdict(policy), "pools": pools}
-    return StoresCache(stream.name, info, SORTED_JSON.encode(key).encode() + b"\n",
-                       sum(len(pool) for _, _, pool in pools))
+    key = {**members, "code": code, "python": sys.version, "size": info.st_size,
+           "crc32": crc, "encoding": codecs.lookup(stream.encoding).name,
+           "errors": stream.errors}
+    return FileCache(stream.name, info, SORTED_JSON.encode(key).encode() + b"\n")
 
 
-def _sources_crc() -> int:
-    """The CRC-32 of the sources in `_SOURCES`; an `OSError` if one
-    cannot be read."""
+def _sources_crc(sources: Iterable[str]) -> int:
+    """The CRC-32 of the files in `sources`; an `OSError` if one cannot
+    be read."""
     crc = 0
-    for path in _SOURCES:
+    for path in sources:
         with open(path, "rb") as file:
             crc = zlib.crc32(file.read(), crc)
     return crc
@@ -446,45 +530,11 @@ def _open_cache(path: str) -> IO[bytes] | None:
     return None
 
 
-def _write_cache(cache: StoresCache, chunks: Iterable[bytes]) -> None:
-    """Write `chunks` as the file of `cache`.
-
-    Nothing is written if the corpus file changed since its key was
-    taken.  The file is written beside its final name and renamed over
-    it, so a reader sees the old cache or the new one.  A failure leaves
-    no file behind and is ignored: a cache only saves time.
-    """
-    try:
-        now = os.stat(cache.path)
-    except OSError:
-        return
-    if (not os.path.samestat(now, cache.info)
-            or (now.st_size, now.st_mtime_ns) != (cache.info.st_size,
-                                                  cache.info.st_mtime_ns)):
-        return
-    path = cache.path + ".stores"
-    temp = f"{path}.{os.urandom(8).hex()}.tmp"
-    try:  # a new file: O_EXCL follows no link planted at its name
-        fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-    except OSError:
-        return
-    try:
-        with open(fd, "wb") as file:
-            for chunk in chunks:
-                file.write(chunk)
-        os.replace(temp, path)
-    except OSError:
-        try:
-            os.unlink(temp)
-        except OSError:
-            pass
-
-
-def _load_stores(cache: StoresCache) -> list[Store] | None:
-    """The stores that `cache` holds, or None if its file is missing,
-    not a regular file owned by this process's user, keyed otherwise or
-    not exactly the shape and checksum `save_stores` writes."""
-    file = _open_cache(cache.path + ".stores")
+def _read_cache(cache: FileCache, suffix: str) -> memoryview | None:
+    """The body of the cache at `<cache.path><suffix>`, or None if it is
+    missing, not a regular file owned by this process's user, keyed
+    otherwise than `cache.header`, or not followed by its CRC-32."""
+    file = _open_cache(cache.path + suffix)
     if file is None:
         return None
     with file:
@@ -498,14 +548,62 @@ def _load_stores(cache: StoresCache) -> list[Store] | None:
     body = memoryview(data)[start:end]
     if zlib.crc32(body) != int.from_bytes(data[end:], "little"):
         return None
-    offset = STORE_COUNT * 8 * cache.pairs
+    return body
+
+
+def _write_cache(cache: FileCache, suffix: str, body: list) -> None:
+    """Write the key of `cache`, the byte buffers of `body` and their
+    CRC-32 as the file `<cache.path><suffix>`.
+
+    Nothing is written if the input file changed since its key was
+    taken.  The file is written beside its final name and renamed over
+    it, so a reader sees the old cache or the new one.  A failure leaves
+    no file behind and is ignored: a cache only saves time.
+    """
+    try:
+        now = os.stat(cache.path)
+    except OSError:
+        return
+    if (not os.path.samestat(now, cache.info)
+            or (now.st_size, now.st_mtime_ns) != (cache.info.st_size,
+                                                  cache.info.st_mtime_ns)):
+        return
+    crc = 0
+    for chunk in body:
+        crc = zlib.crc32(chunk, crc)
+    path = cache.path + suffix
+    temp = f"{path}.{os.urandom(8).hex()}.tmp"
+    try:  # a new file: O_EXCL follows no link planted at its name
+        fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError:
+        return
+    try:
+        with open(fd, "wb") as file:
+            for chunk in [cache.header, *body, crc.to_bytes(4, "little")]:
+                file.write(chunk)
+        os.replace(temp, path)
+    except OSError:
+        try:
+            os.unlink(temp)
+        except OSError:
+            pass
+
+
+def _load_stores(cache: FileCache, pairs: int) -> list[Store] | None:
+    """The stores of `pairs` (query, candidate) pairs each that `cache`
+    holds, or None if `_read_cache` finds no body or it is not exactly
+    the shape `save_stores` writes."""
+    body = _read_cache(cache, ".stores")
+    if body is None:
+        return None
+    offset = STORE_COUNT * 8 * pairs
     if len(body) < offset:
         return None
     heads = array.array("q")
     heads.frombytes(body[:offset])
     stores = []
     for i in range(STORE_COUNT):
-        block = heads[i * cache.pairs:(i + 1) * cache.pairs].tolist()
+        block = heads[i * pairs:(i + 1) * pairs].tolist()
         if min(block, default=1) < 1:
             return None
         size = 8 * NUM_FEATURES * sum(block)
@@ -514,7 +612,7 @@ def _load_stores(cache: StoresCache) -> list[Store] | None:
     return stores if offset == len(body) else None
 
 
-def save_stores(cache: StoresCache, stores: Iterable[tuple[list[int], Any]]) -> None:
+def save_stores(cache: FileCache, stores: Iterable[tuple[list[int], Any]]) -> None:
     """Write each store's row counts and rows (a C-contiguous float64
     buffer of `NUM_FEATURES` columns) to `cache`, as `read_corpus`
     reads them; nothing is written if the corpus changed since its key
@@ -523,10 +621,7 @@ def save_stores(cache: StoresCache, stores: Iterable[tuple[list[int], Any]]) -> 
     body = [array.array("q", counts).tobytes() for counts, _ in stores]
     # a store of no pairs has no rows, and a view of zero rows cannot be cast
     body += [memoryview(rows).cast("B") if counts else b"" for counts, rows in stores]
-    crc = 0
-    for chunk in body:
-        crc = zlib.crc32(chunk, crc)
-    _write_cache(cache, [cache.header, *body, crc.to_bytes(4, "little")])
+    _write_cache(cache, ".stores", body)
 
 
 # ---------------------------------------------------------------------------

@@ -265,6 +265,15 @@ def _backward(params: ScorerParams, X: np.ndarray, upstream: np.ndarray,
     grad.hidden_bias[:] += t.sum(axis=0)
 
 
+def _finite_scores(params: ScorerParams, X: np.ndarray) -> np.ndarray:
+    """`score_batch(params, X)`; a ValueError if a score is not finite,
+    as when a step too large leaves weights that overflow it."""
+    scores = score_batch(params, X)
+    if not np.isfinite(scores).all():
+        raise ValueError("non-finite scores")
+    return scores
+
+
 def batch_loss_and_gradient(params: ScorerParams, X: np.ndarray, other: np.ndarray,
                             loss: LossKind) -> tuple[float, ScorerParams]:
     """Mean loss over a batch and its exact analytic gradient.
@@ -274,6 +283,10 @@ def batch_loss_and_gradient(params: ScorerParams, X: np.ndarray, other: np.ndarr
     under the pointwise cross-entropy it holds the 0/1 labels, one per
     row.  The hinge subgradient at the kink (margin exactly 1) is zero,
     so a batch whose pairs all have margin >= 1 is a fixed point.
+
+    An overflow warns of nothing: a score that is not finite is a
+    ValueError, and a gradient that overflowed is left infinite, which
+    `sgd_step` rejects.
     """
     X = np.asarray(X, dtype=float)
     other = np.asarray(other, dtype=float)
@@ -285,20 +298,22 @@ def batch_loss_and_gradient(params: ScorerParams, X: np.ndarray, other: np.ndarr
         if other.shape != X.shape:
             raise ValueError(f"pairwise hinge needs negative rows of shape {X.shape}, "
                              f"got {other.shape}")
-        margins = 1.0 - score_batch(params, X) + score_batch(params, other)
-        active = (margins > 0).astype(float)
-        loss_value = float(np.maximum(margins, 0.0).mean())
-        _backward(params, X, -active / n, grad)
-        _backward(params, other, active / n, grad)
+        with np.errstate(over="ignore", invalid="ignore"):
+            margins = 1.0 - _finite_scores(params, X) + _finite_scores(params, other)
+            active = (margins > 0).astype(float)
+            loss_value = float(np.maximum(margins, 0.0).mean())
+            _backward(params, X, -active / n, grad)
+            _backward(params, other, active / n, grad)
         return loss_value, grad
     if loss == LossKind.POINTWISE_CE:
         if other.shape != (n,):
             raise ValueError(f"pointwise cross-entropy needs {n} labels, "
                              f"got shape {other.shape}")
-        y = score_batch(params, X)
-        loss_value = float(np.mean(
-            np.maximum(y, 0.0) - y * other + np.log1p(np.exp(-np.abs(y)))))
-        _backward(params, X, (_sigmoid(y) - other) / n, grad)
+        with np.errstate(over="ignore", invalid="ignore"):
+            y = _finite_scores(params, X)
+            loss_value = float(np.mean(
+                np.maximum(y, 0.0) - y * other + np.log1p(np.exp(-np.abs(y)))))
+            _backward(params, X, (_sigmoid(y) - other) / n, grad)
         return loss_value, grad
     raise ValueError(f"unknown loss kind: {loss!r}")
 
@@ -308,12 +323,17 @@ def _all_finite(params: ScorerParams) -> bool:
 
 
 def sgd_step(params: ScorerParams, grad: ScorerParams, lr: float) -> ScorerParams:
-    """params - lr * grad, elementwise; rejects non-finite gradients."""
+    """params - lr * grad, elementwise; rejects a non-finite gradient
+    and a step whose result is not finite."""
     if lr < 0:
         raise ValueError("learning rate must be non-negative")
     if not _all_finite(grad):
         raise ValueError("non-finite gradient")
-    return ScorerParams(params.kind, params.hidden_dim, params.vector - lr * grad.vector)
+    with np.errstate(over="ignore", invalid="ignore"):
+        vector = params.vector - lr * grad.vector
+    if not np.isfinite(vector).all():
+        raise ValueError("non-finite parameters after step")
+    return ScorerParams(params.kind, params.hidden_dim, vector)
 
 
 def write_params(params: ScorerParams, stream: IO[str]) -> None:

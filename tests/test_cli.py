@@ -17,7 +17,7 @@ import pytest
 import segtrain
 from segtrain import formats
 from segtrain.cli import main
-from segtrain.evaluation import group_qrels, judged_metrics, paired_t_test
+from segtrain.evaluation import group_qrels, judged_metrics, paired_t_test, table_means
 
 TINY_CONFIG = {
     "num_queries": 10, "docs_per_query": 3, "sentences_per_doc": 12,
@@ -284,7 +284,8 @@ def test_a_changed_input_or_a_bad_stores_cache_is_a_miss(data, model, tmp_path,
         monkeypatch.setattr(formats, "STORES_FORMAT", formats.STORES_FORMAT + 1)
     elif change == "stores source":
         monkeypatch.setattr(formats, "_sources_crc",
-                            lambda crc=formats._sources_crc(): crc ^ 1)
+                            lambda sources, real=formats._sources_crc:
+                            real(sources) ^ 1)
     elif change == "damaged":
         damaged = bytearray(stores.read_bytes())
         damaged[-100] ^= 1
@@ -974,6 +975,116 @@ def test_eval_with_another_thread_running_parses_in_process(trec, capsys,
         release.set()
         thread.join(60)
     assert not thread.is_alive() and not forks.called
+
+
+# ---------------------------------------------------------------------------
+# eval reads the top of each ranking through a cache beside each run
+
+def python(script: str) -> subprocess.CompletedProcess:
+    """`script` run by a new interpreter that imports this package."""
+    src = str(Path(segtrain.__file__).resolve().parent.parent)
+    return subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=120, env={**os.environ, "PYTHONPATH": src})
+
+
+def eval_cached(trec: Path, *extra: str, prelude: str = "") -> tuple:
+    """Exit code, stdout, stderr and per-query table of `eval` on the
+    files in `trec`, in a new process that caches the top of a run of
+    any size and runs `prelude` first."""
+    table = trec / "per_query.tsv"
+    table.unlink(missing_ok=True)
+    args = ["eval", "--run", str(trec / "run.txt"), "--qrels", str(trec / "qrels.txt"),
+            "--per-query", str(table), *extra]
+    result = python("import sys\n"
+                    "from segtrain import formats\n"
+                    "from segtrain.cli import main\n"
+                    "formats.MIN_CACHED_RUN_BYTES = 1\n"
+                    f"{prelude}"
+                    f"sys.exit(main({args!r}))\n")
+    return (result.returncode, result.stdout, result.stderr,
+            table.read_text() if table.exists() else None)
+
+
+# A prelude under which parsing a run file, not a cache's body, fails.
+NO_FILE_PARSE = ("import io\n"
+                 "def parse_run(stream, parse=formats.parse_run):\n"
+                 "    assert not isinstance(stream, io.TextIOWrapper), 'parsed a file'\n"
+                 "    return parse(stream)\n"
+                 "formats.parse_run = parse_run\n")
+
+
+def full_parse_outputs(trec: Path, baseline: bool) -> tuple:
+    """What `eval_cached` should give: the figures of `judged_metrics`
+    over a full `parse_run` of the run and of the baseline."""
+    with open(trec / "qrels.txt") as stream:
+        judgments = group_qrels(formats.parse_qrels(stream))
+    tables = []
+    for name in ("run.txt", "baseline.txt")[:1 + baseline]:
+        with open(trec / name) as stream:
+            tables.append(judged_metrics(formats.parse_run(stream), judgments))
+    table = tables[0]
+    mean_rr, mean_ndcg = table_means(table, judgments)
+    out = f"# mrr_cutoff=10\n# ndcg_k=10\nmrr={mean_rr:.6f}\nndcg@10={mean_ndcg:.6f}\n"
+    if baseline:
+        shared = sorted(table.keys() & tables[1].keys())
+        for i, name in enumerate(("t_test_mrr_p", "t_test_ndcg_p")):
+            p = paired_t_test([table[q][i] for q in shared], [tables[1][q][i] for q in shared])
+            out += f"{name}={p:.6f}\n"
+    rows = "".join(f"{qid}\t{rr:.6f}\t{nd:.6f}\n" for qid, (rr, nd) in sorted(table.items()))
+    return 0, out, "", "qid\tmrr\tndcg@10\n" + rows
+
+
+@pytest.mark.parametrize("baseline", [False, True], ids=["run", "with baseline"])
+def test_eval_outputs_equal_on_a_miss_a_hit_and_a_full_parse(trec, baseline):
+    extra = ["--baseline-run", str(trec / "baseline.txt")] if baseline else []
+    expected = full_parse_outputs(trec, baseline)
+    assert eval_cached(trec, *extra, prelude=NO_FILE_PARSE)[0] == 1  # a miss parses
+    assert eval_cached(trec, *extra) == expected
+    assert (trec / "run.txt.top").exists()
+    assert (trec / "baseline.txt.top").exists() == baseline
+    assert eval_cached(trec, *extra, prelude=NO_FILE_PARSE) == expected  # a hit
+
+
+def test_eval_worker_writes_the_baseline_cache(trec):
+    # one `os.write` a line, so that the lines of two processes never mix
+    log = ("import os\n"
+           "def _write_cache(cache, suffix, body, write=formats._write_cache):\n"
+           "    os.write(2, f'{os.getpid()} {cache.path}{suffix}\\n'.encode())\n"
+           "    write(cache, suffix, body)\n"
+           "formats._write_cache = _write_cache\n"
+           "os.write(2, f'{os.getpid()} eval\\n'.encode())\n")
+    code, _, err, _ = eval_cached(trec, "--baseline-run", str(trec / "baseline.txt"),
+                                  prelude=log)
+    writers = {path: pid for pid, path in (line.split(" ", 1) for line in err.splitlines())}
+    assert code == 0 and writers.keys() == {"eval", f"{trec / 'run.txt'}.top",
+                                            f"{trec / 'baseline.txt'}.top"}
+    assert writers[f"{trec / 'run.txt'}.top"] == writers["eval"]
+    assert writers[f"{trec / 'baseline.txt'}.top"] != writers["eval"]
+    assert (trec / "baseline.txt.top").exists()
+
+
+@pytest.mark.parametrize("bad, line_no", [("run", 7), ("baseline", 6)])
+def test_eval_malformed_run_is_never_cached(trec, bad, line_no):
+    text = (trec / f"{bad}.txt").read_text()
+    (trec / f"{bad}.txt").write_text(text.replace("q2 Q0 d9 ", "q2 Q0 d4 ", 1))
+    first = eval_cached(trec, "--baseline-run", str(trec / "baseline.txt"))
+    assert first[0] == 2
+    assert first[2] == (f"segtrain: error: line {line_no}: "
+                        f"duplicate doc_id 'd4' for query 'q2'\n")
+    assert eval_cached(trec, "--baseline-run", str(trec / "baseline.txt")) == first
+    assert not (trec / f"{bad}.txt.top").exists()
+
+
+def test_train_whose_step_overflows_exits_2_without_a_warning(tmp_path):
+    config = {"num_queries": 20, "epochs": 3, "max_iterations": 2,
+              "learning_rate": "1e308"}
+    assert synth(config, tmp_path) == 0
+    args = ["train", "--mode", "best", *inputs(tmp_path),
+            "--qrels", str(tmp_path / "qrels.txt"), "--out", str(tmp_path / "model.txt")]
+    result = python(f"import sys\nfrom segtrain.cli import main\nsys.exit(main({args!r}))\n")
+    assert result.returncode == 2
+    assert result.stderr.startswith("segtrain: error: non-finite ")
+    assert result.stderr.count("\n") == 1 and not (tmp_path / "model.txt").exists()
 
 
 SELECTION = '{"doc_id": "d1", "qid": "q1", "score": 0.5, "segment_index": 1}\n'

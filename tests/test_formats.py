@@ -1,5 +1,6 @@
 import array
 import ast
+import codecs
 import contextlib
 import dataclasses
 import io
@@ -7,6 +8,7 @@ import json
 import math
 import os
 import re
+import struct
 import sys
 import tempfile
 import zlib
@@ -406,7 +408,8 @@ class TestStoresCache:
         elif change == "format version":
             patches = {"STORES_FORMAT": formats.STORES_FORMAT + 1}
         elif change == "source":
-            patches = {"_sources_crc": lambda crc=formats._sources_crc(): crc ^ 1}
+            patches = {"_sources_crc":
+                       lambda sources, real=formats._sources_crc: real(sources) ^ 1}
         elif change == "python version":
             system["version"] += "+"
         elif change == "byte order":  # the key's only: the rows are native
@@ -860,6 +863,277 @@ def test_parse_run_rejects_duplicate_document():
         parse_run(io.StringIO(text))
     assert info.value.line_no == 5
     assert str(info.value) == "line 5: duplicate doc_id 'd1' for query 'q1'"
+
+
+# ---------------------------------------------------------------------------
+# the cache of the top of each ranking of a run
+
+# Score fields whose floats a text format might lose: NaNs of both signs,
+# infinities, a negative zero, the least subnormal, overflow to infinity,
+# and any double written to 17 digits.
+RUN_SCORES = st.one_of(
+    st.sampled_from(["nan", "-nan", "NaN", "inf", "-inf", "Infinity", "-0.0", "0",
+                     "5e-324", "-5e-324", "1e400", "-1e400", "2.5e-7"]),
+    st.floats(allow_nan=False, allow_infinity=False).map(lambda x: format(x, ".17g")))
+
+
+@st.composite
+def run_files(draw) -> bytes:
+    """A run file, well formed or now and then not: queries interleaved,
+    tied ranks, blank lines among the rankings, "\n" and "\r\n" line
+    ends, and a query id that is not ASCII."""
+    lines = []
+    for qid in draw(st.lists(st.sampled_from(["q1", "q2", "é3"]), unique=True,
+                             max_size=3)):
+        docs = draw(st.lists(st.sampled_from(["d1", "d2", "d3", "d4", "d5", "d6"]),
+                             unique=True, min_size=1, max_size=6))
+        lines += [f"{qid} Q0 {doc} {draw(st.integers(1, 9))} {draw(RUN_SCORES)} "
+                  f"{draw(st.sampled_from(['t', 'run-1']))}" for doc in docs]
+    lines = draw(st.permutations(lines))
+    for line in draw(st.lists(st.sampled_from(["", "  ", "\t", "q1 Q0 d1 0 0.5 t",
+                                               "q1 Q0 d1 1 x t", "q1 Q0 d1 1 0.5"]),
+                              max_size=2)):
+        lines.insert(draw(st.integers(0, len(lines))), line)
+    endings = draw(st.lists(st.sampled_from(["\n", "\r\n"]), min_size=len(lines),
+                            max_size=len(lines)))
+    if endings and draw(st.booleans()):
+        endings[-1] = ""  # no newline at the end of the file
+    return "".join(line + end for line, end in zip(lines, endings)).encode()
+
+
+def run_bits(run) -> list:
+    """A run's queries in order, and each ranking with its scores as
+    bits, so that NaNs and zeros of either sign compare."""
+    return [(qid, ranked.query_id, [(e.doc_id, struct.pack("<d", e.score), e.rank)
+                                    for e in ranked.entries])
+            for qid, ranked in run.items()]
+
+
+def top_bits(path: Path, depth: int) -> list:
+    """`run_bits` of the first `depth` entries of each ranking that
+    `parse_run` gives for the file at `path`."""
+    with open(path) as stream:
+        run = parse_run(stream)
+    return run_bits({qid: RankedList(qid, ranked.entries[:depth])
+                     for qid, ranked in run.items()})
+
+
+CACHED_RUN = ("q2 Q0 d1 1 0.5 t\n"
+              "q1 Q0 d2 2 -nan t\n"
+              "q1 Q0 d1 1 1e400 t\n"
+              "q2 Q0 d3 2 -0.0 t\n"
+              "q1 Q0 d3 3 5e-324 t\n")
+
+# The members of a run cache's key, as `read_run` documents them.
+TOP_KEY = {"format", "code", "python", "size", "crc32", "encoding", "errors", "depth"}
+
+
+def checksummed(body: bytes):
+    """A corruption that puts `body` in a run cache, with its CRC-32."""
+    def corrupt(data: bytes) -> bytes:
+        return data[:data.index(b"\n") + 1] + body + zlib.crc32(body).to_bytes(4, "little")
+    return corrupt
+
+
+TOP_CORRUPTIONS = {
+    "empty": lambda data: b"",
+    "header only": lambda data: data[:data.index(b"\n") + 1],
+    "truncated": lambda data: data[:len(data) // 2],
+    "one byte more": lambda data: data + b"\0",
+    "another key": lambda data: data.replace(b'"crc32": ', b'"crc32": 1', 1),
+    "body byte flipped": lambda data: data[:-8] + bytes([data[-8] ^ 1]) + data[-7:],
+    "checksum flipped": lambda data: data[:-1] + bytes([data[-1] ^ 1]),
+    "a body that is no run": checksummed(b"q1 Q0 d1 0 0.5 segtrain\n"),
+    "a body that is no text": checksummed(b"q1 Q0 d1 1 0.5 \xff\n"),
+}
+
+
+class TestRunCache:
+    """A run file of at least `MIN_CACHED_RUN_BYTES` keeps the first
+    entries of each ranking in `<file>.top`, under the rules of the
+    stores cache.  A hit gives what a miss gives without parsing the
+    file; any other cache is a miss, which parses the file, and the top
+    of that parse replaces it."""
+
+    @staticmethod
+    def read(path: Path, depth: int = 2, encoding: str = "utf-8",
+             errors: str = "strict", **patches):
+        """`run_bits` of `read_run` on the file at `path`, and whether it
+        was a hit: a read that parsed no file stream."""
+        parse, files = patches.pop("parse_run", formats.parse_run), []
+
+        def spy(stream):
+            files.append(isinstance(stream, io.TextIOWrapper))
+            return parse(stream)
+
+        with contextlib.ExitStack() as stack:
+            for name, value in {"MIN_CACHED_RUN_BYTES": 1, "parse_run": spy,
+                                **patches}.items():
+                stack.enter_context(mock.patch.object(formats, name, value))
+            with open(path, encoding=encoding, errors=errors) as stream:
+                run = formats.read_run(stream, depth)
+        return run_bits(run), not any(files)
+
+    @staticmethod
+    def run(tmp_path: Path) -> Path:
+        path = tmp_path / "run.txt"
+        path.write_text(CACHED_RUN)
+        return path
+
+    @settings(max_examples=150, deadline=None)
+    @given(run_files(), st.integers(1, 8))
+    @example(CACHED_RUN.encode(), 2)
+    def test_a_hit_equals_a_miss_and_the_top_of_a_parse(self, data, depth):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "run.txt"
+            path.write_bytes(data)
+            try:
+                fresh = top_bits(path, depth)
+            except ParseError as exc:  # never cached: each read fails alike
+                for _ in range(2):
+                    with pytest.raises(ParseError) as info:
+                        self.read(path, depth)
+                    assert (str(info.value), info.value.line_no) == (str(exc), exc.line_no)
+                assert [p.name for p in Path(tmp).iterdir()] == ["run.txt"]
+                return
+            cached = len(data) > 0  # an empty file is below any floor
+            assert self.read(path, depth) == (fresh, False)
+            assert Path(f"{path}.top").exists() == cached
+            assert self.read(path, depth) == (fresh, cached)
+
+    def test_a_run_under_min_cached_run_bytes_gets_no_cache(self, tmp_path):
+        path = self.run(tmp_path)
+        size, fresh = path.stat().st_size, top_bits(path, 2)
+        assert self.read(path, MIN_CACHED_RUN_BYTES=size + 1) == (fresh, False)
+        assert [p.name for p in tmp_path.iterdir()] == ["run.txt"]
+        assert self.read(path, MIN_CACHED_RUN_BYTES=size) == (fresh, False)
+        assert self.read(path, MIN_CACHED_RUN_BYTES=size) == (fresh, True)
+
+    @pytest.mark.parametrize("kind", ["string", "pipe", "codecs reader"])
+    def test_a_stream_that_is_no_text_file_gets_no_cache(self, tmp_path, kind):
+        # a `codecs` reader has a file's name and descriptor, but splits
+        # lines as `str.splitlines` does, not as the text files it serves
+        fresh = run_bits({qid: RankedList(qid, ranked.entries[:2]) for qid, ranked
+                          in parse_run(io.StringIO(CACHED_RUN)).items()})
+        if kind == "string":
+            stream = io.StringIO(CACHED_RUN)
+        elif kind == "pipe":
+            read_end, write_end = os.pipe()
+            with open(write_end, "w") as pipe:
+                pipe.write(CACHED_RUN)
+            stream = open(read_end, encoding="utf-8")
+        else:
+            stream = codecs.open(self.run(tmp_path), encoding="utf-8")
+        writes = mock.Mock()
+        with mock.patch.object(formats, "MIN_CACHED_RUN_BYTES", 1), \
+                mock.patch.object(formats, "_write_cache", writes), stream:
+            assert run_bits(formats.read_run(stream, 2)) == fresh
+        assert not writes.called
+
+    def test_a_stream_already_read_gets_no_cache(self, tmp_path):
+        path = self.run(tmp_path)
+        with mock.patch.object(formats, "MIN_CACHED_RUN_BYTES", 1), open(path) as stream:
+            stream.readline()
+            assert list(formats.read_run(stream, 2)) == ["q1", "q2"]
+        assert [p.name for p in tmp_path.iterdir()] == ["run.txt"]
+
+    def test_a_stream_whose_name_names_another_file_gets_no_cache(self, tmp_path):
+        path = self.run(tmp_path)
+        fresh = top_bits(path, 2)
+        with open(path) as stream:
+            path.rename(tmp_path / "moved.txt")
+            path.write_text(CACHED_RUN)
+            assert formats._cache_key(stream, 1, formats._RUN_SOURCES) is None
+            with mock.patch.object(formats, "MIN_CACHED_RUN_BYTES", 1):
+                assert run_bits(formats.read_run(stream, 2)) == fresh
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["moved.txt", "run.txt"]
+
+    def test_a_directory_others_may_write_gets_no_cache(self, tmp_path):
+        path = self.run(tmp_path)
+        fresh = top_bits(path, 2)
+        tmp_path.chmod(0o1777)
+        assert self.read(path) == (fresh, False)
+        assert [p.name for p in tmp_path.iterdir()] == ["run.txt"]
+
+    def test_a_linked_cache_is_a_miss_and_its_target_is_kept(self, tmp_path):
+        path = self.run(tmp_path)
+        fresh, _ = self.read(path)
+        cache, target = Path(f"{path}.top"), tmp_path / "elsewhere"
+        cache.rename(target)
+        cache.symlink_to(target)
+        kept = target.read_bytes()
+        assert self.read(path) == (fresh, False)
+        assert not cache.is_symlink() and cache.read_bytes() == kept == target.read_bytes()
+
+    @pytest.mark.parametrize("corrupt", TOP_CORRUPTIONS.values(), ids=TOP_CORRUPTIONS)
+    def test_a_bad_cache_is_a_miss(self, tmp_path, corrupt):
+        path = self.run(tmp_path)
+        fresh, _ = self.read(path)
+        cache = Path(f"{path}.top")
+        cache.write_bytes(corrupt(cache.read_bytes()))
+        assert self.read(path) == (fresh, False)
+        assert self.read(path) == (fresh, True)  # rewritten
+
+    @pytest.mark.parametrize("change", ["one byte", "depth", "encoding", "errors",
+                                        "source", "format version"])
+    def test_a_changed_key_is_a_miss(self, tmp_path, change):
+        path = self.run(tmp_path)
+        cached, hit = self.read(path)
+        assert not hit and self.read(path) == (cached, True)
+        header = json.loads(Path(f"{path}.top").read_bytes().partition(b"\n")[0])
+        assert set(header) == TOP_KEY
+        assert all(f"`{name}`" in formats.read_run.__doc__ for name in TOP_KEY)
+        inputs = {}
+        if change == "one byte":  # same size and modification time
+            times = os.stat(path).st_atime_ns, os.stat(path).st_mtime_ns
+            path.write_text(CACHED_RUN.replace("d2 2", "d2 4"))
+            os.utime(path, ns=times)
+        elif change == "depth":
+            inputs = {"depth": 3}
+        elif change == "encoding":  # decodes this ASCII file as UTF-8 does
+            inputs = {"encoding": "utf-8-sig"}
+        elif change == "errors":
+            inputs = {"errors": "replace"}
+        elif change == "source":
+            inputs = {"_sources_crc":
+                      lambda sources, real=formats._sources_crc: real(sources) ^ 1}
+        else:
+            inputs = {"TOP_FORMAT": formats.TOP_FORMAT + 1}
+        fresh, hit = self.read(path, **inputs)
+        assert not hit and self.read(path, **inputs) == (fresh, True)
+        assert fresh == top_bits(path, inputs.get("depth", 2))
+        assert (fresh == cached) == (change not in ("one byte", "depth"))
+
+    def test_a_run_changed_while_parsed_gets_no_cache(self, tmp_path):
+        path = self.run(tmp_path)
+        parse = formats.parse_run
+
+        def rewrite_then_parse(stream):
+            path.write_text(CACHED_RUN.replace("d2 2", "d2 4"))
+            os.utime(path, ns=(0, 0))
+            return parse(stream)
+
+        assert self.read(path, parse_run=rewrite_then_parse)[1] is False
+        assert [p.name for p in tmp_path.iterdir()] == ["run.txt"]
+
+    def test_escaped_bytes_round_trip(self, tmp_path):
+        # a stream that escapes undecodable bytes gives ids with lone
+        # surrogates, which the cache's UTF-8 must carry
+        path = tmp_path / "run.txt"
+        path.write_bytes(CACHED_RUN.encode().replace(b"d2", b"d\xff"))
+        fresh, hit = self.read(path, errors="surrogateescape")
+        assert not hit and fresh[1][2][1][0] == "d\udcff"
+        assert self.read(path, errors="surrogateescape") == (fresh, True)
+
+    def test_the_cache_holds_each_score_as_it_parses(self, tmp_path):
+        path = self.run(tmp_path)
+        self.read(path, depth=3)
+        body = Path(f"{path}.top").read_bytes().partition(b"\n")[2][:-4]
+        assert body.decode() == ("q2 Q0 d1 1 0.5 segtrain\n"
+                                 "q2 Q0 d3 2 -0.0 segtrain\n"
+                                 "q1 Q0 d1 1 inf segtrain\n"
+                                 "q1 Q0 d2 2 -nan segtrain\n"
+                                 "q1 Q0 d3 3 5e-324 segtrain\n")
 
 
 # ---------------------------------------------------------------------------

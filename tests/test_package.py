@@ -165,3 +165,23 @@ def test_every_private_name_is_read():
         ["1: _f", "2: _C", "3: _K", "4: _A"]
     assert unused_private_names("def _f(): return _K\n_K = 1\nx = _f\n"
                                 "def g(c: '_C'): pass\nclass _C: pass\n") == []
+
+
+def cache_suffixes() -> set[str]:
+    """The suffixes `formats` writes caches under: the constant second
+    argument of each `_write_cache` call."""
+    tree = ast.parse((Path(segtrain.__file__).parent / "formats.py").read_text())
+    return {node.args[1].value for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "_write_cache"}
+
+
+def test_every_cache_file_is_ignored():
+    # a cache and its temporary file, `<input><suffix>.<hex>.tmp`, sit
+    # beside an input and must never be committed with it
+    suffixes = cache_suffixes()
+    assert suffixes == {".stores", ".top"}
+    ignored = set((Path(__file__).resolve().parents[1] / ".gitignore").read_text()
+                  .splitlines())
+    for suffix in sorted(suffixes):
+        assert {f"*{suffix}", f"*{suffix}.*.tmp"} <= ignored, suffix

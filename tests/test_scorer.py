@@ -1,5 +1,6 @@
 import io
 import math
+import warnings
 from collections import Counter
 from fractions import Fraction
 
@@ -485,6 +486,18 @@ class TestBatchLossAndGradient:
             with pytest.raises(ValueError, match="empty batch"):
                 batch_loss_and_gradient(init_params("linear", 0), empty, empty, loss)
 
+    @pytest.mark.parametrize("loss", list(LossKind))
+    @pytest.mark.parametrize("kind", ["linear", "mlp"])
+    def test_scores_that_overflow_are_rejected_without_a_warning(self, kind, loss):
+        params = init_params(kind, 0)
+        params.vector[:] = 1e308
+        X = np.full((2, NUM_FEATURES), 10.0)
+        other = X / 2 if loss == LossKind.PAIRWISE_HINGE else np.array([1.0, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^non-finite scores$"):
+                batch_loss_and_gradient(params, X, other, loss)
+
     def test_mixed_batch_rejected(self):
         # a pointwise batch given to the pairwise loss, and the reverse
         rng = np.random.default_rng(0)
@@ -591,6 +604,16 @@ class TestSgdStep:
         g.out_weights[0] = float("nan")
         with pytest.raises(ValueError):
             sgd_step(p, g, 0.1)
+
+    def test_non_finite_step_rejected_without_a_warning(self):
+        # a finite gradient whose step overflows: 1e308 * 10 is no double
+        p = init_params("linear", 0)
+        g = p.copy()
+        g.out_weights[0] = 10.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^non-finite parameters after step$"):
+                sgd_step(p, g, 1e308)
 
 
 class TestInitParams:

@@ -645,12 +645,12 @@ class TestStores:
         for path in formats._SOURCES:
             copies.append(tmp_path / Path(path).name)
             copies[-1].write_bytes(Path(path).read_bytes())
-        crc = formats._sources_crc()
+        crc = formats._sources_crc(formats._SOURCES)
         monkeypatch.setattr(formats, "_SOURCES", copies)
-        assert formats._sources_crc() == crc
+        assert formats._sources_crc(formats._SOURCES) == crc
         for copy in copies:  # one byte more in any source changes the key
             copy.write_bytes(copy.read_bytes() + b"#")
-            assert formats._sources_crc() != crc
+            assert formats._sources_crc(formats._SOURCES) != crc
             copy.write_bytes(copy.read_bytes()[:-1])
 
     def test_cached_stores_equal_the_built_ones(self, tmp_path, monkeypatch):
