@@ -29,10 +29,12 @@ corpus into views (`formats.parse_corpus`), which `segment` reads too.
 
 `eval` reads only the first `max(mrr_cutoff, ndcg_k)` entries of each
 ranking, and reads each run through `formats.read_run`: a run file of
-1 MiB or more keeps that top of each ranking in `<run>.top` beside it,
-so a run that was evaluated before, at the same depth, is not parsed
-again.  A miss parses the whole run, with every check, and writes the
-cache; a malformed run is never cached.  With `--baseline-run`, the
+1 MiB or more keeps that top of each ranking in `<run>.top` beside it
+once the same bytes have been evaluated twice at the same depth, so a
+baseline compared against system after system, or a run evaluated
+again, is not parsed a third time.  A miss parses the whole run, with
+every check; a malformed run is never cached, and a run evaluated once
+costs only a checksum more than its parse.  With `--baseline-run`, the
 baseline is read at the same time in one forked worker (`_Worker`),
 and the run and the qrels in the calling process, so on two CPUs two
 misses overlap; the worker writes the baseline's cache.  The worker's
@@ -122,8 +124,9 @@ class _Worker:
     through a pipe and leaves with `os._exit`.  Without `os.fork`, with
     another thread running (a fork copies no thread but the caller's),
     if the fork fails or if the worker sent nothing, `result()` calls
-    `job()` itself.  `close()` kills a worker whose result was not
-    collected, and reaps it.
+    `job()` itself.  `close()` ends a worker whose result was not
+    collected with `SIGTERM`, which a cache write holds back until its
+    file is in place (`formats._write_cache`), and reaps it.
     """
 
     def __init__(self, job):
@@ -139,6 +142,7 @@ class _Worker:
             return
         if self.pid == 0:
             try:
+                signal.signal(signal.SIGTERM, signal.SIG_DFL)
                 os.close(read_fd)
                 try:
                     payload = pickle.dumps((True, job()))
@@ -170,7 +174,7 @@ class _Worker:
         if self.fd is not None:
             os.close(self.fd)
             self.fd = None
-            os.kill(self.pid, signal.SIGKILL)
+            os.kill(self.pid, signal.SIGTERM)
         os.waitpid(self.pid, 0)
         self.pid = None
 

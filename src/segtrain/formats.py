@@ -26,7 +26,9 @@ A hit needs no parse; a miss parses the corpus, and `save_stores`
 caches the stores built from it.  `eval` reads each run through
 `read_run`, and a run file of 1 MiB or more keeps `<run file>.top`
 beside it: the first entries of each ranking, as many as the metrics
-read, as run lines, keyed also by that depth.
+read, as run lines, keyed also by that depth.  Those lines are written
+only under a key read before, so a run read once pays no more than the
+key's CRC-32 and one line written.
 
 The two caches share one set of rules (`_cache_key`, `_read_cache` and
 `_write_cache`).  A cache sits beside a regular file, read through a
@@ -34,10 +36,12 @@ text stream not yet read whose name still names the file, in a
 directory that other users may not write to.  Its key, its first line,
 holds the file's size and CRC-32, the stream's encoding and error
 handler, the Python version and a CRC-32 of the code that builds what
-it caches; a CRC-32 of its body ends it.  Only a parse that passed
-every check is cached, so no cache matches a malformed input; any other
-key or a damaged cache is a miss that parses the text again, and
-deleting a cache is always safe.
+it caches; a CRC-32 of its body ends it.  `_write_cache` holds back
+an interrupt or a `SIGTERM` while its temporary file exists, so no
+temporary file outlives a process that these end.  Only a parse that
+passed every check is cached, so no cache matches a malformed input;
+any other key or a damaged cache is a miss that parses the text again,
+and deleting a cache is always safe.
 
 The module also owns all configuration, without importing numpy:
 `TrainConfig` and `SynthConfig` (which `training`, `synth` and, for
@@ -58,6 +62,7 @@ import itertools
 import json
 import math
 import os
+import signal
 import stat
 import sys
 import zlib
@@ -241,8 +246,8 @@ _RUN_SOURCES = tuple(os.path.join(os.path.dirname(__file__), name)
 
 def read_run(stream: IO[str], depth: int) -> Run:
     """The first `depth` entries of each ranking of the run in `stream`,
-    in `parse_run`'s (rank, doc_id) order, from the cache of its top or,
-    on a miss, from its parse.
+    in `parse_run`'s (rank, doc_id) order, from the cache of its top or
+    from its parse.
 
     The rules are those of every cache (`_cache_key`, `_read_cache`),
     with a floor of `MIN_CACHED_RUN_BYTES`: a text stream over a regular
@@ -256,15 +261,19 @@ def read_run(stream: IO[str], depth: int) -> Run:
     score written by `repr` so that it parses back to the same bits,
     and a CRC-32 of them.  A hit parses only that body.
 
-    A miss parses the whole file with `parse_run`, every check included,
-    and caches the top of the result; a malformed run raises before
-    anything is written, so no cache matches one.  Any other cache,
-    stale, truncated or damaged, is a miss, and deleting it is always
-    safe.
+    A miss parses the whole file with `parse_run`, every check included;
+    a malformed run raises before anything is written, so no cache
+    matches one.  Only a key read before is worth a body: the first
+    read of a key leaves the key alone as the cache, and a later miss
+    under that same key writes the body.  So a run read once costs its
+    parse, the key's CRC-32 and one line written, and a run read again
+    is parsed twice before its hits.  Any other cache, stale, truncated
+    or damaged, is a miss, and deleting it is always safe.
     """
     cache = _cache_key(stream, MIN_CACHED_RUN_BYTES, _RUN_SOURCES,
                        format=TOP_FORMAT, depth=depth)
-    body = _read_cache(cache, ".top") if cache is not None else None
+    rest = _read_cache(cache, ".top") if cache is not None else None
+    body = _cache_body(rest)
     if body is not None:
         try:
             return parse_run(io.StringIO(str(body, "utf-8", "surrogatepass")))
@@ -272,7 +281,9 @@ def read_run(stream: IO[str], depth: int) -> Run:
             pass
     run = {qid: RankedList(qid, ranked.entries[:depth])
            for qid, ranked in parse_run(stream).items()}
-    if cache is not None:
+    if cache is not None and rest is None:  # a key not read before
+        _write_cache(cache, ".top", None)
+    elif cache is not None:
         lines = [f"{qid} Q0 {entry.doc_id} {entry.rank} {_score_text(entry.score)} "
                  f"segtrain\n" for qid, ranked in run.items() for entry in ranked.entries]
         _write_cache(cache, ".top", ["".join(lines).encode("utf-8", "surrogatepass")])
@@ -531,9 +542,10 @@ def _open_cache(path: str) -> IO[bytes] | None:
 
 
 def _read_cache(cache: FileCache, suffix: str) -> memoryview | None:
-    """The body of the cache at `<cache.path><suffix>`, or None if it is
-    missing, not a regular file owned by this process's user, keyed
-    otherwise than `cache.header`, or not followed by its CRC-32."""
+    """What follows the key in the cache at `<cache.path><suffix>`: a
+    body and its CRC-32, or nothing if the cache is the key alone.  None
+    if the file is missing, not a regular file owned by this process's
+    user, or keyed otherwise than `cache.header`."""
     file = _open_cache(cache.path + suffix)
     if file is None:
         return None
@@ -542,23 +554,37 @@ def _read_cache(cache: FileCache, suffix: str) -> memoryview | None:
             data = file.read()
         except OSError:
             return None
-    start, end = len(cache.header), len(data) - 4
-    if end < start or not data.startswith(cache.header):
+    if not data.startswith(cache.header):
         return None
-    body = memoryview(data)[start:end]
-    if zlib.crc32(body) != int.from_bytes(data[end:], "little"):
+    return memoryview(data)[len(cache.header):]
+
+
+def _cache_body(rest: memoryview | None) -> memoryview | None:
+    """The body of `rest`, as `_read_cache` gives it, or None if there is
+    none or it is not followed by its CRC-32."""
+    if rest is None or len(rest) < 4:
+        return None
+    body = rest[:-4]
+    if zlib.crc32(body) != int.from_bytes(rest[-4:], "little"):
         return None
     return body
 
 
-def _write_cache(cache: FileCache, suffix: str, body: list) -> None:
+# The signals that end a process and that `_write_cache` holds back.
+_HELD_SIGNALS = {signal.SIGINT, signal.SIGTERM}
+
+
+def _write_cache(cache: FileCache, suffix: str, body: list | None) -> None:
     """Write the key of `cache`, the byte buffers of `body` and their
-    CRC-32 as the file `<cache.path><suffix>`.
+    CRC-32 as the file `<cache.path><suffix>`; with `body` None, the key
+    alone.
 
     Nothing is written if the input file changed since its key was
     taken.  The file is written beside its final name and renamed over
     it, so a reader sees the old cache or the new one.  A failure leaves
-    no file behind and is ignored: a cache only saves time.
+    no file behind and is ignored: a cache only saves time.  So that an
+    interrupt or a `SIGTERM` leaves none either, both wait, where the
+    platform can hold them back, until the file is in place or removed.
     """
     try:
         now = os.stat(cache.path)
@@ -568,32 +594,41 @@ def _write_cache(cache: FileCache, suffix: str, body: list) -> None:
             or (now.st_size, now.st_mtime_ns) != (cache.info.st_size,
                                                   cache.info.st_mtime_ns)):
         return
-    crc = 0
-    for chunk in body:
-        crc = zlib.crc32(chunk, crc)
+    chunks = [cache.header]
+    if body is not None:
+        crc = 0
+        for chunk in body:
+            crc = zlib.crc32(chunk, crc)
+        chunks += [*body, crc.to_bytes(4, "little")]
     path = cache.path + suffix
     temp = f"{path}.{os.urandom(8).hex()}.tmp"
-    try:  # a new file: O_EXCL follows no link planted at its name
-        fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-    except OSError:
-        return
+    held = (signal.pthread_sigmask(signal.SIG_BLOCK, _HELD_SIGNALS)
+            if hasattr(signal, "pthread_sigmask") else None)
     try:
-        with open(fd, "wb") as file:
-            for chunk in [cache.header, *body, crc.to_bytes(4, "little")]:
-                file.write(chunk)
-        os.replace(temp, path)
-    except OSError:
-        try:
-            os.unlink(temp)
+        try:  # a new file: O_EXCL follows no link planted at its name
+            fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         except OSError:
-            pass
+            return
+        try:
+            with open(fd, "wb") as file:
+                for chunk in chunks:
+                    file.write(chunk)
+            os.replace(temp, path)
+        except OSError:
+            try:
+                os.unlink(temp)
+            except OSError:
+                pass
+    finally:
+        if held is not None:
+            signal.pthread_sigmask(signal.SIG_SETMASK, held)
 
 
 def _load_stores(cache: FileCache, pairs: int) -> list[Store] | None:
     """The stores of `pairs` (query, candidate) pairs each that `cache`
-    holds, or None if `_read_cache` finds no body or it is not exactly
+    holds, or None if `_cache_body` finds no body or it is not exactly
     the shape `save_stores` writes."""
-    body = _read_cache(cache, ".stores")
+    body = _cache_body(_read_cache(cache, ".stores"))
     if body is None:
         return None
     offset = STORE_COUNT * 8 * pairs

@@ -1039,9 +1039,11 @@ def test_eval_outputs_equal_on_a_miss_a_hit_and_a_full_parse(trec, baseline):
     extra = ["--baseline-run", str(trec / "baseline.txt")] if baseline else []
     expected = full_parse_outputs(trec, baseline)
     assert eval_cached(trec, *extra, prelude=NO_FILE_PARSE)[0] == 1  # a miss parses
-    assert eval_cached(trec, *extra) == expected
+    assert eval_cached(trec, *extra) == expected  # a first read keeps the keys
     assert (trec / "run.txt.top").exists()
     assert (trec / "baseline.txt.top").exists() == baseline
+    assert eval_cached(trec, *extra, prelude=NO_FILE_PARSE)[0] == 1
+    assert eval_cached(trec, *extra) == expected  # a second read writes the bodies
     assert eval_cached(trec, *extra, prelude=NO_FILE_PARSE) == expected  # a hit
 
 
@@ -1053,14 +1055,38 @@ def test_eval_worker_writes_the_baseline_cache(trec):
            "    write(cache, suffix, body)\n"
            "formats._write_cache = _write_cache\n"
            "os.write(2, f'{os.getpid()} eval\\n'.encode())\n")
-    code, _, err, _ = eval_cached(trec, "--baseline-run", str(trec / "baseline.txt"),
-                                  prelude=log)
-    writers = {path: pid for pid, path in (line.split(" ", 1) for line in err.splitlines())}
-    assert code == 0 and writers.keys() == {"eval", f"{trec / 'run.txt'}.top",
-                                            f"{trec / 'baseline.txt'}.top"}
-    assert writers[f"{trec / 'run.txt'}.top"] == writers["eval"]
-    assert writers[f"{trec / 'baseline.txt'}.top"] != writers["eval"]
-    assert (trec / "baseline.txt.top").exists()
+    for _ in range(2):  # the keys, then the bodies
+        code, _, err, _ = eval_cached(trec, "--baseline-run", str(trec / "baseline.txt"),
+                                      prelude=log)
+        writers = {path: pid for pid, path in (line.split(" ", 1)
+                                               for line in err.splitlines())}
+        assert code == 0 and writers.keys() == {"eval", f"{trec / 'run.txt'}.top",
+                                                f"{trec / 'baseline.txt'}.top"}
+        assert writers[f"{trec / 'run.txt'}.top"] == writers["eval"]
+        assert writers[f"{trec / 'baseline.txt'}.top"] != writers["eval"]
+    assert eval_cached(trec, "--baseline-run", str(trec / "baseline.txt"),
+                       prelude=NO_FILE_PARSE)[0] == 0  # both bodies were written
+
+
+def test_eval_worker_ended_while_it_writes_leaves_no_temporary_file(trec):
+    # the worker is told to end while its temporary file exists; it ends
+    # once the cache is in place
+    result = python("import os, time\n"
+                    "from segtrain import cli, formats\n"
+                    "formats.MIN_CACHED_RUN_BYTES = 1\n"
+                    "ready, written = os.pipe()\n"
+                    "def replace(source, target, real=os.replace):\n"
+                    "    os.write(written, b'.')\n"
+                    "    time.sleep(0.5)\n"
+                    "    real(source, target)\n"
+                    "os.replace = replace\n"
+                    f"worker = cli._Worker(lambda: cli._top_entries("
+                    f"{str(trec / 'baseline.txt')!r}, 10))\n"
+                    "os.read(ready, 1)\n"
+                    "worker.close()\n")
+    assert result.returncode == 0, result.stderr
+    assert sorted(path.name for path in trec.iterdir()) == [
+        "baseline.txt", "baseline.txt.top", "qrels.txt", "run.txt"]
 
 
 @pytest.mark.parametrize("bad, line_no", [("run", 7), ("baseline", 6)])

@@ -8,6 +8,7 @@ import json
 import math
 import os
 import re
+import signal
 import struct
 import sys
 import tempfile
@@ -951,9 +952,10 @@ TOP_CORRUPTIONS = {
 class TestRunCache:
     """A run file of at least `MIN_CACHED_RUN_BYTES` keeps the first
     entries of each ranking in `<file>.top`, under the rules of the
-    stores cache.  A hit gives what a miss gives without parsing the
-    file; any other cache is a miss, which parses the file, and the top
-    of that parse replaces it."""
+    stores cache.  The first read of a key leaves the key alone there;
+    a second read of it writes the body, and later reads are hits.  A
+    hit gives what a miss gives without parsing the file; any other
+    cache is a miss, which parses the file."""
 
     @staticmethod
     def read(path: Path, depth: int = 2, encoding: str = "utf-8",
@@ -974,6 +976,16 @@ class TestRunCache:
                 run = formats.read_run(stream, depth)
         return run_bits(run), not any(files)
 
+    def reads(self, path: Path, count: int = 3, **inputs) -> list:
+        """`count` reads of the file at `path`."""
+        return [self.read(path, **inputs) for _ in range(count)]
+
+    @staticmethod
+    def key_alone(path: Path) -> bool:
+        """Whether the cache of the file at `path` is its key alone."""
+        data = Path(f"{path}.top").read_bytes()
+        return data.index(b"\n") + 1 == len(data)
+
     @staticmethod
     def run(tmp_path: Path) -> Path:
         path = tmp_path / "run.txt"
@@ -990,7 +1002,7 @@ class TestRunCache:
             try:
                 fresh = top_bits(path, depth)
             except ParseError as exc:  # never cached: each read fails alike
-                for _ in range(2):
+                for _ in range(3):
                     with pytest.raises(ParseError) as info:
                         self.read(path, depth)
                     assert (str(info.value), info.value.line_no) == (str(exc), exc.line_no)
@@ -999,15 +1011,26 @@ class TestRunCache:
             cached = len(data) > 0  # an empty file is below any floor
             assert self.read(path, depth) == (fresh, False)
             assert Path(f"{path}.top").exists() == cached
+            assert self.read(path, depth) == (fresh, False)
             assert self.read(path, depth) == (fresh, cached)
+
+    def test_a_run_read_once_keeps_its_key_alone(self, tmp_path):
+        # nothing of the run is written out before its key is read again
+        path = self.run(tmp_path)
+        fresh = top_bits(path, 2)
+        unwritten = mock.Mock(side_effect=AssertionError("wrote a score"))
+        assert self.read(path, _score_text=unwritten) == (fresh, False)
+        assert self.key_alone(path)
+        assert self.reads(path, 2) == [(fresh, False), (fresh, True)]
+        assert not self.key_alone(path)
 
     def test_a_run_under_min_cached_run_bytes_gets_no_cache(self, tmp_path):
         path = self.run(tmp_path)
         size, fresh = path.stat().st_size, top_bits(path, 2)
-        assert self.read(path, MIN_CACHED_RUN_BYTES=size + 1) == (fresh, False)
+        assert self.reads(path, MIN_CACHED_RUN_BYTES=size + 1) == [(fresh, False)] * 3
         assert [p.name for p in tmp_path.iterdir()] == ["run.txt"]
-        assert self.read(path, MIN_CACHED_RUN_BYTES=size) == (fresh, False)
-        assert self.read(path, MIN_CACHED_RUN_BYTES=size) == (fresh, True)
+        assert self.reads(path, MIN_CACHED_RUN_BYTES=size) == [
+            (fresh, False), (fresh, False), (fresh, True)]
 
     @pytest.mark.parametrize("kind", ["string", "pipe", "codecs reader"])
     def test_a_stream_that_is_no_text_file_gets_no_cache(self, tmp_path, kind):
@@ -1052,34 +1075,41 @@ class TestRunCache:
         path = self.run(tmp_path)
         fresh = top_bits(path, 2)
         tmp_path.chmod(0o1777)
-        assert self.read(path) == (fresh, False)
+        assert self.reads(path) == [(fresh, False)] * 3
         assert [p.name for p in tmp_path.iterdir()] == ["run.txt"]
 
     def test_a_linked_cache_is_a_miss_and_its_target_is_kept(self, tmp_path):
         path = self.run(tmp_path)
-        fresh, _ = self.read(path)
+        fresh, _ = self.reads(path, 2)[0]
         cache, target = Path(f"{path}.top"), tmp_path / "elsewhere"
         cache.rename(target)
         cache.symlink_to(target)
         kept = target.read_bytes()
         assert self.read(path) == (fresh, False)
-        assert not cache.is_symlink() and cache.read_bytes() == kept == target.read_bytes()
+        assert not cache.is_symlink() and target.read_bytes() == kept
+        assert self.key_alone(path) and kept.startswith(cache.read_bytes())
 
     @pytest.mark.parametrize("corrupt", TOP_CORRUPTIONS.values(), ids=TOP_CORRUPTIONS)
     def test_a_bad_cache_is_a_miss(self, tmp_path, corrupt):
+        # a cache that keeps the key shows the key was read before, so its
+        # miss writes the body; any other is a first read of the key
         path = self.run(tmp_path)
-        fresh, _ = self.read(path)
+        fresh, _ = self.reads(path, 2)[0]
         cache = Path(f"{path}.top")
-        cache.write_bytes(corrupt(cache.read_bytes()))
+        data = cache.read_bytes()
+        cache.write_bytes(corrupt(data))
+        keyed = cache.read_bytes().startswith(data[:data.index(b"\n") + 1])
         assert self.read(path) == (fresh, False)
-        assert self.read(path) == (fresh, True)  # rewritten
+        assert self.read(path) == (fresh, keyed)
+        assert self.read(path) == (fresh, True)
 
     @pytest.mark.parametrize("change", ["one byte", "depth", "encoding", "errors",
                                         "source", "format version"])
     def test_a_changed_key_is_a_miss(self, tmp_path, change):
         path = self.run(tmp_path)
-        cached, hit = self.read(path)
-        assert not hit and self.read(path) == (cached, True)
+        reads = self.reads(path)
+        cached = reads[0][0]
+        assert reads == [(cached, False), (cached, False), (cached, True)]
         header = json.loads(Path(f"{path}.top").read_bytes().partition(b"\n")[0])
         assert set(header) == TOP_KEY
         assert all(f"`{name}`" in formats.read_run.__doc__ for name in TOP_KEY)
@@ -1100,12 +1130,16 @@ class TestRunCache:
         else:
             inputs = {"TOP_FORMAT": formats.TOP_FORMAT + 1}
         fresh, hit = self.read(path, **inputs)
-        assert not hit and self.read(path, **inputs) == (fresh, True)
+        assert not hit and self.key_alone(path)  # the new key replaces the body
+        assert self.reads(path, 2, **inputs) == [(fresh, False), (fresh, True)]
         assert fresh == top_bits(path, inputs.get("depth", 2))
         assert (fresh == cached) == (change not in ("one byte", "depth"))
 
-    def test_a_run_changed_while_parsed_gets_no_cache(self, tmp_path):
+    @pytest.mark.parametrize("reads_before", [0, 1])
+    def test_a_run_changed_while_parsed_gets_no_cache(self, tmp_path, reads_before):
         path = self.run(tmp_path)
+        self.reads(path, reads_before)
+        before = sorted((p.name, p.read_bytes()) for p in tmp_path.iterdir())
         parse = formats.parse_run
 
         def rewrite_then_parse(stream):
@@ -1114,7 +1148,9 @@ class TestRunCache:
             return parse(stream)
 
         assert self.read(path, parse_run=rewrite_then_parse)[1] is False
-        assert [p.name for p in tmp_path.iterdir()] == ["run.txt"]
+        after = sorted((p.name, p.read_bytes()) for p in tmp_path.iterdir()
+                       if p.name != "run.txt")
+        assert after == [entry for entry in before if entry[0] != "run.txt"]
 
     def test_escaped_bytes_round_trip(self, tmp_path):
         # a stream that escapes undecodable bytes gives ids with lone
@@ -1123,17 +1159,35 @@ class TestRunCache:
         path.write_bytes(CACHED_RUN.encode().replace(b"d2", b"d\xff"))
         fresh, hit = self.read(path, errors="surrogateescape")
         assert not hit and fresh[1][2][1][0] == "d\udcff"
-        assert self.read(path, errors="surrogateescape") == (fresh, True)
+        assert self.reads(path, 2, errors="surrogateescape") == [(fresh, False),
+                                                                 (fresh, True)]
 
     def test_the_cache_holds_each_score_as_it_parses(self, tmp_path):
         path = self.run(tmp_path)
-        self.read(path, depth=3)
+        self.reads(path, 2, depth=3)
         body = Path(f"{path}.top").read_bytes().partition(b"\n")[2][:-4]
         assert body.decode() == ("q2 Q0 d1 1 0.5 segtrain\n"
                                  "q2 Q0 d3 2 -0.0 segtrain\n"
                                  "q1 Q0 d1 1 inf segtrain\n"
                                  "q1 Q0 d2 2 -nan segtrain\n"
                                  "q1 Q0 d3 3 5e-324 segtrain\n")
+
+    @pytest.mark.skipif(not hasattr(signal, "pthread_sigmask"), reason="no signal masks")
+    def test_a_cache_write_holds_back_an_interrupt(self, tmp_path):
+        # the interrupt comes while the temporary file exists and is
+        # raised once the cache is in place
+        path = self.run(tmp_path)
+        replace = os.replace
+
+        def interrupted_replace(source, target):
+            os.kill(os.getpid(), signal.SIGINT)
+            replace(source, target)
+
+        with mock.patch.object(os, "replace", interrupted_replace), \
+                pytest.raises(KeyboardInterrupt):
+            self.read(path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.txt", "run.txt.top"]
+        assert self.key_alone(path)
 
 
 # ---------------------------------------------------------------------------
