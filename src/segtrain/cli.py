@@ -34,14 +34,16 @@ once the same bytes have been evaluated twice at the same depth, so a
 baseline compared against system after system, or a run evaluated
 again, is not parsed a third time.  A miss parses the whole run, with
 every check; a malformed run is never cached, and a run evaluated once
-costs only a checksum more than its parse.  With `--baseline-run`, the
-baseline is read at the same time in one forked worker (`_Worker`),
-and the run and the qrels in the calling process, so on two CPUs two
-misses overlap; the worker writes the baseline's cache.  The worker's
-result, or its error, is taken where a serial `eval` would read the
-baseline, so the output and the error reported are the serial
-command's.  Without `os.fork`, or with another thread running, the
-baseline is read in process at that point.
+costs only a checksum more than its parse.  With `--baseline-run`, each
+run is scored in the process that reads it: one forked worker
+(`_Worker`) reads the baseline and the qrels and sends back only the
+baseline's per-query table (`_judged_table`), while the calling process
+reads and scores the run, so on two CPUs the two reads overlap; the
+worker writes the baseline's cache.  The worker's table, or its error,
+is taken where a serial `eval` would read the baseline, so the output
+and the error reported are the serial command's.  Without `os.fork`,
+or with another thread running, the baseline's table is made in
+process at that point.
 """
 
 from __future__ import annotations
@@ -59,7 +61,6 @@ from pathlib import Path
 from . import formats
 from .evaluation import (
     RankedList,
-    RankEntry,
     group_qrels,
     holdout_split,
     judged_metrics,
@@ -322,12 +323,13 @@ def _read_top(path: str, depth: int) -> dict[str, RankedList]:
     return _read(lambda stream: formats.read_run(stream, depth), path)
 
 
-def _top_entries(path: str, depth: int) -> dict[str, list[tuple[str, float, int]]]:
-    """(doc_id, score, rank) of the first `depth` entries of each ranking
-    of the run at `path`: plain tuples pickle at a fraction of the cost
-    of `RankEntry`s."""
-    return {qid: [(e.doc_id, e.score, e.rank) for e in ranked.entries]
-            for qid, ranked in _read_top(path, depth).items()}
+def _judged_table(run_path: str, qrels_path: str,
+                  config: PipelineConfig) -> dict[str, tuple[float, float]]:
+    """`judged_metrics` of the run at `run_path`, read as `eval` reads
+    it, against the qrels at `qrels_path`."""
+    run = _read_top(run_path, _depth(config))
+    judgments = group_qrels(_read(formats.parse_qrels, qrels_path))
+    return judged_metrics(run, judgments, config.mrr_cutoff, config.ndcg_k)
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
@@ -336,16 +338,19 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     Each run is read through `formats.read_run` at the depth that
     `judged_metrics` reads, the first `max(mrr_cutoff, ndcg_k)` entries
     of each ranking, from the cache beside the run or from its parse.
-    The baseline is read in a `_Worker` while the run and the qrels are
-    read here, since on a miss the two parses are independent and take
-    most of the command.  Its result is collected where a serial command
-    would read the baseline, so the output, and which error is reported
-    when several inputs are malformed, are those of the serial command.
+    The run is read and scored here.  The baseline is read and scored in
+    a `_Worker`, which parses the qrels itself and sends back only the
+    baseline's per-query table, since the two reads are independent and
+    take most of the command.  That table is collected where a serial
+    command would read the baseline, so the output, and which error is
+    reported when several inputs are malformed, are those of the serial
+    command.
     """
     config = _load_config(args)
     baseline = None
     if args.baseline_run:
-        baseline = _Worker(lambda: _top_entries(args.baseline_run, _depth(config)))
+        baseline = _Worker(lambda: _judged_table(
+            args.baseline_run, _path(args, config, "qrels"), config))
     try:
         return _eval(args, config, baseline)
     finally:
@@ -375,9 +380,7 @@ def _eval(args: argparse.Namespace, config: PipelineConfig,
             for qid, (rr, nd) in sorted(per_query.items()):
                 stream.write(f"{qid}\t{rr:.6f}\t{nd:.6f}\n")
     if baseline is not None:
-        top = {qid: RankedList(qid, [RankEntry(*entry) for entry in entries])
-               for qid, entries in baseline.result().items()}
-        base_metrics = judged_metrics(top, judgments, config.mrr_cutoff, config.ndcg_k)
+        base_metrics = baseline.result()
         shared = sorted(set(per_query) & set(base_metrics))
         if len(shared) < 2:
             raise ParseError("need at least 2 shared queries for the t-test")

@@ -57,13 +57,15 @@ def _reciprocal_rank(ranked: RankedList, judged: dict[str, int],
 
 
 def _ndcg(ranked: RankedList, judged: dict[str, int], k: int) -> float:
+    """NDCG@k, summing only the terms of positive grades: a zero grade's
+    term is +0.0, which leaves a float sum, compensated or not, as it
+    was, so it costs no `log2`."""
     ideal = sorted(judged.values(), reverse=True)[:k]
-    idcg = sum(g / math.log2(i + 2) for i, g in enumerate(ideal))
+    idcg = sum(g / math.log2(i + 2) for i, g in enumerate(ideal) if g)
     if idcg == 0:
         return 0.0
-    dcg = sum(
-        judged.get(e.doc_id, 0) / math.log2(e.rank + 1)
-        for e in ranked.entries[:k])
+    dcg = sum(g / math.log2(e.rank + 1) for e in ranked.entries[:k]
+              if (g := judged.get(e.doc_id, 0)))
     return dcg / idcg
 
 

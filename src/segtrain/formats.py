@@ -26,9 +26,12 @@ A hit needs no parse; a miss parses the corpus, and `save_stores`
 caches the stores built from it.  `eval` reads each run through
 `read_run`, and a run file of 1 MiB or more keeps `<run file>.top`
 beside it: the first entries of each ranking, as many as the metrics
-read, as run lines, keyed also by that depth.  Those lines are written
-only under a key read before, so a run read once pays no more than the
-key's CRC-32 and one line written.
+read, keyed also by that depth.  Its body (`TOP_FORMAT` 2) holds one
+line per ranking, its documents, ranks and scores as three lists, and
+is written only under a key read before, so a run read once pays no
+more than the key's CRC-32 and one line written.  A hit builds each
+ranking from its line after the checks `parse_run` makes of the lines
+it reads, and a body that fails one is a miss.
 
 The two caches share one set of rules (`_cache_key`, `_read_cache` and
 `_write_cache`).  A cache sits beside a regular file, read through a
@@ -236,7 +239,7 @@ def parse_run(stream: IO[str]) -> Run:
 MIN_CACHED_RUN_BYTES = 1 << 20
 
 # The version of the top-of-run cache layout; a cache of any other is a miss.
-TOP_FORMAT = 1
+TOP_FORMAT = 2
 
 # The sources that build a run from its file: this module parses it into
 # the types of `evaluation`.
@@ -257,9 +260,12 @@ def read_run(stream: IO[str], depth: int) -> Run:
     object of exactly these members: `format` (`TOP_FORMAT`), `code` (the
     CRC-32 of `_RUN_SOURCES`), `python` (the version), `size` and
     `crc32` (of the file's bytes), `encoding` and `errors` (the
-    stream's), and `depth`.  Its body is the entries as run lines, each
-    score written by `repr` so that it parses back to the same bits,
-    and a CRC-32 of them.  A hit parses only that body.
+    stream's), and `depth`.  Its body holds one line per ranking, in the
+    run's query order: `qid<TAB>docs<TAB>ranks<TAB>scores`, each list
+    space-separated in ranking order and each score written by
+    `_score_text`, so that it parses back to the same bits; a CRC-32 of
+    the body follows it.  A hit reads only that body (`_cached_top`),
+    and takes it only if it passes every check `parse_run` makes.
 
     A miss parses the whole file with `parse_run`, every check included;
     a malformed run raises before anything is written, so no cache
@@ -267,26 +273,59 @@ def read_run(stream: IO[str], depth: int) -> Run:
     read of a key leaves the key alone as the cache, and a later miss
     under that same key writes the body.  So a run read once costs its
     parse, the key's CRC-32 and one line written, and a run read again
-    is parsed twice before its hits.  Any other cache, stale, truncated
-    or damaged, is a miss, and deleting it is always safe.
+    is parsed twice before its hits.  Any other cache, stale, truncated,
+    damaged or of another layout, is a miss, and deleting it is always
+    safe.
     """
     cache = _cache_key(stream, MIN_CACHED_RUN_BYTES, _RUN_SOURCES,
                        format=TOP_FORMAT, depth=depth)
     rest = _read_cache(cache, ".top") if cache is not None else None
     body = _cache_body(rest)
     if body is not None:
-        try:
-            return parse_run(io.StringIO(str(body, "utf-8", "surrogatepass")))
-        except (ParseError, UnicodeDecodeError):
-            pass
+        run = _cached_top(body, depth)
+        if run is not None:
+            return run
     run = {qid: RankedList(qid, ranked.entries[:depth])
            for qid, ranked in parse_run(stream).items()}
     if cache is not None and rest is None:  # a key not read before
         _write_cache(cache, ".top", None)
     elif cache is not None:
-        lines = [f"{qid} Q0 {entry.doc_id} {entry.rank} {_score_text(entry.score)} "
-                 f"segtrain\n" for qid, ranked in run.items() for entry in ranked.entries]
+        lines = [f"{qid}\t{' '.join([e.doc_id for e in ranked.entries])}"
+                 f"\t{' '.join([str(e.rank) for e in ranked.entries])}"
+                 f"\t{' '.join([_score_text(e.score) for e in ranked.entries])}\n"
+                 for qid, ranked in run.items()]
         _write_cache(cache, ".top", ["".join(lines).encode("utf-8", "surrogatepass")])
+    return run
+
+
+def _cached_top(body: memoryview, depth: int) -> Run | None:
+    """The run a `.top` body holds, or None unless each of its lines is a
+    ranking that `parse_run` could give, cut at `depth`: four fields,
+    lists of one length from 1 to `depth`, an id and documents without
+    whitespace, integer ranks of at least 1 and float scores, no
+    document twice, (rank, doc_id) strictly ascending, and no query
+    twice."""
+    try:
+        lines = str(body, "utf-8", "surrogatepass").split("\n")
+    except UnicodeDecodeError:
+        return None
+    if lines.pop() != "":
+        return None
+    run: Run = {}
+    try:
+        for line in lines:
+            qid, docs, ranks, scores = line.split("\t")
+            docs = docs.split()
+            ranks = list(map(int, ranks.split()))
+            scores = list(map(float, scores.split()))
+            pairs = list(zip(ranks, docs))
+            if (not len(docs) == len(ranks) == len(scores) <= depth
+                    or min(ranks) < 1 or len(set(docs)) < len(docs)
+                    or pairs != sorted(pairs) or qid in run or qid.split() != [qid]):
+                return None
+            run[qid] = RankedList(qid, list(map(RankEntry, docs, scores, ranks)))
+    except ValueError:  # a field count, a rank, a score, or `min` of no ranks
+        return None
     return run
 
 

@@ -266,9 +266,11 @@ def _backward(params: ScorerParams, X: np.ndarray, upstream: np.ndarray,
 
 
 def _finite_scores(params: ScorerParams, X: np.ndarray) -> np.ndarray:
-    """`score_batch(params, X)`; a ValueError if a score is not finite,
-    as when a step too large leaves weights that overflow it."""
-    scores = score_batch(params, X)
+    """`score_batch(params, X)`, computed without an overflow warning; a
+    ValueError if a score is not finite, as when a step too large leaves
+    weights that overflow it, or a model's weights are that large."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        scores = score_batch(params, X)
     if not np.isfinite(scores).all():
         raise ValueError("non-finite scores")
     return scores

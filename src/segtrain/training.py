@@ -9,7 +9,9 @@ and `rank_store` ranks its candidates by their aggregated window
 scores: as the dev set whose MRR stops training, and as the pool the
 `rerank` command ranks.  Both score the whole matrix in one
 batch-invariant `score_batch` call, so each pair gets the scores it
-gets alone, and reduce each pair's rows in one numpy call.
+gets alone, and reduce each pair's rows in one numpy call.  A score
+that is not finite is a ValueError (`scorer._finite_scores`), not an
+overflow warning and an infinite score in the output.
 
 The commands get one store of each kind over every listed query's
 candidates from `load_stores`, which loads both from the corpus's
@@ -61,9 +63,9 @@ from .ranking import Aggregation, aggregate, rank_by_scores
 from .scorer import (
     NUM_FEATURES,
     ScorerParams,
+    _finite_scores,
     batch_loss_and_gradient,
     init_params,
-    score_batch,
     segment_features,
     sgd_step,
 )
@@ -282,7 +284,7 @@ def rank_store(params: ScorerParams, store: TrainingSet,
     """Each topic's candidates ranked by their aggregated segment scores:
     FirstP takes a candidate's first score, MaxP its largest, over every
     segment the store holds for it.  Ties rank by doc id."""
-    scores = aggregate(score_batch(params, store.matrix), store.starts, agg)
+    scores = aggregate(_finite_scores(params, store.matrix), store.starts, agg)
     by_query: dict[str, dict[str, float]] = {t.query.id: {} for t in store.topics}
     for (qid, doc_id), score in zip(store.rows, scores.tolist()):
         by_query[qid][doc_id] = score
@@ -351,16 +353,16 @@ def select_segments(params: ScorerParams, tset: TrainingSet
     `tset.max_segments` segments, and its score.
 
     Covers every pair in the store; score ties resolve to the smallest
-    index, as `np.argmax` does (a NaN counts as the largest score).
+    index, as `np.argmax` does.
     """
-    scores = score_batch(params, tset.matrix)
+    scores = _finite_scores(params, tset.matrix)
     lengths = np.diff(tset.starts, append=len(scores))
     local = np.arange(len(scores)) - np.repeat(tset.starts, lengths)
     if len(scores) and local.max() >= tset.max_segments:
         scores = np.where(local < tset.max_segments, scores, -np.inf)
     best = np.repeat(np.maximum.reduceat(scores, tset.starts), lengths)
-    at_best = (scores == best) | np.isnan(scores)
-    index = np.minimum.reduceat(np.where(at_best, local, len(scores)), tset.starts)
+    index = np.minimum.reduceat(np.where(scores == best, local, len(scores)),
+                                tset.starts)
     keys = list(tset.rows)
     return (dict(zip(keys, index.tolist())),
             dict(zip(keys, scores[tset.starts + index].tolist())))

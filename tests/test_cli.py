@@ -6,6 +6,7 @@ import hashlib
 import json
 import math
 import os
+import pickle
 import subprocess
 import sys
 import threading
@@ -861,6 +862,38 @@ def test_eval_worker_outputs_equal_the_in_process_outputs(trec, capsys, monkeypa
     assert eval_outputs(trec, capsys) == forked
 
 
+def test_eval_worker_sends_the_baselines_table_not_its_rankings(trec, capsys,
+                                                                monkeypatch):
+    received = []
+
+    def loads(payload, real=pickle.loads):
+        received.append(real(payload))
+        return received[-1]
+
+    monkeypatch.setattr("segtrain.cli.pickle.loads", loads)
+    assert eval_trec(trec) == 0
+    with open(trec / "qrels.txt") as stream:
+        judgments = group_qrels(formats.parse_qrels(stream))
+    with open(trec / "baseline.txt") as stream:
+        table = judged_metrics(formats.parse_run(stream), judgments)
+    assert received == [(True, table)]
+    assert all(type(value) is tuple and list(map(type, value)) == [float, float]
+               for value in received[0][1].values())
+
+
+@pytest.mark.parametrize("forking", [True, False], ids=["worker", "in process"])
+def test_eval_baseline_that_shares_no_query_exits_2_after_the_means(trec, capsys,
+                                                                    monkeypatch, forking):
+    _, out, _, table = eval_outputs(trec, capsys)
+    (trec / "other.txt").write_text("q9 Q0 d1 1 1.0 base\n")
+    if not forking:
+        in_process(monkeypatch)
+    means = "".join(line for line in out.splitlines(keepends=True)
+                    if not line.startswith("t_test_"))
+    assert eval_outputs(trec, capsys, baseline="other.txt") == (
+        2, means, "segtrain: error: run and qrels share no queries\n", table)
+
+
 # Each query's first relevant document is at rank 2.
 DEEP_BASELINE = """\
 q1 Q0 d2 1 3.0 base
@@ -1047,6 +1080,17 @@ def test_eval_outputs_equal_on_a_miss_a_hit_and_a_full_parse(trec, baseline):
     assert eval_cached(trec, *extra, prelude=NO_FILE_PARSE) == expected  # a hit
 
 
+def test_eval_without_fork_prints_the_bytes_of_the_worker(trec):
+    extra = ["--baseline-run", str(trec / "baseline.txt")]
+    expected = full_parse_outputs(trec, True)
+    for prelude in ("", "import os\ndel os.fork\n"):
+        for cache in trec.glob("*.top"):
+            cache.unlink()
+        for _ in range(3):  # the keys, the bodies, the hits
+            assert eval_cached(trec, *extra, prelude=prelude) == expected
+        assert (trec / "baseline.txt.top").exists()
+
+
 def test_eval_worker_writes_the_baseline_cache(trec):
     # one `os.write` a line, so that the lines of two processes never mix
     log = ("import os\n"
@@ -1080,9 +1124,11 @@ def test_eval_worker_ended_while_it_writes_leaves_no_temporary_file(trec):
                     "    time.sleep(0.5)\n"
                     "    real(source, target)\n"
                     "os.replace = replace\n"
-                    f"worker = cli._Worker(lambda: cli._top_entries("
-                    f"{str(trec / 'baseline.txt')!r}, 10))\n"
-                    "os.read(ready, 1)\n"
+                    f"worker = cli._Worker(lambda: cli._judged_table("
+                    f"{str(trec / 'baseline.txt')!r}, {str(trec / 'qrels.txt')!r}, "
+                    f"cli.PipelineConfig()))\n"
+                    "os.close(written)  # a worker that ends first leaves EOF\n"
+                    "assert os.read(ready, 1) == b'.', 'the worker wrote no cache'\n"
                     "worker.close()\n")
     assert result.returncode == 0, result.stderr
     assert sorted(path.name for path in trec.iterdir()) == [
@@ -1101,16 +1147,35 @@ def test_eval_malformed_run_is_never_cached(trec, bad, line_no):
     assert not (trec / f"{bad}.txt.top").exists()
 
 
-def test_train_whose_step_overflows_exits_2_without_a_warning(tmp_path):
-    config = {"num_queries": 20, "epochs": 3, "max_iterations": 2,
-              "learning_rate": "1e308"}
-    assert synth(config, tmp_path) == 0
-    args = ["train", "--mode", "best", *inputs(tmp_path),
-            "--qrels", str(tmp_path / "qrels.txt"), "--out", str(tmp_path / "model.txt")]
+def overflowing(args: list[str], out: Path) -> None:
+    """`args` run in a new process exit 2 with the one line that names a
+    non-finite score, no warning, and no file at `out`."""
     result = python(f"import sys\nfrom segtrain.cli import main\nsys.exit(main({args!r}))\n")
-    assert result.returncode == 2
-    assert result.stderr.startswith("segtrain: error: non-finite ")
-    assert result.stderr.count("\n") == 1 and not (tmp_path / "model.txt").exists()
+    assert (result.returncode, result.stderr) == (
+        2, "segtrain: error: non-finite scores\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["linear", "mlp"])
+def test_train_whose_step_overflows_exits_2_without_a_warning(tmp_path, kind):
+    # the linear scores overflow in a step's batch, the mlp's in the dev
+    # ranking after a step leaves weights near 1e306
+    config = {"num_queries": 20, "epochs": 3, "max_iterations": 2,
+              "learning_rate": "1e308", "scorer_kind": kind}
+    assert synth(config, tmp_path) == 0
+    overflowing(["train", "--mode", "best", *inputs(tmp_path),
+                 "--qrels", str(tmp_path / "qrels.txt"),
+                 "--out", str(tmp_path / "model.txt")], tmp_path / "model.txt")
+
+
+@pytest.mark.parametrize("command", ["select", "rerank"])
+def test_a_model_whose_scores_overflow_exits_2_without_a_warning(tmp_path, command):
+    assert synth({"num_queries": 20}, tmp_path) == 0
+    model = tmp_path / "model.txt"
+    model.write_text("segtrain-model v1 kind=linear dim=7 hidden=0\n"
+                     + "1e308\n" * 7 + "0\n")
+    overflowing([command, *inputs(tmp_path), "--model", str(model),
+                 "--out", str(tmp_path / "out")], tmp_path / "out")
 
 
 SELECTION = '{"doc_id": "d1", "qid": "q1", "score": 0.5, "segment_index": 1}\n'

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import ndcg_oracle
 from segtrain.evaluation import group_qrels, judged_metrics, mrr, paired_t_test, table_means
 from segtrain.ranking import RankedList, RankEntry
 
@@ -194,6 +195,46 @@ def test_table_covers_judged_queries_in_the_run():
     assert table(run, qrels) == {"a": (1.0, 1.0)}
     run, qrels = ALL_ZERO
     assert table(run, qrels, 1, 1) == {"a": (0.0, 0.0)}
+
+
+@st.composite
+def graded_runs(draw):
+    """A run and its judgments: mostly zero grades, ranks that start
+    anywhere from 1 to 4 and leap up to 5 places, and rankings of 0 to 6
+    documents, so that k often passes the end of one."""
+    run, judgments = {}, {}
+    for qid in draw(st.lists(QIDS, unique=True, min_size=1)):
+        docs = draw(st.permutations(DOCS))[:draw(st.integers(0, len(DOCS)))]
+        gaps = draw(st.lists(st.integers(0, 5), min_size=len(docs), max_size=len(docs)))
+        ranks = accumulate(gaps[1:], initial=draw(st.integers(1, 4)))
+        run[qid] = RankedList(qid, entries(*zip(docs, ranks)))
+        judgments[qid] = draw(st.dictionaries(st.sampled_from(DOCS + ["t"]),
+                                              st.sampled_from([0, 0, 0, 1, 2, 3, 7])))
+    return run, judgments
+
+
+# A query whose judged documents all have grade 0, and one whose only
+# relevant document is past the end of its ranking.
+NONE_RELEVANT = ({"a": RankedList("a", entries(("x", 1), ("y", 4)))},
+                 {"a": {"x": 0, "y": 0, "z": 0}})
+RELEVANT_UNRANKED = ({"a": RankedList("a", entries(("x", 1)))}, {"a": {"x": 0, "t": 2}})
+# Zero grades between positive ones, at ranks with gaps, and k past the end.
+GAPPED = ({"a": RankedList("a", entries(("x", 2), ("y", 3), ("z", 7), ("w", 7), ("v", 12)))},
+          {"a": {"x": 3, "y": 0, "z": 1, "w": 0, "v": 2, "u": 0}})
+
+
+@settings(max_examples=300)
+@given(graded_runs(), st.integers(1, 12))
+@example(NONE_RELEVANT, 2)
+@example(RELEVANT_UNRANKED, 3)
+@example(GAPPED, 3)
+@example(GAPPED, 12)
+def test_ndcg_equals_the_oracle_that_sums_every_term(graded, k):
+    run, judgments = graded
+    got = judged_metrics(run, judgments, 10, k)
+    assert list(got) == list(judgments)
+    for qid, (_, nd) in got.items():
+        assert bits(nd) == bits(ndcg_oracle.ndcg(run[qid], judgments[qid], k))
 
 
 @settings(max_examples=50)

@@ -936,6 +936,39 @@ def checksummed(body: bytes):
     return corrupt
 
 
+def format_1(data: bytes) -> bytes:
+    """A cache of `TOP_FORMAT` 1, which held run lines, for the run whose
+    cache is `data`."""
+    header = data[:data.index(b"\n") + 1]
+    assert b'"format": 2' in header
+    body = b"q2 Q0 d1 1 0.5 segtrain\nq2 Q0 d3 2 -0.0 segtrain\n"
+    return (header.replace(b'"format": 2', b'"format": 1') + body
+            + zlib.crc32(body).to_bytes(4, "little"))
+
+
+# The body of `CACHED_RUN`'s cache at depth 2: a line per ranking.
+TOP_BODY = "q2\td1 d3\t1 2\t0.5 -0.0\nq1\td1 d2\t1 2\tinf -nan\n"
+
+# For each check a hit makes, a line in place of the last of `TOP_BODY`
+# that fails it, and no other.
+BAD_TOP_LINES = {
+    "three fields": "q1\td1 d2\t1 2",
+    "five fields": "q1\td1 d2\t1 2\tinf -nan\t",
+    "fewer ranks": "q1\td1 d2\t1\tinf -nan",
+    "fewer scores": "q1\td1 d2\t1 2\tinf",
+    "an empty ranking": "q1\t\t\t",
+    "a rank that is no integer": "q1\td1 d2\t1 2.0\tinf -nan",
+    "a score that is no float": "q1\td1 d2\t1 2\tinf nan0",
+    "a rank below 1": "q1\td1 d2\t0 2\tinf -nan",
+    "a document twice": "q1\td1 d1\t1 2\tinf -nan",
+    "ranks descending": "q1\td1 d2\t2 1\tinf -nan",
+    "tied ranks out of doc_id order": "q1\td2 d1\t1 1\tinf -nan",
+    "a query twice": "q2\td1 d2\t1 2\tinf -nan",
+    "more entries than the depth": "q1\td1 d2 d3\t1 2 3\tinf -nan 5e-324",
+    "a query id with a space": "q 1\td1 d2\t1 2\tinf -nan",
+    "an empty query id": "\td1 d2\t1 2\tinf -nan",
+}
+
 TOP_CORRUPTIONS = {
     "empty": lambda data: b"",
     "header only": lambda data: data[:data.index(b"\n") + 1],
@@ -944,8 +977,12 @@ TOP_CORRUPTIONS = {
     "another key": lambda data: data.replace(b'"crc32": ', b'"crc32": 1', 1),
     "body byte flipped": lambda data: data[:-8] + bytes([data[-8] ^ 1]) + data[-7:],
     "checksum flipped": lambda data: data[:-1] + bytes([data[-1] ^ 1]),
-    "a body that is no run": checksummed(b"q1 Q0 d1 0 0.5 segtrain\n"),
-    "a body that is no text": checksummed(b"q1 Q0 d1 1 0.5 \xff\n"),
+    "a cache of format 1": format_1,
+    "a body of run lines": checksummed(b"q1 Q0 d1 1 0.5 segtrain\n"),
+    "a body that is no text": checksummed(b"q1\td1\t1\t\xff\n"),
+    "no line end": checksummed(TOP_BODY[:-1].encode()),
+    **{name: checksummed((TOP_BODY[:TOP_BODY.index("q1")] + line + "\n").encode())
+       for name, line in BAD_TOP_LINES.items()},
 }
 
 
@@ -1162,15 +1199,21 @@ class TestRunCache:
         assert self.reads(path, 2, errors="surrogateescape") == [(fresh, False),
                                                                  (fresh, True)]
 
+    def test_the_body_holds_a_line_per_ranking(self, tmp_path):
+        # each of TOP_CORRUPTIONS' damaged bodies differs from this one,
+        # which is a hit, in one check
+        path = self.run(tmp_path)
+        fresh = top_bits(path, 2)
+        assert self.reads(path) == [(fresh, False), (fresh, False), (fresh, True)]
+        data = Path(f"{path}.top").read_bytes()
+        assert checksummed(TOP_BODY.encode())(data) == data
+
     def test_the_cache_holds_each_score_as_it_parses(self, tmp_path):
         path = self.run(tmp_path)
         self.reads(path, 2, depth=3)
         body = Path(f"{path}.top").read_bytes().partition(b"\n")[2][:-4]
-        assert body.decode() == ("q2 Q0 d1 1 0.5 segtrain\n"
-                                 "q2 Q0 d3 2 -0.0 segtrain\n"
-                                 "q1 Q0 d1 1 inf segtrain\n"
-                                 "q1 Q0 d2 2 -nan segtrain\n"
-                                 "q1 Q0 d3 3 5e-324 segtrain\n")
+        assert body.decode() == ("q2\td1 d3\t1 2\t0.5 -0.0\n"
+                                 "q1\td1 d2 d3\t1 2 3\tinf -nan 5e-324\n")
 
     @pytest.mark.skipif(not hasattr(signal, "pthread_sigmask"), reason="no signal masks")
     def test_a_cache_write_holds_back_an_interrupt(self, tmp_path):

@@ -320,23 +320,31 @@ class TestSelectSegments:
                     # one row alone scores the bits it scores in the store
                     assert scores[(topic.query.id, doc_id)] == best_score
 
-    def test_infinite_and_nan_scores_select_as_argmax_does(self):
-        # weights that overflow or multiply 0 by infinity give infinite
-        # and NaN scores: the first NaN, else the first maximum, wins
+    def test_extreme_scores_select_as_argmax_does_and_overflow_raises(self):
+        # weights near the largest double give scores that are extreme
+        # yet finite, where the first maximum wins, or that overflow,
+        # which is a ValueError and no warning
         rng = np.random.default_rng(12)
+        finite = []
         for _ in range(60):
             k = int(rng.integers(1, 6))
             tset = _random_tset(rng, max_segments=k)
-            weights = rng.choice([-np.inf, np.inf, 1e308, -1e308, 0.0, 1.0],
-                                 size=NUM_FEATURES)
-            params = ScorerParams("linear", 0, np.append(weights, rng.choice([0.0, np.inf])))
+            weights = rng.choice([1e308, -1e308, 1e300, 0.0, 1.0], size=NUM_FEATURES)
+            params = ScorerParams("linear", 0, np.append(weights, rng.choice([0.0, 1e308])))
             with np.errstate(invalid="ignore", over="ignore"):
-                sel, scores = select_segments(params, tset)
                 all_scores = score_batch(params, tset.matrix)
+            finite.append(bool(np.isfinite(all_scores).all()))
+            with np.errstate(all="raise"):
+                if not finite[-1]:
+                    with pytest.raises(ValueError, match="^non-finite scores$"):
+                        select_segments(params, tset)
+                    continue
+                sel, scores = select_segments(params, tset)
             for key, span in tset.rows.items():
                 leading = all_scores[span.start:span.stop][:k]
                 assert sel[key] == int(np.argmax(leading))
-                assert np.array_equal(scores[key], leading[sel[key]], equal_nan=True)
+                assert scores[key] == leading[sel[key]]
+        assert 10 < sum(finite) < 50
 
     def test_store_without_qrels_covers_every_candidate(self):
         queries = [Query.from_text("q0", "a"), Query.from_text("q1", "b"),
@@ -496,17 +504,15 @@ class TestEvaluateBundle:
         assert m_first <= m_max
         assert set(run_max) == {t.query.id for t in coll.dev_bundle.topics}
 
-    def test_a_diverged_model_does_not_read_as_a_perfect_one(self):
+    def test_a_diverged_model_is_an_error_not_a_perfect_one(self):
         # the dev store lists each topic's positives first; NaN scores must
-        # rank by doc id, not keep that order and score MRR 1
+        # not keep that order and score MRR 1
         dev = small_collection(seed=3).dev_bundle
         params = init_params("linear", 0)
         params.vector[-1] = np.nan
-        metric, run = evaluate_bundle(params, dev)
-        for topic in dev.topics:
-            assert [e.doc_id for e in run[topic.query.id].entries] == \
-                sorted(topic.candidates)
-        assert metric < 1.0
+        with np.errstate(all="raise"), pytest.raises(ValueError,
+                                                     match="^non-finite scores$"):
+            evaluate_bundle(params, dev)
 
     @pytest.mark.parametrize("kind", ["linear", "mlp"])
     def test_scores_do_not_depend_on_the_store(self, kind):
