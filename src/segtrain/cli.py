@@ -34,16 +34,10 @@ once the same bytes have been evaluated twice at the same depth, so a
 baseline compared against system after system, or a run evaluated
 again, is not parsed a third time.  A miss parses the whole run, with
 every check; a malformed run is never cached, and a run evaluated once
-costs only a checksum more than its parse.  With `--baseline-run`, each
-run is scored in the process that reads it: one forked worker
-(`_Worker`) reads the baseline and the qrels and sends back only the
-baseline's per-query table (`_judged_table`), while the calling process
-reads and scores the run, so on two CPUs the two reads overlap; the
-worker writes the baseline's cache.  The worker's table, or its error,
-is taken where a serial `eval` would read the baseline, so the output
-and the error reported are the serial command's.  Without `os.fork`,
-or with another thread running, the baseline's table is made in
-process at that point.
+costs only a checksum more than its parse.  With `--baseline-run`, the
+baseline is read the same way, after the run's figures are written, and
+scored against the judgments the run was scored against, so the qrels
+are parsed once.
 """
 
 from __future__ import annotations
@@ -51,11 +45,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import gc
-import os
-import pickle
-import signal
 import sys
-import threading
 from pathlib import Path
 
 from . import formats
@@ -115,69 +105,6 @@ def _read(parser_fn, path: str):
     finally:
         if enabled:
             gc.enable()
-
-
-class _Worker:
-    """`job()` run in a forked worker process while the caller goes on.
-
-    `result()` returns what `job()` returned, or raises what it raised,
-    as if the caller had called it there: the worker pickles either back
-    through a pipe and leaves with `os._exit`.  Without `os.fork`, with
-    another thread running (a fork copies no thread but the caller's),
-    if the fork fails or if the worker sent nothing, `result()` calls
-    `job()` itself.  `close()` ends a worker whose result was not
-    collected with `SIGTERM`, which a cache write holds back until its
-    file is in place (`formats._write_cache`), and reaps it.
-    """
-
-    def __init__(self, job):
-        self.job, self.pid, self.fd = job, None, None
-        if not hasattr(os, "fork") or threading.active_count() > 1:
-            return
-        read_fd, write_fd = os.pipe()
-        try:
-            self.pid = os.fork()
-        except OSError:
-            os.close(read_fd)
-            os.close(write_fd)
-            return
-        if self.pid == 0:
-            try:
-                signal.signal(signal.SIGTERM, signal.SIG_DFL)
-                os.close(read_fd)
-                try:
-                    payload = pickle.dumps((True, job()))
-                except Exception as exc:  # raised again by result()
-                    payload = pickle.dumps((False, exc))
-                with open(write_fd, "wb") as pipe:
-                    pipe.write(payload)
-            finally:
-                os._exit(0)
-        os.close(write_fd)
-        self.fd = read_fd
-
-    def result(self):
-        if self.fd is not None:
-            with open(self.fd, "rb") as pipe:
-                self.fd = None
-                payload = pipe.read()
-            self.close()
-            if payload:
-                done, value = pickle.loads(payload)
-                if done:
-                    return value
-                raise value
-        return self.job()
-
-    def close(self) -> None:
-        if self.pid is None:
-            return
-        if self.fd is not None:
-            os.close(self.fd)
-            self.fd = None
-            os.kill(self.pid, signal.SIGTERM)
-        os.waitpid(self.pid, 0)
-        self.pid = None
 
 
 # ---------------------------------------------------------------------------
@@ -323,49 +250,20 @@ def _read_top(path: str, depth: int) -> dict[str, RankedList]:
     return _read(lambda stream: formats.read_run(stream, depth), path)
 
 
-def _judged_table(run_path: str, qrels_path: str,
-                  config: PipelineConfig) -> dict[str, tuple[float, float]]:
-    """`judged_metrics` of the run at `run_path`, read as `eval` reads
-    it, against the qrels at `qrels_path`."""
-    run = _read_top(run_path, _depth(config))
-    judgments = group_qrels(_read(formats.parse_qrels, qrels_path))
-    return judged_metrics(run, judgments, config.mrr_cutoff, config.ndcg_k)
-
-
 def _cmd_eval(args: argparse.Namespace) -> int:
     """Metrics of a run, and a paired t-test against `--baseline-run`.
 
     Each run is read through `formats.read_run` at the depth that
     `judged_metrics` reads, the first `max(mrr_cutoff, ndcg_k)` entries
     of each ranking, from the cache beside the run or from its parse.
-    The run is read and scored here.  The baseline is read and scored in
-    a `_Worker`, which parses the qrels itself and sends back only the
-    baseline's per-query table, since the two reads are independent and
-    take most of the command.  That table is collected where a serial
-    command would read the baseline, so the output, and which error is
-    reported when several inputs are malformed, are those of the serial
-    command.
+    The run and the qrels are read first, so that a malformed one is
+    reported before any figure is printed.  The baseline is read, and
+    scored against the run's judgments, once the run's means and its
+    per-query table are out.
     """
     config = _load_config(args)
-    baseline = None
-    if args.baseline_run:
-        baseline = _Worker(lambda: _judged_table(
-            args.baseline_run, _path(args, config, "qrels"), config))
-    try:
-        return _eval(args, config, baseline)
-    finally:
-        if baseline is not None:
-            baseline.close()
-
-
-def _depth(config: PipelineConfig) -> int:
-    """The entries of a ranking that `judged_metrics` reads."""
-    return max(config.mrr_cutoff, config.ndcg_k)
-
-
-def _eval(args: argparse.Namespace, config: PipelineConfig,
-          baseline: _Worker | None) -> int:
-    run = _read_top(_path(args, config, "run"), _depth(config))
+    depth = max(config.mrr_cutoff, config.ndcg_k)
+    run = _read_top(_path(args, config, "run"), depth)
     qrels = _read(formats.parse_qrels, _path(args, config, "qrels"))
     print(f"# mrr_cutoff={config.mrr_cutoff}")
     print(f"# ndcg_k={config.ndcg_k}")
@@ -379,8 +277,9 @@ def _eval(args: argparse.Namespace, config: PipelineConfig,
             stream.write(f"qid\tmrr\tndcg@{config.ndcg_k}\n")
             for qid, (rr, nd) in sorted(per_query.items()):
                 stream.write(f"{qid}\t{rr:.6f}\t{nd:.6f}\n")
-    if baseline is not None:
-        base_metrics = baseline.result()
+    if args.baseline_run:
+        base_metrics = judged_metrics(_read_top(args.baseline_run, depth), judgments,
+                                      config.mrr_cutoff, config.ndcg_k)
         shared = sorted(set(per_query) & set(base_metrics))
         if len(shared) < 2:
             raise ParseError("need at least 2 shared queries for the t-test")

@@ -39,12 +39,12 @@ text stream not yet read whose name still names the file, in a
 directory that other users may not write to.  Its key, its first line,
 holds the file's size and CRC-32, the stream's encoding and error
 handler, the Python version and a CRC-32 of the code that builds what
-it caches; a CRC-32 of its body ends it.  `_write_cache` holds back
-an interrupt or a `SIGTERM` while its temporary file exists, so no
-temporary file outlives a process that these end.  Only a parse that
-passed every check is cached, so no cache matches a malformed input;
-any other key or a damaged cache is a miss that parses the text again,
-and deleting a cache is always safe.
+it caches; a CRC-32 of its body ends it.  `_write_cache` removes its
+temporary file on any failure or exception, an interrupt among them,
+so none outlives the write.  Only a parse that passed every check is
+cached, so no cache matches a malformed input; any other key or a
+damaged cache is a miss that parses the text again, and deleting a
+cache is always safe.
 
 The module also owns all configuration, without importing numpy:
 `TrainConfig` and `SynthConfig` (which `training`, `synth` and, for
@@ -65,7 +65,6 @@ import itertools
 import json
 import math
 import os
-import signal
 import stat
 import sys
 import zlib
@@ -609,10 +608,6 @@ def _cache_body(rest: memoryview | None) -> memoryview | None:
     return body
 
 
-# The signals that end a process and that `_write_cache` holds back.
-_HELD_SIGNALS = {signal.SIGINT, signal.SIGTERM}
-
-
 def _write_cache(cache: FileCache, suffix: str, body: list | None) -> None:
     """Write the key of `cache`, the byte buffers of `body` and their
     CRC-32 as the file `<cache.path><suffix>`; with `body` None, the key
@@ -621,9 +616,9 @@ def _write_cache(cache: FileCache, suffix: str, body: list | None) -> None:
     Nothing is written if the input file changed since its key was
     taken.  The file is written beside its final name and renamed over
     it, so a reader sees the old cache or the new one.  A failure leaves
-    no file behind and is ignored: a cache only saves time.  So that an
-    interrupt or a `SIGTERM` leaves none either, both wait, where the
-    platform can hold them back, until the file is in place or removed.
+    no file behind and is ignored: a cache only saves time.  An
+    exception raised while the temporary file exists, an interrupt among
+    them, removes it on its way out.
     """
     try:
         now = os.stat(cache.path)
@@ -641,26 +636,22 @@ def _write_cache(cache: FileCache, suffix: str, body: list | None) -> None:
         chunks += [*body, crc.to_bytes(4, "little")]
     path = cache.path + suffix
     temp = f"{path}.{os.urandom(8).hex()}.tmp"
-    held = (signal.pthread_sigmask(signal.SIG_BLOCK, _HELD_SIGNALS)
-            if hasattr(signal, "pthread_sigmask") else None)
+    try:  # a new file: O_EXCL follows no link planted at its name
+        fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError:
+        return
     try:
-        try:  # a new file: O_EXCL follows no link planted at its name
-            fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-        except OSError:
-            return
+        with open(fd, "wb") as file:
+            for chunk in chunks:
+                file.write(chunk)
+        os.replace(temp, path)
+    except OSError:
+        pass
+    finally:  # nothing is left at `temp` once the rename is done
         try:
-            with open(fd, "wb") as file:
-                for chunk in chunks:
-                    file.write(chunk)
-            os.replace(temp, path)
+            os.unlink(temp)
         except OSError:
-            try:
-                os.unlink(temp)
-            except OSError:
-                pass
-    finally:
-        if held is not None:
-            signal.pthread_sigmask(signal.SIG_SETMASK, held)
+            pass
 
 
 def _load_stores(cache: FileCache, pairs: int) -> list[Store] | None:
@@ -749,6 +740,14 @@ def parse_candidates(stream: IO[str]) -> dict[str, list[str]]:
 # ---------------------------------------------------------------------------
 # selection: JSON-lines {"qid", "doc_id", "segment_index", "score"}
 
+def _segment_index(value: Any) -> int:
+    """`value` if it is a JSON integer, not a float, a bool or a string;
+    a `TypeError` otherwise."""
+    if type(value) is not int:
+        raise TypeError(f"segment index {value!r} is not an integer")
+    return value
+
+
 def write_selection(selection: SegmentIndexMap, stream: IO[str],
                     scores: dict[tuple[str, str], float]) -> None:
     for (qid, doc_id), index in sorted(selection.items()):
@@ -768,7 +767,7 @@ def parse_selection(stream: IO[str]) -> tuple[SegmentIndexMap, dict[tuple[str, s
         record = _json_line(line, line_no)
         try:
             key = (record["qid"], record["doc_id"])
-            selection[key] = int(record["segment_index"])
+            selection[key] = _segment_index(record["segment_index"])
             scores[key] = float(record.get("score", 0.0))
         except (KeyError, TypeError, ValueError, OverflowError):
             raise ParseError("bad selection record", line_no) from None
@@ -789,8 +788,9 @@ def parse_gold(stream: IO[str]) -> dict[tuple[str, str], int]:
     for line_no, line in _lines(stream):
         record = _json_line(line, line_no)
         try:
-            gold[(record["qid"], record["doc_id"])] = int(record["gold_segment_index"])
-        except (KeyError, TypeError, ValueError, OverflowError):
+            gold[(record["qid"], record["doc_id"])] = _segment_index(
+                record["gold_segment_index"])
+        except (KeyError, TypeError):
             raise ParseError("bad gold segment record", line_no) from None
     return gold
 

@@ -6,10 +6,8 @@ import hashlib
 import json
 import math
 import os
-import pickle
 import subprocess
 import sys
-import threading
 from pathlib import Path
 from unittest import mock
 
@@ -29,7 +27,7 @@ TINY_CONFIG = {
 
 @pytest.fixture(autouse=True)
 def no_child_left():
-    """Every command reaps each process it forks, on every path."""
+    """No command leaves a child process behind, on any path."""
     yield
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -837,12 +835,8 @@ def test_read_keeps_a_disabled_collector_disabled(trec):
 
 
 # ---------------------------------------------------------------------------
-# eval parses --baseline-run in a forked worker
-
-def in_process(monkeypatch) -> None:
-    """Leave `eval` no `os.fork`, so the baseline parses in process."""
-    monkeypatch.delattr(os, "fork")
-
+# eval scores --baseline-run against the run's judgments, once the run's
+# figures are out
 
 def eval_outputs(trec: Path, capsys, **files) -> tuple[int, str, str, str | None]:
     """Exit code, stdout, stderr and per-query table of `eval_trec`."""
@@ -853,41 +847,19 @@ def eval_outputs(trec: Path, capsys, **files) -> tuple[int, str, str, str | None
     return code, out, err, table.read_text() if table.exists() else None
 
 
-def test_eval_worker_outputs_equal_the_in_process_outputs(trec, capsys, monkeypatch):
+def test_eval_forks_nothing_and_parses_the_qrels_once(trec, capsys, monkeypatch):
     forks = mock.Mock(wraps=os.fork)
+    parses = mock.Mock(wraps=formats.parse_qrels)
     monkeypatch.setattr(os, "fork", forks)
-    forked = eval_outputs(trec, capsys)
-    assert forks.call_count == 1 and forked[0] == 0 and "t_test_mrr_p=" in forked[1]
-    in_process(monkeypatch)
-    assert eval_outputs(trec, capsys) == forked
-
-
-def test_eval_worker_sends_the_baselines_table_not_its_rankings(trec, capsys,
-                                                                monkeypatch):
-    received = []
-
-    def loads(payload, real=pickle.loads):
-        received.append(real(payload))
-        return received[-1]
-
-    monkeypatch.setattr("segtrain.cli.pickle.loads", loads)
+    monkeypatch.setattr(formats, "parse_qrels", parses)
     assert eval_trec(trec) == 0
-    with open(trec / "qrels.txt") as stream:
-        judgments = group_qrels(formats.parse_qrels(stream))
-    with open(trec / "baseline.txt") as stream:
-        table = judged_metrics(formats.parse_run(stream), judgments)
-    assert received == [(True, table)]
-    assert all(type(value) is tuple and list(map(type, value)) == [float, float]
-               for value in received[0][1].values())
+    assert "t_test_mrr_p=" in capsys.readouterr().out
+    assert (forks.call_count, parses.call_count) == (0, 1)
 
 
-@pytest.mark.parametrize("forking", [True, False], ids=["worker", "in process"])
-def test_eval_baseline_that_shares_no_query_exits_2_after_the_means(trec, capsys,
-                                                                    monkeypatch, forking):
+def test_eval_baseline_that_shares_no_query_exits_2_after_the_means(trec, capsys):
     _, out, _, table = eval_outputs(trec, capsys)
     (trec / "other.txt").write_text("q9 Q0 d1 1 1.0 base\n")
-    if not forking:
-        in_process(monkeypatch)
     means = "".join(line for line in out.splitlines(keepends=True)
                     if not line.startswith("t_test_"))
     assert eval_outputs(trec, capsys, baseline="other.txt") == (
@@ -910,8 +882,9 @@ q3 Q0 d6 2 1.0 base
 @pytest.mark.parametrize("cutoff, k", [(2, 1), (1, 2)])
 def test_eval_t_test_reads_the_whole_baseline_within_the_depths(trec, capsys,
                                                                  cutoff, k):
-    """The worker sends each ranking's first max(mrr_cutoff, ndcg_k)
-    entries, which give the p-values of the full rankings."""
+    """The first max(mrr_cutoff, ndcg_k) entries of each baseline
+    ranking, which are all that is read, give the p-values of the full
+    rankings."""
     (trec / "deep.txt").write_text(DEEP_BASELINE)
     (trec / "config.txt").write_text(f"mrr_cutoff={cutoff}\nndcg_k={k}\n")
     assert main(["eval", "--config", str(trec / "config.txt"),
@@ -936,13 +909,9 @@ def test_eval_t_test_reads_the_whole_baseline_within_the_depths(trec, capsys,
 BAD_BASELINE = BASELINE.replace("q1 Q0 d2 2 2.0 base", "q1 Q0 d2 2 2.0")
 
 
-@pytest.mark.parametrize("forking", [True, False], ids=["worker", "in process"])
-def test_eval_bad_baseline_exits_2_with_its_line_after_the_means(trec, capsys,
-                                                                monkeypatch, forking):
+def test_eval_bad_baseline_exits_2_with_its_line_after_the_means(trec, capsys):
     _, out, _, table = eval_outputs(trec, capsys)
     (trec / "bad.txt").write_text(BAD_BASELINE)
-    if not forking:
-        in_process(monkeypatch)
     means = "".join(line for line in out.splitlines(keepends=True)
                     if not line.startswith("t_test_"))
     assert means.endswith("\nndcg@10=0.408403\n")
@@ -950,10 +919,8 @@ def test_eval_bad_baseline_exits_2_with_its_line_after_the_means(trec, capsys,
         2, means, "segtrain: error: line 2: expected 6 fields, got 5\n", table)
 
 
-@pytest.mark.parametrize("forking", [True, False], ids=["worker", "in process"])
 @pytest.mark.parametrize("bad", ["run", "qrels"])
-def test_eval_bad_run_or_qrels_wins_over_a_bad_baseline(trec, capsys, monkeypatch,
-                                                        forking, bad):
+def test_eval_bad_run_or_qrels_wins_over_a_bad_baseline(trec, capsys, bad):
     (trec / "bad.txt").write_text(BAD_BASELINE)
     if bad == "run":
         (trec / "run.txt").write_text(RUN.replace("q2 Q0 d9 2", "q2 Q0 d9 0"))
@@ -961,53 +928,18 @@ def test_eval_bad_run_or_qrels_wins_over_a_bad_baseline(trec, capsys, monkeypatc
     else:
         (trec / "qrels.txt").write_text(QRELS.replace("q2 0 d4 1", "q2 0 d4 x"))
         message = "line 4: "
-    if not forking:
-        in_process(monkeypatch)
     code, out, err, table = eval_outputs(trec, capsys, baseline="bad.txt")
     assert code == 2 and out == "" and table is None
     assert err.startswith(f"segtrain: error: {message}")
 
 
-def test_eval_missing_baseline_gives_the_in_process_error(trec, capsys, monkeypatch):
-    forked = eval_outputs(trec, capsys, baseline="missing.txt")
-    assert forked[0] == 2
-    assert forked[2] == ("segtrain: error: [Errno 2] No such file or directory: "
-                         f"{str(trec / 'missing.txt')!r}\n")
-    in_process(monkeypatch)
-    assert eval_outputs(trec, capsys, baseline="missing.txt") == forked
-
-
-def test_eval_worker_that_sends_nothing_leaves_the_parse_in_process(trec, capsys,
-                                                                     monkeypatch):
-    expected = eval_outputs(trec, capsys)
-    forks = mock.Mock(wraps=os.fork)
-    monkeypatch.setattr(os, "fork", forks)
-    # the worker cannot pickle its result or an error; only it pickles
-    monkeypatch.setattr("segtrain.cli.pickle.dumps", mock.Mock(side_effect=TypeError))
-    assert eval_outputs(trec, capsys) == expected
-    assert forks.call_count == 1
-
-
-def test_eval_whose_fork_fails_parses_in_process(trec, capsys, monkeypatch):
-    expected = eval_outputs(trec, capsys)
-    monkeypatch.setattr(os, "fork", mock.Mock(side_effect=BlockingIOError(11, "no")))
-    assert eval_outputs(trec, capsys) == expected
-
-
-def test_eval_with_another_thread_running_parses_in_process(trec, capsys,
-                                                            monkeypatch):
-    expected = eval_outputs(trec, capsys)
-    forks = mock.Mock(side_effect=AssertionError("forked beside a thread"))
-    monkeypatch.setattr(os, "fork", forks)
-    release = threading.Event()
-    thread = threading.Thread(target=release.wait, args=(60,))
-    thread.start()
-    try:
-        assert eval_outputs(trec, capsys) == expected
-    finally:
-        release.set()
-        thread.join(60)
-    assert not thread.is_alive() and not forks.called
+def test_eval_missing_baseline_exits_2_after_the_means(trec, capsys):
+    _, out, _, table = eval_outputs(trec, capsys)
+    means = "".join(line for line in out.splitlines(keepends=True)
+                    if not line.startswith("t_test_"))
+    assert eval_outputs(trec, capsys, baseline="missing.txt") == (
+        2, means, "segtrain: error: [Errno 2] No such file or directory: "
+                  f"{str(trec / 'missing.txt')!r}\n", table)
 
 
 # ---------------------------------------------------------------------------
@@ -1080,19 +1012,7 @@ def test_eval_outputs_equal_on_a_miss_a_hit_and_a_full_parse(trec, baseline):
     assert eval_cached(trec, *extra, prelude=NO_FILE_PARSE) == expected  # a hit
 
 
-def test_eval_without_fork_prints_the_bytes_of_the_worker(trec):
-    extra = ["--baseline-run", str(trec / "baseline.txt")]
-    expected = full_parse_outputs(trec, True)
-    for prelude in ("", "import os\ndel os.fork\n"):
-        for cache in trec.glob("*.top"):
-            cache.unlink()
-        for _ in range(3):  # the keys, the bodies, the hits
-            assert eval_cached(trec, *extra, prelude=prelude) == expected
-        assert (trec / "baseline.txt.top").exists()
-
-
-def test_eval_worker_writes_the_baseline_cache(trec):
-    # one `os.write` a line, so that the lines of two processes never mix
+def test_eval_writes_every_cache_in_its_own_process(trec):
     log = ("import os\n"
            "def _write_cache(cache, suffix, body, write=formats._write_cache):\n"
            "    os.write(2, f'{os.getpid()} {cache.path}{suffix}\\n'.encode())\n"
@@ -1102,37 +1022,12 @@ def test_eval_worker_writes_the_baseline_cache(trec):
     for _ in range(2):  # the keys, then the bodies
         code, _, err, _ = eval_cached(trec, "--baseline-run", str(trec / "baseline.txt"),
                                       prelude=log)
-        writers = {path: pid for pid, path in (line.split(" ", 1)
-                                               for line in err.splitlines())}
-        assert code == 0 and writers.keys() == {"eval", f"{trec / 'run.txt'}.top",
-                                                f"{trec / 'baseline.txt'}.top"}
-        assert writers[f"{trec / 'run.txt'}.top"] == writers["eval"]
-        assert writers[f"{trec / 'baseline.txt'}.top"] != writers["eval"]
+        writes = [line.split(" ", 1) for line in err.splitlines()]
+        pid = writes[0][0]
+        assert code == 0 and writes == [[pid, "eval"], [pid, f"{trec / 'run.txt'}.top"],
+                                        [pid, f"{trec / 'baseline.txt'}.top"]]
     assert eval_cached(trec, "--baseline-run", str(trec / "baseline.txt"),
                        prelude=NO_FILE_PARSE)[0] == 0  # both bodies were written
-
-
-def test_eval_worker_ended_while_it_writes_leaves_no_temporary_file(trec):
-    # the worker is told to end while its temporary file exists; it ends
-    # once the cache is in place
-    result = python("import os, time\n"
-                    "from segtrain import cli, formats\n"
-                    "formats.MIN_CACHED_RUN_BYTES = 1\n"
-                    "ready, written = os.pipe()\n"
-                    "def replace(source, target, real=os.replace):\n"
-                    "    os.write(written, b'.')\n"
-                    "    time.sleep(0.5)\n"
-                    "    real(source, target)\n"
-                    "os.replace = replace\n"
-                    f"worker = cli._Worker(lambda: cli._judged_table("
-                    f"{str(trec / 'baseline.txt')!r}, {str(trec / 'qrels.txt')!r}, "
-                    f"cli.PipelineConfig()))\n"
-                    "os.close(written)  # a worker that ends first leaves EOF\n"
-                    "assert os.read(ready, 1) == b'.', 'the worker wrote no cache'\n"
-                    "worker.close()\n")
-    assert result.returncode == 0, result.stderr
-    assert sorted(path.name for path in trec.iterdir()) == [
-        "baseline.txt", "baseline.txt.top", "qrels.txt", "run.txt"]
 
 
 @pytest.mark.parametrize("bad, line_no", [("run", 7), ("baseline", 6)])
@@ -1227,7 +1122,10 @@ def test_eval_commands_take_only_the_flags_they_read(trec, capsys, command, flag
     '{"qid": "q1", "doc_id": "d1", "segment_index": Infinity}',
     '{"qid": "q1", "doc_id": "d1", "segment_index": 1, "score": 1' + "0" * 400 + "}",
     "[" * 100000 + "]" * 100000,
-], ids=["infinity", "long", "deep"])
+    '{"qid": "q1", "doc_id": "d1", "segment_index": 1.7}',
+    '{"qid": "q1", "doc_id": "d1", "segment_index": true}',
+    '{"qid": "q1", "doc_id": "d1", "segment_index": "2"}',
+], ids=["infinity", "long", "deep", "float", "bool", "string"])
 def test_eval_selection_bad_record_exits_2_with_line(trec, capsys, line):
     (trec / "selection.jsonl").write_text(SELECTION + line + "\n")
     (trec / "gold.jsonl").write_text(GOLD)
