@@ -28,16 +28,20 @@ computing a feature (see `formats.read_corpus`).  A miss parses the
 corpus into views (`formats.parse_corpus`), which `segment` reads too.
 
 `eval` reads only the first `max(mrr_cutoff, ndcg_k)` entries of each
-ranking, and reads each run through `formats.read_run`: a run file of
-1 MiB or more keeps that top of each ranking in `<run>.top` beside it
-once the same bytes have been evaluated twice at the same depth, so a
-baseline compared against system after system, or a run evaluated
-again, is not parsed a third time.  A miss parses the whole run, with
-every check; a malformed run is never cached, and a run evaluated once
-costs only a checksum more than its parse.  With `--baseline-run`, the
-baseline is read the same way, after the run's figures are written, and
-scored against the judgments the run was scored against, so the qrels
-are parsed once.
+ranking, as document ids and ranks, and reads each run through
+`formats.read_run`: a run file of 1 MiB or more keeps that top of each
+ranking in `<run>.top` beside it once the same bytes have been
+evaluated twice at the same depth, so a baseline compared against
+system after system, or a run evaluated again, is not parsed a third
+time.  A miss parses the whole run, with every check; a malformed run
+is never cached, and a run evaluated once costs only a checksum more
+than its parse.  The qrels parse straight into judgments by query.
+With `--baseline-run`, the baseline is read the same way, after the
+run's figures are written, and scored against the judgments the run
+was scored against and their ideal DCGs, so the qrels are parsed, and
+each query's ideal DCG computed, once.  Neither `eval` nor
+`eval-selection` loads the corpus code either: `formats` imports it
+only to read a corpus or queries.
 """
 
 from __future__ import annotations
@@ -50,9 +54,9 @@ from pathlib import Path
 
 from . import formats
 from .evaluation import (
-    RankedList,
-    group_qrels,
+    Top,
     holdout_split,
+    ideal_dcgs,
     judged_metrics,
     paired_t_test,
     segment_p_at_1,
@@ -182,7 +186,9 @@ def _cmd_train(args: argparse.Namespace) -> int:
     from .scorer import write_params
     from .training import best_train, train_baseline, train_single
 
-    qrels = _read(formats.parse_qrels, qrels_path)
+    judgments = _read(formats.parse_qrels, qrels_path)
+    qrels = {(qid, doc_id): grade for qid, judged in judgments.items()
+             for doc_id, grade in judged.items()}
     train_ids, dev_ids = holdout_split([q.id for q in queries],
                                        config.dev_fraction, config.seed)
     tset = training.subset(train_ids, qrels)
@@ -244,9 +250,9 @@ def _cmd_rerank(args: argparse.Namespace) -> int:
     return 0
 
 
-def _read_top(path: str, depth: int) -> dict[str, RankedList]:
-    """The first `depth` entries of each ranking of the run at `path`
-    (`formats.read_run`)."""
+def _read_top(path: str, depth: int) -> Top:
+    """The first `depth` entries of each ranking of the run at `path`, as
+    document ids and ranks (`formats.read_run`)."""
     return _read(lambda stream: formats.read_run(stream, depth), path)
 
 
@@ -255,20 +261,21 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
     Each run is read through `formats.read_run` at the depth that
     `judged_metrics` reads, the first `max(mrr_cutoff, ndcg_k)` entries
-    of each ranking, from the cache beside the run or from its parse.
-    The run and the qrels are read first, so that a malformed one is
-    reported before any figure is printed.  The baseline is read, and
-    scored against the run's judgments, once the run's means and its
-    per-query table are out.
+    of each ranking, as document ids and ranks, from the cache beside
+    the run or from its parse.  The qrels parse straight into judgments
+    by query.  The run and the qrels are read first, so that a malformed
+    one is reported before any figure is printed.  The baseline is read,
+    and scored against the run's judgments and their ideal DCGs, once
+    the run's means and its per-query table are out.
     """
     config = _load_config(args)
     depth = max(config.mrr_cutoff, config.ndcg_k)
     run = _read_top(_path(args, config, "run"), depth)
-    qrels = _read(formats.parse_qrels, _path(args, config, "qrels"))
+    judgments = _read(formats.parse_qrels, _path(args, config, "qrels"))
     print(f"# mrr_cutoff={config.mrr_cutoff}")
     print(f"# ndcg_k={config.ndcg_k}")
-    judgments = group_qrels(qrels)
-    per_query = judged_metrics(run, judgments, config.mrr_cutoff, config.ndcg_k)
+    ideals = ideal_dcgs(judgments, config.ndcg_k)
+    per_query = judged_metrics(run, judgments, ideals, config.mrr_cutoff, config.ndcg_k)
     mean_rr, mean_ndcg = table_means(per_query, judgments)
     print(f"mrr={mean_rr:.6f}")
     print(f"ndcg@{config.ndcg_k}={mean_ndcg:.6f}")
@@ -279,7 +286,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
                 stream.write(f"{qid}\t{rr:.6f}\t{nd:.6f}\n")
     if args.baseline_run:
         base_metrics = judged_metrics(_read_top(args.baseline_run, depth), judgments,
-                                      config.mrr_cutoff, config.ndcg_k)
+                                      ideals, config.mrr_cutoff, config.ndcg_k)
         shared = sorted(set(per_query) & set(base_metrics))
         if len(shared) < 2:
             raise ParseError("need at least 2 shared queries for the t-test")

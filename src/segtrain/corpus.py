@@ -30,10 +30,12 @@ import string
 from dataclasses import dataclass
 from typing import Iterable
 
-DEFAULT_MAX_TOKENS = 512
-DEFAULT_MIN_TOKENS = 128
-DEFAULT_MAX_SEGMENTS = 4
-DEFAULT_QUERY_TOKEN_BUDGET = 16
+from .formats import (
+    DEFAULT_MAX_SEGMENTS,
+    DEFAULT_MAX_TOKENS,
+    DEFAULT_MIN_TOKENS,
+    DEFAULT_QUERY_TOKEN_BUDGET,
+)
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 _SENTENCE_BOUNDARY_RE = re.compile(r"(?<=[.!?])\s+")

@@ -1,14 +1,18 @@
 """Ranking metrics, segment-selection precision, significance, splits.
 
 Qrels map (query_id, doc_id) to an integer relevance grade; a missing
-pair means grade 0.  Runs map query ids to RankedLists.  `mrr` is the
-dev metric that stops training.  `judged_metrics` is the per-query
-primitive: over qrels grouped once by `group_qrels`, it gives every
-judged query's reciprocal rank and NDCG@k, and `table_means` their
-means, so several runs can be scored against one qrels file.  The
-paired t-test is
-self-contained: the t distribution CDF goes through the regularized
-incomplete beta function evaluated by continued fraction.
+pair means grade 0, and `Judgments` hold the same grades by query.
+Runs map query ids to RankedLists.  `mrr` is the dev metric that stops
+training.  `judged_metrics` is the per-query primitive of `eval`: over
+judgments by query, as `formats.parse_qrels` gives them, it gives every
+judged query's reciprocal rank and NDCG@k from the top of its ranking
+held as two columns, document ids and ranks (`Top`), and `table_means`
+their means.  Each query's ideal DCG@k is computed once
+(`ideal_dcgs`) and shared by every run scored against the same
+judgments.  `mrr` reads the same reciprocal-rank function through a
+RankedList's columns.  The paired t-test is self-contained: the t
+distribution CDF goes through the regularized incomplete beta function
+evaluated by continued fraction.
 """
 
 from __future__ import annotations
@@ -33,6 +37,8 @@ class RankedList:
 
 Qrels = dict[tuple[str, str], int]
 Run = dict[str, RankedList]
+# The first entries of each ranking as columns: {qid: (doc_ids, ranks)}.
+Top = dict[str, tuple[list[str], list[int]]]
 GoldSegments = dict[tuple[str, str], int]
 SegmentIndexMap = dict[tuple[str, str], int]
 Judgments = dict[str, dict[str, int]]
@@ -48,28 +54,27 @@ def group_qrels(qrels: Qrels) -> Judgments:
     return dict(sorted(out.items()))
 
 
-def _reciprocal_rank(ranked: RankedList, judged: dict[str, int],
+def _reciprocal_rank(docs: list[str], ranks: list[int], judged: dict[str, int],
                      cutoff: int) -> float:
-    for entry in ranked.entries[:cutoff]:
-        if judged.get(entry.doc_id, 0) > 0:
-            return 1.0 / entry.rank
+    for doc_id, rank in zip(docs[:cutoff], ranks):
+        if judged.get(doc_id, 0) > 0:
+            return 1.0 / rank
     return 0.0
 
 
-def _ndcg(ranked: RankedList, judged: dict[str, int], k: int) -> float:
-    """NDCG@k, summing only the terms of positive grades: a zero grade's
-    term is +0.0, which leaves a float sum, compensated or not, as it
-    was, so it costs no `log2`."""
-    ideal = sorted(judged.values(), reverse=True)[:k]
-    idcg = sum(g / math.log2(i + 2) for i, g in enumerate(ideal) if g)
+def _ndcg(docs: list[str], ranks: list[int], judged: dict[str, int], k: int,
+          idcg: float) -> float:
+    """NDCG@k over the ideal DCG@k `idcg`, summing only the terms of
+    positive grades: a zero grade's term is +0.0, which leaves a float
+    sum, compensated or not, as it was, so it costs no `log2`."""
     if idcg == 0:
         return 0.0
-    dcg = sum(g / math.log2(e.rank + 1) for e in ranked.entries[:k]
-              if (g := judged.get(e.doc_id, 0)))
+    dcg = sum(g / math.log2(r + 1) for d, r in zip(docs[:k], ranks)
+              if (g := judged.get(d, 0)))
     return dcg / idcg
 
 
-def _check_overlap(run: Run, judgments: Judgments) -> None:
+def _check_overlap(run: Run | Top, judgments: Judgments) -> None:
     if not any(qid in run for qid in judgments):
         raise ValueError("run and qrels share no queries")
 
@@ -100,26 +105,46 @@ def mrr(run: Run, qrels: Qrels, cutoff: int = 10) -> float:
     _check_depth("cutoff", cutoff)
     judgments = group_qrels(qrels)
     _check_overlap(run, judgments)
-    return _mean((_reciprocal_rank(run[qid], judged, cutoff)
+    return _mean((_reciprocal_rank([e.doc_id for e in run[qid].entries],
+                                   [e.rank for e in run[qid].entries], judged, cutoff)
                   for qid, judged in judgments.items() if qid in run), len(judgments))
 
 
-def judged_metrics(run: Run, judgments: Judgments, cutoff: int = 10,
-                   k: int = 10) -> dict[str, tuple[float, float]]:
-    """{qid: (reciprocal rank within cutoff, NDCG@k)} of every judged
-    query the run contains, in qid order, over qrels grouped by
-    `group_qrels`.
+def ideal_dcgs(judgments: Judgments, k: int) -> dict[str, float]:
+    """{qid: ideal DCG@k} of every judged query: its judged grades sorted
+    in descending order, with linear gain and a log2(rank + 1) discount,
+    summing only the terms of positive grades."""
+    _check_depth("k", k)
+    ideals = {}
+    for qid, judged in judgments.items():
+        ideal = sorted(judged.values(), reverse=True)[:k]
+        ideals[qid] = sum(g / math.log2(i + 2) for i, g in enumerate(ideal) if g)
+    return ideals
 
-    NDCG@k has linear gain and a log2(rank + 1) discount, and its ideal
-    DCG comes from the query's judged grades sorted in descending order;
-    a query without any relevant document scores 0.
+
+def judged_metrics(top: Top, judgments: Judgments, ideals: dict[str, float],
+                   cutoff: int, k: int) -> dict[str, tuple[float, float]]:
+    """{qid: (reciprocal rank within cutoff, NDCG@k)} of every judged
+    query that `top` ranks, in qid order.
+
+    `top` holds each ranking as columns, `(doc_ids, ranks)` in (rank,
+    doc_id) order, as `formats.read_run` gives them; `judgments` are
+    the qrels by query, as `formats.parse_qrels` gives them, and
+    `ideals` their ideal DCGs@k, as `ideal_dcgs(judgments, k)` gives
+    them, so that every run scored against the same judgments shares
+    them.  NDCG@k has linear gain and a log2(rank + 1) discount; a query
+    without any relevant document scores 0.
     """
     _check_depth("cutoff", cutoff)
     _check_depth("k", k)
-    _check_overlap(run, judgments)
-    return {qid: (_reciprocal_rank(run[qid], judged, cutoff),
-                  _ndcg(run[qid], judged, k))
-            for qid, judged in judgments.items() if qid in run}
+    _check_overlap(top, judgments)
+    table = {}
+    for qid, judged in judgments.items():
+        if qid in top:
+            docs, ranks = top[qid]
+            table[qid] = (_reciprocal_rank(docs, ranks, judged, cutoff),
+                          _ndcg(docs, ranks, judged, k, ideals[qid]))
+    return table
 
 
 def table_means(table: dict[str, tuple[float, float]],

@@ -23,15 +23,19 @@ inference windows, as raw float64 rows, keyed also by a CRC-32 of the
 code that parses, segments and featurizes, the byte order, the
 segmentation policy, and each query's id, tokens and candidate pool.
 A hit needs no parse; a miss parses the corpus, and `save_stores`
-caches the stores built from it.  `eval` reads each run through
-`read_run`, and a run file of 1 MiB or more keeps `<run file>.top`
-beside it: the first entries of each ranking, as many as the metrics
-read, keyed also by that depth.  Its body (`TOP_FORMAT` 2) holds one
-line per ranking, its documents, ranks and scores as three lists, and
-is written only under a key read before, so a run read once pays no
-more than the key's CRC-32 and one line written.  A hit builds each
-ranking from its line after the checks `parse_run` makes of the lines
-it reads, and a body that fails one is a miss.
+caches the stores built from it.
+
+`eval` reads each run through `read_run`: the first entries of each
+ranking, as many as the metrics read, as two columns, document ids and
+ranks, with no score, since no metric reads one.  A run file of 1 MiB
+or more keeps them in `<run file>.top` beside it, keyed also by that
+depth.  Its body (`TOP_FORMAT` 3) holds one line per ranking, its
+documents and ranks as two lists, and is written only under a key read
+before, so a run read once pays no more than the key's CRC-32 and one
+line written.  A hit takes each ranking from its line after the checks
+`parse_run` makes of what the line holds, and a body that fails one is
+a miss.  `parse_qrels` reads the qrels straight into the grades of each
+query, the form the metrics read.
 
 The two caches share one set of rules (`_cache_key`, `_read_cache` and
 `_write_cache`).  A cache sits beside a regular file, read through a
@@ -48,10 +52,15 @@ cache is always safe.
 
 The module also owns all configuration, without importing numpy:
 `TrainConfig` and `SynthConfig` (which `training`, `synth` and, for
-`LossKind`, `scorer` re-export), and `PipelineConfig`, which inherits
-both and adds only what the commands alone read.  Each field declares
-its range check once; building a configuration runs it, and
-`parse_config` reports a failure at the line of the value.
+`LossKind`, `scorer` re-export), `PipelineConfig`, which inherits
+both and adds only what the commands alone read, and the defaults of
+the segmentation (`DEFAULT_*`).  Each field declares its range check
+once; building a configuration runs it, and `parse_config` reports a
+failure at the line of the value.
+
+`corpus` is imported only by the functions that need it, `parse_corpus`,
+`parse_queries` and `SynthConfig.policy`, so `eval` and
+`eval-selection` load no corpus code.
 """
 
 from __future__ import annotations
@@ -70,19 +79,12 @@ import sys
 import zlib
 from collections import Counter
 from dataclasses import dataclass
-from typing import IO, Any, Callable, Iterable, Iterator, NamedTuple
+from typing import IO, TYPE_CHECKING, Any, Callable, Iterable, Iterator, NamedTuple
 
-from .corpus import (
-    DEFAULT_MAX_SEGMENTS,
-    DEFAULT_MAX_TOKENS,
-    DEFAULT_MIN_TOKENS,
-    DEFAULT_QUERY_TOKEN_BUDGET,
-    DocView,
-    Query,
-    SegmentationPolicy,
-    view_from_text,
-)
-from .evaluation import Qrels, RankedList, RankEntry, Run, SegmentIndexMap
+from .evaluation import Judgments, Qrels, RankedList, RankEntry, Run, SegmentIndexMap, Top
+
+if TYPE_CHECKING:  # `corpus` loads only in the functions that read a corpus
+    from .corpus import DocView, Query, SegmentationPolicy
 
 
 class ParseError(ValueError):
@@ -159,21 +161,31 @@ SORTED_JSON = json.JSONEncoder(sort_keys=True)
 # ---------------------------------------------------------------------------
 # qrels: "qid 0 docid grade", whitespace separated
 
-def parse_qrels(stream: IO[str]) -> Qrels:
-    qrels: Qrels = {}
-    for line_no, line in _lines(stream):
-        fields = line.split()
-        if len(fields) != 4:
-            raise ParseError(f"expected 4 fields, got {len(fields)}", line_no)
-        qid, _, doc_id, grade = fields
-        try:
-            value = int(grade)
-        except ValueError:
-            raise ParseError(f"bad relevance grade {grade!r}", line_no) from None
-        if value < 0:
-            raise ParseError(f"negative relevance grade for {(qid, doc_id)}", line_no)
-        qrels[(qid, doc_id)] = value  # duplicates: last grade wins
-    return qrels
+def parse_qrels(stream: IO[str]) -> Judgments:
+    """The grades of each judged query, {qid: {doc_id: grade}}, in qid
+    order; a pair listed twice keeps its last grade."""
+    judgments: Judgments = {}
+    qid_now, judged = None, {}
+    try:
+        for line_no, raw in enumerate(stream, 1):
+            fields = raw.split()
+            if not fields:
+                continue
+            if len(fields) != 4:
+                raise ParseError(f"expected 4 fields, got {len(fields)}", line_no)
+            qid, _, doc_id, grade = fields
+            try:
+                value = int(grade)
+            except ValueError:
+                raise ParseError(f"bad relevance grade {grade!r}", line_no) from None
+            if value < 0:
+                raise ParseError(f"negative relevance grade for {(qid, doc_id)}", line_no)
+            if qid != qid_now:
+                qid_now, judged = qid, judgments.setdefault(qid, {})
+            judged[doc_id] = value
+    except UnicodeDecodeError as exc:
+        raise _decode_error(stream, exc) from None
+    return dict(sorted(judgments.items()))
 
 
 def write_qrels(qrels: Qrels, stream: IO[str]) -> None:
@@ -238,18 +250,19 @@ def parse_run(stream: IO[str]) -> Run:
 MIN_CACHED_RUN_BYTES = 1 << 20
 
 # The version of the top-of-run cache layout; a cache of any other is a miss.
-TOP_FORMAT = 2
+TOP_FORMAT = 3
 
-# The sources that build a run from its file: this module parses it into
-# the types of `evaluation`.
+# The sources that build a run's top from its file: this module parses it
+# into the types of `evaluation`.
 _RUN_SOURCES = tuple(os.path.join(os.path.dirname(__file__), name)
                      for name in ("formats.py", "evaluation.py"))
 
 
-def read_run(stream: IO[str], depth: int) -> Run:
+def read_run(stream: IO[str], depth: int) -> Top:
     """The first `depth` entries of each ranking of the run in `stream`,
-    in `parse_run`'s (rank, doc_id) order, from the cache of its top or
-    from its parse.
+    as columns, `{qid: (doc_ids, ranks)}`, in `parse_run`'s (rank,
+    doc_id) order and query order, from the cache of its top or from its
+    parse.  No score is kept: no metric reads one.
 
     The rules are those of every cache (`_cache_key`, `_read_cache`),
     with a floor of `MIN_CACHED_RUN_BYTES`: a text stream over a regular
@@ -260,11 +273,10 @@ def read_run(stream: IO[str], depth: int) -> Run:
     CRC-32 of `_RUN_SOURCES`), `python` (the version), `size` and
     `crc32` (of the file's bytes), `encoding` and `errors` (the
     stream's), and `depth`.  Its body holds one line per ranking, in the
-    run's query order: `qid<TAB>docs<TAB>ranks<TAB>scores`, each list
-    space-separated in ranking order and each score written by
-    `_score_text`, so that it parses back to the same bits; a CRC-32 of
-    the body follows it.  A hit reads only that body (`_cached_top`),
-    and takes it only if it passes every check `parse_run` makes.
+    run's query order: `qid<TAB>docs<TAB>ranks`, each list
+    space-separated in ranking order; a CRC-32 of the body follows it.
+    A hit reads only that body (`_cached_top`), and takes it only if it
+    passes every check `parse_run` makes of what it holds.
 
     A miss parses the whole file with `parse_run`, every check included;
     a malformed run raises before anything is written, so no cache
@@ -281,59 +293,48 @@ def read_run(stream: IO[str], depth: int) -> Run:
     rest = _read_cache(cache, ".top") if cache is not None else None
     body = _cache_body(rest)
     if body is not None:
-        run = _cached_top(body, depth)
-        if run is not None:
-            return run
-    run = {qid: RankedList(qid, ranked.entries[:depth])
+        top = _cached_top(body, depth)
+        if top is not None:
+            return top
+    top = {qid: ([e.doc_id for e in ranked.entries[:depth]],
+                 [e.rank for e in ranked.entries[:depth]])
            for qid, ranked in parse_run(stream).items()}
     if cache is not None and rest is None:  # a key not read before
         _write_cache(cache, ".top", None)
     elif cache is not None:
-        lines = [f"{qid}\t{' '.join([e.doc_id for e in ranked.entries])}"
-                 f"\t{' '.join([str(e.rank) for e in ranked.entries])}"
-                 f"\t{' '.join([_score_text(e.score) for e in ranked.entries])}\n"
-                 for qid, ranked in run.items()]
+        lines = [f"{qid}\t{' '.join(docs)}\t{' '.join(map(str, ranks))}\n"
+                 for qid, (docs, ranks) in top.items()]
         _write_cache(cache, ".top", ["".join(lines).encode("utf-8", "surrogatepass")])
-    return run
+    return top
 
 
-def _cached_top(body: memoryview, depth: int) -> Run | None:
-    """The run a `.top` body holds, or None unless each of its lines is a
-    ranking that `parse_run` could give, cut at `depth`: four fields,
+def _cached_top(body: memoryview, depth: int) -> Top | None:
+    """The top a `.top` body holds, or None unless each of its lines is a
+    ranking that `parse_run` could give, cut at `depth`: three fields,
     lists of one length from 1 to `depth`, an id and documents without
-    whitespace, integer ranks of at least 1 and float scores, no
-    document twice, (rank, doc_id) strictly ascending, and no query
-    twice."""
+    whitespace, integer ranks of at least 1, no document twice, (rank,
+    doc_id) strictly ascending, and no query twice."""
     try:
         lines = str(body, "utf-8", "surrogatepass").split("\n")
     except UnicodeDecodeError:
         return None
     if lines.pop() != "":
         return None
-    run: Run = {}
+    top: Top = {}
     try:
         for line in lines:
-            qid, docs, ranks, scores = line.split("\t")
+            qid, docs, ranks = line.split("\t")
             docs = docs.split()
             ranks = list(map(int, ranks.split()))
-            scores = list(map(float, scores.split()))
             pairs = list(zip(ranks, docs))
-            if (not len(docs) == len(ranks) == len(scores) <= depth
+            if (not len(docs) == len(ranks) <= depth
                     or min(ranks) < 1 or len(set(docs)) < len(docs)
-                    or pairs != sorted(pairs) or qid in run or qid.split() != [qid]):
+                    or pairs != sorted(pairs) or qid in top or qid.split() != [qid]):
                 return None
-            run[qid] = RankedList(qid, list(map(RankEntry, docs, scores, ranks)))
-    except ValueError:  # a field count, a rank, a score, or `min` of no ranks
+            top[qid] = docs, ranks
+    except ValueError:  # a field count, a rank, or `min` of no ranks
         return None
-    return run
-
-
-def _score_text(score: float) -> str:
-    """`score` as text that `float` parses back to the same bits: its
-    `repr`, which drops only the sign of a NaN."""
-    if score != score and math.copysign(1.0, score) < 0:
-        return "-nan"
-    return repr(score)
+    return top
 
 
 # ---------------------------------------------------------------------------
@@ -403,6 +404,8 @@ def parse_corpus(stream: IO[str], doc_terms: dict[str, set[str]] | None = None
     newlines first, so lines split alike whatever `newline=` the file
     was opened with.
     """
+    from .corpus import view_from_text
+
     doc_terms = doc_terms or {}
     if isinstance(stream, io.TextIOWrapper):
         try:
@@ -698,6 +701,8 @@ def write_queries(queries: Iterable[Query], stream: IO[str]) -> None:
 
 
 def parse_queries(stream: IO[str]) -> list[Query]:
+    from .corpus import Query
+
     queries: list[Query] = []
     seen: set[str] = set()
     for line_no, line in _lines(stream):
@@ -748,6 +753,24 @@ def _segment_index(value: Any) -> int:
     return value
 
 
+def _pair(record: Any) -> tuple[str, str]:
+    """The (qid, doc_id) key of a selection or gold record; a `TypeError`
+    unless both are strings, a `KeyError` if one is missing."""
+    key = record["qid"], record["doc_id"]
+    if type(key[0]) is not str or type(key[1]) is not str:
+        raise TypeError(f"query and document ids {key!r} are not strings")
+    return key
+
+
+def _score(value: Any) -> float:
+    """`value` as a float if it is a JSON number, not a bool or a string;
+    a `TypeError` otherwise, and an `OverflowError` for an integer too
+    large for a float."""
+    if type(value) is not float and type(value) is not int:
+        raise TypeError(f"score {value!r} is not a number")
+    return float(value)
+
+
 def write_selection(selection: SegmentIndexMap, stream: IO[str],
                     scores: dict[tuple[str, str], float]) -> None:
     for (qid, doc_id), index in sorted(selection.items()):
@@ -761,15 +784,17 @@ def write_selection(selection: SegmentIndexMap, stream: IO[str],
 
 
 def parse_selection(stream: IO[str]) -> tuple[SegmentIndexMap, dict[tuple[str, str], float]]:
+    """Segment indices and scores by (qid, doc_id): the ids are strings,
+    the index a JSON integer and the score, 0.0 if absent, a JSON number."""
     selection: SegmentIndexMap = {}
     scores: dict[tuple[str, str], float] = {}
     for line_no, line in _lines(stream):
         record = _json_line(line, line_no)
         try:
-            key = (record["qid"], record["doc_id"])
+            key = _pair(record)
             selection[key] = _segment_index(record["segment_index"])
-            scores[key] = float(record.get("score", 0.0))
-        except (KeyError, TypeError, ValueError, OverflowError):
+            scores[key] = _score(record.get("score", 0.0))
+        except (KeyError, TypeError, OverflowError):
             raise ParseError("bad selection record", line_no) from None
     return selection, scores
 
@@ -784,12 +809,13 @@ def write_gold(gold: dict[tuple[str, str], int], stream: IO[str]) -> None:
 
 
 def parse_gold(stream: IO[str]) -> dict[tuple[str, str], int]:
+    """Gold segment indices by (qid, doc_id): the ids are strings and the
+    index a JSON integer."""
     gold: dict[tuple[str, str], int] = {}
     for line_no, line in _lines(stream):
         record = _json_line(line, line_no)
         try:
-            gold[(record["qid"], record["doc_id"])] = _segment_index(
-                record["gold_segment_index"])
+            gold[_pair(record)] = _segment_index(record["gold_segment_index"])
         except (KeyError, TypeError):
             raise ParseError("bad gold segment record", line_no) from None
     return gold
@@ -797,6 +823,14 @@ def parse_gold(stream: IO[str]) -> dict[tuple[str, str], int]:
 
 # ---------------------------------------------------------------------------
 # configuration: "key=value" lines with '#' comments
+
+# The defaults of the segmentation, here so that `SynthConfig` needs no
+# corpus code; `corpus`, `scorer` and `training` read them from here too.
+DEFAULT_MAX_TOKENS = 512
+DEFAULT_MIN_TOKENS = 128
+DEFAULT_MAX_SEGMENTS = 4
+DEFAULT_QUERY_TOKEN_BUDGET = 16
+
 
 class LossKind(enum.Enum):
     PAIRWISE_HINGE = "pairwise_hinge"
@@ -924,6 +958,8 @@ class SynthConfig(_Config):
         and `select` cut their segments with it, so a gold index and a
         selected index name the same span.
         """
+        from .corpus import SegmentationPolicy
+
         return SegmentationPolicy("training", self.max_tokens, self.min_tokens,
                                   self.max_segments, self.seed, self.query_token_budget)
 

@@ -30,15 +30,15 @@ from typing import IO, Sequence
 
 import numpy as np
 
-from .corpus import (
+from .corpus import CorpusStats, DocView, Query, Segment
+from .formats import (
     DEFAULT_MAX_SEGMENTS,
     DEFAULT_MAX_TOKENS,
-    CorpusStats,
-    DocView,
-    Query,
-    Segment,
+    NUM_FEATURES,
+    LossKind,
+    ParseError,
+    _lines,
 )
-from .formats import NUM_FEATURES, LossKind, ParseError, _lines
 
 # feature vector layout
 F_MATCH_FRACTION = 0    # fraction of unique query terms present

@@ -49,7 +49,6 @@ from typing import Iterable
 import numpy as np
 
 from .corpus import (
-    DEFAULT_MAX_SEGMENTS,
     CorpusStats,
     DocView,
     Query,
@@ -58,7 +57,7 @@ from .corpus import (
     inference_windows,
 )
 from .evaluation import Qrels, Run, SegmentIndexMap, mrr
-from .formats import CorpusRead, LossKind, TrainConfig, save_stores
+from .formats import DEFAULT_MAX_SEGMENTS, CorpusRead, LossKind, TrainConfig, save_stores
 from .ranking import Aggregation, aggregate, rank_by_scores
 from .scorer import (
     NUM_FEATURES,

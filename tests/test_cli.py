@@ -16,7 +16,7 @@ import pytest
 import segtrain
 from segtrain import formats
 from segtrain.cli import main
-from segtrain.evaluation import group_qrels, judged_metrics, paired_t_test, table_means
+from segtrain.evaluation import ideal_dcgs, judged_metrics, paired_t_test, table_means
 
 TINY_CONFIG = {
     "num_queries": 10, "docs_per_query": 3, "sentences_per_doc": 12,
@@ -718,6 +718,13 @@ def by_rank(text: str) -> dict[str, list[str]]:
     return ranked
 
 
+def columns(run) -> dict[str, tuple[list[str], list[int]]]:
+    """Each ranking of a parsed run as `formats.read_run` gives it: its
+    document ids and its ranks."""
+    return {qid: ([e.doc_id for e in ranked.entries], [e.rank for e in ranked.entries])
+            for qid, ranked in run.items()}
+
+
 def expected_table(run_text: str) -> dict[str, tuple[float, float]]:
     """Reciprocal rank and NDCG@10 per judged, ranked query, from scratch."""
     grades: dict[str, dict[str, int]] = {}
@@ -893,12 +900,12 @@ def test_eval_t_test_reads_the_whole_baseline_within_the_depths(trec, capsys,
     printed = dict(line.split("=") for line in capsys.readouterr().out.splitlines()
                    if not line.startswith("#"))
     with open(trec / "qrels.txt") as stream:
-        qrels = formats.parse_qrels(stream)
+        judgments = formats.parse_qrels(stream)
     tables = []
     for name in ("run.txt", "deep.txt"):
         with open(trec / name) as stream:
-            tables.append(judged_metrics(formats.parse_run(stream), group_qrels(qrels),
-                                         cutoff, k))
+            tables.append(judged_metrics(columns(formats.parse_run(stream)), judgments,
+                                         ideal_dcgs(judgments, k), cutoff, k))
     table, base = tables
     assert any(base[q][cutoff < k] > 0 for q in base)  # read at rank 2
     for i, name in enumerate(("t_test_mrr_p", "t_test_ndcg_p")):
@@ -982,11 +989,12 @@ def full_parse_outputs(trec: Path, baseline: bool) -> tuple:
     """What `eval_cached` should give: the figures of `judged_metrics`
     over a full `parse_run` of the run and of the baseline."""
     with open(trec / "qrels.txt") as stream:
-        judgments = group_qrels(formats.parse_qrels(stream))
+        judgments = formats.parse_qrels(stream)
     tables = []
     for name in ("run.txt", "baseline.txt")[:1 + baseline]:
         with open(trec / name) as stream:
-            tables.append(judged_metrics(formats.parse_run(stream), judgments))
+            tables.append(judged_metrics(columns(formats.parse_run(stream)), judgments,
+                                         ideal_dcgs(judgments, 10), 10, 10))
     table = tables[0]
     mean_rr, mean_ndcg = table_means(table, judgments)
     out = f"# mrr_cutoff=10\n# ndcg_k=10\nmrr={mean_rr:.6f}\nndcg@10={mean_ndcg:.6f}\n"
@@ -1078,6 +1086,7 @@ GOLD = '{"doc_id": "d1", "gold_segment_index": 1, "qid": "q1"}\n'
 
 
 def test_eval_commands_do_not_import_numpy(trec):
+    # nor the corpus code: `formats` loads `corpus` only to read a corpus
     (trec / "selection.jsonl").write_text(SELECTION)
     (trec / "gold.jsonl").write_text(GOLD)
     eval_args = ["eval", "--run", str(trec / "run.txt"),
@@ -1090,7 +1099,8 @@ def test_eval_commands_do_not_import_numpy(trec):
               "from segtrain.cli import main\n"
               f"assert main({eval_args!r}) == 0\n"
               f"assert main({selection_args!r}) == 0\n"
-              "assert 'numpy' not in sys.modules\n")
+              "assert 'numpy' not in sys.modules\n"
+              "assert 'segtrain.corpus' not in sys.modules\n")
     src = str(Path(segtrain.__file__).resolve().parent.parent)
     result = subprocess.run([sys.executable, "-c", script], capture_output=True,
                             text=True, timeout=120,
@@ -1125,7 +1135,12 @@ def test_eval_commands_take_only_the_flags_they_read(trec, capsys, command, flag
     '{"qid": "q1", "doc_id": "d1", "segment_index": 1.7}',
     '{"qid": "q1", "doc_id": "d1", "segment_index": true}',
     '{"qid": "q1", "doc_id": "d1", "segment_index": "2"}',
-], ids=["infinity", "long", "deep", "float", "bool", "string"])
+    '{"qid": 1, "doc_id": "d1", "segment_index": 1}',
+    '{"qid": "q1", "doc_id": null, "segment_index": 1}',
+    '{"qid": "q1", "doc_id": "d1", "segment_index": 1, "score": "1.5"}',
+    '{"qid": "q1", "doc_id": "d1", "segment_index": 1, "score": true}',
+], ids=["infinity", "long", "deep", "float", "bool", "string", "qid number", "doc_id null",
+        "score string", "score bool"])
 def test_eval_selection_bad_record_exits_2_with_line(trec, capsys, line):
     (trec / "selection.jsonl").write_text(SELECTION + line + "\n")
     (trec / "gold.jsonl").write_text(GOLD)

@@ -10,7 +10,14 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import ndcg_oracle
-from segtrain.evaluation import group_qrels, judged_metrics, mrr, paired_t_test, table_means
+from segtrain.evaluation import (
+    group_qrels,
+    ideal_dcgs,
+    judged_metrics,
+    mrr,
+    paired_t_test,
+    table_means,
+)
 from segtrain.ranking import RankedList, RankEntry
 
 # ---------------------------------------------------------------------------
@@ -113,16 +120,24 @@ def bits(value: float) -> str:
     return value.hex()
 
 
+def columns(run):
+    """Each ranking of `run` as `formats.read_run` gives it: its document
+    ids and its ranks."""
+    return {qid: ([e.doc_id for e in ranked.entries], [e.rank for e in ranked.entries])
+            for qid, ranked in run.items()}
+
+
 def table(run, qrels, cutoff=10, k=10):
-    """The per-query table `eval` writes: `judged_metrics` over `qrels`
-    grouped once."""
-    return judged_metrics(run, group_qrels(qrels), cutoff, k)
+    """The per-query table `eval` writes: `judged_metrics` of the run's
+    columns over `qrels` grouped once."""
+    judgments = group_qrels(qrels)
+    return judged_metrics(columns(run), judgments, ideal_dcgs(judgments, k), cutoff, k)
 
 
 def means(run, qrels, cutoff=10, k=10):
     """The (MRR, NDCG@k) `eval` prints: `table_means` of the table."""
     judgments = group_qrels(qrels)
-    return table_means(judged_metrics(run, judgments, cutoff, k), judgments)
+    return table_means(table(run, qrels, cutoff, k), judgments)
 
 
 def entries(*pairs):
@@ -199,18 +214,23 @@ def test_table_covers_judged_queries_in_the_run():
 
 @st.composite
 def graded_runs(draw):
-    """A run and its judgments: mostly zero grades, ranks that start
-    anywhere from 1 to 4 and leap up to 5 places, and rankings of 0 to 6
-    documents, so that k often passes the end of one."""
-    run, judgments = {}, {}
+    """Two runs, a system and a baseline, and their judgments: mostly
+    zero grades, ranks that start anywhere from 1 to 4 and leap up to 5
+    places or tie, and rankings of 0 to 6 documents, so that k often
+    passes the end of one; a judged query may be missing from a run."""
+    judgments, pair = {}, ({}, {})
     for qid in draw(st.lists(QIDS, unique=True, min_size=1)):
-        docs = draw(st.permutations(DOCS))[:draw(st.integers(0, len(DOCS)))]
-        gaps = draw(st.lists(st.integers(0, 5), min_size=len(docs), max_size=len(docs)))
-        ranks = accumulate(gaps[1:], initial=draw(st.integers(1, 4)))
-        run[qid] = RankedList(qid, entries(*zip(docs, ranks)))
         judgments[qid] = draw(st.dictionaries(st.sampled_from(DOCS + ["t"]),
                                               st.sampled_from([0, 0, 0, 1, 2, 3, 7])))
-    return run, judgments
+        for run in pair:
+            if draw(st.integers(0, 5)):
+                docs = draw(st.permutations(DOCS))[:draw(st.integers(0, len(DOCS)))]
+                gaps = draw(st.lists(st.integers(0, 5), min_size=len(docs),
+                                     max_size=len(docs)))
+                ranks = accumulate(gaps[1:], initial=draw(st.integers(1, 4)))
+                run[qid] = RankedList(qid, entries(*zip(docs, ranks)))
+    assume(any(pair))
+    return pair, judgments
 
 
 # A query whose judged documents all have grade 0, and one whose only
@@ -223,18 +243,39 @@ GAPPED = ({"a": RankedList("a", entries(("x", 2), ("y", 3), ("z", 7), ("w", 7), 
           {"a": {"x": 3, "y": 0, "z": 1, "w": 0, "v": 2, "u": 0}})
 
 
+def paired(case):
+    """A case of one run as a system and a baseline: the run, and the run
+    reversed."""
+    run, judgments = case
+    reversed_run = {qid: RankedList(qid, entries(*zip(
+        [e.doc_id for e in reversed(ranked.entries)], [e.rank for e in ranked.entries])))
+        for qid, ranked in run.items()}
+    return (run, reversed_run), judgments
+
+
 @settings(max_examples=300)
-@given(graded_runs(), st.integers(1, 12))
-@example(NONE_RELEVANT, 2)
-@example(RELEVANT_UNRANKED, 3)
-@example(GAPPED, 3)
-@example(GAPPED, 12)
-def test_ndcg_equals_the_oracle_that_sums_every_term(graded, k):
-    run, judgments = graded
-    got = judged_metrics(run, judgments, 10, k)
-    assert list(got) == list(judgments)
-    for qid, (_, nd) in got.items():
-        assert bits(nd) == bits(ndcg_oracle.ndcg(run[qid], judgments[qid], k))
+@given(graded_runs(), st.integers(1, 4), st.integers(1, 12))
+@example(paired(NONE_RELEVANT), 1, 2)
+@example(paired(RELEVANT_UNRANKED), 2, 3)
+@example(paired(GAPPED), 3, 3)
+@example(paired(GAPPED), 1, 12)
+@example(paired((TIED[0], group_qrels(TIED[1]))), 2, 3)
+def test_columns_equal_ranked_lists_and_the_oracle_bit_for_bit(graded, cutoff, k):
+    # `eval` scores the system and the baseline over one set of ideal
+    # DCGs; the oracle computes each ranking's own
+    runs, judgments = graded
+    ideals = ideal_dcgs(judgments, k)
+    assert list(ideals) == list(judgments)
+    for run in runs:
+        if not any(qid in run for qid in judgments):
+            continue
+        got = judged_metrics(columns(run), judgments, ideals, cutoff, k)
+        expected = ndcg_oracle.ranked_list_metrics(run, judgments, cutoff, k)
+        assert list(got) == list(expected) == [qid for qid in judgments if qid in run]
+        for qid, (rr, nd) in got.items():
+            assert (bits(rr), bits(nd)) == tuple(map(bits, expected[qid]))
+            assert bits(nd) == bits(ndcg_oracle.ndcg(run[qid], judgments[qid], k))
+    assert ideals == ideal_dcgs(judgments, k)  # read, never written
 
 
 @settings(max_examples=50)

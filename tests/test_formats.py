@@ -32,6 +32,7 @@ from document_oracle import (
 from e2e_utils import scored_terms
 from segtrain.corpus import CorpusStats, Query, SegmentationPolicy, inference_windows
 from segtrain import formats, scorer, synth, training
+from segtrain.evaluation import group_qrels
 from segtrain.formats import (
     SCORER_KINDS,
     ConfigError,
@@ -734,13 +735,22 @@ def test_run_round_trip(run, tag):
 @settings(max_examples=150)
 @given(st.dictionaries(st.tuples(ids, ids), st.integers(0, 5)))
 def test_qrels_round_trip(qrels):
+    # the parse gives the grades by query, in qid order
     out = io.StringIO()
     write_qrels(qrels, out)
     parsed = parse_qrels(io.StringIO(out.getvalue()))
-    assert parsed == qrels
+    assert list(parsed.items()) == sorted(group_qrels(qrels).items())
     rewritten = io.StringIO()
-    write_qrels(parsed, rewritten)
+    write_qrels({(qid, doc_id): grade for qid, judged in parsed.items()
+                 for doc_id, grade in judged.items()}, rewritten)
     assert rewritten.getvalue() == out.getvalue()
+
+
+def test_qrels_parse_by_query_in_qid_order_and_the_last_grade_wins():
+    text = "q2 0 d1 1\nq1 0 d2 0\n\nq2 0 d3 2\nq1 0 d2 3\nq10 0 d1 1\n"
+    parsed = parse_qrels(io.StringIO(text))
+    assert list(parsed.items()) == [("q1", {"d2": 3}), ("q10", {"d1": 1}),
+                                    ("q2", {"d1": 1, "d3": 2})]
 
 
 @pytest.mark.parametrize("line, message", [
@@ -903,21 +913,22 @@ def run_files(draw) -> bytes:
     return "".join(line + end for line, end in zip(lines, endings)).encode()
 
 
-def run_bits(run) -> list:
-    """A run's queries in order, and each ranking with its scores as
-    bits, so that NaNs and zeros of either sign compare."""
-    return [(qid, ranked.query_id, [(e.doc_id, struct.pack("<d", e.score), e.rank)
-                                    for e in ranked.entries])
-            for qid, ranked in run.items()]
+def top_items(top) -> list:
+    """A top's queries in order, each with its documents and ranks."""
+    return [(qid, docs, ranks) for qid, (docs, ranks) in top.items()]
 
 
-def top_bits(path: Path, depth: int) -> list:
-    """`run_bits` of the first `depth` entries of each ranking that
-    `parse_run` gives for the file at `path`."""
+def parsed_top(run, depth: int) -> list:
+    """`top_items` of the first `depth` entries of each ranking of `run`,
+    as `parse_run` gives it."""
+    return [(qid, [e.doc_id for e in ranked.entries[:depth]],
+             [e.rank for e in ranked.entries[:depth]]) for qid, ranked in run.items()]
+
+
+def top_of_file(path: Path, depth: int) -> list:
+    """`parsed_top` of the run file at `path`."""
     with open(path) as stream:
-        run = parse_run(stream)
-    return run_bits({qid: RankedList(qid, ranked.entries[:depth])
-                     for qid, ranked in run.items()})
+        return parsed_top(parse_run(stream), depth)
 
 
 CACHED_RUN = ("q2 Q0 d1 1 0.5 t\n"
@@ -937,37 +948,38 @@ def checksummed(body: bytes):
     return corrupt
 
 
-def format_1(data: bytes) -> bytes:
-    """A cache of `TOP_FORMAT` 1, which held run lines, for the run whose
-    cache is `data`."""
-    header = data[:data.index(b"\n") + 1]
-    assert b'"format": 2' in header
-    body = b"q2 Q0 d1 1 0.5 segtrain\nq2 Q0 d3 2 -0.0 segtrain\n"
-    return (header.replace(b'"format": 2', b'"format": 1') + body
-            + zlib.crc32(body).to_bytes(4, "little"))
+def older_format(version: int, body: bytes):
+    """A corruption that makes a run cache one of `TOP_FORMAT` `version`,
+    with `body` and its CRC-32."""
+    def corrupt(data: bytes) -> bytes:
+        header = data[:data.index(b"\n") + 1]
+        assert b'"format": 3' in header
+        return (header.replace(b'"format": 3', b'"format": %d' % version) + body
+                + zlib.crc32(body).to_bytes(4, "little"))
+    return corrupt
 
 
 # The body of `CACHED_RUN`'s cache at depth 2: a line per ranking.
-TOP_BODY = "q2\td1 d3\t1 2\t0.5 -0.0\nq1\td1 d2\t1 2\tinf -nan\n"
+TOP_BODY = "q2\td1 d3\t1 2\nq1\td1 d2\t1 2\n"
 
 # For each check a hit makes, a line in place of the last of `TOP_BODY`
 # that fails it, and no other.
 BAD_TOP_LINES = {
-    "three fields": "q1\td1 d2\t1 2",
-    "five fields": "q1\td1 d2\t1 2\tinf -nan\t",
-    "fewer ranks": "q1\td1 d2\t1\tinf -nan",
-    "fewer scores": "q1\td1 d2\t1 2\tinf",
-    "an empty ranking": "q1\t\t\t",
-    "a rank that is no integer": "q1\td1 d2\t1 2.0\tinf -nan",
-    "a score that is no float": "q1\td1 d2\t1 2\tinf nan0",
-    "a rank below 1": "q1\td1 d2\t0 2\tinf -nan",
-    "a document twice": "q1\td1 d1\t1 2\tinf -nan",
-    "ranks descending": "q1\td1 d2\t2 1\tinf -nan",
-    "tied ranks out of doc_id order": "q1\td2 d1\t1 1\tinf -nan",
-    "a query twice": "q2\td1 d2\t1 2\tinf -nan",
-    "more entries than the depth": "q1\td1 d2 d3\t1 2 3\tinf -nan 5e-324",
-    "a query id with a space": "q 1\td1 d2\t1 2\tinf -nan",
-    "an empty query id": "\td1 d2\t1 2\tinf -nan",
+    "two fields": "q1\td1 d2",
+    "four fields": "q1\td1 d2\t1 2\t",
+    "a line with scores": "q1\td1 d2\t1 2\tinf -nan",
+    "fewer ranks": "q1\td1 d2\t1",
+    "fewer documents": "q1\td1\t1 2",
+    "an empty ranking": "q1\t\t",
+    "a rank that is no integer": "q1\td1 d2\t1 2.0",
+    "a rank below 1": "q1\td1 d2\t0 2",
+    "a document twice": "q1\td1 d1\t1 2",
+    "ranks descending": "q1\td1 d2\t2 1",
+    "tied ranks out of doc_id order": "q1\td2 d1\t1 1",
+    "a query twice": "q2\td1 d2\t1 2",
+    "more entries than the depth": "q1\td1 d2 d3\t1 2 3",
+    "a query id with a space": "q 1\td1 d2\t1 2",
+    "an empty query id": "\td1 d2\t1 2",
 }
 
 TOP_CORRUPTIONS = {
@@ -978,9 +990,12 @@ TOP_CORRUPTIONS = {
     "another key": lambda data: data.replace(b'"crc32": ', b'"crc32": 1', 1),
     "body byte flipped": lambda data: data[:-8] + bytes([data[-8] ^ 1]) + data[-7:],
     "checksum flipped": lambda data: data[:-1] + bytes([data[-1] ^ 1]),
-    "a cache of format 1": format_1,
+    "a cache of format 1": older_format(
+        1, b"q2 Q0 d1 1 0.5 segtrain\nq2 Q0 d3 2 -0.0 segtrain\n"),
+    "a cache of format 2": older_format(
+        2, b"q2\td1 d3\t1 2\t0.5 -0.0\nq1\td1 d2\t1 2\tinf -nan\n"),
     "a body of run lines": checksummed(b"q1 Q0 d1 1 0.5 segtrain\n"),
-    "a body that is no text": checksummed(b"q1\td1\t1\t\xff\n"),
+    "a body that is no text": checksummed(b"q1\td1\t\xff\n"),
     "no line end": checksummed(TOP_BODY[:-1].encode()),
     **{name: checksummed((TOP_BODY[:TOP_BODY.index("q1")] + line + "\n").encode())
        for name, line in BAD_TOP_LINES.items()},
@@ -998,7 +1013,7 @@ class TestRunCache:
     @staticmethod
     def read(path: Path, depth: int = 2, encoding: str = "utf-8",
              errors: str = "strict", **patches):
-        """`run_bits` of `read_run` on the file at `path`, and whether it
+        """`top_items` of `read_run` on the file at `path`, and whether it
         was a hit: a read that parsed no file stream."""
         parse, files = patches.pop("parse_run", formats.parse_run), []
 
@@ -1011,8 +1026,8 @@ class TestRunCache:
                                 **patches}.items():
                 stack.enter_context(mock.patch.object(formats, name, value))
             with open(path, encoding=encoding, errors=errors) as stream:
-                run = formats.read_run(stream, depth)
-        return run_bits(run), not any(files)
+                top = formats.read_run(stream, depth)
+        return top_items(top), not any(files)
 
     def reads(self, path: Path, count: int = 3, **inputs) -> list:
         """`count` reads of the file at `path`."""
@@ -1038,7 +1053,7 @@ class TestRunCache:
             path = Path(tmp) / "run.txt"
             path.write_bytes(data)
             try:
-                fresh = top_bits(path, depth)
+                fresh = top_of_file(path, depth)
             except ParseError as exc:  # never cached: each read fails alike
                 for _ in range(3):
                     with pytest.raises(ParseError) as info:
@@ -1055,16 +1070,17 @@ class TestRunCache:
     def test_a_run_read_once_keeps_its_key_alone(self, tmp_path):
         # nothing of the run is written out before its key is read again
         path = self.run(tmp_path)
-        fresh = top_bits(path, 2)
-        unwritten = mock.Mock(side_effect=AssertionError("wrote a score"))
-        assert self.read(path, _score_text=unwritten) == (fresh, False)
+        fresh = top_of_file(path, 2)
+        writes = mock.Mock(wraps=formats._write_cache)
+        assert self.read(path, _write_cache=writes) == (fresh, False)
+        assert writes.call_count == 1 and writes.call_args.args[2] is None
         assert self.key_alone(path)
         assert self.reads(path, 2) == [(fresh, False), (fresh, True)]
         assert not self.key_alone(path)
 
     def test_a_run_under_min_cached_run_bytes_gets_no_cache(self, tmp_path):
         path = self.run(tmp_path)
-        size, fresh = path.stat().st_size, top_bits(path, 2)
+        size, fresh = path.stat().st_size, top_of_file(path, 2)
         assert self.reads(path, MIN_CACHED_RUN_BYTES=size + 1) == [(fresh, False)] * 3
         assert [p.name for p in tmp_path.iterdir()] == ["run.txt"]
         assert self.reads(path, MIN_CACHED_RUN_BYTES=size) == [
@@ -1074,8 +1090,7 @@ class TestRunCache:
     def test_a_stream_that_is_no_text_file_gets_no_cache(self, tmp_path, kind):
         # a `codecs` reader has a file's name and descriptor, but splits
         # lines as `str.splitlines` does, not as the text files it serves
-        fresh = run_bits({qid: RankedList(qid, ranked.entries[:2]) for qid, ranked
-                          in parse_run(io.StringIO(CACHED_RUN)).items()})
+        fresh = parsed_top(parse_run(io.StringIO(CACHED_RUN)), 2)
         if kind == "string":
             stream = io.StringIO(CACHED_RUN)
         elif kind == "pipe":
@@ -1088,7 +1103,7 @@ class TestRunCache:
         writes = mock.Mock()
         with mock.patch.object(formats, "MIN_CACHED_RUN_BYTES", 1), \
                 mock.patch.object(formats, "_write_cache", writes), stream:
-            assert run_bits(formats.read_run(stream, 2)) == fresh
+            assert top_items(formats.read_run(stream, 2)) == fresh
         assert not writes.called
 
     def test_a_stream_already_read_gets_no_cache(self, tmp_path):
@@ -1100,18 +1115,18 @@ class TestRunCache:
 
     def test_a_stream_whose_name_names_another_file_gets_no_cache(self, tmp_path):
         path = self.run(tmp_path)
-        fresh = top_bits(path, 2)
+        fresh = top_of_file(path, 2)
         with open(path) as stream:
             path.rename(tmp_path / "moved.txt")
             path.write_text(CACHED_RUN)
             assert formats._cache_key(stream, 1, formats._RUN_SOURCES) is None
             with mock.patch.object(formats, "MIN_CACHED_RUN_BYTES", 1):
-                assert run_bits(formats.read_run(stream, 2)) == fresh
+                assert top_items(formats.read_run(stream, 2)) == fresh
         assert sorted(p.name for p in tmp_path.iterdir()) == ["moved.txt", "run.txt"]
 
     def test_a_directory_others_may_write_gets_no_cache(self, tmp_path):
         path = self.run(tmp_path)
-        fresh = top_bits(path, 2)
+        fresh = top_of_file(path, 2)
         tmp_path.chmod(0o1777)
         assert self.reads(path) == [(fresh, False)] * 3
         assert [p.name for p in tmp_path.iterdir()] == ["run.txt"]
@@ -1170,7 +1185,7 @@ class TestRunCache:
         fresh, hit = self.read(path, **inputs)
         assert not hit and self.key_alone(path)  # the new key replaces the body
         assert self.reads(path, 2, **inputs) == [(fresh, False), (fresh, True)]
-        assert fresh == top_bits(path, inputs.get("depth", 2))
+        assert fresh == top_of_file(path, inputs.get("depth", 2))
         assert (fresh == cached) == (change not in ("one byte", "depth"))
 
     @pytest.mark.parametrize("reads_before", [0, 1])
@@ -1196,7 +1211,7 @@ class TestRunCache:
         path = tmp_path / "run.txt"
         path.write_bytes(CACHED_RUN.encode().replace(b"d2", b"d\xff"))
         fresh, hit = self.read(path, errors="surrogateescape")
-        assert not hit and fresh[1][2][1][0] == "d\udcff"
+        assert not hit and fresh[1][1][1] == "d\udcff"
         assert self.reads(path, 2, errors="surrogateescape") == [(fresh, False),
                                                                  (fresh, True)]
 
@@ -1204,17 +1219,28 @@ class TestRunCache:
         # each of TOP_CORRUPTIONS' damaged bodies differs from this one,
         # which is a hit, in one check
         path = self.run(tmp_path)
-        fresh = top_bits(path, 2)
+        fresh = top_of_file(path, 2)
         assert self.reads(path) == [(fresh, False), (fresh, False), (fresh, True)]
         data = Path(f"{path}.top").read_bytes()
         assert checksummed(TOP_BODY.encode())(data) == data
 
-    def test_the_cache_holds_each_score_as_it_parses(self, tmp_path):
+    def test_the_cache_holds_no_score_and_a_miss_checks_every_score(self, tmp_path):
+        # no metric reads a score, so a hit needs none; the scores that a
+        # text format might lose are parsed, and checked, on a miss
         path = self.run(tmp_path)
-        self.reads(path, 2, depth=3)
+        assert [hit for _, hit in self.reads(path, depth=3)] == [False, False, True]
         body = Path(f"{path}.top").read_bytes().partition(b"\n")[2][:-4]
-        assert body.decode() == ("q2\td1 d3\t1 2\t0.5 -0.0\n"
-                                 "q1\td1 d2 d3\t1 2 3\tinf -nan 5e-324\n")
+        assert body.decode() == "q2\td1 d3\t1 2\nq1\td1 d2 d3\t1 2 3\n"
+        with open(path) as stream:
+            scores = {(qid, e.doc_id): struct.pack("<d", e.score)
+                      for qid, ranked in parse_run(stream).items() for e in ranked.entries}
+        assert scores == {key: struct.pack("<d", score) for key, score in [
+            (("q2", "d1"), 0.5), (("q2", "d3"), -0.0), (("q1", "d1"), math.inf),
+            (("q1", "d2"), -math.nan), (("q1", "d3"), 5e-324)]}
+        path.write_text(CACHED_RUN.replace("5e-324", "5e-32x"))
+        for _ in range(3):
+            with pytest.raises(ParseError, match="^line 5: bad rank or score$"):
+                self.read(path, depth=3)
 
 
 @pytest.mark.parametrize("make, read", [(TestRunCache.run, TestRunCache.read),
@@ -1593,11 +1619,29 @@ def test_json_and_text_parsers_raise_only_parse_error(text):
             pass
 
 
-@pytest.mark.parametrize("parser", [parse_documents, parse_corpus, parse_selection,
-                                    parse_gold])
-@pytest.mark.parametrize("line", [DEEP, INFINITE_INDEX, LONG_NUMBER,
-                                  *NON_INTEGER_INDICES.values()],
-                         ids=["deep", "infinity", "long", *NON_INTEGER_INDICES])
+# the ids of a selection or gold record are strings: no number, null or list
+NON_STRING_IDS = {
+    "qid number": '{"qid": 5, "doc_id": "d", "segment_index": 1, "gold_segment_index": 1}',
+    "doc_id null": '{"qid": "q", "doc_id": null, "segment_index": 1, '
+                   '"gold_segment_index": 1}',
+    "doc_id list": '{"qid": "q", "doc_id": ["d"], "segment_index": 1, '
+                   '"gold_segment_index": 1}',
+}
+# a selection's score is a JSON number: no string or bool is read as one
+NON_NUMBER_SCORES = {
+    f"score {kind}": f'{{"qid": "q", "doc_id": "d", "segment_index": 1, "score": {value}}}'
+    for kind, value in (("string", '"1.5"'), ("bool", "true"), ("null", "null"))}
+JSON_PARSERS = [parse_documents, parse_corpus, parse_selection, parse_gold]
+
+
+@pytest.mark.parametrize("parser, line", [
+    *(pytest.param(parser, line, id=f"{kind}-{parser.__name__}")
+      for kind, line in {"deep": DEEP, "infinity": INFINITE_INDEX, "long": LONG_NUMBER,
+                         **NON_INTEGER_INDICES, **NON_STRING_IDS}.items()
+      for parser in JSON_PARSERS),
+    *(pytest.param(parse_selection, line, id=f"{kind}-parse_selection")
+      for kind, line in NON_NUMBER_SCORES.items()),
+])
 def test_json_line_errors_name_the_line(parser, line):
     with pytest.raises(ParseError, match="^line 2: "):
         parser(io.StringIO(f"\n{line}\n"))
