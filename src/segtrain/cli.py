@@ -3,29 +3,38 @@
 Subcommands: synth, segment, train, select, rerank, eval,
 eval-selection.  Exit codes: 0 success, 1 usage error, 2 data error.
 
-Each subcommand imports the numpy-backed layers (ranking, scorer,
-synth, training) itself, so `eval` and `eval-selection` never load
-numpy.  `train`, `select` and `rerank` resolve the paths of their
-output and of every input first (`--qrels` and, for `--mode gold`,
-`--gold`; `--model`), and import them in `_load_stores` once the
-queries, candidates and corpus are read, so a missing path, or a
-malformed corpus, query or candidate file, is reported before numpy
-loads, and a missing path before the corpus is read.  `synth` holds
-the collection as vocabulary ids and writes nothing until the whole
-of it is generated; `synth.write_corpus` renders the corpus file.
+Each subcommand imports the layers that score (ranking, scorer, synth,
+training) itself, so `eval` and `eval-selection` never load numpy, and
+`select` and `rerank` with a linear model load it only to build the
+feature stores on a miss.  `train`, `select` and `rerank` resolve the
+paths of their output and of every input first (`--qrels` and, for
+`--mode gold`, `--gold`; `--model`), and read the queries, candidates
+and corpus (`_read_inputs`) before numpy can load, so a missing path,
+or a malformed corpus, query or candidate file, is reported before
+numpy loads, and a missing path before the corpus is read.  `synth`
+holds the collection as vocabulary ids and writes nothing until the
+whole of it is generated; `synth.write_corpus` renders the corpus file.
 
 `train`, `select` and `rerank` share two feature stores over every
 listed query's candidates: one of training windows cut by the
-configured policy, one of inference windows at `max_tokens`
-(`training.load_stores`).  `train` takes its training set from the
-first and its dev set from the second (`TrainingSet.subset`), `select`
-picks segments in the first, and `rerank` ranks the second as the dev
-set is ranked, with `training.rank_store`.  On a corpus of 8 MiB or
-more, the first of them to run leaves `<corpus>.stores` beside it, and
-the others, given the same corpus, queries, candidates and policy, load
-both stores from it without parsing the corpus, segmenting or
-computing a feature (see `formats.read_corpus`).  A miss parses the
-corpus into views (`formats.parse_corpus`), which `segment` reads too.
+configured policy, one of inference windows at `max_tokens`.  On a
+corpus of 8 MiB or more, the first of them to run leaves
+`<corpus>.stores` beside it, and the others, given the same corpus,
+queries, candidates and policy, load both stores from it without
+parsing the corpus, segmenting or computing a feature (see
+`formats.read_corpus`).  A miss parses the corpus into views
+(`formats.parse_corpus`), which `segment` reads too, and builds the
+stores with numpy (`training.load_stores`).  `train` takes its
+training set from the first store and its dev set from the second
+(`TrainingSet.subset`).  `select` and `rerank` take the two as
+`formats.Store` rows, the cached ones on a hit, and score them through
+the numpy-free inference layer (`ranking`) with the model as
+`formats.parse_model` reads it: `select` picks the best leading
+segment of each pair in the first, and `rerank` ranks the second by
+FirstP or MaxP, with the reductions that rank the dev set, so it ranks
+a pool as training ranked its dev set.  A linear model's scores take
+no numpy; an mlp's take numpy's tanh.  A `rerank --tag` must be one
+word without whitespace, since it is the last field of each run line.
 
 `eval` reads only the first `max(mrr_cutoff, ndcg_k)` entries of each
 ranking, as document ids and ranks, and reads each run through
@@ -156,23 +165,33 @@ def _cmd_segment(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_stores(args: argparse.Namespace, config: PipelineConfig):
-    """The queries, and the training-window and inference-window stores
-    of all their candidates (`training.load_stores`), from the stores
-    cache of the corpus or, on a miss, from its parse.
-
-    The queries and candidates are parsed, and the corpus read for them
-    (`formats.read_corpus`), before numpy loads, so a malformed input is
-    reported first.
-    """
+def _read_inputs(args: argparse.Namespace, config: PipelineConfig):
+    """The queries, their candidates, the configured policy, and what
+    `formats.read_corpus` read for them: the feature stores cached for
+    the corpus or, on a miss, its parse.  Nothing here loads numpy, so a
+    malformed input is reported before it loads."""
     queries = _read(formats.parse_queries, _path(args, config, "queries"))
     candidates = _read(formats.parse_candidates, _path(args, config, "candidates"))
     policy = config.policy()
     read = _read(lambda stream: formats.read_corpus(stream, queries, candidates, policy),
                  _path(args, config, "corpus"))
-    from .training import load_stores
+    return queries, candidates, policy, read
 
-    return queries, load_stores(read, queries, candidates, policy)
+
+def _scored_stores(args: argparse.Namespace, config: PipelineConfig
+                   ) -> tuple[list[tuple[str, str]], list[formats.Store]]:
+    """Every (query, candidate) pair of the listed queries, in store
+    order, and the training-window and inference-window stores of their
+    feature rows: the cached ones on a hit, and on a miss the ones
+    `training.load_stores` builds, and caches, viewed as `Store`s."""
+    queries, candidates, policy, read = _read_inputs(args, config)
+    stores = read.stores
+    if stores is None:
+        from .training import load_stores
+
+        stores = [formats.Store(s.row_counts(), memoryview(s.matrix))
+                  for s in load_stores(read, queries, candidates, policy)]
+    return [(q.id, d) for q in queries for d in candidates.get(q.id, ())], stores
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
@@ -182,9 +201,11 @@ def _cmd_train(args: argparse.Namespace) -> int:
         raise ParseError("missing required output path: --out")
     qrels_path = _path(args, config, "qrels")
     gold_path = _path(args, config, "gold") if args.mode == "gold" else None
-    queries, (training, inference) = _load_stores(args, config)
+    queries, candidates, policy, read = _read_inputs(args, config)
     from .scorer import write_params
-    from .training import best_train, train_baseline, train_single
+    from .training import best_train, load_stores, train_baseline, train_single
+
+    training, inference = load_stores(read, queries, candidates, policy)
 
     judgments = _read(formats.parse_qrels, qrels_path)
     qrels = {(qid, doc_id): grade for qid, judged in judgments.items()
@@ -221,15 +242,15 @@ def _cmd_select(args: argparse.Namespace) -> int:
     config = _load_config(args)
     out_path = _path(args, config, "out")
     model_path = _path(args, config, "model")
-    _, (store, _) = _load_stores(args, config)
-    from .scorer import read_params
-    from .training import select_segments
+    pairs, (store, _) = _scored_stores(args, config)
+    from .ranking import best_segments, row_scores
 
-    params = _read(read_params, model_path)
-    selection, best_scores = select_segments(params, store)
+    model = _read(formats.parse_model, model_path)
+    index, scores = best_segments(row_scores(model, store.rows), store.counts,
+                                  config.max_segments)
     with open(out_path, "w") as stream:
-        formats.write_selection(selection, stream, best_scores)
-    print(f"selected segments for {len(selection)} pairs")
+        formats.write_selection(dict(zip(pairs, index)), stream, dict(zip(pairs, scores)))
+    print(f"selected segments for {len(pairs)} pairs")
     return 0
 
 
@@ -237,13 +258,13 @@ def _cmd_rerank(args: argparse.Namespace) -> int:
     config = _load_config(args)
     out_path = _path(args, config, "out")
     model_path = _path(args, config, "model")
-    _, (_, store) = _load_stores(args, config)
-    from .ranking import Aggregation
-    from .scorer import read_params
-    from .training import rank_store
+    pairs, (_, store) = _scored_stores(args, config)
+    from .ranking import Aggregation, document_scores, rank_pairs, row_scores
 
-    params = _read(read_params, model_path)
-    run = rank_store(params, store, Aggregation(args.mode))
+    model = _read(formats.parse_model, model_path)
+    scores = document_scores(row_scores(model, store.rows), store.counts,
+                             Aggregation(args.mode))
+    run = rank_pairs(pairs, scores)
     with open(out_path, "w") as stream:
         formats.write_run(run, args.tag, stream)
     print(f"wrote rankings for {len(run)} queries")
@@ -317,6 +338,15 @@ def _seed(text: str) -> int:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _tag(text: str) -> str:
+    """A --tag value: one nonempty word, so that each line of the run
+    keeps the six fields `formats.parse_run` reads."""
+    if text.split() != [text]:
+        raise argparse.ArgumentTypeError(
+            f"a run tag must be one word without whitespace, got {text!r}")
+    return text
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     _add_config(parser)
     parser.add_argument("--seed", type=_seed, help="override the configured seed")
@@ -368,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--queries")
     p.add_argument("--candidates")
     p.add_argument("--mode", choices=["firstp", "maxp"], default="maxp")
-    p.add_argument("--tag", default="segtrain")
+    p.add_argument("--tag", type=_tag, default="segtrain")
     p.set_defaults(fn=_cmd_rerank)
 
     p = sub.add_parser("eval", help="extrinsic ranking metrics")

@@ -50,6 +50,11 @@ cached, so no cache matches a malformed input; any other key or a
 damaged cache is a miss that parses the text again, and deleting a
 cache is always safe.
 
+A model file is read by `parse_model`, as a scorer kind, its hidden
+units and its parameters in file order, as plain floats, so that
+`select` and `rerank` read one without numpy; `scorer.read_params`
+wraps them into `ScorerParams`, and `scorer.write_params` writes them.
+
 The module also owns all configuration, without importing numpy:
 `TrainConfig` and `SynthConfig` (which `training`, `synth` and, for
 `LossKind`, `scorer` re-export), `PipelineConfig`, which inherits
@@ -690,6 +695,68 @@ def save_stores(cache: FileCache, stores: Iterable[tuple[list[int], Any]]) -> No
     # a store of no pairs has no rows, and a view of zero rows cannot be cast
     body += [memoryview(rows).cast("B") if counts else b"" for counts, rows in stores]
     _write_cache(cache, ".stores", body)
+
+
+# ---------------------------------------------------------------------------
+# model files: "segtrain-model v1 kind=K dim=7 hidden=H", then one
+# parameter per line
+
+MODEL_FORMAT_NAME = "segtrain-model"
+MODEL_FORMAT_VERSION = "v1"
+
+
+def _param_count(kind: str, hidden: int) -> int:
+    """The length of the parameter vector of a `kind` scorer with
+    `hidden` units, which must be 0 for the linear scorer and at least 1
+    for the mlp."""
+    if kind == "linear":
+        if hidden != 0:
+            raise ValueError(f"linear scorer needs hidden=0, got hidden={hidden}")
+        return NUM_FEATURES + 1
+    if kind == "mlp":
+        if hidden < 1:
+            raise ValueError(f"mlp scorer needs hidden >= 1, got hidden={hidden}")
+        return (NUM_FEATURES + 2) * hidden + 1
+    raise ValueError(f"unknown scorer kind: {kind!r}")
+
+
+def parse_model(stream: IO[str]) -> tuple[str, int, list[float]]:
+    """The scorer kind, hidden units and parameters, in file order, of a
+    model file, as `scorer.write_params` writes it; a malformed file
+    raises `ParseError` at its line, the header being line 1.  Too many
+    parameters are reported at the first extra one, too few at the last
+    line.  Every parameter is finite."""
+    lines = _lines(stream)
+    line_no, header = next(lines, (1, ""))
+    header = header.strip() if line_no == 1 else ""
+    fields = header.split()
+    opts = dict(f.partition("=")[::2] for f in fields[2:])
+    kind, dim, hidden = (opts.get(key, "") for key in ("kind", "dim", "hidden"))
+    if (fields[:2] != [MODEL_FORMAT_NAME, MODEL_FORMAT_VERSION] or len(fields) != 5
+            or not dim.isdecimal() or not hidden.isdecimal()):
+        raise ParseError(f"bad model header: {header!r}", 1)
+    if int(dim) != NUM_FEATURES:
+        raise ParseError(f"model feature dimension {dim} does not match {NUM_FEATURES}", 1)
+    try:
+        expected = _param_count(kind, int(hidden))
+    except ValueError as error:
+        raise ParseError(f"bad model header: {error}", 1) from None
+    values, last = [], 1
+    for line_no, line in lines:
+        if len(values) == expected:
+            raise ParseError(f"expected {expected} parameters for a {kind} scorer, "
+                             f"got more", line_no)
+        try:
+            values.append(float(line))
+        except ValueError:
+            values.append(math.nan)  # rejected with the non-finite values
+        if not math.isfinite(values[-1]):
+            raise ParseError(f"bad parameter: {line.strip()!r}", line_no)
+        last = line_no
+    if len(values) < expected:
+        raise ParseError(f"expected {expected} parameters for a {kind} scorer, "
+                         f"got {len(values)}", last)
+    return kind, int(hidden), values
 
 
 # ---------------------------------------------------------------------------

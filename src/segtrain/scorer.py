@@ -34,10 +34,12 @@ from .corpus import CorpusStats, DocView, Query, Segment
 from .formats import (
     DEFAULT_MAX_SEGMENTS,
     DEFAULT_MAX_TOKENS,
+    MODEL_FORMAT_NAME,
+    MODEL_FORMAT_VERSION,
     NUM_FEATURES,
     LossKind,
-    ParseError,
-    _lines,
+    _param_count,
+    parse_model,
 )
 
 # feature vector layout
@@ -51,9 +53,6 @@ F_POSITION_RATIO = 6    # segment index / max_segments
 
 BM25_K1 = 1.2
 BM25_B = 0.75
-
-MODEL_FORMAT_NAME = "segtrain-model"
-MODEL_FORMAT_VERSION = "v1"
 
 
 def idf(stats: CorpusStats, term: str) -> float:
@@ -137,21 +136,6 @@ def _match_features(query: Query, q_unique: list[str], slot: dict[str, int],
             adjacent = {a * nq + b for (p, a), (p_next, b) in zip(seg_hits, seg_hits[1:])
                         if p_next == p + 1}
             row[F_BIGRAM_FRACTION] = len(adjacent & q_bigrams) / len(q_bigrams)
-
-
-def _param_count(kind: str, hidden: int) -> int:
-    """The length of the parameter vector of a `kind` scorer with
-    `hidden` units, which must be 0 for the linear scorer and at least 1
-    for the mlp."""
-    if kind == "linear":
-        if hidden != 0:
-            raise ValueError(f"linear scorer needs hidden=0, got hidden={hidden}")
-        return NUM_FEATURES + 1
-    if kind == "mlp":
-        if hidden < 1:
-            raise ValueError(f"mlp scorer needs hidden >= 1, got hidden={hidden}")
-        return (NUM_FEATURES + 2) * hidden + 1
-    raise ValueError(f"unknown scorer kind: {kind!r}")
 
 
 @dataclass
@@ -354,38 +338,7 @@ def write_params(params: ScorerParams, stream: IO[str]) -> None:
 
 
 def read_params(stream: IO[str]) -> ScorerParams:
-    """The parameters in a model file; a malformed file raises
-    `formats.ParseError` at its line, the header being line 1.  Too many
-    parameters are reported at the first extra one, too few at the last
-    line."""
-    lines = _lines(stream)
-    line_no, header = next(lines, (1, ""))
-    header = header.strip() if line_no == 1 else ""
-    fields = header.split()
-    opts = dict(f.partition("=")[::2] for f in fields[2:])
-    kind, dim, hidden = (opts.get(key, "") for key in ("kind", "dim", "hidden"))
-    if (fields[:2] != [MODEL_FORMAT_NAME, MODEL_FORMAT_VERSION] or len(fields) != 5
-            or not dim.isdecimal() or not hidden.isdecimal()):
-        raise ParseError(f"bad model header: {header!r}", 1)
-    if int(dim) != NUM_FEATURES:
-        raise ParseError(f"model feature dimension {dim} does not match {NUM_FEATURES}", 1)
-    try:
-        expected = _param_count(kind, int(hidden))
-    except ValueError as error:
-        raise ParseError(f"bad model header: {error}", 1) from None
-    values, last = [], 1
-    for line_no, line in lines:
-        if len(values) == expected:
-            raise ParseError(f"expected {expected} parameters for a {kind} scorer, "
-                             f"got more", line_no)
-        try:
-            values.append(float(line))
-        except ValueError:
-            values.append(math.nan)  # rejected with the non-finite values
-        if not math.isfinite(values[-1]):
-            raise ParseError(f"bad parameter: {line.strip()!r}", line_no)
-        last = line_no
-    if len(values) < expected:
-        raise ParseError(f"expected {expected} parameters for a {kind} scorer, "
-                         f"got {len(values)}", last)
-    return ScorerParams(kind, int(hidden), np.array(values))
+    """The parameters in a model file (`formats.parse_model`, which
+    reports a malformed file at its line)."""
+    kind, hidden, values = parse_model(stream)
+    return ScorerParams(kind, hidden, np.array(values))

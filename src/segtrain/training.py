@@ -3,22 +3,25 @@
 A `TrainingSet` holds topics and one read-only matrix stacking the
 feature rows of every (query, document) pair, pair after pair, with
 each pair's row range.  Built with a training policy it holds training
-segments: SGD learns from it and `select` picks segments in it.  Built
-with an inference policy it holds each candidate's inference windows,
-and `rank_store` ranks its candidates by their aggregated window
-scores: as the dev set whose MRR stops training, and as the pool the
-`rerank` command ranks.  Both score the whole matrix in one
-batch-invariant `score_batch` call, so each pair gets the scores it
-gets alone, and reduce each pair's rows in one numpy call.  A score
+segments: SGD learns from it and `select_segments` picks segments in
+it between rounds.  Built with an inference policy it holds each
+candidate's inference windows, and `rank_store` ranks its candidates
+by their aggregated window scores, as the dev set whose MRR stops
+training.  Both score the whole matrix in one batch-invariant
+`score_batch` call, so each pair gets the scores it gets alone, and
+reduce each pair's scores with `ranking.best_segments` and
+`ranking.document_scores`, the reductions through which the `select`
+and `rerank` commands reduce the scores of the same stores.  A score
 that is not finite is a ValueError (`scorer._finite_scores`), not an
 overflow warning and an infinite score in the output.
 
 The commands get one store of each kind over every listed query's
 candidates from `load_stores`, which loads both from the corpus's
 stores cache or builds them from the corpus's views (`build_stores`)
-and caches them, and `TrainingSet.subset` gives `train` its training
-set and its dev set: the rows of the subset's pairs, gathered in the
-order a store built for the subset alone would hold them.  The tests
+and caches them; `select` and `rerank` call it on a miss only.
+`TrainingSet.subset` gives `train` its training set and its dev set:
+the rows of the subset's pairs, gathered in the order a store built
+for the subset alone would hold them.  The tests
 also build stores from the views `tests/document_oracle.py` projects
 from whole documents, and require the same bits.
 
@@ -58,7 +61,7 @@ from .corpus import (
 )
 from .evaluation import Qrels, Run, SegmentIndexMap, mrr
 from .formats import DEFAULT_MAX_SEGMENTS, CorpusRead, LossKind, TrainConfig, save_stores
-from .ranking import Aggregation, aggregate, rank_by_scores
+from .ranking import Aggregation, best_segments, document_scores, rank_pairs
 from .scorer import (
     NUM_FEATURES,
     ScorerParams,
@@ -129,7 +132,6 @@ class TrainingSet:
     max_segments: int = DEFAULT_MAX_SEGMENTS
     qrels: Qrels = field(default_factory=dict)
     mrr_cutoff: int = 10
-    starts: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         pairs = [(topic.query.id, doc_id) for topic in self.topics
@@ -145,7 +147,6 @@ class TrainingSet:
             raise ValueError(f"a matrix of shape {self.matrix.shape} "
                              f"for {end} rows of {NUM_FEATURES} features")
         self.matrix.flags.writeable = False
-        self.starts = np.array([span.start for span in self.rows.values()], dtype=np.intp)
 
     def row_counts(self) -> list[int]:
         """Each pair's row count, in pair order."""
@@ -282,12 +283,10 @@ def rank_store(params: ScorerParams, store: TrainingSet,
                agg: Aggregation = Aggregation.MAX_P) -> Run:
     """Each topic's candidates ranked by their aggregated segment scores:
     FirstP takes a candidate's first score, MaxP its largest, over every
-    segment the store holds for it.  Ties rank by doc id."""
-    scores = aggregate(_finite_scores(params, store.matrix), store.starts, agg)
-    by_query: dict[str, dict[str, float]] = {t.query.id: {} for t in store.topics}
-    for (qid, doc_id), score in zip(store.rows, scores.tolist()):
-        by_query[qid][doc_id] = score
-    return {qid: rank_by_scores(qid, doc_scores) for qid, doc_scores in by_query.items()}
+    segment the store holds for it (`ranking.document_scores`).  Ties
+    rank by doc id."""
+    scores = _finite_scores(params, store.matrix).tolist()
+    return rank_pairs(store.rows, document_scores(scores, store.row_counts(), agg))
 
 
 def evaluate_bundle(params: ScorerParams, dev: TrainingSet,
@@ -349,22 +348,14 @@ def _epoch_rows(tset: TrainingSet, rows: PairRows, cfg: TrainConfig,
 def select_segments(params: ScorerParams, tset: TrainingSet
                     ) -> tuple[SegmentIndexMap, dict[tuple[str, str], float]]:
     """Argmax segment index per (query, document) pair among its leading
-    `tset.max_segments` segments, and its score.
+    `tset.max_segments` segments, and its score (`ranking.best_segments`).
 
     Covers every pair in the store; score ties resolve to the smallest
     index, as `np.argmax` does.
     """
-    scores = _finite_scores(params, tset.matrix)
-    lengths = np.diff(tset.starts, append=len(scores))
-    local = np.arange(len(scores)) - np.repeat(tset.starts, lengths)
-    if len(scores) and local.max() >= tset.max_segments:
-        scores = np.where(local < tset.max_segments, scores, -np.inf)
-    best = np.repeat(np.maximum.reduceat(scores, tset.starts), lengths)
-    index = np.minimum.reduceat(np.where(scores == best, local, len(scores)),
-                                tset.starts)
-    keys = list(tset.rows)
-    return (dict(zip(keys, index.tolist())),
-            dict(zip(keys, scores[tset.starts + index].tolist())))
+    scores = _finite_scores(params, tset.matrix).tolist()
+    index, best = best_segments(scores, tset.row_counts(), tset.max_segments)
+    return dict(zip(tset.rows, index)), dict(zip(tset.rows, best))
 
 
 def train_single(tset: TrainingSet, dev: TrainingSet,

@@ -130,6 +130,10 @@ PINNED_DIGESTS = {
         "738e1e73bb26f8046a8c92a4881d568ff1c832c173af2dbb458c72e01b6ddbe7",
     "run-firstp.txt":
         "53d79ae84b2a33f03e309048f940bd5470477ac06358441ea147d6263611a574",
+    "mlp-selection.jsonl":
+        "c67b043f45e590b5bea6931260e0a5d485b2b8398777b5df5b6eaf6337e65c66",
+    "mlp-run-maxp.txt":
+        "a9c2c56f47012794326d081ebc8ea0de7a28e60e7156cdb2c578a1499dc5388d",
 }
 
 
@@ -152,13 +156,17 @@ def pinned_outputs(tmp_path_factory, tmp_path, prepare=None) -> dict[str, str]:
                          "--qrels", str(data / "qrels.txt"),
                          "--gold", str(data / "gold.jsonl"), "--out", str(out)]) == 0
             digests[out.name] = out
-    model = tmp_path / "linear-best.txt"
-    digests["selection.jsonl"] = tmp_path / "selection.jsonl"
-    assert select(data, model, digests["selection.jsonl"]) == 0
-    for mode in ("maxp", "firstp"):
-        digests[f"run-{mode}.txt"] = out = tmp_path / f"run-{mode}.txt"
-        assert main(["rerank", *inputs(data), "--model", str(model), "--mode", mode,
-                     "--out", str(out)]) == 0
+    # the linear model's selection and runs, then the mlp's selection and
+    # MaxP run, which score through numpy's tanh
+    for kind, modes in (("linear", ("maxp", "firstp")), ("mlp", ("maxp",))):
+        model = tmp_path / f"{kind}-best.txt"
+        prefix = "" if kind == "linear" else "mlp-"
+        digests[f"{prefix}selection.jsonl"] = out = tmp_path / f"{prefix}selection.jsonl"
+        assert select(data, model, out) == 0
+        for mode in modes:
+            digests[f"{prefix}run-{mode}.txt"] = out = tmp_path / f"{prefix}run-{mode}.txt"
+            assert main(["rerank", *inputs(data), "--model", str(model), "--mode", mode,
+                         "--out", str(out)]) == 0
     return {name: hashlib.sha256(path.read_bytes()).hexdigest()
             for name, path in digests.items()}
 
@@ -170,7 +178,7 @@ def test_outputs_match_pinned_digests(tmp_path_factory, tmp_path):
 def test_outputs_match_pinned_digests_with_cached_stores(tmp_path_factory, tmp_path,
                                                          monkeypatch):
     # the first training parses the corpus, builds both feature stores and
-    # caches them; the ten later commands load them, and neither parse,
+    # caches them; the twelve later commands load them, and neither parse,
     # segment nor compute a feature
     from segtrain import corpus, training
 
@@ -196,10 +204,10 @@ def test_outputs_match_pinned_digests_with_cached_stores(tmp_path_factory, tmp_p
     monkeypatch.setattr(formats, "_load_stores", load_stores)
     monkeypatch.setattr(formats, "parse_corpus", parsed)
     assert pinned_outputs(tmp_path_factory, tmp_path, watch_builders) == PINNED_DIGESTS
-    assert len(loaded) == 11 and loaded[0] is None and None not in loaded[1:]
+    assert len(loaded) == 13 and loaded[0] is None and None not in loaded[1:]
     final = [m.call_count for m in (parsed, *built.values())]
     assert calls[0] == [0, 0, 0, 0] and final[0] == 1 and all(final)
-    assert calls[1:] == [final] * 10
+    assert calls[1:] == [final] * 12
 
 
 def test_outputs_ignore_a_leftover_views_file(tmp_path_factory, tmp_path, monkeypatch):
@@ -385,6 +393,31 @@ def test_usage_error_exits_1(data, capsys):
     with pytest.raises(SystemExit) as info:
         main(["train", *inputs(data)])  # --mode is required
     assert info.value.code == 1
+
+
+@pytest.mark.parametrize("tag", ["", "my tag", " ", "tab\tin", "line\nbreak", "nbsp\xa0"])
+def test_a_tag_that_is_not_one_word_is_a_usage_error(data, model, tmp_path, capsys, tag):
+    # such a tag would write a run that `eval` rejects; no input is read
+    out = tmp_path / "run.txt"
+    with mock.patch.object(formats, "parse_queries") as parse_queries:
+        with pytest.raises(SystemExit) as info:
+            main(["rerank", *inputs(data), "--model", str(model), "--tag", tag,
+                  "--out", str(out)])
+    assert info.value.code == 1 and not parse_queries.called
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "segtrain rerank: error: argument --tag: a run tag must be one word "
+        f"without whitespace, got {tag!r}")
+    assert not out.exists()
+
+
+def test_a_one_word_tag_ends_each_run_line(data, model, tmp_path):
+    out = tmp_path / "run.txt"
+    assert main(["rerank", *inputs(data), "--model", str(model), "--tag", "run-1",
+                 "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    assert lines and all(line.split()[5:] == ["run-1"] for line in lines)
+    with open(out) as stream:
+        assert len(formats.parse_run(stream)) == 10
 
 
 def write_corpus_with(data: Path, tmp_path: Path, line: str) -> Path:
@@ -1107,6 +1140,54 @@ def test_eval_commands_do_not_import_numpy(trec):
                             env={**os.environ, "PYTHONPATH": src})
     assert result.returncode == 0, result.stderr
     assert "segment_p_at_1=1.000000" in result.stdout
+
+
+def test_a_linear_select_and_rerank_on_a_stores_hit_do_not_import_numpy(tmp_path,
+                                                                         monkeypatch):
+    # a linear model scores the cached rows in plain Python; an mlp scores
+    # through numpy, and either gives the same bytes on a hit as on a miss
+    data = tmp_path / "data"
+    assert synth(TINY_CONFIG, data) == 0
+    (tmp_path / "mlp.txt").write_text((data / "config.txt").read_text()
+                                      + "scorer_kind=mlp\n")
+    lowered = ("import sys\n"
+               "from segtrain import formats\n"
+               "from segtrain.cli import main\n"
+               "formats.MIN_CACHED_BYTES = 1\n")
+    train = ["train", "--mode", "theta0", *inputs(data), "--qrels", str(data / "qrels.txt")]
+    result = python(lowered + f"assert main({[*train, '--out', str(tmp_path / 'linear')]!r})"
+                    " == 0\n")
+    assert result.returncode == 0, result.stderr
+    assert (data / "corpus.jsonl.stores").exists()
+    assert main([*train, "--config", str(tmp_path / "mlp.txt"),
+                 "--out", str(tmp_path / "mlp")]) == 0
+
+    def commands(kind: str, out: Path) -> list[list[str]]:
+        model = ["--model", str(tmp_path / kind)]
+        return [["select", *inputs(data), *model, "--out", str(out / "selection.jsonl")],
+                *(["rerank", *inputs(data), *model, "--mode", mode,
+                   "--out", str(out / f"run-{mode}.txt")] for mode in ("maxp", "firstp"))]
+
+    outputs = {}
+    for kind in ("linear", "mlp"):
+        for source in ("hit", "miss"):
+            out = tmp_path / f"{kind}-{source}"
+            out.mkdir()
+            if source == "miss":
+                for args in commands(kind, out):
+                    assert main(args) == 0
+            else:
+                script = lowered + (f"for args in {commands(kind, out)!r}:\n"
+                                    "    assert main(args) == 0\n"
+                                    "print('numpy' in sys.modules)\n")
+                result = python(script)
+                assert result.returncode == 0, result.stderr
+                assert result.stdout.splitlines()[-1] == str(kind == "mlp")
+            outputs[kind, source] = {path.name: path.read_bytes()
+                                     for path in sorted(out.iterdir())}
+        assert len(outputs[kind, "hit"]) == 3
+        assert outputs[kind, "hit"] == outputs[kind, "miss"], kind
+    assert outputs["linear", "hit"] != outputs["mlp", "hit"]
 
 
 @pytest.mark.parametrize("command, flag", [

@@ -22,7 +22,7 @@ from segtrain.corpus import (
     segment_for_inference,
     segment_for_training,
 )
-from segtrain.formats import ParseError
+from segtrain.formats import ParseError, parse_model
 from segtrain.scorer import (
     BM25_B,
     BM25_K1,
@@ -688,6 +688,17 @@ class TestModelFile:
         buf.seek(0)
         q = read_params(buf)
         assert q.vector.tolist() == p.vector.tolist()
+
+    @pytest.mark.parametrize("kind, hidden", [("linear", 0), ("mlp", 3)])
+    def test_the_parse_is_plain_floats_in_file_order(self, kind, hidden):
+        # `read_params` is `formats.parse_model`'s triple as a vector
+        p = init_params(kind, 7, hidden_dim=hidden or 8)
+        buf = io.StringIO()
+        write_params(p, buf)
+        buf.seek(0)
+        parsed = parse_model(buf)
+        assert parsed == (kind, hidden, p.vector.tolist())
+        assert all(type(value) is float for value in parsed[2])
 
     def test_header(self):
         buf = io.StringIO()
