@@ -3,15 +3,22 @@
 Subcommands: synth, segment, train, select, rerank, eval,
 eval-selection.  Exit codes: 0 success, 1 usage error, 2 data error.
 
-Each subcommand imports the layers that score (ranking, scorer, synth,
-training) itself, so `eval` and `eval-selection` never load numpy, and
-`select` and `rerank` with a linear model load it only to build the
-feature stores on a miss.  `train`, `select` and `rerank` resolve the
-paths of their output and of every input first (`--qrels` and, for
-`--mode gold`, `--gold`; `--model`), and read the queries, candidates
-and corpus (`_read_inputs`) before numpy can load, so a missing path,
-or a malformed corpus, query or candidate file, is reported before
-numpy loads, and a missing path before the corpus is read.  `synth`
+This module imports only `argparse` and `sys` at load time, and each
+subcommand imports the layers it runs itself, since each process
+compiles every module it loads.  Every command loads `formats` and
+`evaluation`; `eval-selection` loads nothing more.  `eval` adds
+`config` and `cache`; `select` and `rerank` add `corpus` and `ranking`
+(and, on a stores miss, `training`, `scorer` and numpy; an mlp model
+loads `scorer` and numpy too); `train` loads them all; `synth` and
+`segment` load `config`, `corpus` and, for `synth`, `synth`.  So `eval`
+and `eval-selection` never load numpy, nor `dataclasses`.
+
+`train`, `select` and `rerank` resolve the paths of their output and
+of every input first (`--qrels` and, for `--mode gold`, `--gold`;
+`--model`), and read the queries, candidates and corpus
+(`_read_inputs`) before numpy can load, so a missing path, or a
+malformed corpus, query or candidate file, is reported before numpy
+loads, and a missing path before the corpus is read.  `synth`
 holds the collection as vocabulary ids and writes nothing until the
 whole of it is generated; `synth.write_corpus` renders the corpus file.
 
@@ -27,7 +34,7 @@ parsing the corpus, segmenting or computing a feature (see
 stores with numpy (`training.load_stores`).  `train` takes its
 training set from the first store and its dev set from the second
 (`TrainingSet.subset`).  `select` and `rerank` take the two as
-`formats.Store` rows, the cached ones on a hit, and score them through
+`cache.Store` rows, the cached ones on a hit, and score them through
 the numpy-free inference layer (`ranking`) with the model as
 `formats.parse_model` reads it: `select` picks the best leading
 segment of each pair in the first, and `rerank` ranks the second by
@@ -56,22 +63,13 @@ only to read a corpus or queries.
 from __future__ import annotations
 
 import argparse
-import dataclasses
-import gc
 import sys
-from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import formats
-from .evaluation import (
-    Top,
-    holdout_split,
-    ideal_dcgs,
-    judged_metrics,
-    paired_t_test,
-    segment_p_at_1,
-    table_means,
-)
-from .formats import ParseError, PipelineConfig
+if TYPE_CHECKING:  # each command imports the layers it runs
+    from .cache import Store
+    from .config import PipelineConfig
+    from .evaluation import Top
 
 
 class _Parser(argparse.ArgumentParser):
@@ -83,6 +81,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _load_config(args: argparse.Namespace) -> PipelineConfig:
+    from . import formats
+    from .config import PipelineConfig
+
     if getattr(args, "config", None):
         config = _read(formats.parse_config, args.config)
     else:
@@ -97,6 +98,8 @@ def _load_config(args: argparse.Namespace) -> PipelineConfig:
 def _path(args: argparse.Namespace, config: PipelineConfig, name: str) -> str:
     value = getattr(args, name, None) or getattr(config, name, "")
     if not value:
+        from .formats import ParseError
+
         kind = "output path" if name == "out" else "input"
         raise ParseError(f"missing required {kind}: --{name}")
     return value
@@ -108,6 +111,8 @@ def _read(parser_fn, path: str):
     Parsed inputs hold no reference cycles and live until the command
     ends, so they are frozen out of every later collection too.
     """
+    import gc
+
     enabled = gc.isenabled()
     gc.disable()
     try:
@@ -124,6 +129,9 @@ def _read(parser_fn, path: str):
 # subcommands
 
 def _cmd_synth(args: argparse.Namespace) -> int:
+    from pathlib import Path
+
+    from . import formats
     from .synth import generate_corpus, write_corpus
 
     config = _load_config(args)
@@ -146,6 +154,10 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 
 def _cmd_segment(args: argparse.Namespace) -> int:
+    import dataclasses
+
+    from . import formats
+
     config = _load_config(args)
     documents, _ = _read(formats.parse_corpus, _path(args, config, "corpus"))
     policy = dataclasses.replace(config.policy(), mode=args.mode)
@@ -170,6 +182,8 @@ def _read_inputs(args: argparse.Namespace, config: PipelineConfig):
     `formats.read_corpus` read for them: the feature stores cached for
     the corpus or, on a miss, its parse.  Nothing here loads numpy, so a
     malformed input is reported before it loads."""
+    from . import formats
+
     queries = _read(formats.parse_queries, _path(args, config, "queries"))
     candidates = _read(formats.parse_candidates, _path(args, config, "candidates"))
     policy = config.policy()
@@ -179,7 +193,7 @@ def _read_inputs(args: argparse.Namespace, config: PipelineConfig):
 
 
 def _scored_stores(args: argparse.Namespace, config: PipelineConfig
-                   ) -> tuple[list[tuple[str, str]], list[formats.Store]]:
+                   ) -> tuple[list[tuple[str, str]], list[Store]]:
     """Every (query, candidate) pair of the listed queries, in store
     order, and the training-window and inference-window stores of their
     feature rows: the cached ones on a hit, and on a miss the ones
@@ -187,18 +201,22 @@ def _scored_stores(args: argparse.Namespace, config: PipelineConfig
     queries, candidates, policy, read = _read_inputs(args, config)
     stores = read.stores
     if stores is None:
+        from .cache import Store
         from .training import load_stores
 
-        stores = [formats.Store(s.row_counts(), memoryview(s.matrix))
+        stores = [Store(s.row_counts(), memoryview(s.matrix))
                   for s in load_stores(read, queries, candidates, policy)]
     return [(q.id, d) for q in queries for d in candidates.get(q.id, ())], stores
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
+    from . import formats
+    from .evaluation import holdout_split
+
     config = _load_config(args)
     out_path = config.out or config.model
     if not out_path:
-        raise ParseError("missing required output path: --out")
+        raise formats.ParseError("missing required output path: --out")
     qrels_path = _path(args, config, "qrels")
     gold_path = _path(args, config, "gold") if args.mode == "gold" else None
     queries, candidates, policy, read = _read_inputs(args, config)
@@ -230,7 +248,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
         gold = _read(formats.parse_gold, gold_path)
         params, dev_mrr = train_baseline(tset, dev, config, gold)
     else:  # pragma: no cover - argparse restricts choices
-        raise ParseError(f"unknown training mode {args.mode!r}")
+        raise formats.ParseError(f"unknown training mode {args.mode!r}")
     print(f"dev_mrr={dev_mrr:.6f}")
     with open(out_path, "w") as stream:
         write_params(params, stream)
@@ -239,6 +257,8 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 
 def _cmd_select(args: argparse.Namespace) -> int:
+    from . import formats
+
     config = _load_config(args)
     out_path = _path(args, config, "out")
     model_path = _path(args, config, "model")
@@ -255,6 +275,8 @@ def _cmd_select(args: argparse.Namespace) -> int:
 
 
 def _cmd_rerank(args: argparse.Namespace) -> int:
+    from . import formats
+
     config = _load_config(args)
     out_path = _path(args, config, "out")
     model_path = _path(args, config, "model")
@@ -274,6 +296,8 @@ def _cmd_rerank(args: argparse.Namespace) -> int:
 def _read_top(path: str, depth: int) -> Top:
     """The first `depth` entries of each ranking of the run at `path`, as
     document ids and ranks (`formats.read_run`)."""
+    from . import formats
+
     return _read(lambda stream: formats.read_run(stream, depth), path)
 
 
@@ -289,6 +313,9 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     and scored against the run's judgments and their ideal DCGs, once
     the run's means and its per-query table are out.
     """
+    from . import formats
+    from .evaluation import ideal_dcgs, judged_metrics, paired_t_test, table_means
+
     config = _load_config(args)
     depth = max(config.mrr_cutoff, config.ndcg_k)
     run = _read_top(_path(args, config, "run"), depth)
@@ -310,7 +337,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
                                       ideals, config.mrr_cutoff, config.ndcg_k)
         shared = sorted(set(per_query) & set(base_metrics))
         if len(shared) < 2:
-            raise ParseError("need at least 2 shared queries for the t-test")
+            raise formats.ParseError("need at least 2 shared queries for the t-test")
         p_mrr = paired_t_test([per_query[q][0] for q in shared],
                               [base_metrics[q][0] for q in shared])
         p_ndcg = paired_t_test([per_query[q][1] for q in shared],
@@ -321,6 +348,9 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_eval_selection(args: argparse.Namespace) -> int:
+    from . import formats
+    from .evaluation import segment_p_at_1
+
     selection, _ = _read(formats.parse_selection, args.selection)
     gold = _read(formats.parse_gold, args.gold)
     print(f"pairs={len(gold)}")
@@ -332,6 +362,8 @@ def _cmd_eval_selection(args: argparse.Namespace) -> int:
 
 def _seed(text: str) -> int:
     """A --seed value, range-checked as a configured seed is."""
+    from .config import PipelineConfig
+
     try:
         return PipelineConfig(seed=int(text)).seed
     except ValueError as exc:  # not an integer, or out of range
@@ -424,7 +456,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ParseError, ValueError, OSError, KeyError) as exc:
+    except (ValueError, OSError, KeyError) as exc:  # ParseError, ConfigError among them
         print(f"segtrain: error: {exc}", file=sys.stderr)
         return 2
 

@@ -30,7 +30,7 @@ import string
 from dataclasses import dataclass
 from typing import Iterable
 
-from .formats import (
+from .config import (
     DEFAULT_MAX_SEGMENTS,
     DEFAULT_MAX_TOKENS,
     DEFAULT_MIN_TOKENS,
@@ -172,7 +172,7 @@ class SegmentationPolicy:
     every model file.
 
     The values are range-checked where they are configured
-    (`formats.SynthConfig`), not here.
+    (`config.SynthConfig`), not here.
     """
 
     mode: str  # "training" or "inference"

@@ -13,24 +13,27 @@ judgments.  `mrr` reads the same reciprocal-rank function through a
 RankedList's columns.  The paired t-test is self-contained: the t
 distribution CDF goes through the regularized incomplete beta function
 evaluated by continued fraction.
+
+Every command loads this module, since `formats` builds its types.
+It imports only `math`, `random` and `typing` (`RankEntry` and
+`RankedList` are named tuples), so `eval-selection`, which loads it
+with `cli` and `formats` alone, loads neither `dataclasses` nor numpy.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(slots=True)
-class RankEntry:
+class RankEntry(NamedTuple):
     doc_id: str
     score: float
     rank: int
 
 
-@dataclass(slots=True)
-class RankedList:
+class RankedList(NamedTuple):
     query_id: str
     entries: list[RankEntry]
 

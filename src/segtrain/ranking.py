@@ -3,7 +3,7 @@ store's rows, each (query, document) pair's document score (FirstP or
 MaxP) and best segment, and ranked lists from document scores.
 
 `select` and `rerank` score the rows of the stores they load
-(`formats.Store`) with `row_scores`, from the model file as
+(`cache.Store`) with `row_scores`, from the model file as
 `formats.parse_model` reads it.  `training` scores its stores with
 numpy (`scorer.score_batch`) and reduces the scores here too, through
 `document_scores` and `best_segments`, so `rerank` ranks a pool as the

@@ -31,13 +31,11 @@ from typing import IO, Sequence
 import numpy as np
 
 from .corpus import CorpusStats, DocView, Query, Segment
+from .config import DEFAULT_MAX_SEGMENTS, DEFAULT_MAX_TOKENS, LossKind
 from .formats import (
-    DEFAULT_MAX_SEGMENTS,
-    DEFAULT_MAX_TOKENS,
     MODEL_FORMAT_NAME,
     MODEL_FORMAT_VERSION,
     NUM_FEATURES,
-    LossKind,
     _param_count,
     parse_model,
 )

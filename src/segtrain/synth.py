@@ -33,7 +33,8 @@ import numpy as np
 
 from .corpus import DocView, Query, SegmentationPolicy
 from .evaluation import GoldSegments, Qrels
-from .formats import SORTED_JSON, SynthConfig
+from .config import SynthConfig
+from .formats import SORTED_JSON
 
 
 @dataclass(eq=False)

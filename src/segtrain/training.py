@@ -60,7 +60,8 @@ from .corpus import (
     inference_windows,
 )
 from .evaluation import Qrels, Run, SegmentIndexMap, mrr
-from .formats import DEFAULT_MAX_SEGMENTS, CorpusRead, LossKind, TrainConfig, save_stores
+from .cache import CorpusRead, save_stores
+from .config import DEFAULT_MAX_SEGMENTS, LossKind, TrainConfig
 from .ranking import Aggregation, best_segments, document_scores, rank_pairs
 from .scorer import (
     NUM_FEATURES,

@@ -1,6 +1,7 @@
 """The command-line pipeline end to end on a tiny synthetic collection,
 and `eval` on a hand-written TREC set."""
 
+import ast
 import gc
 import hashlib
 import json
@@ -14,7 +15,7 @@ from unittest import mock
 import pytest
 
 import segtrain
-from segtrain import formats
+from segtrain import cache, formats
 from segtrain.cli import main
 from segtrain.evaluation import ideal_dcgs, judged_metrics, paired_t_test, table_means
 
@@ -199,9 +200,9 @@ def test_outputs_match_pinned_digests_with_cached_stores(tmp_path_factory, tmp_p
             built[name] = mock.Mock(wraps=getattr(module, name))
             monkeypatch.setattr(module, name, built[name])
 
-    load_stores.real = formats._load_stores
-    monkeypatch.setattr(formats, "MIN_CACHED_BYTES", 1)
-    monkeypatch.setattr(formats, "_load_stores", load_stores)
+    load_stores.real = cache._load_stores
+    monkeypatch.setattr(cache, "MIN_CACHED_BYTES", 1)
+    monkeypatch.setattr(cache, "_load_stores", load_stores)
     monkeypatch.setattr(formats, "parse_corpus", parsed)
     assert pinned_outputs(tmp_path_factory, tmp_path, watch_builders) == PINNED_DIGESTS
     assert len(loaded) == 13 and loaded[0] is None and None not in loaded[1:]
@@ -221,7 +222,7 @@ def test_outputs_ignore_a_leftover_views_file(tmp_path_factory, tmp_path, monkey
         views.write_bytes(garbage)
         planted.append((views, views.stat()))
 
-    monkeypatch.setattr(formats, "MIN_CACHED_BYTES", 1)
+    monkeypatch.setattr(cache, "MIN_CACHED_BYTES", 1)
     assert pinned_outputs(tmp_path_factory, tmp_path, plant) == PINNED_DIGESTS
     [(views, before)] = planted
     data = views.parent
@@ -249,7 +250,7 @@ def test_a_changed_input_or_a_bad_stores_cache_is_a_miss(data, model, tmp_path,
     for name in ("config.txt", "corpus.jsonl", "queries.tsv", "candidates.tsv"):
         (tmp_path / name).write_bytes((data / name).read_bytes())
     hits, seed = [], []
-    keys = mock.Mock(wraps=formats._corpus_key)
+    keys = mock.Mock(wraps=cache._corpus_key)
 
     def load_stores(*args):
         stores = load_stores.real(*args)
@@ -258,15 +259,15 @@ def test_a_changed_input_or_a_bad_stores_cache_is_a_miss(data, model, tmp_path,
 
     def select_bytes(min_cached_bytes: int = 1) -> bytes:
         out, calls = tmp_path / "selection.jsonl", keys.call_count
-        with mock.patch.object(formats, "MIN_CACHED_BYTES", min_cached_bytes):
+        with mock.patch.object(cache, "MIN_CACHED_BYTES", min_cached_bytes):
             assert main(["select", *inputs(tmp_path), *seed, "--model", str(model),
                          "--out", str(out)]) == 0
         assert keys.call_count == calls + 1  # one key per command, hit or miss
         return out.read_bytes()
 
-    load_stores.real = formats._load_stores
-    monkeypatch.setattr(formats, "_load_stores", load_stores)
-    monkeypatch.setattr(formats, "_corpus_key", keys)
+    load_stores.real = cache._load_stores
+    monkeypatch.setattr(cache, "_load_stores", load_stores)
+    monkeypatch.setattr(cache, "_corpus_key", keys)
     before = select_bytes()
     assert select_bytes() == before and hits == [False, True]
     stores = tmp_path / "corpus.jsonl.stores"
@@ -288,10 +289,10 @@ def test_a_changed_input_or_a_bad_stores_cache_is_a_miss(data, model, tmp_path,
                          + "\n")
         path.write_text("".join(lines))
     elif change == "format version":
-        monkeypatch.setattr(formats, "STORES_FORMAT", formats.STORES_FORMAT + 1)
+        monkeypatch.setattr(cache, "STORES_FORMAT", cache.STORES_FORMAT + 1)
     elif change == "stores source":
-        monkeypatch.setattr(formats, "_sources_crc",
-                            lambda sources, real=formats._sources_crc:
+        monkeypatch.setattr(cache, "_sources_crc",
+                            lambda sources, real=cache._sources_crc:
                             real(sources) ^ 1)
     elif change == "damaged":
         damaged = bytearray(stores.read_bytes())
@@ -517,7 +518,7 @@ def test_malformed_corpus_exits_before_numpy_is_imported(data, model, tmp_path):
 
 def test_malformed_corpus_exits_2_with_line_despite_its_cache(data, model, tmp_path,
                                                               capsys, monkeypatch):
-    monkeypatch.setattr(formats, "MIN_CACHED_BYTES", 1)
+    monkeypatch.setattr(cache, "MIN_CACHED_BYTES", 1)
     corpus = tmp_path / "corpus.jsonl"
     corpus.write_bytes((data / "corpus.jsonl").read_bytes())
     qrels = ["--qrels", str(data / "qrels.txt")]
@@ -547,7 +548,7 @@ def test_candidate_missing_from_corpus_names_query_and_doc(data, model, tmp_path
                                                            command, cacheable):
     # no stores are cached for a corpus that lacks a candidate
     if cacheable:
-        monkeypatch.setattr(formats, "MIN_CACHED_BYTES", 1)
+        monkeypatch.setattr(cache, "MIN_CACHED_BYTES", 1)
     corpus = tmp_path / "corpus.jsonl"
     corpus.write_bytes((data / "corpus.jsonl").read_bytes())
     candidates = tmp_path / "candidates.tsv"
@@ -593,9 +594,9 @@ def test_a_missing_input_path_exits_2_before_any_work(data, tmp_path):
             (["train", "--mode", "gold", *qrels], "--gold"),
             (["select"], "--model"), (["rerank"], "--model")]
     script = ("import sys\n"
-              "from segtrain import formats\n"
+              "from segtrain import cache, formats\n"
               "from segtrain.cli import main\n"
-              "formats.MIN_CACHED_BYTES = 1\n"
+              "cache.MIN_CACHED_BYTES = 1\n"
               "parsed, parse = [], formats.parse_corpus\n"
               "formats.parse_corpus = lambda *args: parsed.append(args) or parse(*args)\n"
               f"for args, _ in {runs!r}:\n"
@@ -620,7 +621,7 @@ def test_a_cold_train_cuts_each_documents_inference_windows_once(data, tmp_path,
 
     spans = mock.Mock(wraps=corpus_module._inference_spans)
     monkeypatch.setattr(corpus_module, "_inference_spans", spans)
-    monkeypatch.setattr(formats, "MIN_CACHED_BYTES", 1)
+    monkeypatch.setattr(cache, "MIN_CACHED_BYTES", 1)
     corpus = tmp_path / "corpus.jsonl"
     corpus.write_bytes((data / "corpus.jsonl").read_bytes())
     assert main(["train", "--mode", "best", *inputs(data, corpus=corpus),
@@ -636,7 +637,7 @@ def test_queries_without_candidates_give_empty_outputs(data, model, tmp_path,
                                                        monkeypatch, cacheable):
     # stores of no pairs are cached, and loaded, like any others
     if cacheable:
-        monkeypatch.setattr(formats, "MIN_CACHED_BYTES", 1)
+        monkeypatch.setattr(cache, "MIN_CACHED_BYTES", 1)
     corpus = tmp_path / "corpus.jsonl"
     corpus.write_bytes((data / "corpus.jsonl").read_bytes())
     candidates = tmp_path / "candidates.tsv"
@@ -1001,9 +1002,9 @@ def eval_cached(trec: Path, *extra: str, prelude: str = "") -> tuple:
     args = ["eval", "--run", str(trec / "run.txt"), "--qrels", str(trec / "qrels.txt"),
             "--per-query", str(table), *extra]
     result = python("import sys\n"
-                    "from segtrain import formats\n"
+                    "from segtrain import cache, formats\n"
                     "from segtrain.cli import main\n"
-                    "formats.MIN_CACHED_RUN_BYTES = 1\n"
+                    "cache.MIN_CACHED_RUN_BYTES = 1\n"
                     f"{prelude}"
                     f"sys.exit(main({args!r}))\n")
     return (result.returncode, result.stdout, result.stderr,
@@ -1055,10 +1056,10 @@ def test_eval_outputs_equal_on_a_miss_a_hit_and_a_full_parse(trec, baseline):
 
 def test_eval_writes_every_cache_in_its_own_process(trec):
     log = ("import os\n"
-           "def _write_cache(cache, suffix, body, write=formats._write_cache):\n"
-           "    os.write(2, f'{os.getpid()} {cache.path}{suffix}\\n'.encode())\n"
-           "    write(cache, suffix, body)\n"
-           "formats._write_cache = _write_cache\n"
+           "def _write_cache(key, suffix, body, write=cache._write_cache):\n"
+           "    os.write(2, f'{os.getpid()} {key.path}{suffix}\\n'.encode())\n"
+           "    write(key, suffix, body)\n"
+           "cache._write_cache = _write_cache\n"
            "os.write(2, f'{os.getpid()} eval\\n'.encode())\n")
     for _ in range(2):  # the keys, then the bodies
         code, _, err, _ = eval_cached(trec, "--baseline-run", str(trec / "baseline.txt"),
@@ -1151,9 +1152,9 @@ def test_a_linear_select_and_rerank_on_a_stores_hit_do_not_import_numpy(tmp_path
     (tmp_path / "mlp.txt").write_text((data / "config.txt").read_text()
                                       + "scorer_kind=mlp\n")
     lowered = ("import sys\n"
-               "from segtrain import formats\n"
+               "from segtrain import cache\n"
                "from segtrain.cli import main\n"
-               "formats.MIN_CACHED_BYTES = 1\n")
+               "cache.MIN_CACHED_BYTES = 1\n")
     train = ["train", "--mode", "theta0", *inputs(data), "--qrels", str(data / "qrels.txt")]
     result = python(lowered + f"assert main({[*train, '--out', str(tmp_path / 'linear')]!r})"
                     " == 0\n")
@@ -1188,6 +1189,55 @@ def test_a_linear_select_and_rerank_on_a_stores_hit_do_not_import_numpy(tmp_path
         assert len(outputs[kind, "hit"]) == 3
         assert outputs[kind, "hit"] == outputs[kind, "miss"], kind
     assert outputs["linear", "hit"] != outputs["mlp", "hit"]
+
+
+# The submodules each command loads; every command loads `READS`.
+# `select` and `rerank` score a linear model on a stores hit.
+READS = {"cli", "formats", "evaluation"}
+COMMAND_MODULES = {
+    "train": READS | {"config", "cache", "corpus", "ranking", "scorer", "training"},
+    "select": READS | {"config", "cache", "corpus", "ranking"},
+    "rerank": READS | {"config", "cache", "corpus", "ranking"},
+    "eval": READS | {"config", "cache"},
+    "eval-selection": READS,
+}
+
+
+def test_each_command_loads_only_the_modules_it_runs(tmp_path):
+    # each command runs in a new interpreter; one that reads a corpus
+    # imports `cache` first to lower its floor, as it would load it anyway
+    data = tmp_path / "data"
+    assert synth(TINY_CONFIG, data) == 0
+    model, out = tmp_path / "model.txt", tmp_path / "out"
+    commands = {
+        "train": ["train", "--mode", "theta0", *inputs(data),
+                  "--qrels", str(data / "qrels.txt"), "--out", str(model)],
+        "select": ["select", *inputs(data), "--model", str(model),
+                   "--out", str(out / "selection.jsonl")],
+        "rerank": ["rerank", *inputs(data), "--model", str(model),
+                   "--out", str(out / "run.txt")],
+        "eval": ["eval", "--config", str(data / "config.txt"), "--run", str(out / "run.txt"),
+                 "--qrels", str(data / "qrels.txt")],
+        "eval-selection": ["eval-selection", "--selection", str(out / "selection.jsonl"),
+                           "--gold", str(data / "gold.jsonl")],
+    }
+    out.mkdir()
+    for command, args in commands.items():
+        lowered = ("from segtrain import cache\ncache.MIN_CACHED_BYTES = 1\n"
+                   if "--corpus" in args else "")
+        result = python("import sys\n" + lowered
+                        + "from segtrain.cli import main\n"
+                        f"assert main({args!r}) == 0\n"
+                        "print(sorted(name for name in sys.modules\n"
+                        "             if name.startswith('segtrain.')))\n"
+                        "print(sorted({'numpy', 'dataclasses'} & set(sys.modules)))\n")
+        assert result.returncode == 0, result.stderr
+        modules, loaded = map(ast.literal_eval, result.stdout.splitlines()[-2:])
+        assert modules == sorted(f"segtrain.{name}" for name in COMMAND_MODULES[command]), \
+            command
+        assert loaded == {"train": ["dataclasses", "numpy"], "select": ["dataclasses"],
+                          "rerank": ["dataclasses"]}.get(command, []), command
+    assert (data / "corpus.jsonl.stores").exists()
 
 
 @pytest.mark.parametrize("command, flag", [

@@ -31,16 +31,18 @@ from document_oracle import (
 )
 from e2e_utils import scored_terms
 from segtrain.corpus import CorpusStats, Query, SegmentationPolicy, inference_windows
-from segtrain import formats, scorer, synth, training
+from segtrain import cache, formats, scorer, synth, training
 from segtrain.evaluation import group_qrels
-from segtrain.formats import (
+from segtrain.config import (
     SCORER_KINDS,
     ConfigError,
     LossKind,
-    ParseError,
     PipelineConfig,
     SynthConfig,
     TrainConfig,
+)
+from segtrain.formats import (
+    ParseError,
     _lines,
     parse_candidates,
     parse_config,
@@ -293,6 +295,12 @@ STORES_CORRUPTIONS = {
 }
 
 
+def owner(name: str):
+    """The module that defines `name`: `formats` for a parser, `cache`
+    for a rule of the caches."""
+    return formats if hasattr(formats, name) else cache
+
+
 class TestStoresCache:
     """A corpus file of at least `MIN_CACHED_BYTES` keeps the feature
     stores built from it in `<file>.stores`.  A hit gives what a fresh
@@ -308,7 +316,7 @@ class TestStoresCache:
         row bytes), and whether they were a hit."""
         with contextlib.ExitStack() as stack:
             for name, value in {"MIN_CACHED_BYTES": 1, **patches}.items():
-                stack.enter_context(mock.patch.object(formats, name, value))
+                stack.enter_context(mock.patch.object(owner(name), name, value))
             with open(path, encoding=encoding, errors=errors) as stream:
                 read = formats.read_corpus(stream, queries, candidates, policy)
             stores = training.load_stores(read, queries, candidates, policy)
@@ -340,7 +348,7 @@ class TestStoresCache:
             if not isinstance(fresh, str):
                 fresh = missing_candidate(queries, candidates,
                                           [doc_id for doc_id, _ in fresh[0]]) or fresh
-            with mock.patch.object(formats, "MIN_CACHED_BYTES", 1), open(path) as stream:
+            with mock.patch.object(cache, "MIN_CACHED_BYTES", 1), open(path) as stream:
                 try:
                     read = formats.read_corpus(stream, queries, candidates, CACHED_POLICY)
                 except ParseError as exc:
@@ -409,10 +417,10 @@ class TestStoresCache:
         elif change == "policy":
             inputs = {"policy": dataclasses.replace(CACHED_POLICY, seed=2)}
         elif change == "format version":
-            patches = {"STORES_FORMAT": formats.STORES_FORMAT + 1}
+            patches = {"STORES_FORMAT": cache.STORES_FORMAT + 1}
         elif change == "source":
             patches = {"_sources_crc":
-                       lambda sources, real=formats._sources_crc: real(sources) ^ 1}
+                       lambda sources, real=cache._sources_crc: real(sources) ^ 1}
         elif change == "python version":
             system["version"] += "+"
         elif change == "byte order":  # the key's only: the rows are native
@@ -489,7 +497,7 @@ class TestStoresCache:
     def test_a_stream_whose_name_names_another_file_gets_no_cache(self, tmp_path):
         path = self.corpus(tmp_path)
         fresh = parse_file(path, CACHED_QUERIES, CACHED_CANDIDATES)
-        with mock.patch.object(formats, "MIN_CACHED_BYTES", 1), open(path) as stream:
+        with mock.patch.object(cache, "MIN_CACHED_BYTES", 1), open(path) as stream:
             path.rename(tmp_path / "moved.jsonl")
             path.write_text(CACHED_CORPUS)
             read = formats.read_corpus(stream, CACHED_QUERIES, CACHED_CANDIDATES,
@@ -508,7 +516,7 @@ class TestStoresCache:
             with open(write_end, "w") as pipe:
                 pipe.write(CACHED_CORPUS)
             stream = open(read_end, encoding="utf-8")
-        with mock.patch.object(formats, "MIN_CACHED_BYTES", 1), stream:
+        with mock.patch.object(cache, "MIN_CACHED_BYTES", 1), stream:
             read = formats.read_corpus(stream, CACHED_QUERIES, CACHED_CANDIDATES,
                                        CACHED_POLICY)
         assert read.cache is None and (read.views, read.df) == fresh
@@ -525,7 +533,7 @@ class TestStoresCache:
     def test_a_stream_already_read_gets_no_cache(self, tmp_path):
         # the key covers the whole file, but the parse reads only the rest
         path = self.corpus(tmp_path)
-        with mock.patch.object(formats, "MIN_CACHED_BYTES", 1), open(path) as stream:
+        with mock.patch.object(cache, "MIN_CACHED_BYTES", 1), open(path) as stream:
             stream.readline()
             read = formats.read_corpus(stream, [], {}, CACHED_POLICY)
         assert read.cache is None and list(read.views) == ["d1", "d2"]
@@ -566,7 +574,7 @@ class TestStoresCache:
         # also refuse its rename
         path = self.corpus(tmp_path)
         fresh = self.uncached(path)
-        with mock.patch.object(formats.os, call, side_effect=PermissionError(13, call)):
+        with mock.patch.object(cache.os, call, side_effect=PermissionError(13, call)):
             assert self.read(path) == (fresh, False)
         assert [p.name for p in tmp_path.iterdir()] == ["corpus.jsonl"]
 
@@ -577,7 +585,7 @@ def test_corpus_lines_split_on_universal_newlines(tmp_path, how):
     # with, also once `read_corpus` has taken the key of the file
     path = tmp_path / "corpus.jsonl"
     path.write_bytes(f"{doc_line('a')}\r{doc_line('c')}\n".encode())
-    with mock.patch.object(formats, "MIN_CACHED_BYTES", 1), \
+    with mock.patch.object(cache, "MIN_CACHED_BYTES", 1), \
             open(path, newline="\n") as stream:
         if how == "cached":
             read = formats.read_corpus(stream, [], {}, CACHED_POLICY)
@@ -634,7 +642,7 @@ def test_undecodable_corpus_byte_names_its_line(tmp_path, how, lines):
     data, line_no = undecodable_corpus(lines)
     path = tmp_path / "corpus.jsonl"
     path.write_bytes(data)
-    with mock.patch.object(formats, "MIN_CACHED_BYTES", 1):
+    with mock.patch.object(cache, "MIN_CACHED_BYTES", 1):
         if how == "cached":  # the key is taken first
             parsers = [lambda stream: formats.read_corpus(stream, [], {}, CACHED_POLICY)]
         else:
@@ -1024,7 +1032,7 @@ class TestRunCache:
         with contextlib.ExitStack() as stack:
             for name, value in {"MIN_CACHED_RUN_BYTES": 1, "parse_run": spy,
                                 **patches}.items():
-                stack.enter_context(mock.patch.object(formats, name, value))
+                stack.enter_context(mock.patch.object(owner(name), name, value))
             with open(path, encoding=encoding, errors=errors) as stream:
                 top = formats.read_run(stream, depth)
         return top_items(top), not any(files)
@@ -1071,7 +1079,7 @@ class TestRunCache:
         # nothing of the run is written out before its key is read again
         path = self.run(tmp_path)
         fresh = top_of_file(path, 2)
-        writes = mock.Mock(wraps=formats._write_cache)
+        writes = mock.Mock(wraps=cache._write_cache)
         assert self.read(path, _write_cache=writes) == (fresh, False)
         assert writes.call_count == 1 and writes.call_args.args[2] is None
         assert self.key_alone(path)
@@ -1101,14 +1109,14 @@ class TestRunCache:
         else:
             stream = codecs.open(self.run(tmp_path), encoding="utf-8")
         writes = mock.Mock()
-        with mock.patch.object(formats, "MIN_CACHED_RUN_BYTES", 1), \
-                mock.patch.object(formats, "_write_cache", writes), stream:
+        with mock.patch.object(cache, "MIN_CACHED_RUN_BYTES", 1), \
+                mock.patch.object(cache, "_write_cache", writes), stream:
             assert top_items(formats.read_run(stream, 2)) == fresh
         assert not writes.called
 
     def test_a_stream_already_read_gets_no_cache(self, tmp_path):
         path = self.run(tmp_path)
-        with mock.patch.object(formats, "MIN_CACHED_RUN_BYTES", 1), open(path) as stream:
+        with mock.patch.object(cache, "MIN_CACHED_RUN_BYTES", 1), open(path) as stream:
             stream.readline()
             assert list(formats.read_run(stream, 2)) == ["q1", "q2"]
         assert [p.name for p in tmp_path.iterdir()] == ["run.txt"]
@@ -1119,8 +1127,8 @@ class TestRunCache:
         with open(path) as stream:
             path.rename(tmp_path / "moved.txt")
             path.write_text(CACHED_RUN)
-            assert formats._cache_key(stream, 1, formats._RUN_SOURCES) is None
-            with mock.patch.object(formats, "MIN_CACHED_RUN_BYTES", 1):
+            assert cache._cache_key(stream, 1, cache._RUN_SOURCES) is None
+            with mock.patch.object(cache, "MIN_CACHED_RUN_BYTES", 1):
                 assert top_items(formats.read_run(stream, 2)) == fresh
         assert sorted(p.name for p in tmp_path.iterdir()) == ["moved.txt", "run.txt"]
 
@@ -1179,9 +1187,9 @@ class TestRunCache:
             inputs = {"errors": "replace"}
         elif change == "source":
             inputs = {"_sources_crc":
-                      lambda sources, real=formats._sources_crc: real(sources) ^ 1}
+                      lambda sources, real=cache._sources_crc: real(sources) ^ 1}
         else:
-            inputs = {"TOP_FORMAT": formats.TOP_FORMAT + 1}
+            inputs = {"TOP_FORMAT": cache.TOP_FORMAT + 1}
         fresh, hit = self.read(path, **inputs)
         assert not hit and self.key_alone(path)  # the new key replaces the body
         assert self.reads(path, 2, **inputs) == [(fresh, False), (fresh, True)]
@@ -1265,6 +1273,42 @@ def test_an_interrupted_cache_write_leaves_no_file(tmp_path, make, read):
     assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
 
+def package_files_run(call) -> set[str]:
+    """The package's source files whose Python code runs during `call()`."""
+    package = os.path.dirname(os.path.realpath(formats.__file__))
+    files = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            files.add(frame.f_code.co_filename)
+
+    sys.setprofile(profile)
+    try:
+        call()
+    finally:
+        sys.setprofile(None)
+    return {path for path in map(os.path.realpath, files)
+            if os.path.dirname(path) == package}
+
+
+@pytest.mark.parametrize("make, read, reads, suffix", [
+    (TestStoresCache.corpus, TestStoresCache.read, 1, ".stores"),
+    (TestRunCache.run, TestRunCache.read, 2, ".top"),
+], ids=[".stores", ".top"])
+def test_each_cache_key_covers_every_file_that_builds_the_cache(tmp_path, make, read,
+                                                                reads, suffix):
+    # a stores miss, or a run's key then its body: every package file whose
+    # code runs on the way is in the key's `code`, so an edit to any of
+    # them is a miss, and no cache built by the old code is served
+    path = make(tmp_path)
+    ran = package_files_run(lambda: [read(path) for _ in range(reads)])
+    sources = cache._SOURCES if suffix == ".stores" else cache._RUN_SOURCES
+    assert os.path.realpath(cache.__file__) in ran
+    assert ran <= set(map(os.path.realpath, sources))
+    data = Path(f"{path}{suffix}").read_bytes()
+    assert data.index(b"\n") + 1 < len(data)  # a body was written
+
+
 # ---------------------------------------------------------------------------
 # queries, candidates, selection, gold and config
 
@@ -1320,6 +1364,27 @@ def test_selection_round_trip(rows, with_scores):
     assert rewrite(write_selection, parsed, parsed_scores) == text
 
 
+# Ids JSON must escape: quotes, backslashes, control and non-ASCII
+# characters, a lone surrogate among them.
+json_ids = st.text(st.sampled_from('"\\/\0\b\t\n\x1f\x7f\x80é€ \ud800\U0001f600a')
+                   | st.characters(), max_size=4)
+json_scores = st.floats() | st.sampled_from([-0.0, 5e-324, -2.2250738585072014e-308,
+                                             1e308, -1e308, math.inf, -math.inf, math.nan])
+
+
+@settings(max_examples=300)
+@given(st.dictionaries(st.tuples(json_ids, json_ids),
+                       st.tuples(st.integers(), json_scores, st.booleans()), max_size=6))
+def test_selection_lines_are_the_sorted_json_of_each_record(rows):
+    selection = {key: index for key, (index, _, _) in rows.items()}
+    scores = {key: score for key, (_, score, scored) in rows.items() if scored}
+    records = ({"qid": qid, "doc_id": doc_id, "segment_index": index,
+                "score": scores.get((qid, doc_id), 0.0)}
+               for (qid, doc_id), index in sorted(selection.items()))
+    assert rewrite(write_selection, selection, scores) == "".join(
+        formats.SORTED_JSON.encode(record) + "\n" for record in records)
+
+
 @settings(max_examples=150)
 @given(st.dictionaries(pair_keys, st.integers(-3, 10**30), max_size=5))
 def test_gold_round_trip(gold):
@@ -1356,7 +1421,7 @@ def configs(draw, valid=True):
     """The value of each configuration field, in field order; with
     `valid`, only values `parse_config` accepts."""
     values = {}
-    for f in dataclasses.fields(PipelineConfig):
+    for f in PipelineConfig.FIELDS.values():
         if valid and f.name in VALID_VALUES:
             values[f.name] = draw(VALID_VALUES[f.name])
         elif isinstance(f.default, int):
@@ -1528,10 +1593,10 @@ DEFAULT_CONFIG_LINES = {
 
 def test_each_config_key_is_declared_once():
     assert set(rewrite(write_config, PipelineConfig()).splitlines()) == DEFAULT_CONFIG_LINES
-    library = {f.name for cls in (TrainConfig, SynthConfig) for f in dataclasses.fields(cls)}
+    library = {name for cls in (TrainConfig, SynthConfig) for name in cls.FIELDS}
     own = set(PipelineConfig.__annotations__)
     assert len(own) == 10 and own.isdisjoint(library)
-    assert {f.name for f in dataclasses.fields(PipelineConfig)} == library | own
+    assert set(PipelineConfig.FIELDS) == library | own
     assert scorer.LossKind is LossKind and training.TrainConfig is TrainConfig
     assert synth.SynthConfig is SynthConfig
 
@@ -1596,8 +1661,7 @@ LONG_NUMBER = '{"qid": "q", "doc_id": "d", "segment_index": 1, ' \
 text_lines = st.one_of(
     (json_values | json_records).map(json.dumps),  # NaN and Infinity included
     st.sampled_from([DEEP[:3000] + DEEP[-3000:], "1" * 5000, "1e400", "-Infinity"]),
-    st.builds("{}={}".format, st.sampled_from([f.name for f in
-                                               dataclasses.fields(PipelineConfig)]),
+    st.builds("{}={}".format, st.sampled_from(list(PipelineConfig.FIELDS)),
               st.text(max_size=8)),
     st.builds("{}\t{}".format, st.text(max_size=4), st.text(max_size=8)),
     st.text(max_size=30),

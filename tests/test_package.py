@@ -12,15 +12,16 @@ import segtrain
 
 # Every name the package exports, by the submodule it comes from.
 EXPORTED = {
+    "config": ["LossKind", "SynthConfig", "TrainConfig"],
     "corpus": ["CorpusStats", "Query", "Segment", "SegmentationPolicy",
                "segment_for_inference", "segment_for_training", "split_sentences",
                "tokenize"],
     "evaluation": ["kfold_split", "mrr", "paired_t_test", "segment_p_at_1"],
     "ranking": ["Aggregation", "RankedList"],
-    "scorer": ["LossKind", "ScorerParams", "batch_loss_and_gradient", "init_params",
+    "scorer": ["ScorerParams", "batch_loss_and_gradient", "init_params",
                "read_params", "segment_features", "sgd_step", "write_params"],
-    "synth": ["SynthConfig", "SynthCorpus", "generate_corpus"],
-    "training": ["BestTrainResult", "TrainConfig", "TrainingSet", "TrainingTopic",
+    "synth": ["SynthCorpus", "generate_corpus"],
+    "training": ["BestTrainResult", "TrainingSet", "TrainingTopic",
                  "best_train", "build_stores", "build_training_set", "evaluate_bundle",
                  "rank_store", "select_segments", "train_baseline", "train_single"],
 }
@@ -168,9 +169,9 @@ def test_every_private_name_is_read():
 
 
 def cache_suffixes() -> set[str]:
-    """The suffixes `formats` writes caches under: the constant second
+    """The suffixes `cache` writes caches under: the constant second
     argument of each `_write_cache` call."""
-    tree = ast.parse((Path(segtrain.__file__).parent / "formats.py").read_text())
+    tree = ast.parse((Path(segtrain.__file__).parent / "cache.py").read_text())
     return {node.args[1].value for node in ast.walk(tree)
             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
             and node.func.id == "_write_cache"}

@@ -295,7 +295,7 @@ feature_rows = st.lists(st.lists(finite, min_size=NUM_FEATURES, max_size=NUM_FEA
 
 
 def row_buffers(rows: list[list[float]]) -> list:
-    """The rows as a `formats.Store` holds them on a stores hit (bytes
+    """The rows as a `cache.Store` holds them on a stores hit (bytes
     under a memoryview) and on a miss (a float64 matrix's memoryview)."""
     matrix = np.array(rows, dtype=np.float64).reshape(-1, NUM_FEATURES)
     return [memoryview(array.array("d", matrix.ravel().tolist()).tobytes()),

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from document_oracle import synth_documents, write_corpus
 from segtrain import synth
 from segtrain.corpus import document_stream, segment_for_training
-from segtrain.formats import ConfigError
+from segtrain.config import ConfigError
 from segtrain.synth import InverseCdf, SynthConfig, SynthCorpus, generate_corpus
 
 SMALL = SynthConfig(num_queries=6, docs_per_query=3, sentences_per_doc=8,
@@ -26,7 +26,7 @@ SMALL = SynthConfig(num_queries=6, docs_per_query=3, sentences_per_doc=8,
 
 
 def small(**changes) -> SynthConfig:
-    return dataclasses.replace(SMALL, **changes)
+    return SynthConfig(**{**vars(SMALL), **changes})
 
 
 def query_term_positions(doc, terms):

@@ -11,7 +11,7 @@ import pytest
 from document_oracle import Document, compute_corpus_stats, document_view, synth_documents
 from e2e_utils import assemble, pair_rows, read_views, scored_terms
 from segtrain import corpus as corpus_module
-from segtrain import formats
+from segtrain import cache, formats
 from segtrain.corpus import (
     CorpusStats,
     Query,
@@ -645,18 +645,18 @@ class TestStores:
                     corpus_module.SegmentationPolicy.segments,
                     corpus_module.segment_for_training, corpus_module.segment_for_inference,
                     segment_features, build_training_set, build_stores]
-        sources = {os.path.realpath(path) for path in formats._SOURCES}
+        sources = {os.path.realpath(path) for path in cache._SOURCES}
         assert {os.path.realpath(inspect.getsourcefile(f)) for f in builders} <= sources
         copies = []
-        for path in formats._SOURCES:
+        for path in cache._SOURCES:
             copies.append(tmp_path / Path(path).name)
             copies[-1].write_bytes(Path(path).read_bytes())
-        crc = formats._sources_crc(formats._SOURCES)
-        monkeypatch.setattr(formats, "_SOURCES", copies)
-        assert formats._sources_crc(formats._SOURCES) == crc
+        crc = cache._sources_crc(cache._SOURCES)
+        monkeypatch.setattr(cache, "_SOURCES", copies)
+        assert cache._sources_crc(cache._SOURCES) == crc
         for copy in copies:  # one byte more in any source changes the key
             copy.write_bytes(copy.read_bytes() + b"#")
-            assert formats._sources_crc(formats._SOURCES) != crc
+            assert cache._sources_crc(cache._SOURCES) != crc
             copy.write_bytes(copy.read_bytes()[:-1])
 
     def test_cached_stores_equal_the_built_ones(self, tmp_path, monkeypatch):
@@ -668,7 +668,7 @@ class TestStores:
         path = tmp_path / "corpus.jsonl"
         with open(path, "w") as stream:
             write_corpus(corpus, stream)
-        monkeypatch.setattr(formats, "MIN_CACHED_BYTES", 1)
+        monkeypatch.setattr(cache, "MIN_CACHED_BYTES", 1)
         inputs = corpus.queries, corpus.candidates, cfg.policy()
         with open(path) as stream:
             read = formats.read_corpus(stream, *inputs)
