@@ -2,13 +2,15 @@
 
 A corpus file of 8 MiB or more keeps `<corpus file>.stores` beside it:
 the feature rows of every (query, candidate) pair under training
-windows and under inference windows, as raw float64 rows
-(`cached_stores`, which `formats.read_corpus` reads, and `save_stores`,
-which `training.load_stores` writes on a miss).  A run file of 1 MiB
-or more keeps the top of each of its rankings in `<run file>.top`
-(`read_top`, which `formats.read_run` reads through).  `formats`
-parses the files; this module decides when a cache is taken and
-written.
+windows and under inference windows, as raw float64 rows.  `read_stores`,
+which `formats.read_stores` reads through, is the one place that
+decides between those stores and a fresh build: it loads them on a
+hit, and on a miss calls back to parse the corpus and build them, and
+saves what it built.  A run file of `formats.MIN_CACHED_RUN_BYTES`
+(1 MiB) or more keeps the top of each of its rankings in `<run
+file>.top` (`read_top`, which `formats.read_run` reads through).
+`formats` parses the files; this module decides when a cache is taken
+and written.
 
 The two caches share one set of rules (`_cache_key`, `_read_cache` and
 `_write_cache`).  A cache sits beside a regular file, read through a
@@ -23,9 +25,9 @@ that passed every check is cached, so no cache matches a malformed
 input; any other key or a damaged cache is a miss that parses the text
 again, and deleting a cache is always safe.
 
-`train`, `select`, `rerank` and `eval` load this module; `eval` loads
-it to read a run, even one too small to keep a cache.  `segment`,
-`synth` and `eval-selection` do not load it.
+`train`, `select` and `rerank` load this module, and `eval` loads it
+for a run of 1 MiB or more, or one whose size it cannot take.
+`segment`, `synth` and `eval-selection` do not load it.
 """
 
 from __future__ import annotations
@@ -39,15 +41,11 @@ import sys
 import zlib
 from typing import IO, TYPE_CHECKING, Any, Callable, Iterable, NamedTuple
 
-from .formats import NUM_FEATURES, SORTED_JSON
+from . import formats
 
 if TYPE_CHECKING:
-    from .corpus import DocView, SegmentationPolicy
+    from .corpus import SegmentationPolicy
     from .evaluation import Top
-
-# A run file of at least this many bytes keeps the top of each of its
-# rankings in a cache beside it; a smaller one parses in milliseconds.
-MIN_CACHED_RUN_BYTES = 1 << 20
 
 # The version of the top-of-run cache layout; a cache of any other is a miss.
 TOP_FORMAT = 3
@@ -92,23 +90,12 @@ class FileCache(NamedTuple):
 
 
 class Store(NamedTuple):
-    """One cached feature store: each pair's row count, in pair order,
-    and the rows, `NUM_FEATURES` native float64 values each, pair after
-    pair."""
+    """One feature store: each pair's row count, in pair order, and the
+    rows, `formats.NUM_FEATURES` native float64 values each, pair after
+    pair; loaded from a cache or built (`training.build_training_set`)."""
 
     counts: list[int]
     rows: memoryview
-
-
-class CorpusRead(NamedTuple):
-    """What `formats.read_corpus` found: the cached feature stores, or
-    else the corpus's views and document frequency; and the cache the
-    stores built from those may be written to, if any."""
-
-    stores: list[Store] | None
-    views: dict[str, DocView] | None
-    df: dict[str, int] | None
-    cache: FileCache | None
 
 
 # ---------------------------------------------------------------------------
@@ -120,7 +107,7 @@ def read_top(stream: IO[str], depth: int, parse: Callable[[], Top]) -> Top:
     on a malformed run before anything is written.  The key, the body
     and the rule that only a key read before is worth a body are those
     `formats.read_run` documents."""
-    cache = _cache_key(stream, MIN_CACHED_RUN_BYTES, _RUN_SOURCES,
+    cache = _cache_key(stream, formats.MIN_CACHED_RUN_BYTES, _RUN_SOURCES,
                        format=TOP_FORMAT, depth=depth)
     rest = _read_cache(cache, ".top") if cache is not None else None
     body = _cache_body(rest)
@@ -170,32 +157,40 @@ def _cached_top(body: memoryview, depth: int) -> Top | None:
 # ---------------------------------------------------------------------------
 # feature stores: the cached feature rows of every (query, candidate) pair
 
-def cached_stores(stream: IO[str], policy: SegmentationPolicy, pools: list[list]
-                  ) -> tuple[FileCache | None, list[Store] | None]:
-    """The stores cache of the corpus under `stream` for `policy` and
-    `pools` (each query's id, tokens and candidate pool), if the file
-    gets one, and the stores it holds, or None on a miss."""
+def read_stores(stream: IO[str], policy: SegmentationPolicy, pools: list[list],
+                build: Callable[[], Iterable[Store]]) -> list[Store]:
+    """The stores cached for the corpus in `stream` under `policy` and
+    `pools` (each query's id, tokens and candidate pool), or else those
+    `build()` makes, which raises on a malformed corpus before anything
+    is written, saved to the cache if the file gets one.  The key and
+    the body are those `formats.read_stores` documents."""
     cache = _corpus_key(stream, policy, pools)
-    if cache is None:
-        return None, None
-    return cache, _load_stores(cache, sum(len(pool) for _, _, pool in pools))
+    if cache is not None:
+        stores = _load_stores(cache, sum(len(pool) for _, _, pool in pools))
+        if stores is not None:
+            return stores
+    stores = list(build())
+    if cache is not None:
+        body = [array.array("q", counts).tobytes() for counts, _ in stores]
+        # a store of no pairs has no rows, and a view of zero rows cannot be cast
+        body += [rows.cast("B") if counts else b"" for counts, rows in stores]
+        _write_cache(cache, ".stores", body)
+    return stores
 
 
 def _corpus_key(stream: IO[str], policy: SegmentationPolicy,
                 pools: list[list]) -> FileCache | None:
     """The stores cache of the file under `stream` for `policy` and
     `pools`, under the rules of `_cache_key`."""
-    import dataclasses  # loaded with `corpus`; `eval` reads runs without it
-
     return _cache_key(stream, MIN_CACHED_BYTES, _SOURCES, format=STORES_FORMAT,
-                      byteorder=sys.byteorder, width=NUM_FEATURES,
-                      policy=dataclasses.asdict(policy), pools=pools)
+                      byteorder=sys.byteorder, width=formats.NUM_FEATURES,
+                      policy=vars(policy), pools=pools)
 
 
 def _load_stores(cache: FileCache, pairs: int) -> list[Store] | None:
     """The stores of `pairs` (query, candidate) pairs each that `cache`
     holds, or None if `_cache_body` finds no body or it is not exactly
-    the shape `save_stores` writes."""
+    the shape `read_stores` writes."""
     body = _cache_body(_read_cache(cache, ".stores"))
     if body is None:
         return None
@@ -209,22 +204,10 @@ def _load_stores(cache: FileCache, pairs: int) -> list[Store] | None:
         block = heads[i * pairs:(i + 1) * pairs].tolist()
         if min(block, default=1) < 1:
             return None
-        size = 8 * NUM_FEATURES * sum(block)
+        size = 8 * formats.NUM_FEATURES * sum(block)
         stores.append(Store(block, body[offset:offset + size]))
         offset += size
     return stores if offset == len(body) else None
-
-
-def save_stores(cache: FileCache, stores: Iterable[tuple[list[int], Any]]) -> None:
-    """Write each store's row counts and rows (a C-contiguous float64
-    buffer of `NUM_FEATURES` columns) to `cache`, as `_load_stores`
-    reads them; nothing is written if the corpus changed since its key
-    was taken, and a failure is ignored."""
-    stores = list(stores)
-    body = [array.array("q", counts).tobytes() for counts, _ in stores]
-    # a store of no pairs has no rows, and a view of zero rows cannot be cast
-    body += [memoryview(rows).cast("B") if counts else b"" for counts, rows in stores]
-    _write_cache(cache, ".stores", body)
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +248,7 @@ def _cache_key(stream: IO[str], floor: int, sources: Iterable[str],
     key = {**members, "code": code, "python": sys.version, "size": info.st_size,
            "crc32": crc, "encoding": codecs.lookup(stream.encoding).name,
            "errors": stream.errors}
-    return FileCache(stream.name, info, SORTED_JSON.encode(key).encode() + b"\n")
+    return FileCache(stream.name, info, formats.SORTED_JSON.encode(key).encode() + b"\n")
 
 
 def _sources_crc(sources: Iterable[str]) -> int:

@@ -7,41 +7,43 @@ This module imports only `argparse` and `sys` at load time, and each
 subcommand imports the layers it runs itself, since each process
 compiles every module it loads.  Every command loads `formats` and
 `evaluation`; `eval-selection` loads nothing more.  `eval` adds
-`config` and `cache`; `select` and `rerank` add `corpus` and `ranking`
-(and, on a stores miss, `training`, `scorer` and numpy; an mlp model
-loads `scorer` and numpy too); `train` loads them all; `synth` and
-`segment` load `config`, `corpus` and, for `synth`, `synth`.  So `eval`
-and `eval-selection` never load numpy, nor `dataclasses`.
+`config`, and `cache` for a run of 1 MiB or more; `select` and
+`rerank` add `config`, `cache`, `corpus` and `ranking` (and, on a
+stores miss, `training`, `scorer` and numpy; an mlp model loads
+`scorer` and numpy too); `train` loads them all; `synth` and `segment`
+load `config`, `corpus` and, for `synth`, `synth`.  So `eval` and
+`eval-selection` never load numpy, nor `dataclasses`.
 
 `train`, `select` and `rerank` resolve the paths of their output and
 of every input first (`--qrels` and, for `--mode gold`, `--gold`;
-`--model`), and read the queries, candidates and corpus
-(`_read_inputs`) before numpy can load, so a missing path, or a
-malformed corpus, query or candidate file, is reported before numpy
-loads, and a missing path before the corpus is read.  `synth`
+`--model`), then read the queries, candidates and stores
+(`_read_stores`), so a missing path is reported before the corpus is
+read.  Numpy loads only once the corpus has parsed and every candidate
+was found in it, so a malformed corpus, query or candidate file, or a
+candidate the corpus lacks, is reported before numpy loads.  `synth`
 holds the collection as vocabulary ids and writes nothing until the
 whole of it is generated; `synth.write_corpus` renders the corpus file.
 
-`train`, `select` and `rerank` share two feature stores over every
-listed query's candidates: one of training windows cut by the
-configured policy, one of inference windows at `max_tokens`.  On a
-corpus of 8 MiB or more, the first of them to run leaves
+`train`, `select` and `rerank` share one path to two feature stores
+(`cache.Store`) over every listed query's candidates: one of training
+windows cut by the configured policy, one of inference windows at
+`max_tokens`.  `_read_stores` gets both from `formats.read_stores`.
+On a corpus of 8 MiB or more, the first of the commands to run leaves
 `<corpus>.stores` beside it, and the others, given the same corpus,
 queries, candidates and policy, load both stores from it without
-parsing the corpus, segmenting or computing a feature (see
-`formats.read_corpus`).  A miss parses the corpus into views
-(`formats.parse_corpus`), which `segment` reads too, and builds the
-stores with numpy (`training.load_stores`).  `train` takes its
-training set from the first store and its dev set from the second
-(`TrainingSet.subset`).  `select` and `rerank` take the two as
-`cache.Store` rows, the cached ones on a hit, and score them through
-the numpy-free inference layer (`ranking`) with the model as
-`formats.parse_model` reads it: `select` picks the best leading
-segment of each pair in the first, and `rerank` ranks the second by
-FirstP or MaxP, with the reductions that rank the dev set, so it ranks
-a pool as training ranked its dev set.  A linear model's scores take
-no numpy; an mlp's take numpy's tanh.  A `rerank --tag` must be one
-word without whitespace, since it is the last field of each run line.
+parsing the corpus, segmenting or computing a feature.  A miss parses
+the corpus into views (`formats.parse_corpus`), which `segment` reads
+too, and builds the stores with numpy (`training.build_stores`).
+`train` takes its training set from the first store and its dev set
+from the second, each a judged subset (`TrainingSet.subset`).
+`select` and `rerank` score the stores' rows through the numpy-free
+inference layer (`ranking`) with the model as `formats.parse_model`
+reads it: `select` picks the best leading segment of each pair in the
+first, and `rerank` ranks the second by FirstP or MaxP, with the
+reductions that rank the dev set, so it ranks a pool as training
+ranked its dev set.  A linear model's scores take no numpy; an mlp's
+take numpy's tanh.  A `rerank --tag` must be one word without
+whitespace, since it is the last field of each run line.
 
 `eval` reads only the first `max(mrr_cutoff, ndcg_k)` entries of each
 ranking, as document ids and ranks, and reads each run through
@@ -69,6 +71,7 @@ from typing import TYPE_CHECKING
 if TYPE_CHECKING:  # each command imports the layers it runs
     from .cache import Store
     from .config import PipelineConfig
+    from .corpus import Query
     from .evaluation import Top
 
 
@@ -177,36 +180,26 @@ def _cmd_segment(args: argparse.Namespace) -> int:
     return 0
 
 
-def _read_inputs(args: argparse.Namespace, config: PipelineConfig):
-    """The queries, their candidates, the configured policy, and what
-    `formats.read_corpus` read for them: the feature stores cached for
-    the corpus or, on a miss, its parse.  Nothing here loads numpy, so a
-    malformed input is reported before it loads."""
+def _read_stores(args: argparse.Namespace, config: PipelineConfig
+                 ) -> tuple[list[Query], dict[str, list[str]], list[Store]]:
+    """The queries, their candidates, and the training-window and
+    inference-window stores of every listed query's candidates, from
+    `formats.read_stores`: the cached ones, or else those built from
+    the corpus and cached.  Numpy loads only to build them, once every
+    input has parsed, so a malformed input is reported before it loads."""
     from . import formats
 
     queries = _read(formats.parse_queries, _path(args, config, "queries"))
     candidates = _read(formats.parse_candidates, _path(args, config, "candidates"))
     policy = config.policy()
-    read = _read(lambda stream: formats.read_corpus(stream, queries, candidates, policy),
-                 _path(args, config, "corpus"))
-    return queries, candidates, policy, read
+    stores = _read(lambda stream: formats.read_stores(stream, queries, candidates, policy),
+                   _path(args, config, "corpus"))
+    return queries, candidates, stores
 
 
-def _scored_stores(args: argparse.Namespace, config: PipelineConfig
-                   ) -> tuple[list[tuple[str, str]], list[Store]]:
-    """Every (query, candidate) pair of the listed queries, in store
-    order, and the training-window and inference-window stores of their
-    feature rows: the cached ones on a hit, and on a miss the ones
-    `training.load_stores` builds, and caches, viewed as `Store`s."""
-    queries, candidates, policy, read = _read_inputs(args, config)
-    stores = read.stores
-    if stores is None:
-        from .cache import Store
-        from .training import load_stores
-
-        stores = [Store(s.row_counts(), memoryview(s.matrix))
-                  for s in load_stores(read, queries, candidates, policy)]
-    return [(q.id, d) for q in queries for d in candidates.get(q.id, ())], stores
+def _pairs(queries: list[Query], candidates: dict[str, list[str]]) -> list[tuple[str, str]]:
+    """Every (query, candidate) pair of the listed queries, in store order."""
+    return [(q.id, d) for q in queries for d in candidates.get(q.id, ())]
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
@@ -219,19 +212,19 @@ def _cmd_train(args: argparse.Namespace) -> int:
         raise formats.ParseError("missing required output path: --out")
     qrels_path = _path(args, config, "qrels")
     gold_path = _path(args, config, "gold") if args.mode == "gold" else None
-    queries, candidates, policy, read = _read_inputs(args, config)
+    queries, candidates, (training, inference) = _read_stores(args, config)
     from .scorer import write_params
-    from .training import best_train, load_stores, train_baseline, train_single
-
-    training, inference = load_stores(read, queries, candidates, policy)
+    from .training import TrainingSet, best_train, train_baseline, train_single
 
     judgments = _read(formats.parse_qrels, qrels_path)
     qrels = {(qid, doc_id): grade for qid, judged in judgments.items()
              for doc_id, grade in judged.items()}
     train_ids, dev_ids = holdout_split([q.id for q in queries],
                                        config.dev_fraction, config.seed)
-    tset = training.subset(train_ids, qrels)
-    dev = inference.subset(dev_ids, qrels, config.mrr_cutoff)
+    tset = TrainingSet.subset(training, queries, candidates, train_ids, qrels,
+                              config.max_segments)
+    dev = TrainingSet.subset(inference, queries, candidates, dev_ids, qrels,
+                             config.max_segments, config.mrr_cutoff)
     print(f"mode={args.mode} topics={len(tset.topics)} dev_queries={len(dev_ids)}")
     if args.mode == "best":
         result = best_train(tset, dev, config)
@@ -262,7 +255,8 @@ def _cmd_select(args: argparse.Namespace) -> int:
     config = _load_config(args)
     out_path = _path(args, config, "out")
     model_path = _path(args, config, "model")
-    pairs, (store, _) = _scored_stores(args, config)
+    queries, candidates, (store, _) = _read_stores(args, config)
+    pairs = _pairs(queries, candidates)
     from .ranking import best_segments, row_scores
 
     model = _read(formats.parse_model, model_path)
@@ -280,13 +274,13 @@ def _cmd_rerank(args: argparse.Namespace) -> int:
     config = _load_config(args)
     out_path = _path(args, config, "out")
     model_path = _path(args, config, "model")
-    pairs, (_, store) = _scored_stores(args, config)
+    queries, candidates, (_, store) = _read_stores(args, config)
     from .ranking import Aggregation, document_scores, rank_pairs, row_scores
 
     model = _read(formats.parse_model, model_path)
     scores = document_scores(row_scores(model, store.rows), store.counts,
                              Aggregation(args.mode))
-    run = rank_pairs(pairs, scores)
+    run = rank_pairs(_pairs(queries, candidates), scores)
     with open(out_path, "w") as stream:
         formats.write_run(run, args.tag, stream)
     print(f"wrote rankings for {len(run)} queries")

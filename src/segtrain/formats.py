@@ -16,16 +16,18 @@ and, from the same pass, the document frequency of those terms; no
 token list is kept, since every command that reads a corpus needs only
 views.
 
-The commands that score read the corpus through `read_corpus`, given
-their queries, candidate pools and segmentation policy: the feature
-stores cached beside a corpus file of 8 MiB or more, or else the
-corpus's parse (`cache.cached_stores`).  `eval` reads each run through
+The commands that score read the corpus through `read_stores`, given
+their queries, candidate pools and segmentation policy: its two
+feature stores, as `cache.Store`s, cached beside a corpus file of
+8 MiB or more or else built from the corpus's parse, by the one path
+that `cache.read_stores` decides.  `eval` reads each run through
 `read_run`: the first entries of each ranking, as many as the metrics
 read, as two columns, document ids and ranks, with no score, since no
-metric reads one, from the cache beside a run file of 1 MiB or more or
-else from the run's parse (`cache.read_top`).  `parse_qrels` reads the
-qrels straight into the grades of each query, the form the metrics
-read.  The `cache` module holds the rules of both caches.
+metric reads one, from the cache beside a run file of
+`MIN_CACHED_RUN_BYTES` (1 MiB) or more or else from the run's parse
+(`cache.read_top`).  `parse_qrels` reads the qrels straight into the
+grades of each query, the form the metrics read.  The `cache` module
+holds the rules of both caches.
 
 A model file is read by `parse_model`, as a scorer kind, its hidden
 units and its parameters in file order, as plain floats, so that
@@ -37,9 +39,11 @@ the bytes `SORTED_JSON` gives it.
 Every command loads this module, and with it `evaluation` and nothing
 else of the package; `eval-selection` loads no more.  The functions
 that read another module import it themselves: `corpus`
-(`parse_corpus`, `parse_queries`), `cache` (`read_corpus`,
-`read_run`) and `config` (`parse_config`).  So `eval` loads no corpus
-code, and `eval-selection` neither the configuration, the caches nor
+(`parse_corpus`, `parse_queries`), `cache` (`read_stores`, and
+`read_run` for a run of 1 MiB or more), `training` (`read_stores`, on
+a miss, once the corpus has parsed) and `config` (`parse_config`).  So
+`eval` loads no corpus code, nor `cache` for a small run, and
+`eval-selection` neither the configuration, the caches nor
 `dataclasses`.
 """
 
@@ -58,7 +62,7 @@ from typing import IO, TYPE_CHECKING, Any, Iterable, Iterator
 from .evaluation import Judgments, Qrels, RankedList, RankEntry, Run, SegmentIndexMap, Top
 
 if TYPE_CHECKING:  # each loads only in the functions that read it
-    from .cache import CorpusRead
+    from .cache import Store
     from .config import PipelineConfig
     from .corpus import DocView, Query, SegmentationPolicy
 
@@ -221,6 +225,12 @@ def parse_run(stream: IO[str]) -> Run:
     return run
 
 
+# A run file of at least this many bytes keeps the top of each of its
+# rankings in a cache beside it; a smaller one parses in milliseconds,
+# and `read_run` reads it without loading `cache`.
+MIN_CACHED_RUN_BYTES = 1 << 20
+
+
 def read_run(stream: IO[str], depth: int) -> Top:
     """The first `depth` entries of each ranking of the run in `stream`,
     as columns, `{qid: (doc_ids, ranks)}`, in `parse_run`'s (rank,
@@ -228,7 +238,7 @@ def read_run(stream: IO[str], depth: int) -> Top:
     parse.  No score is kept: no metric reads one.
 
     The rules are those of every cache (`cache._cache_key`,
-    `cache._read_cache`), with a floor of `cache.MIN_CACHED_RUN_BYTES`:
+    `cache._read_cache`), with a floor of `MIN_CACHED_RUN_BYTES`:
     a text stream over a regular file of at least that size, not yet
     read, whose name is the path of that file, in a directory that other
     users may not write to, has its cache at `<name>.top`.  Its key, the
@@ -240,7 +250,9 @@ def read_run(stream: IO[str], depth: int) -> Top:
     order: `qid<TAB>docs<TAB>ranks`, each list space-separated in
     ranking order; a CRC-32 of the body follows it.  A hit reads only
     that body (`cache._cached_top`), and takes it only if it passes
-    every check `parse_run` makes of what it holds.
+    every check `parse_run` makes of what it holds.  A file under the
+    floor is parsed here without loading `cache`; a stream without a
+    file descriptor is left to `cache`, whose rules give it no cache.
 
     A miss parses the whole file with `parse_run`, every check included;
     a malformed run raises before anything is written, so no cache
@@ -252,12 +264,21 @@ def read_run(stream: IO[str], depth: int) -> Top:
     damaged or of another layout, is a miss, and deleting it is always
     safe.
     """
+    import os
+
+    def parse() -> Top:
+        return {qid: ([e.doc_id for e in ranked.entries[:depth]],
+                      [e.rank for e in ranked.entries[:depth]])
+                for qid, ranked in parse_run(stream).items()}
+
+    try:  # a run under the floor is parsed without loading `cache`
+        if os.fstat(stream.fileno()).st_size < MIN_CACHED_RUN_BYTES:
+            return parse()
+    except OSError:  # no file descriptor: `cache` decides
+        pass
     from .cache import read_top
 
-    return read_top(stream, depth, lambda: {
-        qid: ([e.doc_id for e in ranked.entries[:depth]],
-              [e.rank for e in ranked.entries[:depth]])
-        for qid, ranked in parse_run(stream).items()})
+    return read_top(stream, depth, parse)
 
 
 # ---------------------------------------------------------------------------
@@ -324,12 +345,14 @@ def parse_corpus(stream: IO[str], doc_terms: dict[str, set[str]] | None = None
     return views, dict(df)
 
 
-def read_corpus(stream: IO[str], queries: list[Query], candidates: dict[str, list[str]],
-                policy: SegmentationPolicy) -> CorpusRead:
-    """The two feature stores cached for the corpus in `stream`, of
-    training windows and of inference windows, over the candidate pool
-    in `candidates` of each of `queries` cut by `policy`, or, on a miss,
-    its parse.
+def read_stores(stream: IO[str], queries: list[Query], candidates: dict[str, list[str]],
+                policy: SegmentationPolicy) -> list[Store]:
+    """The two feature stores of the corpus in `stream`, of training
+    windows and of inference windows, over the candidate pool in
+    `candidates` of each of `queries` cut by `policy`: the cached ones,
+    or else those built from the corpus's parse and cached
+    (`cache.read_stores`).  This is the one path by which `train`,
+    `select` and `rerank` get their stores.
 
     A text stream over a regular file of at least
     `cache.MIN_CACHED_BYTES`, not yet read, whose name is the path of
@@ -349,9 +372,12 @@ def read_corpus(stream: IO[str], queries: list[Query], candidates: dict[str, lis
 
     A miss parses the corpus (`parse_corpus`) with each candidate's
     scored terms, the tokens of every query that lists it, and requires
-    every candidate of a listed query to be a corpus document.  Only
-    `cache.save_stores` writes the cache, from stores built from a read
-    that got this far, and deleting it is always safe.
+    every candidate of a listed query to be a corpus document; only
+    then does it load numpy, to build the stores
+    (`training.build_stores`) under stats taken from the inference
+    windows at `policy.max_tokens`.  Only stores built from a read that
+    got this far are written to the cache, and deleting it is always
+    safe.
 
     The rules of which file gets a cache, and of which cache file is
     read, are those of every cache (`cache._cache_key`,
@@ -360,23 +386,29 @@ def read_corpus(stream: IO[str], queries: list[Query], candidates: dict[str, lis
     by this process's user, or is reached through a symbolic link, is a
     miss.
     """
-    from .cache import CorpusRead, cached_stores
+    from . import cache
 
     pools = [[query.id, query.tokens, candidates.get(query.id, [])] for query in queries]
-    cache, stores = cached_stores(stream, policy, pools)
-    if stores is not None:
-        return CorpusRead(stores, None, None, cache)
-    doc_terms: dict[str, set[str]] = {}
-    for _, tokens, pool in pools:
-        for doc_id in pool:
-            doc_terms.setdefault(doc_id, set()).update(tokens)
-    views, df = parse_corpus(stream, doc_terms)
-    for qid, _, pool in pools:
-        for doc_id in pool:
-            if doc_id not in views:
-                raise ParseError(f"candidate {doc_id!r} of query {qid!r} "
-                                 f"is not in the corpus")
-    return CorpusRead(None, views, df, cache)
+
+    def build() -> tuple[Store, Store]:
+        doc_terms: dict[str, set[str]] = {}
+        for _, tokens, pool in pools:
+            for doc_id in pool:
+                doc_terms.setdefault(doc_id, set()).update(tokens)
+        views, df = parse_corpus(stream, doc_terms)
+        for qid, _, pool in pools:
+            for doc_id in pool:
+                if doc_id not in views:
+                    raise ParseError(f"candidate {doc_id!r} of query {qid!r} "
+                                     f"is not in the corpus")
+        from .corpus import CorpusStats, inference_windows
+        from .training import build_stores
+
+        windows = inference_windows(views, policy.max_tokens)
+        return build_stores(queries, candidates, views, policy,
+                            CorpusStats.from_windows(windows, df), windows)
+
+    return cache.read_stores(stream, policy, pools, build)
 
 
 # ---------------------------------------------------------------------------

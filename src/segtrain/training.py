@@ -1,27 +1,30 @@
 """Iterative segment-selection training over one feature store.
 
-A `TrainingSet` holds topics and one read-only matrix stacking the
-feature rows of every (query, document) pair, pair after pair, with
-each pair's row range.  Built with a training policy it holds training
-segments: SGD learns from it and `select_segments` picks segments in
-it between rounds.  Built with an inference policy it holds each
-candidate's inference windows, and `rank_store` ranks its candidates
-by their aggregated window scores, as the dev set whose MRR stops
-training.  Both score the whole matrix in one batch-invariant
-`score_batch` call, so each pair gets the scores it gets alone, and
-reduce each pair's scores with `ranking.best_segments` and
-`ranking.document_scores`, the reductions through which the `select`
-and `rerank` commands reduce the scores of the same stores.  A score
-that is not finite is a ValueError (`scorer._finite_scores`), not an
-overflow warning and an infinite score in the output.
+A store (`cache.Store`) holds the feature rows of every (query,
+document) pair of some queries' candidate pools, pair after pair, and
+each pair's row count; `build_training_set` builds one from the pairs'
+views, and `build_stores` the two the commands read, of training
+segments cut by the configured policy and of inference windows.  The
+commands get both through `formats.read_stores`, from the corpus's
+stores cache or else built and cached, so one store type serves every
+command, and `select` and `rerank` score it without numpy (`ranking`).
 
-The commands get one store of each kind over every listed query's
-candidates from `load_stores`, which loads both from the corpus's
-stores cache or builds them from the corpus's views (`build_stores`)
-and caches them; `select` and `rerank` call it on a miss only.
-`TrainingSet.subset` gives `train` its training set and its dev set:
-the rows of the subset's pairs, gathered in the order a store built
-for the subset alone would hold them.  The tests
+A `TrainingSet` is a judged subset of a store, and `TrainingSet.subset`,
+its one constructor, is the one place where qrels split candidates into
+positives and negatives: topics, and one read-only matrix of the
+subset's rows, gathered in the order a store built for the subset alone
+would hold them, with each pair's row range.  `train` takes its
+training set from the training-window store and its dev set from the
+inference-window store.  SGD learns from the first and
+`select_segments` picks segments in it between rounds; `rank_store`
+ranks the second's candidates by their aggregated window scores, as
+the dev set whose MRR stops training.  Both score the whole matrix in
+one batch-invariant `score_batch` call, so each pair gets the scores it
+gets alone, and reduce each pair's scores with `ranking.best_segments`
+and `ranking.document_scores`, the reductions through which the
+`select` and `rerank` commands reduce the scores of the same stores.  A
+score that is not finite is a ValueError (`scorer._finite_scores`), not
+an overflow warning and an infinite score in the output.  The tests
 also build stores from the views `tests/document_oracle.py` projects
 from whole documents, and require the same bits.
 
@@ -46,22 +49,15 @@ import dataclasses
 import itertools
 import random
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
-from .corpus import (
-    CorpusStats,
-    DocView,
-    Query,
-    Segment,
-    SegmentationPolicy,
-    inference_windows,
-)
-from .evaluation import Qrels, Run, SegmentIndexMap, mrr
-from .cache import CorpusRead, save_stores
+from .cache import Store
 from .config import DEFAULT_MAX_SEGMENTS, LossKind, TrainConfig
+from .corpus import CorpusStats, DocView, Query, Segment, SegmentationPolicy
+from .evaluation import Qrels, Run, SegmentIndexMap, mrr
 from .ranking import Aggregation, best_segments, document_scores, rank_pairs
 from .scorer import (
     NUM_FEATURES,
@@ -102,13 +98,6 @@ class TrainingTopic:
     def candidates(self) -> list[str]:
         return self.positives + self.negatives
 
-    @classmethod
-    def judged(cls, query: Query, pool: list[str], qrels: Qrels) -> "TrainingTopic":
-        """The topic of `query` whose candidates are `pool`, split by
-        `qrels`, each side in pool order."""
-        return cls(query, [d for d in pool if qrels.get((query.id, d), 0) > 0],
-                   [d for d in pool if qrels.get((query.id, d), 0) <= 0])
-
 
 def _tile(keys: Iterable[tuple[str, str]], counts: Iterable[int]) -> PairRows:
     """Consecutive row ranges of the given sizes from row 0, by pair."""
@@ -121,63 +110,64 @@ def _tile(keys: Iterable[tuple[str, str]], counts: Iterable[int]) -> PairRows:
 
 @dataclass(eq=False)
 class TrainingSet:
-    """Topics and one read-only matrix of the feature rows of every
-    (query, document) pair, pair after pair in topic and candidate
-    order; `rows` gives each pair's range of rows.  As a dev set, its
-    `qrels` and `mrr_cutoff` give the dev MRR.
+    """Topics, split by judgment, and one read-only matrix of the feature
+    rows of every (query, document) pair, pair after pair in topic and
+    candidate order; `rows` gives each pair's range of rows.  As a dev
+    set, its `qrels` and `mrr_cutoff` give the dev MRR.  Built only by
+    `subset`, from a store.
     """
 
     topics: list[TrainingTopic]
     matrix: np.ndarray
     rows: PairRows
-    max_segments: int = DEFAULT_MAX_SEGMENTS
-    qrels: Qrels = field(default_factory=dict)
-    mrr_cutoff: int = 10
-
-    def __post_init__(self) -> None:
-        pairs = [(topic.query.id, doc_id) for topic in self.topics
-                 for doc_id in topic.candidates]
-        if list(self.rows) != pairs:
-            raise ValueError("the rows must cover each candidate of each topic, in order")
-        end = 0
-        for key, span in self.rows.items():
-            if span.start != end or span.step != 1 or not span:
-                raise ValueError(f"the rows of {key} do not follow the previous pair's")
-            end = span.stop
-        if self.matrix.shape != (end, NUM_FEATURES):
-            raise ValueError(f"a matrix of shape {self.matrix.shape} "
-                             f"for {end} rows of {NUM_FEATURES} features")
-        self.matrix.flags.writeable = False
+    max_segments: int
+    qrels: Qrels
+    mrr_cutoff: int
 
     def row_counts(self) -> list[int]:
         """Each pair's row count, in pair order."""
         return [len(span) for span in self.rows.values()]
 
-    def subset(self, query_ids: Iterable[str], qrels: Qrels,
-               mrr_cutoff: int | None = None) -> "TrainingSet":
-        """The store of the listed queries, in their order, with each
-        topic's candidates, in this store's order, split by `qrels`
-        into positives and negatives, and with `qrels` kept for those
-        queries only.
+    @classmethod
+    def subset(cls, store: Store, queries: list[Query], candidates: dict[str, list[str]],
+               query_ids: Iterable[str], qrels: Qrels,
+               max_segments: int = DEFAULT_MAX_SEGMENTS,
+               mrr_cutoff: int = 10) -> "TrainingSet":
+        """The judged subset of `store` for the listed queries, in their
+        order; the store holds the rows of each of `queries`' candidate
+        pools in `candidates`, pair after pair.  Each topic's pool is
+        split by `qrels` into positives and negatives, each in pool
+        order, and `qrels` is kept for those queries only.  A listed
+        query without candidates, or not among `queries`, is dropped.
 
-        The pairs' rows are gathered into a matrix of the subset's own,
-        so the subset of a store built without qrels equals, bit for
-        bit, the store `build_training_set` builds for those queries and
-        qrels.  A listed query the store has no topic for is dropped,
-        as a query without candidates is.
+        The pairs' rows are gathered into a read-only matrix of the
+        subset's own, so the subset equals, bit for bit, that of a store
+        built for those queries alone.  A ValueError if the store's row
+        counts do not tile its rows over those pairs.
         """
-        by_id = {topic.query.id: topic for topic in self.topics}
+        keys = [(query.id, doc_id) for query in queries
+                for doc_id in candidates.get(query.id, ())]
+        full = np.frombuffer(store.rows, dtype=np.float64).reshape(-1, NUM_FEATURES)
+        if (len(store.counts) != len(keys) or min(store.counts, default=1) < 1
+                or sum(store.counts) != len(full)):
+            raise ValueError(f"a store of {len(store.counts)} row counts and "
+                             f"{len(full)} rows for {len(keys)} pairs")
+        spans = _tile(keys, store.counts)
+        by_id = {query.id: query for query in queries if candidates.get(query.id)}
         query_ids = list(query_ids)
-        topics = [TrainingTopic.judged(by_id[qid].query, by_id[qid].candidates, qrels)
+        topics = [TrainingTopic(by_id[qid],
+                                [d for d in candidates[qid] if qrels.get((qid, d), 0) > 0],
+                                [d for d in candidates[qid] if qrels.get((qid, d), 0) <= 0])
                   for qid in query_ids if qid in by_id]
-        spans = [self.rows[(t.query.id, d)] for t in topics for d in t.candidates]
-        index = np.fromiter(itertools.chain.from_iterable(spans), dtype=np.intp)
-        rows = _tile(((t.query.id, d) for t in topics for d in t.candidates),
-                     map(len, spans))
+        picked = [spans[(t.query.id, d)] for t in topics for d in t.candidates]
+        matrix = full[np.fromiter(itertools.chain.from_iterable(picked), dtype=np.intp)]
+        matrix.flags.writeable = False
         wanted = set(query_ids)
-        return TrainingSet(topics, self.matrix[index], rows, self.max_segments,
-                           {key: g for key, g in qrels.items() if key[0] in wanted},
-                           self.mrr_cutoff if mrr_cutoff is None else mrr_cutoff)
+        return cls(topics, matrix,
+                   _tile(((t.query.id, d) for t in topics for d in t.candidates),
+                         map(len, picked)),
+                   max_segments, {key: g for key, g in qrels.items() if key[0] in wanted},
+                   mrr_cutoff)
 
 
 @dataclass
@@ -201,83 +191,46 @@ class BestTrainResult:
         raise ValueError("best_iteration not present in history")
 
 
-def build_training_set(queries: list[Query], qrels: Qrels,
-                       candidates: dict[str, list[str]],
-                       views: dict[str, DocView],
-                       policy: SegmentationPolicy,
+def build_training_set(queries: list[Query], candidates: dict[str, list[str]],
+                       views: dict[str, DocView], policy: SegmentationPolicy,
                        stats: CorpusStats,
-                       mrr_cutoff: int = 10,
-                       segments: dict[str, list[Segment]] | None = None) -> TrainingSet:
-    """Topics, and the feature rows of the segments of their candidates.
+                       segments: dict[str, list[Segment]] | None = None) -> Store:
+    """The store of the feature rows of the segments of each listed
+    query's candidates, pair after pair in query and pool order; judged
+    by no qrels (`TrainingSet.subset` splits them).
 
-    Positives are a query's judged-relevant candidates; every other
-    candidate is a negative, so a store built without qrels holds
-    negatives only, in pool order.  Queries without candidates are
-    dropped.  Each candidate's view is cut by `policy.segments`, unless
-    `segments` holds its cut already: a training policy draws its
-    budgets from a per-document stream derived from the policy seed, so
-    the store is reproducible regardless of document order; an
+    Each candidate's view is cut by `policy.segments` once per store,
+    unless `segments` holds its cut already: a training policy draws
+    its budgets from a per-document stream derived from the policy
+    seed, so the store is reproducible regardless of document order; an
     inference policy cuts inference windows.
     """
-    topics = [TrainingTopic.judged(query, candidates[query.id], qrels)
-              for query in queries if candidates.get(query.id)]
     segments = dict(segments or {})
     blocks = [np.empty((0, NUM_FEATURES))]
-    for topic in topics:
-        for doc_id in topic.candidates:
+    for query in queries:
+        for doc_id in candidates.get(query.id, ()):
             view = views[doc_id]
             if doc_id not in segments:
                 segments[doc_id] = policy.segments(view)
-            blocks.append(segment_features(topic.query, view, segments[doc_id], stats,
+            blocks.append(segment_features(query, view, segments[doc_id], stats,
                                            policy.max_tokens, policy.max_segments))
-    rows = _tile(((t.query.id, d) for t in topics for d in t.candidates),
-                 map(len, blocks[1:]))
-    return TrainingSet(topics, np.concatenate(blocks), rows, policy.max_segments, qrels,
-                       mrr_cutoff)
+    matrix = np.concatenate(blocks)
+    matrix.flags.writeable = False
+    return Store([len(block) for block in blocks[1:]], memoryview(matrix))
 
 
 def build_stores(queries: list[Query], candidates: dict[str, list[str]],
                  views: dict[str, DocView], policy: SegmentationPolicy,
                  stats: CorpusStats, windows: dict[str, list[Segment]]
-                 ) -> tuple[TrainingSet, TrainingSet]:
+                 ) -> tuple[Store, Store]:
     """The training-window store and the inference-window store of every
-    listed query's candidates, judged by no qrels.  The inference-window
-    store takes each candidate's windows from `windows`, the inference
-    windows at `policy.max_tokens` (`inference_windows`) that `stats`
-    was taken from too."""
+    listed query's candidates (`build_training_set`).  The
+    inference-window store takes each candidate's windows from
+    `windows`, the inference windows at `policy.max_tokens`
+    (`inference_windows`) that `stats` was taken from too."""
     inference = dataclasses.replace(policy, mode="inference")
-    return (build_training_set(queries, {}, candidates, views, policy, stats),
-            build_training_set(queries, {}, candidates, views, inference, stats,
-                               segments=windows))
-
-
-def load_stores(read: CorpusRead, queries: list[Query],
-                candidates: dict[str, list[str]], policy: SegmentationPolicy
-                ) -> tuple[TrainingSet, TrainingSet]:
-    """The stores `build_stores` builds for `queries`, `candidates` and
-    `policy`, from what `formats.read_corpus` read for the same three.
-
-    On a stores cache hit these are the same topics, and matrices that
-    are read-only views of the cached bytes.  On a miss both stores are
-    built from the corpus's views, under stats taken from the inference
-    windows at `policy.max_tokens`, which the inference-window store
-    reuses, and saved to the read's cache, if it has one.
-    """
-    if read.stores is None:
-        windows = inference_windows(read.views, policy.max_tokens)
-        stats = CorpusStats.from_windows(windows, read.df)
-        stores = build_stores(queries, candidates, read.views, policy, stats, windows)
-        if read.cache is not None:
-            save_stores(read.cache, [(s.row_counts(), s.matrix) for s in stores])
-        return stores
-    topics = [TrainingTopic(query, [], candidates[query.id])
-              for query in queries if candidates.get(query.id)]
-    keys = [(topic.query.id, doc_id) for topic in topics for doc_id in topic.candidates]
-    built = []
-    for counts, rows in read.stores:
-        matrix = np.frombuffer(rows, dtype=np.float64).reshape(-1, NUM_FEATURES)
-        built.append(TrainingSet(topics, matrix, _tile(keys, counts), policy.max_segments))
-    return tuple(built)
+    return (build_training_set(queries, candidates, views, policy, stats),
+            build_training_set(queries, candidates, views, inference, stats, windows))
 
 
 def rank_store(params: ScorerParams, store: TrainingSet,

@@ -12,14 +12,17 @@ import numpy as np
 
 from document_oracle import Document, synth_documents, write_corpus
 from segtrain import formats
+from segtrain.cache import Store
 from segtrain.corpus import (
+    DEFAULT_MAX_SEGMENTS,
     DEFAULT_MAX_TOKENS,
     CorpusStats,
     DocView,
     Query,
+    SegmentationPolicy,
     inference_windows,
 )
-from segtrain.evaluation import GoldSegments
+from segtrain.evaluation import GoldSegments, Qrels
 from segtrain.synth import SynthConfig, SynthCorpus, generate_corpus
 from segtrain.training import TrainConfig, TrainingSet, build_training_set
 
@@ -33,6 +36,15 @@ def scored_terms(queries: list[Query],
         for doc_id in candidates.get(query.id, []):
             doc_terms.setdefault(doc_id, set()).update(query.tokens)
     return doc_terms
+
+
+def judged(store: Store, queries: list[Query], candidates: dict[str, list[str]],
+           qrels: Qrels, max_segments: int = DEFAULT_MAX_SEGMENTS,
+           mrr_cutoff: int = 10) -> TrainingSet:
+    """The judged subset of `store` that holds every one of `queries`,
+    the queries that lay the store out."""
+    return TrainingSet.subset(store, queries, candidates, [q.id for q in queries], qrels,
+                              max_segments, mrr_cutoff)
 
 
 def pair_rows(store: TrainingSet, query_id: str, doc_id: str) -> np.ndarray:
@@ -96,24 +108,24 @@ def assemble(synth_cfg: SynthConfig, n_train: int,
     views, stats = read_views(synth_documents(corpus), corpus.queries,
                               corpus.candidates, synth_cfg.max_tokens)
     policy = synth_cfg.policy()
-    by_id = {q.id: q for q in corpus.queries}
-    qids = [q.id for q in corpus.queries]
-    train_ids, dev_ids = qids[:n_train], qids[n_train:]
+    inference = dataclasses.replace(policy, mode="inference")
+    n_segments = policy.max_segments
+    train_queries, dev_queries = corpus.queries[:n_train], corpus.queries[n_train:]
+    train_ids, dev_ids = [q.id for q in train_queries], [q.id for q in dev_queries]
     dev_id_set = set(dev_ids)
 
     def restrict(mapping: dict, ids: set[str]) -> dict:
         return {key: value for key, value in mapping.items() if key[0] in ids}
 
-    train_set = build_training_set(
-        [by_id[q] for q in train_ids], corpus.qrels, corpus.candidates,
-        views, policy, stats)
-    dev_set = build_training_set(
-        [by_id[q] for q in dev_ids], corpus.qrels, corpus.candidates,
-        views, policy, stats)
-    dev_bundle = build_training_set(
-        [by_id[q] for q in dev_ids], restrict(corpus.qrels, dev_id_set),
-        corpus.candidates, views, dataclasses.replace(policy, mode="inference"),
-        stats)
+    def store(queries: list[Query], cut: SegmentationPolicy) -> Store:
+        return build_training_set(queries, corpus.candidates, views, cut, stats)
+
+    train_set = judged(store(train_queries, policy), train_queries, corpus.candidates,
+                       corpus.qrels, n_segments)
+    dev_set = judged(store(dev_queries, policy), dev_queries, corpus.candidates,
+                     corpus.qrels, n_segments)
+    dev_bundle = judged(store(dev_queries, inference), dev_queries, corpus.candidates,
+                        corpus.qrels, n_segments)
     cfg = train_cfg or TrainConfig(seed=synth_cfg.seed)
     return Collection(
         corpus=corpus,

@@ -497,23 +497,41 @@ def test_duplicate_candidate_exits_2_with_line(data, model, tmp_path, capsys):
 
 
 def test_malformed_corpus_exits_before_numpy_is_imported(data, model, tmp_path):
-    # the numpy-backed layers load only once the inputs have parsed
-    corpus = write_corpus_with(data, tmp_path, '{"doc_id": "x", "title": "t"')
-    runs = [["train", "--mode", "best", "--qrels", str(data / "qrels.txt")],
-            ["select", "--model", str(model)], ["rerank", "--model", str(model)]]
+    # the numpy-backed layers load only once the inputs have parsed and
+    # every listed candidate is in the corpus, and no stores are cached
+    # for a corpus that fails either check, even one that gets a cache
+    bad_json = write_corpus_with(data, tmp_path, '{"doc_id": "x", "title": "t"')
+    with open(data / "queries.tsv") as stream:
+        queries = formats.parse_queries(stream)
+    with open(data / "candidates.tsv") as stream:
+        candidates = formats.parse_candidates(stream)
+    doc_id = candidates[queries[-1].id][-1]
+    qid = next(q.id for q in queries if doc_id in candidates.get(q.id, ()))
+    lacking = tmp_path / "lacking" / "corpus.jsonl"
+    lacking.parent.mkdir()
+    lacking.write_text("".join(line for line in (data / "corpus.jsonl").open()
+                               if json.loads(line)["doc_id"] != doc_id))
+    runs = [[*args, *inputs(data, corpus=corpus), "--out", str(tmp_path / "out")]
+            for corpus in (bad_json, lacking)
+            for args in (["train", "--mode", "best", "--qrels", str(data / "qrels.txt")],
+                         ["select", "--model", str(model)],
+                         ["rerank", "--model", str(model)])]
     script = ("import sys\n"
+              "from segtrain import cache\n"
               "from segtrain.cli import main\n"
+              "cache.MIN_CACHED_BYTES = 1\n"
               f"for args in {runs!r}:\n"
-              f"    args += {inputs(data, corpus=corpus)!r}\n"
-              f"    assert main([*args, '--out', {str(tmp_path / 'out')!r}]) == 2\n"
+              "    assert main(args) == 2\n"
               "    assert 'numpy' not in sys.modules\n")
     src = str(Path(segtrain.__file__).resolve().parent.parent)
     result = subprocess.run([sys.executable, "-c", script], capture_output=True,
                             text=True, timeout=120,
                             env={**os.environ, "PYTHONPATH": src})
     assert result.returncode == 0, result.stderr
+    missing = f"segtrain: error: candidate {doc_id!r} of query {qid!r} is not in the corpus\n"
     assert result.stderr.count("segtrain: error: line 2: bad JSON") == 3
-    assert not (tmp_path / "out").exists()
+    assert result.stderr.endswith(missing * 3) and result.stderr.count("\n") == 6
+    assert not list(tmp_path.rglob("*.stores*")) and not (tmp_path / "out").exists()
 
 
 def test_malformed_corpus_exits_2_with_line_despite_its_cache(data, model, tmp_path,
@@ -572,15 +590,15 @@ def test_a_missing_output_path_exits_2_before_any_work(data, model, capsys,
                                                        monkeypatch, command):
     from segtrain import training
 
-    read_corpus = mock.Mock(wraps=formats.read_corpus)
+    read_stores = mock.Mock(wraps=formats.read_stores)
     best_train = mock.Mock(wraps=training.best_train)
-    monkeypatch.setattr(formats, "read_corpus", read_corpus)
+    monkeypatch.setattr(formats, "read_stores", read_stores)
     monkeypatch.setattr(training, "best_train", best_train)
     assert main([command, *inputs(data), *scoring_args(command, data, model)]) == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "segtrain: error: missing required output path: --out\n"
-    assert read_corpus.call_count == best_train.call_count == 0
+    assert read_stores.call_count == best_train.call_count == 0
 
 
 def test_a_missing_input_path_exits_2_before_any_work(data, tmp_path):
@@ -1004,7 +1022,7 @@ def eval_cached(trec: Path, *extra: str, prelude: str = "") -> tuple:
     result = python("import sys\n"
                     "from segtrain import cache, formats\n"
                     "from segtrain.cli import main\n"
-                    "cache.MIN_CACHED_RUN_BYTES = 1\n"
+                    "formats.MIN_CACHED_RUN_BYTES = 1\n"
                     f"{prelude}"
                     f"sys.exit(main({args!r}))\n")
     return (result.returncode, result.stdout, result.stderr,
@@ -1192,13 +1210,14 @@ def test_a_linear_select_and_rerank_on_a_stores_hit_do_not_import_numpy(tmp_path
 
 
 # The submodules each command loads; every command loads `READS`.
-# `select` and `rerank` score a linear model on a stores hit.
+# `select` and `rerank` score a linear model on a stores hit, and `eval`
+# reads a run under `formats.MIN_CACHED_RUN_BYTES`, without `cache`.
 READS = {"cli", "formats", "evaluation"}
 COMMAND_MODULES = {
     "train": READS | {"config", "cache", "corpus", "ranking", "scorer", "training"},
     "select": READS | {"config", "cache", "corpus", "ranking"},
     "rerank": READS | {"config", "cache", "corpus", "ranking"},
-    "eval": READS | {"config", "cache"},
+    "eval": READS | {"config"},
     "eval-selection": READS,
 }
 

@@ -224,7 +224,7 @@ def parse_file(path: Path, queries: list[Query], candidates: dict[str, list[str]
 
 def missing_candidate(queries: list[Query], candidates: dict[str, list[str]],
                       doc_ids: list[str]) -> str | None:
-    """The error `read_corpus` raises for the first candidate of a listed
+    """The error `read_stores` raises for the first candidate of a listed
     query that is not among `doc_ids`, or None."""
     for query in queries:
         for doc_id in candidates.get(query.id, []):
@@ -245,7 +245,7 @@ CACHED_QUERIES = [Query.from_text("q0", "alpha"), Query.from_text("q1", "beta")]
 CACHED_CANDIDATES = {"q0": ["d0", "d1"], "q1": ["d1"]}
 CACHED_POLICY = SegmentationPolicy("training", 8, 4, 3, 1, 0)
 
-# The members of a stores cache's key, as `read_corpus` documents them.
+# The members of a stores cache's key, as `read_stores` documents them.
 STORES_KEY = {"format", "code", "python", "byteorder", "width", "size", "crc32",
               "encoding", "errors", "policy", "pools"}
 
@@ -295,6 +295,25 @@ STORES_CORRUPTIONS = {
 }
 
 
+def store_bytes(stores) -> list[tuple[list[int], bytes]]:
+    """Each store's row counts and the bytes of its rows."""
+    return [(counts, rows.tobytes()) for counts, rows in stores]
+
+
+@contextlib.contextmanager
+def stores_keys():
+    """The stores cache keys `cache._corpus_key` takes, None for a file
+    that gets no cache, while the block runs."""
+    keys = []
+
+    def corpus_key(*args, real=cache._corpus_key):
+        keys.append(real(*args))
+        return keys[-1]
+
+    with mock.patch.object(cache, "_corpus_key", corpus_key):
+        yield keys
+
+
 def owner(name: str):
     """The module that defines `name`: `formats` for a parser, `cache`
     for a rule of the caches."""
@@ -311,17 +330,22 @@ class TestStoresCache:
     def read(path: Path, queries: list = CACHED_QUERIES,
              candidates: dict = CACHED_CANDIDATES, policy=CACHED_POLICY,
              errors: str = "strict", encoding: str = "utf-8", **patches):
-        """The two stores of the corpus at `path`, as the commands load
-        them (`read_corpus`, then `training.load_stores`), as (row counts,
-        row bytes), and whether they were a hit."""
+        """The two stores of the corpus at `path`, as the commands read
+        them (`read_stores`), as (row counts, row bytes), and whether they
+        were a hit: whether `cache._load_stores` gave them."""
+        loads = []
+
+        def load_stores(*args, real=cache._load_stores):
+            loads.append(real(*args))
+            return loads[-1]
+
         with contextlib.ExitStack() as stack:
-            for name, value in {"MIN_CACHED_BYTES": 1, **patches}.items():
+            for name, value in {"MIN_CACHED_BYTES": 1, "_load_stores": load_stores,
+                                **patches}.items():
                 stack.enter_context(mock.patch.object(owner(name), name, value))
             with open(path, encoding=encoding, errors=errors) as stream:
-                read = formats.read_corpus(stream, queries, candidates, policy)
-            stores = training.load_stores(read, queries, candidates, policy)
-        return ([(store.row_counts(), store.matrix.tobytes()) for store in stores],
-                read.stores is not None)
+                stores = formats.read_stores(stream, queries, candidates, policy)
+        return store_bytes(stores), loads[-1:] not in ([], [None])
 
     def uncached(self, path: Path, **inputs):
         """The stores a read with no cache builds."""
@@ -337,9 +361,10 @@ class TestStoresCache:
     @given(corpus_files(), query_pools())
     def test_a_miss_equals_a_fresh_parse(self, data, pools):
         # taking the key reads the file, not the stream, so the parse
-        # that follows gives what a plain parse gives, or its error, or
-        # else names a candidate the corpus lacks; only `save_stores`
-        # writes a cache
+        # that follows gives the stores their views and document
+        # frequency as a plain parse gives them, or its error, or else
+        # names a candidate the corpus lacks; only stores built from a
+        # parse that passed every check are cached
         queries, candidates = pools
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "corpus.jsonl"
@@ -348,15 +373,25 @@ class TestStoresCache:
             if not isinstance(fresh, str):
                 fresh = missing_candidate(queries, candidates,
                                           [doc_id for doc_id, _ in fresh[0]]) or fresh
-            with mock.patch.object(cache, "MIN_CACHED_BYTES", 1), open(path) as stream:
+            built = []
+
+            def build_stores(*args, real=training.build_stores):
+                built.append(args)
+                return real(*args)
+
+            with mock.patch.object(training, "build_stores", build_stores):
                 try:
-                    read = formats.read_corpus(stream, queries, candidates, CACHED_POLICY)
+                    stores, hit = self.read(path, queries, candidates)
                 except ParseError as exc:
-                    assert str(exc) == fresh
-                else:
-                    assert read.stores is None and read.cache is not None
-                    assert (list(read.views.items()), list(read.df.items())) == fresh
-            assert [p.name for p in Path(tmp).iterdir()] == ["corpus.jsonl"]
+                    assert str(exc) == fresh and not built
+                    assert [p.name for p in Path(tmp).iterdir()] == ["corpus.jsonl"]
+                    return
+            [(_, _, views, _, stats, _)] = built
+            assert (list(views.items()), list(stats.document_frequency.items())) == fresh
+            assert not hit and stores == self.uncached(path, queries=queries,
+                                                       candidates=candidates)
+            assert sorted(p.name for p in Path(tmp).iterdir()) == [
+                "corpus.jsonl", "corpus.jsonl.stores"]
 
     @settings(max_examples=40, deadline=None)
     @given(corpus_files(), query_pools())
@@ -403,7 +438,7 @@ class TestStoresCache:
         assert not hit and self.read(path) == (cached, True)
         header = json.loads(Path(f"{path}.stores").read_bytes().partition(b"\n")[0])
         assert set(header) == STORES_KEY  # no input the pools derive
-        assert all(f"`{name}`" in formats.read_corpus.__doc__ for name in STORES_KEY)
+        assert all(f"`{name}`" in formats.read_stores.__doc__ for name in STORES_KEY)
         inputs, patches = {}, {}
         system = {"version": sys.version, "byteorder": sys.byteorder}
         if change == "one byte":  # same size and modification time
@@ -496,19 +531,20 @@ class TestStoresCache:
 
     def test_a_stream_whose_name_names_another_file_gets_no_cache(self, tmp_path):
         path = self.corpus(tmp_path)
-        fresh = parse_file(path, CACHED_QUERIES, CACHED_CANDIDATES)
-        with mock.patch.object(cache, "MIN_CACHED_BYTES", 1), open(path) as stream:
+        fresh = self.uncached(path)
+        with mock.patch.object(cache, "MIN_CACHED_BYTES", 1), stores_keys() as keys, \
+                open(path) as stream:
             path.rename(tmp_path / "moved.jsonl")
             path.write_text(CACHED_CORPUS)
-            read = formats.read_corpus(stream, CACHED_QUERIES, CACHED_CANDIDATES,
-                                       CACHED_POLICY)
-        assert read.cache is None
-        assert (list(read.views.items()), list(read.df.items())) == fresh
+            stores = formats.read_stores(stream, CACHED_QUERIES, CACHED_CANDIDATES,
+                                         CACHED_POLICY)
+        assert keys == [None] and store_bytes(stores) == fresh
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.jsonl",
+                                                              "moved.jsonl"]
 
     @pytest.mark.parametrize("kind", ["string", "pipe"])
-    def test_a_stream_over_no_regular_file_gets_no_cache(self, kind):
-        fresh = parse_corpus(io.StringIO(CACHED_CORPUS),
-                             scored_terms(CACHED_QUERIES, CACHED_CANDIDATES))
+    def test_a_stream_over_no_regular_file_gets_no_cache(self, tmp_path, kind):
+        fresh = self.uncached(self.corpus(tmp_path))
         if kind == "string":
             stream = io.StringIO(CACHED_CORPUS)
         else:
@@ -516,10 +552,10 @@ class TestStoresCache:
             with open(write_end, "w") as pipe:
                 pipe.write(CACHED_CORPUS)
             stream = open(read_end, encoding="utf-8")
-        with mock.patch.object(cache, "MIN_CACHED_BYTES", 1), stream:
-            read = formats.read_corpus(stream, CACHED_QUERIES, CACHED_CANDIDATES,
-                                       CACHED_POLICY)
-        assert read.cache is None and (read.views, read.df) == fresh
+        with mock.patch.object(cache, "MIN_CACHED_BYTES", 1), stores_keys() as keys, stream:
+            stores = formats.read_stores(stream, CACHED_QUERIES, CACHED_CANDIDATES,
+                                         CACHED_POLICY)
+        assert keys == [None] and store_bytes(stores) == fresh
 
     def test_a_corpus_under_min_cached_bytes_gets_no_cache(self, tmp_path):
         path = self.corpus(tmp_path)
@@ -531,12 +567,28 @@ class TestStoresCache:
         assert self.read(path, MIN_CACHED_BYTES=size) == (fresh, True)
 
     def test_a_stream_already_read_gets_no_cache(self, tmp_path):
-        # the key covers the whole file, but the parse reads only the rest
+        # the key covers the whole file, but the parse reads only the rest:
+        # the first document is not in it
         path = self.corpus(tmp_path)
-        with mock.patch.object(cache, "MIN_CACHED_BYTES", 1), open(path) as stream:
-            stream.readline()
-            read = formats.read_corpus(stream, [], {}, CACHED_POLICY)
-        assert read.cache is None and list(read.views) == ["d1", "d2"]
+        rest = tmp_path / "rest.jsonl"
+        rest.write_text(CACHED_CORPUS.partition("\n")[2])
+        inputs = {"queries": CACHED_QUERIES[1:], "candidates": {"q1": ["d2", "d1"]}}
+        fresh = self.uncached(rest, **inputs)
+        for candidates, error in (({"q1": ["d2", "d1"]}, None),
+                                  ({"q1": ["d0"]}, "candidate 'd0' of query 'q1'")):
+            with mock.patch.object(cache, "MIN_CACHED_BYTES", 1), stores_keys() as keys, \
+                    open(path) as stream:
+                stream.readline()
+                if error is None:
+                    stores = formats.read_stores(stream, CACHED_QUERIES[1:], candidates,
+                                                 CACHED_POLICY)
+                    assert store_bytes(stores) == fresh
+                else:
+                    with pytest.raises(ParseError, match=f"^{error} is not in the corpus$"):
+                        formats.read_stores(stream, CACHED_QUERIES[1:], candidates,
+                                            CACHED_POLICY)
+            assert keys == [None]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.jsonl", "rest.jsonl"]
 
     def test_a_corpus_changed_while_parsed_gets_no_cache(self, tmp_path):
         path = self.corpus(tmp_path)
@@ -582,18 +634,20 @@ class TestStoresCache:
 @pytest.mark.parametrize("how", ["serial", "cached"])
 def test_corpus_lines_split_on_universal_newlines(tmp_path, how):
     # a lone "\r" ends a line, whatever newline= the stream was opened
-    # with, also once `read_corpus` has taken the key of the file
+    # with, also once `read_stores` has taken the key of the file
     path = tmp_path / "corpus.jsonl"
     path.write_bytes(f"{doc_line('a')}\r{doc_line('c')}\n".encode())
     with mock.patch.object(cache, "MIN_CACHED_BYTES", 1), \
             open(path, newline="\n") as stream:
         if how == "cached":
-            read = formats.read_corpus(stream, [], {}, CACHED_POLICY)
-            assert read.cache is not None
-            views = read.views
+            with stores_keys() as keys:
+                stores = formats.read_stores(stream, CACHED_QUERIES[:1], {"q0": ["a", "c"]},
+                                             CACHED_POLICY)
+            assert keys[0] is not None and len(stores[0].counts) == 2
+            assert Path(f"{path}.stores").exists()
         else:
             views, _ = parse_corpus(stream)
-    assert list(views) == ["a", "c"]
+            assert list(views) == ["a", "c"]
 
 
 GOOD = '{"doc_id": "d1", "title": "t", "body": "a b."}'
@@ -644,7 +698,7 @@ def test_undecodable_corpus_byte_names_its_line(tmp_path, how, lines):
     path.write_bytes(data)
     with mock.patch.object(cache, "MIN_CACHED_BYTES", 1):
         if how == "cached":  # the key is taken first
-            parsers = [lambda stream: formats.read_corpus(stream, [], {}, CACHED_POLICY)]
+            parsers = [lambda stream: formats.read_stores(stream, [], {}, CACHED_POLICY)]
         else:
             parsers = [parse_corpus, parse_documents]
         for parser in parsers:
@@ -1094,6 +1148,23 @@ class TestRunCache:
         assert self.reads(path, MIN_CACHED_RUN_BYTES=size) == [
             (fresh, False), (fresh, False), (fresh, True)]
 
+    def test_a_run_under_the_floor_is_read_without_the_cache_module(self, tmp_path):
+        # its size is taken first; a stream without a file descriptor is
+        # left to `cache`, which gives it no cache
+        path = self.run(tmp_path)
+        size, fresh = path.stat().st_size, top_of_file(path, 2)
+        tops = mock.Mock(wraps=cache.read_top)
+        with mock.patch.object(cache, "read_top", tops):
+            for floor, calls in ((size + 1, 0), (size, 1)):
+                with mock.patch.object(formats, "MIN_CACHED_RUN_BYTES", floor), \
+                        open(path) as stream:
+                    assert top_items(formats.read_run(stream, 2)) == fresh
+                assert tops.call_count == calls
+            with mock.patch.object(formats, "MIN_CACHED_RUN_BYTES", 1 << 62):
+                assert top_items(formats.read_run(io.StringIO(CACHED_RUN), 2)) == fresh
+        assert tops.call_count == 2
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.txt", "run.txt.top"]
+
     @pytest.mark.parametrize("kind", ["string", "pipe", "codecs reader"])
     def test_a_stream_that_is_no_text_file_gets_no_cache(self, tmp_path, kind):
         # a `codecs` reader has a file's name and descriptor, but splits
@@ -1109,14 +1180,14 @@ class TestRunCache:
         else:
             stream = codecs.open(self.run(tmp_path), encoding="utf-8")
         writes = mock.Mock()
-        with mock.patch.object(cache, "MIN_CACHED_RUN_BYTES", 1), \
+        with mock.patch.object(formats, "MIN_CACHED_RUN_BYTES", 1), \
                 mock.patch.object(cache, "_write_cache", writes), stream:
             assert top_items(formats.read_run(stream, 2)) == fresh
         assert not writes.called
 
     def test_a_stream_already_read_gets_no_cache(self, tmp_path):
         path = self.run(tmp_path)
-        with mock.patch.object(cache, "MIN_CACHED_RUN_BYTES", 1), open(path) as stream:
+        with mock.patch.object(formats, "MIN_CACHED_RUN_BYTES", 1), open(path) as stream:
             stream.readline()
             assert list(formats.read_run(stream, 2)) == ["q1", "q2"]
         assert [p.name for p in tmp_path.iterdir()] == ["run.txt"]
@@ -1128,7 +1199,7 @@ class TestRunCache:
             path.rename(tmp_path / "moved.txt")
             path.write_text(CACHED_RUN)
             assert cache._cache_key(stream, 1, cache._RUN_SOURCES) is None
-            with mock.patch.object(cache, "MIN_CACHED_RUN_BYTES", 1):
+            with mock.patch.object(formats, "MIN_CACHED_RUN_BYTES", 1):
                 assert top_items(formats.read_run(stream, 2)) == fresh
         assert sorted(p.name for p in tmp_path.iterdir()) == ["moved.txt", "run.txt"]
 

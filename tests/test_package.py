@@ -1,5 +1,6 @@
 """The package's exported names, resolved on first access, the function
-names the benchmark's tracer reads, and the imports of its modules."""
+names the benchmark's tracer reads and its runner calls, and the imports
+of its modules."""
 
 import ast
 import importlib
@@ -70,6 +71,34 @@ def test_traced_names_are_public_functions():
     names = traced_names()
     assert {"scorer.score_batch", "training.select_segments", "ranking.rerank"} <= names
     for name in sorted(names - RETIRED):
+        layer, attr = name.split(".")
+        module = importlib.import_module(f"segtrain.{layer}")
+        value = getattr(module, attr, None)
+        assert inspect.isfunction(value) and value.__module__ == module.__name__, name
+        assert not attr.startswith("_"), name
+
+
+BENCH_RUN = TRACER.with_name("run.py")
+
+
+def bench_calls() -> set[str]:
+    """The "module.function" names `bench/run.py` calls on `formats` and
+    `scorer`, the modules it reads outputs and inputs with."""
+    tree = ast.parse(BENCH_RUN.read_text())
+    return {f"{node.func.value.id}.{node.func.attr}" for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and isinstance(node.func.value, ast.Name)
+            and node.func.value.id in ("formats", "scorer")}
+
+
+def test_bench_calls_are_public_functions():
+    # the benchmark cannot change with the package: a renamed function
+    # would only show as a failed run
+    names = bench_calls()
+    assert {"formats.parse_candidates", "formats.parse_gold", "formats.parse_config",
+            "formats.parse_selection", "formats.parse_run", "formats.parse_corpus",
+            "scorer.read_params"} <= names
+    for name in sorted(names):
         layer, attr = name.split(".")
         module = importlib.import_module(f"segtrain.{layer}")
         value = getattr(module, attr, None)

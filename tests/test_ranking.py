@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from document_oracle import Document, document_from_text
-from e2e_utils import read_views
+from e2e_utils import judged, read_views
 from numpy_reductions import numpy_aggregate, numpy_best_segments, starts_of
 from segtrain.corpus import (
     Query,
@@ -52,9 +52,9 @@ def rank(params: ScorerParams, query: Query, docs: list[Document],
     inference windows of every candidate."""
     candidates = {query.id: [d.id for d in docs]}
     views, stats = read_views(docs, [query], candidates)
-    store = build_training_set([query], {}, candidates, views,
-                               SegmentationPolicy("inference"), stats)
-    return rank_store(params, store, agg)[query.id]
+    store = build_training_set([query], candidates, views, SegmentationPolicy("inference"),
+                               stats)
+    return rank_store(params, judged(store, [query], candidates, {}), agg)[query.id]
 
 
 @pytest.fixture

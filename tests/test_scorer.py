@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from document_oracle import Document, compute_corpus_stats, document_view, synth_documents
-from e2e_utils import pair_rows, read_views
+from e2e_utils import judged, pair_rows, read_views
 from loss_oracle import hinge_loss, pointwise_ce_loss
 from numpy_features import numpy_segment_features
 from segtrain.corpus import (
@@ -287,6 +287,7 @@ def test_stores_equal_the_numpy_kernel_on_the_late_collection():
     stores = build_stores(corpus.queries, corpus.candidates, views, cfg.policy(), stats,
                           inference_windows(views, cfg.max_tokens))
     for store, cut in zip(stores, ("training", "inference")):
+        store = judged(store, corpus.queries, corpus.candidates, {}, cfg.max_segments)
         assert len(store.matrix) == 120 * (4 if cut == "training" else 6)
         for topic in store.topics:
             for doc_id in topic.candidates:

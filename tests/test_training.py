@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 
 from document_oracle import Document, compute_corpus_stats, document_view, synth_documents
-from e2e_utils import assemble, pair_rows, read_views, scored_terms
+from e2e_utils import assemble, judged, pair_rows, read_views, scored_terms
 from segtrain import corpus as corpus_module
 from segtrain import cache, formats
+from segtrain.cache import Store
 from segtrain.corpus import (
     CorpusStats,
     Query,
@@ -42,7 +43,6 @@ from segtrain.training import (
     build_stores,
     build_training_set,
     evaluate_bundle,
-    load_stores,
     rank_store,
     select_segments,
     train_baseline,
@@ -59,22 +59,22 @@ def make_tset(topics_spec, stats=None, max_segments=4) -> TrainingSet:
     """topics_spec: list of (query_text, {doc_id: [segment token lists]}, pos_ids).
 
     Each segment is one sentence of an untitled document; the store
-    stacks the `segment_features` of each pair's view.
+    stacks the `segment_features` of each pair's view, and the training
+    set is its subset judged by `pos_ids`.
     """
     stats = stats or CorpusStats(4, {}, 10.0)
-    topics, blocks, rows, start = [], [np.empty((0, NUM_FEATURES))], {}, 0
+    queries, candidates, qrels, blocks = [], {}, {}, [np.empty((0, NUM_FEATURES))]
     for t, (q_text, docs, pos_ids) in enumerate(topics_spec):
         query = Query.from_text(f"q{t}", q_text)
-        topic = TrainingTopic(query, list(pos_ids), [d for d in docs if d not in pos_ids])
-        topics.append(topic)
-        for doc_id in topic.candidates:
+        queries.append(query)
+        candidates[query.id] = list(docs)
+        qrels.update({(query.id, doc_id): 1 for doc_id in pos_ids})
+        for doc_id in docs:
             view = document_view(Document(doc_id, "", docs[doc_id]), query.tokens)
-            feats = segment_features(query, view, make_segments(doc_id, docs[doc_id]),
-                                     stats, max_segments=max_segments)
-            blocks.append(feats)
-            rows[(query.id, doc_id)] = range(start, start + len(feats))
-            start += len(feats)
-    return TrainingSet(topics, np.concatenate(blocks), rows, max_segments)
+            blocks.append(segment_features(query, view, make_segments(doc_id, docs[doc_id]),
+                                           stats, max_segments=max_segments))
+    store = Store([len(block) for block in blocks[1:]], memoryview(np.concatenate(blocks)))
+    return judged(store, queries, candidates, qrels, max_segments)
 
 
 def match_scorer(weight: float = 1.0) -> ScorerParams:
@@ -224,22 +224,25 @@ class TestBuildPairs:
         assert _stack(tset, None)[0] is X
         assert _stack(tset, first_segments(tset))[0] is X
 
-    def test_rows_must_tile_the_matrix_in_pair_order(self):
-        tset = _random_tset(np.random.default_rng(6))
-        topics, X = tset.topics, tset.matrix
-        keys = list(tset.rows)
-        spans = list(tset.rows.values())
+    def test_a_store_must_tile_its_pairs(self):
+        # each pair the queries and candidates lay out gets a run of at
+        # least one row, and the runs cover the rows
+        queries = [Query.from_text("q0", "a"), Query.from_text("q1", "b")]
+        candidates = {"q0": ["d0", "d1"], "q1": ["d1"], "q2": ["d2"]}
+        rows = memoryview(np.arange(5.0 * NUM_FEATURES))
+        tset = TrainingSet.subset(Store([2, 1, 2], rows), queries, candidates, ["q1"], {})
+        assert tset.rows == {("q1", "d1"): range(0, 2)}
+        assert tset.matrix.tobytes() == rows[3 * NUM_FEATURES:].tobytes()
         bad = {
-            "pairs reordered": (dict(zip(keys[::-1], spans)), X),
-            "a gap": ({**tset.rows, keys[-1]: range(spans[-1].start + 1,
-                                                   spans[-1].stop + 1)}, X),
-            "an empty pair": ({**tset.rows, keys[-1]: range(spans[-1].start,
-                                                           spans[-1].start)}, X),
-            "rows left over": (tset.rows, np.vstack([X, X[:1]])),
+            "a pair too few": [2, 3],
+            "a pair too many": [2, 1, 1, 1],
+            "an empty pair": [2, 0, 3],
+            "rows left over": [2, 1, 1],
+            "rows missing": [2, 1, 3],
         }
-        for rows, matrix in bad.values():
-            with pytest.raises(ValueError):
-                TrainingSet(topics, matrix, rows)
+        for counts in bad.values():
+            with pytest.raises(ValueError, match="^a store of"):
+                TrainingSet.subset(Store(counts, rows), queries, candidates, ["q1"], {})
 
     @pytest.mark.parametrize("loss", list(LossKind))
     def test_epoch_rows_equal_per_example_reference(self, loss):
@@ -353,11 +356,13 @@ class TestSelectSegments:
                 for d in ("d0", "d1", "d2")}
         candidates = {"q0": ["d0", "d1"], "q1": ["d1", "d2"], "q2": []}
         policy = SynthConfig(min_tokens=2, max_tokens=4, query_token_budget=0).policy()
-        store = build_training_set(queries, {}, candidates, docs, policy,
+        store = build_training_set(queries, candidates, docs, policy,
                                    CorpusStats(3, {}, 3.0))
-        assert [(t.query.id, t.positives, t.negatives) for t in store.topics] == \
+        assert len(store.counts) == 4 and store.rows.readonly
+        tset = judged(store, queries, candidates, {})
+        assert [(t.query.id, t.positives, t.negatives) for t in tset.topics] == \
             [("q0", [], ["d0", "d1"]), ("q1", [], ["d1", "d2"])]
-        sel, scores = select_segments(match_scorer(), store)
+        sel, scores = select_segments(match_scorer(), tset)
         assert set(sel) == set(scores) == {("q0", "d0"), ("q0", "d1"),
                                            ("q1", "d1"), ("q1", "d2")}
 
@@ -412,7 +417,7 @@ class TestTrainSingle:
 
     def test_empty_training_set_rejected(self):
         coll = small_collection()
-        empty = TrainingSet([], np.empty((0, NUM_FEATURES)), {})
+        empty = judged(Store([], memoryview(b"")), [], {}, {})
         with pytest.raises(ValueError):
             train_single(empty, coll.dev_bundle, None, TrainConfig(), 0)
 
@@ -523,13 +528,15 @@ class TestEvaluateBundle:
         count = NUM_FEATURES + 1 if kind == "linear" else (NUM_FEATURES + 2) * 8 + 1
         params = ScorerParams(kind, 8 if kind == "mlp" else 0, rng.normal(size=count))
         for policy in (cfg.policy(), dataclasses.replace(cfg.policy(), mode="inference")):
-            full = build_training_set(corpus.queries, corpus.qrels, corpus.candidates,
-                                      views, policy, stats)
+            full = judged(build_training_set(corpus.queries, corpus.candidates, views,
+                                             policy, stats),
+                          corpus.queries, corpus.candidates, corpus.qrels, cfg.max_segments)
             full_selection, full_scores = select_segments(params, full)
             full_runs = {agg: rank_store(params, full, agg) for agg in Aggregation}
             for subset in (corpus.queries[1::3], corpus.queries[5:6]):
-                part = build_training_set(subset, corpus.qrels, corpus.candidates,
-                                          views, policy, stats)
+                part = judged(build_training_set(subset, corpus.candidates, views,
+                                                 policy, stats),
+                              subset, corpus.candidates, corpus.qrels, cfg.max_segments)
                 for topic in part.topics:
                     for doc_id in topic.candidates:
                         assert pair_rows(part, topic.query.id, doc_id).tobytes() == \
@@ -589,17 +596,24 @@ class TestStores:
         by_id = {q.id: q for q in corpus.queries}
         ids = [q.id for q in corpus.queries]
         for store, policy in zip(full, policies):
-            assert [(t.query.id, t.positives) for t in store.topics] == \
-                [(qid, []) for qid in ids]
+            assert len(store.counts) == sum(map(len, corpus.candidates.values()))
             for subset in (ids, ids[1::3], ids[5:6], ids[::-1], []):
-                part = store.subset(subset, corpus.qrels, 7)
-                fresh = build_training_set([by_id[q] for q in subset],
+                part = TrainingSet.subset(store, corpus.queries, corpus.candidates, subset,
+                                          corpus.qrels, cfg.max_segments, 7)
+                queries = [by_id[q] for q in subset]
+                built = build_training_set(queries, corpus.candidates, views, policy, stats)
+                fresh = TrainingSet.subset(built, queries, corpus.candidates, subset,
                                            restrict(corpus.qrels, subset),
-                                           corpus.candidates, views, policy, stats, 7)
+                                           cfg.max_segments, 7)
                 assert [(t.query, t.positives, t.negatives) for t in part.topics] == \
                     [(t.query, t.positives, t.negatives) for t in fresh.topics]
                 assert part.rows == fresh.rows and part.qrels == fresh.qrels
+                assert part.qrels == restrict(corpus.qrels, subset)
                 assert part.matrix.tobytes() == fresh.matrix.tobytes()
+                unjudged = TrainingSet.subset(store, corpus.queries, corpus.candidates,
+                                              subset, {})
+                assert unjudged.row_counts() == built.counts
+                assert unjudged.matrix.tobytes() == built.rows.tobytes()
                 assert not part.matrix.flags.writeable
                 assert (part.max_segments, part.mrr_cutoff) == (cfg.max_segments, 7)
 
@@ -617,15 +631,18 @@ class TestStores:
                                            inference_windows(views, cfg.max_tokens))
         train_ids, dev_ids = holdout_split([q.id for q in corpus.queries], 0.25, 7)
         by_id = {q.id: q for q in corpus.queries}
-        subsets = (training.subset(train_ids, corpus.qrels),
-                   inference.subset(dev_ids, corpus.qrels))
-        fresh = (build_training_set([by_id[q] for q in train_ids], corpus.qrels,
-                                    corpus.candidates, views, cfg.policy(), stats),
-                 build_training_set([by_id[q] for q in dev_ids],
-                                    restrict(corpus.qrels, dev_ids), corpus.candidates,
-                                    views,
-                                    dataclasses.replace(cfg.policy(), mode="inference"),
-                                    stats))
+        subsets = (TrainingSet.subset(training, corpus.queries, corpus.candidates,
+                                      train_ids, corpus.qrels, cfg.max_segments),
+                   TrainingSet.subset(inference, corpus.queries, corpus.candidates,
+                                      dev_ids, corpus.qrels, cfg.max_segments))
+        fresh = []
+        for ids, policy in ((train_ids, cfg.policy()),
+                            (dev_ids, dataclasses.replace(cfg.policy(), mode="inference"))):
+            queries = [by_id[q] for q in ids]
+            fresh.append(judged(build_training_set(queries, corpus.candidates, views,
+                                                   policy, stats),
+                                queries, corpus.candidates, restrict(corpus.qrels, ids),
+                                cfg.max_segments))
         models = []
         for tset, dev in (subsets, fresh):
             result = best_train(tset, dev, train_cfg)
@@ -641,7 +658,7 @@ class TestStores:
                                                                monkeypatch):
         builders = [corpus_module.tokenize, corpus_module._sentence_tokens,
                     corpus_module.view_from_text, corpus_module.DocView,
-                    formats.parse_corpus, formats._corpus_records,
+                    formats.parse_corpus, formats._corpus_records, formats.read_stores,
                     corpus_module.SegmentationPolicy.segments,
                     corpus_module.segment_for_training, corpus_module.segment_for_inference,
                     segment_features, build_training_set, build_stores]
@@ -668,18 +685,26 @@ class TestStores:
         path = tmp_path / "corpus.jsonl"
         with open(path, "w") as stream:
             write_corpus(corpus, stream)
+        loads = []
+
+        def load_stores(*args, real=cache._load_stores):
+            loads.append(real(*args))
+            return loads[-1]
+
         monkeypatch.setattr(cache, "MIN_CACHED_BYTES", 1)
+        monkeypatch.setattr(cache, "_load_stores", load_stores)
         inputs = corpus.queries, corpus.candidates, cfg.policy()
         with open(path) as stream:
-            read = formats.read_corpus(stream, *inputs)
-        assert read.stores is None and read.cache is not None
-        built = load_stores(read, *inputs)
+            built = formats.read_stores(stream, *inputs)
+        assert loads == [None] and Path(f"{path}.stores").exists()
         doc_terms = scored_terms(corpus.queries, corpus.candidates)
         documents = synth_documents(corpus)
         oracle_stats = compute_corpus_stats(documents, cfg.max_tokens,
                                             set().union(*doc_terms.values()))
-        windows = inference_windows(read.views, cfg.max_tokens)
-        assert CorpusStats.from_windows(windows, read.df) == oracle_stats
+        with open(path) as stream:
+            views, df = formats.parse_corpus(stream, doc_terms)
+        windows = inference_windows(views, cfg.max_tokens)
+        assert CorpusStats.from_windows(windows, df) == oracle_stats
         oracle_views = {doc.id: document_view(doc, doc_terms.get(doc.id, ()))
                         for doc in documents}
         oracle = build_stores(corpus.queries, corpus.candidates, oracle_views,
@@ -687,23 +712,27 @@ class TestStores:
                               {doc.id: segment_for_inference(doc, cfg.max_tokens)
                                for doc in documents})
         with open(path) as stream:
-            read = formats.read_corpus(stream, *inputs)
-        assert read.views is None
-        loaded = load_stores(read, *inputs)
+            loaded = formats.read_stores(stream, *inputs)
+        assert loads[1] is loaded
+        layout = corpus.queries, corpus.candidates, corpus.qrels, cfg.max_segments
         for stores in (built, loaded):
-            for store, fresh in zip(stores, oracle):
-                assert [(t.query, t.positives, t.negatives) for t in store.topics] == \
-                    [(t.query, t.positives, t.negatives) for t in fresh.topics]
-                assert store.rows == fresh.rows
-                assert store.matrix.tobytes() == fresh.matrix.tobytes()
-                assert not store.matrix.flags.writeable
+            for store, fresh in zip(stores, oracle, strict=True):
+                assert store.counts == fresh.counts and store.rows.readonly
+                assert store.rows.tobytes() == fresh.rows.tobytes()
+                tset, oracle_set = judged(store, *layout), judged(fresh, *layout)
+                assert [(t.query, t.positives, t.negatives) for t in tset.topics] == \
+                    [(t.query, t.positives, t.negatives) for t in oracle_set.topics]
+                assert tset.rows == oracle_set.rows
+                assert tset.matrix.tobytes() == oracle_set.matrix.tobytes()
         # a pair without rows is a miss, even under a matching checksum
         path = tmp_path / "corpus.jsonl.stores"
         data = path.read_bytes()
-        body = bytearray(data[len(read.cache.header):-4])
+        header = data[:data.index(b"\n") + 1]
+        body = bytearray(data[len(header):-4])
         counts = np.frombuffer(body, dtype=np.int64, count=2)
         body[:16] = np.array([0, counts[0] + counts[1]], dtype=np.int64).tobytes()
-        path.write_bytes(read.cache.header + bytes(body)
-                         + zlib.crc32(body).to_bytes(4, "little"))
+        path.write_bytes(header + bytes(body) + zlib.crc32(body).to_bytes(4, "little"))
         with open(path.with_suffix("")) as stream:
-            assert formats.read_corpus(stream, *inputs).stores is None
+            rebuilt = formats.read_stores(stream, *inputs)
+        assert loads[2:] == [None]
+        assert [s.rows.tobytes() for s in rebuilt] == [s.rows.tobytes() for s in built]
